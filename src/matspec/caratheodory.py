@@ -4,7 +4,9 @@ A q x q matrix function Phi holomorphic on the open unit disk with
 re Phi(z) >= 0 is a Caratheodory function; its Taylor coefficients Gamma_j
 relate to the covariance coefficients by Gamma_0 = C_0, Gamma_j = 2 C_j.
 Membership of a finite Gamma prefix in the class is equivalent to
-re S_n >= 0 for the lower triangular block Toeplitz S_n of the Gamma's.
+re S_n >= 0 for the lower triangular block Toeplitz S_n of the Gamma's,
+and re S_n is the block Toeplitz T_n of the covariance sequence
+C_0 = re Gamma_0, C_j = Gamma_j / 2: the check is TND of that sequence.
 
 The central continuation of a TND prefix has the rational Caratheodory
 function Phi = num * den^{-1} with
@@ -29,7 +31,6 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
     pinv,
-    re_mat,
     spec_norm,
 )
 from .matpoly import MatPoly, det_poly, poly_eval
@@ -38,6 +39,7 @@ from .toeplitz import (
     Classification,
     classify,
     col_stack,
+    first_violation,
     lower_toeplitz,
     toeplitz_matrix,
 )
@@ -53,15 +55,12 @@ class CaratheodoryQuotient:
 
 
 def caratheodory_first_failure(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
-    """Smallest n with re S_n not PSD, or None when the prefix is admissible."""
-    q = g.q
-    s_full = lower_toeplitz(g.coeffs)
-    for n in range(len(g)):
-        s = s_full[: (n + 1) * q, : (n + 1) * q]
-        scale = 1.0 + spec_norm(s)
-        if float(np.linalg.eigvalsh(re_mat(s))[0]) < -tol * scale:
-            return n
-    return None
+    """Smallest n with re S_n not PSD, or None when the prefix is admissible.
+
+    re S_n equals, bit for bit, the Toeplitz matrix T_n of
+    `covariance_from_gamma(g)`, so this is that sequence's `first_violation`.
+    """
+    return first_violation(covariance_from_gamma(g), tol)
 
 
 def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
@@ -97,13 +96,19 @@ def central_quotient(
         n = len(g) - 1
     if not 0 <= n <= len(g) - 1:
         raise IndexError(f"order {n} outside stored range 0..{len(g) - 1}")
-    q = g.q
     g0 = g.coeffs[0]
     if spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
         raise InvalidInputError("Gamma_0 must be Hermitian")
     bad = caratheodory_first_failure(g.prefix(n + 1), psd_tol)
     if bad is not None:
         raise ModelError(f"re S_{bad} not nonnegative", index=bad)
+    return _central_quotient(g, n, rank_rtol)
+
+
+def _central_quotient(g: GammaSeq, n: int, rank_rtol: float) -> CaratheodoryQuotient:
+    """`central_quotient` without the entry checks."""
+    q = g.q
+    g0 = g.coeffs[0]
     eye = np.eye(q, dtype=complex)
     if n == 0:
         return CaratheodoryQuotient(MatPoly([g0]), MatPoly([eye]), 0)
@@ -138,11 +143,15 @@ def pd_polynomials(
         n = len(seq) - 1
     if not 0 <= n <= len(seq) - 1:
         raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    prefix = seq.prefix(n + 1)
-    if classify(prefix, psd_tol) is not Classification.TPD:
+    if classify(seq.prefix(n + 1), psd_tol) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
+    return _pd_polynomials(seq, n)
+
+
+def _pd_polynomials(seq: HermSeq, n: int) -> tuple[MatPoly, MatPoly]:
+    """`pd_polynomials` without the TPD check."""
     q = seq.q
-    tinv = np.linalg.inv(toeplitz_matrix(prefix, n))
+    tinv = np.linalg.inv(toeplitz_matrix(seq, n))
     a = [tinv[j * q : (j + 1) * q, 0:q] for j in range(n + 1)]
     b = [tinv[n * q : (n + 1) * q, (n - j) * q : (n - j + 1) * q] for j in range(n + 1)]
     pa, pb = MatPoly(a), MatPoly(b)

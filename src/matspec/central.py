@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ModelError
 from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
-from .toeplitz import HermSeq, MatrixSeq, ball_params, first_violation
+from .toeplitz import HermSeq, MatrixSeq, _ball, _require_tnd, first_violation
 
 # Tolerance for coefficient-vs-center equality tests, relative to 1 + ||C_0||.
 DEFAULT_CENTRAL_TOL = 1e-8
@@ -56,9 +56,11 @@ def central_extend(
 ) -> HermSeq:
     """Continue C_0..C_n by ball centers until ``target_len`` coefficients.
 
-    The result is again TND; continuing a continuation agrees with continuing
-    the original in one step.  A `GammaSeq` argument is converted to its
-    covariance sequence, continued there, and converted back.
+    The result is again TND, and is checked to be: the input and the result
+    are each scanned once, the centers in between are not re-validated.
+    Continuing a continuation agrees with continuing the original in one
+    step.  A `GammaSeq` argument is converted to its covariance sequence,
+    continued there, and converted back.
     """
     if target_len < len(seq):
         raise InvalidInputError(
@@ -68,13 +70,16 @@ def central_extend(
         return gamma_from_covariance(
             central_extend(covariance_from_gamma(seq), target_len, psd_tol, rank_rtol)
         )
-    bad = first_violation(seq, psd_tol)
-    if bad is not None:
-        raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
+    _require_tnd(seq, psd_tol)
     cur = seq
     while len(cur) < target_len:
-        ball = ball_params(cur, len(cur) - 1, rank_rtol, psd_tol)
-        cur = cur.append(ball.center)
+        cur = cur.append(_ball(cur, len(cur) - 1, rank_rtol).center)
+    if len(cur) > len(seq):
+        bad = first_violation(cur, psd_tol)
+        if bad is not None:
+            raise ModelError(
+                f"central extension not nonnegative Hermitian at T_{bad}", index=bad
+            )
     return cur
 
 
@@ -96,17 +101,15 @@ def central_order(
     a final coefficient that leaves the admissibility cone entirely is simply
     NOT_CENTRAL, while an interior breach is a model error.
     """
-    bad = first_violation(seq.prefix(1), psd_tol)
-    if bad is not None:
-        raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
     n = len(seq) - 1
+    _require_tnd(seq.prefix(max(n, 1)), psd_tol)
     if n == 0:
         return 0
     scale = 1.0 + spec_norm(seq.coeffs[0])
     mismatched = []
     for j in range(1, n + 1):
-        ball = ball_params(seq.prefix(j), j - 1, rank_rtol, psd_tol)
-        if spec_norm(seq.coeffs[j] - ball.center) > tol * scale:
+        center = _ball(seq, j - 1, rank_rtol).center
+        if spec_norm(seq.coeffs[j] - center) > tol * scale:
             mismatched.append(j)
     if mismatched and mismatched[-1] == n:
         return NOT_CENTRAL

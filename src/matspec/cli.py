@@ -120,7 +120,9 @@ def _cmd_check(args) -> int:
     cov = _as_covariance(seq)
     gamma = _as_gamma(seq)
     kind = classify(cov, tol=args.psd_tol)
-    failure = first_violation(cov, tol=args.psd_tol)
+    failure = None
+    if kind is Classification.NOT_TND:
+        failure = first_violation(cov, tol=args.psd_tol)
     cara = caratheodory_check(gamma, tol=args.psd_tol)
     out = {
         "classification": kind.value,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError, ModelError
 
 # Relative singular-value cutoff shared by pinv and numerical_rank.
 DEFAULT_RANK_RTOL = 1e-10
@@ -68,7 +68,7 @@ def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     m = as_cmatrix(a)
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = _svd(m)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
     keep = s > rel_tol * s[0]
@@ -79,12 +79,22 @@ def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T
 
 
+def _svd(m: np.ndarray, compute_uv: bool = True):
+    """numpy SVD whose convergence failure surfaces as a ModelError."""
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ModelError(
+            f"SVD of a {m.shape[0]}x{m.shape[1]} matrix did not converge"
+        ) from exc
+
+
 def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
     """Number of singular values above ``rel_tol * sigma_max``."""
     m = as_cmatrix(a)
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = np.linalg.svd(m, compute_uv=False)
+    s = _svd(m, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
@@ -114,12 +124,6 @@ def _adjugate_stack(ms: np.ndarray) -> np.ndarray:
             # adj[j, i] = (-1)^(i+j) * det(minor of row i, col j)
             out[:, j, i] = (-1) ** (i + j) * np.linalg.det(minor)
     return out
-
-
-def min_herm_eig(a) -> float:
-    """Smallest eigenvalue of the matrix real part."""
-    m = require_square(as_cmatrix(a))
-    return float(np.linalg.eigvalsh(re_mat(m))[0])
 
 
 def is_nonneg_hermitian(a, tol: float = DEFAULT_PSD_TOL) -> bool:

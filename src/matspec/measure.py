@@ -23,7 +23,8 @@ import numpy as np
 
 from .caratheodory import (
     CaratheodoryQuotient,
-    central_quotient,
+    _central_quotient,
+    _pd_polynomials,
     pd_polynomials,
     rational_values,
 )
@@ -45,7 +46,7 @@ from .matpoly import (
     unimodular_roots,
     _limit_known_multiplicity,
 )
-from .toeplitz import HermSeq, Classification, classify, first_violation, toeplitz_matrix
+from .toeplitz import HermSeq, Classification, _require_tnd, classify
 
 # Distance below which density evaluation switches to arc extrapolation.
 EPS_SING = 1e-5
@@ -202,16 +203,6 @@ def compute_atoms(
     return tuple(atoms)
 
 
-def _tpd_margin(seq: HermSeq) -> float:
-    """Smallest relative eigenvalue margin over the prefix Toeplitz matrices."""
-    margin = np.inf
-    for k in range(len(seq)):
-        t = toeplitz_matrix(seq, k)
-        low = float(np.linalg.eigvalsh(re_mat(t))[0])
-        margin = min(margin, low / (1.0 + spec_norm(t)))
-    return margin
-
-
 def central_measure(
     seq: HermSeq,
     psd_tol: float = DEFAULT_PSD_TOL,
@@ -224,23 +215,21 @@ def central_measure(
 
     A length-1 sequence yields the constant density C_0/(2pi) with no atoms.
     For well-interior TPD input the positive-definite route is computed as a
-    built-in cross-check of the density.
+    built-in cross-check of the density.  The prefixes are scanned once; the
+    scan's margin decides whether the cross-check runs.
     """
-    bad = first_violation(seq, psd_tol)
-    if bad is not None:
-        raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
-    g = gamma_from_covariance(seq)
-    cq = central_quotient(g, len(seq) - 1, rank_rtol, psd_tol)
+    margin = _require_tnd(seq, psd_tol)
+    cq = _central_quotient(gamma_from_covariance(seq), len(seq) - 1, rank_rtol)
     atoms = compute_atoms(cq, root_tol, cluster_radius, deriv_tol)
     sm = SpectralMeasure(
         q=seq.q, atoms=tuple(atoms), quotient=cq, provenance=Provenance.CENTRAL
     )
     # Cross-check against the positive-definite route when it is numerically
     # trustworthy; the plain inverse loses digits for barely-TPD input.
-    if len(seq) >= 2 and _tpd_margin(seq) > 1e-6:
+    if len(seq) >= 2 and margin > 1e-6:
         if sm.atoms:
             raise ModelError("positive-definite input produced point masses")
-        pa, pb = pd_polynomials(seq, len(seq) - 1, psd_tol)
+        pa, pb = _pd_polynomials(seq, len(seq) - 1)
         angles = TWO_PI * (np.arange(16) + 0.5) / 16
         want = _pd_density_values(pa, pb, np.exp(1j * angles))
         got = sm.density_grid(angles)
@@ -289,8 +278,8 @@ def pd_measure(
     prefix = seq.prefix(n + 1)
     if classify(prefix, psd_tol) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
-    pd_polynomials(prefix, n, psd_tol)  # validates the nonvanishing conditions
-    cq = central_quotient(gamma_from_covariance(prefix), n, rank_rtol, psd_tol)
+    _pd_polynomials(prefix, n)  # validates the nonvanishing conditions
+    cq = _central_quotient(gamma_from_covariance(prefix), n, rank_rtol)
     return SpectralMeasure(
         q=seq.q, atoms=(), quotient=cq, provenance=Provenance.PD_PATH
     )

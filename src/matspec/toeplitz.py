@@ -96,24 +96,6 @@ class Classification(Enum):
 
 
 @dataclass(frozen=True)
-class ToeplitzBundle:
-    """Structured matrices assembled from a sequence prefix C_0..C_n.
-
-    toeplitz   -- T_n = [C_{j-k}], (n+1)q square
-    col_stack  -- C_1..C_n stacked as an nq x q block column
-    row_stack  -- C_n..C_1 side by side as a q x nq block row
-    causal     -- lower block triangular Toeplitz of the doubled coefficients
-                  (C_0 on the diagonal, 2C_j below), (n+1)q square
-    """
-
-    n: int
-    toeplitz: np.ndarray
-    col_stack: np.ndarray
-    row_stack: np.ndarray
-    causal: np.ndarray
-
-
-@dataclass(frozen=True)
 class MatrixBall:
     """Matrix ball {center + sqrt(left) K sqrt(right) : ||K|| <= 1}."""
 
@@ -169,44 +151,52 @@ def lower_toeplitz(coeffs, n: int | None = None) -> np.ndarray:
     return s
 
 
-def build_bundle(seq: HermSeq, n: int) -> ToeplitzBundle:
-    """Assemble the structured matrices for the prefix C_0..C_n."""
-    doubled = [seq.coeffs[0]] + [2.0 * c for c in seq.coeffs[1 : n + 1]]
-    return ToeplitzBundle(
-        n=n,
-        toeplitz=toeplitz_matrix(seq, n),
-        col_stack=col_stack(seq, n),
-        row_stack=row_stack(seq, n),
-        causal=lower_toeplitz(doubled, n),
-    )
+def _scan(seq: HermSeq, tol: float) -> tuple[int | None, float]:
+    """One pass over the prefix Toeplitz matrices T_0..T_n.
+
+    Returns the first k with T_k not nonnegative Hermitian (None when the
+    sequence is TND) and the smallest margin lambda_min(re T_k) / (1 + ||T_k||)
+    over the prefixes scanned.  T_k - T_k* is block diagonal with blocks
+    C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity is decided on C_0 alone;
+    ||T_k|| is read off the same eigenvalues as lambda_min.
+    """
+    c0 = seq.coeffs[0]
+    if spec_norm(c0 - c0.conj().T) > tol * (1.0 + spec_norm(c0)):
+        return 0, -np.inf
+    q = seq.q
+    t = re_mat(toeplitz_matrix(seq, len(seq) - 1))
+    margin = np.inf
+    for k in range(len(seq)):
+        w = np.linalg.eigvalsh(t[: (k + 1) * q, : (k + 1) * q])
+        margin = min(margin, float(w[0]) / (1.0 + max(-w[0], w[-1])))
+        if margin < -tol:
+            return k, margin
+    return None, margin
+
+
+def _require_tnd(seq: HermSeq, tol: float) -> float:
+    """Scan once; raise ModelError naming the first bad T_k, else return the
+    margin."""
+    bad, margin = _scan(seq, tol)
+    if bad is not None:
+        raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
+    return margin
 
 
 def first_violation(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
-    """Smallest k with T_k not nonnegative Hermitian, or None if TND."""
-    for k in range(len(seq)):
-        t = toeplitz_matrix(seq, k)
-        scale = 1.0 + spec_norm(t)
-        if spec_norm(t - t.conj().T) > tol * scale:
-            return k
-        if float(np.linalg.eigvalsh(re_mat(t))[0]) < -tol * scale:
-            return k
-    return None
+    """Smallest k with T_k not nonnegative Hermitian, or None if TND.
+
+    Nonnegativity of T_k is judged relative to 1 + ||T_k||.
+    """
+    return _scan(seq, tol)[0]
 
 
 def classify(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> Classification:
     """TPD / TND / NOT_TND test over every prefix Toeplitz matrix."""
-    strict = True
-    for k in range(len(seq)):
-        t = toeplitz_matrix(seq, k)
-        scale = 1.0 + spec_norm(t)
-        if spec_norm(t - t.conj().T) > tol * scale:
-            return Classification.NOT_TND
-        low = float(np.linalg.eigvalsh(re_mat(t))[0])
-        if low < -tol * scale:
-            return Classification.NOT_TND
-        if low <= tol * scale:
-            strict = False
-    return Classification.TPD if strict else Classification.TND
+    bad, margin = _scan(seq, tol)
+    if bad is not None:
+        return Classification.NOT_TND
+    return Classification.TPD if margin > tol else Classification.TND
 
 
 def ball_params(
@@ -227,9 +217,12 @@ def ball_params(
     """
     if not 0 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    bad = first_violation(seq.prefix(n + 1), psd_tol)
-    if bad is not None:
-        raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
+    _require_tnd(seq.prefix(n + 1), psd_tol)
+    return _ball(seq, n, rank_rtol)
+
+
+def _ball(seq: HermSeq, n: int, rank_rtol: float) -> MatrixBall:
+    """`ball_params` without the prefix check."""
     c0 = seq.coeffs[0]
     if n == 0:
         zero = np.zeros_like(c0)

@@ -7,6 +7,7 @@ from matspec import (
     caratheodory_check,
     caratheodory_first_failure,
     central_quotient,
+    first_violation,
     gamma_from_covariance,
     numerical_rank,
     pd_polynomials,
@@ -18,9 +19,11 @@ from matspec import (
 )
 from matspec.errors import InvalidInputError, ModelError
 
-from _gen import atomic_coeffs, random_tpd_seq
+from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs
 
 RNG = np.random.default_rng(41)
+# parametrised inputs draw from their own stream, leaving RNG untouched
+CASE_RNG = np.random.default_rng(42)
 
 
 def scalar_gamma(*vals):
@@ -53,6 +56,23 @@ class TestCaratheodoryCheck:
         s1 = np.array([[1.0, 0.0], [1.2, 1.0]])
         expect = np.linalg.eigvalsh((s1 + s1.T) / 2).min() >= 0
         assert caratheodory_check(g) == expect
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            random_tpd_seq(CASE_RNG, 2, 4).coeffs,
+            trig_coeffs(CASE_RNG, 2, 6, deg=3),
+            atomic_coeffs(CASE_RNG, 2, 6, n_atoms=3)[0],
+            mixed_coeffs(CASE_RNG, 3, 5)[0],
+            # breaks at T_2: the atomic prefix C_0, C_1 plus a too-large C_2
+            atomic_coeffs(CASE_RNG, 1, 2, n_atoms=2)[0] + [np.array([[5.0]])],
+            [np.eye(2), 2.0 * np.eye(2)],
+        ],
+        ids=["tpd", "trig", "atomic", "mixed", "not-tnd-2", "not-tnd-1"],
+    )
+    def test_first_failure_is_covariance_first_violation(self, coeffs):
+        c = HermSeq(coeffs)
+        assert caratheodory_first_failure(gamma_from_covariance(c)) == first_violation(c)
 
 
 class TestCentralQuotient:

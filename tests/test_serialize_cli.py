@@ -7,6 +7,7 @@ from matspec import (
     GammaSeq,
     HermSeq,
     Provenance,
+    central_extend,
     central_measure,
     density_at,
     doc_to_measure,
@@ -20,7 +21,7 @@ from matspec import (
     verify_recovery,
 )
 from matspec.cli import main
-from matspec.errors import InvalidInputError
+from matspec.errors import InvalidInputError, ModelError
 
 RNG = np.random.default_rng(61)
 
@@ -137,6 +138,18 @@ class TestCliExitCodes:
         f = tmp_path / "bad.json"
         f.write_text("{oops")
         assert main(["check", str(f)]) == 1
+
+    def test_svd_failure_is_a_model_error(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(ModelError, match="2x2 matrix"):
+            central_extend(scalar_seq(1.0, 0.5, 0.25), 5)
+        f = tmp_path / "seq.json"
+        f.write_text(seq_doc_text(1.0, 0.5, 0.25))
+        assert main(["extend", str(f), "--length", "5"]) == 2
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestCliPipeline:

@@ -6,7 +6,6 @@ from matspec import (
     HermSeq,
     ball_membership,
     ball_params,
-    build_bundle,
     classify,
     conjugate_by_unitary,
     first_violation,
@@ -15,6 +14,7 @@ from matspec import (
     toeplitz_matrix,
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
+from matspec.toeplitz import col_stack, lower_toeplitz, row_stack
 
 from _gen import (
     atomic_coeffs,
@@ -25,6 +25,8 @@ from _gen import (
 )
 
 RNG = np.random.default_rng(11)
+# parametrised inputs draw from their own stream, leaving RNG untouched
+CASE_RNG = np.random.default_rng(12)
 
 
 def ones_seq(count):
@@ -78,23 +80,24 @@ class TestToeplitzMatrix:
 
 class TestBundle:
     def test_shapes(self):
-        b = build_bundle(random_tpd_seq(RNG, 2, 2), 2)
-        assert b.toeplitz.shape == (6, 6)
-        assert b.col_stack.shape == (4, 2)
-        assert b.row_stack.shape == (2, 4)
-        assert b.causal.shape == (6, 6)
+        seq = random_tpd_seq(RNG, 2, 2)
+        doubled = [seq.coeff(0)] + [2 * seq.coeff(j) for j in (1, 2)]
+        assert toeplitz_matrix(seq, 2).shape == (6, 6)
+        assert col_stack(seq, 2).shape == (4, 2)
+        assert row_stack(seq, 2).shape == (2, 4)
+        assert lower_toeplitz(doubled, 2).shape == (6, 6)
 
     def test_col_and_row_stacks(self):
         seq = random_tpd_seq(RNG, 2, 2)
-        b = build_bundle(seq, 2)
-        assert np.allclose(b.col_stack[:2], seq.coeff(1))
-        assert np.allclose(b.col_stack[2:], seq.coeff(2))
-        assert np.allclose(b.row_stack[:, :2], seq.coeff(2))
-        assert np.allclose(b.row_stack[:, 2:], seq.coeff(1))
+        col, row = col_stack(seq, 2), row_stack(seq, 2)
+        assert np.allclose(col[:2], seq.coeff(1))
+        assert np.allclose(col[2:], seq.coeff(2))
+        assert np.allclose(row[:, :2], seq.coeff(2))
+        assert np.allclose(row[:, 2:], seq.coeff(1))
 
     def test_causal_is_lower_triangular_doubling(self):
         seq = random_tpd_seq(RNG, 1, 2)
-        b = build_bundle(seq, 2)
+        doubled = [seq.coeff(0)] + [2 * seq.coeff(j) for j in (1, 2)]
         expect = np.array(
             [
                 [seq.coeff(0)[0, 0], 0, 0],
@@ -102,12 +105,11 @@ class TestBundle:
                 [2 * seq.coeff(2)[0, 0], 2 * seq.coeff(1)[0, 0], seq.coeff(0)[0, 0]],
             ]
         )
-        assert np.allclose(b.causal, expect)
+        assert np.allclose(lower_toeplitz(doubled, 2), expect)
 
     def test_order_zero(self):
-        b = build_bundle(ones_seq(1), 0)
-        assert b.toeplitz.shape == (1, 1)
-        assert b.col_stack.shape == (0, 1)
+        assert toeplitz_matrix(ones_seq(1), 0).shape == (1, 1)
+        assert col_stack(ones_seq(1), 0).shape == (0, 1)
 
 
 class TestFirstViolationClassify:
@@ -136,6 +138,39 @@ class TestFirstViolationClassify:
     def test_atomic_is_tnd(self):
         coeffs, _ = atomic_coeffs(RNG, 2, 4, n_atoms=2)
         assert classify(HermSeq(coeffs)) is not Classification.NOT_TND
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_non_hermitian_head_fails_at_zero(self, length):
+        c0 = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
+        seq = HermSeq([c0] + [0.1 * np.eye(2)] * (length - 1))
+        assert first_violation(seq) == 0
+        assert classify(seq) is Classification.NOT_TND
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            random_tpd_seq(CASE_RNG, 3, 5).coeffs,
+            atomic_coeffs(CASE_RNG, 2, 6, n_atoms=2)[0],
+            direct_sum(atomic_coeffs(CASE_RNG, 1, 5, n_atoms=1)[0],
+                       random_tpd_seq(CASE_RNG, 1, 4).coeffs),
+            atomic_coeffs(CASE_RNG, 1, 3, n_atoms=2)[0] + [np.array([[3.0]])],
+        ],
+        ids=["tpd", "atomic", "direct-sum", "not-tnd"],
+    )
+    def test_matches_per_prefix_definition(self, coeffs):
+        # the definition, one prefix at a time, with SVD norms throughout
+        def oracle(seq, tol=1e-9):
+            for k in range(len(seq)):
+                t = toeplitz_matrix(seq, k)
+                scale = 1.0 + np.linalg.norm(t, 2)
+                if np.linalg.norm(t - t.conj().T, 2) > tol * scale:
+                    return k
+                if np.linalg.eigvalsh((t + t.conj().T) / 2)[0] < -tol * scale:
+                    return k
+            return None
+
+        seq = HermSeq(coeffs)
+        assert first_violation(seq) == oracle(seq)
 
 
 class TestBallParams:
