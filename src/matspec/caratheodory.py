@@ -27,18 +27,13 @@ import numpy as np
 
 from .central import GammaSeq, covariance_from_gamma
 from .errors import InvalidInputError, ModelError, NoLimitError
-from .linalg import (
-    DEFAULT_PSD_TOL,
-    DEFAULT_RANK_RTOL,
-    pinv,
-    spec_norm,
-)
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, spec_norm
 from .matpoly import MatPoly, det_poly, poly_eval
 from .toeplitz import (
     HermSeq,
     Classification,
+    _predictor,
     classify,
-    col_stack,
     first_violation,
     lower_toeplitz,
     toeplitz_matrix,
@@ -112,14 +107,11 @@ def _central_quotient(g: GammaSeq, n: int, rank_rtol: float) -> CaratheodoryQuot
     eye = np.eye(q, dtype=complex)
     if n == 0:
         return CaratheodoryQuotient(MatPoly([g0]), MatPoly([eye]), 0)
-    c = covariance_from_gamma(g)
-    tp = pinv(toeplitz_matrix(c, n - 1), rank_rtol)
-    y = col_stack(c, n)
+    w = _predictor(covariance_from_gamma(g), n, rank_rtol)
     s = lower_toeplitz(g.coeffs[:n], n - 1)
-    w = tp @ y                  # block column, read as den coefficients 1..n
-    u = s.conj().T @ w          # block column, read as num coefficients 1..n
+    u = s.conj().T @ w.reshape(n * q, q)  # block column, num coefficients 1..n
     num = [g0] + [u[k * q : (k + 1) * q] for k in range(n)]
-    den = [eye] + [-w[k * q : (k + 1) * q] for k in range(n)]
+    den = [eye] + [-w[k] for k in range(n)]
     cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den), n)
     _spot_check_disk(cq)
     return cq

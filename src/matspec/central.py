@@ -1,18 +1,28 @@
 """Central extension of TND sequences and the Caratheodory-units conversion.
 
 Extending a TND prefix by the center of its admissibility ball, repeatedly, is
-the maximum-entropy ("central") continuation.  A sequence already equal to its
-own center continuation from some index onward has a central order; the pure
-zero tail is order 0.
+the maximum-entropy ("central") continuation.  That chain of centers is one
+fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
+coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
+costs O((nq)^3 + L n q^3) before the result is scanned.  A sequence already
+equal to its own center continuation from some index onward has a central
+order; the pure zero tail is order 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelError
+from .errors import InvalidInputError
 from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
-from .toeplitz import HermSeq, MatrixSeq, _ball, _require_tnd, first_violation
+from .toeplitz import (
+    HermSeq,
+    MatrixSeq,
+    _continue,
+    _predict,
+    _predictor,
+    _require_tnd,
+)
 
 # Tolerance for coefficient-vs-center equality tests, relative to 1 + ||C_0||.
 DEFAULT_CENTRAL_TOL = 1e-8
@@ -56,8 +66,10 @@ def central_extend(
 ) -> HermSeq:
     """Continue C_0..C_n by ball centers until ``target_len`` coefficients.
 
-    The result is again TND, and is checked to be: the input and the result
-    are each scanned once, the centers in between are not re-validated.
+    The chain of centers is the recursion C_k = sum_{m=1..n} C_{k-m} w_m with
+    w = T_{n-1}' Y_n from one pseudoinverse, at cost O((nq)^3 + L n q^3) for
+    L = ``target_len`` before the result scan.  The result is again TND, and
+    is checked to be: the input and the result are each scanned once.
     Continuing a continuation agrees with continuing the original in one
     step.  A `GammaSeq` argument is converted to its covariance sequence,
     continued there, and converted back.
@@ -71,16 +83,7 @@ def central_extend(
             central_extend(covariance_from_gamma(seq), target_len, psd_tol, rank_rtol)
         )
     _require_tnd(seq, psd_tol)
-    cur = seq
-    while len(cur) < target_len:
-        cur = cur.append(_ball(cur, len(cur) - 1, rank_rtol).center)
-    if len(cur) > len(seq):
-        bad = first_violation(cur, psd_tol)
-        if bad is not None:
-            raise ModelError(
-                f"central extension not nonnegative Hermitian at T_{bad}", index=bad
-            )
-    return cur
+    return _continue(seq, _predictor(seq, len(seq) - 1, rank_rtol), target_len, psd_tol)
 
 
 def central_order(
@@ -106,9 +109,10 @@ def central_order(
     if n == 0:
         return 0
     scale = 1.0 + spec_norm(seq.coeffs[0])
+    c = np.asarray(seq.coeffs)
     mismatched = []
     for j in range(1, n + 1):
-        center = _ball(seq, j - 1, rank_rtol).center
+        center = _predict(c[:j], _predictor(seq, j - 1, rank_rtol))
         if spec_norm(seq.coeffs[j] - center) > tol * scale:
             mismatched.append(j)
     if mismatched and mismatched[-1] == n:

@@ -28,7 +28,7 @@ from .caratheodory import (
     pd_polynomials,
     rational_values,
 )
-from .central import central_extend, gamma_from_covariance
+from .central import gamma_from_covariance
 from .errors import InvalidInputError, ModelError
 from .linalg import (
     DEFAULT_PSD_TOL,
@@ -46,7 +46,7 @@ from .matpoly import (
     unimodular_roots,
     _limit_known_multiplicity,
 )
-from .toeplitz import HermSeq, Classification, _require_tnd, classify
+from .toeplitz import HermSeq, Classification, _continue, _require_tnd, classify
 
 # Distance below which density evaluation switches to arc extrapolation.
 EPS_SING = 1e-5
@@ -504,15 +504,16 @@ def ar_spectrum(
     """Autoregressive spectral estimate: the central measure of C_0..C_order.
 
     The requested order is authoritative.  Stored coefficients beyond it are
-    compared against the central extension; disagreement means the data is
-    not autoregressive of that order and raises ArOrderMismatchWarning.
+    compared against the central extension, continued with the predictor
+    w_m = -den_m the measure's quotient already holds; disagreement means the
+    data is not autoregressive of that order and raises ArOrderMismatchWarning.
     """
     if not 0 <= order < len(seq):
         raise InvalidInputError(f"order {order} outside stored range 0..{len(seq) - 1}")
     prefix = seq.prefix(order + 1)
     sm = central_measure(prefix, psd_tol=psd_tol, rank_rtol=rank_rtol)
     if len(seq) > order + 1:
-        ext = central_extend(prefix, len(seq), psd_tol, rank_rtol)
+        ext = _continue(prefix, -sm.quotient.den.coeffs[1:], len(seq), psd_tol)
         scale = 1.0 + spec_norm(seq.coeffs[0])
         off = [
             j

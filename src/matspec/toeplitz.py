@@ -218,11 +218,6 @@ def ball_params(
     if not 0 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
     _require_tnd(seq.prefix(n + 1), psd_tol)
-    return _ball(seq, n, rank_rtol)
-
-
-def _ball(seq: HermSeq, n: int, rank_rtol: float) -> MatrixBall:
-    """`ball_params` without the prefix check."""
     c0 = seq.coeffs[0]
     if n == 0:
         zero = np.zeros_like(c0)
@@ -234,6 +229,47 @@ def _ball(seq: HermSeq, n: int, rank_rtol: float) -> MatrixBall:
     left = c0 - z @ tp @ z.conj().T
     right = c0 - y.conj().T @ tp @ y
     return MatrixBall(center=center, left=re_mat(left), right=re_mat(right))
+
+
+def _predictor(seq: HermSeq, n: int, rank_rtol: float) -> np.ndarray:
+    """Blocks w_1..w_n of w = T_{n-1}' Y_n, shape (n, q, q); empty for n = 0.
+
+    One pseudoinverse, no prefix check.  The centre of the ball
+    `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
+    the central extension of C_0..C_n keeps the same w for every later
+    coefficient.
+    """
+    q = seq.q
+    if n == 0:
+        return np.zeros((0, q, q), dtype=complex)
+    w = pinv(toeplitz_matrix(seq, n - 1), rank_rtol) @ col_stack(seq, n)
+    return w.reshape(n, q, q)
+
+
+def _predict(past: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_m C_{k-m} w_m for the k = len(past) coefficients C_0..C_{k-1} in
+    ``past``, shaped (k, q, q)."""
+    return (past[len(past) - len(w) :][::-1] @ w).sum(axis=0)
+
+
+def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> HermSeq:
+    """Central extension of C_0..C_n with predictor ``w``, scanned once.
+
+    Appends C_k = sum_{m=1..n} C_{k-m} w_m until ``target_len`` coefficients
+    and raises ModelError when the result is not TND.
+    """
+    c = np.zeros((target_len, seq.q, seq.q), dtype=complex)
+    c[: len(seq)] = seq.coeffs
+    for k in range(len(seq), target_len):
+        c[k] = _predict(c[:k], w)
+    out = HermSeq(c)
+    if len(out) > len(seq):
+        bad = _scan(out, psd_tol)[0]
+        if bad is not None:
+            raise ModelError(
+                f"central extension not nonnegative Hermitian at T_{bad}", index=bad
+            )
+    return out
 
 
 def ball_membership(ball: MatrixBall, x, tol: float = DEFAULT_PSD_TOL) -> bool:

@@ -93,3 +93,33 @@ def random_tpd_seq(rng, q, n, kmax=0.7):
         x = ball.center + psd_sqrt(ball.left) @ k @ psd_sqrt(ball.right)
         seq = seq.append(x)
     return seq
+
+
+def var1_coeffs(rng, q, rho, count, others=(0.3, 0.8)):
+    """Covariances C_j = A^j Sigma of a VAR(1) process x_t = A x_{t-1} + e_t.
+
+    A = V D V^{-1} has spectral radius exactly ``rho``; Sigma solves the
+    Lyapunov equation Sigma = A Sigma A* + Q elementwise in the eigenbasis,
+    S_ik = P_ik / (1 - d_i conj(d_k)) with Q = V P V*.  The central extension
+    of any prefix C_0..C_n, n >= 1, is the whole sequence.
+    """
+    def cnormal():
+        return rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+
+    mods = rho * rng.uniform(others[0], others[1], size=q)
+    mods[0] = rho
+    d = mods * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=q))
+    qm, r = np.linalg.qr(cnormal())
+    u = qm * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+    nmat = cnormal()
+    v = u @ (np.eye(q) + 0.4 * nmat / np.linalg.norm(nmat, 2))
+    vinv = np.linalg.inv(v)
+    a = v @ np.diag(d) @ vinv
+    b = cnormal()
+    qnoise = b @ b.conj().T / q + 0.2 * np.eye(q)
+    p = vinv @ qnoise @ vinv.conj().T
+    s = v @ (p / (1.0 - d[:, None] * np.conj(d)[None, :])) @ v.conj().T
+    coeffs = [0.5 * (s + s.conj().T)]
+    for _ in range(count - 1):
+        coeffs.append(a @ coeffs[-1])
+    return coeffs

@@ -20,7 +20,13 @@ from matspec import (
 )
 from matspec.errors import InvalidInputError, ModelError
 
-from _gen import random_tpd_seq, random_unitary
+from _gen import (
+    atomic_coeffs,
+    mixed_coeffs,
+    random_tpd_seq,
+    random_unitary,
+    var1_coeffs,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -166,3 +172,33 @@ class TestCentralExtendAgainstBalls:
         for n in range(2, 5):
             ball = ball_params(ext.prefix(n), n - 1)
             assert np.allclose(ext.coeff(n), ball.center, atol=1e-12 * (1 + spec_norm(ball.center)))
+
+    @pytest.mark.parametrize("kind", ["tpd", "atomic", "mixed", "rank_drop"])
+    def test_matches_ball_centre_chain(self, kind):
+        # appending one ball centre per coefficient is the reference for the
+        # single-predictor recursion
+        rng = np.random.default_rng(31)
+        seq = {
+            "tpd": lambda: random_tpd_seq(rng, 2, 3),
+            "atomic": lambda: HermSeq(atomic_coeffs(rng, 2, 5, 2)[0]),
+            "mixed": lambda: HermSeq(mixed_coeffs(rng, 2, 4)[0]),
+            "rank_drop": lambda: scalar_seq(1.0, 1.0),
+        }[kind]()
+        ext = central_extend(seq, 3 * len(seq))
+        chain = seq
+        while len(chain) < len(ext):
+            chain = chain.append(ball_params(chain, len(chain) - 1).center)
+        tol = 1e-11 * (1.0 + spec_norm(seq.coeff(0)))
+        for j in range(len(ext)):
+            assert spec_norm(ext.coeff(j) - chain.coeff(j)) <= tol
+
+
+class TestCentralExtendClosedForm:
+    def test_near_unit_root_var1(self):
+        # VAR(1) with spectral radius 1 - 1e-5: C_j = A^j Sigma is its own
+        # central extension from any prefix
+        want = var1_coeffs(np.random.default_rng(1), 2, 1.0 - 1e-5, 24)
+        ext = central_extend(HermSeq(want[:12]), 24)
+        tol = 1e-8 * spec_norm(want[0])
+        for j in range(24):
+            assert spec_norm(ext.coeff(j) - want[j]) <= tol

@@ -1,11 +1,18 @@
-"""Work counts of the prefix scan: each public entry point checks every
-prefix Toeplitz matrix once, with one eigvalsh per prefix and no SVD norm
-of a prefix matrix."""
+"""Work counts of the prefix scan and the central predictor: each public
+entry point checks every prefix Toeplitz matrix once, with one eigvalsh per
+prefix and no SVD norm of a prefix matrix, and solves for the central
+predictor with one pseudoinverse."""
 
 import numpy as np
 import pytest
 
-from matspec import central_extend, central_measure, central_order
+from matspec import (
+    ArOrderMismatchWarning,
+    ar_spectrum,
+    central_extend,
+    central_measure,
+    central_order,
+)
 
 from _gen import random_tpd_seq
 
@@ -49,6 +56,22 @@ def test_central_extend_scans_input_and_result_once(seq, calls):
     assert len(ext) == 2 * (N + 1)
     assert len(calls["eigvalsh"]) <= (N + 1) + 2 * (N + 1)
     assert prefix_sized(calls["norm"]) == []
+
+
+def test_central_extend_solves_predictor_once(seq, calls):
+    central_extend(seq, 2 * (N + 1))
+    assert len(prefix_sized(calls["svd"])) == 1
+
+
+def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
+    order = 8
+    with pytest.warns(ArOrderMismatchWarning):
+        ar_spectrum(seq, order)
+    assert sorted(calls["eigvalsh"]) == sorted(
+        [((k + 1) * Q,) * 2 for k in range(order + 1)]
+        + [((k + 1) * Q,) * 2 for k in range(N + 1)]
+    )
+    assert len(prefix_sized(calls["svd"])) == 1
 
 
 def test_central_order_scans_once(seq, calls):
