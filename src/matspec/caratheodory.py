@@ -152,7 +152,7 @@ def _pd_polynomials(seq: HermSeq, n: int) -> tuple[MatPoly, MatPoly]:
         radii = np.array([0.0, 0.35, 0.65, 0.9, 1.0])
         angles = np.exp(2j * np.pi * (np.arange(24) + 0.5) / 24)
         pts = (radii[:, None] * angles[None, :]).ravel()
-        floor = 1e-12 * (1.0 + float(np.max(np.abs(dp))))
+        floor = 1e-12 * float(np.max(np.abs(dp)))
         if np.min(np.abs(poly_eval(dp, pts))) <= floor:
             raise ModelError(f"{name} polynomial determinant vanishes on the disk")
     return pa, pb

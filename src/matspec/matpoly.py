@@ -187,6 +187,23 @@ def _newton_polish(c: np.ndarray, z0: complex, guard: float) -> complex:
     return z
 
 
+def _clusters(zs, radius: float) -> list[list[complex]]:
+    """Roots near the circle, sorted by angle and chained into clusters by
+    gaps of at most ``radius`` (the last cluster wraps onto the first)."""
+    near = sorted(zs, key=lambda z: float(np.angle(z)) % (2.0 * np.pi))
+    if not near:
+        return []
+    clusters: list[list[complex]] = [[near[0]]]
+    for z in near[1:]:
+        if abs(z - clusters[-1][-1]) <= radius:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= radius:
+        clusters[0] = clusters.pop() + clusters[0]
+    return clusters
+
+
 def unimodular_roots(
     coeffs,
     root_tol: float = DEFAULT_ROOT_TOL,
@@ -216,23 +233,9 @@ def unimodular_roots(
         return []
     window = max(root_tol, cluster_radius)
     raw = np.roots(c[::-1])
-    near = sorted(
-        (z for z in raw if abs(abs(z) - 1.0) <= window),
-        key=lambda z: float(np.angle(z)) % (2.0 * np.pi),
-    )
-    if not near:
-        return []
-    clusters: list[list[complex]] = [[near[0]]]
-    for z in near[1:]:
-        if abs(z - clusters[-1][-1]) <= cluster_radius:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= cluster_radius:
-        clusters[0] = clusters.pop() + clusters[0]
-
     out = []
-    for members in clusters:
+    for members in _clusters([z for z in raw if abs(abs(z) - 1.0) <= window],
+                             cluster_radius):
         m = len(members)
         v = complex(np.mean(members))
         polished = _newton_polish(poly_derive(c, m - 1) if m > 1 else c, v,

@@ -11,6 +11,12 @@ Caratheodory quotient with its poles removed, the v run over the unimodular
 zeros of det den, and each point mass X_v is a residue of the quotient there.
 Everything here computes that decomposition and checks it by recovering the
 Fourier coefficients.
+
+Recovery integrates the density with the trapezoid rule and adds the point
+masses exactly.  A zero p of det den just outside the circle makes a density
+spike of width about |p| - 1; its pole part R/(z - p) is subtracted from
+Lambda and its contribution added in closed form, so the rule sees only a
+smooth remainder and needs at most 4096 nodes however narrow the spike.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from .matpoly import (
     det_poly,
     matpoly_mul,
     unimodular_roots,
+    _clusters,
     _limit_known_multiplicity,
 )
 from .toeplitz import HermSeq, Classification, _continue, _require_tnd, classify
@@ -337,52 +345,179 @@ def _quadrature_angles(nodes: int, atom_points: np.ndarray) -> np.ndarray:
     return best
 
 
-def _min_nodes(sm: SpectralMeasure, j: int) -> int:
-    deg = 0
-    if sm.quotient is not None:
-        deg = det_poly(sm.quotient.den).size - 1
-    return 4 * (deg + abs(j) + 1)
+def _min_nodes(degree: int, j: int) -> int:
+    return 4 * (degree + abs(j) + 1)
 
 
 NEAR_CIRCLE_NODE_CAP = 65536
+# Poles closer than this to the circle spike the density enough to size the
+# quadrature grid; those just outside the circle are subtracted.
+_NEAR_CIRCLE = 0.04
 
 
-def _pole_distance(sm: SpectralMeasure) -> float:
-    """Distance from the circle to the nearest off-circle zero of det den.
+class _SingularPart(NamedTuple):
+    """Near-circle poles of num den^{-1}, taken out of the quadrature.
 
-    Zeros within DEFAULT_CLUSTER_RADIUS of the circle were already pulled
-    out as point masses, so only the genuinely off-circle ones bound the
-    width of the analyticity annulus the trapezoid rule relies on.
+    F(z) = sum_i R_i / (z - p_i) runs over zeros p_i of det den just outside
+    the circle, R_i the residue of num den^{-1} at p_i.  F is holomorphic on
+    the closed disk, so the Fourier coefficients and the Herglotz transform
+    of (1/2pi) re F are exact, while re(Lambda - F) stays smooth near every
+    p_i.  The split is an identity for any p_i and R_i: an inaccurate
+    residue only leaves a spike the quadrature misses, and the recovery
+    check reports it.
     """
+
+    degree: int  # of det den
+    poles: np.ndarray  # (k,), each |p| > 1
+    residues: np.ndarray  # (k, q, q)
+    brute_distance: float  # of the nearest pole the grid must resolve
+
+    def values(self, zs) -> np.ndarray:
+        """F at the points zs; shape zs.shape + (q, q)."""
+        kern = 1.0 / (np.asarray(zs, dtype=complex)[..., None] - self.poles)
+        return np.tensordot(kern, self.residues, axes=(-1, 0))
+
+    def coeff(self, j: int) -> np.ndarray:
+        """j-th Fourier coefficient of (1/2pi) re F on the circle.
+
+        -1/2 sum R p^(-j-1) for j >= 1, -1/2 sum (R/p + (R/p)*) for j = 0,
+        and the adjoint of coefficient -j for j < 0.
+        """
+        if j < 0:
+            return self.coeff(-j).conj().T
+        half = -0.5 * np.tensordot(self.poles ** (-j - 1.0), self.residues, axes=(0, 0))
+        return half + half.conj().T if j == 0 else half
+
+    def herglotz(self, z: complex) -> np.ndarray:
+        """Herglotz transform of (1/2pi) re F dtheta: F(z) - (F(0) - F(0)*)/2."""
+        f0 = self.values(0.0)
+        return self.values(z) - 0.5 * (f0 - f0.conj().T)
+
+    def smooth_density(self, sm: SpectralMeasure, ang: np.ndarray) -> np.ndarray:
+        """Density minus (1/2pi) re F at unit-circle angles."""
+        dens = sm.density_grid(ang)
+        if self.poles.size:
+            f = self.values(np.exp(1j * ang))
+            dens = dens - 0.5 * (f + np.conj(np.swapaxes(f, -1, -2))) / TWO_PI
+        return dens
+
+
+def _singular_part(sm: SpectralMeasure) -> _SingularPart:
+    """Finds det den and its zeros once and splits them for the quadrature.
+
+    Zeros within DEFAULT_CLUSTER_RADIUS of an atom belong to that point mass.
+    Zeros with 0 < |p| - 1 < _NEAR_CIRCLE are grouped into clusters of that
+    radius, and a cluster is subtracted where `_pole_part` finds a simple
+    pole of num den^{-1} there.  The grid must still resolve, by the
+    brute-force sizing rule, every other zero and every cluster of more than
+    one zero.
+    """
+    empty = np.empty(0, dtype=complex), np.empty((0, sm.q, sm.q), dtype=complex)
     if sm.quotient is None:
-        return np.inf
+        return _SingularPart(0, *empty, np.inf)
     db = det_poly(sm.quotient.den)
     if db.size < 2:
-        return np.inf
-    dists = np.abs(np.abs(np.roots(db[::-1])) - 1.0)
-    off = dists[dists >= DEFAULT_CLUSTER_RADIUS]
-    return float(off.min()) if off.size else np.inf
+        return _SingularPart(db.size - 1, *empty, np.inf)
+    zs = np.roots(db[::-1])
+    atoms = sm.atom_points()
+    if atoms.size:
+        zs = zs[np.min(np.abs(zs[:, None] - atoms), axis=1) > DEFAULT_CLUSTER_RADIUS]
+    dist = np.abs(zs) - 1.0
+    near = (dist > 0.0) & (dist < _NEAR_CIRCLE)
+    brute = list(np.abs(dist[~near]))
+    poles, residues = [], []
+    for members in _clusters(zs[near], DEFAULT_CLUSTER_RADIUS):
+        part = _pole_part(sm.quotient, members)
+        if part is not None:
+            poles.append(part[0])
+            residues.append(part[1])
+        if part is None or len(members) > 1:
+            # roundoff splits a multiple pole, so subtracting it at the
+            # cluster mean leaves a dipole the grid must still resolve
+            brute.extend(abs(z) - 1.0 for z in members)
+    if poles:
+        empty = np.array(poles), np.array(residues)
+    return _SingularPart(db.size - 1, *empty, min(brute, default=np.inf))
 
 
-def _default_nodes(sm: SpectralMeasure, j_top: int) -> int:
+def _pole_part(cq: CaratheodoryQuotient, members: list[complex]):
+    """Polished pole p and residue of num den^{-1} at a cluster of m zeros.
+
+    With X and Y the right and left kernel bases of den(p), the residue is
+    num(p) X (Y* den'(p) X)^{-1} Y*.  Returns None unless |p| > 1 and den(p)
+    has an m-dimensional kernel, singular values at most DEFAULT_RANK_RTOL
+    times the size of den's coefficients; num den^{-1} then has a simple
+    pole at p.
+    """
+    m = len(members)
+    dden = cq.den.derivative()
+    p = _polish(cq.den, dden, complex(np.mean(members)), m)
+    if not abs(p) > 1.0:
+        return None
+    floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
+    try:
+        u, s, vh = np.linalg.svd(cq.den(p))
+        if np.count_nonzero(s <= floor) != m:
+            return None
+        x, y = vh[-m:].conj().T, u[:, -m:]
+        core = np.linalg.solve(y.conj().T @ dden(p) @ x, y.conj().T)
+    except np.linalg.LinAlgError:
+        return None
+    return p, cq.num(p) @ x @ core
+
+
+def _polish(den, dden, z: complex, m: int) -> complex:
+    """Newton on det den from z, step m / tr(den(z)^{-1} den'(z)).
+
+    The step is quadratically convergent at an m-fold zero.  A numerically
+    singular den(z) means z has converged; a step leaving the
+    DEFAULT_CLUSTER_RADIUS disk around the start is refused.
+    """
+    z0 = z
+    for _ in range(8):
+        try:
+            t = complex(np.trace(np.linalg.solve(den(z), dden(z))))
+        except np.linalg.LinAlgError:
+            break
+        if not (np.isfinite(t) and t != 0.0):
+            break
+        step = m / t
+        if abs(z - step - z0) > DEFAULT_CLUSTER_RADIUS:
+            break
+        z = z - step
+        if abs(step) <= 1e-15 * abs(z):
+            break
+    return z
+
+
+def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     order = sm.quotient.order if sm.quotient is not None else 0
-    base = max(1024, 16 * order * sm.q, _min_nodes(sm, j_top))
-    dist = _pole_distance(sm)
-    if dist < 0.04:
-        # trapezoid error decays like exp(-nodes * dist), machine level
-        # near nodes * dist = 40; grow the grid for near-circle poles but
-        # keep the cost bounded, verify_recovery reports anything missed
+    base = max(1024, 16 * order * sm.q, _min_nodes(sing.degree, j_top))
+    # trapezoid error decays like exp(-nodes * dist), machine level near
+    # nodes * dist = 40; grow the grid for poles it must resolve but keep
+    # the cost bounded, verify_recovery reports anything missed.  Subtracted
+    # poles leave a smooth remainder; up to 4096 nodes damp what roundoff in
+    # their residues leaves of the spike, more would not help.
+    if sing.brute_distance < _NEAR_CIRCLE:
+        dist = sing.brute_distance
         base = max(base, min(NEAR_CIRCLE_NODE_CAP, int(np.ceil(40.0 / dist))))
+    if sing.poles.size:
+        dist = float(np.min(np.abs(sing.poles))) - 1.0
+        base = max(base, min(4096, int(np.ceil(40.0 / dist))))
     return base
 
 
-def _fourier_many(sm: SpectralMeasure, js, nodes: int) -> list[np.ndarray]:
+def _fourier_many(
+    sm: SpectralMeasure, sing: _SingularPart, js, nodes: int
+) -> list[np.ndarray]:
     ang = _quadrature_angles(nodes, sm.atom_points())
-    dens = sm.density_grid(ang)
+    dens = sing.smooth_density(sm, ang)
     out = []
     for j in js:
         phases = np.exp(-1j * j * ang)
         coeff = (TWO_PI / nodes) * np.tensordot(phases, dens, axes=(0, 0))
+        if sing.poles.size:
+            coeff = coeff + sing.coeff(j)
         for atom in sm.atoms:
             coeff = coeff + atom.point ** (-j) * atom.weight
         out.append(coeff)
@@ -392,16 +527,19 @@ def _fourier_many(sm: SpectralMeasure, js, nodes: int) -> list[np.ndarray]:
 def fourier_coeff(sm: SpectralMeasure, j: int, nodes: int | None = None) -> np.ndarray:
     """j-th Fourier coefficient integral zeta^{-j} d mu(zeta).
 
-    Quadrature runs on a uniform half-step-offset grid (rotated if needed to
-    clear the atoms); point masses are added exactly.  ``nodes`` must be at
-    least 4*(deg det den + |j| + 1).
+    Point masses and the near-circle poles of the density (see
+    `verify_recovery`) are added in closed form; the smooth rest of the
+    density is integrated on a uniform half-step-offset grid (rotated if
+    needed to clear the atoms).  ``nodes`` must be at least
+    4*(deg det den + |j| + 1).
     """
-    need = _min_nodes(sm, j)
+    sing = _singular_part(sm)
+    need = _min_nodes(sing.degree, j)
     if nodes is None:
-        nodes = _default_nodes(sm, j)
+        nodes = _default_nodes(sm, sing, j)
     elif nodes < need:
         raise InvalidInputError(f"nodes = {nodes} below the required {need}")
-    return _fourier_many(sm, [int(j)], nodes)[0]
+    return _fourier_many(sm, sing, [int(j)], nodes)[0]
 
 
 def herglotz_transform(
@@ -410,18 +548,21 @@ def herglotz_transform(
     """integral (zeta + z)/(zeta - z) d mu(zeta) for z in the open disk.
 
     For measures arising from a TND sequence this reproduces the Caratheodory
-    function of the sequence.
+    function of the sequence.  Point masses and near-circle poles are
+    transformed in closed form, the smooth rest of the density by quadrature.
     """
     zp = complex(z)
     if abs(zp) >= 1.0:
         raise InvalidInputError(f"|z| = {abs(zp)} not inside the open unit disk")
+    sing = _singular_part(sm)
     if nodes is None:
-        nodes = _default_nodes(sm, 0)
+        nodes = _default_nodes(sm, sing, 0)
     ang = _quadrature_angles(nodes, sm.atom_points())
     zs = np.exp(1j * ang)
-    dens = sm.density_grid(ang)
+    dens = sing.smooth_density(sm, ang)
     kern = (zs + zp) / (zs - zp)
     out = (TWO_PI / nodes) * np.tensordot(kern, dens, axes=(0, 0))
+    out = out + sing.herglotz(zp)
     for atom in sm.atoms:
         out = out + (atom.point + zp) / (atom.point - zp) * atom.weight
     return out
@@ -462,15 +603,25 @@ def verify_recovery(
 ) -> RecoveryReport:
     """Recover C_0..C_n from the measure and compare with the sequence.
 
+    Point masses and the pole parts at zeros of det den within 0.04 outside
+    the circle enter in closed form; the smooth rest of the density goes
+    through the trapezoid rule.  By default the grid has 1024 nodes or more
+    for high orders, up to 4096 when poles were subtracted, and up to
+    NEAR_CIRCLE_NODE_CAP for near-circle poles the grid must resolve itself
+    (those whose residue is not a simple pole's).  The split into pole parts
+    and remainder is exact for any pole and residue, so an inaccurate one
+    shows as recovery error, never as a false pass.
+
     Also counts density nodes whose smallest eigenvalue dips below
     -psd_tol * (1 + ||C_0||) on an offset scan grid.
     """
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
     js = list(range(len(seq)))
+    sing = _singular_part(sm)
     if nodes is None:
-        nodes = _default_nodes(sm, len(seq) - 1)
-    coeffs = _fourier_many(sm, js, nodes)
+        nodes = _default_nodes(sm, sing, len(seq) - 1)
+    coeffs = _fourier_many(sm, sing, js, nodes)
     errs = tuple(float(spec_norm(coeffs[j] - seq.coeffs[j])) for j in js)
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)

@@ -1,0 +1,17 @@
+import pytest
+
+import matspec.measure as measure
+
+
+@pytest.fixture
+def grid_sizes(monkeypatch):
+    """Node counts of the quadrature grids built inside matspec.measure."""
+    seen = []
+    orig = measure._quadrature_angles
+
+    def counted(nodes, atom_points):
+        seen.append(nodes)
+        return orig(nodes, atom_points)
+
+    monkeypatch.setattr(measure, "_quadrature_angles", counted)
+    return seen

@@ -4,8 +4,11 @@ import pytest
 from matspec import (
     ArOrderMismatchWarning,
     Atom,
+    CaratheodoryQuotient,
     HermSeq,
+    MatPoly,
     Provenance,
+    SpectralMeasure,
     ar_spectrum,
     atomic_measure,
     central_extend,
@@ -34,6 +37,7 @@ from _gen import (
     random_tpd_seq,
     random_unitary,
     trig_coeffs,
+    var1_coeffs,
 )
 
 RNG = np.random.default_rng(53)
@@ -183,6 +187,14 @@ class TestPdPath:
         with pytest.raises(ModelError):
             pd_measure(scalar_seq(1.0, 1.0))
 
+    def test_cross_check_is_scale_free(self):
+        # the determinant floor of the A/B forms is relative to their size
+        seq = random_tpd_seq(np.random.default_rng(11), 2, 4)
+        big = HermSeq([1e8 * c for c in seq.coeffs])
+        z = np.exp(0.9j)
+        want = 1e8 * density_at(central_measure(seq), z)
+        assert np.allclose(density_at(central_measure(big), z), want, rtol=1e-8)
+
 
 class TestAtomicMeasure:
     def test_fourier_of_single_atom(self):
@@ -282,11 +294,14 @@ class TestVerifyRecovery:
 class TestNearEdgeQuadrature:
     """Data close to the extension-ball boundary concentrates the density.
 
-    A denominator zero at distance d from the circle makes a spike of width
-    about d, and the quadrature grid scales to resolve it down to roughly
-    40 / NEAR_CIRCLE_NODE_CAP.  Past that the recovery check must fail
-    loudly rather than return a quietly wrong pass.
+    A denominator zero at distance d outside the circle makes a spike of
+    width about d.  Its pole part is subtracted and integrated in closed
+    form, so the trapezoid rule sees only a smooth remainder and at most
+    4096 nodes resolve it however small d is.  A measure that does not
+    reproduce the sequence must still fail loudly.
     """
+
+    NEAR_EDGE = 0.25 + 0.75 * (1.0 - 1e-4)
 
     def test_moderate_edge_distance_recovers(self):
         seq = scalar_seq(1.0, 0.5, 0.25 + 0.75 * (1.0 - 1e-2))
@@ -296,13 +311,180 @@ class TestNearEdgeQuadrature:
         assert report.passed
         assert report.max_error < 1e-12
 
-    def test_past_cap_reports_failure(self):
-        seq = scalar_seq(1.0, 0.5, 0.25 + 0.75 * (1.0 - 1e-4))
+    def test_past_old_cap_recovers(self):
+        seq = scalar_seq(1.0, 0.5, self.NEAR_EDGE)
+        sm = central_measure(seq)
+        assert sm.atoms == ()
+        report = verify_recovery(sm, seq, tol=1e-10)
+        assert report.passed
+
+    def test_perturbed_sequence_fails_loudly(self):
+        sm = central_measure(scalar_seq(1.0, 0.5, self.NEAR_EDGE))
+        other = scalar_seq(1.0, 0.5, self.NEAR_EDGE + 1e-6)
+        report = verify_recovery(sm, other, tol=1e-8)
+        assert not report.passed
+        assert 0.5e-6 <= report.max_error <= 2e-6
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+    def test_ar1_unit_root_distance(self, eps, grid_sizes):
+        rho = 1.0 - eps
+        seq = scalar_seq(*[rho**j for j in range(4)])
         sm = central_measure(seq)
         assert sm.atoms == ()
         report = verify_recovery(sm, seq, tol=1e-8)
-        assert not report.passed
-        assert report.max_error > 1e-3
+        assert report.passed
+        assert max(grid_sizes) <= 4096
+
+
+def brute_force_coeffs(sm, orders, nodes):
+    """Plain trapezoid rule on the density with the atoms added exactly.
+
+    No pole is subtracted, so ``nodes`` must resolve the narrowest density
+    spike on its own (about 40 / d nodes for a pole at distance d).
+    """
+    ang = TWO_PI * (np.arange(nodes) + 0.5) / nodes
+    dens = sm.density_grid(ang)
+    out = []
+    for j in orders:
+        c = (TWO_PI / nodes) * np.tensordot(np.exp(-1j * j * ang), dens, axes=(0, 0))
+        for atom in sm.atoms:
+            c = c + atom.point ** (-j) * atom.weight
+        out.append(c)
+    return out
+
+
+def brute_force_nodes(rho):
+    # the pole of a VAR(1) with spectral radius rho sits at 1/rho
+    return 1 << int(np.ceil(np.log2(80.0 / (1.0 / rho - 1.0))))
+
+
+class TestSubtractedPoles:
+    """Quadrature with closed-form pole parts against the brute-force rule."""
+
+    ORDERS = range(-2, 8)
+
+    def check(self, coeffs, rho):
+        seq = HermSeq(coeffs)
+        sm = central_measure(seq)
+        want = brute_force_coeffs(sm, self.ORDERS, brute_force_nodes(rho))
+        tol = 1e-10 * (1.0 + spec_norm(seq.coeff(0)))
+        for j, w in zip(self.ORDERS, want):
+            assert spec_norm(fourier_coeff(sm, j) - w) < tol
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_var1(self, q, eps):
+        rho = 1.0 - eps
+        self.check(var1_coeffs(np.random.default_rng(7), q, rho, 6), rho)
+
+    def test_atomic_plus_var1(self):
+        rho = 1.0 - 1e-3
+        rng = np.random.default_rng(8)
+        atoms, _ = atomic_coeffs(rng, 1, 6, n_atoms=2)
+        coeffs = direct_sum(atoms, var1_coeffs(rng, 1, rho, 6))
+        self.check(coeffs, rho)
+
+    CLUSTERS = {
+        "double": [[1.0, 0.0], [0.0, 1.0]],
+        "pair": [[1.0, 0.0], [0.0, np.exp(5e-5j)]],
+        "jordan": [[1.0, 1e-3], [0.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CLUSTERS))
+    def test_pole_cluster_keeps_brute_force_grid(self, shape, grid_sizes):
+        # a double pole (split by roundoff), two poles closer than the
+        # cluster radius, or a second-order pole: the grid must resolve them
+        # as it did before poles were subtracted
+        a = (1.0 - 1e-3) * np.exp(0.3j) * np.array(self.CLUSTERS[shape])
+        noise = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
+        # Lyapunov equation Sigma = A Sigma A* + noise, vectorised
+        sigma = np.linalg.solve(np.eye(4) - np.kron(a, a.conj()), noise.ravel())
+        coeffs = [sigma.reshape(2, 2)]
+        for _ in range(3):
+            coeffs.append(a @ coeffs[-1])
+        seq = HermSeq(coeffs)
+        report = verify_recovery(central_measure(seq), seq, tol=1e-8)
+        assert report.passed
+        assert max(grid_sizes) > 4096
+
+    EXACT_POLE = 1.0 + 2.0**-20
+
+    def test_pole_where_den_is_exactly_singular(self):
+        # Phi = 1/(p - z) has re Phi > 0 on the circle, and den(p) = 0
+        # exactly at the machine number p
+        p = self.EXACT_POLE
+        cq = CaratheodoryQuotient(MatPoly([[[1.0]]]), MatPoly([[[p]], [[-1.0]]]), 1)
+        sm = SpectralMeasure(1, (), cq, Provenance.CENTRAL)
+        seq = scalar_seq(1.0 / p, *[0.5 / p ** (j + 1) for j in range(1, 4)])
+        report = verify_recovery(sm, seq, tol=1e-10)
+        assert report.passed
+
+    def test_polish_stops_at_singular_den(self):
+        import matspec.measure as measure
+
+        den = MatPoly([[[self.EXACT_POLE]], [[-1.0]]])
+        polished = measure._polish(den, den.derivative(), self.EXACT_POLE, 1)
+        assert polished == self.EXACT_POLE
+
+    def test_herglotz_near_pole(self):
+        seq = HermSeq(var1_coeffs(np.random.default_rng(7), 2, 1.0 - 1e-3, 6))
+        sm = central_measure(seq)
+        tol = 1e-10 * (1.0 + spec_norm(seq.coeff(0)))
+        for z in (0.0, 0.5j, 0.99, -0.9 + 0.1j):
+            assert spec_norm(herglotz_transform(sm, z) - phi_at(sm.quotient, z)) < tol
+
+
+def transformed(sm, num_scale, phases):
+    """The measure of sm with its quotient coefficients k multiplied by
+    phases[k], and num also by num_scale."""
+    cq = sm.quotient
+    ph = phases[: cq.order + 1, None, None]
+    cq = CaratheodoryQuotient(
+        MatPoly(num_scale * ph * cq.num.coeffs), MatPoly(ph * cq.den.coeffs), cq.order
+    )
+    return SpectralMeasure(sm.q, sm.atoms, cq, sm.provenance)
+
+
+class TestNearEdgeMetamorphic:
+    """Rotating and scaling a near-boundary q=2 VAR(1) leaves the quadrature
+    grid alone and moves the recovery error exactly as it moves the data.
+
+    The grid is checked from the transformed data.  The error is checked on
+    the transformed measure, so the quadrature alone is compared and not the
+    roundoff of recomputing the quotient from rotated or scaled data.
+    """
+
+    COUNT = 8
+
+    @pytest.fixture
+    def coeffs(self):
+        return var1_coeffs(np.random.default_rng(0), 2, 1.0 - 1e-3, self.COUNT)
+
+    def recover(self, sm, coeffs, grid_sizes):
+        grid_sizes.clear()
+        report = verify_recovery(sm, HermSeq(coeffs))
+        return grid_sizes[0], report.max_error
+
+    def test_rotation(self, coeffs, grid_sizes):
+        phases = np.exp(-0.7j * np.arange(self.COUNT))
+        rot = [p * c for p, c in zip(phases, coeffs)]
+        sm = central_measure(HermSeq(coeffs))
+        nodes, err = self.recover(sm, coeffs, grid_sizes)
+        assert self.recover(central_measure(HermSeq(rot)), rot, grid_sizes)[0] == nodes
+        nodes_rot, err_rot = self.recover(transformed(sm, 1.0, phases), rot, grid_sizes)
+        assert nodes_rot == nodes
+        assert abs(err_rot - err) <= 1e-12 * spec_norm(coeffs[0])
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_scaling(self, s, coeffs, grid_sizes):
+        scaled = [s * c for c in coeffs]
+        sm = central_measure(HermSeq(coeffs))
+        nodes, err = self.recover(sm, coeffs, grid_sizes)
+        assert self.recover(central_measure(HermSeq(scaled)), scaled, grid_sizes)[0] == nodes
+        ones = np.ones(self.COUNT)
+        nodes_s, err_s = self.recover(transformed(sm, s, ones), scaled, grid_sizes)
+        assert nodes_s == nodes
+        assert abs(err_s - s * err) <= 1e-12 * s * spec_norm(coeffs[0])
 
 
 class TestStructuralInvariances:

@@ -1,17 +1,21 @@
-"""Work counts of the prefix scan and the central predictor: each public
-entry point checks every prefix Toeplitz matrix once, with one eigvalsh per
-prefix and no SVD norm of a prefix matrix, and solves for the central
-predictor with one pseudoinverse."""
+"""Work counts of the prefix scan, the central predictor and the recovery
+quadrature: each public entry point checks every prefix Toeplitz matrix
+once, with one eigvalsh per prefix and no SVD norm of a prefix matrix,
+solves for the central predictor with one pseudoinverse, and
+verify_recovery finds det den and its zeros once."""
 
 import numpy as np
 import pytest
 
+import matspec.measure as measure
 from matspec import (
     ArOrderMismatchWarning,
+    HermSeq,
     ar_spectrum,
     central_extend,
     central_measure,
     central_order,
+    verify_recovery,
 )
 
 from _gen import random_tpd_seq
@@ -80,3 +84,37 @@ def test_central_order_scans_once(seq, calls):
     assert prefix_sized(calls["norm"]) == []
     # one pseudoinverse per ball centre T_0'..T_{n-2}', nothing else
     assert len(prefix_sized(calls["svd"])) <= N - 1
+
+
+@pytest.fixture
+def pole_work(monkeypatch):
+    """Calls of det_poly from matspec.measure and of np.roots."""
+    seen = {"det_poly": 0, "roots": 0}
+
+    def count(name, orig):
+        def counted(*args, **kwargs):
+            seen[name] += 1
+            return orig(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(measure, "det_poly", count("det_poly", measure.det_poly))
+    monkeypatch.setattr(np, "roots", count("roots", np.roots))
+    return seen
+
+
+def test_verify_recovery_finds_poles_once(seq, pole_work):
+    sm = central_measure(seq)
+    dets, roots = pole_work["det_poly"], pole_work["roots"]
+    verify_recovery(sm, seq)
+    assert pole_work["det_poly"] - dets <= 1
+    assert pole_work["roots"] - roots == 1
+
+
+def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
+    rho = 1.0 - 1e-4
+    ar1 = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(4)])
+    sm = central_measure(ar1)
+    roots = pole_work["roots"]
+    verify_recovery(sm, ar1)
+    assert pole_work["roots"] - roots == 1
+    assert max(grid_sizes) <= 4096
