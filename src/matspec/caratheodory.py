@@ -21,7 +21,7 @@ most n, num(0) = Gamma_0 and den(0) = I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,37 @@ from .toeplitz import (
 
 @dataclass(frozen=True)
 class CaratheodoryQuotient:
-    """Rational Caratheodory function num(z) den(z)^{-1} of a given order."""
+    """Rational Caratheodory function num(z) den(z)^{-1} of a given order.
+
+    ``det`` (scalar coefficients of det den, lowest degree first) and
+    ``zeros`` (its zeros) are derived once here, for every consumer: the
+    disk check, the atoms and the near-circle poles.  They take no part in
+    comparison or repr.  A determinant that overflows does not stop
+    construction; `_det_zeros` rejects it where it is first needed.
+    """
 
     num: MatPoly
     den: MatPoly
     order: int
+    det: np.ndarray | None = field(init=False, repr=False, compare=False)
+    zeros: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                det = det_poly(self.den)
+        except InvalidInputError:
+            det = zeros = None
+        else:
+            zeros = np.roots(det[::-1]) if det.size > 1 else np.empty(0, complex)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "zeros", zeros)
+
+    def _det_zeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """(det, zeros); raises InvalidInputError if det den overflowed."""
+        if self.det is None:
+            raise InvalidInputError("polynomial has non-finite coefficients")
+        return self.det, self.zeros
 
 
 def caratheodory_first_failure(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
@@ -65,7 +91,7 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 def _spot_check_disk(cq: CaratheodoryQuotient) -> None:
     # den must be invertible inside the disk; sample well away from the rim.
-    db = det_poly(cq.den)
+    db, _ = cq._det_zeros()
     radii = np.array([0.0, 0.35, 0.65, 0.9])
     angles = np.exp(2j * np.pi * (np.arange(24) + 0.5) / 24)
     pts = (radii[:, None] * angles[None, :]).ravel()

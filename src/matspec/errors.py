@@ -25,7 +25,8 @@ class ModelError(MatSpecError):
 
 
 class MultiplicityError(MatSpecError):
-    """A root multiplicity failed validation against derivative magnitudes."""
+    """A root multiplicity failed validation, against derivative magnitudes
+    or against the kernel dimension of the denominator at the root."""
 
     def __init__(self, message, root=None, multiplicity=None):
         super().__init__(message)

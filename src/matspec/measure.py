@@ -12,6 +12,11 @@ zeros of det den, and each point mass X_v is a residue of the quotient there.
 Everything here computes that decomposition and checks it by recovering the
 Fourier coefficients.
 
+The zeros of det den are found once, when the quotient is built.  Atoms and
+the near-circle poles below share one batched step (`_cluster_residues`):
+cluster the zeros, Newton-polish every cluster mean on den at once, and take
+every residue from den's kernel vectors after one stacked SVD.
+
 Recovery integrates the density with the trapezoid rule and adds the point
 masses exactly.  A zero p of det den just outside the circle makes a density
 spike of width about |p| - 1; its pole part R/(z - p) is subtracted from
@@ -36,24 +41,14 @@ from .caratheodory import (
     rational_values,
 )
 from .central import gamma_from_covariance
-from .errors import InvalidInputError, ModelError
+from .errors import InvalidInputError, ModelError, MultiplicityError
 from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
     re_mat,
     spec_norm,
 )
-from .matpoly import (
-    DEFAULT_CLUSTER_RADIUS,
-    DEFAULT_DERIV_TOL,
-    DEFAULT_ROOT_TOL,
-    adjugate_poly,
-    det_poly,
-    matpoly_mul,
-    unimodular_roots,
-    _clusters,
-    _limit_known_multiplicity,
-)
+from .matpoly import DEFAULT_CLUSTER_RADIUS, DEFAULT_ROOT_TOL, _clusters
 from .toeplitz import HermSeq, Classification, _continue, _require_tnd, classify
 
 # Distance below which density evaluation switches to arc extrapolation.
@@ -167,43 +162,60 @@ def compute_atoms(
     cq: CaratheodoryQuotient,
     root_tol: float = DEFAULT_ROOT_TOL,
     cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    deriv_tol: float = DEFAULT_DERIV_TOL,
     atom_clip: float = DEFAULT_ATOM_CLIP,
     atom_drop: float = DEFAULT_ATOM_DROP,
 ) -> tuple[Atom, ...]:
     """Point masses of the measure behind a rational Caratheodory quotient.
 
-    At each unimodular zero v (multiplicity m) of det den, the weight is the
-    residue-type value
+    The zeros of det den (found once, with the quotient) within
+    max(root_tol, cluster_radius) of the circle are clustered at
+    cluster_radius; each cluster mean is Newton-polished on den, and the
+    points left within root_tol of the circle are the atoms.  At such a
+    point v with a cluster of m zeros, den(v) must have an m-dimensional
+    kernel, else MultiplicityError; with X and Y its right and left kernel
+    bases the weight is the residue
 
-        X_v = -m / (2 v (det den)^(m)(v)) * (num adj(den))^(m-1)(v).
+        X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*,
 
-    Weights are Hermitian-projected; eigenvalues in [-clip, 0) clip to zero,
-    anything below -clip is a model violation.  Atoms with negligible weight
-    (removable singularities) are dropped.
+    taken for all atoms in one batch.  Weights are Hermitian-projected;
+    eigenvalues in [-clip, 0) clip to zero, anything below -clip is a model
+    violation.  Atoms with negligible weight (removable singularities) are
+    dropped.
     """
-    den = cq.den.trim()
-    db = det_poly(den)
-    roots = unimodular_roots(db, root_tol, cluster_radius, deriv_tol)
-    if not roots:
+    db, zs = cq._det_zeros()
+    if db.size == 1 and db[0] == 0.0:
+        raise InvalidInputError("the zero polynomial has no root structure")
+    window = max(root_tol, cluster_radius)
+    clusters = _clusters(zs[np.abs(np.abs(zs) - 1.0) <= window], cluster_radius)
+    res = _cluster_residues(
+        cq, clusters, lambda p: np.abs(np.abs(p) - 1.0) <= root_tol, cluster_radius
+    )
+    if res.points.size == 0:
         return ()
-    prod = matpoly_mul(cq.num, adjugate_poly(den))
-    scale = spec_norm(re_mat(cq.num(0.0 + 0.0j)))
-    atoms: list[Atom] = []
-    for v, m in roots:
-        val = (-1.0 / (2.0 * v)) * _limit_known_multiplicity(prod, db, v, m, 1)
-        w = 0.5 * (val + val.conj().T)
-        lam, vec = np.linalg.eigh(w)
-        if lam[0] < -atom_clip * scale:
-            raise ModelError(
-                f"atom weight at {v} has negative eigenvalue {lam[0]:.3e}"
+    order = np.argsort(np.angle(res.points) % TWO_PI)
+    res = _Residues(*(a[order] for a in res))
+    points = res.points / np.abs(res.points)
+    for v, m, k, r in zip(points, res.sizes, res.kernel, res.residues):
+        if k != m or not np.all(np.isfinite(r)):
+            why = f"a {k}-dimensional kernel" if k != m else "den' singular on its kernel"
+            raise MultiplicityError(
+                f"den({v}) has {why} at a cluster of {m} zeros",
+                root=v,
+                multiplicity=int(m),
             )
-        lam = np.clip(lam, 0.0, None)
-        w = (vec * lam) @ vec.conj().T
-        w = 0.5 * (w + w.conj().T)
-        if spec_norm(w) <= atom_drop * scale:
+    val = (-0.5 / points)[:, None, None] * res.residues
+    lam, vec = np.linalg.eigh(0.5 * (val + np.conj(np.swapaxes(val, -1, -2))))
+    scale = spec_norm(re_mat(cq.num(0.0 + 0.0j)))
+    for v, low in zip(points, lam[:, 0]):
+        if low < -atom_clip * scale:
+            raise ModelError(f"atom weight at {v} has negative eigenvalue {low:.3e}")
+    lam = np.clip(lam, 0.0, None)
+    atoms: list[Atom] = []
+    for v, lv, vv in zip(points, lam, vec):
+        if lv[-1] <= atom_drop * scale:
             continue
-        atoms.append(Atom(point=v, weight=w))
+        w = (vv * lv) @ vv.conj().T
+        atoms.append(Atom(point=complex(v), weight=0.5 * (w + w.conj().T)))
     if len(atoms) > cq.order * cq.num.q:
         raise ModelError(
             f"{len(atoms)} atoms exceed the order bound {cq.order * cq.num.q}"
@@ -217,7 +229,6 @@ def central_measure(
     rank_rtol: float = DEFAULT_RANK_RTOL,
     root_tol: float = DEFAULT_ROOT_TOL,
     cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    deriv_tol: float = DEFAULT_DERIV_TOL,
 ) -> SpectralMeasure:
     """Spectral measure of the central continuation of a TND sequence.
 
@@ -228,7 +239,7 @@ def central_measure(
     """
     margin = _require_tnd(seq, psd_tol)
     cq = _central_quotient(gamma_from_covariance(seq), len(seq) - 1, rank_rtol)
-    atoms = compute_atoms(cq, root_tol, cluster_radius, deriv_tol)
+    atoms = compute_atoms(cq, root_tol, cluster_radius)
     sm = SpectralMeasure(
         q=seq.q, atoms=tuple(atoms), quotient=cq, provenance=Provenance.CENTRAL
     )
@@ -403,91 +414,125 @@ class _SingularPart(NamedTuple):
 
 
 def _singular_part(sm: SpectralMeasure) -> _SingularPart:
-    """Finds det den and its zeros once and splits them for the quadrature.
+    """Splits the zeros of det den, found once with the quotient, for the
+    quadrature.
 
     Zeros within DEFAULT_CLUSTER_RADIUS of an atom belong to that point mass.
     Zeros with 0 < |p| - 1 < _NEAR_CIRCLE are grouped into clusters of that
-    radius, and a cluster is subtracted where `_pole_part` finds a simple
-    pole of num den^{-1} there.  The grid must still resolve, by the
-    brute-force sizing rule, every other zero and every cluster of more than
-    one zero.
+    radius, and a cluster is subtracted where `_cluster_residues` finds a
+    simple pole of num den^{-1} outside the circle there.  The grid must
+    still resolve, by the brute-force sizing rule, every other zero and every
+    cluster of more than one zero.
     """
     empty = np.empty(0, dtype=complex), np.empty((0, sm.q, sm.q), dtype=complex)
     if sm.quotient is None:
         return _SingularPart(0, *empty, np.inf)
-    db = det_poly(sm.quotient.den)
+    db, zs = sm.quotient._det_zeros()
     if db.size < 2:
         return _SingularPart(db.size - 1, *empty, np.inf)
-    zs = np.roots(db[::-1])
     atoms = sm.atom_points()
     if atoms.size:
         zs = zs[np.min(np.abs(zs[:, None] - atoms), axis=1) > DEFAULT_CLUSTER_RADIUS]
     dist = np.abs(zs) - 1.0
     near = (dist > 0.0) & (dist < _NEAR_CIRCLE)
     brute = list(np.abs(dist[~near]))
-    poles, residues = [], []
-    for members in _clusters(zs[near], DEFAULT_CLUSTER_RADIUS):
-        part = _pole_part(sm.quotient, members)
-        if part is not None:
-            poles.append(part[0])
-            residues.append(part[1])
-        if part is None or len(members) > 1:
+    clusters = _clusters(zs[near], DEFAULT_CLUSTER_RADIUS)
+    res = _cluster_residues(
+        sm.quotient, clusters, lambda p: np.abs(p) > 1.0, DEFAULT_CLUSTER_RADIUS
+    )
+    simple = (res.kernel == res.sizes) & np.all(np.isfinite(res.residues), axis=(1, 2))
+    subtracted = set(res.index[simple])
+    for i, members in enumerate(clusters):
+        if i not in subtracted or len(members) > 1:
             # roundoff splits a multiple pole, so subtracting it at the
             # cluster mean leaves a dipole the grid must still resolve
             brute.extend(abs(z) - 1.0 for z in members)
-    if poles:
-        empty = np.array(poles), np.array(residues)
+    if subtracted:
+        empty = res.points[simple], res.residues[simple]
     return _SingularPart(db.size - 1, *empty, min(brute, default=np.inf))
 
 
-def _pole_part(cq: CaratheodoryQuotient, members: list[complex]):
-    """Polished pole p and residue of num den^{-1} at a cluster of m zeros.
+class _Residues(NamedTuple):
+    """Polished cluster means kept by `_cluster_residues`, one row each."""
 
-    With X and Y the right and left kernel bases of den(p), the residue is
-    num(p) X (Y* den'(p) X)^{-1} Y*.  Returns None unless |p| > 1 and den(p)
-    has an m-dimensional kernel, singular values at most DEFAULT_RANK_RTOL
-    times the size of den's coefficients; num den^{-1} then has a simple
-    pole at p.
+    index: np.ndarray  # (k,) of the cluster in the list given
+    points: np.ndarray  # (k,) polished means
+    sizes: np.ndarray  # (k,) zeros of det den in the cluster
+    kernel: np.ndarray  # (k,) dimension of den's kernel at the point
+    residues: np.ndarray  # (k, q, q) of num den^{-1}; NaN unless kernel == size
+
+
+def _cluster_residues(cq: CaratheodoryQuotient, clusters, keep, radius) -> _Residues:
+    """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
+
+    All cluster means are Newton-polished on den at once; ``keep`` selects
+    among the polished points.  den, den' and num are evaluated at the kept
+    points in one call each and den's kernels come from one stacked SVD:
+    singular values at most DEFAULT_RANK_RTOL times the size of den's
+    coefficients.  Where den(p) has a kernel of the cluster's size m, with X
+    and Y its right and left bases, num den^{-1} has a simple pole at p with
+    residue num(p) X (Y* den'(p) X)^{-1} Y*.
     """
-    m = len(members)
+    q = cq.num.q
+    sizes = np.array([len(c) for c in clusters], dtype=int)
+    points = np.array([np.mean(c) for c in clusters], dtype=complex)
     dden = cq.den.derivative()
-    p = _polish(cq.den, dden, complex(np.mean(members)), m)
-    if not abs(p) > 1.0:
-        return None
+    if clusters:
+        points = _polish(cq.den, dden, points, sizes, radius)
+    index = np.nonzero(keep(points))[0]
+    points, sizes = points[index], sizes[index]
+    residues = np.full((index.size, q, q), np.nan, dtype=complex)
+    if index.size == 0:
+        return _Residues(index, points, sizes, sizes, residues)
+    dv, ddv, nv = cq.den(points), dden(points), cq.num(points)
+    u, s, vh = np.linalg.svd(dv)
     floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
-    try:
-        u, s, vh = np.linalg.svd(cq.den(p))
-        if np.count_nonzero(s <= floor) != m:
-            return None
-        x, y = vh[-m:].conj().T, u[:, -m:]
-        core = np.linalg.solve(y.conj().T @ dden(p) @ x, y.conj().T)
-    except np.linalg.LinAlgError:
-        return None
-    return p, cq.num(p) @ x @ core
+    kernel = np.count_nonzero(s <= floor, axis=1)
+    for m in set(sizes.tolist()):
+        rows = np.nonzero((sizes == m) & (kernel == m))[0]
+        if rows.size == 0:
+            continue
+        x = np.conj(np.swapaxes(vh[rows, -m:], -1, -2))
+        yh = np.conj(np.swapaxes(u[rows, :, -m:], -1, -2))
+        core = _solve_each(yh @ ddv[rows] @ x, yh)
+        residues[rows] = nv[rows] @ x @ core
+    return _Residues(index, points, sizes, kernel, residues)
 
 
-def _polish(den, dden, z: complex, m: int) -> complex:
-    """Newton on det den from z, step m / tr(den(z)^{-1} den'(z)).
+def _polish(den, dden, z, m, radius: float = DEFAULT_CLUSTER_RADIUS):
+    """Newton on det den from each z, step m / tr(den(z)^{-1} den'(z)).
 
-    The step is quadratically convergent at an m-fold zero.  A numerically
-    singular den(z) means z has converged; a step leaving the
-    DEFAULT_CLUSTER_RADIUS disk around the start is refused.
+    z and m are arrays of start points and multiplicities (or scalars).  The
+    step is quadratically convergent at an m-fold zero.  A point stops after
+    a step at roundoff level, where den(z) is exactly singular (it has
+    converged), and where a step would leave the ``radius`` disk around its
+    start.  Each pass evaluates den and den' once for all points.
     """
-    z0 = z
+    z0 = np.asarray(z, dtype=complex)
+    z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
     for _ in range(8):
-        try:
-            t = complex(np.trace(np.linalg.solve(den(z), dden(z))))
-        except np.linalg.LinAlgError:
-            break
-        if not (np.isfinite(t) and t != 0.0):
-            break
-        step = m / t
-        if abs(z - step - z0) > DEFAULT_CLUSTER_RADIUS:
-            break
-        z = z - step
-        if abs(step) <= 1e-15 * abs(z):
-            break
+        t = np.trace(_solve_each(den(z), dden(z)), axis1=-2, axis2=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = m / t
+        live &= np.isfinite(step) & (np.abs(z - step - z0) <= radius)
+        z = np.where(live, z - step, z)
+        live &= np.abs(step) > 1e-15 * np.abs(z)
     return z
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack, NaN for each exactly singular matrix."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=complex)
+    for idx in np.ndindex(a.shape[:-2]):
+        try:
+            out[idx] = np.linalg.solve(a[idx], b[idx])
+        except np.linalg.LinAlgError:
+            pass
+    return out
 
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
@@ -507,21 +552,32 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     return base
 
 
+_PHASE_BLOCK = 1024
+
+
 def _fourier_many(
     sm: SpectralMeasure, sing: _SingularPart, js, nodes: int
 ) -> list[np.ndarray]:
+    """Coefficients of the orders js: a (J, N) phase matrix times the
+    (N, q^2) smooth density, plus the pole parts and atoms in closed form.
+    The product runs over blocks of _PHASE_BLOCK nodes, so at most a
+    (J, _PHASE_BLOCK) slice of the phases exists at once, however fine the
+    grid."""
     ang = _quadrature_angles(nodes, sm.atom_points())
-    dens = sing.smooth_density(sm, ang)
-    out = []
-    for j in js:
-        phases = np.exp(-1j * j * ang)
-        coeff = (TWO_PI / nodes) * np.tensordot(phases, dens, axes=(0, 0))
-        if sing.poles.size:
-            coeff = coeff + sing.coeff(j)
-        for atom in sm.atoms:
-            coeff = coeff + atom.point ** (-j) * atom.weight
-        out.append(coeff)
-    return out
+    dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
+    js = np.asarray(js, dtype=int)
+    coeffs = np.zeros((js.size, dens.shape[1]), dtype=complex)
+    for start in range(0, nodes, _PHASE_BLOCK):
+        phases = np.outer(js, -1j * ang[start : start + _PHASE_BLOCK])
+        coeffs += np.exp(phases, out=phases) @ dens[start : start + _PHASE_BLOCK]
+    coeffs *= TWO_PI / nodes
+    if sm.atoms:
+        weights = np.array([a.weight for a in sm.atoms]).reshape(len(sm.atoms), -1)
+        coeffs = coeffs + (sm.atom_points()[None, :] ** -js[:, None]) @ weights
+    coeffs = coeffs.reshape(js.size, sm.q, sm.q)
+    if sing.poles.size:
+        coeffs = coeffs + np.array([sing.coeff(int(j)) for j in js])
+    return list(coeffs)
 
 
 def fourier_coeff(sm: SpectralMeasure, j: int, nodes: int | None = None) -> np.ndarray:

@@ -123,3 +123,28 @@ def var1_coeffs(rng, q, rho, count, others=(0.3, 0.8)):
     for _ in range(count - 1):
         coeffs.append(a @ coeffs[-1])
     return coeffs
+
+
+def jittered_atomic_coeffs(rng, q, count, n_atoms, rank, pair_gap=None):
+    """Coefficients of ``n_atoms`` atoms on a jittered grid with rank-``rank``
+    PSD weights; returns (coeffs, atoms).
+
+    With ``pair_gap`` set, the last atom is replaced by a twin of the first,
+    ``pair_gap`` radians away.  Same draws as the benchmark's atomic inputs.
+    """
+    offset = rng.uniform(0.0, 2.0 * np.pi)
+    jitter = rng.uniform(-0.3, 0.3, size=n_atoms)
+    angles = offset + 2.0 * np.pi * (np.arange(n_atoms) + jitter) / n_atoms
+    if pair_gap is not None:
+        angles[-1] = angles[0] + pair_gap
+    atoms = []
+    for ang in angles:
+        b = rng.normal(size=(q, rank)) + 1j * rng.normal(size=(q, rank))
+        w = b @ b.conj().T
+        w = rng.uniform(0.5, 1.5) * w / np.trace(w).real * rank
+        atoms.append((complex(np.exp(1j * ang)), 0.5 * (w + w.conj().T)))
+    coeffs = []
+    for j in range(count):
+        acc = sum(u ** (-j) * w for u, w in atoms)
+        coeffs.append(0.5 * (acc + acc.conj().T) if j == 0 else acc)
+    return coeffs, atoms

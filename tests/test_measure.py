@@ -9,6 +9,7 @@ from matspec import (
     MatPoly,
     Provenance,
     SpectralMeasure,
+    adjugate_poly,
     ar_spectrum,
     atomic_measure,
     central_extend,
@@ -17,22 +18,26 @@ from matspec import (
     compute_atoms,
     conjugate_by_unitary,
     density_at,
+    det_poly,
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
+    matpoly_mul,
     pd_density,
     pd_measure,
     phi_at,
+    pole_limit,
     radial_atom_limit,
     spec_norm,
     verify_recovery,
 )
-from matspec.errors import InvalidInputError, ModelError
+from matspec.errors import InvalidInputError, ModelError, MultiplicityError
 
 from _gen import (
     atomic_coeffs,
     conjugated,
     direct_sum,
+    jittered_atomic_coeffs,
     mixed_coeffs,
     random_tpd_seq,
     random_unitary,
@@ -102,6 +107,89 @@ class TestComputeAtoms:
         assert len(atoms) == 1
         assert np.isclose(atoms[0].point, u, atol=1e-9)
         assert np.allclose(atoms[0].weight, w, atol=1e-8)
+
+
+def limit_weight(cq, v):
+    """The scalar-determinant residue: Hermitian part of
+    -1/(2v) lim (z - v) num adj(den) / det den, with the multiplicity of v
+    read off the derivatives of det den."""
+    val = pole_limit(matpoly_mul(cq.num, adjugate_poly(cq.den)), det_poly(cq.den), v, 1)
+    val = (-0.5 / v) * val
+    return 0.5 * (val + val.conj().T)
+
+
+class TestKernelResidues:
+    """Atom weights from den's kernel vectors, against the scalar-determinant
+    limit formula and against the closed form of the generating atoms."""
+
+    CASES = {
+        "atomic": lambda rng: atomic_coeffs(rng, 2, 5, n_atoms=3)[0],
+        "direct_sum": lambda rng: direct_sum(
+            atomic_coeffs(rng, 1, 6, n_atoms=2)[0], var1_coeffs(rng, 1, 0.6, 6)
+        ),
+        "pair_1e-2": lambda rng: jittered_atomic_coeffs(rng, 2, 5, 4, 1, 1e-2)[0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_limit_formula(self, case):
+        seq = HermSeq(self.CASES[case](np.random.default_rng(11)))
+        cq = central_quotient(gamma_from_covariance(seq))
+        atoms = compute_atoms(cq)
+        assert atoms
+        tol = 1e-8 * spec_norm(seq.coeff(0))
+        for atom in atoms:
+            assert spec_norm(atom.weight - limit_weight(cq, atom.point)) < tol
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_q4_pair_1e3_apart(self, seed):
+        # two rank-2 atoms 1e-3 radians apart: the limit formula loses the
+        # pair to a negative weight eigenvalue
+        coeffs, want = jittered_atomic_coeffs(
+            np.random.default_rng(seed), 4, 3, 2, 2, 1e-3
+        )
+        seq = HermSeq(coeffs)
+        sm = central_measure(seq)
+        assert verify_recovery(sm, seq, tol=1e-8).passed
+        assert len(sm.atoms) == 2
+        for u, w in want:
+            atom = min(sm.atoms, key=lambda a: abs(a.point - u))
+            assert abs(atom.point - u) < 1e-8
+            assert spec_norm(atom.weight - w) < 1e-8 * spec_norm(seq.coeff(0))
+
+    def test_kernel_smaller_than_cluster(self):
+        # det den = (1 - z)^2, but den(1) = [[0, 1], [0, 0]] has a
+        # one-dimensional kernel: a second-order pole, not a point mass
+        den = MatPoly([np.eye(2), [[-1.0, 1.0], [0.0, -1.0]]])
+        cq = CaratheodoryQuotient(MatPoly([np.eye(2)]), den, 1)
+        with pytest.raises(MultiplicityError, match="1-dimensional kernel") as info:
+            compute_atoms(cq)
+        assert abs(info.value.root - 1.0) < 1e-12
+        assert info.value.multiplicity == 2
+
+    def test_quotient_carries_det_and_zeros(self):
+        coeffs, _ = atomic_coeffs(np.random.default_rng(4), 2, 4, n_atoms=3)
+        cq = central_quotient(gamma_from_covariance(HermSeq(coeffs)))
+        assert np.array_equal(cq.det, det_poly(cq.den))
+        assert np.array_equal(cq.zeros, np.roots(cq.det[::-1]))
+        assert "det" not in repr(cq) and "zeros" not in repr(cq)
+        # derived arrays take no part in ==, which would fail on them
+        assert cq == CaratheodoryQuotient(cq.num, cq.den, cq.order)
+
+    def test_overflowing_determinant_fails_where_read(self):
+        # det den overflows: building the quotient still succeeds, and
+        # whatever needs det den raises
+        den = MatPoly([np.eye(2), 1e200 * np.eye(2)])
+        cq = CaratheodoryQuotient(MatPoly([np.eye(2), np.eye(2)]), den, 1)
+        with pytest.raises(InvalidInputError):
+            compute_atoms(cq)
+        sm = SpectralMeasure(2, (), cq, Provenance.CENTRAL)
+        with pytest.raises(InvalidInputError):
+            verify_recovery(sm, HermSeq([np.eye(2)]))
+
+    def test_zero_determinant_still_fails(self):
+        cq = CaratheodoryQuotient(MatPoly([np.eye(2)]), MatPoly([np.zeros((2, 2))]), 0)
+        with pytest.raises(InvalidInputError):
+            compute_atoms(cq)
 
 
 class TestCentralMeasure:
@@ -269,6 +357,33 @@ class TestVerifyRecovery:
         assert report.density_psd_violations == 0
         assert len(report.errors_by_order) == 3
         assert np.allclose(report.atom_mass, np.zeros((2, 2)), atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["tpd", "atomic_plus_var1"])
+    def test_orders_in_one_product_match_per_order_sums(self, case):
+        # one (J, N) phase-matrix product against a trapezoid sum per order
+        import matspec.measure as measure
+
+        rng = np.random.default_rng(12)
+        if case == "tpd":
+            coeffs = list(random_tpd_seq(rng, 2, 6).coeffs)
+        else:
+            atoms, _ = atomic_coeffs(rng, 1, 7, n_atoms=2)
+            coeffs = direct_sum(atoms, var1_coeffs(rng, 1, 1.0 - 1e-3, 7))
+        seq = HermSeq(coeffs)
+        sm = central_measure(seq)
+        sing = measure._singular_part(sm)
+        js = list(range(-2, len(seq)))
+        nodes = measure._default_nodes(sm, sing, len(seq) - 1)
+        got = measure._fourier_many(sm, sing, js, nodes)
+        ang = measure._quadrature_angles(nodes, sm.atom_points())
+        dens = sing.smooth_density(sm, ang)
+        tol = 1e-14 * (1.0 + spec_norm(seq.coeff(0)))
+        for j, g in zip(js, got):
+            want = (TWO_PI / nodes) * np.tensordot(np.exp(-1j * j * ang), dens, axes=(0, 0))
+            want = want + sing.coeff(j)
+            for atom in sm.atoms:
+                want = want + atom.point ** (-j) * atom.weight
+            assert spec_norm(g - want) <= tol
 
     def test_atom_mass_accounting(self):
         seq = scalar_seq(1.0, 1.0)

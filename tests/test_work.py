@@ -1,24 +1,33 @@
-"""Work counts of the prefix scan, the central predictor and the recovery
-quadrature: each public entry point checks every prefix Toeplitz matrix
-once, with one eigvalsh per prefix and no SVD norm of a prefix matrix,
-solves for the central predictor with one pseudoinverse, and
-verify_recovery finds det den and its zeros once."""
+"""Work counts of the prefix scan, the central predictor, the atoms and the
+recovery quadrature: each public entry point checks every prefix Toeplitz
+matrix once, with one eigvalsh per prefix and no SVD norm of a prefix
+matrix, solves for the central predictor with one pseudoinverse, det den
+and its zeros are found once per quotient, and the atom weights take a
+fixed number of evaluations of den and num however many atoms there are."""
 
 import numpy as np
 import pytest
 
+import matspec.caratheodory as caratheodory
+import matspec.matpoly as matpoly
 import matspec.measure as measure
 from matspec import (
     ArOrderMismatchWarning,
     HermSeq,
+    MatPoly,
     ar_spectrum,
     central_extend,
     central_measure,
     central_order,
+    central_quotient,
+    compute_atoms,
+    fourier_coeff,
+    gamma_from_covariance,
+    herglotz_transform,
     verify_recovery,
 )
 
-from _gen import random_tpd_seq
+from _gen import atomic_coeffs, random_tpd_seq
 
 Q, N = 2, 16
 
@@ -88,33 +97,89 @@ def test_central_order_scans_once(seq, calls):
 
 @pytest.fixture
 def pole_work(monkeypatch):
-    """Calls of det_poly from matspec.measure and of np.roots."""
-    seen = {"det_poly": 0, "roots": 0}
+    """Arguments of det_poly, wherever matspec calls it from, and calls of
+    np.roots."""
+    seen = {"det_poly": [], "roots": 0}
+    det_poly, roots = matpoly.det_poly, np.roots
 
-    def count(name, orig):
-        def counted(*args, **kwargs):
-            seen[name] += 1
-            return orig(*args, **kwargs)
-        return counted
+    def counted_det(p, *args, **kwargs):
+        seen["det_poly"].append(p)
+        return det_poly(p, *args, **kwargs)
 
-    monkeypatch.setattr(measure, "det_poly", count("det_poly", measure.det_poly))
-    monkeypatch.setattr(np, "roots", count("roots", np.roots))
+    def counted_roots(*args, **kwargs):
+        seen["roots"] += 1
+        return roots(*args, **kwargs)
+
+    for module in (matpoly, caratheodory, measure):
+        if hasattr(module, "det_poly"):
+            monkeypatch.setattr(module, "det_poly", counted_det)
+    monkeypatch.setattr(np, "roots", counted_roots)
     return seen
 
 
-def test_verify_recovery_finds_poles_once(seq, pole_work):
+def run_pipeline(seq):
+    """central_measure, verify_recovery, three fourier_coeff and one
+    herglotz_transform on one quotient; returns the measure."""
     sm = central_measure(seq)
-    dets, roots = pole_work["det_poly"], pole_work["roots"]
     verify_recovery(sm, seq)
-    assert pole_work["det_poly"] - dets <= 1
-    assert pole_work["roots"] - roots == 1
+    for j in (0, 1, len(seq)):
+        fourier_coeff(sm, j)
+    herglotz_transform(sm, 0.3 + 0.2j)
+    return sm
+
+
+def dets_of_den(pole_work, sm):
+    # the positive-definite cross-check takes det_poly of its own A and B
+    den = sm.quotient.den.trim()
+    return sum(
+        1 for p in pole_work["det_poly"] if np.array_equal(p.trim().coeffs, den.coeffs)
+    )
+
+
+def test_verify_recovery_finds_poles_once(seq, pole_work):
+    sm = run_pipeline(seq)
+    assert dets_of_den(pole_work, sm) == 1
+    assert pole_work["roots"] == 1
 
 
 def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
     rho = 1.0 - 1e-4
     ar1 = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(4)])
-    sm = central_measure(ar1)
-    roots = pole_work["roots"]
-    verify_recovery(sm, ar1)
-    assert pole_work["roots"] - roots == 1
+    sm = run_pipeline(ar1)
+    assert dets_of_den(pole_work, sm) == 1
+    assert pole_work["roots"] == 1
     assert max(grid_sizes) <= 4096
+
+
+def atomic_quotient(n_atoms):
+    coeffs, _ = atomic_coeffs(np.random.default_rng(3), 1, n_atoms + 2, n_atoms)
+    return central_quotient(gamma_from_covariance(HermSeq(coeffs)))
+
+
+def test_atom_weights_do_not_loop_over_atoms(monkeypatch):
+    evals = []
+    call = MatPoly.__call__
+
+    def counted(self, z):
+        evals.append(z)
+        return call(self, z)
+
+    quotients = {n_atoms: atomic_quotient(n_atoms) for n_atoms in (2, 8)}
+    monkeypatch.setattr(MatPoly, "__call__", counted)
+    counts = {}
+    for n_atoms, cq in quotients.items():
+        evals.clear()
+        assert len(compute_atoms(cq)) == n_atoms
+        counts[n_atoms] = len(evals)
+    assert counts[2] == counts[8]
+
+
+def test_atoms_skip_the_scalar_determinant_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar-determinant atom route called")
+
+    for name in ("unimodular_roots", "adjugate_poly", "matpoly_mul"):
+        for module in (matpoly, measure, caratheodory):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert len(compute_atoms(atomic_quotient(8))) == 8
