@@ -25,8 +25,9 @@ class ModelError(MatSpecError):
 
 
 class MultiplicityError(MatSpecError):
-    """A root multiplicity failed validation, against derivative magnitudes
-    or against the kernel dimension of the denominator at the root."""
+    """The zeros of det den clustered at an atom do not match den's kernel
+    there: their count differs from its dimension, or den' is singular on
+    it.  ``root`` is the atom, ``multiplicity`` the cluster size."""
 
     def __init__(self, message, root=None, multiplicity=None):
         super().__init__(message)

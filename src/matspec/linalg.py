@@ -100,32 +100,6 @@ def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def adjugate(a) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix); adj(A) @ A = det(A) * I.
-
-    For 1x1 input the adjugate is [[1]].  Works for singular matrices, which
-    is what the determinant identity is needed for.
-    """
-    m = require_square(as_cmatrix(a))
-    return _adjugate_stack(m[None, :, :])[0]
-
-
-def _adjugate_stack(ms: np.ndarray) -> np.ndarray:
-    """Adjugates of a stack shaped (N, q, q), computed via minors."""
-    n, q, _ = ms.shape
-    if q == 1:
-        return np.ones((n, 1, 1), dtype=complex)
-    out = np.empty_like(ms)
-    for i in range(q):
-        rows = [r for r in range(q) if r != i]
-        for j in range(q):
-            cols = [c for c in range(q) if c != j]
-            minor = ms[:, rows, :][:, :, cols]
-            # adj[j, i] = (-1)^(i+j) * det(minor of row i, col j)
-            out[:, j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return out
-
-
 def is_nonneg_hermitian(a, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Whether ``a`` is Hermitian and positive semidefinite within tolerance.
 

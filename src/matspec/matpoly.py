@@ -4,35 +4,25 @@ Coefficients are stored lowest degree first.  Scalar polynomials are plain
 1-d complex arrays and reuse ``numpy.polynomial.polynomial`` helpers (same
 convention); matrix polynomials get a small dedicated class.
 
-Determinants, adjugates and products of matrix polynomials are formed by
-evaluation at roots of unity followed by an inverse FFT, which is exact up to
-roundoff once the node count exceeds the target degree.
+The determinant of a matrix polynomial is formed by evaluation at roots of
+unity followed by an inverse FFT, which is exact up to roundoff once the node
+count exceeds its degree.  No adjugates or products of matrix polynomials
+are formed: atom weights come from den's kernel vectors (`measure`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    DegenerateZeroError,
-    DimensionError,
-    InvalidInputError,
-    MultiplicityError,
-)
-from .linalg import _adjugate_stack
+from .errors import DegenerateZeroError, DimensionError, InvalidInputError
 
 # Relative threshold for dropping numerically-zero leading coefficients.
 TRIM_RTOL = 1e-12
 # Roots with | |v| - 1 | <= ROOT_TOL count as unimodular.
 DEFAULT_ROOT_TOL = 1e-7
-# Roots closer than this merge into one location with summed multiplicity.
-# wide enough to absorb the eps^(1/m) companion scatter of an m-fold root
-# (about 1e-5 at m = 3) while staying far below any realistic atom spacing
-DEFAULT_CLUSTER_RADIUS = 1e-4
 # Relative threshold deciding whether a derivative value is zero.
 DEFAULT_DERIV_TOL = 1e-7
 
@@ -118,11 +108,6 @@ class MatPoly:
         return f"MatPoly(q={self.q}, degree={self.degree})"
 
 
-class UnimodularRoot(NamedTuple):
-    point: complex
-    multiplicity: int
-
-
 def _pow2_nodes(min_count: int) -> np.ndarray:
     n = 1
     while n <= min_count:
@@ -142,137 +127,6 @@ def det_poly(p: MatPoly, rel_tol: float = TRIM_RTOL) -> np.ndarray:
     return poly_trim(coeffs, rel_tol)
 
 
-def adjugate_poly(p: MatPoly, rel_tol: float = TRIM_RTOL) -> MatPoly:
-    """Matrix polynomial adj(p(z)); satisfies adj(p) p = det(p) I pointwise."""
-    p = p.trim(rel_tol)
-    if p.q == 1:
-        return MatPoly(np.ones((1, 1, 1), dtype=complex))
-    target = (p.q - 1) * p.degree
-    if target == 0:
-        return MatPoly(_adjugate_stack(p.coeffs[:1].copy()))
-    nodes = _pow2_nodes(p.q * p.degree)
-    adjs = _adjugate_stack(p(nodes))
-    coeffs = np.fft.ifft(adjs, axis=0)[: target + 1]
-    return MatPoly(coeffs).trim(rel_tol)
-
-
-def matpoly_mul(a: MatPoly, b: MatPoly, rel_tol: float = TRIM_RTOL) -> MatPoly:
-    """Product polynomial a(z) b(z) via interpolation."""
-    if a.q != b.q:
-        raise DimensionError(f"block sizes differ: {a.q} vs {b.q}")
-    target = a.degree + b.degree
-    if target == 0:
-        return MatPoly(a.coeffs[0] @ b.coeffs[0])
-    nodes = _pow2_nodes(target)
-    vals = a(nodes) @ b(nodes)
-    coeffs = np.fft.ifft(vals, axis=0)[: target + 1]
-    return MatPoly(coeffs)
-
-
-def _newton_polish(c: np.ndarray, z0: complex, guard: float) -> complex:
-    """A few Newton steps on the scalar polynomial c from z0; bounded wander."""
-    dc = poly_derive(c)
-    z = z0
-    for _ in range(12):
-        dv = poly_eval(dc, z)
-        if abs(dv) == 0.0:
-            break
-        step = poly_eval(c, z) / dv
-        z_new = z - step
-        if abs(z_new - z0) > guard:
-            return z0
-        z = z_new
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            break
-    return z
-
-
-def _clusters(zs, radius: float) -> list[list[complex]]:
-    """Roots near the circle, sorted by angle and chained into clusters by
-    gaps of at most ``radius`` (the last cluster wraps onto the first)."""
-    near = sorted(zs, key=lambda z: float(np.angle(z)) % (2.0 * np.pi))
-    if not near:
-        return []
-    clusters: list[list[complex]] = [[near[0]]]
-    for z in near[1:]:
-        if abs(z - clusters[-1][-1]) <= radius:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= radius:
-        clusters[0] = clusters.pop() + clusters[0]
-    return clusters
-
-
-def unimodular_roots(
-    coeffs,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    deriv_tol: float = DEFAULT_DERIV_TOL,
-) -> list[UnimodularRoot]:
-    """Roots of a scalar polynomial on the unit circle, with multiplicities.
-
-    Companion-matrix eigenvalues seed the search.  An m-fold root is
-    scattered by roughly eps^(1/m) there (about 1e-5 for m = 3), so
-    candidates are collected inside the generous window
-    max(root_tol, cluster_radius) and merged into clusters whose size sets
-    the multiplicity.  Each cluster mean (where the leading scatter term
-    cancels) is Newton-polished on the (m-1)-th derivative; only then is the
-    tight ``root_tol`` test applied, so off-circle roots caught by the wide
-    window are dropped by their polished location, not their scattered one.
-    Survivors are projected onto the circle and the derivative magnitudes
-    |s^(k)(v)| are validated: numerically zero for k < m, nonzero at k = m.
-
-    Returns locations sorted by angle in [0, 2pi).
-    """
-    c = poly_trim(coeffs)
-    if c.size == 1 and c[0] == 0.0:
-        raise InvalidInputError("the zero polynomial has no root structure")
-    deg = c.size - 1
-    if deg == 0:
-        return []
-    window = max(root_tol, cluster_radius)
-    raw = np.roots(c[::-1])
-    out = []
-    for members in _clusters([z for z in raw if abs(abs(z) - 1.0) <= window],
-                             cluster_radius):
-        m = len(members)
-        v = complex(np.mean(members))
-        polished = _newton_polish(poly_derive(c, m - 1) if m > 1 else c, v,
-                                  guard=10.0 * cluster_radius + 1e-8)
-        if abs(abs(polished) - 1.0) > root_tol:
-            continue
-        v = polished / abs(polished)
-        for k in range(m + 1):
-            dk = poly_derive(c, k) if k else c
-            thresh = deriv_tol * float(np.max(np.abs(dk)))
-            val = abs(poly_eval(dk, v))
-            if k < m and val > thresh:
-                raise MultiplicityError(
-                    f"derivative {k} does not vanish at {v} for multiplicity {m}",
-                    root=v,
-                    multiplicity=m,
-                )
-            if k == m and val <= thresh:
-                raise MultiplicityError(
-                    f"derivative {m} vanishes at {v}; multiplicity underestimated",
-                    root=v,
-                    multiplicity=m,
-                )
-        out.append(UnimodularRoot(point=v, multiplicity=m))
-    out.sort(key=lambda r: float(np.angle(r.point)) % (2.0 * np.pi))
-    return out
-
-
-def _limit_known_multiplicity(
-    g: MatPoly, h: np.ndarray, w: complex, m: int, ell: int
-) -> np.ndarray:
-    """lim (z-w)^ell g(z)/h(z) given that w is an m-fold zero of h."""
-    hm = poly_eval(poly_derive(h, m) if m else h, w)
-    scale = math.factorial(m) / math.factorial(m - ell)
-    return (scale / hm) * g.derivative(m - ell)(w)
-
-
 def pole_limit(
     g: MatPoly, h, w: complex, ell: int, deriv_tol: float = DEFAULT_DERIV_TOL
 ) -> np.ndarray:
@@ -290,13 +144,12 @@ def pole_limit(
     hc = poly_trim(h)
     if hc.size == 1 and hc[0] == 0.0:
         raise DegenerateZeroError("denominator is the zero polynomial")
-    m = None
-    for k in range(hc.size):
-        dk = poly_derive(hc, k) if k else hc
-        if abs(poly_eval(dk, w)) > deriv_tol * float(np.max(np.abs(dk))):
-            m = k
+    for m in range(hc.size):
+        dk = poly_derive(hc, m) if m else hc
+        hm = poly_eval(dk, w)
+        if abs(hm) > deriv_tol * float(np.max(np.abs(dk))):
             break
-    if m is None:
+    else:
         raise DegenerateZeroError(
             f"all derivatives of the denominator vanish at {w}"
         )
@@ -304,4 +157,5 @@ def pole_limit(
         raise InvalidInputError(
             f"requested power {ell} exceeds the zero multiplicity {m} at {w}"
         )
-    return _limit_known_multiplicity(g, hc, w, m, ell)
+    scale = math.factorial(m) / math.factorial(m - ell)
+    return (scale / hm) * g.derivative(m - ell)(w)

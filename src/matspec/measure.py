@@ -48,15 +48,20 @@ from .linalg import (
     re_mat,
     spec_norm,
 )
-from .matpoly import DEFAULT_CLUSTER_RADIUS, DEFAULT_ROOT_TOL, _clusters
+from .matpoly import DEFAULT_ROOT_TOL
 from .toeplitz import HermSeq, Classification, _continue, _require_tnd, classify
 
 # Distance below which density evaluation switches to arc extrapolation.
 EPS_SING = 1e-5
 # Eigenvalues of an atom weight in [-ATOM_CLIP*||C_0||, 0) clip to zero.
-DEFAULT_ATOM_CLIP = 1e-9
+ATOM_CLIP = 1e-9
 # Atoms with ||W|| <= ATOM_DROP*||C_0|| are removable singularities.
-DEFAULT_ATOM_DROP = 1e-10
+ATOM_DROP = 1e-10
+# Zeros of det den closer than this merge into one location whose
+# multiplicity is the cluster size; wide enough to absorb the eps^(1/m)
+# companion scatter of an m-fold zero (about 1e-5 at m = 3) while staying far
+# below any realistic atom spacing.
+CLUSTER_RADIUS = 1e-4
 TWO_PI = 2.0 * np.pi
 
 
@@ -98,14 +103,18 @@ class SpectralMeasure:
         """Density values at unit-circle angles; shape (N, q, q).
 
         Nodes closer than EPS_SING to an atom are filled in by polynomial
-        extrapolation along the arc, where direct evaluation would cancel.
+        extrapolation along the arc towards the nearest atom, where direct
+        evaluation would cancel.
         """
         ang = np.atleast_1d(np.asarray(angles, dtype=float))
         zs = np.exp(1j * ang)
         vals = _density_direct(self, zs)
-        for atom in self.atoms:
-            for idx in np.nonzero(np.abs(zs - atom.point) < EPS_SING)[0]:
-                vals[idx] = _density_extrapolated(self, atom.point, zs[idx])
+        if self.atoms:
+            points = self.atom_points()
+            dist = np.abs(zs[:, None] - points)
+            nearest = np.argmin(dist, axis=1)
+            for idx in np.nonzero(np.min(dist, axis=1) < EPS_SING)[0]:
+                vals[idx] = _density_extrapolated(self, points[nearest[idx]], zs[idx])
         return vals
 
 
@@ -115,9 +124,11 @@ def _density_direct(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
         phi = np.zeros(zs.shape + (sm.q, sm.q), dtype=complex)
     else:
         phi = rational_values(sm.quotient, zs)
-    for atom in sm.atoms:
-        kern = (atom.point + zs) / (atom.point - zs)
-        phi = phi - kern[..., None, None] * atom.weight
+    if sm.atoms:
+        points = sm.atom_points()
+        kern = (points + zs[..., None]) / (points - zs[..., None])
+        weights = np.array([a.weight for a in sm.atoms])
+        phi = phi - np.tensordot(kern, weights, axes=(-1, 0))
     herm = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
     return herm / TWO_PI
 
@@ -159,37 +170,32 @@ def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
 
 
 def compute_atoms(
-    cq: CaratheodoryQuotient,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    atom_clip: float = DEFAULT_ATOM_CLIP,
-    atom_drop: float = DEFAULT_ATOM_DROP,
+    cq: CaratheodoryQuotient, root_tol: float = DEFAULT_ROOT_TOL
 ) -> tuple[Atom, ...]:
     """Point masses of the measure behind a rational Caratheodory quotient.
 
     The zeros of det den (found once, with the quotient) within
-    max(root_tol, cluster_radius) of the circle are clustered at
-    cluster_radius; each cluster mean is Newton-polished on den, and the
-    points left within root_tol of the circle are the atoms.  At such a
-    point v with a cluster of m zeros, den(v) must have an m-dimensional
-    kernel, else MultiplicityError; with X and Y its right and left kernel
-    bases the weight is the residue
+    max(root_tol, CLUSTER_RADIUS) of the circle are clustered at
+    CLUSTER_RADIUS, the radius within which `_singular_part` assigns zeros
+    to an atom; each cluster mean is Newton-polished on den, and the points left within
+    root_tol of the circle are the atoms.  At such a point v with a cluster
+    of m zeros, den(v) must have an m-dimensional kernel, else
+    MultiplicityError; with X and Y its right and left kernel bases the
+    weight is the residue
 
         X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*,
 
     taken for all atoms in one batch.  Weights are Hermitian-projected;
-    eigenvalues in [-clip, 0) clip to zero, anything below -clip is a model
-    violation.  Atoms with negligible weight (removable singularities) are
-    dropped.
+    eigenvalues in [-ATOM_CLIP, 0) times ||C_0|| clip to zero, anything
+    lower is a model violation.  Atoms with ||X_v|| at most ATOM_DROP times
+    ||C_0|| (removable singularities) are dropped.
     """
     db, zs = cq._det_zeros()
     if db.size == 1 and db[0] == 0.0:
         raise InvalidInputError("the zero polynomial has no root structure")
-    window = max(root_tol, cluster_radius)
-    clusters = _clusters(zs[np.abs(np.abs(zs) - 1.0) <= window], cluster_radius)
-    res = _cluster_residues(
-        cq, clusters, lambda p: np.abs(np.abs(p) - 1.0) <= root_tol, cluster_radius
-    )
+    window = max(root_tol, CLUSTER_RADIUS)
+    clusters = _clusters(zs[np.abs(np.abs(zs) - 1.0) <= window])
+    res = _cluster_residues(cq, clusters, lambda p: np.abs(np.abs(p) - 1.0) <= root_tol)
     if res.points.size == 0:
         return ()
     order = np.argsort(np.angle(res.points) % TWO_PI)
@@ -207,12 +213,12 @@ def compute_atoms(
     lam, vec = np.linalg.eigh(0.5 * (val + np.conj(np.swapaxes(val, -1, -2))))
     scale = spec_norm(re_mat(cq.num(0.0 + 0.0j)))
     for v, low in zip(points, lam[:, 0]):
-        if low < -atom_clip * scale:
+        if low < -ATOM_CLIP * scale:
             raise ModelError(f"atom weight at {v} has negative eigenvalue {low:.3e}")
     lam = np.clip(lam, 0.0, None)
     atoms: list[Atom] = []
     for v, lv, vv in zip(points, lam, vec):
-        if lv[-1] <= atom_drop * scale:
+        if lv[-1] <= ATOM_DROP * scale:
             continue
         w = (vv * lv) @ vv.conj().T
         atoms.append(Atom(point=complex(v), weight=0.5 * (w + w.conj().T)))
@@ -228,7 +234,6 @@ def central_measure(
     psd_tol: float = DEFAULT_PSD_TOL,
     rank_rtol: float = DEFAULT_RANK_RTOL,
     root_tol: float = DEFAULT_ROOT_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
 ) -> SpectralMeasure:
     """Spectral measure of the central continuation of a TND sequence.
 
@@ -239,7 +244,7 @@ def central_measure(
     """
     margin = _require_tnd(seq, psd_tol)
     cq = _central_quotient(gamma_from_covariance(seq), len(seq) - 1, rank_rtol)
-    atoms = compute_atoms(cq, root_tol, cluster_radius)
+    atoms = compute_atoms(cq, root_tol)
     sm = SpectralMeasure(
         q=seq.q, atoms=tuple(atoms), quotient=cq, provenance=Provenance.CENTRAL
     )
@@ -417,7 +422,7 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     """Splits the zeros of det den, found once with the quotient, for the
     quadrature.
 
-    Zeros within DEFAULT_CLUSTER_RADIUS of an atom belong to that point mass.
+    Zeros within CLUSTER_RADIUS of an atom belong to that point mass.
     Zeros with 0 < |p| - 1 < _NEAR_CIRCLE are grouped into clusters of that
     radius, and a cluster is subtracted where `_cluster_residues` finds a
     simple pole of num den^{-1} outside the circle there.  The grid must
@@ -432,14 +437,12 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
         return _SingularPart(db.size - 1, *empty, np.inf)
     atoms = sm.atom_points()
     if atoms.size:
-        zs = zs[np.min(np.abs(zs[:, None] - atoms), axis=1) > DEFAULT_CLUSTER_RADIUS]
+        zs = zs[np.min(np.abs(zs[:, None] - atoms), axis=1) > CLUSTER_RADIUS]
     dist = np.abs(zs) - 1.0
     near = (dist > 0.0) & (dist < _NEAR_CIRCLE)
     brute = list(np.abs(dist[~near]))
-    clusters = _clusters(zs[near], DEFAULT_CLUSTER_RADIUS)
-    res = _cluster_residues(
-        sm.quotient, clusters, lambda p: np.abs(p) > 1.0, DEFAULT_CLUSTER_RADIUS
-    )
+    clusters = _clusters(zs[near])
+    res = _cluster_residues(sm.quotient, clusters, lambda p: np.abs(p) > 1.0)
     simple = (res.kernel == res.sizes) & np.all(np.isfinite(res.residues), axis=(1, 2))
     subtracted = set(res.index[simple])
     for i, members in enumerate(clusters):
@@ -452,6 +455,23 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     return _SingularPart(db.size - 1, *empty, min(brute, default=np.inf))
 
 
+def _clusters(zs) -> list[list[complex]]:
+    """Zeros sorted by angle and chained into clusters by gaps of at most
+    CLUSTER_RADIUS (the last cluster wraps onto the first)."""
+    near = sorted(zs, key=lambda z: float(np.angle(z)) % (2.0 * np.pi))
+    if not near:
+        return []
+    clusters: list[list[complex]] = [[near[0]]]
+    for z in near[1:]:
+        if abs(z - clusters[-1][-1]) <= CLUSTER_RADIUS:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= CLUSTER_RADIUS:
+        clusters[0] = clusters.pop() + clusters[0]
+    return clusters
+
+
 class _Residues(NamedTuple):
     """Polished cluster means kept by `_cluster_residues`, one row each."""
 
@@ -462,7 +482,7 @@ class _Residues(NamedTuple):
     residues: np.ndarray  # (k, q, q) of num den^{-1}; NaN unless kernel == size
 
 
-def _cluster_residues(cq: CaratheodoryQuotient, clusters, keep, radius) -> _Residues:
+def _cluster_residues(cq: CaratheodoryQuotient, clusters, keep) -> _Residues:
     """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
 
     All cluster means are Newton-polished on den at once; ``keep`` selects
@@ -478,7 +498,7 @@ def _cluster_residues(cq: CaratheodoryQuotient, clusters, keep, radius) -> _Resi
     points = np.array([np.mean(c) for c in clusters], dtype=complex)
     dden = cq.den.derivative()
     if clusters:
-        points = _polish(cq.den, dden, points, sizes, radius)
+        points = _polish(cq.den, dden, points, sizes)
     index = np.nonzero(keep(points))[0]
     points, sizes = points[index], sizes[index]
     residues = np.full((index.size, q, q), np.nan, dtype=complex)
@@ -499,14 +519,14 @@ def _cluster_residues(cq: CaratheodoryQuotient, clusters, keep, radius) -> _Resi
     return _Residues(index, points, sizes, kernel, residues)
 
 
-def _polish(den, dden, z, m, radius: float = DEFAULT_CLUSTER_RADIUS):
+def _polish(den, dden, z, m):
     """Newton on det den from each z, step m / tr(den(z)^{-1} den'(z)).
 
     z and m are arrays of start points and multiplicities (or scalars).  The
     step is quadratically convergent at an m-fold zero.  A point stops after
     a step at roundoff level, where den(z) is exactly singular (it has
-    converged), and where a step would leave the ``radius`` disk around its
-    start.  Each pass evaluates den and den' once for all points.
+    converged), and where a step would leave the CLUSTER_RADIUS disk around
+    its start.  Each pass evaluates den and den' once for all points.
     """
     z0 = np.asarray(z, dtype=complex)
     z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
@@ -514,7 +534,7 @@ def _polish(den, dden, z, m, radius: float = DEFAULT_CLUSTER_RADIUS):
         t = np.trace(_solve_each(den(z), dden(z)), axis1=-2, axis2=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = m / t
-        live &= np.isfinite(step) & (np.abs(z - step - z0) <= radius)
+        live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)
         z = np.where(live, z - step, z)
         live &= np.abs(step) > 1e-15 * np.abs(z)
     return z
@@ -557,7 +577,7 @@ _PHASE_BLOCK = 1024
 
 def _fourier_many(
     sm: SpectralMeasure, sing: _SingularPart, js, nodes: int
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Coefficients of the orders js: a (J, N) phase matrix times the
     (N, q^2) smooth density, plus the pole parts and atoms in closed form.
     The product runs over blocks of _PHASE_BLOCK nodes, so at most a
@@ -577,7 +597,7 @@ def _fourier_many(
     coeffs = coeffs.reshape(js.size, sm.q, sm.q)
     if sing.poles.size:
         coeffs = coeffs + np.array([sing.coeff(int(j)) for j in js])
-    return list(coeffs)
+    return coeffs
 
 
 def fourier_coeff(sm: SpectralMeasure, j: int, nodes: int | None = None) -> np.ndarray:
@@ -678,7 +698,7 @@ def verify_recovery(
     if nodes is None:
         nodes = _default_nodes(sm, sing, len(seq) - 1)
     coeffs = _fourier_many(sm, sing, js, nodes)
-    errs = tuple(float(spec_norm(coeffs[j] - seq.coeffs[j])) for j in js)
+    errs = tuple(np.linalg.norm(coeffs - np.asarray(seq.coeffs), 2, axis=(1, 2)).tolist())
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)
     else:

@@ -238,11 +238,21 @@ def _predictor(seq: HermSeq, n: int, rank_rtol: float) -> np.ndarray:
     `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
     the central extension of C_0..C_n keeps the same w for every later
     coefficient.
+
+    The quotient reproduces the data exactly when the Yule-Walker residual
+    Y_n - T_{n-1} w vanishes.  T' Y from one SVD leaves a residual of about
+    eps cond(T) times ||T|| ||w||, so two steps of iterative refinement
+    w <- w + T'(Y - T w) follow, with the same pseudoinverse (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 12).
     """
     q = seq.q
     if n == 0:
         return np.zeros((0, q, q), dtype=complex)
-    w = pinv(toeplitz_matrix(seq, n - 1), rank_rtol) @ col_stack(seq, n)
+    t, y = toeplitz_matrix(seq, n - 1), col_stack(seq, n)
+    tp = pinv(t, rank_rtol)
+    w = tp @ y
+    for _ in range(2):
+        w = w + tp @ (y - t @ w)
     return w.reshape(n, q, q)
 
 

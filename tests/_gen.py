@@ -8,7 +8,8 @@ without trusting the code under test.
 
 import numpy as np
 
-from matspec import HermSeq, ball_params, psd_sqrt
+from matspec import HermSeq, ball_params
+from matspec.linalg import psd_sqrt
 
 
 def random_psd(rng, q, scale=1.0):

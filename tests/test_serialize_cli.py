@@ -14,7 +14,6 @@ from matspec import (
     doc_to_sequence,
     dumps,
     fourier_coeff,
-    hermitian_from_lower,
     loads,
     measure_to_doc,
     sequence_to_doc,
@@ -22,6 +21,7 @@ from matspec import (
 )
 from matspec.cli import main
 from matspec.errors import InvalidInputError, ModelError
+from matspec.serialize import hermitian_from_lower
 
 RNG = np.random.default_rng(61)
 

@@ -4,17 +4,15 @@ import pytest
 from matspec import (
     Classification,
     HermSeq,
-    ball_membership,
     ball_params,
     classify,
     conjugate_by_unitary,
     first_violation,
-    psd_sqrt,
-    rank_drop,
     toeplitz_matrix,
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.toeplitz import col_stack, lower_toeplitz, row_stack
+from matspec.linalg import psd_sqrt
+from matspec.toeplitz import ball_membership, col_stack, lower_toeplitz, rank_drop, row_stack
 
 from _gen import (
     atomic_coeffs,

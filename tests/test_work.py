@@ -2,12 +2,17 @@
 recovery quadrature: each public entry point checks every prefix Toeplitz
 matrix once, with one eigvalsh per prefix and no SVD norm of a prefix
 matrix, solves for the central predictor with one pseudoinverse, det den
-and its zeros are found once per quotient, and the atom weights take a
-fixed number of evaluations of den and num however many atoms there are."""
+and its zeros are found once per quotient, the atom weights take a fixed
+number of evaluations of den and num however many atoms there are, and the
+recovery errors of all orders take one stacked norm."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import matspec
 import matspec.caratheodory as caratheodory
 import matspec.matpoly as matpoly
 import matspec.measure as measure
@@ -26,6 +31,8 @@ from matspec import (
     herglotz_transform,
     verify_recovery,
 )
+from matspec.linalg import DEFAULT_RANK_RTOL
+from matspec.toeplitz import _predictor
 
 from _gen import atomic_coeffs, random_tpd_seq
 
@@ -74,6 +81,21 @@ def test_central_extend_scans_input_and_result_once(seq, calls):
 def test_central_extend_solves_predictor_once(seq, calls):
     central_extend(seq, 2 * (N + 1))
     assert len(prefix_sized(calls["svd"])) == 1
+
+
+def test_predictor_takes_one_svd(seq, calls):
+    # the refinement steps reuse the one pseudoinverse
+    _predictor(seq, N, DEFAULT_RANK_RTOL)
+    assert calls["svd"] == [(N * Q, N * Q)]
+
+
+def test_verify_recovery_stacks_the_order_errors(seq, calls):
+    sm = central_measure(seq)
+    calls["norm"].clear()
+    verify_recovery(sm, seq)
+    # the N + 1 order errors take one stacked norm; the only norm of a single
+    # coefficient left is ||C_0||, the scale of the density check
+    assert calls["norm"].count((Q, Q)) == 1
 
 
 def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
@@ -174,12 +196,12 @@ def test_atom_weights_do_not_loop_over_atoms(monkeypatch):
     assert counts[2] == counts[8]
 
 
-def test_atoms_skip_the_scalar_determinant_route(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("scalar-determinant atom route called")
-
+def test_atoms_skip_the_scalar_determinant_route():
+    # atoms come from den's kernel alone; the scalar-determinant route lives
+    # on only as the test oracle in tests/_oracle.py
+    modules = [importlib.import_module(f"matspec.{m.name}")
+               for m in pkgutil.iter_modules(matspec.__path__)]
+    assert measure in modules and matpoly in modules
     for name in ("unimodular_roots", "adjugate_poly", "matpoly_mul"):
-        for module in (matpoly, measure, caratheodory):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        assert [m.__name__ for m in modules if hasattr(m, name)] == []
     assert len(compute_atoms(atomic_quotient(8))) == 8
