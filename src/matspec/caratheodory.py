@@ -39,6 +39,9 @@ from .toeplitz import (
     toeplitz_matrix,
 )
 
+# Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
+RADIAL_STEPS = 12
+
 
 @dataclass(frozen=True)
 class CaratheodoryQuotient:
@@ -143,32 +146,24 @@ def _central_quotient(g: GammaSeq, n: int, rank_rtol: float) -> CaratheodoryQuot
     return cq
 
 
-def pd_polynomials(
-    seq: HermSeq,
-    n: int | None = None,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> tuple[MatPoly, MatPoly]:
+def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
     """First-column / reversed-last-row polynomials of the inverse Toeplitz.
 
-    For a TPD prefix, with T_n^{-1} = [tau_{jk}] in q x q blocks,
+    For a TPD sequence C_0..C_n, with T_n^{-1} = [tau_{jk}] in q x q blocks,
 
         A(z) = sum_j tau_{j0} z^j,    B(z) = sum_j tau_{n,n-j} z^j.
 
     Both determinants are verified nonvanishing on the closed disk sample
     grid, as the positive-definite theory requires.
     """
-    if n is None:
-        n = len(seq) - 1
-    if not 0 <= n <= len(seq) - 1:
-        raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    if classify(seq.prefix(n + 1), psd_tol) is not Classification.TPD:
+    if classify(seq) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
-    return _pd_polynomials(seq, n)
+    return _pd_polynomials(seq)
 
 
-def _pd_polynomials(seq: HermSeq, n: int) -> tuple[MatPoly, MatPoly]:
+def _pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
     """`pd_polynomials` without the TPD check."""
-    q = seq.q
+    q, n = seq.q, len(seq) - 1
     tinv = np.linalg.inv(toeplitz_matrix(seq, n))
     a = [tinv[j * q : (j + 1) * q, 0:q] for j in range(n + 1)]
     b = [tinv[n * q : (n + 1) * q, (n - j) * q : (n - j + 1) * q] for j in range(n + 1)]
@@ -227,21 +222,17 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
     return out
 
 
-def radial_atom_limit(
-    cq: CaratheodoryQuotient, u: complex, steps: int = 12
-) -> np.ndarray:
+def radial_atom_limit(cq: CaratheodoryQuotient, u: complex) -> np.ndarray:
     """Point mass of the underlying measure at a unimodular point u.
 
-    Evaluates (1 - r)/2 * Phi(r u) along r = 1 - 2^{-k} and removes the
-    linear and quadratic error terms by Richardson extrapolation.  Returns
-    (numerically) zero when u carries no atom.
+    Evaluates (1 - r)/2 * Phi(r u) along r = 1 - 2^{-k}, k = 1..RADIAL_STEPS,
+    and removes the linear and quadratic error terms by Richardson
+    extrapolation.  Returns (numerically) zero when u carries no atom.
     """
-    if steps < 3:
-        raise InvalidInputError("need at least 3 radial steps")
     if abs(abs(u) - 1.0) > 1e-8:
         raise InvalidInputError(f"|u| = {abs(u)} is not on the unit circle")
     u = complex(u) / abs(u)
-    eps = 0.5 ** np.arange(1, steps + 1)
+    eps = 0.5 ** np.arange(1, RADIAL_STEPS + 1)
     pts = (1.0 - eps) * u
     vals = rational_values(cq, pts) * (eps[:, None, None] / 2.0)
     first = 2.0 * vals[1:] - vals[:-1]

@@ -25,7 +25,7 @@ from .toeplitz import (
 )
 
 # Tolerance for coefficient-vs-center equality tests, relative to 1 + ||C_0||.
-DEFAULT_CENTRAL_TOL = 1e-8
+CENTRAL_TOL = 1e-8
 
 
 class GammaSeq(MatrixSeq):
@@ -86,12 +86,7 @@ def central_extend(
     return _continue(seq, _predictor(seq, len(seq) - 1, rank_rtol), target_len, psd_tol)
 
 
-def central_order(
-    seq: HermSeq,
-    tol: float = DEFAULT_CENTRAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-):
+def central_order(seq: HermSeq):
     """Smallest k such that every stored C_j with j > k is its ball center.
 
     Returns 0 when all of C_1..C_n vanish (the zero-tail convention), an
@@ -102,24 +97,26 @@ def central_order(
 
     Only the proper prefixes C_0..C_{j-1} feeding each ball need to be TND;
     a final coefficient that leaves the admissibility cone entirely is simply
-    NOT_CENTRAL, while an interior breach is a model error.
+    NOT_CENTRAL, while an interior breach is a model error.  Coefficients
+    count as equal within CENTRAL_TOL * (1 + ||C_0||).
     """
     n = len(seq) - 1
-    _require_tnd(seq.prefix(max(n, 1)), psd_tol)
+    _require_tnd(seq.prefix(max(n, 1)), DEFAULT_PSD_TOL)
     if n == 0:
         return 0
-    scale = 1.0 + spec_norm(seq.coeffs[0])
+    tol = CENTRAL_TOL * (1.0 + spec_norm(seq.coeffs[0]))
     c = np.asarray(seq.coeffs)
-    mismatched = []
-    for j in range(1, n + 1):
-        center = _predict(c[:j], _predictor(seq, j - 1, rank_rtol))
-        if spec_norm(seq.coeffs[j] - center) > tol * scale:
-            mismatched.append(j)
-    if mismatched and mismatched[-1] == n:
+    centers = np.array(
+        [_predict(c[:j], _predictor(seq, j - 1, DEFAULT_RANK_RTOL))
+         for j in range(1, n + 1)]
+    )
+    gap = np.linalg.norm(c[1:] - centers, 2, axis=(1, 2))
+    mismatched = np.nonzero(gap > tol)[0] + 1
+    if mismatched.size and mismatched[-1] == n:
         return NOT_CENTRAL
-    if not mismatched:
+    if not mismatched.size:
         # Center chain from index 1 forces a zero tail.
-        if all(spec_norm(c) <= tol * scale for c in seq.coeffs[1:]):
+        if np.all(np.linalg.norm(c[1:], 2, axis=(1, 2)) <= tol):
             return 0
         return 1
-    return mismatched[-1]
+    return int(mismatched[-1])

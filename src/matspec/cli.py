@@ -141,15 +141,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_extend(args) -> int:
     seq, metadata = _load_sequence(args.input)
-    is_gamma = isinstance(seq, GammaSeq)
-    cov = _as_covariance(seq)
-    ext = central_extend(cov, args.length, psd_tol=args.psd_tol,
+    ext = central_extend(seq, args.length, psd_tol=args.psd_tol,
                          rank_rtol=args.rank_rtol)
-    if is_gamma:
-        out_seq, kind = gamma_from_covariance(ext), "gamma"
-    else:
-        out_seq, kind = ext, "covariance"
-    _write_text(args.output, dumps(sequence_to_doc(out_seq, kind, metadata)))
+    kind = "gamma" if isinstance(ext, GammaSeq) else "covariance"
+    _write_text(args.output, dumps(sequence_to_doc(ext, kind, metadata)))
     return 0
 
 
@@ -216,14 +211,13 @@ def _cmd_eval_phi(args) -> int:
     return 0
 
 
-def _add_common(p, output=True):
+def _add_common(p):
     p.add_argument("--psd-tol", type=float, default=1e-9,
                    help="nonnegativity tolerance, relative (default 1e-9)")
     p.add_argument("--rank-rtol", type=float, default=1e-10,
                    help="relative singular-value cutoff (default 1e-10)")
-    if output:
-        p.add_argument("--output", default="-",
-                       help="output path, '-' for stdout (default)")
+    p.add_argument("--output", default="-",
+                   help="output path, '-' for stdout (default)")
 
 
 def build_parser() -> argparse.ArgumentParser:

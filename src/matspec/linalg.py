@@ -44,12 +44,6 @@ def re_mat(a) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def im_mat(a) -> np.ndarray:
-    """Matrix imaginary part (A - A*)/(2i); satisfies A = re + i*im exactly."""
-    m = np.asarray(a, dtype=complex)
-    return (m - m.conj().T) / 2j
-
-
 def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
@@ -89,29 +83,12 @@ def _svd(m: np.ndarray, compute_uv: bool = True):
         ) from exc
 
 
-def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
-    """Number of singular values above ``rel_tol * sigma_max``."""
-    m = as_cmatrix(a)
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = _svd(m, compute_uv=False)
+def numerical_rank(a) -> int:
+    """Number of singular values above ``DEFAULT_RANK_RTOL * sigma_max``."""
+    s = _svd(as_cmatrix(a), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
-def is_nonneg_hermitian(a, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """Whether ``a`` is Hermitian and positive semidefinite within tolerance.
-
-    Both the Hermitian deviation ``||a - a*||_2`` and the most negative
-    eigenvalue of the Hermitian part are compared against
-    ``tol * (1 + ||a||_2)``.
-    """
-    m = require_square(as_cmatrix(a))
-    scale = 1.0 + spec_norm(m)
-    if spec_norm(m - m.conj().T) > tol * scale:
-        return False
-    return float(np.linalg.eigvalsh(re_mat(m))[0]) >= -tol * scale
+    return int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0]))
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -122,8 +99,9 @@ def psd_sqrt(a) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def is_unitary(a, tol: float = DEFAULT_PSD_TOL) -> bool:
+def is_unitary(a) -> bool:
+    """Whether a* a = I within DEFAULT_PSD_TOL * (1 + ||a||)."""
     m = require_square(as_cmatrix(a))
     q = m.shape[0]
     scale = 1.0 + spec_norm(m)
-    return spec_norm(m.conj().T @ m - np.eye(q)) <= tol * scale
+    return spec_norm(m.conj().T @ m - np.eye(q)) <= DEFAULT_PSD_TOL * scale

@@ -24,11 +24,11 @@ TRIM_RTOL = 1e-12
 # Roots with | |v| - 1 | <= ROOT_TOL count as unimodular.
 DEFAULT_ROOT_TOL = 1e-7
 # Relative threshold deciding whether a derivative value is zero.
-DEFAULT_DERIV_TOL = 1e-7
+DERIV_TOL = 1e-7
 
 
-def poly_trim(c, rel_tol: float = TRIM_RTOL) -> np.ndarray:
-    """Drop trailing scalar coefficients below ``rel_tol * max|coeff|``."""
+def poly_trim(c) -> np.ndarray:
+    """Drop trailing scalar coefficients below ``TRIM_RTOL * max|coeff|``."""
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError("expected a nonempty 1-d coefficient array")
@@ -37,7 +37,7 @@ def poly_trim(c, rel_tol: float = TRIM_RTOL) -> np.ndarray:
     top = np.max(np.abs(arr))
     if top == 0.0:
         return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(arr) > rel_tol * top)[0]
+    keep = np.nonzero(np.abs(arr) > TRIM_RTOL * top)[0]
     return arr[: keep[-1] + 1].copy()
 
 
@@ -96,12 +96,12 @@ class MatPoly:
             arr = arr[1:] * np.arange(1, arr.shape[0])[:, None, None]
         return MatPoly(arr)
 
-    def trim(self, rel_tol: float = TRIM_RTOL) -> "MatPoly":
+    def trim(self) -> "MatPoly":
         mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1)
         top = mags.max()
         if top == 0.0:
             return MatPoly(np.zeros((1, self.q, self.q), dtype=complex))
-        keep = np.nonzero(mags > rel_tol * top)[0]
+        keep = np.nonzero(mags > TRIM_RTOL * top)[0]
         return MatPoly(self.coeffs[: keep[-1] + 1])
 
     def __repr__(self) -> str:
@@ -115,25 +115,24 @@ def _pow2_nodes(min_count: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(n) / n)
 
 
-def det_poly(p: MatPoly, rel_tol: float = TRIM_RTOL) -> np.ndarray:
+def det_poly(p: MatPoly) -> np.ndarray:
     """Scalar coefficients of det p(z), by interpolation at roots of unity."""
-    p = p.trim(rel_tol)
+    p = p.trim()
     target = p.q * p.degree
     if target == 0:
         return np.atleast_1d(np.linalg.det(p.coeffs[0]))
     nodes = _pow2_nodes(target)
     dets = np.linalg.det(p(nodes))
     coeffs = np.fft.ifft(dets)[: target + 1]
-    return poly_trim(coeffs, rel_tol)
+    return poly_trim(coeffs)
 
 
-def pole_limit(
-    g: MatPoly, h, w: complex, ell: int, deriv_tol: float = DEFAULT_DERIV_TOL
-) -> np.ndarray:
+def pole_limit(g: MatPoly, h, w: complex, ell: int) -> np.ndarray:
     """Exact limit of (z - w)^ell * g(z)/h(z) as z -> w.
 
     ``h`` is a scalar polynomial with an m-fold zero at w (m = 0 allowed, the
-    removable case).  Requires ell <= m; the limit equals
+    removable case); a derivative of h counts as zero at w below DERIV_TOL
+    times its largest coefficient.  Requires ell <= m; the limit equals
 
         m!/(m - ell)! * g^(m-ell)(w) / h^(m)(w),
 
@@ -147,7 +146,7 @@ def pole_limit(
     for m in range(hc.size):
         dk = poly_derive(hc, m) if m else hc
         hm = poly_eval(dk, w)
-        if abs(hm) > deriv_tol * float(np.max(np.abs(dk))):
+        if abs(hm) > DERIV_TOL * float(np.max(np.abs(dk))):
             break
     else:
         raise DegenerateZeroError(

@@ -40,7 +40,7 @@ from .caratheodory import (
     pd_polynomials,
     rational_values,
 )
-from .central import gamma_from_covariance
+from .central import CENTRAL_TOL, gamma_from_covariance
 from .errors import InvalidInputError, ModelError, MultiplicityError
 from .linalg import (
     DEFAULT_PSD_TOL,
@@ -49,7 +49,7 @@ from .linalg import (
     spec_norm,
 )
 from .matpoly import DEFAULT_ROOT_TOL
-from .toeplitz import HermSeq, Classification, _continue, _require_tnd, classify
+from .toeplitz import HermSeq, _continue, _require_tnd
 
 # Distance below which density evaluation switches to arc extrapolation.
 EPS_SING = 1e-5
@@ -62,6 +62,8 @@ ATOM_DROP = 1e-10
 # companion scatter of an m-fold zero (about 1e-5 at m = 3) while staying far
 # below any realistic atom spacing.
 CLUSTER_RADIUS = 1e-4
+# Offset scan grid on which `verify_recovery` counts density PSD violations.
+DENSITY_NODES = 360
 TWO_PI = 2.0 * np.pi
 
 
@@ -71,7 +73,6 @@ class ArOrderMismatchWarning(UserWarning):
 
 class Provenance(Enum):
     CENTRAL = "central"
-    PD_PATH = "pd-path"
     ATOMS_ONLY = "atoms-only"
 
 
@@ -100,22 +101,26 @@ class SpectralMeasure:
         return np.array([a.point for a in self.atoms], dtype=complex)
 
     def density_grid(self, angles) -> np.ndarray:
-        """Density values at unit-circle angles; shape (N, q, q).
-
-        Nodes closer than EPS_SING to an atom are filled in by polynomial
-        extrapolation along the arc towards the nearest atom, where direct
-        evaluation would cancel.
-        """
+        """Density values at unit-circle angles; shape (N, q, q)."""
         ang = np.atleast_1d(np.asarray(angles, dtype=float))
-        zs = np.exp(1j * ang)
-        vals = _density_direct(self, zs)
-        if self.atoms:
-            points = self.atom_points()
-            dist = np.abs(zs[:, None] - points)
-            nearest = np.argmin(dist, axis=1)
-            for idx in np.nonzero(np.min(dist, axis=1) < EPS_SING)[0]:
-                vals[idx] = _density_extrapolated(self, points[nearest[idx]], zs[idx])
-        return vals
+        return _density_on_circle(self, np.exp(1j * ang))
+
+
+def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
+    """Density at the unit-circle points zs; shape (N, q, q).
+
+    Points closer than EPS_SING to an atom are filled in by polynomial
+    extrapolation along the arc towards the nearest atom, where direct
+    evaluation would cancel.
+    """
+    vals = _density_direct(sm, zs)
+    if sm.atoms:
+        points = sm.atom_points()
+        dist = np.abs(zs[:, None] - points)
+        nearest = np.argmin(dist, axis=1)
+        for idx in np.nonzero(np.min(dist, axis=1) < EPS_SING)[0]:
+            vals[idx] = _density_extrapolated(sm, points[nearest[idx]], zs[idx])
+    return vals
 
 
 def _density_direct(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
@@ -162,11 +167,7 @@ def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
     z = complex(zeta)
     if abs(abs(z) - 1.0) > 1e-8:
         raise InvalidInputError(f"|zeta| = {abs(z)} is not on the unit circle")
-    z = z / abs(z)
-    for atom in sm.atoms:
-        if abs(z - atom.point) < EPS_SING:
-            return _density_extrapolated(sm, atom.point, z)
-    return _density_direct(sm, np.array([z]))[0]
+    return _density_on_circle(sm, np.array([z / abs(z)]))[0]
 
 
 def compute_atoms(
@@ -253,13 +254,13 @@ def central_measure(
     if len(seq) >= 2 and margin > 1e-6:
         if sm.atoms:
             raise ModelError("positive-definite input produced point masses")
-        pa, pb = _pd_polynomials(seq, len(seq) - 1)
+        pa, pb = _pd_polynomials(seq)
         angles = TWO_PI * (np.arange(16) + 0.5) / 16
         want = _pd_density_values(pa, pb, np.exp(1j * angles))
         got = sm.density_grid(angles)
         tol = 1e-8 * (1.0 + spec_norm(seq.coeffs[0]))
-        err = max(spec_norm(want[i] - got[i]) for i in range(len(angles)))
-        if err > tol:
+        err = float(np.max(np.linalg.norm(want - got, 2, axis=(1, 2))))
+        if not err <= tol:
             raise ModelError(
                 f"central and positive-definite densities disagree ({err:.3e})"
             )
@@ -276,45 +277,17 @@ def _pd_density_values(pa, pb, zs: np.ndarray) -> np.ndarray:
     ib_h = np.conj(np.swapaxes(ib, -1, -2))
     fa = ia_h @ a0 @ ia
     fb = ib @ b0 @ ib_h
-    for k in range(fa.shape[0]):
-        if spec_norm(fa[k] - fb[k]) > 1e-8 * (1.0 + spec_norm(fa[k])):
-            raise ModelError(
-                "first-column and last-row density forms disagree at "
-                f"point {k}"
-            )
+    gap = np.linalg.norm(fa - fb, 2, axis=(1, 2))
+    bad = np.nonzero(gap > 1e-8 * (1.0 + np.linalg.norm(fa, 2, axis=(1, 2))))[0]
+    if bad.size:
+        raise ModelError(
+            f"first-column and last-row density forms disagree at point {bad[0]}"
+        )
     herm = 0.5 * (fa + np.conj(np.swapaxes(fa, -1, -2)))
     return herm / TWO_PI
 
 
-def pd_measure(
-    seq: HermSeq,
-    n: int | None = None,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-) -> SpectralMeasure:
-    """Spectral measure of a TPD prefix via the positive-definite theory.
-
-    Atom-free by construction; the quotient still provides the density, and
-    `pd_density` provides the independent closed forms.
-    """
-    if n is None:
-        n = len(seq) - 1
-    prefix = seq.prefix(n + 1)
-    if classify(prefix, psd_tol) is not Classification.TPD:
-        raise ModelError("sequence is not Toeplitz-positive-definite")
-    _pd_polynomials(prefix, n)  # validates the nonvanishing conditions
-    cq = _central_quotient(gamma_from_covariance(prefix), n, rank_rtol)
-    return SpectralMeasure(
-        q=seq.q, atoms=(), quotient=cq, provenance=Provenance.PD_PATH
-    )
-
-
-def pd_density(
-    seq: HermSeq,
-    zeta: complex,
-    n: int | None = None,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> np.ndarray:
+def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
     """Density of the TPD measure at a unit-circle point, closed form.
 
     Returns (1/2pi) A(zeta)^-* A(0) A(zeta)^-1 after asserting agreement with
@@ -323,7 +296,7 @@ def pd_density(
     z = complex(zeta)
     if abs(abs(z) - 1.0) > 1e-8:
         raise InvalidInputError(f"|zeta| = {abs(z)} is not on the unit circle")
-    pa, pb = pd_polynomials(seq, n, psd_tol)
+    pa, pb = pd_polynomials(seq)
     return _pd_density_values(pa, pb, np.array([z / abs(z)]))[0]
 
 
@@ -359,10 +332,6 @@ def _quadrature_angles(nodes: int, atom_points: np.ndarray) -> np.ndarray:
         if dist > best_dist:
             best, best_dist = ang, dist
     return best
-
-
-def _min_nodes(degree: int, j: int) -> int:
-    return 4 * (degree + abs(j) + 1)
 
 
 NEAR_CIRCLE_NODE_CAP = 65536
@@ -557,7 +526,7 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     order = sm.quotient.order if sm.quotient is not None else 0
-    base = max(1024, 16 * order * sm.q, _min_nodes(sing.degree, j_top))
+    base = max(1024, 16 * order * sm.q, 4 * (sing.degree + abs(j_top) + 1))
     # trapezoid error decays like exp(-nodes * dist), machine level near
     # nodes * dist = 40; grow the grid for poles it must resolve but keep
     # the cost bounded, verify_recovery reports anything missed.  Subtracted
@@ -600,27 +569,19 @@ def _fourier_many(
     return coeffs
 
 
-def fourier_coeff(sm: SpectralMeasure, j: int, nodes: int | None = None) -> np.ndarray:
+def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
     """j-th Fourier coefficient integral zeta^{-j} d mu(zeta).
 
     Point masses and the near-circle poles of the density (see
     `verify_recovery`) are added in closed form; the smooth rest of the
     density is integrated on a uniform half-step-offset grid (rotated if
-    needed to clear the atoms).  ``nodes`` must be at least
-    4*(deg det den + |j| + 1).
+    needed to clear the atoms) of `_default_nodes` nodes.
     """
     sing = _singular_part(sm)
-    need = _min_nodes(sing.degree, j)
-    if nodes is None:
-        nodes = _default_nodes(sm, sing, j)
-    elif nodes < need:
-        raise InvalidInputError(f"nodes = {nodes} below the required {need}")
-    return _fourier_many(sm, sing, [int(j)], nodes)[0]
+    return _fourier_many(sm, sing, [int(j)], _default_nodes(sm, sing, j))[0]
 
 
-def herglotz_transform(
-    sm: SpectralMeasure, z: complex, nodes: int | None = None
-) -> np.ndarray:
+def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
     """integral (zeta + z)/(zeta - z) d mu(zeta) for z in the open disk.
 
     For measures arising from a TND sequence this reproduces the Caratheodory
@@ -631,8 +592,7 @@ def herglotz_transform(
     if abs(zp) >= 1.0:
         raise InvalidInputError(f"|z| = {abs(zp)} not inside the open unit disk")
     sing = _singular_part(sm)
-    if nodes is None:
-        nodes = _default_nodes(sm, sing, 0)
+    nodes = _default_nodes(sm, sing, 0)
     ang = _quadrature_angles(nodes, sm.atom_points())
     zs = np.exp(1j * ang)
     dens = sing.smooth_density(sm, ang)
@@ -673,9 +633,6 @@ def verify_recovery(
     sm: SpectralMeasure,
     seq: HermSeq,
     tol: float = 1e-8,
-    nodes: int | None = None,
-    density_nodes: int = 360,
-    psd_tol: float = DEFAULT_PSD_TOL,
 ) -> RecoveryReport:
     """Recover C_0..C_n from the measure and compare with the sequence.
 
@@ -688,26 +645,24 @@ def verify_recovery(
     and remainder is exact for any pole and residue, so an inaccurate one
     shows as recovery error, never as a false pass.
 
-    Also counts density nodes whose smallest eigenvalue dips below
-    -psd_tol * (1 + ||C_0||) on an offset scan grid.
+    Also counts the nodes of an offset scan grid of DENSITY_NODES where the
+    density's smallest eigenvalue dips below -DEFAULT_PSD_TOL * (1 + ||C_0||).
     """
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
     js = list(range(len(seq)))
     sing = _singular_part(sm)
-    if nodes is None:
-        nodes = _default_nodes(sm, sing, len(seq) - 1)
-    coeffs = _fourier_many(sm, sing, js, nodes)
+    coeffs = _fourier_many(sm, sing, js, _default_nodes(sm, sing, len(seq) - 1))
     errs = tuple(np.linalg.norm(coeffs - np.asarray(seq.coeffs), 2, axis=(1, 2)).tolist())
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)
     else:
         mass = np.zeros((sm.q, sm.q), dtype=complex)
-    ang = _quadrature_angles(density_nodes, sm.atom_points())
+    ang = _quadrature_angles(DENSITY_NODES, sm.atom_points())
     dens = sm.density_grid(ang)
     scale = 1.0 + spec_norm(seq.coeffs[0])
     lows = np.linalg.eigvalsh(dens)[:, 0]
-    violations = int(np.count_nonzero(lows < -psd_tol * scale))
+    violations = int(np.count_nonzero(lows < -DEFAULT_PSD_TOL * scale))
     max_err = max(errs)
     return RecoveryReport(
         max_error=float(max_err),
@@ -717,14 +672,13 @@ def verify_recovery(
         atom_mass=mass,
         atom_mass_trace=float(np.real(np.trace(mass))),
         density_psd_violations=violations,
-        density_nodes_checked=density_nodes,
+        density_nodes_checked=DENSITY_NODES,
     )
 
 
 def ar_spectrum(
     seq: HermSeq,
     order: int,
-    warn_tol: float = 1e-8,
     psd_tol: float = DEFAULT_PSD_TOL,
     rank_rtol: float = DEFAULT_RANK_RTOL,
 ) -> SpectralMeasure:
@@ -734,6 +688,8 @@ def ar_spectrum(
     compared against the central extension, continued with the predictor
     w_m = -den_m the measure's quotient already holds; disagreement means the
     data is not autoregressive of that order and raises ArOrderMismatchWarning.
+    Coefficients count as equal within CENTRAL_TOL * (1 + ||C_0||), the test
+    `central_order` makes.
     """
     if not 0 <= order < len(seq):
         raise InvalidInputError(f"order {order} outside stored range 0..{len(seq) - 1}")
@@ -742,11 +698,9 @@ def ar_spectrum(
     if len(seq) > order + 1:
         ext = _continue(prefix, -sm.quotient.den.coeffs[1:], len(seq), psd_tol)
         scale = 1.0 + spec_norm(seq.coeffs[0])
-        off = [
-            j
-            for j in range(order + 1, len(seq))
-            if spec_norm(seq.coeffs[j] - ext.coeffs[j]) > warn_tol * scale
-        ]
+        diff = np.subtract(seq.coeffs, ext.coeffs)[order + 1 :]
+        gap = np.linalg.norm(diff, 2, axis=(1, 2))
+        off = (np.nonzero(gap > CENTRAL_TOL * scale)[0] + order + 1).tolist()
         if off:
             warnings.warn(
                 f"coefficients {off} differ from the central extension; the "

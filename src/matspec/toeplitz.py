@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, ModelError
 from .linalg import (
     DEFAULT_PSD_TOL,
-    DEFAULT_RANK_RTOL,
     as_cmatrix,
     is_unitary,
     numerical_rank,
@@ -199,12 +198,7 @@ def classify(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> Classification:
     return Classification.TPD if margin > tol else Classification.TND
 
 
-def ball_params(
-    seq: HermSeq,
-    n: int,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> MatrixBall:
+def ball_params(seq: HermSeq, n: int) -> MatrixBall:
     """Ball of admissible coefficients C_{n+1} given the TND prefix C_0..C_n.
 
     For n = 0 the ball is centered at zero with both semi-radii C_0.  For
@@ -217,12 +211,12 @@ def ball_params(
     """
     if not 0 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    _require_tnd(seq.prefix(n + 1), psd_tol)
+    _require_tnd(seq.prefix(n + 1), DEFAULT_PSD_TOL)
     c0 = seq.coeffs[0]
     if n == 0:
         zero = np.zeros_like(c0)
         return MatrixBall(center=zero, left=c0.copy(), right=c0.copy())
-    tp = pinv(toeplitz_matrix(seq, n - 1), rank_rtol)
+    tp = pinv(toeplitz_matrix(seq, n - 1))
     y = col_stack(seq, n)
     z = row_stack(seq, n)
     center = z @ tp @ y
@@ -282,13 +276,14 @@ def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> H
     return out
 
 
-def ball_membership(ball: MatrixBall, x, tol: float = DEFAULT_PSD_TOL) -> bool:
+def ball_membership(ball: MatrixBall, x) -> bool:
     """Whether x lies in the ball, i.e. x = center + sqrt(left) K sqrt(right)
     for some contraction K.
 
     Equivalent to the three conditions: the candidate contraction
     sqrt(left)' (x - center) sqrt(right)' has norm <= 1, and x - center is
-    range-compatible with left (row space) and right (column space).
+    range-compatible with left (row space) and right (column space), each
+    within DEFAULT_PSD_TOL.
     """
     m = as_cmatrix(ball.center)
     x = as_cmatrix(x)
@@ -299,31 +294,31 @@ def ball_membership(ball: MatrixBall, x, tol: float = DEFAULT_PSD_TOL) -> bool:
     sl = psd_sqrt(ball.left)
     sr = psd_sqrt(ball.right)
     k = pinv(sl) @ d @ pinv(sr)
-    if spec_norm(k) > 1.0 + tol:
+    if spec_norm(k) > 1.0 + DEFAULT_PSD_TOL:
         return False
     lproj = ball.left @ pinv(ball.left)
-    if spec_norm(lproj @ d - d) > tol * scale:
+    if spec_norm(lproj @ d - d) > DEFAULT_PSD_TOL * scale:
         return False
     rproj = pinv(ball.right) @ ball.right
-    if spec_norm(d @ rproj - d) > tol * scale:
+    if spec_norm(d @ rproj - d) > DEFAULT_PSD_TOL * scale:
         return False
     return True
 
 
-def rank_drop(seq: HermSeq, n: int, rel_tol: float = DEFAULT_RANK_RTOL) -> bool:
+def rank_drop(seq: HermSeq, n: int) -> bool:
     """True iff rank T_n == rank T_{n-1} (the extension freezes)."""
     if not 1 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 1..{len(seq) - 1}")
-    r_now = numerical_rank(toeplitz_matrix(seq, n), rel_tol)
-    r_prev = numerical_rank(toeplitz_matrix(seq, n - 1), rel_tol)
+    r_now = numerical_rank(toeplitz_matrix(seq, n))
+    r_prev = numerical_rank(toeplitz_matrix(seq, n - 1))
     return r_now == r_prev
 
 
-def conjugate_by_unitary(seq: HermSeq, u, tol: float = DEFAULT_PSD_TOL) -> HermSeq:
+def conjugate_by_unitary(seq: HermSeq, u) -> HermSeq:
     """Coefficient-wise conjugation C_j -> U* C_j U by a unitary U."""
     um = as_cmatrix(u)
     if um.shape != (seq.q, seq.q):
         raise DimensionError(f"unitary shape {um.shape} != ({seq.q}, {seq.q})")
-    if not is_unitary(um, tol):
+    if not is_unitary(um):
         raise InvalidInputError("conjugating matrix is not unitary within tolerance")
     return HermSeq([um.conj().T @ c @ um for c in seq.coeffs])

@@ -9,7 +9,7 @@ import numpy as np
 
 from matspec.errors import DimensionError
 from matspec.linalg import as_cmatrix, require_square
-from matspec.matpoly import TRIM_RTOL, MatPoly, _pow2_nodes
+from matspec.matpoly import MatPoly, _pow2_nodes
 
 
 def adjugate(a) -> np.ndarray:
@@ -38,9 +38,9 @@ def _adjugate_stack(ms: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjugate_poly(p: MatPoly, rel_tol: float = TRIM_RTOL) -> MatPoly:
+def adjugate_poly(p: MatPoly) -> MatPoly:
     """Matrix polynomial adj(p(z)); satisfies adj(p) p = det(p) I pointwise."""
-    p = p.trim(rel_tol)
+    p = p.trim()
     if p.q == 1:
         return MatPoly(np.ones((1, 1, 1), dtype=complex))
     target = (p.q - 1) * p.degree
@@ -49,7 +49,7 @@ def adjugate_poly(p: MatPoly, rel_tol: float = TRIM_RTOL) -> MatPoly:
     nodes = _pow2_nodes(p.q * p.degree)
     adjs = _adjugate_stack(p(nodes))
     coeffs = np.fft.ifft(adjs, axis=0)[: target + 1]
-    return MatPoly(coeffs).trim(rel_tol)
+    return MatPoly(coeffs).trim()
 
 
 def matpoly_mul(a: MatPoly, b: MatPoly) -> MatPoly:

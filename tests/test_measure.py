@@ -22,7 +22,6 @@ from matspec import (
     gamma_from_covariance,
     herglotz_transform,
     pd_density,
-    pd_measure,
     phi_at,
     pole_limit,
     radial_atom_limit,
@@ -237,6 +236,20 @@ class TestCentralMeasure:
         assert np.all(np.isfinite(val))
         assert abs(val[0, 0]) < 1e-4
 
+    def test_density_at_extrapolates_like_density_grid(self):
+        # two atoms closer than 2 EPS_SING: both functions extrapolate towards
+        # the nearer atom (density_at once took the first in list order and
+        # differed by up to 9e-8 here)
+        seq = HermSeq(var1_coeffs(np.random.default_rng(1), 1, 0.9, 4))
+        pair = atomic_measure([(1.0, [[1.0]]), (np.exp(1.5e-5j), [[2.0]])])
+        with_density = SpectralMeasure(
+            1, pair.atoms, central_measure(seq).quotient, Provenance.CENTRAL
+        )
+        ang = 0.8e-5
+        for sm in (pair, with_density):
+            got = density_at(sm, np.exp(1j * ang))
+            assert np.allclose(got, sm.density_grid(ang)[0], rtol=0.0, atol=1e-12)
+
     def test_off_circle_rejected(self):
         sm = central_measure(scalar_seq(1.0))
         with pytest.raises(InvalidInputError):
@@ -274,18 +287,6 @@ class TestPdPath:
         val = pd_density(scalar_seq(1.0, 0.5), 1.0)
         assert np.allclose(val, [[3.0 / TWO_PI]], atol=1e-12)
 
-    def test_pd_measure_matches_central(self):
-        seq = random_tpd_seq(RNG, 2, 2)
-        sm_pd = pd_measure(seq)
-        sm_c = central_measure(seq)
-        assert sm_pd.provenance is Provenance.PD_PATH
-        assert sm_pd.atoms == ()
-        for ang in np.linspace(0.1, 6.2, 7):
-            z = np.exp(1j * ang)
-            assert np.allclose(
-                density_at(sm_pd, z), density_at(sm_c, z), atol=1e-9
-            )
-
     def test_pd_density_matches_quotient_density(self):
         seq = random_tpd_seq(RNG, 3, 2)
         sm = central_measure(seq)
@@ -295,10 +296,6 @@ class TestPdPath:
                 pd_density(seq, z), density_at(sm, z),
                 atol=1e-8 * (1 + spec_norm(seq.coeff(0))),
             )
-
-    def test_rejects_tnd_only(self):
-        with pytest.raises(ModelError):
-            pd_measure(scalar_seq(1.0, 1.0))
 
     def test_cross_check_is_scale_free(self):
         # the determinant floor of the A/B forms is relative to their size

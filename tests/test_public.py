@@ -1,7 +1,14 @@
 """The public surface: the names the README workflows use, and no more.
-Helpers outside it stay importable from their submodules."""
+Helpers outside it stay importable from their submodules, and the functions
+take only the settings some caller sets."""
 
 import importlib
+import inspect
+import re
+from functools import reduce
+from pathlib import Path
+
+import numpy as np
 
 import matspec
 
@@ -50,7 +57,6 @@ PUBLIC = [
     "loads",
     "measure_to_doc",
     "pd_density",
-    "pd_measure",
     "pd_polynomials",
     "phi_at",
     "pole_limit",
@@ -65,15 +71,14 @@ PUBLIC = [
 
 
 HELPERS = {
-    "linalg": ["im_mat", "is_nonneg_hermitian", "is_unitary", "numerical_rank",
-               "pinv", "psd_sqrt", "re_mat"],
+    "linalg": ["is_unitary", "numerical_rank", "pinv", "psd_sqrt", "re_mat"],
     "serialize": ["hermitian_from_lower", "mat_to_wire", "wire_to_mat"],
     "toeplitz": ["ball_membership", "rank_drop"],
 }
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 54
     assert sorted(matspec.__all__) == PUBLIC
 
 
@@ -86,3 +91,59 @@ def test_helpers_stay_in_their_submodules():
         mod = importlib.import_module(f"matspec.{module}")
         assert all(callable(getattr(mod, name)) for name in names)
         assert set(names).isdisjoint(matspec.__all__)
+
+
+# Parameter names, in order.  The tolerances a library call takes are the
+# CLI's (psd_tol, rank_rtol, root_tol, the recovery tol); everything else is
+# a named module constant.
+SIGNATURES = {
+    "ar_spectrum": ["seq", "order", "psd_tol", "rank_rtol"],
+    "atomic_measure": ["atoms", "q"],
+    "ball_params": ["seq", "n"],
+    "central_extend": ["seq", "target_len", "psd_tol", "rank_rtol"],
+    "central_measure": ["seq", "psd_tol", "rank_rtol", "root_tol"],
+    "central_order": ["seq"],
+    "central_quotient": ["g", "n", "rank_rtol", "psd_tol"],
+    "compute_atoms": ["cq", "root_tol"],
+    "conjugate_by_unitary": ["seq", "u"],
+    "density_at": ["sm", "zeta"],
+    "det_poly": ["p"],
+    "fourier_coeff": ["sm", "j"],
+    "herglotz_transform": ["sm", "z"],
+    "MatPoly.trim": ["self"],
+    "pd_density": ["seq", "zeta"],
+    "pd_polynomials": ["seq"],
+    "pole_limit": ["g", "h", "w", "ell"],
+    "radial_atom_limit": ["cq", "u"],
+    "verify_recovery": ["sm", "seq", "tol"],
+    "linalg.is_unitary": ["a"],
+    "linalg.numerical_rank": ["a"],
+    "linalg.pinv": ["a", "rel_tol"],
+    "matpoly.poly_trim": ["c"],
+    "toeplitz.ball_membership": ["ball", "x"],
+    "toeplitz.rank_drop": ["seq", "n"],
+}
+
+
+def params(path):
+    func = reduce(getattr, path.split("."), matspec)
+    return list(inspect.signature(func).parameters)
+
+
+def test_functions_take_only_the_settings_callers_set():
+    assert {path: params(path) for path in SIGNATURES} == SIGNATURES
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    seq, sm = ns["seq"], ns["sm"]
+    (atom,) = sm.atoms
+    assert abs(atom.point - 1.0) < 1e-12
+    assert np.allclose(atom.weight, np.diag([0.0, 1.0]), atol=1e-12)
+    want = np.diag([1.0, 0.0]) / (2.0 * np.pi)
+    assert np.allclose(sm.density_grid(np.array([2.0]))[0], want, atol=1e-12)
+    assert np.allclose(matspec.fourier_coeff(sm, 1), seq.coeffs[1], atol=1e-10)

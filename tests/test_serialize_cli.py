@@ -104,10 +104,12 @@ class TestMeasureDocs:
         assert len(doc["density_samples"]) == 16
 
     def test_unknown_provenance_rejected(self):
+        # "pd-path" named a second route to the same measure, now removed
         doc = measure_to_doc(central_measure(scalar_seq(1.0)))
-        doc["provenance"] = "guesswork"
-        with pytest.raises(InvalidInputError):
-            doc_to_measure(doc)
+        for prov in ("guesswork", "pd-path"):
+            doc["provenance"] = prov
+            with pytest.raises(InvalidInputError):
+                doc_to_measure(doc)
 
 
 class TestCliExitCodes:

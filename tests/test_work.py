@@ -4,7 +4,9 @@ matrix once, with one eigvalsh per prefix and no SVD norm of a prefix
 matrix, solves for the central predictor with one pseudoinverse, det den
 and its zeros are found once per quotient, the atom weights take a fixed
 number of evaluations of den and num however many atoms there are, and the
-recovery errors of all orders take one stacked norm."""
+recovery errors of all orders and each comparison of the positive-definite
+cross-check, the autoregressive check and `central_order` take one stacked
+norm."""
 
 import importlib
 import pkgutil
@@ -96,6 +98,22 @@ def test_verify_recovery_stacks_the_order_errors(seq, calls):
     # the N + 1 order errors take one stacked norm; the only norm of a single
     # coefficient left is ||C_0||, the scale of the density check
     assert calls["norm"].count((Q, Q)) == 1
+
+
+def test_comparisons_stack_their_norms(seq, calls):
+    # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the A-B gap,
+    # the size of A, the scale ||C_0|| and the density gap of the cross-check
+    central_measure(seq)
+    assert len(calls["norm"]) == 6
+    # the prefix's 6, the extension scan's 2, ||C_0|| and the mismatch gaps
+    calls["norm"].clear()
+    with pytest.warns(ArOrderMismatchWarning):
+        ar_spectrum(seq, 8)
+    assert len(calls["norm"]) == 10
+    # the scan's 2, ||C_0|| and the gaps to the ball centres
+    calls["norm"].clear()
+    central_order(seq)
+    assert len(calls["norm"]) == 4
 
 
 def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
