@@ -32,10 +32,10 @@ from .matpoly import MatPoly, det_poly, poly_eval
 from .toeplitz import (
     HermSeq,
     Classification,
+    _classification,
     _predictor,
-    classify,
+    _scan,
     first_violation,
-    lower_toeplitz,
     toeplitz_matrix,
 )
 
@@ -123,21 +123,28 @@ def central_quotient(
     g0 = g.coeffs[0]
     if spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
         raise InvalidInputError("Gamma_0 must be Hermitian")
-    bad = caratheodory_first_failure(g.prefix(n + 1), psd_tol)
+    t = toeplitz_matrix(covariance_from_gamma(g), n)
+    bad = _scan(t, g.q, psd_tol)[0]
     if bad is not None:
         raise ModelError(f"re S_{bad} not nonnegative", index=bad)
-    return _central_quotient(g, n, rank_rtol)
+    return _central_quotient(g0, t, rank_rtol)
 
 
-def _central_quotient(g: GammaSeq, n: int, rank_rtol: float) -> CaratheodoryQuotient:
-    """`central_quotient` without the entry checks."""
-    q = g.q
-    g0 = g.coeffs[0]
+def _central_quotient(g0, t, rank_rtol: float) -> CaratheodoryQuotient:
+    """`central_quotient` without the entry checks: num(0) = ``g0`` and the
+    rest read off ``t`` = re T_n, the block Toeplitz of the covariances."""
+    q = len(g0)
+    n = len(t) // q - 1
     eye = np.eye(q, dtype=complex)
     if n == 0:
         return CaratheodoryQuotient(MatPoly([g0]), MatPoly([eye]), 0)
-    w = _predictor(covariance_from_gamma(g), n, rank_rtol)
-    s = lower_toeplitz(g.coeffs[:n], n - 1)
+    w = _predictor(t, q, rank_rtol)
+    # S_{n-1}: Gamma_{j-k} = 2 C_{j-k} in the blocks below the diagonal,
+    # Gamma_0 on it, zero above
+    s = (2.0 * t[:-q, :-q]).reshape(n, q, n, q).swapaxes(1, 2)
+    s[np.triu_indices(n, 1)] = 0.0
+    s[np.arange(n), np.arange(n)] = g0
+    s = s.swapaxes(1, 2).reshape(n * q, n * q)
     u = s.conj().T @ w.reshape(n * q, q)  # block column, num coefficients 1..n
     num = [g0] + [u[k * q : (k + 1) * q] for k in range(n)]
     den = [eye] + [-w[k] for k in range(n)]
@@ -156,15 +163,17 @@ def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
     Both determinants are verified nonvanishing on the closed disk sample
     grid, as the positive-definite theory requires.
     """
-    if classify(seq) is not Classification.TPD:
+    t = toeplitz_matrix(seq, len(seq) - 1)
+    tol = DEFAULT_PSD_TOL
+    if _classification(*_scan(t, seq.q, tol), tol) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
-    return _pd_polynomials(seq)
+    return _pd_polynomials(t, seq.q)
 
 
-def _pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
-    """`pd_polynomials` without the TPD check."""
-    q, n = seq.q, len(seq) - 1
-    tinv = np.linalg.inv(toeplitz_matrix(seq, n))
+def _pd_polynomials(t: np.ndarray, q: int) -> tuple[MatPoly, MatPoly]:
+    """`pd_polynomials` without the TPD check, from ``t`` = T_n."""
+    n = len(t) // q - 1
+    tinv = np.linalg.inv(t)
     a = [tinv[j * q : (j + 1) * q, 0:q] for j in range(n + 1)]
     b = [tinv[n * q : (n + 1) * q, (n - j) * q : (n - j + 1) * q] for j in range(n + 1)]
     pa, pb = MatPoly(a), MatPoly(b)

@@ -4,9 +4,10 @@ Extending a TND prefix by the center of its admissibility ball, repeatedly, is
 the maximum-entropy ("central") continuation.  That chain of centers is one
 fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
 coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
-costs O((nq)^3 + L n q^3) before the result is scanned.  A sequence already
-equal to its own center continuation from some index onward has a central
-order; the pure zero tail is order 0.
+costs O((nq)^3 + L n q^3) before the result is scanned.  T_n is built once
+per call, and `central_order` reads every prefix's predictor off its leading
+blocks.  A sequence already equal to its own center continuation from some
+index onward has a central order; the pure zero tail is order 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .toeplitz import (
     _predict,
     _predictor,
     _require_tnd,
+    toeplitz_matrix,
 )
 
 # Tolerance for coefficient-vs-center equality tests, relative to 1 + ||C_0||.
@@ -82,8 +84,9 @@ def central_extend(
         return gamma_from_covariance(
             central_extend(covariance_from_gamma(seq), target_len, psd_tol, rank_rtol)
         )
-    _require_tnd(seq, psd_tol)
-    return _continue(seq, _predictor(seq, len(seq) - 1, rank_rtol), target_len, psd_tol)
+    t = toeplitz_matrix(seq, len(seq) - 1)
+    _require_tnd(t, seq.q, psd_tol)
+    return _continue(seq, _predictor(t, seq.q, rank_rtol), target_len, psd_tol)
 
 
 def central_order(seq: HermSeq):
@@ -100,14 +103,15 @@ def central_order(seq: HermSeq):
     NOT_CENTRAL, while an interior breach is a model error.  Coefficients
     count as equal within CENTRAL_TOL * (1 + ||C_0||).
     """
-    n = len(seq) - 1
-    _require_tnd(seq.prefix(max(n, 1)), DEFAULT_PSD_TOL)
+    n, q = len(seq) - 1, seq.q
+    t = toeplitz_matrix(seq, max(n - 1, 0))
+    _require_tnd(t, q, DEFAULT_PSD_TOL)
     if n == 0:
         return 0
     tol = CENTRAL_TOL * (1.0 + spec_norm(seq.coeffs[0]))
     c = np.asarray(seq.coeffs)
     centers = np.array(
-        [_predict(c[:j], _predictor(seq, j - 1, DEFAULT_RANK_RTOL))
+        [_predict(c[:j], _predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL))
          for j in range(1, n + 1)]
     )
     gap = np.linalg.norm(c[1:] - centers, 2, axis=(1, 2))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 import warnings
@@ -41,7 +42,7 @@ from .serialize import (
     measure_to_doc,
     sequence_to_doc,
 )
-from .toeplitz import Classification, classify, first_violation
+from .toeplitz import Classification, _classification, _scan, toeplitz_matrix
 
 log = logging.getLogger("matspec")
 
@@ -118,12 +119,14 @@ def _write_density_csv(path: str, doc: dict) -> None:
 def _cmd_check(args) -> int:
     seq, _ = _load_sequence(args.input)
     cov = _as_covariance(seq)
-    gamma = _as_gamma(seq)
-    kind = classify(cov, tol=args.psd_tol)
-    failure = None
-    if kind is Classification.NOT_TND:
-        failure = first_violation(cov, tol=args.psd_tol)
-    cara = caratheodory_check(gamma, tol=args.psd_tol)
+    failure, margin = _scan(toeplitz_matrix(cov, len(cov) - 1), cov.q, args.psd_tol)
+    kind = _classification(failure, margin, args.psd_tol)
+    # re S_n of the Gamma sequence is re T_n bit for bit, so the same scan
+    # decides it, unless C_0 failed the Hermiticity test (margin -inf)
+    if margin == -math.inf:
+        cara = caratheodory_check(_as_gamma(seq), tol=args.psd_tol)
+    else:
+        cara = failure is None
     out = {
         "classification": kind.value,
         "caratheodory": cara,

@@ -40,16 +40,17 @@ from .caratheodory import (
     pd_polynomials,
     rational_values,
 )
-from .central import CENTRAL_TOL, gamma_from_covariance
-from .errors import InvalidInputError, ModelError, MultiplicityError
+from .central import CENTRAL_TOL
+from .errors import DimensionError, InvalidInputError, ModelError, MultiplicityError
 from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
+    as_cmatrix,
     re_mat,
     spec_norm,
 )
 from .matpoly import DEFAULT_ROOT_TOL
-from .toeplitz import HermSeq, _continue, _require_tnd
+from .toeplitz import HermSeq, _continue, _require_tnd, toeplitz_matrix
 
 # Distance below which density evaluation switches to arc extrapolation.
 EPS_SING = 1e-5
@@ -240,11 +241,13 @@ def central_measure(
 
     A length-1 sequence yields the constant density C_0/(2pi) with no atoms.
     For well-interior TPD input the positive-definite route is computed as a
-    built-in cross-check of the density.  The prefixes are scanned once; the
-    scan's margin decides whether the cross-check runs.
+    built-in cross-check of the density.  T_n is built once: its prefixes
+    are scanned once, the scan's margin decides whether the cross-check
+    runs, the quotient reads re T_n and the cross-check inverts T_n.
     """
-    margin = _require_tnd(seq, psd_tol)
-    cq = _central_quotient(gamma_from_covariance(seq), len(seq) - 1, rank_rtol)
+    t = toeplitz_matrix(seq, len(seq) - 1)
+    margin = _require_tnd(t, seq.q, psd_tol)
+    cq = _central_quotient(seq.coeffs[0], re_mat(t), rank_rtol)
     atoms = compute_atoms(cq, root_tol)
     sm = SpectralMeasure(
         q=seq.q, atoms=tuple(atoms), quotient=cq, provenance=Provenance.CENTRAL
@@ -254,7 +257,7 @@ def central_measure(
     if len(seq) >= 2 and margin > 1e-6:
         if sm.atoms:
             raise ModelError("positive-definite input produced point masses")
-        pa, pb = _pd_polynomials(seq)
+        pa, pb = _pd_polynomials(t, seq.q)
         angles = TWO_PI * (np.arange(16) + 0.5) / 16
         want = _pd_density_values(pa, pb, np.exp(1j * angles))
         got = sm.density_grid(angles)
@@ -301,17 +304,19 @@ def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
 
 
 def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
-    """Purely atomic measure from (point, weight) pairs; zero density part."""
+    """Purely atomic measure from (point, weight) pairs with q x q weights;
+    zero density part."""
     cleaned = []
     for point, weight in atoms:
-        p = complex(point)
+        p, w = complex(point), as_cmatrix(weight)
+        q = w.shape[0] if q is None else q
         if abs(abs(p) - 1.0) > 1e-8:
             raise InvalidInputError(f"atom location |{p}| not on the unit circle")
-        w = re_mat(weight)
-        cleaned.append(Atom(point=p / abs(p), weight=w))
-    if not cleaned and q is None:
+        if w.shape != (q, q):
+            raise DimensionError(f"atom weight has shape {w.shape}, expected ({q}, {q})")
+        cleaned.append(Atom(point=p / abs(p), weight=re_mat(w)))
+    if q is None:
         raise InvalidInputError("need q for an empty atom list")
-    q = q if q is not None else cleaned[0].weight.shape[0]
     return SpectralMeasure(
         q=q, atoms=tuple(cleaned), quotient=None, provenance=Provenance.ATOMS_ONLY
     )

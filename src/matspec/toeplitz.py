@@ -10,6 +10,11 @@ positive definite.
 Given a TND prefix C_0..C_n, the admissible next coefficients form a matrix
 ball { M + sqrt(L) K sqrt(R) : ||K|| <= 1 } whose parameters are rational in
 the data; `ball_params` computes them and `ball_membership` tests a candidate.
+
+`toeplitz_matrix` is the only code that lays out the blocks C_{j-k}.  Each
+entry point builds T_n once; the private helpers take it and read slices:
+T_k = T_n[:(k+1)q, :(k+1)q], Y_n = [C_1; ...; C_n] = T_n[q:, :q] and
+Z_n = [C_n, ..., C_1] = T_n[-q:, :-q].
 """
 
 from __future__ import annotations
@@ -104,68 +109,35 @@ class MatrixBall:
 
 
 def toeplitz_matrix(seq: MatrixSeq, n: int) -> np.ndarray:
-    """Block Toeplitz T_n = [C_{j-k}] for 0 <= j, k <= n."""
+    """Block Toeplitz T_n = [C_{j-k}] for 0 <= j, k <= n; every other block
+    layout is a slice of it (see the module docstring)."""
     if not 0 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
     q = seq.q
-    t = np.empty(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            t[j * q : (j + 1) * q, k * q : (k + 1) * q] = seq.coeff(j - k)
-    return t
+    c = np.asarray(seq.coeffs[: n + 1])
+    # [C_n*, ..., C_1*, C_0, ..., C_n]: block (j, k) is entry n + j - k
+    both = np.concatenate([np.conj(c[:0:-1]).swapaxes(1, 2), c])
+    j = np.arange(n + 1)
+    blocks = both[n + j[:, None] - j]
+    return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * q, (n + 1) * q)
 
 
-def col_stack(seq: MatrixSeq, n: int) -> np.ndarray:
-    """Block column of C_1..C_n, shape (nq, q); empty for n = 0."""
-    if not 0 <= n < len(seq):
-        raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    q = seq.q
-    if n == 0:
-        return np.zeros((0, q), dtype=complex)
-    return np.vstack([seq.coeffs[j] for j in range(1, n + 1)])
-
-
-def row_stack(seq: MatrixSeq, n: int) -> np.ndarray:
-    """Block row of C_n, C_{n-1}, ..., C_1, shape (q, nq); empty for n = 0."""
-    if not 0 <= n < len(seq):
-        raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    q = seq.q
-    if n == 0:
-        return np.zeros((q, 0), dtype=complex)
-    return np.hstack([seq.coeffs[j] for j in range(n, 0, -1)])
-
-
-def lower_toeplitz(coeffs, n: int | None = None) -> np.ndarray:
-    """Lower block triangular Toeplitz with block (j, k) = coeffs[j - k]."""
-    mats = [as_cmatrix(c) for c in coeffs]
-    if n is None:
-        n = len(mats) - 1
-    if not 0 <= n < len(mats):
-        raise IndexError(f"order {n} outside stored range 0..{len(mats) - 1}")
-    q = mats[0].shape[0]
-    s = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(j + 1):
-            s[j * q : (j + 1) * q, k * q : (k + 1) * q] = mats[j - k]
-    return s
-
-
-def _scan(seq: HermSeq, tol: float) -> tuple[int | None, float]:
-    """One pass over the prefix Toeplitz matrices T_0..T_n.
+def _scan(t: np.ndarray, q: int, tol: float) -> tuple[int | None, float]:
+    """One pass over the leading blocks T_0..T_n of the block Toeplitz T_n.
 
     Returns the first k with T_k not nonnegative Hermitian (None when the
     sequence is TND) and the smallest margin lambda_min(re T_k) / (1 + ||T_k||)
     over the prefixes scanned.  T_k - T_k* is block diagonal with blocks
-    C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity is decided on C_0 alone;
-    ||T_k|| is read off the same eigenvalues as lambda_min.
+    C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity is decided on C_0 alone,
+    and a C_0 that fails it gives (0, -inf); ||T_k|| is read off the same
+    eigenvalues as lambda_min.
     """
-    c0 = seq.coeffs[0]
+    c0 = t[:q, :q]
     if spec_norm(c0 - c0.conj().T) > tol * (1.0 + spec_norm(c0)):
         return 0, -np.inf
-    q = seq.q
-    t = re_mat(toeplitz_matrix(seq, len(seq) - 1))
+    t = re_mat(t)
     margin = np.inf
-    for k in range(len(seq)):
+    for k in range(len(t) // q):
         w = np.linalg.eigvalsh(t[: (k + 1) * q, : (k + 1) * q])
         margin = min(margin, float(w[0]) / (1.0 + max(-w[0], w[-1])))
         if margin < -tol:
@@ -173,10 +145,17 @@ def _scan(seq: HermSeq, tol: float) -> tuple[int | None, float]:
     return None, margin
 
 
-def _require_tnd(seq: HermSeq, tol: float) -> float:
-    """Scan once; raise ModelError naming the first bad T_k, else return the
-    margin."""
-    bad, margin = _scan(seq, tol)
+def _classification(bad: int | None, margin: float, tol: float) -> Classification:
+    """TPD / TND / NOT_TND from the result of one `_scan`."""
+    if bad is not None:
+        return Classification.NOT_TND
+    return Classification.TPD if margin > tol else Classification.TND
+
+
+def _require_tnd(t: np.ndarray, q: int, tol: float) -> float:
+    """Scan T_n once; raise ModelError naming the first bad T_k, else return
+    the margin."""
+    bad, margin = _scan(t, q, tol)
     if bad is not None:
         raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
     return margin
@@ -187,15 +166,12 @@ def first_violation(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
 
     Nonnegativity of T_k is judged relative to 1 + ||T_k||.
     """
-    return _scan(seq, tol)[0]
+    return _scan(toeplitz_matrix(seq, len(seq) - 1), seq.q, tol)[0]
 
 
 def classify(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> Classification:
     """TPD / TND / NOT_TND test over every prefix Toeplitz matrix."""
-    bad, margin = _scan(seq, tol)
-    if bad is not None:
-        return Classification.NOT_TND
-    return Classification.TPD if margin > tol else Classification.TND
+    return _classification(*_scan(toeplitz_matrix(seq, len(seq) - 1), seq.q, tol), tol)
 
 
 def ball_params(seq: HermSeq, n: int) -> MatrixBall:
@@ -207,26 +183,25 @@ def ball_params(seq: HermSeq, n: int) -> MatrixBall:
         center = Z T' Y,   left = C_0 - Z T' Z*,   right = C_0 - Y* T' Y,
 
     where T' is the pseudoinverse of T_{n-1}, Y the block column of C_1..C_n
-    and Z the block row of C_n..C_1.
+    and Z the block row of C_n..C_1, all three read off T_n.
     """
-    if not 0 <= n < len(seq):
-        raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
-    _require_tnd(seq.prefix(n + 1), DEFAULT_PSD_TOL)
+    t, q = toeplitz_matrix(seq, n), seq.q
+    _require_tnd(t, q, DEFAULT_PSD_TOL)
     c0 = seq.coeffs[0]
     if n == 0:
         zero = np.zeros_like(c0)
         return MatrixBall(center=zero, left=c0.copy(), right=c0.copy())
-    tp = pinv(toeplitz_matrix(seq, n - 1))
-    y = col_stack(seq, n)
-    z = row_stack(seq, n)
+    tp = pinv(t[:-q, :-q])
+    y, z = t[q:, :q], t[-q:, :-q]
     center = z @ tp @ y
     left = c0 - z @ tp @ z.conj().T
     right = c0 - y.conj().T @ tp @ y
     return MatrixBall(center=center, left=re_mat(left), right=re_mat(right))
 
 
-def _predictor(seq: HermSeq, n: int, rank_rtol: float) -> np.ndarray:
-    """Blocks w_1..w_n of w = T_{n-1}' Y_n, shape (n, q, q); empty for n = 0.
+def _predictor(t: np.ndarray, q: int, rank_rtol: float) -> np.ndarray:
+    """Blocks w_1..w_n of w = T_{n-1}' Y_n, shape (n, q, q), read off the
+    block Toeplitz ``t`` = T_n; empty for n = 0.
 
     One pseudoinverse, no prefix check.  The centre of the ball
     `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
@@ -239,14 +214,14 @@ def _predictor(seq: HermSeq, n: int, rank_rtol: float) -> np.ndarray:
     w <- w + T'(Y - T w) follow, with the same pseudoinverse (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 12).
     """
-    q = seq.q
+    n = len(t) // q - 1
     if n == 0:
         return np.zeros((0, q, q), dtype=complex)
-    t, y = toeplitz_matrix(seq, n - 1), col_stack(seq, n)
-    tp = pinv(t, rank_rtol)
+    tn, y = t[:-q, :-q], t[q:, :q]
+    tp = pinv(tn, rank_rtol)
     w = tp @ y
     for _ in range(2):
-        w = w + tp @ (y - t @ w)
+        w = w + tp @ (y - tn @ w)
     return w.reshape(n, q, q)
 
 
@@ -268,7 +243,7 @@ def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> H
         c[k] = _predict(c[:k], w)
     out = HermSeq(c)
     if len(out) > len(seq):
-        bad = _scan(out, psd_tol)[0]
+        bad = _scan(toeplitz_matrix(out, target_len - 1), seq.q, psd_tol)[0]
         if bad is not None:
             raise ModelError(
                 f"central extension not nonnegative Hermitian at T_{bad}", index=bad
@@ -309,9 +284,8 @@ def rank_drop(seq: HermSeq, n: int) -> bool:
     """True iff rank T_n == rank T_{n-1} (the extension freezes)."""
     if not 1 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 1..{len(seq) - 1}")
-    r_now = numerical_rank(toeplitz_matrix(seq, n))
-    r_prev = numerical_rank(toeplitz_matrix(seq, n - 1))
-    return r_now == r_prev
+    t, q = toeplitz_matrix(seq, n), seq.q
+    return numerical_rank(t) == numerical_rank(t[:-q, :-q])
 
 
 def conjugate_by_unitary(seq: HermSeq, u) -> HermSeq:

@@ -1,8 +1,10 @@
-"""Determinant/adjugate oracles for the tests.
+"""Reference implementations for the tests.
 
-The library takes atom weights from den's kernel vectors; these helpers
-compute the same residues by the independent scalar-determinant route,
-lim (z - v) num(z) adj(den(z)) / det den(z), so tests can compare the two.
+The library takes atom weights from den's kernel vectors; the
+determinant/adjugate helpers compute the same residues by the independent
+scalar-determinant route, lim (z - v) num(z) adj(den(z)) / det den(z), so
+tests can compare the two.  `toeplitz_blocks` places the blocks of T_n one by
+one, the definition `toeplitz_matrix` must reproduce.
 """
 
 import numpy as np
@@ -10,6 +12,16 @@ import numpy as np
 from matspec.errors import DimensionError
 from matspec.linalg import as_cmatrix, require_square
 from matspec.matpoly import MatPoly, _pow2_nodes
+
+
+def toeplitz_blocks(seq, n: int) -> np.ndarray:
+    """Block Toeplitz T_n = [C_{j-k}], one block at a time."""
+    q = seq.q
+    t = np.empty(((n + 1) * q, (n + 1) * q), dtype=complex)
+    for j in range(n + 1):
+        for k in range(n + 1):
+            t[j * q : (j + 1) * q, k * q : (k + 1) * q] = seq.coeff(j - k)
+    return t
 
 
 def adjugate(a) -> np.ndarray:

@@ -19,7 +19,7 @@ from matspec import (
 )
 from matspec.errors import InvalidInputError, ModelError
 from matspec.linalg import DEFAULT_RANK_RTOL
-from matspec.toeplitz import _predictor, col_stack, rank_drop
+from matspec.toeplitz import _predictor, rank_drop
 
 from _gen import (
     atomic_coeffs,
@@ -223,7 +223,8 @@ class TestPredictorResidual:
     def test_yule_walker_residual_at_roundoff(self, case, seed):
         seq = HermSeq(self.CASES[case](np.random.default_rng(seed)))
         n, q = len(seq) - 1, seq.q
-        w = _predictor(seq, n, DEFAULT_RANK_RTOL).reshape(n * q, q)
-        t = toeplitz_matrix(seq, n - 1)
-        resid = spec_norm(t @ w - col_stack(seq, n))
+        tn = toeplitz_matrix(seq, n)
+        w = _predictor(tn, q, DEFAULT_RANK_RTOL).reshape(n * q, q)
+        t = tn[:-q, :-q]
+        resid = spec_norm(t @ w - tn[q:, :q])
         assert resid <= 10.0 * np.finfo(float).eps * spec_norm(t) * spec_norm(w)

@@ -29,7 +29,7 @@ from matspec import (
     spec_norm,
     verify_recovery,
 )
-from matspec.errors import InvalidInputError, ModelError, MultiplicityError
+from matspec.errors import DimensionError, InvalidInputError, ModelError, MultiplicityError
 
 from _gen import (
     atomic_coeffs,
@@ -331,6 +331,19 @@ class TestAtomicMeasure:
     def test_off_circle_rejected(self):
         with pytest.raises(InvalidInputError):
             atomic_measure([(0.5, np.eye(1))])
+
+    @pytest.mark.parametrize(
+        "atoms, q",
+        [
+            ([(1.0, np.eye(2)), (-1.0, np.eye(3))], None),
+            ([(1.0, np.eye(2))], 3),
+            ([(1.0, np.ones((2, 3)))], None),
+        ],
+        ids=["mixed_sizes", "q_mismatch", "non_square"],
+    )
+    def test_malformed_weight_rejected(self, atoms, q):
+        with pytest.raises(DimensionError):
+            atomic_measure(atoms, q=q)
 
 
 class TestFourierRecovery:

@@ -5,14 +5,16 @@ from matspec import (
     Classification,
     HermSeq,
     ball_params,
+    central_quotient,
     classify,
     conjugate_by_unitary,
     first_violation,
+    gamma_from_covariance,
     toeplitz_matrix,
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.linalg import psd_sqrt
-from matspec.toeplitz import ball_membership, col_stack, lower_toeplitz, rank_drop, row_stack
+from matspec.linalg import DEFAULT_RANK_RTOL, psd_sqrt
+from matspec.toeplitz import _predictor, ball_membership, rank_drop
 
 from _gen import (
     atomic_coeffs,
@@ -77,25 +79,29 @@ class TestToeplitzMatrix:
 
 
 class TestBundle:
+    """The blocks the predictor, the ball and the quotient read are slices of
+    T_n: T_{n-1} = T_n[:-q, :-q], Y_n = T_n[q:, :q], Z_n = T_n[-q:, :-q]."""
+
     def test_shapes(self):
         seq = random_tpd_seq(RNG, 2, 2)
-        doubled = [seq.coeff(0)] + [2 * seq.coeff(j) for j in (1, 2)]
-        assert toeplitz_matrix(seq, 2).shape == (6, 6)
-        assert col_stack(seq, 2).shape == (4, 2)
-        assert row_stack(seq, 2).shape == (2, 4)
-        assert lower_toeplitz(doubled, 2).shape == (6, 6)
+        t = toeplitz_matrix(seq, 2)
+        assert t.shape == (6, 6)
+        assert t[2:, :2].shape == (4, 2)
+        assert t[-2:, :-2].shape == (2, 4)
+        assert t[:-2, :-2].shape == (4, 4)
 
     def test_col_and_row_stacks(self):
         seq = random_tpd_seq(RNG, 2, 2)
-        col, row = col_stack(seq, 2), row_stack(seq, 2)
+        t = toeplitz_matrix(seq, 2)
+        col, row = t[2:, :2], t[-2:, :-2]
         assert np.allclose(col[:2], seq.coeff(1))
         assert np.allclose(col[2:], seq.coeff(2))
         assert np.allclose(row[:, :2], seq.coeff(2))
         assert np.allclose(row[:, 2:], seq.coeff(1))
+        assert np.array_equal(t[:-2, :-2], toeplitz_matrix(seq, 1))
 
     def test_causal_is_lower_triangular_doubling(self):
         seq = random_tpd_seq(RNG, 1, 2)
-        doubled = [seq.coeff(0)] + [2 * seq.coeff(j) for j in (1, 2)]
         expect = np.array(
             [
                 [seq.coeff(0)[0, 0], 0, 0],
@@ -103,11 +109,19 @@ class TestBundle:
                 [2 * seq.coeff(2)[0, 0], 2 * seq.coeff(1)[0, 0], seq.coeff(0)[0, 0]],
             ]
         )
-        assert np.allclose(lower_toeplitz(doubled, 2), expect)
+        # S_n: twice the strictly lower part of T_n, Gamma_0 = C_0 on the diagonal
+        t = toeplitz_matrix(seq, 2)
+        assert np.allclose(2.0 * np.tril(t, -1) + seq.coeff(0)[0, 0] * np.eye(3), expect)
+        # the quotient's numerator is S_{n-1}* w with w = -den_1..n
+        cq = central_quotient(gamma_from_covariance(seq))
+        w = _predictor(t, 1, DEFAULT_RANK_RTOL)[:, 0, 0]
+        assert np.allclose(-cq.den.coeffs[1:, 0, 0], w)
+        assert np.allclose(cq.num.coeffs[1:, 0, 0], expect[:2, :2].conj().T @ w)
 
     def test_order_zero(self):
-        assert toeplitz_matrix(ones_seq(1), 0).shape == (1, 1)
-        assert col_stack(ones_seq(1), 0).shape == (0, 1)
+        t = toeplitz_matrix(ones_seq(1), 0)
+        assert t.shape == (1, 1)
+        assert t[1:, :1].shape == (0, 1)
 
 
 class TestFirstViolationClassify:

@@ -9,7 +9,9 @@ cross-check, the autoregressive check and `central_order` take one stacked
 norm."""
 
 import importlib
+import json
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -23,18 +25,25 @@ from matspec import (
     HermSeq,
     MatPoly,
     ar_spectrum,
+    ball_params,
     central_extend,
     central_measure,
     central_order,
     central_quotient,
     compute_atoms,
+    dumps,
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
+    pd_density,
+    pd_polynomials,
+    sequence_to_doc,
+    toeplitz_matrix,
     verify_recovery,
 )
+from matspec.cli import main
 from matspec.linalg import DEFAULT_RANK_RTOL
-from matspec.toeplitz import _predictor
+from matspec.toeplitz import _predictor, rank_drop
 
 from _gen import atomic_coeffs, random_tpd_seq
 
@@ -87,8 +96,68 @@ def test_central_extend_solves_predictor_once(seq, calls):
 
 def test_predictor_takes_one_svd(seq, calls):
     # the refinement steps reuse the one pseudoinverse
-    _predictor(seq, N, DEFAULT_RANK_RTOL)
+    _predictor(toeplitz_matrix(seq, N), Q, DEFAULT_RANK_RTOL)
     assert calls["svd"] == [(N * Q, N * Q)]
+
+
+def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
+    # every consumer slices one T_n; central_extend and ar_spectrum also
+    # build the T of the extension they scan
+    built = []
+    build = matspec.toeplitz.toeplitz_matrix
+
+    def counted(s, n):
+        built.append(n)
+        return build(s, n)
+
+    for m in pkgutil.iter_modules(matspec.__path__):
+        module = importlib.import_module(f"matspec.{m.name}")
+        if hasattr(module, "toeplitz_matrix"):
+            monkeypatch.setattr(module, "toeplitz_matrix", counted)
+    calls = {
+        "central_measure": lambda: central_measure(seq),
+        "central_quotient": lambda: central_quotient(gamma_from_covariance(seq)),
+        "central_extend": lambda: central_extend(seq, 2 * (N + 1)),
+        "central_order": lambda: central_order(seq),
+        "ar_spectrum": lambda: ar_spectrum(seq, 8),
+        "ball_params": lambda: ball_params(seq, N),
+        "pd_polynomials": lambda: pd_polynomials(seq),
+        "pd_density": lambda: pd_density(seq, 1.0),
+        "rank_drop": lambda: rank_drop(seq, N),
+    }
+    counts = {}
+    for name, call in calls.items():
+        built.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ArOrderMismatchWarning)
+            call()
+        counts[name] = len(built)
+    assert counts == {
+        "central_measure": 1,
+        "central_quotient": 1,
+        "central_extend": 2,
+        "central_order": 1,
+        "ar_spectrum": 2,
+        "ball_params": 1,
+        "pd_polynomials": 1,
+        "pd_density": 1,
+        "rank_drop": 1,
+    }
+
+
+@pytest.mark.parametrize("last", ["kept", "inflated"])
+def test_check_scans_once(tmp_path, calls, capsys, last):
+    # classification, first failure and the Caratheodory test share one scan
+    c = list(random_tpd_seq(np.random.default_rng(7), 2, 2).coeffs)
+    if last == "inflated":
+        c[2] = 50.0 * c[2]
+    path = tmp_path / "seq.json"
+    path.write_text(dumps(sequence_to_doc(HermSeq(c), "covariance")))
+    calls["eigvalsh"].clear()
+    code = main(["check", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["first_failure"]) == ((0, None) if last == "kept" else (2, 2))
+    assert len(calls["eigvalsh"]) == 3
 
 
 def test_verify_recovery_stacks_the_order_errors(seq, calls):
