@@ -17,11 +17,17 @@ function Phi = num * den^{-1} with
 where e(z) = (I, zI, ..., z^{n-1} I) reads the block entries as polynomial
 coefficients and T' is the pseudoinverse.  Both polynomials have degree at
 most n, num(0) = Gamma_0 and den(0) = I.
+
+The measure's point masses are residues of num den^{-1} at the unimodular
+zeros of det den, and its zeros just outside the circle spike the density;
+each quotient analyses the zeros near the circle once (`near_circle`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,41 +47,59 @@ from .toeplitz import (
 
 # Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
 RADIAL_STEPS = 12
+# Zeros of det den closer than this merge into one location whose
+# multiplicity is the cluster size; wide enough to absorb the eps^(1/m)
+# companion scatter of an m-fold zero (about 1e-5 at m = 3) while staying far
+# below any realistic atom spacing.
+CLUSTER_RADIUS = 1e-4
+# Zeros of det den within this distance of the circle are the atoms and the
+# poles that spike the density enough to size the quadrature grid.
+NEAR_CIRCLE = 0.04
+
+
+class _Residues(NamedTuple):
+    """Clusters of zeros of det den near the circle, one row each."""
+
+    members: list[np.ndarray]  # zeros of det den in each cluster
+    points: np.ndarray  # (k,) polished means
+    sizes: np.ndarray  # (k,) zeros in the cluster
+    kernel: np.ndarray  # (k,) dimension of den's kernel at the point
+    residues: np.ndarray  # (k, q, q) of num den^{-1}; NaN unless kernel == size
 
 
 @dataclass(frozen=True)
 class CaratheodoryQuotient:
     """Rational Caratheodory function num(z) den(z)^{-1} of a given order.
 
-    ``det`` (scalar coefficients of det den, lowest degree first) and
-    ``zeros`` (its zeros) are derived once here, for every consumer: the
-    disk check, the atoms and the near-circle poles.  They take no part in
+    ``det`` (scalar coefficients of det den, lowest degree first), ``zeros``
+    (its zeros) and ``near_circle`` (the analysis of the zeros near the
+    circle) are derived once, when first read, for every consumer: the disk
+    check, the atoms and the near-circle poles.  They take no part in
     comparison or repr.  A determinant that overflows does not stop
-    construction; `_det_zeros` rejects it where it is first needed.
+    construction; reading ``det`` raises InvalidInputError.
     """
 
     num: MatPoly
     den: MatPoly
     order: int
-    det: np.ndarray | None = field(init=False, repr=False, compare=False)
-    zeros: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                det = det_poly(self.den)
-        except InvalidInputError:
-            det = zeros = None
-        else:
-            zeros = np.roots(det[::-1]) if det.size > 1 else np.empty(0, complex)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "zeros", zeros)
+    @cached_property
+    def det(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return det_poly(self.den)
 
-    def _det_zeros(self) -> tuple[np.ndarray, np.ndarray]:
-        """(det, zeros); raises InvalidInputError if det den overflowed."""
-        if self.det is None:
-            raise InvalidInputError("polynomial has non-finite coefficients")
-        return self.det, self.zeros
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        return np.roots(self.det[::-1])
+
+    @cached_property
+    def near_circle(self) -> _Residues:
+        """The zeros of det den with ||z| - 1| < NEAR_CIRCLE, clustered at
+        CLUSTER_RADIUS, each cluster mean Newton-polished on den and given
+        its residue of num den^{-1} (see `_cluster_residues`)."""
+        zs = self.zeros
+        near = zs[np.abs(np.abs(zs) - 1.0) < NEAR_CIRCLE]
+        return _cluster_residues(self, _clusters(near))
 
 
 def caratheodory_first_failure(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
@@ -94,7 +118,7 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 def _spot_check_disk(cq: CaratheodoryQuotient) -> None:
     # den must be invertible inside the disk; sample well away from the rim.
-    db, _ = cq._det_zeros()
+    db = cq.det
     radii = np.array([0.0, 0.35, 0.65, 0.9])
     angles = np.exp(2j * np.pi * (np.arange(24) + 0.5) / 24)
     pts = (radii[:, None] * angles[None, :]).ravel()
@@ -253,3 +277,87 @@ def radial_atom_limit(cq: CaratheodoryQuotient, u: complex) -> np.ndarray:
             f"radial limit at {u} did not stabilize (spread {spread:.3e})"
         )
     return answer
+
+
+def _clusters(zs) -> list[np.ndarray]:
+    """Zeros sorted by angle and chained into clusters by gaps of at most
+    CLUSTER_RADIUS (the last cluster wraps onto the first)."""
+    near = sorted(zs, key=lambda z: float(np.angle(z)) % (2.0 * np.pi))
+    if not near:
+        return []
+    clusters: list[list[complex]] = [[near[0]]]
+    for z in near[1:]:
+        if abs(z - clusters[-1][-1]) <= CLUSTER_RADIUS:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= CLUSTER_RADIUS:
+        clusters[0] = clusters.pop() + clusters[0]
+    return [np.array(c, dtype=complex) for c in clusters]
+
+
+def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:
+    """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
+
+    All cluster means are Newton-polished on den at once.  den, den' and num
+    are evaluated at the polished points in one call each and den's kernels
+    come from one stacked SVD: singular values at most DEFAULT_RANK_RTOL
+    times the size of den's coefficients.  Where den(p) has a kernel of the
+    cluster's size m, with X and Y its right and left bases, num den^{-1}
+    has a simple pole at p with residue num(p) X (Y* den'(p) X)^{-1} Y*.
+    """
+    sizes = np.array([len(c) for c in clusters], dtype=int)
+    residues = np.full((sizes.size, cq.num.q, cq.num.q), np.nan, dtype=complex)
+    if not clusters:
+        return _Residues(clusters, np.empty(0, complex), sizes, sizes, residues)
+    dden = cq.den.derivative()
+    points = _polish(cq.den, dden, np.array([np.mean(c) for c in clusters]), sizes)
+    dv, ddv, nv = cq.den(points), dden(points), cq.num(points)
+    u, s, vh = np.linalg.svd(dv)
+    floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
+    kernel = np.count_nonzero(s <= floor, axis=1)
+    for m in set(sizes.tolist()):
+        rows = np.nonzero((sizes == m) & (kernel == m))[0]
+        if rows.size == 0:
+            continue
+        x = np.conj(np.swapaxes(vh[rows, -m:], -1, -2))
+        yh = np.conj(np.swapaxes(u[rows, :, -m:], -1, -2))
+        core = _solve_each(yh @ ddv[rows] @ x, yh)
+        residues[rows] = nv[rows] @ x @ core
+    return _Residues(clusters, points, sizes, kernel, residues)
+
+
+def _polish(den, dden, z, m):
+    """Newton on det den from each z, step m / tr(den(z)^{-1} den'(z)).
+
+    z and m are arrays of start points and multiplicities (or scalars).  The
+    step is quadratically convergent at an m-fold zero.  A point stops after
+    a step at roundoff level, where den(z) is exactly singular (it has
+    converged), and where a step would leave the CLUSTER_RADIUS disk around
+    its start.  Each pass evaluates den and den' once for all points.
+    """
+    z0 = np.asarray(z, dtype=complex)
+    z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
+    for _ in range(8):
+        t = np.trace(_solve_each(den(z), dden(z)), axis1=-2, axis2=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = m / t
+        live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)
+        z = np.where(live, z - step, z)
+        live &= np.abs(step) > 1e-15 * np.abs(z)
+    return z
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack, NaN for each exactly singular matrix."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=complex)
+    for idx in np.ndindex(a.shape[:-2]):
+        try:
+            out[idx] = np.linalg.solve(a[idx], b[idx])
+        except np.linalg.LinAlgError:
+            pass
+    return out

@@ -12,10 +12,10 @@ zeros of det den, and each point mass X_v is a residue of the quotient there.
 Everything here computes that decomposition and checks it by recovering the
 Fourier coefficients.
 
-The zeros of det den are found once, when the quotient is built.  Atoms and
-the near-circle poles below share one batched step (`_cluster_residues`):
-cluster the zeros, Newton-polish every cluster mean on den at once, and take
-every residue from den's kernel vectors after one stacked SVD.
+The zeros of det den near the circle are analysed once per quotient
+(`CaratheodoryQuotient.near_circle`): clustered, Newton-polished on den and
+given their residues from den's kernel vectors.  The atoms and the poles
+subtracted below are two selections from that one analysis.
 
 Recovery integrates the density with the trapezoid rule and adds the point
 masses exactly.  A zero p of det den just outside the circle makes a density
@@ -34,6 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .caratheodory import (
+    CLUSTER_RADIUS,
+    NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
     _pd_polynomials,
@@ -58,11 +60,6 @@ EPS_SING = 1e-5
 ATOM_CLIP = 1e-9
 # Atoms with ||W|| <= ATOM_DROP*||C_0|| are removable singularities.
 ATOM_DROP = 1e-10
-# Zeros of det den closer than this merge into one location whose
-# multiplicity is the cluster size; wide enough to absorb the eps^(1/m)
-# companion scatter of an m-fold zero (about 1e-5 at m = 3) while staying far
-# below any realistic atom spacing.
-CLUSTER_RADIUS = 1e-4
 # Offset scan grid on which `verify_recovery` counts density PSD violations.
 DENSITY_NODES = 360
 TWO_PI = 2.0 * np.pi
@@ -176,34 +173,33 @@ def compute_atoms(
 ) -> tuple[Atom, ...]:
     """Point masses of the measure behind a rational Caratheodory quotient.
 
-    The zeros of det den (found once, with the quotient) within
-    max(root_tol, CLUSTER_RADIUS) of the circle are clustered at
-    CLUSTER_RADIUS, the radius within which `_singular_part` assigns zeros
-    to an atom; each cluster mean is Newton-polished on den, and the points left within
-    root_tol of the circle are the atoms.  At such a point v with a cluster
-    of m zeros, den(v) must have an m-dimensional kernel, else
-    MultiplicityError; with X and Y its right and left kernel bases the
-    weight is the residue
+    The atoms are the clusters of the quotient's ``near_circle`` analysis
+    whose polished point lies within root_tol of the circle; root_tol must
+    be below NEAR_CIRCLE, the band that analysis covers.  At such a point v
+    with a cluster of m zeros of det den, den(v) must have an m-dimensional
+    kernel, else MultiplicityError; with X and Y its right and left kernel
+    bases the weight is the residue
 
-        X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*,
+        X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*.
 
-    taken for all atoms in one batch.  Weights are Hermitian-projected;
-    eigenvalues in [-ATOM_CLIP, 0) times ||C_0|| clip to zero, anything
-    lower is a model violation.  Atoms with ||X_v|| at most ATOM_DROP times
-    ||C_0|| (removable singularities) are dropped.
+    Weights are Hermitian-projected; eigenvalues in [-ATOM_CLIP, 0) times
+    ||C_0|| clip to zero, anything lower is a model violation.  Atoms with
+    ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
+    dropped.
     """
-    db, zs = cq._det_zeros()
+    if not root_tol < NEAR_CIRCLE:
+        raise InvalidInputError(f"root_tol {root_tol} must be below {NEAR_CIRCLE}")
+    db = cq.det
     if db.size == 1 and db[0] == 0.0:
         raise InvalidInputError("the zero polynomial has no root structure")
-    window = max(root_tol, CLUSTER_RADIUS)
-    clusters = _clusters(zs[np.abs(np.abs(zs) - 1.0) <= window])
-    res = _cluster_residues(cq, clusters, lambda p: np.abs(np.abs(p) - 1.0) <= root_tol)
-    if res.points.size == 0:
+    res = cq.near_circle
+    rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
+    if rows.size == 0:
         return ()
-    order = np.argsort(np.angle(res.points) % TWO_PI)
-    res = _Residues(*(a[order] for a in res))
-    points = res.points / np.abs(res.points)
-    for v, m, k, r in zip(points, res.sizes, res.kernel, res.residues):
+    rows = rows[np.argsort(np.angle(res.points[rows]) % TWO_PI)]
+    points = res.points[rows] / np.abs(res.points[rows])
+    sizes, kernel, residues = res.sizes[rows], res.kernel[rows], res.residues[rows]
+    for v, m, k, r in zip(points, sizes, kernel, residues):
         if k != m or not np.all(np.isfinite(r)):
             why = f"a {k}-dimensional kernel" if k != m else "den' singular on its kernel"
             raise MultiplicityError(
@@ -211,7 +207,7 @@ def compute_atoms(
                 root=v,
                 multiplicity=int(m),
             )
-    val = (-0.5 / points)[:, None, None] * res.residues
+    val = (-0.5 / points)[:, None, None] * residues
     lam, vec = np.linalg.eigh(0.5 * (val + np.conj(np.swapaxes(val, -1, -2))))
     scale = spec_norm(re_mat(cq.num(0.0 + 0.0j)))
     for v, low in zip(points, lam[:, 0]):
@@ -340,9 +336,6 @@ def _quadrature_angles(nodes: int, atom_points: np.ndarray) -> np.ndarray:
 
 
 NEAR_CIRCLE_NODE_CAP = 65536
-# Poles closer than this to the circle spike the density enough to size the
-# quadrature grid; those just outside the circle are subtracted.
-_NEAR_CIRCLE = 0.04
 
 
 class _SingularPart(NamedTuple):
@@ -393,140 +386,37 @@ class _SingularPart(NamedTuple):
 
 
 def _singular_part(sm: SpectralMeasure) -> _SingularPart:
-    """Splits the zeros of det den, found once with the quotient, for the
-    quadrature.
+    """Reads the quadrature's poles off the quotient's ``near_circle``
+    clusters.
 
-    Zeros within CLUSTER_RADIUS of an atom belong to that point mass.
-    Zeros with 0 < |p| - 1 < _NEAR_CIRCLE are grouped into clusters of that
-    radius, and a cluster is subtracted where `_cluster_residues` finds a
-    simple pole of num den^{-1} outside the circle there.  The grid must
-    still resolve, by the brute-force sizing rule, every other zero and every
-    cluster of more than one zero.
+    A cluster with a zero within CLUSTER_RADIUS of an atom belongs to that
+    point mass.  A cluster is subtracted where all its zeros lie outside the
+    circle and its polished point p is a simple pole of num den^{-1} with
+    |p| > 1.  The grid must still resolve, by the brute-force sizing rule,
+    every zero of the other clusters and of every cluster of more than one
+    zero.
     """
-    empty = np.empty(0, dtype=complex), np.empty((0, sm.q, sm.q), dtype=complex)
     if sm.quotient is None:
-        return _SingularPart(0, *empty, np.inf)
-    db, zs = sm.quotient._det_zeros()
-    if db.size < 2:
-        return _SingularPart(db.size - 1, *empty, np.inf)
+        empty = np.empty((0, sm.q, sm.q), dtype=complex)
+        return _SingularPart(0, np.empty(0, dtype=complex), empty, np.inf)
+    res = sm.quotient.near_circle
     atoms = sm.atom_points()
-    if atoms.size:
-        zs = zs[np.min(np.abs(zs[:, None] - atoms), axis=1) > CLUSTER_RADIUS]
-    dist = np.abs(zs) - 1.0
-    near = (dist > 0.0) & (dist < _NEAR_CIRCLE)
-    brute = list(np.abs(dist[~near]))
-    clusters = _clusters(zs[near])
-    res = _cluster_residues(sm.quotient, clusters, lambda p: np.abs(p) > 1.0)
-    simple = (res.kernel == res.sizes) & np.all(np.isfinite(res.residues), axis=(1, 2))
-    subtracted = set(res.index[simple])
-    for i, members in enumerate(clusters):
-        if i not in subtracted or len(members) > 1:
+    # residues are finite only at simple poles
+    finite = np.all(np.isfinite(res.residues), axis=(1, 2))
+    subtracted = finite & (np.abs(res.points) > 1.0)
+    brute = []
+    for i, members in enumerate(res.members):
+        if atoms.size and np.min(np.abs(members[:, None] - atoms)) <= CLUSTER_RADIUS:
+            subtracted[i] = False
+            continue
+        subtracted[i] &= bool(np.all(np.abs(members) > 1.0))
+        if not subtracted[i] or members.size > 1:
             # roundoff splits a multiple pole, so subtracting it at the
             # cluster mean leaves a dipole the grid must still resolve
-            brute.extend(abs(z) - 1.0 for z in members)
-    if subtracted:
-        empty = res.points[simple], res.residues[simple]
-    return _SingularPart(db.size - 1, *empty, min(brute, default=np.inf))
-
-
-def _clusters(zs) -> list[list[complex]]:
-    """Zeros sorted by angle and chained into clusters by gaps of at most
-    CLUSTER_RADIUS (the last cluster wraps onto the first)."""
-    near = sorted(zs, key=lambda z: float(np.angle(z)) % (2.0 * np.pi))
-    if not near:
-        return []
-    clusters: list[list[complex]] = [[near[0]]]
-    for z in near[1:]:
-        if abs(z - clusters[-1][-1]) <= CLUSTER_RADIUS:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= CLUSTER_RADIUS:
-        clusters[0] = clusters.pop() + clusters[0]
-    return clusters
-
-
-class _Residues(NamedTuple):
-    """Polished cluster means kept by `_cluster_residues`, one row each."""
-
-    index: np.ndarray  # (k,) of the cluster in the list given
-    points: np.ndarray  # (k,) polished means
-    sizes: np.ndarray  # (k,) zeros of det den in the cluster
-    kernel: np.ndarray  # (k,) dimension of den's kernel at the point
-    residues: np.ndarray  # (k, q, q) of num den^{-1}; NaN unless kernel == size
-
-
-def _cluster_residues(cq: CaratheodoryQuotient, clusters, keep) -> _Residues:
-    """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
-
-    All cluster means are Newton-polished on den at once; ``keep`` selects
-    among the polished points.  den, den' and num are evaluated at the kept
-    points in one call each and den's kernels come from one stacked SVD:
-    singular values at most DEFAULT_RANK_RTOL times the size of den's
-    coefficients.  Where den(p) has a kernel of the cluster's size m, with X
-    and Y its right and left bases, num den^{-1} has a simple pole at p with
-    residue num(p) X (Y* den'(p) X)^{-1} Y*.
-    """
-    q = cq.num.q
-    sizes = np.array([len(c) for c in clusters], dtype=int)
-    points = np.array([np.mean(c) for c in clusters], dtype=complex)
-    dden = cq.den.derivative()
-    if clusters:
-        points = _polish(cq.den, dden, points, sizes)
-    index = np.nonzero(keep(points))[0]
-    points, sizes = points[index], sizes[index]
-    residues = np.full((index.size, q, q), np.nan, dtype=complex)
-    if index.size == 0:
-        return _Residues(index, points, sizes, sizes, residues)
-    dv, ddv, nv = cq.den(points), dden(points), cq.num(points)
-    u, s, vh = np.linalg.svd(dv)
-    floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
-    kernel = np.count_nonzero(s <= floor, axis=1)
-    for m in set(sizes.tolist()):
-        rows = np.nonzero((sizes == m) & (kernel == m))[0]
-        if rows.size == 0:
-            continue
-        x = np.conj(np.swapaxes(vh[rows, -m:], -1, -2))
-        yh = np.conj(np.swapaxes(u[rows, :, -m:], -1, -2))
-        core = _solve_each(yh @ ddv[rows] @ x, yh)
-        residues[rows] = nv[rows] @ x @ core
-    return _Residues(index, points, sizes, kernel, residues)
-
-
-def _polish(den, dden, z, m):
-    """Newton on det den from each z, step m / tr(den(z)^{-1} den'(z)).
-
-    z and m are arrays of start points and multiplicities (or scalars).  The
-    step is quadratically convergent at an m-fold zero.  A point stops after
-    a step at roundoff level, where den(z) is exactly singular (it has
-    converged), and where a step would leave the CLUSTER_RADIUS disk around
-    its start.  Each pass evaluates den and den' once for all points.
-    """
-    z0 = np.asarray(z, dtype=complex)
-    z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
-    for _ in range(8):
-        t = np.trace(_solve_each(den(z), dden(z)), axis1=-2, axis2=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = m / t
-        live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)
-        z = np.where(live, z - step, z)
-        live &= np.abs(step) > 1e-15 * np.abs(z)
-    return z
-
-
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a stack, NaN for each exactly singular matrix."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=complex)
-    for idx in np.ndindex(a.shape[:-2]):
-        try:
-            out[idx] = np.linalg.solve(a[idx], b[idx])
-        except np.linalg.LinAlgError:
-            pass
-    return out
+            brute.extend(np.abs(np.abs(members) - 1.0))
+    degree = sm.quotient.det.size - 1
+    poles, residues = res.points[subtracted], res.residues[subtracted]
+    return _SingularPart(degree, poles, residues, min(brute, default=np.inf))
 
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
@@ -537,8 +427,9 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     # the cost bounded, verify_recovery reports anything missed.  Subtracted
     # poles leave a smooth remainder; up to 4096 nodes damp what roundoff in
     # their residues leaves of the spike, more would not help.
-    if sing.brute_distance < _NEAR_CIRCLE:
-        dist = sing.brute_distance
+    if sing.brute_distance < NEAR_CIRCLE:
+        # a zero on the circle that no atom claims is at distance 0
+        dist = max(sing.brute_distance, 40.0 / NEAR_CIRCLE_NODE_CAP)
         base = max(base, min(NEAR_CIRCLE_NODE_CAP, int(np.ceil(40.0 / dist))))
     if sing.poles.size:
         dist = float(np.min(np.abs(sing.poles))) - 1.0

@@ -29,7 +29,9 @@ from matspec import (
     spec_norm,
     verify_recovery,
 )
+from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError, MultiplicityError
+from matspec.measure import NEAR_CIRCLE_NODE_CAP
 
 from _gen import (
     atomic_coeffs,
@@ -107,6 +109,24 @@ class TestComputeAtoms:
         assert np.isclose(atoms[0].point, u, atol=1e-9)
         assert np.allclose(atoms[0].weight, w, atol=1e-8)
 
+    def test_cluster_wrapping_past_angle_zero(self):
+        # the zeros of det den at the rank-2 atom z = 1 fall on both sides
+        # of angle 0, so its cluster closes only across the wrap
+        u = np.exp(1.3j)
+        seq = HermSeq([np.eye(2) + 0.5 * u ** (-j) * np.eye(2) for j in range(3)])
+        sm = central_measure(seq)
+        assert len(sm.atoms) == 2
+        for v, w in ((1.0, 1.0), (u, 0.5)):
+            atom = min(sm.atoms, key=lambda a: abs(a.point - v))
+            assert abs(atom.point - v) < 1e-8
+            assert spec_norm(atom.weight - w * np.eye(2)) < 1e-8
+        assert verify_recovery(sm, seq).passed
+
+    def test_root_tol_must_lie_inside_the_analysed_band(self):
+        cq = central_quotient(gamma_from_covariance(scalar_seq(1.0, 1.0)))
+        with pytest.raises(InvalidInputError, match="root_tol"):
+            compute_atoms(cq, root_tol=NEAR_CIRCLE)
+
 
 def limit_weight(cq, v):
     """The scalar-determinant residue: Hermitian part of
@@ -170,7 +190,8 @@ class TestKernelResidues:
         cq = central_quotient(gamma_from_covariance(HermSeq(coeffs)))
         assert np.array_equal(cq.det, det_poly(cq.den))
         assert np.array_equal(cq.zeros, np.roots(cq.det[::-1]))
-        assert "det" not in repr(cq) and "zeros" not in repr(cq)
+        assert cq.near_circle is cq.near_circle
+        assert all(name not in repr(cq) for name in ("det", "zeros", "near_circle"))
         # derived arrays take no part in ==, which would fail on them
         assert cq == CaratheodoryQuotient(cq.num, cq.den, cq.order)
 
@@ -570,11 +591,23 @@ class TestSubtractedPoles:
         assert report.passed
 
     def test_polish_stops_at_singular_den(self):
-        import matspec.measure as measure
+        import matspec.caratheodory as caratheodory
 
         den = MatPoly([[[self.EXACT_POLE]], [[-1.0]]])
-        polished = measure._polish(den, den.derivative(), self.EXACT_POLE, 1)
+        polished = caratheodory._polish(den, den.derivative(), self.EXACT_POLE, 1)
         assert polished == self.EXACT_POLE
+
+    def test_removable_singularity_on_the_circle(self, grid_sizes):
+        # num = den = 1 - z: det den vanishes at z = 1, the residue there is
+        # zero and no atom claims the zero; the grid takes its largest size
+        # for a zero at distance 0 from the circle
+        p = MatPoly([[[1.0]], [[-1.0]]])
+        cq = CaratheodoryQuotient(p, p, 1)
+        assert compute_atoms(cq) == ()
+        sm = SpectralMeasure(1, (), cq, Provenance.CENTRAL)
+        report = verify_recovery(sm, scalar_seq(1.0, 0.0, 0.0))
+        assert report.passed
+        assert max(grid_sizes) == NEAR_CIRCLE_NODE_CAP
 
     def test_herglotz_near_pole(self):
         seq = HermSeq(var1_coeffs(np.random.default_rng(7), 2, 1.0 - 1e-3, 6))

@@ -129,6 +129,25 @@ class TestCliExitCodes:
         assert "T_1 not nonnegative Hermitian" in captured.err
         assert json.loads(captured.out)["classification"] == "NOT_TND"
 
+    def test_check_gamma_document(self, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        f.write_text(seq_doc_text(1.0, 1.0, kind="gamma"))
+        assert main(["check", str(f)]) == 0
+        want = {"caratheodory": True, "classification": "TPD", "first_failure": None}
+        assert capsys.readouterr().out == dumps(want)
+
+    def test_check_non_hermitian_head_exits_2(self, tmp_path, capsys):
+        # C_0 fails the Hermiticity test, so T_0 is the first failure; the
+        # Caratheodory test reads only re Gamma_0, which passes
+        seq = HermSeq([np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1 * np.eye(2)])
+        f = tmp_path / "seq.json"
+        f.write_text(dumps(sequence_to_doc(seq, "covariance")))
+        assert main(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        want = {"caratheodory": True, "classification": "NOT_TND", "first_failure": 0}
+        assert captured.out == dumps(want)
+        assert captured.err == "T_0 not nonnegative Hermitian\n"
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err != ""
@@ -197,6 +216,19 @@ class TestCliPipeline:
         assert main(["verify", str(mfile), "--sequence", str(wrong)]) == 2
         assert "verification failed" in capsys.readouterr().err
 
+    def test_verify_with_unclaimed_zero_on_the_circle_exits_2(self, tmp_path, capsys):
+        # (1 + z)/(1 - z) without its point mass at z = 1: det den vanishes
+        # on the circle where the measure has no atom
+        one = [[[1.0, 0.0]]]
+        doc = {"q": 1, "provenance": "central", "atoms": [],
+               "quotient": {"a_coeffs": [one, one], "b_coeffs": [one, [[[-1.0, 0.0]]]]}}
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 1.0))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 2
+        assert "verification failed: max error 1.000e+00" in capsys.readouterr().err
+
     def test_spectrum_csv(self, tmp_path):
         src = tmp_path / "seq.json"
         csv = tmp_path / "density.csv"
@@ -247,6 +279,13 @@ class TestCliPipeline:
         doc = json.loads(capsys.readouterr().out)
         val = doc["values"][0]["phi"]
         assert np.isclose(val[0][0][0], 3.0, atol=1e-10)
+
+    def test_eval_phi_gamma_document(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_text(seq_doc_text(1.0, 1.0, kind="gamma"))
+        assert main(["eval-phi", str(src), "--z", "0.4,0.0"]) == 0
+        want = {"values": [{"phi": [[[1.5, 0.0]]], "z": [0.4, 0.0]}]}
+        assert capsys.readouterr().out == dumps(want)
 
     def test_spectrum_not_tnd_exits_2(self, tmp_path, capsys):
         src = tmp_path / "seq.json"

@@ -1,12 +1,12 @@
 """Work counts of the prefix scan, the central predictor, the atoms and the
 recovery quadrature: each public entry point checks every prefix Toeplitz
 matrix once, with one eigvalsh per prefix and no SVD norm of a prefix
-matrix, solves for the central predictor with one pseudoinverse, det den
-and its zeros are found once per quotient, the atom weights take a fixed
-number of evaluations of den and num however many atoms there are, and the
-recovery errors of all orders and each comparison of the positive-definite
-cross-check, the autoregressive check and `central_order` take one stacked
-norm."""
+matrix, solves for the central predictor with one pseudoinverse, det den,
+its zeros and their near-circle clusters are found and polished once per
+quotient, the atom weights take a fixed number of evaluations of den and
+num however many atoms there are, and the recovery errors of all orders and
+each comparison of the positive-definite cross-check, the autoregressive
+check and `central_order` take one stacked norm."""
 
 import importlib
 import json
@@ -170,10 +170,12 @@ def test_verify_recovery_stacks_the_order_errors(seq, calls):
 
 
 def test_comparisons_stack_their_norms(seq, calls):
-    # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the A-B gap,
-    # the size of A, the scale ||C_0|| and the density gap of the cross-check
+    # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the size of
+    # den's coefficients for its kernels at the near-circle zeros, the A-B
+    # gap, the size of A, the scale ||C_0|| and the density gap of the
+    # cross-check
     central_measure(seq)
-    assert len(calls["norm"]) == 6
+    assert len(calls["norm"]) == 7
     # the prefix's 6, the extension scan's 2, ||C_0|| and the mismatch gaps
     calls["norm"].clear()
     with pytest.warns(ArOrderMismatchWarning):
@@ -207,9 +209,9 @@ def test_central_order_scans_once(seq, calls):
 @pytest.fixture
 def pole_work(monkeypatch):
     """Arguments of det_poly, wherever matspec calls it from, and calls of
-    np.roots."""
-    seen = {"det_poly": [], "roots": 0}
-    det_poly, roots = matpoly.det_poly, np.roots
+    np.roots and of the Newton polish of the near-circle zeros."""
+    seen = {"det_poly": [], "roots": 0, "polish": 0}
+    det_poly, roots, polish = matpoly.det_poly, np.roots, caratheodory._polish
 
     def counted_det(p, *args, **kwargs):
         seen["det_poly"].append(p)
@@ -219,10 +221,15 @@ def pole_work(monkeypatch):
         seen["roots"] += 1
         return roots(*args, **kwargs)
 
+    def counted_polish(*args, **kwargs):
+        seen["polish"] += 1
+        return polish(*args, **kwargs)
+
     for module in (matpoly, caratheodory, measure):
         if hasattr(module, "det_poly"):
             monkeypatch.setattr(module, "det_poly", counted_det)
     monkeypatch.setattr(np, "roots", counted_roots)
+    monkeypatch.setattr(caratheodory, "_polish", counted_polish)
     return seen
 
 
@@ -249,6 +256,7 @@ def test_verify_recovery_finds_poles_once(seq, pole_work):
     sm = run_pipeline(seq)
     assert dets_of_den(pole_work, sm) == 1
     assert pole_work["roots"] == 1
+    assert pole_work["polish"] == 1
 
 
 def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
@@ -257,6 +265,8 @@ def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
     sm = run_pipeline(ar1)
     assert dets_of_den(pole_work, sm) == 1
     assert pole_work["roots"] == 1
+    # atoms, the subtracted pole and every quadrature read one analysis
+    assert pole_work["polish"] == 1
     assert max(grid_sizes) <= 4096
 
 
