@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .central import GammaSeq, covariance_from_gamma
-from .errors import InvalidInputError, ModelError, NoLimitError
+from .errors import InvalidInputError, ModelError
 from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, spec_norm
 from .matpoly import MatPoly, det_poly, poly_eval
 from .toeplitz import (
@@ -45,8 +45,6 @@ from .toeplitz import (
     toeplitz_matrix,
 )
 
-# Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
-RADIAL_STEPS = 12
 # Zeros of det den closer than this merge into one location whose
 # multiplicity is the cluster size; wide enough to absorb the eps^(1/m)
 # companion scatter of an m-fold zero (about 1e-5 at m = 3) while staying far
@@ -255,30 +253,6 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
     return out
 
 
-def radial_atom_limit(cq: CaratheodoryQuotient, u: complex) -> np.ndarray:
-    """Point mass of the underlying measure at a unimodular point u.
-
-    Evaluates (1 - r)/2 * Phi(r u) along r = 1 - 2^{-k}, k = 1..RADIAL_STEPS,
-    and removes the linear and quadratic error terms by Richardson
-    extrapolation.  Returns (numerically) zero when u carries no atom.
-    """
-    if abs(abs(u) - 1.0) > 1e-8:
-        raise InvalidInputError(f"|u| = {abs(u)} is not on the unit circle")
-    u = complex(u) / abs(u)
-    eps = 0.5 ** np.arange(1, RADIAL_STEPS + 1)
-    pts = (1.0 - eps) * u
-    vals = rational_values(cq, pts) * (eps[:, None, None] / 2.0)
-    first = 2.0 * vals[1:] - vals[:-1]
-    second = (4.0 * first[1:] - first[:-1]) / 3.0
-    answer = second[-1]
-    spread = spec_norm(second[-1] - second[-2])
-    if spread > 1e-6 * (1.0 + max(spec_norm(answer), spec_norm(vals[-1]))):
-        raise NoLimitError(
-            f"radial limit at {u} did not stabilize (spread {spread:.3e})"
-        )
-    return answer
-
-
 def _clusters(zs) -> list[np.ndarray]:
     """Zeros sorted by angle and chained into clusters by gaps of at most
     CLUSTER_RADIUS (the last cluster wraps onto the first)."""
@@ -334,7 +308,8 @@ def _polish(den, dden, z, m):
     step is quadratically convergent at an m-fold zero.  A point stops after
     a step at roundoff level, where den(z) is exactly singular (it has
     converged), and where a step would leave the CLUSTER_RADIUS disk around
-    its start.  Each pass evaluates den and den' once for all points.
+    its start.  Each pass evaluates den and den' once for all points; the
+    passes end when no point is left moving.
     """
     z0 = np.asarray(z, dtype=complex)
     z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
@@ -345,6 +320,8 @@ def _polish(den, dden, z, m):
         live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)
         z = np.where(live, z - step, z)
         live &= np.abs(step) > 1e-15 * np.abs(z)
+        if not live.any():
+            break
     return z
 
 

@@ -25,12 +25,10 @@ from .central import (
     gamma_from_covariance,
 )
 from .errors import (
-    DegenerateZeroError,
     InvalidInputError,
     MatSpecError,
     ModelError,
     MultiplicityError,
-    NoLimitError,
 )
 from .measure import ar_spectrum, central_measure, verify_recovery
 from .serialize import (
@@ -46,7 +44,7 @@ from .toeplitz import Classification, _classification, _scan, toeplitz_matrix
 
 log = logging.getLogger("matspec")
 
-_MODEL_ERRORS = (ModelError, MultiplicityError, NoLimitError, DegenerateZeroError)
+_MODEL_ERRORS = (ModelError, MultiplicityError)
 
 
 class _Parser(argparse.ArgumentParser):

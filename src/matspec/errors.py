@@ -34,10 +34,3 @@ class MultiplicityError(MatSpecError):
         self.root = root
         self.multiplicity = multiplicity
 
-
-class DegenerateZeroError(MatSpecError):
-    """Every derivative of a polynomial is numerically zero at the point."""
-
-
-class NoLimitError(MatSpecError):
-    """A numeric limit did not stabilize across extrapolation steps."""

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, ModelError
 
-# Relative singular-value cutoff shared by pinv and numerical_rank.
+# Relative singular-value cutoff of pinv, the predictor solve and den's kernel.
 DEFAULT_RANK_RTOL = 1e-10
 # Default tolerance for nonnegativity / Hermitian-deviation checks.
 DEFAULT_PSD_TOL = 1e-9
@@ -73,30 +73,14 @@ def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T
 
 
-def _svd(m: np.ndarray, compute_uv: bool = True):
+def _svd(m: np.ndarray):
     """numpy SVD whose convergence failure surfaces as a ModelError."""
     try:
-        return np.linalg.svd(m, compute_uv=compute_uv)
+        return np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise ModelError(
             f"SVD of a {m.shape[0]}x{m.shape[1]} matrix did not converge"
         ) from exc
-
-
-def numerical_rank(a) -> int:
-    """Number of singular values above ``DEFAULT_RANK_RTOL * sigma_max``."""
-    s = _svd(as_cmatrix(a), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0]))
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Hermitian square root of a PSD matrix; tiny negative eigenvalues clip to 0."""
-    m = require_square(as_cmatrix(a))
-    w, v = np.linalg.eigh(re_mat(m))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def is_unitary(a) -> bool:

@@ -12,19 +12,15 @@ are formed: atom weights come from den's kernel vectors (`measure`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateZeroError, DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError
 
 # Relative threshold for dropping numerically-zero leading coefficients.
 TRIM_RTOL = 1e-12
 # Roots with | |v| - 1 | <= ROOT_TOL count as unimodular.
 DEFAULT_ROOT_TOL = 1e-7
-# Relative threshold deciding whether a derivative value is zero.
-DERIV_TOL = 1e-7
 
 
 def poly_trim(c) -> np.ndarray:
@@ -43,11 +39,6 @@ def poly_trim(c) -> np.ndarray:
 
 def poly_eval(c, z):
     return npoly.polyval(z, np.asarray(c, dtype=complex))
-
-
-def poly_derive(c, order: int = 1) -> np.ndarray:
-    d = npoly.polyder(np.asarray(c, dtype=complex), order)
-    return np.atleast_1d(d)
 
 
 class MatPoly:
@@ -126,35 +117,3 @@ def det_poly(p: MatPoly) -> np.ndarray:
     coeffs = np.fft.ifft(dets)[: target + 1]
     return poly_trim(coeffs)
 
-
-def pole_limit(g: MatPoly, h, w: complex, ell: int) -> np.ndarray:
-    """Exact limit of (z - w)^ell * g(z)/h(z) as z -> w.
-
-    ``h`` is a scalar polynomial with an m-fold zero at w (m = 0 allowed, the
-    removable case); a derivative of h counts as zero at w below DERIV_TOL
-    times its largest coefficient.  Requires ell <= m; the limit equals
-
-        m!/(m - ell)! * g^(m-ell)(w) / h^(m)(w),
-
-    finite whenever the quotient's pole order at w is at most ell.
-    """
-    if ell < 0:
-        raise InvalidInputError("ell must be nonnegative")
-    hc = poly_trim(h)
-    if hc.size == 1 and hc[0] == 0.0:
-        raise DegenerateZeroError("denominator is the zero polynomial")
-    for m in range(hc.size):
-        dk = poly_derive(hc, m) if m else hc
-        hm = poly_eval(dk, w)
-        if abs(hm) > DERIV_TOL * float(np.max(np.abs(dk))):
-            break
-    else:
-        raise DegenerateZeroError(
-            f"all derivatives of the denominator vanish at {w}"
-        )
-    if ell > m:
-        raise InvalidInputError(
-            f"requested power {ell} exceeds the zero multiplicity {m} at {w}"
-        )
-    scale = math.factorial(m) / math.factorial(m - ell)
-    return (scale / hm) * g.derivative(m - ell)(w)

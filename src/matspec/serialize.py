@@ -154,10 +154,18 @@ def doc_to_measure(doc) -> SpectralMeasure:
     atoms = tuple(
         _wire_to_atom(a, q, f"atom {k}") for k, a in enumerate(atoms_obj)
     )
-    quot = doc.get("quotient") or {}
+    quot = doc.get("quotient")
+    if quot is None:
+        quot = {}
+    if not isinstance(quot, dict):
+        raise InvalidInputError("quotient must be an object or null")
     a_coeffs = quot.get("a_coeffs", [])
     b_coeffs = quot.get("b_coeffs", [])
-    if a_coeffs and b_coeffs:
+    if not isinstance(a_coeffs, list) or not isinstance(b_coeffs, list):
+        raise InvalidInputError("quotient a_coeffs and b_coeffs must be lists")
+    if bool(a_coeffs) != bool(b_coeffs):
+        raise InvalidInputError("quotient needs both a_coeffs and b_coeffs or neither")
+    if a_coeffs:
         num = MatPoly(
             [wire_to_mat(c, q, f"a_coeffs[{k}]") for k, c in enumerate(a_coeffs)]
         )

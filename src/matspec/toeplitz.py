@@ -9,7 +9,7 @@ positive definite.
 
 Given a TND prefix C_0..C_n, the admissible next coefficients form a matrix
 ball { M + sqrt(L) K sqrt(R) : ||K|| <= 1 } whose parameters are rational in
-the data; `ball_params` computes them and `ball_membership` tests a candidate.
+the data; `ball_params` computes them.
 
 `toeplitz_matrix` is the only code that lays out the blocks C_{j-k}.  Each
 entry point builds T_n once; the private helpers take it and read slices:
@@ -29,9 +29,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     as_cmatrix,
     is_unitary,
-    numerical_rank,
     pinv,
-    psd_sqrt,
     re_mat,
     spec_norm,
 )
@@ -249,43 +247,6 @@ def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> H
                 f"central extension not nonnegative Hermitian at T_{bad}", index=bad
             )
     return out
-
-
-def ball_membership(ball: MatrixBall, x) -> bool:
-    """Whether x lies in the ball, i.e. x = center + sqrt(left) K sqrt(right)
-    for some contraction K.
-
-    Equivalent to the three conditions: the candidate contraction
-    sqrt(left)' (x - center) sqrt(right)' has norm <= 1, and x - center is
-    range-compatible with left (row space) and right (column space), each
-    within DEFAULT_PSD_TOL.
-    """
-    m = as_cmatrix(ball.center)
-    x = as_cmatrix(x)
-    if x.shape != m.shape:
-        raise DimensionError(f"candidate shape {x.shape} != center shape {m.shape}")
-    d = x - m
-    scale = 1.0 + spec_norm(d)
-    sl = psd_sqrt(ball.left)
-    sr = psd_sqrt(ball.right)
-    k = pinv(sl) @ d @ pinv(sr)
-    if spec_norm(k) > 1.0 + DEFAULT_PSD_TOL:
-        return False
-    lproj = ball.left @ pinv(ball.left)
-    if spec_norm(lproj @ d - d) > DEFAULT_PSD_TOL * scale:
-        return False
-    rproj = pinv(ball.right) @ ball.right
-    if spec_norm(d @ rproj - d) > DEFAULT_PSD_TOL * scale:
-        return False
-    return True
-
-
-def rank_drop(seq: HermSeq, n: int) -> bool:
-    """True iff rank T_n == rank T_{n-1} (the extension freezes)."""
-    if not 1 <= n < len(seq):
-        raise IndexError(f"order {n} outside stored range 1..{len(seq) - 1}")
-    t, q = toeplitz_matrix(seq, n), seq.q
-    return numerical_rank(t) == numerical_rank(t[:-q, :-q])
 
 
 def conjugate_by_unitary(seq: HermSeq, u) -> HermSeq:

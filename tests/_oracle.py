@@ -1,17 +1,48 @@
 """Reference implementations for the tests.
 
-The library takes atom weights from den's kernel vectors; the
-determinant/adjugate helpers compute the same residues by the independent
-scalar-determinant route, lim (z - v) num(z) adj(den(z)) / det den(z), so
-tests can compare the two.  `toeplitz_blocks` places the blocks of T_n one by
-one, the definition `toeplitz_matrix` must reproduce.
+The library takes atom weights from den's kernel vectors.  Two independent
+routes compute the same point masses so tests can compare them: the
+scalar-determinant route, `pole_limit` of num(z) adj(den(z)) / det den(z)
+with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
+(1 - r)/2 Phi(r u) as r -> 1.  `toeplitz_blocks` places the blocks of T_n one
+by one, the definition `toeplitz_matrix` must reproduce.  `ball_membership`,
+`rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
+profiles by their definitions.
 """
 
-import numpy as np
+from __future__ import annotations
 
-from matspec.errors import DimensionError
-from matspec.linalg import as_cmatrix, require_square
-from matspec.matpoly import MatPoly, _pow2_nodes
+import math
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from matspec.caratheodory import CaratheodoryQuotient, rational_values
+from matspec.errors import DimensionError, InvalidInputError, MatSpecError
+from matspec.linalg import (
+    DEFAULT_PSD_TOL,
+    DEFAULT_RANK_RTOL,
+    as_cmatrix,
+    pinv,
+    re_mat,
+    require_square,
+    spec_norm,
+)
+from matspec.matpoly import MatPoly, _pow2_nodes, poly_eval, poly_trim
+from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
+
+# Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
+RADIAL_STEPS = 12
+# Relative threshold deciding whether a derivative value is zero.
+DERIV_TOL = 1e-7
+
+
+class DegenerateZeroError(MatSpecError):
+    """Every derivative of a polynomial is numerically zero at the point."""
+
+
+class NoLimitError(MatSpecError):
+    """A numeric limit did not stabilize across extrapolation steps."""
 
 
 def toeplitz_blocks(seq, n: int) -> np.ndarray:
@@ -75,3 +106,118 @@ def matpoly_mul(a: MatPoly, b: MatPoly) -> MatPoly:
     vals = a(nodes) @ b(nodes)
     coeffs = np.fft.ifft(vals, axis=0)[: target + 1]
     return MatPoly(coeffs)
+
+
+def poly_derive(c, order: int = 1) -> np.ndarray:
+    d = npoly.polyder(np.asarray(c, dtype=complex), order)
+    return np.atleast_1d(d)
+
+
+def pole_limit(g: MatPoly, h, w: complex, ell: int) -> np.ndarray:
+    """Exact limit of (z - w)^ell * g(z)/h(z) as z -> w.
+
+    ``h`` is a scalar polynomial with an m-fold zero at w (m = 0 allowed, the
+    removable case); a derivative of h counts as zero at w below DERIV_TOL
+    times its largest coefficient.  Requires ell <= m; the limit equals
+
+        m!/(m - ell)! * g^(m-ell)(w) / h^(m)(w),
+
+    finite whenever the quotient's pole order at w is at most ell.
+    """
+    if ell < 0:
+        raise InvalidInputError("ell must be nonnegative")
+    hc = poly_trim(h)
+    if hc.size == 1 and hc[0] == 0.0:
+        raise DegenerateZeroError("denominator is the zero polynomial")
+    for m in range(hc.size):
+        dk = poly_derive(hc, m) if m else hc
+        hm = poly_eval(dk, w)
+        if abs(hm) > DERIV_TOL * float(np.max(np.abs(dk))):
+            break
+    else:
+        raise DegenerateZeroError(
+            f"all derivatives of the denominator vanish at {w}"
+        )
+    if ell > m:
+        raise InvalidInputError(
+            f"requested power {ell} exceeds the zero multiplicity {m} at {w}"
+        )
+    scale = math.factorial(m) / math.factorial(m - ell)
+    return (scale / hm) * g.derivative(m - ell)(w)
+
+
+def radial_atom_limit(cq: CaratheodoryQuotient, u: complex) -> np.ndarray:
+    """Point mass of the underlying measure at a unimodular point u.
+
+    Evaluates (1 - r)/2 * Phi(r u) along r = 1 - 2^{-k}, k = 1..RADIAL_STEPS,
+    and removes the linear and quadratic error terms by Richardson
+    extrapolation.  Returns (numerically) zero when u carries no atom.
+    """
+    if abs(abs(u) - 1.0) > 1e-8:
+        raise InvalidInputError(f"|u| = {abs(u)} is not on the unit circle")
+    u = complex(u) / abs(u)
+    eps = 0.5 ** np.arange(1, RADIAL_STEPS + 1)
+    pts = (1.0 - eps) * u
+    vals = rational_values(cq, pts) * (eps[:, None, None] / 2.0)
+    first = 2.0 * vals[1:] - vals[:-1]
+    second = (4.0 * first[1:] - first[:-1]) / 3.0
+    answer = second[-1]
+    spread = spec_norm(second[-1] - second[-2])
+    if spread > 1e-6 * (1.0 + max(spec_norm(answer), spec_norm(vals[-1]))):
+        raise NoLimitError(
+            f"radial limit at {u} did not stabilize (spread {spread:.3e})"
+        )
+    return answer
+
+
+def numerical_rank(a) -> int:
+    """Number of singular values above ``DEFAULT_RANK_RTOL * sigma_max``."""
+    s = np.linalg.svd(as_cmatrix(a), compute_uv=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0]))
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Hermitian square root of a PSD matrix; tiny negative eigenvalues clip to 0."""
+    m = require_square(as_cmatrix(a))
+    w, v = np.linalg.eigh(re_mat(m))
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def ball_membership(ball: MatrixBall, x) -> bool:
+    """Whether x lies in the ball, i.e. x = center + sqrt(left) K sqrt(right)
+    for some contraction K.
+
+    Equivalent to the three conditions: the candidate contraction
+    sqrt(left)' (x - center) sqrt(right)' has norm <= 1, and x - center is
+    range-compatible with left (row space) and right (column space), each
+    within DEFAULT_PSD_TOL.
+    """
+    m = as_cmatrix(ball.center)
+    x = as_cmatrix(x)
+    if x.shape != m.shape:
+        raise DimensionError(f"candidate shape {x.shape} != center shape {m.shape}")
+    d = x - m
+    scale = 1.0 + spec_norm(d)
+    sl = psd_sqrt(ball.left)
+    sr = psd_sqrt(ball.right)
+    k = pinv(sl) @ d @ pinv(sr)
+    if spec_norm(k) > 1.0 + DEFAULT_PSD_TOL:
+        return False
+    lproj = ball.left @ pinv(ball.left)
+    if spec_norm(lproj @ d - d) > DEFAULT_PSD_TOL * scale:
+        return False
+    rproj = pinv(ball.right) @ ball.right
+    if spec_norm(d @ rproj - d) > DEFAULT_PSD_TOL * scale:
+        return False
+    return True
+
+
+def rank_drop(seq: HermSeq, n: int) -> bool:
+    """True iff rank T_n == rank T_{n-1} (the extension freezes)."""
+    if not 1 <= n < len(seq):
+        raise IndexError(f"order {n} outside stored range 1..{len(seq) - 1}")
+    t, q = toeplitz_matrix(seq, n), seq.q
+    return numerical_rank(t) == numerical_rank(t[:-q, :-q])

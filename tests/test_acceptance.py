@@ -21,8 +21,6 @@ from matspec import (
     gamma_from_covariance,
     pd_polynomials,
     phi_at,
-    pole_limit,
-    radial_atom_limit,
     spec_norm,
 )
 
@@ -36,6 +34,7 @@ from _gen import (
     random_unitary,
     trig_coeffs,
 )
+from _oracle import pole_limit, radial_atom_limit
 
 TWO_PI = 2.0 * np.pi
 

@@ -19,7 +19,7 @@ from matspec import (
 )
 from matspec.errors import InvalidInputError, ModelError
 from matspec.linalg import DEFAULT_RANK_RTOL
-from matspec.toeplitz import _predictor, rank_drop
+from matspec.toeplitz import _predictor
 
 from _gen import (
     atomic_coeffs,
@@ -29,6 +29,7 @@ from _gen import (
     random_unitary,
     var1_coeffs,
 )
+from _oracle import rank_drop
 
 RNG = np.random.default_rng(23)
 

@@ -3,17 +3,10 @@ import pytest
 
 from matspec import spec_norm
 from matspec.errors import DimensionError, InvalidInputError
-from matspec.linalg import (
-    as_cmatrix,
-    is_unitary,
-    numerical_rank,
-    pinv,
-    psd_sqrt,
-    re_mat,
-)
+from matspec.linalg import as_cmatrix, is_unitary, pinv, re_mat
 
 from _gen import random_psd, random_unitary
-from _oracle import adjugate
+from _oracle import adjugate, numerical_rank, psd_sqrt
 
 RNG = np.random.default_rng(7)
 

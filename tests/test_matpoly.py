@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from matspec import MatPoly, det_poly, pole_limit
-from matspec.errors import DegenerateZeroError, InvalidInputError
+from matspec import MatPoly, det_poly
+from matspec.errors import InvalidInputError
 
-from _oracle import adjugate, adjugate_poly, matpoly_mul
+from _oracle import DegenerateZeroError, adjugate, adjugate_poly, matpoly_mul, pole_limit
 
 RNG = np.random.default_rng(31)
 

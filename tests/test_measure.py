@@ -23,8 +23,6 @@ from matspec import (
     herglotz_transform,
     pd_density,
     phi_at,
-    pole_limit,
-    radial_atom_limit,
     rational_values,
     spec_norm,
     verify_recovery,
@@ -44,7 +42,7 @@ from _gen import (
     trig_coeffs,
     var1_coeffs,
 )
-from _oracle import adjugate_poly, matpoly_mul
+from _oracle import adjugate_poly, matpoly_mul, pole_limit, radial_atom_limit
 
 RNG = np.random.default_rng(53)
 TWO_PI = 2.0 * np.pi

@@ -1,5 +1,6 @@
-"""Property tests: `toeplitz_matrix` against the per-block definition, and
-covariance of the central quotient under unitary conjugation and scaling.
+"""Property tests: `toeplitz_matrix` against the per-block definition,
+covariance of the central quotient under unitary conjugation and scaling, and
+of the central measure under rotation of the circle.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same examples."""
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from matspec import (
     HermSeq,
+    central_measure,
     central_quotient,
     gamma_from_covariance,
     spec_norm,
@@ -83,3 +85,28 @@ def test_quotient_scales_num_and_keeps_den(case, k):
     tol = 1e-10 * (1.0 + spec_norm(coeffs[0]))
     assert gap(num_s / s, num) <= tol
     assert gap(den_s, den) <= tol
+
+
+@DETERMINISTIC
+@given(quotient_inputs(), st.floats(-np.pi, np.pi))
+def test_measure_rotates_with_the_circle(case, theta):
+    # C_j e^{-ij theta} are the coefficients of the measure moved by e^{i theta}
+    coeffs, _ = case
+    turn = np.exp(1j * theta)
+    sm = central_measure(HermSeq(coeffs))
+    sm_r = central_measure(HermSeq([c * turn ** -j for j, c in enumerate(coeffs)]))
+    tol = 1e-10 * (1.0 + spec_norm(coeffs[0]))
+    assert len(sm_r.atoms) == len(sm.atoms)
+    points_r = np.array([a.point for a in sm_r.atoms])
+    for atom in sm.atoms:
+        k = int(np.argmin(np.abs(points_r - atom.point * turn)))
+        assert abs(points_r[k] - atom.point * turn) <= tol
+        assert spec_norm(sm_r.atoms[k].weight - atom.weight) <= tol
+    # the density at distance d from an atom carries about
+    # 3e-16 (1 + ||C_0||) / d^2 of roundoff; compare it where d >= 1e-2
+    angles = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+    if sm.atoms:
+        points = np.array([a.point for a in sm.atoms])
+        dist = np.abs(np.exp(1j * angles)[:, None] - points[None, :]).min(axis=1)
+        angles = angles[dist >= 1e-2]
+    assert gap(sm_r.density_grid(angles + theta), sm.density_grid(angles)) <= tol

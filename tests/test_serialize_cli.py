@@ -103,6 +103,32 @@ class TestMeasureDocs:
         assert doc["report"]["passed"] is True
         assert len(doc["density_samples"]) == 16
 
+    @pytest.mark.parametrize(
+        "quotient",
+        [
+            [1],
+            {"a_coeffs": 5, "b_coeffs": [[[[1.0, 0.0]]]]},
+            {"a_coeffs": [[[[1.0, 0.0]]]], "b_coeffs": 7},
+            {"a_coeffs": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]},
+        ],
+        ids=["list", "a_not_list", "b_not_list", "b_missing"],
+    )
+    def test_malformed_quotient_rejected(self, tmp_path, capsys, quotient):
+        doc = {"q": 1, "atoms": [], "quotient": quotient}
+        with pytest.raises(InvalidInputError, match="quotient"):
+            doc_to_measure(doc)
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 0.5))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        assert capsys.readouterr().err.startswith("matspec: quotient")
+
+    def test_absent_quotient_reads_as_atoms_only(self):
+        for quotient in (None, {}, {"a_coeffs": [], "b_coeffs": []}):
+            sm = doc_to_measure({"q": 1, "quotient": quotient})
+            assert sm.quotient is None and sm.provenance is Provenance.ATOMS_ONLY
+
     def test_unknown_provenance_rejected(self):
         # "pd-path" named a second route to the same measure, now removed
         doc = measure_to_doc(central_measure(scalar_seq(1.0)))

@@ -13,8 +13,8 @@ from matspec import (
     toeplitz_matrix,
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.linalg import DEFAULT_RANK_RTOL, psd_sqrt
-from matspec.toeplitz import _predictor, ball_membership, rank_drop
+from matspec.linalg import DEFAULT_RANK_RTOL
+from matspec.toeplitz import _predictor
 
 from _gen import (
     atomic_coeffs,
@@ -23,6 +23,7 @@ from _gen import (
     random_tpd_seq,
     random_unitary,
 )
+from _oracle import ball_membership, psd_sqrt, rank_drop
 
 RNG = np.random.default_rng(11)
 # parametrised inputs draw from their own stream, leaving RNG untouched

@@ -43,7 +43,7 @@ from matspec import (
 )
 from matspec.cli import main
 from matspec.linalg import DEFAULT_RANK_RTOL
-from matspec.toeplitz import _predictor, rank_drop
+from matspec.toeplitz import _predictor
 
 from _gen import atomic_coeffs, random_tpd_seq
 
@@ -123,7 +123,6 @@ def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
         "ball_params": lambda: ball_params(seq, N),
         "pd_polynomials": lambda: pd_polynomials(seq),
         "pd_density": lambda: pd_density(seq, 1.0),
-        "rank_drop": lambda: rank_drop(seq, N),
     }
     counts = {}
     for name, call in calls.items():
@@ -141,7 +140,6 @@ def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
         "ball_params": 1,
         "pd_polynomials": 1,
         "pd_density": 1,
-        "rank_drop": 1,
     }
 
 
@@ -259,10 +257,12 @@ def test_verify_recovery_finds_poles_once(seq, pole_work):
     assert pole_work["polish"] == 1
 
 
+# AR(1) with rho = 1 - 1e-4: a simple zero of det den 1e-4 outside the circle
+AR1 = HermSeq([np.array([[(1.0 - 1e-4) ** j]], dtype=complex) for j in range(4)])
+
+
 def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
-    rho = 1.0 - 1e-4
-    ar1 = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(4)])
-    sm = run_pipeline(ar1)
+    sm = run_pipeline(AR1)
     assert dets_of_den(pole_work, sm) == 1
     assert pole_work["roots"] == 1
     # atoms, the subtracted pole and every quadrature read one analysis
@@ -275,22 +275,48 @@ def atomic_quotient(n_atoms):
     return central_quotient(gamma_from_covariance(HermSeq(coeffs)))
 
 
-def test_atom_weights_do_not_loop_over_atoms(monkeypatch):
-    evals = []
-    call = MatPoly.__call__
+@pytest.fixture
+def evals(monkeypatch):
+    """MatPoly evaluations outside `_polish`, and Newton passes inside it
+    (each pass evaluates den once, at every point)."""
+    seen = {"outside": 0, "passes": 0}
+    dens = []
+    call, polish = MatPoly.__call__, caratheodory._polish
 
     def counted(self, z):
-        evals.append(z)
+        if not dens:
+            seen["outside"] += 1
+        elif self is dens[-1]:
+            seen["passes"] += 1
         return call(self, z)
 
-    quotients = {n_atoms: atomic_quotient(n_atoms) for n_atoms in (2, 8)}
+    def counted_polish(den, *args):
+        dens.append(den)
+        try:
+            return polish(den, *args)
+        finally:
+            dens.pop()
+
     monkeypatch.setattr(MatPoly, "__call__", counted)
-    counts = {}
+    monkeypatch.setattr(caratheodory, "_polish", counted_polish)
+    return seen
+
+
+def test_atom_weights_do_not_loop_over_atoms(evals):
+    quotients = {n_atoms: atomic_quotient(n_atoms) for n_atoms in (2, 8)}
+    outside, passes = {}, {}
     for n_atoms, cq in quotients.items():
-        evals.clear()
+        evals.update(outside=0, passes=0)
         assert len(compute_atoms(cq)) == n_atoms
-        counts[n_atoms] = len(evals)
-    assert counts[2] == counts[8]
+        outside[n_atoms], passes[n_atoms] = evals["outside"], evals["passes"]
+    # den, den' and num once each at all the polished points, and num(0)
+    assert outside[2] == outside[8]
+    assert all(1 <= p <= 8 for p in passes.values())
+
+
+def test_polish_stops_once_every_point_has_converged(evals):
+    central_measure(AR1)
+    assert 1 <= evals["passes"] <= 2
 
 
 def test_atoms_skip_the_scalar_determinant_route():
@@ -299,6 +325,7 @@ def test_atoms_skip_the_scalar_determinant_route():
     modules = [importlib.import_module(f"matspec.{m.name}")
                for m in pkgutil.iter_modules(matspec.__path__)]
     assert measure in modules and matpoly in modules
-    for name in ("unimodular_roots", "adjugate_poly", "matpoly_mul"):
+    for name in ("unimodular_roots", "adjugate_poly", "matpoly_mul",
+                 "pole_limit", "radial_atom_limit"):
         assert [m.__name__ for m in modules if hasattr(m, name)] == []
     assert len(compute_atoms(atomic_quotient(8))) == 8
