@@ -70,8 +70,10 @@ def central_extend(
 
     The chain of centers is the recursion C_k = sum_{m=1..n} C_{k-m} w_m with
     w = T_{n-1}' Y_n from one pseudoinverse, at cost O((nq)^3 + L n q^3) for
-    L = ``target_len`` before the result scan.  The result is again TND, and
-    is checked to be: the input and the result are each scanned once.
+    L = ``target_len``.  The result is again TND, and is checked to be: the
+    input and the result are each scanned once, by one eigvalsh of re T_n
+    and of re T_{L-1} (per-prefix only below -tol (1 + ||C_0||)), so the
+    whole call costs O((Lq)^3).
     Continuing a continuation agrees with continuing the original in one
     step.  A `GammaSeq` argument is converted to its covariance sequence,
     continued there, and converted back.

@@ -15,6 +15,11 @@ the data; `ball_params` computes them.
 entry point builds T_n once; the private helpers take it and read slices:
 T_k = T_n[:(k+1)q, :(k+1)q], Y_n = [C_1; ...; C_n] = T_n[q:, :q] and
 Z_n = [C_n, ..., C_1] = T_n[-q:, :-q].
+
+Nonnegativity of T_0..T_n is decided by one `eigvalsh` of re T_n, at cost
+O((nq)^3); the prefixes are scanned one by one only when its smallest
+eigenvalue lies below -tol (1 + ||C_0||), to name the first bad T_k (see
+`_scan`).
 """
 
 from __future__ import annotations
@@ -121,7 +126,8 @@ def toeplitz_matrix(seq: MatrixSeq, n: int) -> np.ndarray:
 
 
 def _scan(t: np.ndarray, q: int, tol: float) -> tuple[int | None, float]:
-    """One pass over the leading blocks T_0..T_n of the block Toeplitz T_n.
+    """Nonnegativity of the leading blocks T_0..T_n of the block Toeplitz T_n,
+    from one eigvalsh of re T_n; per-prefix only below -tol (1 + ||C_0||).
 
     Returns the first k with T_k not nonnegative Hermitian (None when the
     sequence is TND) and the smallest margin lambda_min(re T_k) / (1 + ||T_k||)
@@ -129,18 +135,44 @@ def _scan(t: np.ndarray, q: int, tol: float) -> tuple[int | None, float]:
     C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity is decided on C_0 alone,
     and a C_0 that fails it gives (0, -inf); ||T_k|| is read off the same
     eigenvalues as lambda_min.
+
+    Each T_k is a leading principal submatrix of T_n, so by Cauchy
+    interlacing lambda_min(T_k) >= lambda_min(T_n) and
+    ||C_0|| <= ||T_k|| <= ||T_n||.  When lambda_min(re T_n) >= -tol (1 + ||C_0||)
+    no prefix fails, and when lambda_min >= 0 the smallest margin is T_n's;
+    in the band between, only the reported negative margin may differ from
+    the per-prefix minimum (it is T_n's).  The bound takes ||C_0|| for
+    ||re C_0||; once C_0 passes the Hermiticity test the two differ by at
+    most tol (1 + ||C_0||) / 2, which moves the bound by far less than
+    eigvalsh's roundoff.  Below the band the per-prefix loop finds the exact
+    first bad index, reusing T_n's eigenvalues for the last step.  Cost
+    O((nq)^3) on passing input, O(n^4 q^3) below the band.
     """
     c0 = t[:q, :q]
-    if spec_norm(c0 - c0.conj().T) > tol * (1.0 + spec_norm(c0)):
+    c0_norm = spec_norm(c0)
+    if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):
         return 0, -np.inf
     t = re_mat(t)
-    margin = np.inf
-    for k in range(len(t) // q):
-        w = np.linalg.eigvalsh(t[: (k + 1) * q, : (k + 1) * q])
+    n = len(t) // q - 1
+    w_n = np.linalg.eigvalsh(t)
+    bound = -tol * (1.0 + c0_norm)
+    if w_n[0] >= bound:
+        return None, float(w_n[0]) / (1.0 + max(-w_n[0], w_n[-1]))
+    margin, bad = np.inf, None
+    for k in range(n + 1):
+        w = w_n if k == n else np.linalg.eigvalsh(t[: (k + 1) * q, : (k + 1) * q])
         margin = min(margin, float(w[0]) / (1.0 + max(-w[0], w[-1])))
         if margin < -tol:
-            return k, margin
-    return None, margin
+            bad = k
+            break
+    # imported here, so that `import matspec` does not load logging (~5 ms)
+    import logging
+
+    logging.getLogger("matspec").debug(
+        "prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, first bad T_%s",
+        n, w_n[0], bound, bad,
+    )
+    return bad, margin
 
 
 def _classification(bad: int | None, margin: float, tol: float) -> Classification:

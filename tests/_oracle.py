@@ -5,7 +5,9 @@ routes compute the same point masses so tests can compare them: the
 scalar-determinant route, `pole_limit` of num(z) adj(den(z)) / det den(z)
 with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
 (1 - r)/2 Phi(r u) as r -> 1.  `toeplitz_blocks` places the blocks of T_n one
-by one, the definition `toeplitz_matrix` must reproduce.  `ball_membership`,
+by one, the definition `toeplitz_matrix` must reproduce, and `prefix_scan`
+checks T_0, T_1, ... one eigvalsh at a time, the definition that
+`toeplitz._scan` shortcuts by Cauchy interlacing.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
 profiles by their definitions.
 """
@@ -53,6 +55,22 @@ def toeplitz_blocks(seq, n: int) -> np.ndarray:
         for k in range(n + 1):
             t[j * q : (j + 1) * q, k * q : (k + 1) * q] = seq.coeff(j - k)
     return t
+
+
+def prefix_scan(seq, tol: float = DEFAULT_PSD_TOL) -> tuple[int | None, float]:
+    """First k with T_k not nonnegative Hermitian (None when TND) and the
+    smallest margin lambda_min(re T_k) / (1 + ||T_k||) over T_0..T_k; -inf
+    when T_k fails the Hermiticity test ||T_k - T_k*|| <= tol (1 + ||T_k||)."""
+    margin = math.inf
+    for k in range(len(seq)):
+        t = toeplitz_blocks(seq, k)
+        if spec_norm(t - t.conj().T) > tol * (1.0 + spec_norm(t)):
+            return k, -math.inf
+        w = np.linalg.eigvalsh(re_mat(t))
+        margin = min(margin, float(w[0]) / (1.0 + max(-w[0], w[-1])))
+        if margin < -tol:
+            return k, margin
+    return None, margin
 
 
 def adjugate(a) -> np.ndarray:

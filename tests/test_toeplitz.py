@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,25 @@ class TestFirstViolationClassify:
 
         seq = HermSeq(coeffs)
         assert first_violation(seq) == oracle(seq)
+
+    def test_only_the_per_prefix_fallback_logs(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="matspec")
+        c = list(random_tpd_seq(np.random.default_rng(7), 2, 2).coeffs)
+        assert first_violation(HermSeq(c)) is None
+        # lambda_min(T_1) = -1e-9 is within the interlacing bound -2e-9
+        assert first_violation(HermSeq([np.eye(1), (1.0 + 1e-9) * np.eye(1)])) is None
+        assert caplog.records == []
+        c[2] = 50.0 * c[2]
+        seq = HermSeq(c)
+        assert first_violation(seq) == 2
+        lam = np.linalg.eigvalsh(toeplitz_matrix(seq, 2))[0]
+        bound = -1e-9 * (1.0 + np.linalg.norm(c[0], 2))
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("matspec", logging.DEBUG)
+        assert record.getMessage() == (
+            f"prefix scan fallback: lambda_min(re T_2) = {lam:.3e} "
+            f"below {bound:.3e}, first bad T_2"
+        )
 
 
 class TestBallParams:

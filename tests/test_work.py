@@ -1,12 +1,14 @@
 """Work counts of the prefix scan, the central predictor, the atoms and the
-recovery quadrature: each public entry point checks every prefix Toeplitz
-matrix once, with one eigvalsh per prefix and no SVD norm of a prefix
-matrix, solves for the central predictor with one pseudoinverse, det den,
-its zeros and their near-circle clusters are found and polished once per
-quotient, the atom weights take a fixed number of evaluations of den and
-num however many atoms there are, and the recovery errors of all orders and
-each comparison of the positive-definite cross-check, the autoregressive
-check and `central_order` take one stacked norm."""
+recovery quadrature: each public entry point decides nonnegativity of every
+prefix Toeplitz matrix with one eigvalsh of the largest (the per-prefix
+loop runs only on failing input) and no SVD norm of a prefix matrix, so the
+scan's work grows as n^3, solves for the central predictor with one
+pseudoinverse, det den, its zeros and their near-circle clusters are found
+and polished once per quotient, the atom weights take a fixed number of
+evaluations of den and num however many atoms there are, and the recovery
+errors of all orders and each comparison of the positive-definite
+cross-check, the autoregressive check and `central_order` take one stacked
+norm."""
 
 import importlib
 import json
@@ -30,8 +32,10 @@ from matspec import (
     central_measure,
     central_order,
     central_quotient,
+    classify,
     compute_atoms,
     dumps,
+    first_violation,
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
@@ -77,16 +81,48 @@ def prefix_sized(shapes):
 
 def test_central_measure_scans_once(seq, calls):
     central_measure(seq)
-    assert len(calls["eigvalsh"]) == N + 1
-    assert sorted(calls["eigvalsh"]) == [((k + 1) * Q,) * 2 for k in range(N + 1)]
+    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2]
     assert prefix_sized(calls["norm"]) == []
 
 
 def test_central_extend_scans_input_and_result_once(seq, calls):
     ext = central_extend(seq, 2 * (N + 1))
     assert len(ext) == 2 * (N + 1)
-    assert len(calls["eigvalsh"]) <= (N + 1) + 2 * (N + 1)
+    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2, (2 * (N + 1) * Q,) * 2]
     assert prefix_sized(calls["norm"]) == []
+
+
+def scan_work(shapes):
+    return sum(s[0] ** 3 for s in prefix_sized(shapes))
+
+
+def test_scan_work_grows_as_n_cubed(calls):
+    # sum of dim^3 over the scan's eigvalsh calls as n doubles: one
+    # eigvalsh of T_n gives about 2^3, one per prefix gave 2^3.75 here
+    work = {}
+    for n in (16, 32):
+        tpd = random_tpd_seq(np.random.default_rng(5), Q, n)
+        calls["eigvalsh"].clear()
+        central_measure(tpd)
+        work[n] = scan_work(calls["eigvalsh"])
+    assert np.log2(work[32] / work[16]) <= 3.1
+
+
+def test_each_entry_point_scans_with_one_eigvalsh(seq, calls):
+    # a passing input never reaches the per-prefix loop; central_measure,
+    # central_extend, ar_spectrum, central_order and matspec check have
+    # their own tests
+    entry_points = {
+        "central_quotient": lambda: central_quotient(gamma_from_covariance(seq)),
+        "ball_params": lambda: ball_params(seq, N),
+        "classify": lambda: classify(seq),
+        "first_violation": lambda: first_violation(seq),
+        "pd_polynomials": lambda: pd_polynomials(seq),
+    }
+    for name, call in entry_points.items():
+        calls["eigvalsh"].clear()
+        call()
+        assert calls["eigvalsh"] == [((N + 1) * Q,) * 2], name
 
 
 def test_central_extend_solves_predictor_once(seq, calls):
@@ -155,7 +191,9 @@ def test_check_scans_once(tmp_path, calls, capsys, last):
     code = main(["check", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert (code, out["first_failure"]) == ((0, None) if last == "kept" else (2, 2))
-    assert len(calls["eigvalsh"]) == 3
+    # inflated: T_2 fails the one full-matrix eigvalsh, then the per-prefix
+    # loop checks T_0 and T_1 and reuses T_2's eigenvalues
+    assert len(calls["eigvalsh"]) == (1 if last == "kept" else 3)
 
 
 def test_verify_recovery_stacks_the_order_errors(seq, calls):
@@ -189,16 +227,13 @@ def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
     order = 8
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, order)
-    assert sorted(calls["eigvalsh"]) == sorted(
-        [((k + 1) * Q,) * 2 for k in range(order + 1)]
-        + [((k + 1) * Q,) * 2 for k in range(N + 1)]
-    )
+    assert sorted(calls["eigvalsh"]) == [((order + 1) * Q,) * 2, ((N + 1) * Q,) * 2]
     assert len(prefix_sized(calls["svd"])) == 1
 
 
 def test_central_order_scans_once(seq, calls):
     central_order(seq)
-    assert len(calls["eigvalsh"]) <= N + 1
+    assert calls["eigvalsh"] == [(N * Q,) * 2]
     assert prefix_sized(calls["norm"]) == []
     # one pseudoinverse per ball centre T_0'..T_{n-2}', nothing else
     assert len(prefix_sized(calls["svd"])) <= N - 1
