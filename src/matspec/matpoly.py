@@ -71,9 +71,13 @@ class MatPoly:
     def __call__(self, z):
         """Horner evaluation; scalar z gives (q, q), array z gives (..., q, q)."""
         zs = np.asarray(z, dtype=complex)
+        zz = zs[..., None, None]
         out = np.broadcast_to(self.coeffs[-1], zs.shape + (self.q, self.q)).copy()
         for k in range(self.degree - 1, -1, -1):
-            out = out * zs[..., None, None] + self.coeffs[k]
+            # one temporary per step; an in-place multiply can change the
+            # last bit on one-element arrays
+            out = out * zz
+            out += self.coeffs[k]
         return out
 
     def derivative(self, order: int = 1) -> "MatPoly":

@@ -437,25 +437,21 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     return base
 
 
-_PHASE_BLOCK = 1024
-
-
 def _fourier_many(
     sm: SpectralMeasure, sing: _SingularPart, js, nodes: int
 ) -> np.ndarray:
-    """Coefficients of the orders js: a (J, N) phase matrix times the
-    (N, q^2) smooth density, plus the pole parts and atoms in closed form.
-    The product runs over blocks of _PHASE_BLOCK nodes, so at most a
-    (J, _PHASE_BLOCK) slice of the phases exists at once, however fine the
-    grid."""
+    """Coefficients of the orders js: one FFT of the (N, q^2) smooth density
+    along the node axis, plus the pole parts and atoms in closed form.
+
+    The grid theta_k = theta_0 + 2 pi k / N is uniform, so the trapezoid sum
+    of order j is (2 pi / N) e^{-i j theta_0} FFT(dens)[j mod N] for any
+    integer j, negative or >= N.  The FFT overwrites the density array.
+    """
     ang = _quadrature_angles(nodes, sm.atom_points())
     dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
     js = np.asarray(js, dtype=int)
-    coeffs = np.zeros((js.size, dens.shape[1]), dtype=complex)
-    for start in range(0, nodes, _PHASE_BLOCK):
-        phases = np.outer(js, -1j * ang[start : start + _PHASE_BLOCK])
-        coeffs += np.exp(phases, out=phases) @ dens[start : start + _PHASE_BLOCK]
-    coeffs *= TWO_PI / nodes
+    spec = np.fft.fft(dens, axis=0, out=dens)
+    coeffs = spec[js % nodes] * ((TWO_PI / nodes) * np.exp(-1j * ang[0] * js))[:, None]
     if sm.atoms:
         weights = np.array([a.weight for a in sm.atoms]).reshape(len(sm.atoms), -1)
         coeffs = coeffs + (sm.atom_points()[None, :] ** -js[:, None]) @ weights
@@ -534,7 +530,8 @@ def verify_recovery(
 
     Point masses and the pole parts at zeros of det den within 0.04 outside
     the circle enter in closed form; the smooth rest of the density goes
-    through the trapezoid rule.  By default the grid has 1024 nodes or more
+    through the trapezoid rule, every order C_0..C_n from one FFT of the
+    density sampled on the grid.  By default the grid has 1024 nodes or more
     for high orders, up to 4096 when poles were subtracted, and up to
     NEAR_CIRCLE_NODE_CAP for near-circle poles the grid must resolve itself
     (those whose residue is not a simple pole's).  The split into pole parts

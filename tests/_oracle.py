@@ -73,6 +73,16 @@ def prefix_scan(seq, tol: float = DEFAULT_PSD_TOL) -> tuple[int | None, float]:
     return None, margin
 
 
+def horner(p: MatPoly, z) -> np.ndarray:
+    """Horner evaluation of p at z, one ``out * z + c_k`` per step; shape
+    z.shape + (q, q)."""
+    zs = np.asarray(z, dtype=complex)
+    out = np.broadcast_to(p.coeffs[-1], zs.shape + (p.q, p.q)).copy()
+    for k in range(p.degree - 1, -1, -1):
+        out = out * zs[..., None, None] + p.coeffs[k]
+    return out
+
+
 def adjugate(a) -> np.ndarray:
     """Adjugate (transposed cofactor matrix); adj(A) @ A = det(A) * I.
 

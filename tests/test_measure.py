@@ -413,8 +413,9 @@ class TestVerifyRecovery:
         assert np.allclose(report.atom_mass, np.zeros((2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("case", ["tpd", "atomic_plus_var1"])
-    def test_orders_in_one_product_match_per_order_sums(self, case):
-        # one (J, N) phase-matrix product against a trapezoid sum per order
+    def test_orders_from_one_fft_match_per_order_sums(self, case):
+        # every order from one FFT of the density against a trapezoid sum per
+        # order, also beyond +-N, where the FFT index wraps as j mod N
         import matspec.measure as measure
 
         rng = np.random.default_rng(12)
@@ -426,14 +427,18 @@ class TestVerifyRecovery:
         seq = HermSeq(coeffs)
         sm = central_measure(seq)
         sing = measure._singular_part(sm)
-        js = list(range(-2, len(seq)))
         nodes = measure._default_nodes(sm, sing, len(seq) - 1)
+        js = list(range(-2, len(seq))) + [nodes + 1, -nodes - 1]
         got = measure._fourier_many(sm, sing, js, nodes)
         ang = measure._quadrature_angles(nodes, sm.atom_points())
         dens = sing.smooth_density(sm, ang)
         tol = 1e-14 * (1.0 + spec_norm(seq.coeff(0)))
+        k = np.arange(nodes)
         for j, g in zip(js, got):
-            want = (TWO_PI / nodes) * np.tensordot(np.exp(-1j * j * ang), dens, axes=(0, 0))
+            # theta_k = theta_0 + 2 pi k / N with j k reduced mod N in
+            # integers: a float j * ang[k] rounds the phase by about j eps
+            phase = np.exp(-1j * j * ang[0]) * np.exp(-1j * (TWO_PI / nodes) * (j * k % nodes))
+            want = (TWO_PI / nodes) * np.tensordot(phase, dens, axes=(0, 0))
             want = want + sing.coeff(j)
             for atom in sm.atoms:
                 want = want + atom.point ** (-j) * atom.weight

@@ -5,10 +5,11 @@ loop runs only on failing input) and no SVD norm of a prefix matrix, so the
 scan's work grows as n^3, solves for the central predictor with one
 pseudoinverse, det den, its zeros and their near-circle clusters are found
 and polished once per quotient, the atom weights take a fixed number of
-evaluations of den and num however many atoms there are, and the recovery
-errors of all orders and each comparison of the positive-definite
-cross-check, the autoregressive check and `central_order` take one stacked
-norm."""
+evaluations of den and num however many atoms there are, the recovery
+quadrature takes every Fourier order from one FFT with no phase matrix, the
+Horner step keeps the bits of ``out * z + c_k``, and the recovery errors of
+all orders and each comparison of the positive-definite cross-check, the
+autoregressive check and `central_order` take one stacked norm."""
 
 import importlib
 import json
@@ -50,6 +51,7 @@ from matspec.linalg import DEFAULT_RANK_RTOL
 from matspec.toeplitz import _predictor
 
 from _gen import atomic_coeffs, random_tpd_seq
+from _oracle import horner
 
 Q, N = 2, 16
 
@@ -303,6 +305,57 @@ def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
     # atoms, the subtracted pole and every quadrature read one analysis
     assert pole_work["polish"] == 1
     assert max(grid_sizes) <= 4096
+
+
+@pytest.fixture
+def quadrature_work(monkeypatch, grid_sizes):
+    """Shapes handed to np.fft.fft, sizes handed to np.exp, and the node
+    counts of the quadrature grids."""
+    seen = {"fft": [], "exp": [], "grids": grid_sizes}
+    fft, exp = np.fft.fft, np.exp
+
+    def counted_fft(a, *args, **kwargs):
+        seen["fft"].append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    def counted_exp(x, *args, **kwargs):
+        seen["exp"].append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["tpd", "subtracted-pole", "atoms"])
+def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
+    if case == "tpd":
+        data = seq
+    elif case == "subtracted-pole":
+        data = AR1
+    else:
+        data = HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 6, 2)[0])
+    sm = central_measure(data)
+    for seen in quadrature_work.values():
+        seen.clear()
+    assert verify_recovery(sm, data).passed
+    # the Fourier grid, then the PSD scan grid
+    nodes, scan = quadrature_work["grids"]
+    assert scan == measure.DENSITY_NODES
+    # every order from one FFT of the density along the node axis
+    assert quadrature_work["fft"] == [(nodes, data.q**2)]
+    # and no (J, N) phase matrix
+    assert max(quadrature_work["exp"]) <= nodes
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("points", [1, 4, 4096])
+def test_horner_keeps_the_reference_bits(q, points):
+    # an in-place multiply differs in the last bit on one-element arrays
+    rng = np.random.default_rng(10 * q + points)
+    p = MatPoly(rng.standard_normal((7, q, q)) + 1j * rng.standard_normal((7, q, q)))
+    zs = rng.uniform(0.5, 1.5, points) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, points))
+    assert np.array_equal(p(zs), horner(p, zs))
 
 
 def atomic_quotient(n_atoms):
