@@ -42,8 +42,6 @@ from .serialize import (
 )
 from .toeplitz import Classification, _classification, _scan, toeplitz_matrix
 
-log = logging.getLogger("matspec")
-
 _MODEL_ERRORS = (ModelError, MultiplicityError)
 
 

@@ -1,8 +1,8 @@
 """Matrix polynomials and the scalar-polynomial subroutines built on them.
 
 Coefficients are stored lowest degree first.  Scalar polynomials are plain
-1-d complex arrays and reuse ``numpy.polynomial.polynomial`` helpers (same
-convention); matrix polynomials get a small dedicated class.
+1-d complex arrays (the ``numpy.polynomial.polynomial`` convention); matrix
+polynomials get a small dedicated class.
 
 The determinant of a matrix polynomial is formed by evaluation at roots of
 unity followed by an inverse FFT, which is exact up to roundoff once the node
@@ -13,7 +13,6 @@ are formed: atom weights come from den's kernel vectors (`measure`).
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DimensionError, InvalidInputError
 
@@ -35,10 +34,6 @@ def poly_trim(c) -> np.ndarray:
         return np.zeros(1, dtype=complex)
     keep = np.nonzero(np.abs(arr) > TRIM_RTOL * top)[0]
     return arr[: keep[-1] + 1].copy()
-
-
-def poly_eval(c, z):
-    return npoly.polyval(z, np.asarray(c, dtype=complex))
 
 
 class MatPoly:

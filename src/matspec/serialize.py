@@ -119,7 +119,12 @@ def measure_to_doc(
     report: RecoveryReport | None = None,
     density_samples: int = 720,
 ) -> dict:
-    """Serialize a measure with a density sample table on an offset grid."""
+    """Serialize a measure with a density sample table on an offset grid of
+    ``density_samples`` angles (0 gives an empty table)."""
+    if density_samples < 0:
+        raise InvalidInputError(
+            f"density_samples must be nonnegative, got {density_samples}"
+        )
     angles = TWO_PI * (np.arange(density_samples) + 0.5) / density_samples
     dens = sm.density_grid(angles)
     if sm.quotient is not None:

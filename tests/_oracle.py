@@ -7,7 +7,9 @@ with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
 (1 - r)/2 Phi(r u) as r -> 1.  `toeplitz_blocks` places the blocks of T_n one
 by one, the definition `toeplitz_matrix` must reproduce, and `prefix_scan`
 checks T_0, T_1, ... one eigvalsh at a time, the definition that
-`toeplitz._scan` shortcuts by Cauchy interlacing.  `ball_membership`,
+`toeplitz._scan` shortcuts by Cauchy interlacing.  `pd_density_last_row`
+is the last-row form of the positive-definite density, which the library
+computes from the first column only.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
 profiles by their definitions.
 """
@@ -30,7 +32,7 @@ from matspec.linalg import (
     require_square,
     spec_norm,
 )
-from matspec.matpoly import MatPoly, _pow2_nodes, poly_eval, poly_trim
+from matspec.matpoly import MatPoly, _pow2_nodes, poly_trim
 from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
 
 # Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
@@ -81,6 +83,22 @@ def horner(p: MatPoly, z) -> np.ndarray:
     for k in range(p.degree - 1, -1, -1):
         out = out * zs[..., None, None] + p.coeffs[k]
     return out
+
+
+def poly_eval(c, z):
+    """Scalar polynomial with coefficients c, lowest degree first, at z."""
+    return npoly.polyval(z, np.asarray(c, dtype=complex))
+
+
+def pd_density_last_row(seq: HermSeq, zeta: complex) -> np.ndarray:
+    """(1/2pi) B(zeta)^-1 B(0) B(zeta)^-*, the density of a TPD sequence from
+    the reversed last row B of inv(T_n) (Delsarte, Genin and Kamp, 1978),
+    with B's blocks sliced here from `toeplitz_blocks`."""
+    q, n = seq.q, len(seq) - 1
+    tinv = np.linalg.inv(toeplitz_blocks(seq, n))
+    last = tinv[n * q :].reshape(q, n + 1, q).swapaxes(0, 1)[::-1]
+    bi = np.linalg.inv(MatPoly(last)(complex(zeta)))
+    return bi @ last[0] @ bi.conj().T / (2.0 * np.pi)
 
 
 def adjugate(a) -> np.ndarray:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import matspec.caratheodory as caratheodory
 from matspec import (
+    CaratheodoryQuotient,
     GammaSeq,
     HermSeq,
+    MatPoly,
     caratheodory_check,
     caratheodory_first_failure,
     central_quotient,
@@ -152,6 +155,44 @@ class TestCentralQuotient:
         seq2 = HermSeq([np.diag([1.0, 0.0]).astype(complex)])
         cq2 = central_quotient(gamma_from_covariance(seq2))
         assert numerical_rank(re_mat(phi_at(cq2, 0.5j))) == 1
+
+
+class TestDiskCheck:
+    """`_check_disk` reads den's invertibility inside the disk off the zeros
+    of det den, on quotients built by hand."""
+
+    @staticmethod
+    def quotient(den):
+        den = MatPoly(den)
+        return CaratheodoryQuotient(MatPoly([np.eye(den.q)]), den, den.degree)
+
+    def test_zero_off_any_sample_grid_raises(self):
+        # det den = (1 - z/p)^2 vanishes at p, strictly inside the disk
+        p = 0.5 * np.exp(0.1j)
+        cq = self.quotient([np.eye(2), -np.eye(2) / p])
+        with pytest.raises(ModelError, match="vanishes inside the disk"):
+            caratheodory._check_disk(cq)
+
+    @pytest.mark.parametrize(
+        "den",
+        [
+            [[[1.0, 1.0], [1.0, 1.0]]],
+            [[[1.0, 0.0], [1.0, 0.0]], [[0.0, -1.0], [0.0, -1.0]]],
+        ],
+        ids=["constant", "linear"],
+    )
+    def test_zero_determinant_raises(self, den):
+        cq = self.quotient(den)
+        assert np.array_equal(cq.det, [0.0])
+        with pytest.raises(ModelError, match="vanishes inside the disk"):
+            caratheodory._check_disk(cq)
+
+    def test_zero_in_the_near_circle_band_passes(self):
+        # |p| = 0.97 lies within NEAR_CIRCLE of the circle: the near-circle
+        # analysis owns it
+        p = 0.97 * np.exp(2.0j)
+        assert 1.0 - abs(p) < caratheodory.NEAR_CIRCLE
+        caratheodory._check_disk(self.quotient([[[1.0]], [[-1.0 / p]]]))
 
 
 class TestPdPolynomials:

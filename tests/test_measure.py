@@ -42,7 +42,13 @@ from _gen import (
     trig_coeffs,
     var1_coeffs,
 )
-from _oracle import adjugate_poly, matpoly_mul, pole_limit, radial_atom_limit
+from _oracle import (
+    adjugate_poly,
+    matpoly_mul,
+    pd_density_last_row,
+    pole_limit,
+    radial_atom_limit,
+)
 
 RNG = np.random.default_rng(53)
 TWO_PI = 2.0 * np.pi
@@ -316,8 +322,19 @@ class TestPdPath:
                 atol=1e-8 * (1 + spec_norm(seq.coeff(0))),
             )
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_pd_density_matches_last_row_form(self, q):
+        rng = np.random.default_rng(100 + q)
+        for n in (1, 2, 4):
+            seq = random_tpd_seq(rng, q, n)
+            tol = 1e-8 * (1 + spec_norm(seq.coeff(0)))
+            for ang in (0.3, 1.9, 4.4):
+                z = np.exp(1j * ang)
+                gap = spec_norm(pd_density(seq, z) - pd_density_last_row(seq, z))
+                assert gap <= tol
+
     def test_cross_check_is_scale_free(self):
-        # the determinant floor of the A/B forms is relative to their size
+        # the cross-check bound 1e-8 (1 + ||C_0||) scales with the data
         seq = random_tpd_seq(np.random.default_rng(11), 2, 4)
         big = HermSeq([1e8 * c for c in seq.coeffs])
         z = np.exp(0.9j)

@@ -2,6 +2,7 @@
 Helpers outside it stay importable from their submodules, and the functions
 take only the settings some caller sets."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -137,3 +138,38 @@ def test_readme_quick_start_runs():
     want = np.diag([1.0, 0.0]) / (2.0 * np.pi)
     assert np.allclose(sm.density_grid(np.array([2.0]))[0], want, atol=1e-12)
     assert np.allclose(matspec.fourier_coeff(sm, 1), seq.coeffs[1], atol=1e-10)
+
+
+def top_level_names(tree):
+    """Functions, classes and assigned names at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def test_no_dead_module_names():
+    # a top-level name outside __all__ must be read somewhere in the package
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in Path(matspec.__file__).parent.glob("*.py")
+    }
+    known = set(matspec.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+    dead = [
+        f"{module}.{name}"
+        for module, tree in sorted(trees.items())
+        for name in top_level_names(tree)
+        if not name.startswith("__") and name not in known
+    ]
+    assert dead == []

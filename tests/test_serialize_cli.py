@@ -103,6 +103,12 @@ class TestMeasureDocs:
         assert doc["report"]["passed"] is True
         assert len(doc["density_samples"]) == 16
 
+    def test_density_sample_count_must_be_nonnegative(self):
+        sm = central_measure(scalar_seq(1.0, 0.5))
+        assert measure_to_doc(sm, density_samples=0)["density_samples"] == []
+        with pytest.raises(InvalidInputError, match="density_samples"):
+            measure_to_doc(sm, density_samples=-3)
+
     @pytest.mark.parametrize(
         "quotient",
         [
@@ -173,6 +179,19 @@ class TestCliExitCodes:
         want = {"caratheodory": True, "classification": "NOT_TND", "first_failure": 0}
         assert captured.out == dumps(want)
         assert captured.err == "T_0 not nonnegative Hermitian\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "ar-spectrum"])
+    def test_negative_density_samples_exits_1(self, tmp_path, capsys, command):
+        f = tmp_path / "seq.json"
+        f.write_text(seq_doc_text(1.0, 0.5))
+        order = ["--order", "1"] if command == "ar-spectrum" else []
+        argv = [command, str(f), *order, "--density-samples"]
+        assert main([*argv, "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "density_samples" in captured.err
+        assert main([*argv, "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["density_samples"] == []
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.json")]) == 1
