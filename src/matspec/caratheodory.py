@@ -67,28 +67,30 @@ class _Residues(NamedTuple):
 
 @dataclass(frozen=True)
 class CaratheodoryQuotient:
-    """Rational Caratheodory function num(z) den(z)^{-1} of a given order.
+    """Rational Caratheodory function num(z) den(z)^{-1}; its order is deg den.
 
-    ``det`` (scalar coefficients of det den, lowest degree first), ``zeros``
-    (its zeros) and ``near_circle`` (the analysis of the zeros near the
-    circle) are derived once, when first read, for every consumer: the disk
-    check, the atoms and the near-circle poles.  They take no part in
-    comparison or repr.  A determinant that overflows does not stop
-    construction; reading ``det`` raises InvalidInputError.
+    ``zeros`` (the zeros of det den) and ``near_circle`` (the analysis of the
+    zeros near the circle) are derived once, when first read, for every
+    consumer: the disk check, the atoms and the near-circle poles.  They take
+    no part in comparison or repr.  A determinant that overflows or is the
+    zero polynomial does not stop construction; reading ``zeros`` raises
+    InvalidInputError.
     """
 
     num: MatPoly
     den: MatPoly
-    order: int
 
-    @cached_property
-    def det(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return det_poly(self.den)
+    @property
+    def order(self) -> int:
+        return self.den.degree
 
     @cached_property
     def zeros(self) -> np.ndarray:
-        return np.roots(self.det[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = det_poly(self.den)
+        if det.size == 1 and det[0] == 0.0:
+            raise InvalidInputError("det den is the zero polynomial")
+        return np.roots(det[::-1])
 
     @cached_property
     def near_circle(self) -> _Residues:
@@ -115,11 +117,10 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 
 def _check_disk(cq: CaratheodoryQuotient) -> None:
-    """ModelError unless den is invertible inside the disk: det den is not
-    the zero polynomial and has no zero z with 1 - |z| >= NEAR_CIRCLE.  The
-    zeros nearer the circle are the ``near_circle`` analysis's."""
-    zero_poly = cq.det.size == 1 and cq.det[0] == 0.0
-    if zero_poly or np.any(1.0 - np.abs(cq.zeros) >= NEAR_CIRCLE):
+    """ModelError unless den is invertible inside the disk: det den has no
+    zero z with 1 - |z| >= NEAR_CIRCLE.  The zeros nearer the circle are the
+    ``near_circle`` analysis's."""
+    if np.any(1.0 - np.abs(cq.zeros) >= NEAR_CIRCLE):
         raise ModelError("denominator determinant vanishes inside the disk")
 
 
@@ -156,9 +157,6 @@ def _central_quotient(g0, t, rank_rtol: float) -> CaratheodoryQuotient:
     the zeros of det den (ModelError otherwise)."""
     q = len(g0)
     n = len(t) // q - 1
-    eye = np.eye(q, dtype=complex)
-    if n == 0:
-        return CaratheodoryQuotient(MatPoly([g0]), MatPoly([eye]), 0)
     w = _predictor(t, q, rank_rtol)
     # S_{n-1}: Gamma_{j-k} = 2 C_{j-k} in the blocks below the diagonal,
     # Gamma_0 on it, zero above
@@ -168,8 +166,8 @@ def _central_quotient(g0, t, rank_rtol: float) -> CaratheodoryQuotient:
     s = s.swapaxes(1, 2).reshape(n * q, n * q)
     u = s.conj().T @ w.reshape(n * q, q)  # block column, num coefficients 1..n
     num = [g0] + [u[k * q : (k + 1) * q] for k in range(n)]
-    den = [eye] + [-w[k] for k in range(n)]
-    cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den), n)
+    den = [np.eye(q, dtype=complex)] + [-w[k] for k in range(n)]
+    cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den))
     _check_disk(cq)
     return cq
 

@@ -207,13 +207,22 @@ def _cmd_eval_phi(args) -> int:
     return 0
 
 
-def _add_common(p):
+def _add_common(p, rank_rtol: bool = True):
     p.add_argument("--psd-tol", type=float, default=1e-9,
                    help="nonnegativity tolerance, relative (default 1e-9)")
-    p.add_argument("--rank-rtol", type=float, default=1e-10,
-                   help="relative singular-value cutoff (default 1e-10)")
+    if rank_rtol:
+        p.add_argument("--rank-rtol", type=float, default=1e-10,
+                       help="relative singular-value cutoff (default 1e-10)")
     p.add_argument("--output", default="-",
                    help="output path, '-' for stdout (default)")
+
+
+def _add_measure_outputs(p):
+    p.add_argument("--density-samples", type=int, default=720,
+                   help="density table size (default 720)")
+    p.add_argument("--csv", default=None, help="also write the density table as CSV")
+    p.add_argument("--verify-tol", type=float, default=1e-8,
+                   help="coefficient recovery tolerance (default 1e-8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="classify a sequence (TPD/TND/NOT_TND)")
     p.add_argument("input", help="sequence document path, '-' for stdin")
-    _add_common(p)
+    _add_common(p, rank_rtol=False)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("extend", help="central extension to a target length")
@@ -238,13 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="central spectral measure")
     p.add_argument("input", help="sequence document path, '-' for stdin")
-    p.add_argument("--density-samples", type=int, default=720,
-                   help="density table size (default 720)")
-    p.add_argument("--csv", default=None, help="also write the density table as CSV")
     p.add_argument("--root-tol", type=float, default=1e-7,
-                   help="unimodular root tolerance (default 1e-7)")
-    p.add_argument("--verify-tol", type=float, default=1e-8,
-                   help="coefficient recovery tolerance (default 1e-8)")
+                   help="unimodular root tolerance, in [0, 0.04) (default 1e-7)")
+    _add_measure_outputs(p)
     _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -252,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="sequence document path, '-' for stdin")
     p.add_argument("--order", type=int, required=True,
                    help="autoregressive order (prefix length - 1)")
-    p.add_argument("--density-samples", type=int, default=720)
-    p.add_argument("--csv", default=None, help="also write the density table as CSV")
-    p.add_argument("--verify-tol", type=float, default=1e-8)
+    _add_measure_outputs(p)
     _add_common(p)
     p.set_defaults(func=_cmd_ar_spectrum)
 

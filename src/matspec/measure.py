@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -69,11 +68,6 @@ class ArOrderMismatchWarning(UserWarning):
     """Stored coefficients disagree with the central extension of the prefix."""
 
 
-class Provenance(Enum):
-    CENTRAL = "central"
-    ATOMS_ONLY = "atoms-only"
-
-
 @dataclass(frozen=True)
 class Atom:
     """Point mass: unimodular location and Hermitian PSD weight matrix."""
@@ -93,7 +87,6 @@ class SpectralMeasure:
     q: int
     atoms: tuple[Atom, ...]
     quotient: CaratheodoryQuotient | None
-    provenance: Provenance
 
     def atom_points(self) -> np.ndarray:
         return np.array([a.point for a in self.atoms], dtype=complex)
@@ -175,7 +168,7 @@ def compute_atoms(
 
     The atoms are the clusters of the quotient's ``near_circle`` analysis
     whose polished point lies within root_tol of the circle; root_tol must
-    be below NEAR_CIRCLE, the band that analysis covers.  At such a point v
+    lie in [0, NEAR_CIRCLE), the band that analysis covers.  At such a point v
     with a cluster of m zeros of det den, den(v) must have an m-dimensional
     kernel, else MultiplicityError; with X and Y its right and left kernel
     bases the weight is the residue
@@ -187,11 +180,8 @@ def compute_atoms(
     ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
     dropped.
     """
-    if not root_tol < NEAR_CIRCLE:
-        raise InvalidInputError(f"root_tol {root_tol} must be below {NEAR_CIRCLE}")
-    db = cq.det
-    if db.size == 1 and db[0] == 0.0:
-        raise InvalidInputError("the zero polynomial has no root structure")
+    if not 0.0 <= root_tol < NEAR_CIRCLE:
+        raise InvalidInputError(f"root_tol {root_tol} must lie in [0, {NEAR_CIRCLE})")
     res = cq.near_circle
     rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
     if rows.size == 0:
@@ -220,10 +210,6 @@ def compute_atoms(
             continue
         w = (vv * lv) @ vv.conj().T
         atoms.append(Atom(point=complex(v), weight=0.5 * (w + w.conj().T)))
-    if len(atoms) > cq.order * cq.num.q:
-        raise ModelError(
-            f"{len(atoms)} atoms exceed the order bound {cq.order * cq.num.q}"
-        )
     return tuple(atoms)
 
 
@@ -246,9 +232,7 @@ def central_measure(
     margin = _require_tnd(t, seq.q, psd_tol)
     cq = _central_quotient(seq.coeffs[0], re_mat(t), rank_rtol)
     atoms = compute_atoms(cq, root_tol)
-    sm = SpectralMeasure(
-        q=seq.q, atoms=tuple(atoms), quotient=cq, provenance=Provenance.CENTRAL
-    )
+    sm = SpectralMeasure(q=seq.q, atoms=atoms, quotient=cq)
     # Cross-check against the positive-definite route when it is numerically
     # trustworthy; the plain inverse loses digits for barely-TPD input.
     if len(seq) >= 2 and margin > 1e-6:
@@ -303,9 +287,7 @@ def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
         cleaned.append(Atom(point=p / abs(p), weight=re_mat(w)))
     if q is None:
         raise InvalidInputError("need q for an empty atom list")
-    return SpectralMeasure(
-        q=q, atoms=tuple(cleaned), quotient=None, provenance=Provenance.ATOMS_ONLY
-    )
+    return SpectralMeasure(q=q, atoms=tuple(cleaned), quotient=None)
 
 
 def _quadrature_angles(nodes: int, atom_points: np.ndarray) -> np.ndarray:
@@ -340,7 +322,6 @@ class _SingularPart(NamedTuple):
     check reports it.
     """
 
-    degree: int  # of det den
     poles: np.ndarray  # (k,), each |p| > 1
     residues: np.ndarray  # (k, q, q)
     brute_distance: float  # of the nearest pole the grid must resolve
@@ -388,7 +369,7 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     """
     if sm.quotient is None:
         empty = np.empty((0, sm.q, sm.q), dtype=complex)
-        return _SingularPart(0, np.empty(0, dtype=complex), empty, np.inf)
+        return _SingularPart(np.empty(0, dtype=complex), empty, np.inf)
     res = sm.quotient.near_circle
     atoms = sm.atom_points()
     # residues are finite only at simple poles
@@ -404,14 +385,14 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
             # roundoff splits a multiple pole, so subtracting it at the
             # cluster mean leaves a dipole the grid must still resolve
             brute.extend(np.abs(np.abs(members) - 1.0))
-    degree = sm.quotient.det.size - 1
     poles, residues = res.points[subtracted], res.residues[subtracted]
-    return _SingularPart(degree, poles, residues, min(brute, default=np.inf))
+    return _SingularPart(poles, residues, min(brute, default=np.inf))
 
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
-    order = sm.quotient.order if sm.quotient is not None else 0
-    base = max(1024, 16 * order * sm.q, 4 * (sing.degree + abs(j_top) + 1))
+    cq = sm.quotient
+    order, zeros = (0, 0) if cq is None else (cq.order, cq.zeros.size)
+    base = max(1024, 16 * order * sm.q, 4 * (zeros + abs(j_top) + 1))
     # trapezoid error decays like exp(-nodes * dist), machine level near
     # nodes * dist = 40; grow the grid for poles it must resolve but keep
     # the cost bounded, verify_recovery reports anything missed.  Subtracted

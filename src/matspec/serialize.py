@@ -15,7 +15,7 @@ from .caratheodory import CaratheodoryQuotient
 from .central import GammaSeq
 from .errors import InvalidInputError
 from .matpoly import MatPoly
-from .measure import Atom, Provenance, RecoveryReport, SpectralMeasure
+from .measure import Atom, RecoveryReport, SpectralMeasure
 from .toeplitz import HermSeq
 
 TWO_PI = 2.0 * np.pi
@@ -108,10 +108,11 @@ def _wire_to_atom(obj, q: int, where: str) -> Atom:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{where}: expected an object")
     u = _pair_to_complex(obj.get("u"), f"{where}.u")
-    if abs(u) == 0.0:
-        raise InvalidInputError(f"{where}: atom location is zero")
+    # kept as written, not renormalized: the document re-serializes to itself
+    if abs(abs(u) - 1.0) > 1e-8:
+        raise InvalidInputError(f"{where}: atom location |{u}| not on the unit circle")
     w = wire_to_mat(obj.get("weight"), q, f"{where}.weight")
-    return Atom(point=u / abs(u), weight=hermitian_from_lower(w))
+    return Atom(point=u, weight=hermitian_from_lower(w))
 
 
 def measure_to_doc(
@@ -135,7 +136,7 @@ def measure_to_doc(
         b_coeffs = []
     return {
         "q": sm.q,
-        "provenance": sm.provenance.value,
+        "provenance": "atoms-only" if sm.quotient is None else "central",
         "atoms": [_atom_to_wire(a) for a in sm.atoms],
         "density_samples": [
             {"angle": float(angles[k]), "matrix": mat_to_wire(dens[k])}
@@ -177,17 +178,13 @@ def doc_to_measure(doc) -> SpectralMeasure:
         den = MatPoly(
             [wire_to_mat(c, q, f"b_coeffs[{k}]") for k, c in enumerate(b_coeffs)]
         )
-        quotient = CaratheodoryQuotient(num=num, den=den, order=den.degree)
+        quotient = CaratheodoryQuotient(num=num, den=den)
     else:
         quotient = None
-    prov_raw = doc.get("provenance", Provenance.CENTRAL.value)
-    try:
-        prov = Provenance(prov_raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"unknown provenance {prov_raw!r}") from exc
-    if quotient is None:
-        prov = Provenance.ATOMS_ONLY
-    return SpectralMeasure(q=q, atoms=atoms, quotient=quotient, provenance=prov)
+    prov = doc.get("provenance", "central")
+    if prov not in ("central", "atoms-only"):
+        raise InvalidInputError(f"unknown provenance {prov!r}")
+    return SpectralMeasure(q=q, atoms=atoms, quotient=quotient)
 
 
 def dumps(doc) -> str:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from matspec import MatPoly, det_poly
+from matspec import MatPoly
+from matspec.matpoly import det_poly
 from matspec.errors import InvalidInputError
 
 from _oracle import DegenerateZeroError, adjugate, adjugate_poly, matpoly_mul, pole_limit

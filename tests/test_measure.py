@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from matspec import (
     CaratheodoryQuotient,
     HermSeq,
     MatPoly,
-    Provenance,
     SpectralMeasure,
     ar_spectrum,
     atomic_measure,
@@ -17,7 +18,6 @@ from matspec import (
     compute_atoms,
     conjugate_by_unitary,
     density_at,
-    det_poly,
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
@@ -29,6 +29,7 @@ from matspec import (
 )
 from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError, MultiplicityError
+from matspec.matpoly import det_poly
 from matspec.measure import NEAR_CIRCLE_NODE_CAP
 
 from _gen import (
@@ -131,6 +132,12 @@ class TestComputeAtoms:
         with pytest.raises(InvalidInputError, match="root_tol"):
             compute_atoms(cq, root_tol=NEAR_CIRCLE)
 
+    def test_negative_root_tol_rejected(self):
+        # no polished point lies within a negative distance of the circle,
+        # so every atom would be dropped and recovery would miss by 1.0
+        with pytest.raises(InvalidInputError, match="root_tol"):
+            central_measure(scalar_seq(1.0, 1.0), root_tol=-1e-7)
+
 
 def limit_weight(cq, v):
     """The scalar-determinant residue: Hermitian part of
@@ -183,43 +190,44 @@ class TestKernelResidues:
         # det den = (1 - z)^2, but den(1) = [[0, 1], [0, 0]] has a
         # one-dimensional kernel: a second-order pole, not a point mass
         den = MatPoly([np.eye(2), [[-1.0, 1.0], [0.0, -1.0]]])
-        cq = CaratheodoryQuotient(MatPoly([np.eye(2)]), den, 1)
+        cq = CaratheodoryQuotient(MatPoly([np.eye(2)]), den)
         with pytest.raises(MultiplicityError, match="1-dimensional kernel") as info:
             compute_atoms(cq)
         assert abs(info.value.root - 1.0) < 1e-12
         assert info.value.multiplicity == 2
 
-    def test_quotient_carries_det_and_zeros(self):
+    def test_quotient_derives_order_and_zeros(self):
         coeffs, _ = atomic_coeffs(np.random.default_rng(4), 2, 4, n_atoms=3)
         cq = central_quotient(gamma_from_covariance(HermSeq(coeffs)))
-        assert np.array_equal(cq.det, det_poly(cq.den))
-        assert np.array_equal(cq.zeros, np.roots(cq.det[::-1]))
+        assert [f.name for f in dataclasses.fields(cq)] == ["num", "den"]
+        assert cq.order == cq.den.degree == 3
+        assert np.array_equal(cq.zeros, np.roots(det_poly(cq.den)[::-1]))
         assert cq.near_circle is cq.near_circle
-        assert all(name not in repr(cq) for name in ("det", "zeros", "near_circle"))
+        assert all(name not in repr(cq) for name in ("order", "zeros", "near_circle"))
         # derived arrays take no part in ==, which would fail on them
-        assert cq == CaratheodoryQuotient(cq.num, cq.den, cq.order)
+        assert cq == CaratheodoryQuotient(cq.num, cq.den)
 
     def test_overflowing_determinant_fails_where_read(self):
         # det den overflows: building the quotient still succeeds, and
         # whatever needs det den raises
         den = MatPoly([np.eye(2), 1e200 * np.eye(2)])
-        cq = CaratheodoryQuotient(MatPoly([np.eye(2), np.eye(2)]), den, 1)
+        cq = CaratheodoryQuotient(MatPoly([np.eye(2), np.eye(2)]), den)
         with pytest.raises(InvalidInputError):
             compute_atoms(cq)
-        sm = SpectralMeasure(2, (), cq, Provenance.CENTRAL)
+        sm = SpectralMeasure(2, (), cq)
         with pytest.raises(InvalidInputError):
             verify_recovery(sm, HermSeq([np.eye(2)]))
 
     def test_zero_determinant_still_fails(self):
-        cq = CaratheodoryQuotient(MatPoly([np.eye(2)]), MatPoly([np.zeros((2, 2))]), 0)
-        with pytest.raises(InvalidInputError):
+        cq = CaratheodoryQuotient(MatPoly([np.eye(2)]), MatPoly([np.zeros((2, 2))]))
+        with pytest.raises(InvalidInputError, match="zero polynomial"):
             compute_atoms(cq)
 
 
 class TestCentralMeasure:
     def test_white_noise(self):
         sm = central_measure(scalar_seq(1.0))
-        assert sm.provenance is Provenance.CENTRAL
+        assert [f.name for f in dataclasses.fields(sm)] == ["q", "atoms", "quotient"]
         assert sm.atoms == ()
         for ang in (0.0, 1.0, 3.5):
             assert np.allclose(
@@ -267,9 +275,7 @@ class TestCentralMeasure:
         # differed by up to 9e-8 here)
         seq = HermSeq(var1_coeffs(np.random.default_rng(1), 1, 0.9, 4))
         pair = atomic_measure([(1.0, [[1.0]]), (np.exp(1.5e-5j), [[2.0]])])
-        with_density = SpectralMeasure(
-            1, pair.atoms, central_measure(seq).quotient, Provenance.CENTRAL
-        )
+        with_density = SpectralMeasure(1, pair.atoms, central_measure(seq).quotient)
         ang = 0.8e-5
         for sm in (pair, with_density):
             got = density_at(sm, np.exp(1j * ang))
@@ -604,8 +610,8 @@ class TestSubtractedPoles:
         # Phi = 1/(p - z) has re Phi > 0 on the circle, and den(p) = 0
         # exactly at the machine number p
         p = self.EXACT_POLE
-        cq = CaratheodoryQuotient(MatPoly([[[1.0]]]), MatPoly([[[p]], [[-1.0]]]), 1)
-        sm = SpectralMeasure(1, (), cq, Provenance.CENTRAL)
+        cq = CaratheodoryQuotient(MatPoly([[[1.0]]]), MatPoly([[[p]], [[-1.0]]]))
+        sm = SpectralMeasure(1, (), cq)
         seq = scalar_seq(1.0 / p, *[0.5 / p ** (j + 1) for j in range(1, 4)])
         report = verify_recovery(sm, seq, tol=1e-10)
         assert report.passed
@@ -622,9 +628,9 @@ class TestSubtractedPoles:
         # zero and no atom claims the zero; the grid takes its largest size
         # for a zero at distance 0 from the circle
         p = MatPoly([[[1.0]], [[-1.0]]])
-        cq = CaratheodoryQuotient(p, p, 1)
+        cq = CaratheodoryQuotient(p, p)
         assert compute_atoms(cq) == ()
-        sm = SpectralMeasure(1, (), cq, Provenance.CENTRAL)
+        sm = SpectralMeasure(1, (), cq)
         report = verify_recovery(sm, scalar_seq(1.0, 0.0, 0.0))
         assert report.passed
         assert max(grid_sizes) == NEAR_CIRCLE_NODE_CAP
@@ -643,9 +649,9 @@ def transformed(sm, num_scale, phases):
     cq = sm.quotient
     ph = phases[: cq.order + 1, None, None]
     cq = CaratheodoryQuotient(
-        MatPoly(num_scale * ph * cq.num.coeffs), MatPoly(ph * cq.den.coeffs), cq.order
+        MatPoly(num_scale * ph * cq.num.coeffs), MatPoly(ph * cq.den.coeffs)
     )
-    return SpectralMeasure(sm.q, sm.atoms, cq, sm.provenance)
+    return SpectralMeasure(sm.q, sm.atoms, cq)
 
 
 class TestNearEdgeMetamorphic:
@@ -769,7 +775,7 @@ class TestArSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sm = ar_spectrum(ext, order=1)
-        assert sm.provenance is Provenance.CENTRAL
+        assert sm.quotient.order == 1
 
     def test_mismatched_tail_warns(self):
         seq = scalar_seq(1.0, 1.0, 0.2)

@@ -1,7 +1,8 @@
 """Property tests: `toeplitz_matrix` against the per-block definition, the
 one-eigvalsh prefix scan against the per-prefix definition, covariance of the
 central quotient under unitary conjugation and scaling, and of the central
-measure under rotation of the circle.
+measure under rotation of the circle; byte-identical round trips between
+covariance and gamma coefficients and through sequence and measure documents.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same examples."""
@@ -16,15 +17,22 @@ from matspec import (
     central_measure,
     central_quotient,
     classify,
+    covariance_from_gamma,
+    doc_to_measure,
+    doc_to_sequence,
+    dumps,
     first_violation,
     gamma_from_covariance,
+    loads,
+    measure_to_doc,
+    sequence_to_doc,
     spec_norm,
     toeplitz_matrix,
 )
 from matspec.linalg import DEFAULT_PSD_TOL, re_mat
 from matspec.toeplitz import _scan
 
-from _gen import atomic_coeffs, conjugated, random_tpd_seq, random_unitary
+from _gen import atomic_coeffs, conjugated, mixed_coeffs, random_tpd_seq, random_unitary
 from _oracle import prefix_scan, toeplitz_blocks
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -170,3 +178,51 @@ def test_measure_rotates_with_the_circle(case, theta):
         dist = np.abs(np.exp(1j * angles)[:, None] - points[None, :]).min(axis=1)
         angles = angles[dist >= 1e-2]
     assert gap(sm_r.density_grid(angles + theta), sm.density_grid(angles)) <= tol
+
+
+@st.composite
+def gen_sequences(draw):
+    """A TPD walk, an atomic sequence with one coefficient more than atoms,
+    or atoms plus a trigonometric density, all from tests/_gen.py."""
+    kind = draw(st.sampled_from(["tpd", "atomic", "mixed"]))
+    q = draw(st.integers(1, 3))
+    n_atoms = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tpd":
+        return HermSeq(random_tpd_seq(rng, q, n_atoms).coeffs)
+    if kind == "atomic":
+        return HermSeq(atomic_coeffs(rng, q, n_atoms + 1, n_atoms)[0])
+    return HermSeq(mixed_coeffs(rng, q, n_atoms + 2, n_atoms)[0])
+
+
+def same_bytes(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@DETERMINISTIC
+@given(gen_sequences())
+def test_covariance_gamma_round_trip_is_exact(seq):
+    # exact for Hermitian C_0; the trigonometric part of a mixed draw makes
+    # C_0 Hermitian only up to roundoff
+    seq = HermSeq([re_mat(seq.coeffs[0]), *seq.coeffs[1:]])
+    g = gamma_from_covariance(seq)
+    assert same_bytes(covariance_from_gamma(g).coeffs, seq.coeffs)
+    assert same_bytes(gamma_from_covariance(covariance_from_gamma(g)).coeffs, g.coeffs)
+
+
+@DETERMINISTIC
+@given(gen_sequences(), st.sampled_from(["covariance", "gamma"]))
+def test_sequence_document_redumps_byte_identical(seq, kind):
+    if kind == "gamma":
+        seq = gamma_from_covariance(seq)
+    text = dumps(sequence_to_doc(seq, kind, {"source": "property"}))
+    back, metadata = doc_to_sequence(loads(text))
+    assert same_bytes(back.coeffs, seq.coeffs)
+    assert dumps(sequence_to_doc(back, kind, metadata)) == text
+
+
+@DETERMINISTIC
+@given(gen_sequences())
+def test_measure_document_redumps_byte_identical(seq):
+    text = dumps(measure_to_doc(central_measure(seq), density_samples=8))
+    assert dumps(measure_to_doc(doc_to_measure(loads(text)), density_samples=8)) == text

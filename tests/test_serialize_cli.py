@@ -6,7 +6,6 @@ import pytest
 from matspec import (
     GammaSeq,
     HermSeq,
-    Provenance,
     central_extend,
     central_measure,
     density_at,
@@ -19,7 +18,7 @@ from matspec import (
     sequence_to_doc,
     verify_recovery,
 )
-from matspec.cli import main
+from matspec.cli import build_parser, main
 from matspec.errors import InvalidInputError, ModelError
 from matspec.serialize import hermitian_from_lower
 
@@ -83,7 +82,9 @@ class TestMeasureDocs:
         sm = central_measure(seq)
         doc = loads(dumps(measure_to_doc(sm, report=verify_recovery(sm, seq))))
         back = doc_to_measure(doc)
-        assert back.provenance is Provenance.CENTRAL
+        for got, want in ((back.quotient.num, sm.quotient.num),
+                          (back.quotient.den, sm.quotient.den)):
+            assert np.array_equal(got.coeffs, want.coeffs)
         z = np.exp(0.8j)
         assert np.allclose(density_at(back, z), density_at(sm, z), atol=1e-12)
         assert np.allclose(fourier_coeff(back, 1), seq.coeff(1), atol=1e-9)
@@ -133,7 +134,21 @@ class TestMeasureDocs:
     def test_absent_quotient_reads_as_atoms_only(self):
         for quotient in (None, {}, {"a_coeffs": [], "b_coeffs": []}):
             sm = doc_to_measure({"q": 1, "quotient": quotient})
-            assert sm.quotient is None and sm.provenance is Provenance.ATOMS_ONLY
+            assert sm.quotient is None
+            assert measure_to_doc(sm)["provenance"] == "atoms-only"
+
+    def test_atom_location_must_be_unimodular(self, tmp_path, capsys):
+        # locations are kept as written, so one off the circle is refused
+        doc = measure_to_doc(central_measure(scalar_seq(1.0, 1.0)), density_samples=0)
+        doc["atoms"][0]["u"] = [2.0, 0.0]
+        with pytest.raises(InvalidInputError, match="not on the unit circle"):
+            doc_to_measure(doc)
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 1.0))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        assert "not on the unit circle" in capsys.readouterr().err
 
     def test_unknown_provenance_rejected(self):
         # "pd-path" named a second route to the same measure, now removed
@@ -192,6 +207,20 @@ class TestCliExitCodes:
         assert "density_samples" in captured.err
         assert main([*argv, "0"]) == 0
         assert json.loads(capsys.readouterr().out)["density_samples"] == []
+
+    def test_negative_root_tol_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        f.write_text(seq_doc_text(1.0, 1.0))
+        assert main(["spectrum", str(f), "--root-tol=-1e-7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "root_tol" in captured.err
+
+    def test_check_takes_no_rank_rtol(self, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        f.write_text(seq_doc_text(1.0, 0.5))
+        assert main(["check", str(f), "--rank-rtol", "0.5"]) == 1
+        assert "unrecognized arguments: --rank-rtol" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.json")]) == 1
@@ -274,6 +303,20 @@ class TestCliPipeline:
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 2
         assert "verification failed: max error 1.000e+00" in capsys.readouterr().err
 
+    def test_verify_with_singular_den_exits_1(self, tmp_path, capsys):
+        # den = [[1, 1], [1, 1]] is singular everywhere: no measure document
+        # describes a Caratheodory function with it
+        one, zero = [1.0, 0.0], [0.0, 0.0]
+        doc = {"q": 2, "atoms": [],
+               "quotient": {"a_coeffs": [[[one, zero], [zero, one]]],
+                            "b_coeffs": [[[one, one], [one, one]]]}}
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(dumps(sequence_to_doc(HermSeq([np.eye(2)]), "covariance")))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        assert "det den is the zero polynomial" in capsys.readouterr().err
+
     def test_spectrum_csv(self, tmp_path):
         src = tmp_path / "seq.json"
         csv = tmp_path / "density.csv"
@@ -337,3 +380,41 @@ class TestCliPipeline:
         src.write_text(seq_doc_text(1.0, 2.0))
         assert main(["spectrum", str(src), "--output", str(tmp_path / "m.json")]) == 2
         assert "T_1" in capsys.readouterr().err
+
+
+class _ReadRecorder:
+    """Parsed arguments that record which options a command reads."""
+
+    def __init__(self, args):
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+def test_every_parsed_option_is_read(tmp_path, capsys):
+    # a flag that the parser takes and its command ignores is dead
+    src, measure = tmp_path / "seq.json", tmp_path / "m.json"
+    src.write_text(seq_doc_text(1.0, 0.5))
+    assert main(["spectrum", str(src), "--output", str(measure)]) == 0
+    csv = str(tmp_path / "d.csv")
+    argv = {
+        "check": [str(src)],
+        "extend": [str(src), "--length", "3"],
+        "spectrum": [str(src), "--csv", csv],
+        "ar-spectrum": [str(src), "--order", "1", "--csv", csv],
+        "verify": [str(measure), "--sequence", str(src)],
+        "eval-phi": [str(src), "--z", "0.5,0.0"],
+    }
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    assert sorted(commands) == sorted(argv)
+    unread = {}
+    for command, rest in argv.items():
+        args = parser.parse_args([command, *rest, "--output", str(tmp_path / "o")])
+        recorder = _ReadRecorder(args)
+        assert args.func(recorder) == 0
+        dests = set(vars(args)) - {"command", "func"}
+        unread[command] = sorted(dests - recorder.read)
+    assert unread == {command: [] for command in argv}
