@@ -99,7 +99,7 @@ class CaratheodoryQuotient:
         its residue of num den^{-1} (see `_cluster_residues`)."""
         zs = self.zeros
         near = zs[np.abs(np.abs(zs) - 1.0) < NEAR_CIRCLE]
-        return _cluster_residues(self, _clusters(near))
+        return _cluster_residues(self, [near[c] for c in _clusters(near)])
 
 
 def caratheodory_first_failure(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
@@ -144,20 +144,20 @@ def central_quotient(
     if spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
         raise InvalidInputError("Gamma_0 must be Hermitian")
     t = toeplitz_matrix(covariance_from_gamma(g), n)
-    bad = _scan(t, g.q, psd_tol)[0]
+    bad = _scan(t, g.q, psd_tol).bad
     if bad is not None:
         raise ModelError(f"re S_{bad} not nonnegative", index=bad)
-    return _central_quotient(g0, t, rank_rtol)
+    return _central_quotient(g0, t, _predictor(t, g.q, rank_rtol))
 
 
-def _central_quotient(g0, t, rank_rtol: float) -> CaratheodoryQuotient:
-    """`central_quotient` without the entry checks: num(0) = ``g0`` and the
-    rest read off ``t`` = re T_n, the block Toeplitz of the covariances.
-    den must be invertible inside the disk, which `_check_disk` reads off
-    the zeros of det den (ModelError otherwise)."""
+def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
+    """`central_quotient` without the entry checks: num(0) = ``g0``, the
+    predictor ``w`` = `_predictor` of ``t`` and the rest read off ``t`` =
+    re T_n, the block Toeplitz of the covariances.  den must be invertible
+    inside the disk, which `_check_disk` reads off the zeros of det den
+    (ModelError otherwise)."""
     q = len(g0)
     n = len(t) // q - 1
-    w = _predictor(t, q, rank_rtol)
     # S_{n-1}: Gamma_{j-k} = 2 C_{j-k} in the blocks below the diagonal,
     # Gamma_0 on it, zero above
     s = (2.0 * t[:-q, :-q]).reshape(n, q, n, q).swapaxes(1, 2)
@@ -184,7 +184,8 @@ def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
     """
     t = toeplitz_matrix(seq, len(seq) - 1)
     tol = DEFAULT_PSD_TOL
-    if _classification(*_scan(t, seq.q, tol), tol) is not Classification.TPD:
+    scan = _scan(t, seq.q, tol)
+    if _classification(scan.bad, scan.margin, tol) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
     return _pd_polynomials(t, seq.q)
 
@@ -241,21 +242,24 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
     return out
 
 
-def _clusters(zs) -> list[np.ndarray]:
-    """Zeros sorted by angle and chained into clusters by gaps of at most
-    CLUSTER_RADIUS (the last cluster wraps onto the first)."""
-    near = sorted(zs, key=lambda z: float(np.angle(z)) % (2.0 * np.pi))
-    if not near:
+def _clusters(zs: np.ndarray) -> list[np.ndarray]:
+    """Indices into ``zs`` of its points sorted by angle and chained into
+    clusters by gaps of at most CLUSTER_RADIUS (the last cluster wraps onto
+    the first)."""
+    angle = [float(np.angle(z)) % (2.0 * np.pi) for z in zs]
+    order = sorted(range(len(zs)), key=angle.__getitem__)
+    if not order:
         return []
-    clusters: list[list[complex]] = [[near[0]]]
-    for z in near[1:]:
-        if abs(z - clusters[-1][-1]) <= CLUSTER_RADIUS:
-            clusters[-1].append(z)
+    clusters: list[list[int]] = [[order[0]]]
+    for i in order[1:]:
+        if abs(zs[i] - zs[clusters[-1][-1]]) <= CLUSTER_RADIUS:
+            clusters[-1].append(i)
         else:
-            clusters.append([z])
-    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= CLUSTER_RADIUS:
+            clusters.append([i])
+    wrap = abs(zs[clusters[0][0]] - zs[clusters[-1][-1]]) <= CLUSTER_RADIUS
+    if len(clusters) > 1 and wrap:
         clusters[0] = clusters.pop() + clusters[0]
-    return [np.array(c, dtype=complex) for c in clusters]
+    return [np.array(c, dtype=int) for c in clusters]
 
 
 def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:

@@ -115,7 +115,7 @@ def _write_density_csv(path: str, doc: dict) -> None:
 def _cmd_check(args) -> int:
     seq, _ = _load_sequence(args.input)
     cov = _as_covariance(seq)
-    failure, margin = _scan(toeplitz_matrix(cov, len(cov) - 1), cov.q, args.psd_tol)
+    failure, margin, _ = _scan(toeplitz_matrix(cov, len(cov) - 1), cov.q, args.psd_tol)
     kind = _classification(failure, margin, args.psd_tol)
     # re S_n of the Gamma sequence is re T_n bit for bit, so the same scan
     # decides it, unless C_0 failed the Hermiticity test (margin -inf)

@@ -59,18 +59,25 @@ def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     -------
     ndarray of shape ``(n, m)``.
     """
+    return _pinv_range(a, rel_tol)[0]
+
+
+def _pinv_range(a, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`pinv` of ``a`` with the singular triplets it keeps: (a', U_r, s_r),
+    U_r the left singular vectors of the r singular values s_r above the
+    cutoff, all from one SVD.  For Hermitian PSD ``a`` the kept part is
+    U_r diag(s_r) U_r*."""
     m = as_cmatrix(a)
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     u, s, vh = _svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
-    keep = s > rel_tol * s[0]
+    keep = s > rel_tol * s.max(initial=0.0)
     if not np.any(keep):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
+        zero = np.zeros((m.shape[1], m.shape[0]), dtype=complex)
+        return zero, u[:, :0], s[:0]
     uk = u[:, : s.size][:, keep]
     vk = vh[: s.size, :][keep, :]
-    return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T
+    return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T, uk, s[keep]
 
 
 def _svd(m: np.ndarray):

@@ -17,11 +17,23 @@ The zeros of det den near the circle are analysed once per quotient
 given their residues from den's kernel vectors.  The atoms and the poles
 subtracted below are two selections from that one analysis.
 
+Rank-frozen data, rank T_n = rank T_{n-1} = r, has a purely atomic measure
+and takes a shorter route with no quotient at all.  With T_{n-1} =
+U_r diag(s_r) U_r* from the predictor's one SVD, B = U_r s_r^{-1/2} and
+G = (U_r s_r^{1/2})[:q], the compressed shift W = B* S B, S = T_n[q:, :-q]
+the blocks C_{j-k+1}, is an r x r unitary matrix.  Its eigenvalues are the
+conjugated atoms and the weight at an atom v is X_v = G P_v G*, P_v the
+orthogonal projector onto the eigenvectors of its cluster (Jones, Njastad
+and Thron, Bull. LMS 21, 1989; Pisarenko, 1973).  Both routes finish their
+weights in one step (`_atoms_from_weights`).
+
 Recovery integrates the density with the trapezoid rule and adds the point
 masses exactly.  A zero p of det den just outside the circle makes a density
 spike of width about |p| - 1; its pole part R/(z - p) is subtracted from
 Lambda and its contribution added in closed form, so the rule sees only a
-smooth remainder and needs at most 4096 nodes however narrow the spike.
+smooth remainder and needs at most 4096 nodes however narrow the spike.  A
+measure without a quotient has no density: every coefficient and Herglotz
+value is a closed-form sum over its atoms.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from .caratheodory import (
     NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
+    _clusters,
     _pd_polynomials,
     pd_polynomials,
     rational_values,
@@ -51,7 +64,14 @@ from .linalg import (
     spec_norm,
 )
 from .matpoly import DEFAULT_ROOT_TOL
-from .toeplitz import HermSeq, _continue, _require_tnd, toeplitz_matrix
+from .toeplitz import (
+    HermSeq,
+    _continue,
+    _predictor_range,
+    _rank,
+    _require_tnd,
+    toeplitz_matrix,
+)
 
 # Distance below which density evaluation switches to arc extrapolation.
 EPS_SING = 1e-5
@@ -59,6 +79,9 @@ EPS_SING = 1e-5
 ATOM_CLIP = 1e-9
 # Atoms with ||W|| <= ATOM_DROP*||C_0|| are removable singularities.
 ATOM_DROP = 1e-10
+# Largest ||W* W - I|| of the compressed shift of rank-frozen data that
+# counts as roundoff; above it the quotient route runs instead.
+UNITARY_DEFECT = 1e-8
 # Offset scan grid on which `verify_recovery` counts density PSD violations.
 DENSITY_NODES = 360
 TWO_PI = 2.0 * np.pi
@@ -80,8 +103,9 @@ class Atom:
 class SpectralMeasure:
     """Positive matrix measure given by atoms plus a rational density.
 
-    ``quotient`` is None only for purely atomic measures built directly from
-    an atom list, in which case the density is identically zero.
+    ``quotient`` is None exactly for purely atomic measures: those of
+    `atomic_measure` and the central measures of rank-frozen data.  Their
+    density is identically zero.
     """
 
     q: int
@@ -102,8 +126,10 @@ def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
 
     Points closer than EPS_SING to an atom are filled in by polynomial
     extrapolation along the arc towards the nearest atom, where direct
-    evaluation would cancel.
+    evaluation would cancel.  A measure without a quotient has zero density.
     """
+    if sm.quotient is None:
+        return np.zeros(zs.shape + (sm.q, sm.q), dtype=complex)
     vals = _density_direct(sm, zs)
     if sm.atoms:
         points = sm.atom_points()
@@ -116,10 +142,7 @@ def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
 
 def _density_direct(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
     """(1/2pi) re Lambda on given unit-circle points, no singularity handling."""
-    if sm.quotient is None:
-        phi = np.zeros(zs.shape + (sm.q, sm.q), dtype=complex)
-    else:
-        phi = rational_values(sm.quotient, zs)
+    phi = rational_values(sm.quotient, zs)
     if sm.atoms:
         points = sm.atom_points()
         kern = (points + zs[..., None]) / (points - zs[..., None])
@@ -175,13 +198,9 @@ def compute_atoms(
 
         X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*.
 
-    Weights are Hermitian-projected; eigenvalues in [-ATOM_CLIP, 0) times
-    ||C_0|| clip to zero, anything lower is a model violation.  Atoms with
-    ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
-    dropped.
+    The weights are finished by `_atoms_from_weights`.
     """
-    if not 0.0 <= root_tol < NEAR_CIRCLE:
-        raise InvalidInputError(f"root_tol {root_tol} must lie in [0, {NEAR_CIRCLE})")
+    _check_root_tol(root_tol)
     res = cq.near_circle
     rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
     if rows.size == 0:
@@ -198,8 +217,26 @@ def compute_atoms(
                 multiplicity=int(m),
             )
     val = (-0.5 / points)[:, None, None] * residues
-    lam, vec = np.linalg.eigh(0.5 * (val + np.conj(np.swapaxes(val, -1, -2))))
-    scale = spec_norm(re_mat(cq.num(0.0 + 0.0j)))
+    return _atoms_from_weights(points, val, spec_norm(re_mat(cq.num(0.0 + 0.0j))))
+
+
+def _check_root_tol(root_tol: float) -> None:
+    if not 0.0 <= root_tol < NEAR_CIRCLE:
+        raise InvalidInputError(f"root_tol {root_tol} must lie in [0, {NEAR_CIRCLE})")
+
+
+def _atoms_from_weights(
+    points: np.ndarray, weights: np.ndarray, scale: float
+) -> tuple[Atom, ...]:
+    """Atoms at the unimodular ``points``, in their order, from the weights
+    (k, q, q) either route computed; ``scale`` is ||C_0||.
+
+    Weights are Hermitian-projected; eigenvalues in [-ATOM_CLIP, 0) times
+    ||C_0|| clip to zero, anything lower is a ModelError.  Atoms with
+    ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
+    dropped.
+    """
+    lam, vec = np.linalg.eigh(0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2))))
     for v, low in zip(points, lam[:, 0]):
         if low < -ATOM_CLIP * scale:
             raise ModelError(f"atom weight at {v} has negative eigenvalue {low:.3e}")
@@ -213,6 +250,54 @@ def compute_atoms(
     return tuple(atoms)
 
 
+def _frozen_atoms(
+    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray
+) -> tuple[Atom, ...] | None:
+    """Atoms of rank-frozen data from the compressed shift W, or None when W
+    is not unitary: ||W* W - I||_F above UNITARY_DEFECT (the Frobenius norm
+    bounds the spectral norm and costs no SVD).
+
+    ``t`` is re T_n and T_{n-1} = U_r diag(s_r) U_r* its predictor's SVD.
+    With B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues are the
+    conjugated atoms, clustered as the zeros of det den are, and the weight
+    of a cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the orthogonal
+    projector onto the cluster's eigenvectors, from one stacked QR per
+    cluster size.  Cost O(n q r^2 + r^3).
+    """
+    r = s_r.size
+    root = np.sqrt(s_r)
+    b = u_r / root
+    shift = b.conj().T @ t[q:, :-q] @ b
+    defect = float(np.linalg.norm(shift.conj().T @ shift - np.eye(r)))
+    if not defect <= UNITARY_DEFECT:
+        # imported here, so that `import matspec` does not load logging
+        import logging
+
+        logging.getLogger("matspec").debug(
+            "rank-frozen route declined: ||W*W - I||_F = %.3e above %.1e for r = %d",
+            defect, UNITARY_DEFECT, r,
+        )
+        return None
+    lam, vec = np.linalg.eig(shift)
+    points = np.conj(lam)
+    clusters = _clusters(points)
+    sizes = np.array([c.size for c in clusters])
+    g = u_r[:q] * root
+    means = np.empty(sizes.size, dtype=complex)
+    weights = np.empty((sizes.size, q, q), dtype=complex)
+    for m in set(sizes.tolist()):
+        rows = np.nonzero(sizes == m)[0]
+        members = np.array([clusters[k] for k in rows])
+        means[rows] = points[members].mean(axis=1)
+        # eig's eigenvectors of one cluster need not be orthogonal
+        basis = np.linalg.qr(vec[:, members].transpose(1, 0, 2))[0]
+        gb = g @ basis
+        weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
+    order = np.argsort(np.angle(means) % TWO_PI)
+    points = means[order] / np.abs(means[order])
+    return _atoms_from_weights(points, weights[order], spec_norm(t[:q, :q]))
+
+
 def central_measure(
     seq: HermSeq,
     psd_tol: float = DEFAULT_PSD_TOL,
@@ -222,20 +307,40 @@ def central_measure(
     """Spectral measure of the central continuation of a TND sequence.
 
     A length-1 sequence yields the constant density C_0/(2pi) with no atoms.
+    Rank-frozen data, rank T_n = rank T_{n-1} with n >= 1 (both counted with
+    the rank_rtol cutoff), gives a purely atomic measure with no quotient,
+    its atoms read off the compressed shift (`_frozen_atoms`); the quotient
+    route runs when that shift is not unitary to roundoff.
     For well-interior TPD input the positive-definite density
     A(z)^-* A(0) A(z)^-1 / (2pi) is compared with the quotient's at 16
     points, a built-in cross-check.  T_n is built once: its prefixes are
-    scanned once, the scan's margin decides whether the cross-check runs,
-    the quotient reads re T_n and the cross-check inverts T_n.
+    scanned once by one eigvalsh, which also gives rank T_n, the scan's
+    margin decides whether the cross-check runs, the predictor's one SVD
+    gives rank T_{n-1} and the range the frozen route reads, the quotient
+    reads re T_n and the cross-check inverts T_n.
     """
+    return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
+
+
+def _central_measure(
+    seq: HermSeq, psd_tol: float, rank_rtol: float, root_tol: float
+) -> tuple[SpectralMeasure, np.ndarray]:
+    """`central_measure` and the predictor w of the central extension."""
+    _check_root_tol(root_tol)
     t = toeplitz_matrix(seq, len(seq) - 1)
-    margin = _require_tnd(t, seq.q, psd_tol)
-    cq = _central_quotient(seq.coeffs[0], re_mat(t), rank_rtol)
+    scan = _require_tnd(t, seq.q, psd_tol)
+    tr = re_mat(t)
+    w, u_r, s_r = _predictor_range(tr, seq.q, rank_rtol)
+    if len(seq) >= 2 and s_r.size == _rank(scan.eigenvalues, rank_rtol):
+        atoms = _frozen_atoms(tr, seq.q, u_r, s_r)
+        if atoms is not None:
+            return SpectralMeasure(q=seq.q, atoms=atoms, quotient=None), w
+    cq = _central_quotient(seq.coeffs[0], tr, w)
     atoms = compute_atoms(cq, root_tol)
     sm = SpectralMeasure(q=seq.q, atoms=atoms, quotient=cq)
     # Cross-check against the positive-definite route when it is numerically
     # trustworthy; the plain inverse loses digits for barely-TPD input.
-    if len(seq) >= 2 and margin > 1e-6:
+    if len(seq) >= 2 and scan.margin > 1e-6:
         if sm.atoms:
             raise ModelError("positive-definite input produced point masses")
         pa = _pd_polynomials(t, seq.q)[0]
@@ -248,7 +353,7 @@ def central_measure(
             raise ModelError(
                 f"central and positive-definite densities disagree ({err:.3e})"
             )
-    return sm
+    return sm, w
 
 
 def _pd_density_values(pa, zs: np.ndarray) -> np.ndarray:
@@ -367,9 +472,6 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     every zero of the other clusters and of every cluster of more than one
     zero.
     """
-    if sm.quotient is None:
-        empty = np.empty((0, sm.q, sm.q), dtype=complex)
-        return _SingularPart(np.empty(0, dtype=complex), empty, np.inf)
     res = sm.quotient.near_circle
     atoms = sm.atom_points()
     # residues are finite only at simple poles
@@ -391,8 +493,7 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     cq = sm.quotient
-    order, zeros = (0, 0) if cq is None else (cq.order, cq.zeros.size)
-    base = max(1024, 16 * order * sm.q, 4 * (zeros + abs(j_top) + 1))
+    base = max(1024, 16 * cq.order * sm.q, 4 * (cq.zeros.size + abs(j_top) + 1))
     # trapezoid error decays like exp(-nodes * dist), machine level near
     # nodes * dist = 40; grow the grid for poles it must resolve but keep
     # the cost bounded, verify_recovery reports anything missed.  Subtracted
@@ -406,6 +507,28 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
         dist = float(np.min(np.abs(sing.poles))) - 1.0
         base = max(base, min(4096, int(np.ceil(40.0 / dist))))
     return base
+
+
+def _atom_coeffs(sm: SpectralMeasure, js: np.ndarray) -> np.ndarray:
+    """sum_v v^{-j} X_v for each order j in js; shape (J, q^2)."""
+    weights = np.array([a.weight for a in sm.atoms], dtype=complex)
+    weights = weights.reshape(len(sm.atoms), sm.q**2)
+    return (sm.atom_points()[None, :] ** -js[:, None]) @ weights
+
+
+def _coefficients(sm: SpectralMeasure, js) -> np.ndarray:
+    """Fourier coefficients of the orders js; shape (J, q, q).
+
+    Without a quotient the measure is atomic and every order is a
+    closed-form sum over the atoms, with no grid.  Otherwise
+    `_fourier_many` takes them on `_default_nodes` nodes.
+    """
+    js = np.asarray(js, dtype=int)
+    if sm.quotient is None:
+        return _atom_coeffs(sm, js).reshape(js.size, sm.q, sm.q)
+    sing = _singular_part(sm)
+    nodes = _default_nodes(sm, sing, int(np.max(np.abs(js))))
+    return _fourier_many(sm, sing, js, nodes)
 
 
 def _fourier_many(
@@ -424,8 +547,7 @@ def _fourier_many(
     spec = np.fft.fft(dens, axis=0, out=dens)
     coeffs = spec[js % nodes] * ((TWO_PI / nodes) * np.exp(-1j * ang[0] * js))[:, None]
     if sm.atoms:
-        weights = np.array([a.weight for a in sm.atoms]).reshape(len(sm.atoms), -1)
-        coeffs = coeffs + (sm.atom_points()[None, :] ** -js[:, None]) @ weights
+        coeffs = coeffs + _atom_coeffs(sm, js)
     coeffs = coeffs.reshape(js.size, sm.q, sm.q)
     if sing.poles.size:
         coeffs = coeffs + np.array([sing.coeff(int(j)) for j in js])
@@ -438,10 +560,10 @@ def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
     Point masses and the near-circle poles of the density (see
     `verify_recovery`) are added in closed form; the smooth rest of the
     density is integrated on a uniform half-step-offset grid (rotated if
-    needed to clear the atoms) of `_default_nodes` nodes.
+    needed to clear the atoms) of `_default_nodes` nodes.  A measure without
+    a quotient needs no grid.
     """
-    sing = _singular_part(sm)
-    return _fourier_many(sm, sing, [int(j)], _default_nodes(sm, sing, j))[0]
+    return _coefficients(sm, [int(j)])[0]
 
 
 def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
@@ -449,19 +571,22 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
 
     For measures arising from a TND sequence this reproduces the Caratheodory
     function of the sequence.  Point masses and near-circle poles are
-    transformed in closed form, the smooth rest of the density by quadrature.
+    transformed in closed form, the smooth rest of the density by quadrature;
+    a measure without a quotient has no density to integrate.
     """
     zp = complex(z)
     if abs(zp) >= 1.0:
         raise InvalidInputError(f"|z| = {abs(zp)} not inside the open unit disk")
-    sing = _singular_part(sm)
-    nodes = _default_nodes(sm, sing, 0)
-    ang = _quadrature_angles(nodes, sm.atom_points())
-    zs = np.exp(1j * ang)
-    dens = sing.smooth_density(sm, ang)
-    kern = (zs + zp) / (zs - zp)
-    out = (TWO_PI / nodes) * np.tensordot(kern, dens, axes=(0, 0))
-    out = out + sing.herglotz(zp)
+    out = np.zeros((sm.q, sm.q), dtype=complex)
+    if sm.quotient is not None:
+        sing = _singular_part(sm)
+        nodes = _default_nodes(sm, sing, 0)
+        ang = _quadrature_angles(nodes, sm.atom_points())
+        zs = np.exp(1j * ang)
+        dens = sing.smooth_density(sm, ang)
+        kern = (zs + zp) / (zs - zp)
+        out = (TWO_PI / nodes) * np.tensordot(kern, dens, axes=(0, 0))
+        out = out + sing.herglotz(zp)
     for atom in sm.atoms:
         out = out + (atom.point + zp) / (atom.point - zp) * atom.weight
     return out
@@ -469,9 +594,14 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Outcome of checking a measure against its source coefficients."""
+    """Outcome of checking a measure against its source coefficients.
+
+    ``relative_error`` is max_error / ||C_0||; for C_0 = 0, where the data
+    has no scale, it is max_error itself.
+    """
 
     max_error: float
+    relative_error: float
     tolerance: float
     passed: bool
     errors_by_order: tuple[float, ...]
@@ -483,6 +613,7 @@ class RecoveryReport:
     def to_dict(self) -> dict:
         return {
             "max_error": self.max_error,
+            "relative_error": self.relative_error,
             "tolerance": self.tolerance,
             "passed": self.passed,
             "errors_by_order": list(self.errors_by_order),
@@ -499,8 +630,13 @@ def verify_recovery(
 ) -> RecoveryReport:
     """Recover C_0..C_n from the measure and compare with the sequence.
 
-    Point masses and the pole parts at zeros of det den within 0.04 outside
-    the circle enter in closed form; the smooth rest of the density goes
+    A measure without a quotient is purely atomic: every order is a
+    closed-form sum over its atoms, with no grid, and there is no density to
+    scan (0 nodes checked).
+
+    Otherwise point masses and the pole parts at zeros of det den within
+    0.04 outside the circle enter in closed form; the smooth rest of the
+    density goes
     through the trapezoid rule, every order C_0..C_n from one FFT of the
     density sampled on the grid.  By default the grid has 1024 nodes or more
     for high orders, up to 4096 when poles were subtracted, and up to
@@ -514,29 +650,30 @@ def verify_recovery(
     """
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
-    js = list(range(len(seq)))
-    sing = _singular_part(sm)
-    coeffs = _fourier_many(sm, sing, js, _default_nodes(sm, sing, len(seq) - 1))
+    coeffs = _coefficients(sm, range(len(seq)))
     errs = tuple(np.linalg.norm(coeffs - np.asarray(seq.coeffs), 2, axis=(1, 2)).tolist())
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)
     else:
         mass = np.zeros((sm.q, sm.q), dtype=complex)
-    ang = _quadrature_angles(DENSITY_NODES, sm.atom_points())
-    dens = sm.density_grid(ang)
-    scale = 1.0 + spec_norm(seq.coeffs[0])
-    lows = np.linalg.eigvalsh(dens)[:, 0]
-    violations = int(np.count_nonzero(lows < -DEFAULT_PSD_TOL * scale))
+    c0_norm = spec_norm(seq.coeffs[0])
+    violations, checked = 0, 0
+    if sm.quotient is not None:
+        ang = _quadrature_angles(DENSITY_NODES, sm.atom_points())
+        lows = np.linalg.eigvalsh(sm.density_grid(ang))[:, 0]
+        violations = int(np.count_nonzero(lows < -DEFAULT_PSD_TOL * (1.0 + c0_norm)))
+        checked = DENSITY_NODES
     max_err = max(errs)
     return RecoveryReport(
         max_error=float(max_err),
+        relative_error=float(max_err / c0_norm if c0_norm > 0.0 else max_err),
         tolerance=float(tol),
         passed=bool(max_err <= tol),
         errors_by_order=errs,
         atom_mass=mass,
         atom_mass_trace=float(np.real(np.trace(mass))),
         density_psd_violations=violations,
-        density_nodes_checked=DENSITY_NODES,
+        density_nodes_checked=checked,
     )
 
 
@@ -549,18 +686,19 @@ def ar_spectrum(
     """Autoregressive spectral estimate: the central measure of C_0..C_order.
 
     The requested order is authoritative.  Stored coefficients beyond it are
-    compared against the central extension, continued with the predictor
-    w_m = -den_m the measure's quotient already holds; disagreement means the
-    data is not autoregressive of that order and raises ArOrderMismatchWarning.
+    compared against the central extension, continued with the predictor w
+    the measure was computed from (w_m = -den_m when it has a quotient);
+    disagreement means the data is not autoregressive of that order and
+    raises ArOrderMismatchWarning.
     Coefficients count as equal within CENTRAL_TOL * (1 + ||C_0||), the test
     `central_order` makes.
     """
     if not 0 <= order < len(seq):
         raise InvalidInputError(f"order {order} outside stored range 0..{len(seq) - 1}")
     prefix = seq.prefix(order + 1)
-    sm = central_measure(prefix, psd_tol=psd_tol, rank_rtol=rank_rtol)
+    sm, w = _central_measure(prefix, psd_tol, rank_rtol, DEFAULT_ROOT_TOL)
     if len(seq) > order + 1:
-        ext = _continue(prefix, -sm.quotient.den.coeffs[1:], len(seq), psd_tol)
+        ext = _continue(prefix, w, len(seq), psd_tol)
         scale = 1.0 + spec_norm(seq.coeffs[0])
         diff = np.subtract(seq.coeffs, ext.coeffs)[order + 1 :]
         gap = np.linalg.norm(diff, 2, axis=(1, 2))

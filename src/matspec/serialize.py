@@ -148,7 +148,9 @@ def measure_to_doc(
 
 
 def doc_to_measure(doc) -> SpectralMeasure:
-    """Rebuild a measure (atoms + quotient) from its document."""
+    """Rebuild a measure (atoms + quotient) from its document; a
+    ``provenance`` other than the one the quotient implies ("central" with
+    coefficients, "atoms-only" without) is refused."""
     if not isinstance(doc, dict):
         raise InvalidInputError("measure document must be a JSON object")
     q = doc.get("q")
@@ -181,9 +183,15 @@ def doc_to_measure(doc) -> SpectralMeasure:
         quotient = CaratheodoryQuotient(num=num, den=den)
     else:
         quotient = None
-    prov = doc.get("provenance", "central")
+    # provenance is derived from the quotient, so a document that states the
+    # other one would not re-serialize to itself
+    derived = "central" if quotient is not None else "atoms-only"
+    prov = doc.get("provenance", derived)
     if prov not in ("central", "atoms-only"):
         raise InvalidInputError(f"unknown provenance {prov!r}")
+    if prov != derived:
+        have = "coefficients" if quotient is not None else "no coefficients"
+        raise InvalidInputError(f"provenance {prov!r} contradicts a quotient with {have}")
     return SpectralMeasure(q=q, atoms=atoms, quotient=quotient)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import DimensionError, InvalidInputError, ModelError
 from .linalg import (
     DEFAULT_PSD_TOL,
     as_cmatrix,
+    _pinv_range,
     is_unitary,
     pinv,
     re_mat,
@@ -125,16 +127,25 @@ def toeplitz_matrix(seq: MatrixSeq, n: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * q, (n + 1) * q)
 
 
-def _scan(t: np.ndarray, q: int, tol: float) -> tuple[int | None, float]:
+class _Scan(NamedTuple):
+    """Result of `_scan`."""
+
+    bad: int | None  # first k with T_k not nonnegative Hermitian
+    margin: float  # smallest lambda_min(re T_k) / (1 + ||T_k||) scanned
+    eigenvalues: np.ndarray  # of re T_n, ascending; empty when C_0 fails
+
+
+def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
     """Nonnegativity of the leading blocks T_0..T_n of the block Toeplitz T_n,
     from one eigvalsh of re T_n; per-prefix only below -tol (1 + ||C_0||).
 
     Returns the first k with T_k not nonnegative Hermitian (None when the
-    sequence is TND) and the smallest margin lambda_min(re T_k) / (1 + ||T_k||)
-    over the prefixes scanned.  T_k - T_k* is block diagonal with blocks
+    sequence is TND), the smallest margin lambda_min(re T_k) / (1 + ||T_k||)
+    over the prefixes scanned, and the eigenvalues of re T_n, from which
+    `_rank` reads rank T_n.  T_k - T_k* is block diagonal with blocks
     C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity is decided on C_0 alone,
-    and a C_0 that fails it gives (0, -inf); ||T_k|| is read off the same
-    eigenvalues as lambda_min.
+    and a C_0 that fails it gives (0, -inf, no eigenvalues); ||T_k|| is read
+    off the same eigenvalues as lambda_min.
 
     Each T_k is a leading principal submatrix of T_n, so by Cauchy
     interlacing lambda_min(T_k) >= lambda_min(T_n) and
@@ -151,13 +162,13 @@ def _scan(t: np.ndarray, q: int, tol: float) -> tuple[int | None, float]:
     c0 = t[:q, :q]
     c0_norm = spec_norm(c0)
     if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):
-        return 0, -np.inf
+        return _Scan(0, -np.inf, np.empty(0))
     t = re_mat(t)
     n = len(t) // q - 1
     w_n = np.linalg.eigvalsh(t)
     bound = -tol * (1.0 + c0_norm)
     if w_n[0] >= bound:
-        return None, float(w_n[0]) / (1.0 + max(-w_n[0], w_n[-1]))
+        return _Scan(None, float(w_n[0]) / (1.0 + max(-w_n[0], w_n[-1])), w_n)
     margin, bad = np.inf, None
     for k in range(n + 1):
         w = w_n if k == n else np.linalg.eigvalsh(t[: (k + 1) * q, : (k + 1) * q])
@@ -172,7 +183,14 @@ def _scan(t: np.ndarray, q: int, tol: float) -> tuple[int | None, float]:
         "prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, first bad T_%s",
         n, w_n[0], bound, bad,
     )
-    return bad, margin
+    return _Scan(bad, margin, w_n)
+
+
+def _rank(eigenvalues: np.ndarray, rank_rtol: float) -> int:
+    """Numerical rank of a Hermitian PSD matrix from its ascending
+    eigenvalues: those above rank_rtol times the largest, the cutoff
+    `linalg.pinv` applies to singular values."""
+    return int(np.count_nonzero(eigenvalues > rank_rtol * eigenvalues.max(initial=0.0)))
 
 
 def _classification(bad: int | None, margin: float, tol: float) -> Classification:
@@ -182,13 +200,13 @@ def _classification(bad: int | None, margin: float, tol: float) -> Classificatio
     return Classification.TPD if margin > tol else Classification.TND
 
 
-def _require_tnd(t: np.ndarray, q: int, tol: float) -> float:
+def _require_tnd(t: np.ndarray, q: int, tol: float) -> _Scan:
     """Scan T_n once; raise ModelError naming the first bad T_k, else return
-    the margin."""
-    bad, margin = _scan(t, q, tol)
-    if bad is not None:
-        raise ModelError(f"T_{bad} not nonnegative Hermitian", index=bad)
-    return margin
+    the scan."""
+    scan = _scan(t, q, tol)
+    if scan.bad is not None:
+        raise ModelError(f"T_{scan.bad} not nonnegative Hermitian", index=scan.bad)
+    return scan
 
 
 def first_violation(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
@@ -201,7 +219,8 @@ def first_violation(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
 
 def classify(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> Classification:
     """TPD / TND / NOT_TND test over every prefix Toeplitz matrix."""
-    return _classification(*_scan(toeplitz_matrix(seq, len(seq) - 1), seq.q, tol), tol)
+    scan = _scan(toeplitz_matrix(seq, len(seq) - 1), seq.q, tol)
+    return _classification(scan.bad, scan.margin, tol)
 
 
 def ball_params(seq: HermSeq, n: int) -> MatrixBall:
@@ -231,7 +250,16 @@ def ball_params(seq: HermSeq, n: int) -> MatrixBall:
 
 def _predictor(t: np.ndarray, q: int, rank_rtol: float) -> np.ndarray:
     """Blocks w_1..w_n of w = T_{n-1}' Y_n, shape (n, q, q), read off the
-    block Toeplitz ``t`` = T_n; empty for n = 0.
+    block Toeplitz ``t`` = T_n; empty for n = 0 (see `_predictor_range`)."""
+    return _predictor_range(t, q, rank_rtol)[0]
+
+
+def _predictor_range(
+    t: np.ndarray, q: int, rank_rtol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_predictor` with the range of T_{n-1} its pseudoinverse keeps:
+    (w, U_r, s_r), T_{n-1} = U_r diag(s_r) U_r* up to the cutoff, all from
+    the one SVD.  r = len(s_r) is rank T_{n-1}.
 
     One pseudoinverse, no prefix check.  The centre of the ball
     `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
@@ -246,13 +274,13 @@ def _predictor(t: np.ndarray, q: int, rank_rtol: float) -> np.ndarray:
     """
     n = len(t) // q - 1
     if n == 0:
-        return np.zeros((0, q, q), dtype=complex)
+        return np.zeros((0, q, q), dtype=complex), np.zeros((0, 0)), np.zeros(0)
     tn, y = t[:-q, :-q], t[q:, :q]
-    tp = pinv(tn, rank_rtol)
+    tp, u_r, s_r = _pinv_range(tn, rank_rtol)
     w = tp @ y
     for _ in range(2):
         w = w + tp @ (y - tn @ w)
-    return w.reshape(n, q, q)
+    return w.reshape(n, q, q), u_r, s_r
 
 
 def _predict(past: np.ndarray, w: np.ndarray) -> np.ndarray:

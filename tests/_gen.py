@@ -36,10 +36,13 @@ def separated_angles(rng, count, min_sep=0.4):
             return ang
 
 
-def atomic_coeffs(rng, q, count, n_atoms):
-    """Coefficients of a purely atomic measure; returns (coeffs, atoms)."""
-    angles = separated_angles(rng, n_atoms)
-    points = np.exp(1j * angles)
+def atomic_coeffs(rng, q, count, n_atoms, points=None):
+    """Coefficients of a purely atomic measure; returns (coeffs, atoms).
+
+    The ``n_atoms`` locations are drawn well apart unless ``points`` gives
+    them."""
+    if points is None:
+        points = np.exp(1j * separated_angles(rng, n_atoms))
     weights = [random_psd(rng, q) for _ in range(n_atoms)]
     coeffs = []
     for j in range(count):

@@ -488,6 +488,93 @@ class TestVerifyRecovery:
         assert json.loads(blob)["passed"] is True
 
 
+    @pytest.mark.parametrize("kind", ["tpd", "frozen"])
+    def test_relative_error_is_scale_free(self, kind):
+        rng = np.random.default_rng(21)
+        if kind == "tpd":
+            coeffs = list(random_tpd_seq(rng, 2, 4).coeffs)
+        else:
+            coeffs = atomic_coeffs(rng, 2, 5, n_atoms=3)[0]
+        small, big = (
+            verify_recovery(central_measure(s), s)
+            for s in (HermSeq(coeffs), HermSeq([1e5 * c for c in coeffs]))
+        )
+        assert small.relative_error == small.max_error / spec_norm(coeffs[0])
+        assert "relative_error" in small.to_dict()
+        # both at roundoff; max_error itself grows about 1e5-fold
+        assert abs(big.relative_error - small.relative_error) <= 1e-14
+
+    def test_relative_error_without_scale_is_the_absolute_error(self):
+        zero = scalar_seq(0.0, 0.0)
+        assert verify_recovery(central_measure(zero), zero).relative_error == 0.0
+        report = verify_recovery(atomic_measure([(1.0, [[0.5]])]), zero)
+        assert report.relative_error == report.max_error == 0.5
+
+
+class TestRankFrozen:
+    """rank T_n = rank T_{n-1}: atoms from the compressed shift, no quotient,
+    zero density and recovery in closed form."""
+
+    def test_close_pair_recovers(self):
+        # q = 1, three atoms, two 1e-3 apart: with the zeros of det den from
+        # np.roots these coefficients came back only to 1.8e-6
+        coeffs, want = jittered_atomic_coeffs(np.random.default_rng(1), 1, 9, 3, 1, 1e-3)
+        seq = HermSeq(coeffs)
+        sm = central_measure(seq)
+        assert sm.quotient is None and len(sm.atoms) == 3
+        points = sm.atom_points()
+        for u, w in want:
+            k = int(np.argmin(np.abs(points - u)))
+            assert abs(points[k] - u) <= 1e-8
+            assert spec_norm(sm.atoms[k].weight - w) <= 1e-8
+        assert verify_recovery(sm, seq, tol=1e-8).passed
+
+    def test_measure_without_quotient_evaluates_nothing(self, monkeypatch):
+        import matspec.measure as measure
+
+        seq = HermSeq(atomic_coeffs(np.random.default_rng(2), 2, 4, n_atoms=2)[0])
+        sm = central_measure(seq)
+        cq = central_quotient(gamma_from_covariance(seq))
+
+        def refuse(*args):
+            raise AssertionError("a measure without quotient evaluated a grid")
+
+        monkeypatch.setattr(measure, "rational_values", refuse)
+        monkeypatch.setattr(measure, "_quadrature_angles", refuse)
+        assert np.array_equal(sm.density_grid(np.linspace(0.0, 6.0, 7)), np.zeros((7, 2, 2)))
+        assert np.array_equal(density_at(sm, 1j), np.zeros((2, 2)))
+        report = verify_recovery(sm, seq)
+        assert report.passed and report.density_nodes_checked == 0
+        assert spec_norm(fourier_coeff(sm, 5) - sum(
+            a.point ** -5 * a.weight for a in sm.atoms)) <= 1e-14
+        tol = 1e-8 * (1.0 + spec_norm(seq.coeff(0)))
+        for z in (0.0, 0.3 - 0.4j):
+            assert spec_norm(herglotz_transform(sm, z) - phi_at(cq, z)) <= tol
+
+    def test_shift_not_unitary_falls_back_to_the_quotient(self, monkeypatch, caplog):
+        import logging
+
+        import matspec.measure as measure
+
+        seq = HermSeq(atomic_coeffs(np.random.default_rng(2), 2, 4, n_atoms=2)[0])
+        frozen = central_measure(seq)
+        monkeypatch.setattr(measure, "UNITARY_DEFECT", -1.0)
+        with caplog.at_level(logging.DEBUG, logger="matspec"):
+            sm = central_measure(seq)
+        assert sm.quotient is not None
+        assert len([r for r in caplog.records if "W*W - I" in r.getMessage()]) == 1
+        assert len(sm.atoms) == len(frozen.atoms) == 2
+        for a, b in zip(sm.atoms, frozen.atoms):
+            assert abs(a.point - b.point) <= 1e-8
+            assert spec_norm(a.weight - b.weight) <= 1e-8
+
+    def test_zero_data_is_the_zero_measure(self):
+        seq = HermSeq([np.zeros((2, 2))] * 3)
+        sm = central_measure(seq)
+        assert sm.quotient is None and sm.atoms == ()
+        assert verify_recovery(sm, seq).max_error == 0.0
+
+
 class TestNearEdgeQuadrature:
     """Data close to the extension-ball boundary concentrates the density.
 
@@ -791,3 +878,16 @@ class TestArSpectrum:
     def test_bad_order_rejected(self):
         with pytest.raises(InvalidInputError):
             ar_spectrum(scalar_seq(1.0), order=1)
+
+    def test_frozen_prefix_continues_with_its_predictor(self):
+        import warnings
+
+        # two atoms of rank 2 are frozen from order 2 on: the continuation
+        # of the order-3 prefix is the stored tail
+        coeffs, _ = atomic_coeffs(np.random.default_rng(5), 2, 8, n_atoms=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sm = ar_spectrum(HermSeq(coeffs), order=3)
+        assert sm.quotient is None and len(sm.atoms) == 2
+        with pytest.warns(ArOrderMismatchWarning, match=r"\[5\]"):
+            ar_spectrum(HermSeq(coeffs[:5] + [0.5 * coeffs[5]]), order=3)

@@ -150,6 +150,26 @@ class TestMeasureDocs:
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
         assert "not on the unit circle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, stated",
+        [((1.0, 0.5), "atoms-only"), ((1.0, 1.0), "central")],
+        ids=["atoms-only-with-coefficients", "central-without"],
+    )
+    def test_contradictory_provenance_rejected(self, tmp_path, capsys, data, stated):
+        # (1, 0.5) has a density and a quotient; (1, 1) is rank-frozen, one
+        # atom and no quotient
+        doc = measure_to_doc(central_measure(scalar_seq(*data)), density_samples=0)
+        assert doc["provenance"] != stated
+        doc["provenance"] = stated
+        with pytest.raises(InvalidInputError, match="contradicts"):
+            doc_to_measure(doc)
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(*data))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        assert "contradicts" in capsys.readouterr().err
+
     def test_unknown_provenance_rejected(self):
         # "pd-path" named a second route to the same measure, now removed
         doc = measure_to_doc(central_measure(scalar_seq(1.0)))
@@ -278,6 +298,28 @@ class TestCliPipeline:
         assert (
             main(["verify", str(mfile), "--sequence", str(src), "--tol", "1e-8"]) == 0
         )
+
+    def test_rank_frozen_document_through_every_subcommand(self, tmp_path, capsys):
+        # 1, -i, -1 are the coefficients of one atom at i, the README's
+        # rank-frozen example: an atoms-only document, and an AR(1)
+        # continuation that reproduces C_2
+        src = tmp_path / "seq.json"
+        mfile = tmp_path / "measure.json"
+        src.write_text(seq_doc_text(1.0, -1j, -1.0))
+        assert main(["spectrum", str(src), "--output", str(mfile)]) == 0
+        doc = loads(mfile.read_text())
+        assert doc["provenance"] == "atoms-only"
+        assert doc["quotient"] == {"a_coeffs": [], "b_coeffs": []}
+        assert [a["u"] for a in doc["atoms"]] == [[0.0, 1.0]]
+        assert doc["report"]["passed"] is True
+        # ||C_0|| = 1
+        assert doc["report"]["relative_error"] == doc["report"]["max_error"] < 1e-15
+        assert main(["verify", str(mfile), "--sequence", str(src), "--tol", "1e-8"]) == 0
+        capsys.readouterr()
+        assert main(["ar-spectrum", str(src), "--order", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert loads(captured.out)["provenance"] == "atoms-only"
 
     def test_verify_against_wrong_sequence_exits_2(self, tmp_path, capsys):
         src = tmp_path / "seq.json"

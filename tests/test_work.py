@@ -9,7 +9,11 @@ evaluations of den and num however many atoms there are, the recovery
 quadrature takes every Fourier order from one FFT with no phase matrix, the
 Horner step keeps the bits of ``out * z + c_k``, and the recovery errors of
 all orders and each comparison of the positive-definite cross-check, the
-autoregressive check and `central_order` take one stacked norm."""
+autoregressive check and `central_order` take one stacked norm.
+`central_measure` builds T_n once and takes one eigvalsh and one matrix SVD
+for every kind of input; rank-frozen input reads its atoms off one eig of
+the r x r compressed shift and never forms det den, its zeros, a quotient
+value or a quadrature grid."""
 
 import importlib
 import json
@@ -50,7 +54,7 @@ from matspec.cli import main
 from matspec.linalg import DEFAULT_RANK_RTOL
 from matspec.toeplitz import _predictor
 
-from _gen import atomic_coeffs, random_tpd_seq
+from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq
 from _oracle import horner
 
 Q, N = 2, 16
@@ -332,6 +336,11 @@ def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
     for seen in quadrature_work.values():
         seen.clear()
     assert verify_recovery(sm, data).passed
+    if case == "atoms":
+        # rank-frozen: no quotient, every order in closed form, no grid
+        assert sm.quotient is None
+        assert quadrature_work == {"fft": [], "exp": [], "grids": []}
+        return
     # the Fourier grid, then the PSD scan grid
     nodes, scan = quadrature_work["grids"]
     assert scan == measure.DENSITY_NODES
@@ -339,6 +348,64 @@ def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
     assert quadrature_work["fft"] == [(nodes, data.q**2)]
     # and no (J, N) phase matrix
     assert max(quadrature_work["exp"]) <= nodes
+
+
+# two full-rank q=2 atoms, n = 5: rank T_4 = rank T_5 = 4
+FROZEN = HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 6, 2)[0])
+# one atom plus a trigonometric density: the rank grows with n
+MIXED = HermSeq(mixed_coeffs(np.random.default_rng(4), 2, 6)[0])
+
+
+def test_frozen_input_reads_its_atoms_off_one_eig(
+    pole_work, quadrature_work, monkeypatch
+):
+    # rank-frozen data: no det den, no roots, no quotient values and no
+    # quadrature anywhere in the pipeline, and one eigensolve of size r
+    eigs, points = [], []
+    eig, values = np.linalg.eig, caratheodory.rational_values
+
+    def counted_eig(a, *args, **kwargs):
+        eigs.append(np.shape(a))
+        return eig(a, *args, **kwargs)
+
+    def counted_values(cq, zs):
+        points.append(np.size(zs))
+        return values(cq, zs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    for module in (caratheodory, measure):
+        monkeypatch.setattr(module, "rational_values", counted_values)
+    sm = run_pipeline(FROZEN)
+    assert sm.quotient is None and len(sm.atoms) == 2
+    assert pole_work == {"det_poly": [], "roots": 0, "polish": 0}
+    assert points == []
+    assert quadrature_work["fft"] == [] and quadrature_work["grids"] == []
+    assert eigs == [(4, 4)]
+
+
+@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed"])
+def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, kind):
+    # one T_n, one eigvalsh (the scan, which also gives rank T_n) and one
+    # matrix SVD (the predictor's, which also gives rank T_{n-1} and the
+    # range the frozen route reads); the quotient route's kernels at the
+    # near-circle zeros are one stacked SVD of q x q matrices
+    data = {"tpd": seq, "subtracted-pole": AR1, "frozen": FROZEN, "mixed": MIXED}[kind]
+    built = []
+    build = matspec.toeplitz.toeplitz_matrix
+
+    def counted(s, n):
+        built.append(n)
+        return build(s, n)
+
+    for m in pkgutil.iter_modules(matspec.__path__):
+        module = importlib.import_module(f"matspec.{m.name}")
+        if hasattr(module, "toeplitz_matrix"):
+            monkeypatch.setattr(module, "toeplitz_matrix", counted)
+    sm = central_measure(data)
+    assert (sm.quotient is None) == (kind == "frozen")
+    assert built == [len(data) - 1]
+    assert calls["eigvalsh"] == [(len(data) * data.q,) * 2]
+    assert [s for s in calls["svd"] if len(s) == 2] == [((len(data) - 1) * data.q,) * 2]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
