@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import os
 import sys
 import warnings
 
-from .caratheodory import caratheodory_check, central_quotient, phi_at
+from .caratheodory import central_quotient, phi_at
 from .central import (
     GammaSeq,
     central_extend,
@@ -118,14 +117,10 @@ def _cmd_check(args) -> int:
     failure, margin, _ = _scan(toeplitz_matrix(cov, len(cov) - 1), cov.q, args.psd_tol)
     kind = _classification(failure, margin, args.psd_tol)
     # re S_n of the Gamma sequence is re T_n bit for bit, so the same scan
-    # decides it, unless C_0 failed the Hermiticity test (margin -inf)
-    if margin == -math.inf:
-        cara = caratheodory_check(_as_gamma(seq), tol=args.psd_tol)
-    else:
-        cara = failure is None
+    # decides it; a non-Hermitian C_0 (Gamma_0) fails both
     out = {
         "classification": kind.value,
-        "caratheodory": cara,
+        "caratheodory": failure is None,
         "first_failure": failure,
     }
     _write_text(args.output, dumps(out))

@@ -492,8 +492,31 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
 
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
+    """Trapezoid nodes N for the Fourier orders |j| <= |j_top| of the density
+    left once ``sing`` is subtracted.
+
+    The rule reads order j with the alias of order j - N, whose size falls
+    like e^{-(N - |j|) d} when the density is analytic in the annulus
+    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014).  Without
+    atoms, d is the smallest |log|z|| over the zeros of det den outside the
+    NEAR_CIRCLE band and N = max(64, |j_top| + ceil(40 / d)).  A polynomial
+    part of num den^{-1}, of degree at most deg num + (q - 1) deg den -
+    deg det den (degrees of the trimmed polynomials), aliases exactly
+    unless N - |j_top| exceeds that degree.  Measures with atoms, whose
+    computed density carries a roundoff spike next to each atom, keep the
+    floor max(1024, 16 q deg den, 4 (deg det den + |j_top| + 1)).  The
+    zeros inside the band are sized by the pole and brute-force rules below.
+    """
     cq = sm.quotient
-    base = max(1024, 16 * cq.order * sm.q, 4 * (cq.zeros.size + abs(j_top) + 1))
+    if sm.atoms:
+        base = max(1024, 16 * cq.order * sm.q, 4 * (cq.zeros.size + abs(j_top) + 1))
+    else:
+        zs = cq.zeros
+        with np.errstate(divide="ignore"):
+            far = np.abs(np.log(np.abs(zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE])))
+        poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - zs.size
+        decay = int(np.ceil(40.0 / np.min(far))) if far.size else 0
+        base = max(64, abs(j_top) + max(decay, poly + 1))
     # trapezoid error decays like exp(-nodes * dist), machine level near
     # nodes * dist = 40; grow the grid for poles it must resolve but keep
     # the cost bounded, verify_recovery reports anything missed.  Subtracted
@@ -560,8 +583,10 @@ def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
     Point masses and the near-circle poles of the density (see
     `verify_recovery`) are added in closed form; the smooth rest of the
     density is integrated on a uniform half-step-offset grid (rotated if
-    needed to clear the atoms) of `_default_nodes` nodes.  A measure without
-    a quotient needs no grid.
+    needed to clear the atoms) of `_default_nodes` nodes: without atoms
+    |j| + ceil(40 / d) or 64, whichever is more, d the distance in
+    |log|z|| of the nearest zero of det den the grid must resolve.  A
+    measure without a quotient needs no grid.
     """
     return _coefficients(sm, [int(j)])[0]
 
@@ -572,7 +597,9 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
     For measures arising from a TND sequence this reproduces the Caratheodory
     function of the sequence.  Point masses and near-circle poles are
     transformed in closed form, the smooth rest of the density by quadrature;
-    a measure without a quotient has no density to integrate.
+    a measure without a quotient has no density to integrate.  The kernel's
+    pole at z takes ceil(40 / log(1/|z|)) nodes, capped at
+    NEAR_CIRCLE_NODE_CAP, so accuracy holds up to |z| <= 1 - 40 / 65536.
     """
     zp = complex(z)
     if abs(zp) >= 1.0:
@@ -581,6 +608,10 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
     if sm.quotient is not None:
         sing = _singular_part(sm)
         nodes = _default_nodes(sm, sing, 0)
+        if zp != 0.0:
+            # the kernel's pole at z: its alias falls like |z|^N
+            kernel = int(np.ceil(40.0 / -np.log(abs(zp))))
+            nodes = max(nodes, min(NEAR_CIRCLE_NODE_CAP, kernel))
         ang = _quadrature_angles(nodes, sm.atom_points())
         zs = np.exp(1j * ang)
         dens = sing.smooth_density(sm, ang)
@@ -636,10 +667,12 @@ def verify_recovery(
 
     Otherwise point masses and the pole parts at zeros of det den within
     0.04 outside the circle enter in closed form; the smooth rest of the
-    density goes
-    through the trapezoid rule, every order C_0..C_n from one FFT of the
-    density sampled on the grid.  By default the grid has 1024 nodes or more
-    for high orders, up to 4096 when poles were subtracted, and up to
+    density goes through the trapezoid rule, every order C_0..C_n from one
+    FFT of the density sampled on the grid (`_default_nodes`).  Without
+    atoms the grid has max(64, n + ceil(40 / d)) nodes, d the smallest
+    |log|z|| over the zeros z of det den outside that band, so the alias of
+    order n falls like e^{-40}; with atoms it keeps a floor of 1024 nodes.
+    It grows up to 4096 when poles were subtracted, and up to
     NEAR_CIRCLE_NODE_CAP for near-circle poles the grid must resolve itself
     (those whose residue is not a simple pole's).  The split into pole parts
     and remainder is exact for any pole and residue, so an inaccurate one

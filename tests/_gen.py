@@ -62,7 +62,8 @@ def trig_coeffs(rng, q, count, deg):
         acc = np.zeros((q, q), dtype=complex)
         for k in range(deg + 1 - j):
             acc = acc + qs[k].conj().T @ qs[k + j]
-        coeffs.append(acc)
+        # symmetrize C_0 so it is Hermitian bit for bit, as in random_psd
+        coeffs.append(0.5 * (acc + acc.conj().T) if j == 0 else acc)
     return coeffs
 
 

@@ -620,6 +620,50 @@ class TestNearEdgeQuadrature:
         assert max(grid_sizes) <= 4096
 
 
+class TestGridSizing:
+    """Without atoms the recovery grid follows the zeros of det den: the
+    alias of order j - N falls like e^{-(N - |j|) d}, d the smallest
+    |log|z|| over the zeros outside the NEAR_CIRCLE band, so N - |j| = 40/d
+    nodes reach roundoff, far fewer than 1024 for zeros far from the
+    circle."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["tpd", "var1"])
+    def test_small_grid_matches_a_dense_one(self, kind, seed, grid_sizes):
+        rng = np.random.default_rng(seed)
+        if kind == "tpd":
+            seq = random_tpd_seq(rng, 2, 2)
+        else:
+            seq = HermSeq(var1_coeffs(rng, 2, 0.8, 9))
+        sm = central_measure(seq)
+        orders = range(len(seq))
+        dense = brute_force_coeffs(sm, orders, 4096)
+        grid_sizes.clear()
+        got = [fourier_coeff(sm, j) for j in orders]
+        assert max(grid_sizes) < 1024
+        for g, w in zip(got, dense):
+            assert spec_norm(g - w) <= 1e-14 * spec_norm(seq.coeff(0))
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_white_noise_of_high_order(self, n):
+        # no zero of det den: the grid still needs more nodes than orders,
+        # or order n would read C_0
+        seq = HermSeq([np.eye(2, dtype=complex)] + [np.zeros((2, 2))] * n)
+        report = verify_recovery(central_measure(seq), seq, tol=1e-13)
+        assert report.passed
+
+    def test_polynomial_part_is_not_aliased(self):
+        # den = 1: re num on the circle, 1 + 0.4 cos t + 0.2 cos 2t +
+        # 0.1 cos 3t, is a trigonometric polynomial of degree 3, so N must
+        # exceed 70 + 3
+        cq = CaratheodoryQuotient(
+            MatPoly(np.array([1.0, 0.4, 0.2, 0.1])[:, None, None]), MatPoly([[[1.0]]])
+        )
+        seq = scalar_seq(1.0, 0.2, 0.1, 0.05, *[0.0] * 67)
+        report = verify_recovery(SpectralMeasure(1, (), cq), seq, tol=1e-13)
+        assert report.passed
+
+
 def brute_force_coeffs(sm, orders, nodes):
     """Plain trapezoid rule on the density with the atoms added exactly.
 
@@ -851,6 +895,20 @@ class TestHerglotz:
         sm = central_measure(scalar_seq(1.0))
         with pytest.raises(InvalidInputError):
             herglotz_transform(sm, 1.2)
+
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9995])
+    @pytest.mark.parametrize("kind", ["tpd", "var1"])
+    def test_near_the_circle(self, kind, r):
+        # the Poisson kernel's pole at z needs about 40 / log(1/|z|) nodes,
+        # more than 1024 from r = 0.962 on
+        if kind == "tpd":
+            seq = random_tpd_seq(np.random.default_rng(0), 2, 6)
+        else:
+            seq = HermSeq(var1_coeffs(np.random.default_rng(1), 2, 0.5, 6))
+        sm = central_measure(seq)
+        z = r * np.exp(0.7j)
+        err = spec_norm(herglotz_transform(sm, z) - phi_at(sm.quotient, z))
+        assert err <= 1e-12 * spec_norm(seq.coeff(0))
 
 
 class TestArSpectrum:

@@ -204,16 +204,18 @@ class TestCliExitCodes:
         assert capsys.readouterr().out == dumps(want)
 
     def test_check_non_hermitian_head_exits_2(self, tmp_path, capsys):
-        # C_0 fails the Hermiticity test, so T_0 is the first failure; the
-        # Caratheodory test reads only re Gamma_0, which passes
+        # C_0 fails the Hermiticity test, so T_0 is the first failure, and
+        # Gamma_0 = C_0 fails the Caratheodory test as eval-phi rejects it
         seq = HermSeq([np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1 * np.eye(2)])
         f = tmp_path / "seq.json"
         f.write_text(dumps(sequence_to_doc(seq, "covariance")))
         assert main(["check", str(f)]) == 2
         captured = capsys.readouterr()
-        want = {"caratheodory": True, "classification": "NOT_TND", "first_failure": 0}
+        want = {"caratheodory": False, "classification": "NOT_TND", "first_failure": 0}
         assert captured.out == dumps(want)
         assert captured.err == "T_0 not nonnegative Hermitian\n"
+        assert main(["eval-phi", str(f), "--z", "0.5,0.0"]) == 1
+        assert "Gamma_0 must be Hermitian" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["spectrum", "ar-spectrum"])
     def test_negative_density_samples_exits_1(self, tmp_path, capsys, command):

@@ -6,8 +6,9 @@ scan's work grows as n^3, solves for the central predictor with one
 pseudoinverse, det den, its zeros and their near-circle clusters are found
 and polished once per quotient, the atom weights take a fixed number of
 evaluations of den and num however many atoms there are, the recovery
-quadrature takes every Fourier order from one FFT with no phase matrix, the
-Horner step keeps the bits of ``out * z + c_k``, and the recovery errors of
+quadrature takes every Fourier order from one FFT with no phase matrix, on a
+grid sized, for measures without atoms, by the distance of the zeros of
+det den, the Horner step keeps the bits of ``out * z + c_k``, and the recovery errors of
 all orders and each comparison of the positive-definite cross-check, the
 autoregressive check and `central_order` take one stacked norm.
 `central_measure` builds T_n once and takes one eigvalsh and one matrix SVD
@@ -302,6 +303,26 @@ def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
     # atoms, the subtracted pole and every quadrature read one analysis
     assert pole_work["polish"] == 1
     assert max(grid_sizes) <= 4096
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_far_zero_sizes_the_grid(rho, grid_sizes):
+    # AR(1): the one zero of det den sits at 1/rho, outside the NEAR_CIRCLE
+    # band, and the alias of order j falls like rho^(N - j)
+    n = 4
+    data = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(n + 1)])
+    verify_recovery(central_measure(data), data)
+    assert grid_sizes[0] == max(64, n + int(np.ceil(40.0 / np.log(1.0 / rho))))
+
+
+def test_far_zeros_keep_the_grid_below_1024(grid_sizes):
+    # low-order draws keep every zero of det den outside the NEAR_CIRCLE
+    # band, where 40 / d is at most 1020
+    for q in (1, 2, 3):
+        for seed in range(10):
+            data = random_tpd_seq(np.random.default_rng(seed), q, 2)
+            verify_recovery(central_measure(data), data)
+    assert max(grid_sizes) < 1024
 
 
 @pytest.fixture
