@@ -24,7 +24,6 @@ from .errors import (
     InvalidInputError,
     MatSpecError,
     ModelError,
-    MultiplicityError,
 )
 from .linalg import spec_norm
 from .matpoly import MatPoly
@@ -36,7 +35,6 @@ from .measure import (
     ar_spectrum,
     atomic_measure,
     central_measure,
-    compute_atoms,
     density_at,
     fourier_coeff,
     herglotz_transform,
@@ -79,7 +77,6 @@ __all__ = [
     "central_quotient",
     "Classification",
     "classify",
-    "compute_atoms",
     "conjugate_by_unitary",
     "covariance_from_gamma",
     "density_at",
@@ -100,7 +97,6 @@ __all__ = [
     "MatSpecError",
     "measure_to_doc",
     "ModelError",
-    "MultiplicityError",
     "NOT_CENTRAL",
     "pd_density",
     "pd_polynomials",

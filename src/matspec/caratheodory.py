@@ -18,9 +18,9 @@ where e(z) = (I, zI, ..., z^{n-1} I) reads the block entries as polynomial
 coefficients and T' is the pseudoinverse.  Both polynomials have degree at
 most n, num(0) = Gamma_0 and den(0) = I.
 
-The measure's point masses are residues of num den^{-1} at the unimodular
-zeros of det den, and its zeros just outside the circle spike the density;
-each quotient analyses the zeros near the circle once (`near_circle`).
+The zeros of det den just outside the circle spike the density; each
+quotient analyses the zeros near the circle once (`near_circle`): clusters,
+Newton-polished points and the residues of num den^{-1} there.
 """
 
 from __future__ import annotations
@@ -45,13 +45,15 @@ from .toeplitz import (
     toeplitz_matrix,
 )
 
-# Zeros of det den closer than this merge into one location whose
-# multiplicity is the cluster size; wide enough to absorb the eps^(1/m)
-# companion scatter of an m-fold zero (about 1e-5 at m = 3) while staying far
-# below any realistic atom spacing.
+# Zeros of det den, or eigenvalues of the compressed shift (`measure`),
+# closer than this merge into one location whose multiplicity is the
+# cluster size; wide enough to absorb the eps^(1/m) companion scatter of an
+# m-fold zero (about 1e-5 at m = 3) while staying far below any realistic
+# atom spacing.
 CLUSTER_RADIUS = 1e-4
-# Zeros of det den within this distance of the circle are the atoms and the
-# poles that spike the density enough to size the quadrature grid.
+# Zeros of det den within this distance of the circle are the poles that
+# spike the density enough to size the quadrature grid; the atom tolerance
+# root_tol lies below it.
 NEAR_CIRCLE = 0.04
 
 
@@ -71,7 +73,7 @@ class CaratheodoryQuotient:
 
     ``zeros`` (the zeros of det den) and ``near_circle`` (the analysis of the
     zeros near the circle) are derived once, when first read, for every
-    consumer: the disk check, the atoms and the near-circle poles.  They take
+    consumer: the disk check and the near-circle poles.  They take
     no part in comparison or repr.  A determinant that overflows or is the
     zero polynomial does not stop construction; reading ``zeros`` raises
     InvalidInputError.

@@ -23,12 +23,7 @@ from .central import (
     covariance_from_gamma,
     gamma_from_covariance,
 )
-from .errors import (
-    InvalidInputError,
-    MatSpecError,
-    ModelError,
-    MultiplicityError,
-)
+from .errors import InvalidInputError, MatSpecError, ModelError
 from .measure import ar_spectrum, central_measure, verify_recovery
 from .serialize import (
     doc_to_measure,
@@ -40,8 +35,6 @@ from .serialize import (
     sequence_to_doc,
 )
 from .toeplitz import Classification, _classification, _scan, toeplitz_matrix
-
-_MODEL_ERRORS = (ModelError, MultiplicityError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="central spectral measure")
     p.add_argument("input", help="sequence document path, '-' for stdin")
     p.add_argument("--root-tol", type=float, default=1e-7,
-                   help="unimodular root tolerance, in [0, 0.04) (default 1e-7)")
+                   help="unimodular eigenvalue tolerance of the compressed shift, "
+                        "in [0, 0.04) (default 1e-7)")
     _add_measure_outputs(p)
     _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -285,7 +279,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _MODEL_ERRORS as exc:
+    except ModelError as exc:
         print(f"matspec: {exc}", file=sys.stderr)
         return 2
     except (MatSpecError, OSError) as exc:

@@ -22,15 +22,3 @@ class ModelError(MatSpecError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
-
-
-class MultiplicityError(MatSpecError):
-    """The zeros of det den clustered at an atom do not match den's kernel
-    there: their count differs from its dimension, or den' is singular on
-    it.  ``root`` is the atom, ``multiplicity`` the cluster size."""
-
-    def __init__(self, message, root=None, multiplicity=None):
-        super().__init__(message)
-        self.root = root
-        self.multiplicity = multiplicity
-

@@ -7,7 +7,7 @@ polynomials get a small dedicated class.
 The determinant of a matrix polynomial is formed by evaluation at roots of
 unity followed by an inverse FFT, which is exact up to roundoff once the node
 count exceeds its degree.  No adjugates or products of matrix polynomials
-are formed: atom weights come from den's kernel vectors (`measure`).
+are formed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import DimensionError, InvalidInputError
 
 # Relative threshold for dropping numerically-zero leading coefficients.
 TRIM_RTOL = 1e-12
-# Roots with | |v| - 1 | <= ROOT_TOL count as unimodular.
-DEFAULT_ROOT_TOL = 1e-7
 
 
 def poly_trim(c) -> np.ndarray:

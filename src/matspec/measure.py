@@ -4,33 +4,33 @@ The central continuation of a TND sequence is the Fourier-coefficient
 sequence of a unique positive matrix measure on the unit circle.  That
 measure decomposes as
 
-    mu = (1/2pi) re Lambda(zeta) dtheta  +  sum_v  X_v delta_v,
+    mu = (1/2pi) re Phi(zeta) dtheta  +  sum_v  X_v delta_v,
 
-where Lambda = num den^{-1} - sum_v (v + z)/(v - z) X_v is the rational
-Caratheodory quotient with its poles removed, the v run over the unimodular
-zeros of det den, and each point mass X_v is a residue of the quotient there.
-Everything here computes that decomposition and checks it by recovering the
-Fourier coefficients.
+with the point masses X_v at unimodular v and Phi = num den^{-1} the
+central Caratheodory quotient of the deflated data
+C'_j = C_j - sum_v v^{-j} X_v, the moments of the absolutely continuous
+part.  Everything here computes that decomposition and checks it by
+recovering the Fourier coefficients.
 
-The zeros of det den near the circle are analysed once per quotient
-(`CaratheodoryQuotient.near_circle`): clustered, Newton-polished on den and
-given their residues from den's kernel vectors.  The atoms and the poles
-subtracted below are two selections from that one analysis.
-
-Rank-frozen data, rank T_n = rank T_{n-1} = r, has a purely atomic measure
-and takes a shorter route with no quotient at all.  With T_{n-1} =
-U_r diag(s_r) U_r* from the predictor's one SVD, B = U_r s_r^{-1/2} and
-G = (U_r s_r^{1/2})[:q], the compressed shift W = B* S B, S = T_n[q:, :-q]
-the blocks C_{j-k+1}, is an r x r unitary matrix.  Its eigenvalues are the
-conjugated atoms and the weight at an atom v is X_v = G P_v G*, P_v the
-orthogonal projector onto the eigenvectors of its cluster (Jones, Njastad
-and Thron, Bull. LMS 21, 1989; Pisarenko, 1973).  Both routes finish their
-weights in one step (`_atoms_from_weights`).
+One route finds the atoms.  Full-rank T_n has none: den is then invertible
+on the closed disk.  For singular T_n, with T_{n-1} = U_r diag(s_r) U_r*
+from the predictor's one SVD, B = U_r s_r^{-1/2} and G = (U_r s_r^{1/2})[:q],
+the compressed shift W = B* S B, S = T_n[q:, :-q] the blocks C_{j-k+1},
+compresses multiplication by z to the polynomials of degree < n in
+L^2(mu), so it is a contraction.  Its eigenvectors with unimodular
+eigenvalues span its unitary part, which reduces W (Sz.-Nagy and Foias,
+Harmonic Analysis of Operators on Hilbert Space, 1970, ch. I): those
+eigenvalues, conjugated, are the atoms, and the weight at v is
+X_v = G P_v G*, P_v the orthogonal projector onto the eigenvectors of its
+cluster (Jones, Njastad and Thron, Bull. LMS 21, 1989; Pisarenko, 1973).
+When the unitary part is all of W, as for rank-frozen data
+(rank T_n = rank T_{n-1}), the measure is purely atomic and has no
+quotient.
 
 Recovery integrates the density with the trapezoid rule and adds the point
 masses exactly.  A zero p of det den just outside the circle makes a density
 spike of width about |p| - 1; its pole part R/(z - p) is subtracted from
-Lambda and its contribution added in closed form, so the rule sees only a
+Phi and its contribution added in closed form, so the rule sees only a
 smooth remainder and needs at most 4096 nodes however narrow the spike.  A
 measure without a quotient has no density: every coefficient and Herglotz
 value is a closed-form sum over its atoms.
@@ -45,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .caratheodory import (
-    CLUSTER_RADIUS,
     NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
@@ -55,7 +54,7 @@ from .caratheodory import (
     rational_values,
 )
 from .central import CENTRAL_TOL
-from .errors import DimensionError, InvalidInputError, ModelError, MultiplicityError
+from .errors import DimensionError, InvalidInputError, ModelError
 from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
@@ -63,7 +62,6 @@ from .linalg import (
     re_mat,
     spec_norm,
 )
-from .matpoly import DEFAULT_ROOT_TOL
 from .toeplitz import (
     HermSeq,
     _continue,
@@ -73,15 +71,13 @@ from .toeplitz import (
     toeplitz_matrix,
 )
 
-# Distance below which density evaluation switches to arc extrapolation.
-EPS_SING = 1e-5
+# Eigenvalues lambda of the compressed shift with ||lambda| - 1| <= root_tol
+# count as unimodular.
+DEFAULT_ROOT_TOL = 1e-7
 # Eigenvalues of an atom weight in [-ATOM_CLIP*||C_0||, 0) clip to zero.
 ATOM_CLIP = 1e-9
-# Atoms with ||W|| <= ATOM_DROP*||C_0|| are removable singularities.
+# Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
-# Largest ||W* W - I|| of the compressed shift of rank-frozen data that
-# counts as roundoff; above it the quotient route runs instead.
-UNITARY_DEFECT = 1e-8
 # Offset scan grid on which `verify_recovery` counts density PSD violations.
 DENSITY_NODES = 360
 TWO_PI = 2.0 * np.pi
@@ -103,9 +99,11 @@ class Atom:
 class SpectralMeasure:
     """Positive matrix measure given by atoms plus a rational density.
 
-    ``quotient`` is None exactly for purely atomic measures: those of
-    `atomic_measure` and the central measures of rank-frozen data.  Their
-    density is identically zero.
+    ``quotient`` is the Caratheodory quotient of the absolutely continuous
+    part alone, so it has no pole at an atom.  It is None exactly for purely
+    atomic measures: those of `atomic_measure` and the central measures
+    whose compressed shift has only unimodular eigenvalues.  Their density
+    is identically zero.
     """
 
     q: int
@@ -122,58 +120,13 @@ class SpectralMeasure:
 
 
 def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
-    """Density at the unit-circle points zs; shape (N, q, q).
-
-    Points closer than EPS_SING to an atom are filled in by polynomial
-    extrapolation along the arc towards the nearest atom, where direct
-    evaluation would cancel.  A measure without a quotient has zero density.
-    """
+    """(1/2pi) re num den^{-1} at the unit-circle points zs; shape (N, q, q).
+    A measure without a quotient has zero density."""
     if sm.quotient is None:
         return np.zeros(zs.shape + (sm.q, sm.q), dtype=complex)
-    vals = _density_direct(sm, zs)
-    if sm.atoms:
-        points = sm.atom_points()
-        dist = np.abs(zs[:, None] - points)
-        nearest = np.argmin(dist, axis=1)
-        for idx in np.nonzero(np.min(dist, axis=1) < EPS_SING)[0]:
-            vals[idx] = _density_extrapolated(sm, points[nearest[idx]], zs[idx])
-    return vals
-
-
-def _density_direct(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
-    """(1/2pi) re Lambda on given unit-circle points, no singularity handling."""
     phi = rational_values(sm.quotient, zs)
-    if sm.atoms:
-        points = sm.atom_points()
-        kern = (points + zs[..., None]) / (points - zs[..., None])
-        weights = np.array([a.weight for a in sm.atoms])
-        phi = phi - np.tensordot(kern, weights, axes=(-1, 0))
     herm = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
     return herm / TWO_PI
-
-
-def _density_extrapolated(
-    sm: SpectralMeasure, atom_point: complex, zeta: complex
-) -> np.ndarray:
-    """Density at a point within EPS_SING of an atom, by arc extrapolation.
-
-    Lambda extends smoothly through the atom, so values at arc offsets
-    {2,3,4,5}*EPS_SING on the near side extrapolate cleanly.
-    """
-    tv = float(np.angle(atom_point))
-    delta = (float(np.angle(zeta)) - tv + np.pi) % TWO_PI - np.pi
-    sgn = 1.0 if delta >= 0.0 else -1.0
-    xs = sgn * EPS_SING * np.array([2.0, 3.0, 4.0, 5.0])
-    pts = np.exp(1j * (tv + xs))
-    vals = _density_direct(sm, pts)
-    weights = np.array(
-        [
-            np.prod([(delta - xs[j]) / (xs[i] - xs[j]) for j in range(4) if j != i])
-            for i in range(4)
-        ]
-    )
-    out = np.tensordot(weights, vals, axes=(0, 0))
-    return 0.5 * (out + out.conj().T)
 
 
 def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
@@ -182,42 +135,6 @@ def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
     if abs(abs(z) - 1.0) > 1e-8:
         raise InvalidInputError(f"|zeta| = {abs(z)} is not on the unit circle")
     return _density_on_circle(sm, np.array([z / abs(z)]))[0]
-
-
-def compute_atoms(
-    cq: CaratheodoryQuotient, root_tol: float = DEFAULT_ROOT_TOL
-) -> tuple[Atom, ...]:
-    """Point masses of the measure behind a rational Caratheodory quotient.
-
-    The atoms are the clusters of the quotient's ``near_circle`` analysis
-    whose polished point lies within root_tol of the circle; root_tol must
-    lie in [0, NEAR_CIRCLE), the band that analysis covers.  At such a point v
-    with a cluster of m zeros of det den, den(v) must have an m-dimensional
-    kernel, else MultiplicityError; with X and Y its right and left kernel
-    bases the weight is the residue
-
-        X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*.
-
-    The weights are finished by `_atoms_from_weights`.
-    """
-    _check_root_tol(root_tol)
-    res = cq.near_circle
-    rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
-    if rows.size == 0:
-        return ()
-    rows = rows[np.argsort(np.angle(res.points[rows]) % TWO_PI)]
-    points = res.points[rows] / np.abs(res.points[rows])
-    sizes, kernel, residues = res.sizes[rows], res.kernel[rows], res.residues[rows]
-    for v, m, k, r in zip(points, sizes, kernel, residues):
-        if k != m or not np.all(np.isfinite(r)):
-            why = f"a {k}-dimensional kernel" if k != m else "den' singular on its kernel"
-            raise MultiplicityError(
-                f"den({v}) has {why} at a cluster of {m} zeros",
-                root=v,
-                multiplicity=int(m),
-            )
-    val = (-0.5 / points)[:, None, None] * residues
-    return _atoms_from_weights(points, val, spec_norm(re_mat(cq.num(0.0 + 0.0j))))
 
 
 def _check_root_tol(root_tol: float) -> None:
@@ -229,7 +146,7 @@ def _atoms_from_weights(
     points: np.ndarray, weights: np.ndarray, scale: float
 ) -> tuple[Atom, ...]:
     """Atoms at the unimodular ``points``, in their order, from the weights
-    (k, q, q) either route computed; ``scale`` is ||C_0||.
+    (k, q, q); ``scale`` is ||C_0||.
 
     Weights are Hermitian-projected; eigenvalues in [-ATOM_CLIP, 0) times
     ||C_0|| clip to zero, anything lower is a ModelError.  Atoms with
@@ -250,36 +167,25 @@ def _atoms_from_weights(
     return tuple(atoms)
 
 
-def _frozen_atoms(
-    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray
-) -> tuple[Atom, ...] | None:
-    """Atoms of rank-frozen data from the compressed shift W, or None when W
-    is not unitary: ||W* W - I||_F above UNITARY_DEFECT (the Frobenius norm
-    bounds the spectral norm and costs no SVD).
+def _shift_atoms(
+    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray, root_tol: float
+) -> tuple[tuple[Atom, ...], int]:
+    """Atoms of singular data from the compressed shift W, and the dimension
+    of W's unitary part.
 
     ``t`` is re T_n and T_{n-1} = U_r diag(s_r) U_r* its predictor's SVD.
-    With B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues are the
-    conjugated atoms, clustered as the zeros of det den are, and the weight
-    of a cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the orthogonal
+    With B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues within
+    root_tol of the circle span the unitary part, and conjugated they are
+    the atoms, clustered as the zeros of det den are.  The weight of a
+    cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the orthogonal
     projector onto the cluster's eigenvectors, from one stacked QR per
     cluster size.  Cost O(n q r^2 + r^3).
     """
-    r = s_r.size
     root = np.sqrt(s_r)
     b = u_r / root
-    shift = b.conj().T @ t[q:, :-q] @ b
-    defect = float(np.linalg.norm(shift.conj().T @ shift - np.eye(r)))
-    if not defect <= UNITARY_DEFECT:
-        # imported here, so that `import matspec` does not load logging
-        import logging
-
-        logging.getLogger("matspec").debug(
-            "rank-frozen route declined: ||W*W - I||_F = %.3e above %.1e for r = %d",
-            defect, UNITARY_DEFECT, r,
-        )
-        return None
-    lam, vec = np.linalg.eig(shift)
-    points = np.conj(lam)
+    lam, vec = np.linalg.eig(b.conj().T @ t[q:, :-q] @ b)
+    unitary = np.nonzero(np.abs(np.abs(lam) - 1.0) <= root_tol)[0]
+    points, vec = np.conj(lam[unitary]), vec[:, unitary]
     clusters = _clusters(points)
     sizes = np.array([c.size for c in clusters])
     g = u_r[:q] * root
@@ -295,7 +201,8 @@ def _frozen_atoms(
         weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
     order = np.argsort(np.angle(means) % TWO_PI)
     points = means[order] / np.abs(means[order])
-    return _atoms_from_weights(points, weights[order], spec_norm(t[:q, :q]))
+    atoms = _atoms_from_weights(points, weights[order], spec_norm(t[:q, :q]))
+    return atoms, unitary.size
 
 
 def central_measure(
@@ -307,17 +214,21 @@ def central_measure(
     """Spectral measure of the central continuation of a TND sequence.
 
     A length-1 sequence yields the constant density C_0/(2pi) with no atoms.
-    Rank-frozen data, rank T_n = rank T_{n-1} with n >= 1 (both counted with
-    the rank_rtol cutoff), gives a purely atomic measure with no quotient,
-    its atoms read off the compressed shift (`_frozen_atoms`); the quotient
-    route runs when that shift is not unitary to roundoff.
+    Full-rank T_n (rank counted with the rank_rtol cutoff) has no atoms and
+    its quotient is the central one.  Singular T_n takes its atoms from the
+    eigenvalues of the compressed shift within root_tol of the circle
+    (`_shift_atoms`); when they are all of its eigenvalues, as for
+    rank-frozen data, the measure is purely atomic with no quotient, and
+    otherwise its quotient is the central quotient of the deflated data
+    C'_j = C_j - sum_v v^{-j} X_v.
     For well-interior TPD input the positive-definite density
     A(z)^-* A(0) A(z)^-1 / (2pi) is compared with the quotient's at 16
     points, a built-in cross-check.  T_n is built once: its prefixes are
     scanned once by one eigvalsh, which also gives rank T_n, the scan's
     margin decides whether the cross-check runs, the predictor's one SVD
-    gives rank T_{n-1} and the range the frozen route reads, the quotient
-    reads re T_n and the cross-check inverts T_n.
+    gives rank T_{n-1} and the range the shift reads, the quotient reads
+    re T_n and the cross-check inverts T_n.  Deflated data adds one
+    Toeplitz build and one SVD of T'_{n-1}.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -327,23 +238,36 @@ def _central_measure(
 ) -> tuple[SpectralMeasure, np.ndarray]:
     """`central_measure` and the predictor w of the central extension."""
     _check_root_tol(root_tol)
-    t = toeplitz_matrix(seq, len(seq) - 1)
-    scan = _require_tnd(t, seq.q, psd_tol)
+    q, n = seq.q, len(seq) - 1
+    t = toeplitz_matrix(seq, n)
+    scan = _require_tnd(t, q, psd_tol)
     tr = re_mat(t)
-    w, u_r, s_r = _predictor_range(tr, seq.q, rank_rtol)
-    if len(seq) >= 2 and s_r.size == _rank(scan.eigenvalues, rank_rtol):
-        atoms = _frozen_atoms(tr, seq.q, u_r, s_r)
-        if atoms is not None:
-            return SpectralMeasure(q=seq.q, atoms=atoms, quotient=None), w
-    cq = _central_quotient(seq.coeffs[0], tr, w)
-    atoms = compute_atoms(cq, root_tol)
-    sm = SpectralMeasure(q=seq.q, atoms=atoms, quotient=cq)
+    w, u_r, s_r = _predictor_range(tr, q, rank_rtol)
+    rank = _rank(scan.eigenvalues, rank_rtol)
+    if n >= 1 and rank < len(tr):
+        atoms, unitary = _shift_atoms(tr, q, u_r, s_r, root_tol)
+        sm = SpectralMeasure(q=q, atoms=atoms, quotient=None)
+        # imported here, so that `import matspec` does not load logging
+        import logging
+
+        log = logging.getLogger("matspec")
+        if log.isEnabledFor(logging.DEBUG):
+            c0_norm = spec_norm(seq.coeffs[0])
+            rest = spec_norm(seq.coeffs[0] - sum(a.weight for a in atoms))
+            log.debug(
+                "singular T_%d: rank %d, rank T_%d %d, unitary part of the shift %d, "
+                "||C'_0|| / ||C_0|| = %.3e",
+                n, rank, n - 1, s_r.size, unitary, rest / c0_norm if c0_norm > 0.0 else 0.0,
+            )
+        if unitary < s_r.size:
+            cq = _deflated_quotient(seq, sm, rank_rtol)
+            sm = SpectralMeasure(q=q, atoms=atoms, quotient=cq)
+        return sm, w
+    sm = SpectralMeasure(q=q, atoms=(), quotient=_central_quotient(seq.coeffs[0], tr, w))
     # Cross-check against the positive-definite route when it is numerically
     # trustworthy; the plain inverse loses digits for barely-TPD input.
-    if len(seq) >= 2 and scan.margin > 1e-6:
-        if sm.atoms:
-            raise ModelError("positive-definite input produced point masses")
-        pa = _pd_polynomials(t, seq.q)[0]
+    if n >= 1 and scan.margin > 1e-6:
+        pa = _pd_polynomials(t, q)[0]
         angles = TWO_PI * (np.arange(16) + 0.5) / 16
         want = _pd_density_values(pa, np.exp(1j * angles))
         got = sm.density_grid(angles)
@@ -354,6 +278,22 @@ def _central_measure(
                 f"central and positive-definite densities disagree ({err:.3e})"
             )
     return sm, w
+
+
+def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
+    """Central quotient of the deflated data C'_j = C_j - sum_v v^{-j} X_v,
+    j = 0..n, the moments of the absolutely continuous part once the atoms
+    of ``sm`` are taken out.  It reads the Toeplitz matrix and predictor of
+    C' itself; the disk check guards its den (ModelError naming the
+    deflated data)."""
+    q, n = seq.q, len(seq) - 1
+    deflated = np.subtract(seq.coeffs, _atom_coeffs(sm, np.arange(n + 1)).reshape(-1, q, q))
+    td = re_mat(toeplitz_matrix(HermSeq(deflated), n))
+    wd = _predictor_range(td, q, rank_rtol)[0]
+    try:
+        return _central_quotient(deflated[0], td, wd)
+    except ModelError as exc:
+        raise ModelError(f"deflated data: {exc}") from exc
 
 
 def _pd_density_values(pa, zs: np.ndarray) -> np.ndarray:
@@ -395,21 +335,9 @@ def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
     return SpectralMeasure(q=q, atoms=tuple(cleaned), quotient=None)
 
 
-def _quadrature_angles(nodes: int, atom_points: np.ndarray) -> np.ndarray:
-    """Uniform angles, offset so no node comes near an atom location."""
-    base = TWO_PI / nodes
-    best, best_dist = None, -1.0
-    for trial in range(48):
-        ang = base * (np.arange(nodes) + 0.5 + 0.013 * trial)
-        if atom_points.size == 0:
-            return ang
-        zs = np.exp(1j * ang)
-        dist = float(np.min(np.abs(zs[:, None] - atom_points[None, :])))
-        if dist > 2.0 * EPS_SING:
-            return ang
-        if dist > best_dist:
-            best, best_dist = ang, dist
-    return best
+def _quadrature_angles(nodes: int) -> np.ndarray:
+    """Uniform angles offset by half a step."""
+    return (TWO_PI / nodes) * (np.arange(nodes) + 0.5)
 
 
 NEAR_CIRCLE_NODE_CAP = 65536
@@ -465,23 +393,17 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     """Reads the quadrature's poles off the quotient's ``near_circle``
     clusters.
 
-    A cluster with a zero within CLUSTER_RADIUS of an atom belongs to that
-    point mass.  A cluster is subtracted where all its zeros lie outside the
-    circle and its polished point p is a simple pole of num den^{-1} with
-    |p| > 1.  The grid must still resolve, by the brute-force sizing rule,
-    every zero of the other clusters and of every cluster of more than one
-    zero.
+    A cluster is subtracted where all its zeros lie outside the circle and
+    its polished point p is a simple pole of num den^{-1} with |p| > 1.  The
+    grid must still resolve, by the brute-force sizing rule, every zero of
+    the other clusters and of every cluster of more than one zero.
     """
     res = sm.quotient.near_circle
-    atoms = sm.atom_points()
     # residues are finite only at simple poles
     finite = np.all(np.isfinite(res.residues), axis=(1, 2))
     subtracted = finite & (np.abs(res.points) > 1.0)
     brute = []
     for i, members in enumerate(res.members):
-        if atoms.size and np.min(np.abs(members[:, None] - atoms)) <= CLUSTER_RADIUS:
-            subtracted[i] = False
-            continue
         subtracted[i] &= bool(np.all(np.abs(members) > 1.0))
         if not subtracted[i] or members.size > 1:
             # roundoff splits a multiple pole, so subtracting it at the
@@ -497,33 +419,29 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
 
     The rule reads order j with the alias of order j - N, whose size falls
     like e^{-(N - |j|) d} when the density is analytic in the annulus
-    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014).  Without
-    atoms, d is the smallest |log|z|| over the zeros of det den outside the
-    NEAR_CIRCLE band and N = max(64, |j_top| + ceil(40 / d)).  A polynomial
-    part of num den^{-1}, of degree at most deg num + (q - 1) deg den -
-    deg det den (degrees of the trimmed polynomials), aliases exactly
-    unless N - |j_top| exceeds that degree.  Measures with atoms, whose
-    computed density carries a roundoff spike next to each atom, keep the
-    floor max(1024, 16 q deg den, 4 (deg det den + |j_top| + 1)).  The
-    zeros inside the band are sized by the pole and brute-force rules below.
+    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014).  d is the
+    smallest |log|z|| over the zeros of det den outside the NEAR_CIRCLE band
+    and N = max(64, |j_top| + ceil(40 / d)).  A polynomial part of
+    num den^{-1}, of degree at most deg num + (q - 1) deg den - deg det den
+    (degrees of the trimmed polynomials), aliases exactly unless
+    N - |j_top| exceeds that degree.  The atoms are added in closed form and
+    take no nodes.  The zeros inside the band are sized by the pole and
+    brute-force rules below.
     """
     cq = sm.quotient
-    if sm.atoms:
-        base = max(1024, 16 * cq.order * sm.q, 4 * (cq.zeros.size + abs(j_top) + 1))
-    else:
-        zs = cq.zeros
-        with np.errstate(divide="ignore"):
-            far = np.abs(np.log(np.abs(zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE])))
-        poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - zs.size
-        decay = int(np.ceil(40.0 / np.min(far))) if far.size else 0
-        base = max(64, abs(j_top) + max(decay, poly + 1))
+    zs = cq.zeros
+    with np.errstate(divide="ignore"):
+        far = np.abs(np.log(np.abs(zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE])))
+    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - zs.size
+    decay = int(np.ceil(40.0 / np.min(far))) if far.size else 0
+    base = max(64, abs(j_top) + max(decay, poly + 1))
     # trapezoid error decays like exp(-nodes * dist), machine level near
     # nodes * dist = 40; grow the grid for poles it must resolve but keep
     # the cost bounded, verify_recovery reports anything missed.  Subtracted
     # poles leave a smooth remainder; up to 4096 nodes damp what roundoff in
     # their residues leaves of the spike, more would not help.
     if sing.brute_distance < NEAR_CIRCLE:
-        # a zero on the circle that no atom claims is at distance 0
+        # a zero of det den on the circle is at distance 0
         dist = max(sing.brute_distance, 40.0 / NEAR_CIRCLE_NODE_CAP)
         base = max(base, min(NEAR_CIRCLE_NODE_CAP, int(np.ceil(40.0 / dist))))
     if sing.poles.size:
@@ -564,7 +482,7 @@ def _fourier_many(
     of order j is (2 pi / N) e^{-i j theta_0} FFT(dens)[j mod N] for any
     integer j, negative or >= N.  The FFT overwrites the density array.
     """
-    ang = _quadrature_angles(nodes, sm.atom_points())
+    ang = _quadrature_angles(nodes)
     dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
     js = np.asarray(js, dtype=int)
     spec = np.fft.fft(dens, axis=0, out=dens)
@@ -582,11 +500,10 @@ def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
 
     Point masses and the near-circle poles of the density (see
     `verify_recovery`) are added in closed form; the smooth rest of the
-    density is integrated on a uniform half-step-offset grid (rotated if
-    needed to clear the atoms) of `_default_nodes` nodes: without atoms
-    |j| + ceil(40 / d) or 64, whichever is more, d the distance in
-    |log|z|| of the nearest zero of det den the grid must resolve.  A
-    measure without a quotient needs no grid.
+    density is integrated on a uniform half-step-offset grid of
+    `_default_nodes` nodes: |j| + ceil(40 / d) or 64, whichever is more, d
+    the distance in |log|z|| of the nearest zero of det den the grid must
+    resolve.  A measure without a quotient needs no grid.
     """
     return _coefficients(sm, [int(j)])[0]
 
@@ -612,7 +529,7 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
             # the kernel's pole at z: its alias falls like |z|^N
             kernel = int(np.ceil(40.0 / -np.log(abs(zp))))
             nodes = max(nodes, min(NEAR_CIRCLE_NODE_CAP, kernel))
-        ang = _quadrature_angles(nodes, sm.atom_points())
+        ang = _quadrature_angles(nodes)
         zs = np.exp(1j * ang)
         dens = sing.smooth_density(sm, ang)
         kern = (zs + zp) / (zs - zp)
@@ -668,10 +585,11 @@ def verify_recovery(
     Otherwise point masses and the pole parts at zeros of det den within
     0.04 outside the circle enter in closed form; the smooth rest of the
     density goes through the trapezoid rule, every order C_0..C_n from one
-    FFT of the density sampled on the grid (`_default_nodes`).  Without
-    atoms the grid has max(64, n + ceil(40 / d)) nodes, d the smallest
-    |log|z|| over the zeros z of det den outside that band, so the alias of
-    order n falls like e^{-40}; with atoms it keeps a floor of 1024 nodes.
+    FFT of the density sampled on the grid (`_default_nodes`).  The grid
+    has max(64, n + ceil(40 / d)) nodes, d the smallest |log|z|| over the
+    zeros z of det den outside that band, so the alias of order n falls
+    like e^{-40}, with or without atoms: the quotient is that of the
+    absolutely continuous part, with no pole at an atom.
     It grows up to 4096 when poles were subtracted, and up to
     NEAR_CIRCLE_NODE_CAP for near-circle poles the grid must resolve itself
     (those whose residue is not a simple pole's).  The split into pole parts
@@ -692,7 +610,7 @@ def verify_recovery(
     c0_norm = spec_norm(seq.coeffs[0])
     violations, checked = 0, 0
     if sm.quotient is not None:
-        ang = _quadrature_angles(DENSITY_NODES, sm.atom_points())
+        ang = _quadrature_angles(DENSITY_NODES)
         lows = np.linalg.eigvalsh(sm.density_grid(ang))[:, 0]
         violations = int(np.count_nonzero(lows < -DEFAULT_PSD_TOL * (1.0 + c0_norm)))
         checked = DENSITY_NODES
@@ -720,7 +638,8 @@ def ar_spectrum(
 
     The requested order is authoritative.  Stored coefficients beyond it are
     compared against the central extension, continued with the predictor w
-    the measure was computed from (w_m = -den_m when it has a quotient);
+    the measure was computed from (w_m = -den_m for full-rank T_order, whose
+    quotient is the central one);
     disagreement means the data is not autoregressive of that order and
     raises ArOrderMismatchWarning.
     Coefficients count as equal within CENTRAL_TOL * (1 + ||C_0||), the test

@@ -21,6 +21,12 @@ from .toeplitz import HermSeq
 TWO_PI = 2.0 * np.pi
 
 SEQUENCE_KINDS = ("covariance", "gamma")
+# what a measure of each provenance holds (see `_provenance`)
+PROVENANCES = {
+    "atoms-only": "no quotient",
+    "central": "a quotient and no atoms",
+    "deflated": "a quotient and atoms",
+}
 
 
 def _num(x, where: str) -> float:
@@ -136,7 +142,7 @@ def measure_to_doc(
         b_coeffs = []
     return {
         "q": sm.q,
-        "provenance": "atoms-only" if sm.quotient is None else "central",
+        "provenance": _provenance(sm.quotient is not None, bool(sm.atoms)),
         "atoms": [_atom_to_wire(a) for a in sm.atoms],
         "density_samples": [
             {"angle": float(angles[k]), "matrix": mat_to_wire(dens[k])}
@@ -147,10 +153,19 @@ def measure_to_doc(
     }
 
 
+def _provenance(has_quotient: bool, has_atoms: bool) -> str:
+    """What the quotient of a measure is: none ("atoms-only"), the central
+    quotient of atom-free data ("central"), or that of the data less its
+    atoms ("deflated")."""
+    if not has_quotient:
+        return "atoms-only"
+    return "deflated" if has_atoms else "central"
+
+
 def doc_to_measure(doc) -> SpectralMeasure:
     """Rebuild a measure (atoms + quotient) from its document; a
-    ``provenance`` other than the one the quotient implies ("central" with
-    coefficients, "atoms-only" without) is refused."""
+    ``provenance`` other than the one the quotient and atoms imply (see
+    `_provenance`) is refused."""
     if not isinstance(doc, dict):
         raise InvalidInputError("measure document must be a JSON object")
     q = doc.get("q")
@@ -183,15 +198,22 @@ def doc_to_measure(doc) -> SpectralMeasure:
         quotient = CaratheodoryQuotient(num=num, den=den)
     else:
         quotient = None
-    # provenance is derived from the quotient, so a document that states the
-    # other one would not re-serialize to itself
-    derived = "central" if quotient is not None else "atoms-only"
+    # provenance is derived from the quotient and the atoms, so a document
+    # that states another one would not re-serialize to itself
+    derived = _provenance(quotient is not None, bool(atoms))
     prov = doc.get("provenance", derived)
-    if prov not in ("central", "atoms-only"):
+    if prov not in PROVENANCES:
         raise InvalidInputError(f"unknown provenance {prov!r}")
+    if (prov, derived) == ("central", "deflated"):
+        raise InvalidInputError(
+            "provenance 'central' contradicts a quotient with atoms: the document "
+            "holds the full central quotient, whose poles at the atoms would count "
+            "them twice; regenerate it with `matspec spectrum`"
+        )
     if prov != derived:
-        have = "coefficients" if quotient is not None else "no coefficients"
-        raise InvalidInputError(f"provenance {prov!r} contradicts a quotient with {have}")
+        raise InvalidInputError(
+            f"provenance {prov!r} contradicts a measure with {PROVENANCES[derived]}"
+        )
     return SpectralMeasure(q=q, atoms=atoms, quotient=quotient)
 
 

@@ -1,7 +1,9 @@
 """Reference implementations for the tests.
 
-The library takes atom weights from den's kernel vectors.  Two independent
-routes compute the same point masses so tests can compare them: the
+The library reads atoms off the compressed shift.  Three independent
+routes compute the same point masses from the full central quotient so
+tests can compare them: `compute_atoms`, the residues of num den^{-1}
+read off den's kernel vectors at the unimodular zeros of det den; the
 scalar-determinant route, `pole_limit` of num(z) adj(den(z)) / det den(z)
 with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
 (1 - r)/2 Phi(r u) as r -> 1.  `toeplitz_blocks` places the blocks of T_n one
@@ -33,12 +35,66 @@ from matspec.linalg import (
     spec_norm,
 )
 from matspec.matpoly import MatPoly, _pow2_nodes, poly_trim
+from matspec.measure import (
+    DEFAULT_ROOT_TOL,
+    TWO_PI,
+    Atom,
+    _atoms_from_weights,
+    _check_root_tol,
+)
 from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
 
 # Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
 RADIAL_STEPS = 12
 # Relative threshold deciding whether a derivative value is zero.
 DERIV_TOL = 1e-7
+
+
+class MultiplicityError(MatSpecError):
+    """The zeros of det den clustered at an atom do not match den's kernel
+    there: their count differs from its dimension, or den' is singular on
+    it.  ``root`` is the atom, ``multiplicity`` the cluster size."""
+
+    def __init__(self, message, root=None, multiplicity=None):
+        super().__init__(message)
+        self.root = root
+        self.multiplicity = multiplicity
+
+
+def compute_atoms(
+    cq: CaratheodoryQuotient, root_tol: float = DEFAULT_ROOT_TOL
+) -> tuple[Atom, ...]:
+    """Point masses of the measure behind a rational Caratheodory quotient.
+
+    The atoms are the clusters of the quotient's ``near_circle`` analysis
+    whose polished point lies within root_tol of the circle; root_tol must
+    lie in [0, NEAR_CIRCLE), the band that analysis covers.  At such a point v
+    with a cluster of m zeros of det den, den(v) must have an m-dimensional
+    kernel, else MultiplicityError; with X and Y its right and left kernel
+    bases the weight is the residue
+
+        X_v = -1/(2v) * num(v) X (Y* den'(v) X)^{-1} Y*.
+
+    The weights are finished by `_atoms_from_weights`.
+    """
+    _check_root_tol(root_tol)
+    res = cq.near_circle
+    rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
+    if rows.size == 0:
+        return ()
+    rows = rows[np.argsort(np.angle(res.points[rows]) % TWO_PI)]
+    points = res.points[rows] / np.abs(res.points[rows])
+    sizes, kernel, residues = res.sizes[rows], res.kernel[rows], res.residues[rows]
+    for v, m, k, r in zip(points, sizes, kernel, residues):
+        if k != m or not np.all(np.isfinite(r)):
+            why = f"a {k}-dimensional kernel" if k != m else "den' singular on its kernel"
+            raise MultiplicityError(
+                f"den({v}) has {why} at a cluster of {m} zeros",
+                root=v,
+                multiplicity=int(m),
+            )
+    val = (-0.5 / points)[:, None, None] * residues
+    return _atoms_from_weights(points, val, spec_norm(re_mat(cq.num(0.0 + 0.0j))))
 
 
 class DegenerateZeroError(MatSpecError):

@@ -9,9 +9,9 @@ def grid_sizes(monkeypatch):
     seen = []
     orig = measure._quadrature_angles
 
-    def counted(nodes, atom_points):
+    def counted(nodes):
         seen.append(nodes)
-        return orig(nodes, atom_points)
+        return orig(nodes)
 
     monkeypatch.setattr(measure, "_quadrature_angles", counted)
     return seen

@@ -226,7 +226,7 @@ def _fixture_measures():
 
 def test_criterion_3_oracle_cross_checks():
     rng = np.random.default_rng(3111)
-    # residue-formula atoms against the radial-limit oracle
+    # compressed-shift atoms against the radial-limit oracle
     worst_atom = 0.0
     checked = 0
     pool = _fixture_measures()
@@ -236,8 +236,8 @@ def test_criterion_3_oracle_cross_checks():
         seq = HermSeq(coeffs)
         pool.append((seq, central_measure(seq)))
     for seq, sm in pool:
-        # rank-frozen measures carry no quotient; the oracle reads the
-        # central quotient of the same data
+        # a measure's quotient, if any, is that of its deflated data; the
+        # oracle reads the full central quotient of the same data
         cq = central_quotient(gamma_from_covariance(seq))
         for atom in sm.atoms:
             radial = radial_atom_limit(cq, atom.point)

@@ -15,7 +15,6 @@ from matspec import (
     central_extend,
     central_measure,
     central_quotient,
-    compute_atoms,
     conjugate_by_unitary,
     density_at,
     fourier_coeff,
@@ -28,7 +27,7 @@ from matspec import (
     verify_recovery,
 )
 from matspec.caratheodory import NEAR_CIRCLE
-from matspec.errors import DimensionError, InvalidInputError, ModelError, MultiplicityError
+from matspec.errors import DimensionError, InvalidInputError, ModelError
 from matspec.matpoly import det_poly
 from matspec.measure import NEAR_CIRCLE_NODE_CAP
 
@@ -40,11 +39,14 @@ from _gen import (
     mixed_coeffs,
     random_tpd_seq,
     random_unitary,
+    separated_angles,
     trig_coeffs,
     var1_coeffs,
 )
 from _oracle import (
+    MultiplicityError,
     adjugate_poly,
+    compute_atoms,
     matpoly_mul,
     pd_density_last_row,
     pole_limit,
@@ -68,6 +70,9 @@ def seq_error(sm, seq, orders):
 
 
 class TestComputeAtoms:
+    """The residue oracle `compute_atoms` of tests/_oracle.py on full
+    central quotients, and `central_measure` where the two routes meet."""
+
     def test_mass_at_one(self):
         cq = central_quotient(gamma_from_covariance(scalar_seq(1.0, 1.0)))
         atoms = compute_atoms(cq)
@@ -262,33 +267,14 @@ class TestCentralMeasure:
         for d in grid:
             assert np.linalg.eigvalsh((d + d.conj().T) / 2).min() > -1e-9 * scale
 
-    def test_density_near_atom_extrapolates(self):
-        # within the singular window the arc extrapolation takes over
-        sm = central_measure(scalar_seq(1.0, 1.0))
-        val = sm.density_grid(np.array([1e-6]))[0]
-        assert np.all(np.isfinite(val))
-        assert abs(val[0, 0]) < 1e-4
-
-    def test_density_at_extrapolates_like_density_grid(self):
-        # two atoms closer than 2 EPS_SING: both functions extrapolate towards
-        # the nearer atom (density_at once took the first in list order and
-        # differed by up to 9e-8 here)
-        seq = HermSeq(var1_coeffs(np.random.default_rng(1), 1, 0.9, 4))
-        pair = atomic_measure([(1.0, [[1.0]]), (np.exp(1.5e-5j), [[2.0]])])
-        with_density = SpectralMeasure(1, pair.atoms, central_measure(seq).quotient)
-        ang = 0.8e-5
-        for sm in (pair, with_density):
-            got = density_at(sm, np.exp(1j * ang))
-            assert np.allclose(got, sm.density_grid(ang)[0], rtol=0.0, atol=1e-12)
-
     def test_off_circle_rejected(self):
         sm = central_measure(scalar_seq(1.0))
         with pytest.raises(InvalidInputError):
             density_at(sm, 0.5)
 
     def test_density_grid_matches_per_atom_terms(self):
-        # density_grid subtracts every atom's kernel from Lambda in one
-        # product; the oracle subtracts one atom at a time
+        # density_grid reads the deflated quotient; away from the atoms it
+        # matches the full central quotient less each atom's kernel
         rng = np.random.default_rng(4)
         atoms, _ = atomic_coeffs(rng, 1, 7, n_atoms=3)
         seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 0.6, 7)))
@@ -296,7 +282,8 @@ class TestCentralMeasure:
         assert len(sm.atoms) == 3
         ang = np.linspace(0.1, TWO_PI, 64, endpoint=False)
         zs = np.exp(1j * ang)
-        phi = rational_values(sm.quotient, zs)
+        assert np.min(np.abs(zs[:, None] - sm.atom_points())) > 1e-2
+        phi = rational_values(central_quotient(gamma_from_covariance(seq)), zs)
         for atom in sm.atoms:
             phi = phi - ((atom.point + zs) / (atom.point - zs))[:, None, None] * atom.weight
         want = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2))) / TWO_PI
@@ -453,7 +440,7 @@ class TestVerifyRecovery:
         nodes = measure._default_nodes(sm, sing, len(seq) - 1)
         js = list(range(-2, len(seq))) + [nodes + 1, -nodes - 1]
         got = measure._fourier_many(sm, sing, js, nodes)
-        ang = measure._quadrature_angles(nodes, sm.atom_points())
+        ang = measure._quadrature_angles(nodes)
         dens = sing.smooth_density(sm, ang)
         tol = 1e-14 * (1.0 + spec_norm(seq.coeff(0)))
         k = np.arange(nodes)
@@ -551,28 +538,111 @@ class TestRankFrozen:
         for z in (0.0, 0.3 - 0.4j):
             assert spec_norm(herglotz_transform(sm, z) - phi_at(cq, z)) <= tol
 
-    def test_shift_not_unitary_falls_back_to_the_quotient(self, monkeypatch, caplog):
-        import logging
-
-        import matspec.measure as measure
-
-        seq = HermSeq(atomic_coeffs(np.random.default_rng(2), 2, 4, n_atoms=2)[0])
-        frozen = central_measure(seq)
-        monkeypatch.setattr(measure, "UNITARY_DEFECT", -1.0)
-        with caplog.at_level(logging.DEBUG, logger="matspec"):
-            sm = central_measure(seq)
-        assert sm.quotient is not None
-        assert len([r for r in caplog.records if "W*W - I" in r.getMessage()]) == 1
-        assert len(sm.atoms) == len(frozen.atoms) == 2
-        for a, b in zip(sm.atoms, frozen.atoms):
-            assert abs(a.point - b.point) <= 1e-8
-            assert spec_norm(a.weight - b.weight) <= 1e-8
-
     def test_zero_data_is_the_zero_measure(self):
         seq = HermSeq([np.zeros((2, 2))] * 3)
         sm = central_measure(seq)
         assert sm.quotient is None and sm.atoms == ()
         assert verify_recovery(sm, seq).max_error == 0.0
+
+
+def shared_atom_sum(seed):
+    """Two q = 2 atomic blocks sharing 1-3 atoms, (+) a VAR(1) with
+    rho = 0.5, conjugated by a random unitary; returns (sequence, number of
+    distinct atoms)."""
+    rng = np.random.default_rng(seed)
+    shared = 1 + seed % 3
+    points = np.exp(1j * separated_angles(rng, shared + 2))
+    a, _ = atomic_coeffs(rng, 2, 8, shared + 1, points=points[: shared + 1])
+    b, _ = atomic_coeffs(rng, 2, 8, shared + 1, points=np.r_[points[:shared], points[-1:]])
+    coeffs = direct_sum(direct_sum(a, b), var1_coeffs(rng, 1, 0.5, 8))
+    return HermSeq(conjugated(coeffs, random_unitary(rng, 5))), shared + 2
+
+
+class TestOneAtomRoute:
+    """Every atom from the compressed shift, every density from the
+    deflated data."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shared_atoms_next_to_a_density(self, seed):
+        # a shared atom of full-rank weights is a 4-fold zero of det den,
+        # which np.roots scatters past the cluster radius: the zeros' route
+        # lost such atoms or raised on them
+        seq, distinct = shared_atom_sum(seed)
+        sm = central_measure(seq)
+        assert len(sm.atoms) == distinct and sm.quotient is not None
+        assert verify_recovery(sm, seq, tol=1e-8).passed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_density_next_to_an_atom(self, seed):
+        # the atomic block's density is exactly zero; the full quotient less
+        # the atoms' kernels cancelled two large terms next to each atom
+        rng = np.random.default_rng(seed)
+        seq = HermSeq(direct_sum(atomic_coeffs(rng, 1, 8, 3)[0], var1_coeffs(rng, 1, 0.6, 8)))
+        sm = central_measure(seq)
+        assert len(sm.atoms) == 3
+        d = 10.0 ** -np.arange(2, 7)
+        ang = (np.angle(sm.atom_points())[:, None] + np.concatenate([-d, d])).ravel()
+        row = sm.density_grid(ang)[:, 0, :]
+        assert np.max(np.abs(row)) <= 1e-12 * spec_norm(seq.coeffs[0])
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_full_rank_data_has_no_atom(self, n):
+        # AR(1) a distance 1e-8 from a unit root: T_n has full rank, and the
+        # zero of det den within root_tol of the circle once became an atom
+        rho = 1.0 - 1e-8
+        seq = HermSeq([np.array([[rho**j / (1.0 - rho**2)]]) for j in range(n + 1)])
+        sm = central_measure(seq)
+        assert sm.atoms == ()
+        assert verify_recovery(sm, seq).relative_error <= 1e-12
+
+    def test_deflated_data_has_no_atom_left(self):
+        # the quotient is that of the absolutely continuous part: den has no
+        # zero on the circle, and its constant term is C_0 less the atoms
+        seq = HermSeq([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+        sm = central_measure(seq)
+        (atom,) = sm.atoms
+        assert abs(atom.point - 1.0) < 1e-14
+        assert spec_norm(atom.weight - np.diag([1.0, 0.0])) < 1e-14
+        assert np.all(np.abs(np.abs(sm.quotient.zeros) - 1.0) > NEAR_CIRCLE)
+        assert spec_norm(sm.quotient.num.coeffs[0] - np.diag([0.0, 1.0])) < 1e-14
+        want = np.diag([0.0, 1.0]) / TWO_PI
+        assert np.allclose(sm.density_grid(np.linspace(0.0, 6.0, 7)), want, atol=1e-14)
+        # atoms plus the deflated density give back the full Caratheodory
+        # function of the data
+        cq = central_quotient(gamma_from_covariance(seq))
+        for z in (0.0, 0.3 - 0.4j, 0.9j):
+            assert spec_norm(herglotz_transform(sm, z) - phi_at(cq, z)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "kind, logged",
+        [("tpd", None), ("frozen", (4, 4, 4)), ("deflated", (5, 4, 2))],
+    )
+    def test_debug_line_per_singular_input(self, caplog, kind, logged):
+        import logging
+
+        rng = np.random.default_rng(2)
+        coeffs = {
+            "tpd": lambda: list(random_tpd_seq(rng, 2, 2).coeffs),
+            "frozen": lambda: atomic_coeffs(rng, 2, 3, n_atoms=2)[0],
+            "deflated": lambda: direct_sum(
+                atomic_coeffs(rng, 1, 3, n_atoms=2)[0], var1_coeffs(rng, 1, 0.5, 3)
+            ),
+        }[kind]()
+        with caplog.at_level(logging.DEBUG, logger="matspec"):
+            central_measure(HermSeq(coeffs))
+        lines = [r.getMessage() for r in caplog.records if r.name == "matspec"]
+        if logged is None:
+            assert lines == []
+            return
+        (line,) = lines
+        # rank T_2, rank T_1 and the dimension of the shift's unitary part
+        rank, rank_prev, unitary = logged
+        assert line.startswith(
+            f"singular T_2: rank {rank}, rank T_1 {rank_prev}, "
+            f"unitary part of the shift {unitary}, "
+        )
+        ratio = float(line.rsplit("= ", 1)[1])
+        assert (ratio < 1e-12) if kind == "frozen" else (0.1 < ratio < 1.0)
 
 
 class TestNearEdgeQuadrature:
@@ -621,21 +691,25 @@ class TestNearEdgeQuadrature:
 
 
 class TestGridSizing:
-    """Without atoms the recovery grid follows the zeros of det den: the
-    alias of order j - N falls like e^{-(N - |j|) d}, d the smallest
-    |log|z|| over the zeros outside the NEAR_CIRCLE band, so N - |j| = 40/d
-    nodes reach roundoff, far fewer than 1024 for zeros far from the
-    circle."""
+    """The recovery grid follows the zeros of det den, with or without
+    atoms: the alias of order j - N falls like e^{-(N - |j|) d}, d the
+    smallest |log|z|| over the zeros outside the NEAR_CIRCLE band, so
+    N - |j| = 40/d nodes reach roundoff, far fewer than 1024 for zeros far
+    from the circle."""
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("kind", ["tpd", "var1"])
+    @pytest.mark.parametrize("kind", ["tpd", "var1", "deflated"])
     def test_small_grid_matches_a_dense_one(self, kind, seed, grid_sizes):
         rng = np.random.default_rng(seed)
         if kind == "tpd":
             seq = random_tpd_seq(rng, 2, 2)
-        else:
+        elif kind == "var1":
             seq = HermSeq(var1_coeffs(rng, 2, 0.8, 9))
+        else:
+            atoms, _ = atomic_coeffs(rng, 1, 9, n_atoms=3)
+            seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 0.8, 9)))
         sm = central_measure(seq)
+        assert bool(sm.atoms) == (kind == "deflated")
         orders = range(len(seq))
         dense = brute_force_coeffs(sm, orders, 4096)
         grid_sizes.clear()

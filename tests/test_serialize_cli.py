@@ -6,13 +6,16 @@ import pytest
 from matspec import (
     GammaSeq,
     HermSeq,
+    SpectralMeasure,
     central_extend,
     central_measure,
+    central_quotient,
     density_at,
     doc_to_measure,
     doc_to_sequence,
     dumps,
     fourier_coeff,
+    gamma_from_covariance,
     loads,
     measure_to_doc,
     sequence_to_doc,
@@ -23,6 +26,8 @@ from matspec.errors import InvalidInputError, ModelError
 from matspec.serialize import hermitian_from_lower
 
 RNG = np.random.default_rng(61)
+# an atom at 1 of weight diag(1, 0) plus the white noise diag(0, 1) / 2pi
+DEFLATED = [np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]
 
 
 def scalar_seq(*vals):
@@ -152,8 +157,8 @@ class TestMeasureDocs:
 
     @pytest.mark.parametrize(
         "data, stated",
-        [((1.0, 0.5), "atoms-only"), ((1.0, 1.0), "central")],
-        ids=["atoms-only-with-coefficients", "central-without"],
+        [((1.0, 0.5), "atoms-only"), ((1.0, 1.0), "central"), ((1.0, 0.5), "deflated")],
+        ids=["atoms-only-with-coefficients", "central-without", "deflated-without-atoms"],
     )
     def test_contradictory_provenance_rejected(self, tmp_path, capsys, data, stated):
         # (1, 0.5) has a density and a quotient; (1, 1) is rank-frozen, one
@@ -169,6 +174,44 @@ class TestMeasureDocs:
         src.write_text(seq_doc_text(*data))
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
         assert "contradicts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "coeffs, prov",
+        [
+            ([np.eye(2), 0.5 * np.eye(2)], "central"),
+            ([np.eye(2), np.eye(2)], "atoms-only"),
+            (DEFLATED, "deflated"),
+        ],
+        ids=["central", "atoms-only", "deflated"],
+    )
+    def test_provenance_names_the_quotient(self, coeffs, prov):
+        # no atoms: the central quotient; no quotient: atoms only; both: the
+        # quotient of the data less its atoms.  Each document re-serializes
+        # to itself and its measure recovers the data
+        seq = HermSeq(coeffs)
+        doc = measure_to_doc(central_measure(seq), density_samples=8)
+        assert doc["provenance"] == prov
+        back = doc_to_measure(loads(dumps(doc)))
+        assert dumps(measure_to_doc(back, density_samples=8)) == dumps(doc)
+        assert verify_recovery(back, seq).passed
+
+    def test_full_central_quotient_with_atoms_refused(self, tmp_path, capsys):
+        # a "central" document with atoms holds the full central quotient,
+        # whose poles at the atoms would count them a second time
+        seq = HermSeq(DEFLATED)
+        sm = central_measure(seq)
+        full = central_quotient(gamma_from_covariance(seq))
+        doc = measure_to_doc(SpectralMeasure(2, sm.atoms, full), density_samples=0)
+        doc["provenance"] = "central"
+        with pytest.raises(InvalidInputError, match="full central quotient") as exc:
+            doc_to_measure(doc)
+        assert "matspec spectrum" in str(exc.value)
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(dumps(sequence_to_doc(seq, "covariance")))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        assert "regenerate it with `matspec spectrum`" in capsys.readouterr().err
 
     def test_unknown_provenance_rejected(self):
         # "pd-path" named a second route to the same measure, now removed

@@ -4,17 +4,18 @@ prefix Toeplitz matrix with one eigvalsh of the largest (the per-prefix
 loop runs only on failing input) and no SVD norm of a prefix matrix, so the
 scan's work grows as n^3, solves for the central predictor with one
 pseudoinverse, det den, its zeros and their near-circle clusters are found
-and polished once per quotient, the atom weights take a fixed number of
-evaluations of den and num however many atoms there are, the recovery
-quadrature takes every Fourier order from one FFT with no phase matrix, on a
-grid sized, for measures without atoms, by the distance of the zeros of
-det den, the Horner step keeps the bits of ``out * z + c_k``, and the recovery errors of
-all orders and each comparison of the positive-definite cross-check, the
+and polished once per quotient, the residues at those clusters take a fixed
+number of evaluations of den and num however many clusters there are, the
+recovery quadrature takes every Fourier order from one FFT with no phase
+matrix, on a grid sized by the distance of the zeros of det den, the Horner
+step keeps the bits of ``out * z + c_k``, and the recovery errors of all
+orders and each comparison of the positive-definite cross-check, the
 autoregressive check and `central_order` take one stacked norm.
 `central_measure` builds T_n once and takes one eigvalsh and one matrix SVD
-for every kind of input; rank-frozen input reads its atoms off one eig of
-the r x r compressed shift and never forms det den, its zeros, a quotient
-value or a quadrature grid."""
+for every kind of input; full-rank input makes no eig call, singular input
+reads its atoms off one eig of the r x r compressed shift, deflated input
+adds one build and one SVD of the deflated data, and rank-frozen input
+never forms det den, its zeros, a quotient value or a quadrature grid."""
 
 import importlib
 import json
@@ -39,7 +40,6 @@ from matspec import (
     central_order,
     central_quotient,
     classify,
-    compute_atoms,
     dumps,
     first_violation,
     fourier_coeff,
@@ -55,8 +55,8 @@ from matspec.cli import main
 from matspec.linalg import DEFAULT_RANK_RTOL
 from matspec.toeplitz import _predictor
 
-from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq
-from _oracle import horner
+from _gen import atomic_coeffs, direct_sum, mixed_coeffs, random_tpd_seq, var1_coeffs
+from _oracle import compute_atoms, horner, numerical_rank
 
 Q, N = 2, 16
 
@@ -213,11 +213,11 @@ def test_verify_recovery_stacks_the_order_errors(seq, calls):
 
 
 def test_comparisons_stack_their_norms(seq, calls):
-    # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the size of
-    # den's coefficients for its kernels at the near-circle zeros, the scale
-    # ||C_0|| and the density gap of the cross-check
+    # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the scale
+    # ||C_0|| and the density gap of the cross-check; full-rank input reads
+    # no zero of det den, so den's kernels are left to the recovery
     central_measure(seq)
-    assert len(calls["norm"]) == 5
+    assert len(calls["norm"]) == 4
     # the prefix's 4, the extension scan's 2, ||C_0|| and the mismatch gaps
     calls["norm"].clear()
     with pytest.warns(ArOrderMismatchWarning):
@@ -375,6 +375,11 @@ def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
 FROZEN = HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 6, 2)[0])
 # one atom plus a trigonometric density: the rank grows with n
 MIXED = HermSeq(mixed_coeffs(np.random.default_rng(4), 2, 6)[0])
+# two scalar atoms (+) a VAR(1): T_6 is singular, its shift is not unitary
+# and the density comes from the deflated data
+DSUM = HermSeq(direct_sum(atomic_coeffs(np.random.default_rng(6), 1, 7, 2)[0],
+                          var1_coeffs(np.random.default_rng(6), 1, 0.6, 7)))
+INPUTS = {"subtracted-pole": AR1, "frozen": FROZEN, "mixed": MIXED, "deflated": DSUM}
 
 
 def test_frozen_input_reads_its_atoms_off_one_eig(
@@ -404,13 +409,13 @@ def test_frozen_input_reads_its_atoms_off_one_eig(
     assert eigs == [(4, 4)]
 
 
-@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed"])
+@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
 def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, kind):
     # one T_n, one eigvalsh (the scan, which also gives rank T_n) and one
     # matrix SVD (the predictor's, which also gives rank T_{n-1} and the
-    # range the frozen route reads); the quotient route's kernels at the
-    # near-circle zeros are one stacked SVD of q x q matrices
-    data = {"tpd": seq, "subtracted-pole": AR1, "frozen": FROZEN, "mixed": MIXED}[kind]
+    # range the shift reads); deflated data adds the T_n of C' and the
+    # predictor's SVD of T'_{n-1}, and no second scan
+    data = INPUTS.get(kind, seq)
     built = []
     build = matspec.toeplitz.toeplitz_matrix
 
@@ -424,9 +429,32 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, 
             monkeypatch.setattr(module, "toeplitz_matrix", counted)
     sm = central_measure(data)
     assert (sm.quotient is None) == (kind == "frozen")
-    assert built == [len(data) - 1]
+    assert bool(sm.atoms) == (kind in ("frozen", "deflated"))
+    times = 2 if kind == "deflated" else 1
+    assert built == [len(data) - 1] * times
     assert calls["eigvalsh"] == [(len(data) * data.q,) * 2]
-    assert [s for s in calls["svd"] if len(s) == 2] == [((len(data) - 1) * data.q,) * 2]
+    svds = [s for s in calls["svd"] if len(s) == 2]
+    assert svds == [((len(data) - 1) * data.q,) * 2] * times
+
+
+@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
+def test_only_singular_input_takes_one_eig_of_the_shift(seq, monkeypatch, kind):
+    # full-rank T_n has no atoms and no atom search; singular T_n takes one
+    # eig of the r x r compressed shift, r = rank T_{n-1}
+    data = INPUTS.get(kind, seq)
+    n, q = len(data) - 1, data.q
+    singular = numerical_rank(toeplitz_matrix(data, n)) < (n + 1) * q
+    r = numerical_rank(toeplitz_matrix(data, n - 1))
+    eigs, eig = [], np.linalg.eig
+
+    def counted_eig(a, *args, **kwargs):
+        eigs.append(np.shape(a))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    central_measure(data)
+    assert singular == (kind in ("frozen", "deflated"))
+    assert eigs == ([(r, r)] if singular else [])
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -484,17 +512,20 @@ def test_atom_weights_do_not_loop_over_atoms(evals):
 
 
 def test_polish_stops_once_every_point_has_converged(evals):
-    central_measure(AR1)
+    # central_measure of full-rank AR1 reads no zero of det den; the
+    # recovery polishes its one near-circle zero
+    verify_recovery(central_measure(AR1), AR1)
     assert 1 <= evals["passes"] <= 2
 
 
 def test_atoms_skip_the_scalar_determinant_route():
-    # atoms come from den's kernel alone; the scalar-determinant route lives
-    # on only as the test oracle in tests/_oracle.py
+    # atoms come from the compressed shift alone; the residue and
+    # scalar-determinant routes live on only as test oracles in
+    # tests/_oracle.py
     modules = [importlib.import_module(f"matspec.{m.name}")
                for m in pkgutil.iter_modules(matspec.__path__)]
     assert measure in modules and matpoly in modules
-    for name in ("unimodular_roots", "adjugate_poly", "matpoly_mul",
-                 "pole_limit", "radial_atom_limit"):
+    for name in ("compute_atoms", "MultiplicityError", "unimodular_roots",
+                 "adjugate_poly", "matpoly_mul", "pole_limit", "radial_atom_limit"):
         assert [m.__name__ for m in modules if hasattr(m, name)] == []
     assert len(compute_atoms(atomic_quotient(8))) == 8
