@@ -31,7 +31,8 @@ Recovery integrates the density with the trapezoid rule and adds the point
 masses exactly.  A zero p of det den just outside the circle makes a density
 spike of width about |p| - 1; its pole part R/(z - p) is subtracted from
 Phi and its contribution added in closed form, so the rule sees only a
-smooth remainder and needs at most 4096 nodes however narrow the spike.  A
+smooth remainder, on a grid that puts p halfway between two nodes so that
+the roundoff left in R is not amplified however narrow the spike.  A
 measure without a quotient has no density: every coefficient and Herglotz
 value is a closed-form sum over its atoms.
 """
@@ -335,9 +336,29 @@ def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
     return SpectralMeasure(q=q, atoms=tuple(cleaned), quotient=None)
 
 
-def _quadrature_angles(nodes: int) -> np.ndarray:
-    """Uniform angles offset by half a step."""
-    return (TWO_PI / nodes) * (np.arange(nodes) + 0.5)
+def _quadrature_angles(nodes: int, poles=()) -> np.ndarray:
+    """Uniform angles theta_0 + 2 pi k / N that keep every subtracted pole's
+    argument as far from a node as the poles allow.
+
+    What roundoff leaves of a subtracted pole part, delta / (z - p), aliases
+    into order j as delta p^(-j-1) w / (1 - w), w = |p|^(-N)
+    e^(iN(theta_0 - arg p)): about delta / (N (|p| - 1)) when a node lies on
+    the pole's ray, at most delta / 2 for every N and |p| when arg p lies
+    halfway between two nodes (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    theta_0 maximises min_i |sin(N (arg p_i - theta_0) / 2)|: in units of
+    the step it is the midpoint of the widest gap between the poles'
+    arguments modulo one step.  One pole lands halfway between two nodes,
+    and k poles at least 1 / (2k) of a step from a node.  Without poles the
+    offset is half a step.
+    """
+    offset = 0.5
+    if len(poles):
+        # the poles' arguments in units of the step, modulo one step
+        frac = np.sort((np.angle(poles) * (nodes / TWO_PI)) % 1.0)
+        gaps = np.diff(frac, append=frac[0] + 1.0)
+        widest = np.argmax(gaps)
+        offset = (frac[widest] + 0.5 * gaps[widest]) % 1.0
+    return (TWO_PI / nodes) * (np.arange(nodes) + offset)
 
 
 NEAR_CIRCLE_NODE_CAP = 65536
@@ -394,9 +415,12 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     clusters.
 
     A cluster is subtracted where all its zeros lie outside the circle and
-    its polished point p is a simple pole of num den^{-1} with |p| > 1.  The
-    grid must still resolve, by the brute-force sizing rule, every zero of
-    the other clusters and of every cluster of more than one zero.
+    its polished point p is a simple pole of num den^{-1} with |p| > 1: den(p)
+    has a kernel of the cluster's size, so a cluster of m zeros is one pole
+    with a rank-m residue.  Roundoff splits such a pole, and subtracting it
+    at the cluster mean leaves a dipole c / (z - p)^2 with |c| tiny, whose
+    alias on N nodes is at most N |c| / 4.  The grid must still resolve, by
+    the brute-force sizing rule, every zero of the other clusters.
     """
     res = sm.quotient.near_circle
     # residues are finite only at simple poles
@@ -405,9 +429,7 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     brute = []
     for i, members in enumerate(res.members):
         subtracted[i] &= bool(np.all(np.abs(members) > 1.0))
-        if not subtracted[i] or members.size > 1:
-            # roundoff splits a multiple pole, so subtracting it at the
-            # cluster mean leaves a dipole the grid must still resolve
+        if not subtracted[i]:
             brute.extend(np.abs(np.abs(members) - 1.0))
     poles, residues = res.points[subtracted], res.residues[subtracted]
     return _SingularPart(poles, residues, min(brute, default=np.inf))
@@ -425,8 +447,10 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     num den^{-1}, of degree at most deg num + (q - 1) deg den - deg det den
     (degrees of the trimmed polynomials), aliases exactly unless
     N - |j_top| exceeds that degree.  The atoms are added in closed form and
-    take no nodes.  The zeros inside the band are sized by the pole and
-    brute-force rules below.
+    take no nodes, and so do the subtracted poles: `_quadrature_angles`
+    keeps them off the nodes, where the alias of their roundoff stays
+    bounded for any N.  The zeros inside the band that are not subtracted
+    are sized by the brute-force rule below.
     """
     cq = sm.quotient
     zs = cq.zeros
@@ -437,16 +461,11 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     base = max(64, abs(j_top) + max(decay, poly + 1))
     # trapezoid error decays like exp(-nodes * dist), machine level near
     # nodes * dist = 40; grow the grid for poles it must resolve but keep
-    # the cost bounded, verify_recovery reports anything missed.  Subtracted
-    # poles leave a smooth remainder; up to 4096 nodes damp what roundoff in
-    # their residues leaves of the spike, more would not help.
+    # the cost bounded, verify_recovery reports anything missed
     if sing.brute_distance < NEAR_CIRCLE:
         # a zero of det den on the circle is at distance 0
         dist = max(sing.brute_distance, 40.0 / NEAR_CIRCLE_NODE_CAP)
         base = max(base, min(NEAR_CIRCLE_NODE_CAP, int(np.ceil(40.0 / dist))))
-    if sing.poles.size:
-        dist = float(np.min(np.abs(sing.poles))) - 1.0
-        base = max(base, min(4096, int(np.ceil(40.0 / dist))))
     return base
 
 
@@ -482,7 +501,7 @@ def _fourier_many(
     of order j is (2 pi / N) e^{-i j theta_0} FFT(dens)[j mod N] for any
     integer j, negative or >= N.  The FFT overwrites the density array.
     """
-    ang = _quadrature_angles(nodes)
+    ang = _quadrature_angles(nodes, sing.poles)
     dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
     js = np.asarray(js, dtype=int)
     spec = np.fft.fft(dens, axis=0, out=dens)
@@ -500,10 +519,11 @@ def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
 
     Point masses and the near-circle poles of the density (see
     `verify_recovery`) are added in closed form; the smooth rest of the
-    density is integrated on a uniform half-step-offset grid of
-    `_default_nodes` nodes: |j| + ceil(40 / d) or 64, whichever is more, d
-    the distance in |log|z|| of the nearest zero of det den the grid must
-    resolve.  A measure without a quotient needs no grid.
+    density is integrated on a uniform grid of `_default_nodes` nodes:
+    |j| + ceil(40 / d) or 64, whichever is more, d the distance in
+    |log|z|| of the nearest zero of det den the grid must resolve.  Its
+    offset keeps the subtracted poles off the nodes (`_quadrature_angles`).
+    A measure without a quotient needs no grid.
     """
     return _coefficients(sm, [int(j)])[0]
 
@@ -529,7 +549,7 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
             # the kernel's pole at z: its alias falls like |z|^N
             kernel = int(np.ceil(40.0 / -np.log(abs(zp))))
             nodes = max(nodes, min(NEAR_CIRCLE_NODE_CAP, kernel))
-        ang = _quadrature_angles(nodes)
+        ang = _quadrature_angles(nodes, sing.poles)
         zs = np.exp(1j * ang)
         dens = sing.smooth_density(sm, ang)
         kern = (zs + zp) / (zs - zp)
@@ -590,8 +610,9 @@ def verify_recovery(
     zeros z of det den outside that band, so the alias of order n falls
     like e^{-40}, with or without atoms: the quotient is that of the
     absolutely continuous part, with no pole at an atom.
-    It grows up to 4096 when poles were subtracted, and up to
-    NEAR_CIRCLE_NODE_CAP for near-circle poles the grid must resolve itself
+    Subtracted poles add no nodes: the grid's offset keeps them off the
+    nodes (`_quadrature_angles`).  The grid grows up to
+    NEAR_CIRCLE_NODE_CAP for near-circle poles it must resolve itself
     (those whose residue is not a simple pole's).  The split into pole parts
     and remainder is exact for any pole and residue, so an inaccurate one
     shows as recovery error, never as a false pass.

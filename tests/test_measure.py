@@ -423,10 +423,20 @@ class TestVerifyRecovery:
         assert np.allclose(report.atom_mass, np.zeros((2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("case", ["tpd", "atomic_plus_var1"])
-    def test_orders_from_one_fft_match_per_order_sums(self, case):
+    def test_orders_from_one_fft_match_per_order_sums(self, case, monkeypatch):
         # every order from one FFT of the density against a trapezoid sum per
-        # order, also beyond +-N, where the FFT index wraps as j mod N
+        # order, also beyond +-N, where the FFT index wraps as j mod N; the
+        # sums run over the angles the FFT's grid used
         import matspec.measure as measure
+
+        grids = []
+        orig = measure._quadrature_angles
+
+        def recorded(nodes, poles=()):
+            grids.append(orig(nodes, poles))
+            return grids[-1]
+
+        monkeypatch.setattr(measure, "_quadrature_angles", recorded)
 
         rng = np.random.default_rng(12)
         if case == "tpd":
@@ -440,7 +450,7 @@ class TestVerifyRecovery:
         nodes = measure._default_nodes(sm, sing, len(seq) - 1)
         js = list(range(-2, len(seq))) + [nodes + 1, -nodes - 1]
         got = measure._fourier_many(sm, sing, js, nodes)
-        ang = measure._quadrature_angles(nodes)
+        (ang,) = grids
         dens = sing.smooth_density(sm, ang)
         tol = 1e-14 * (1.0 + spec_norm(seq.coeff(0)))
         k = np.arange(nodes)
@@ -650,9 +660,11 @@ class TestNearEdgeQuadrature:
 
     A denominator zero at distance d outside the circle makes a spike of
     width about d.  Its pole part is subtracted and integrated in closed
-    form, so the trapezoid rule sees only a smooth remainder and at most
-    4096 nodes resolve it however small d is.  A measure that does not
-    reproduce the sequence must still fail loudly.
+    form, so the trapezoid rule sees only a smooth remainder, and the grid
+    puts the pole halfway between two nodes, where the alias of the
+    roundoff left in its residue stays at most half that roundoff however
+    small d is.  A measure that does not reproduce the sequence must still
+    fail loudly.
     """
 
     NEAR_EDGE = 0.25 + 0.75 * (1.0 - 1e-4)
@@ -688,6 +700,41 @@ class TestNearEdgeQuadrature:
         report = verify_recovery(sm, seq, tol=1e-8)
         assert report.passed
         assert max(grid_sizes) <= 4096
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_rotated_unit_root(self, eps, n):
+        # AR(1) with its pole at angle theta: a node on the pole's ray
+        # would alias the residue's roundoff about 1 / (N eps) times over
+        rho = 1.0 - eps
+        c0 = 1.0 / (1.0 - rho**2)
+        for theta in TWO_PI * np.arange(24) / 24 + 0.1:
+            seq = scalar_seq(*[c0 * (rho * np.exp(1j * theta)) ** j for j in range(n + 1)])
+            report = verify_recovery(central_measure(seq), seq, tol=1e-8)
+            assert report.passed
+            assert report.relative_error <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_grid_keeps_poles_off_the_nodes(self, k):
+        # one pole lands halfway between two nodes, k poles at least 1/(2k)
+        # of a step from the nearest node; no pole keeps the half-step grid
+        import matspec.measure as measure
+
+        nodes = 64
+        step = TWO_PI / nodes
+        half = measure._quadrature_angles(nodes)
+        assert np.array_equal(half, step * (np.arange(nodes) + 0.5))
+        rng = np.random.default_rng(k)
+        for _ in range(50):
+            poles = (1.0 + 1e-4) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+            ang = measure._quadrature_angles(nodes, poles)
+            assert np.allclose(ang - half, ang[0] - half[0], rtol=0.0, atol=1e-13)
+            # each pole's argument against the nodes, in steps
+            off = (np.angle(poles)[:, None] - ang[None, :]) / step
+            dist = np.min(np.abs(off - np.round(off)), axis=1)
+            assert np.min(dist) >= 0.5 / k - 1e-9
+            if k == 1:
+                assert abs(dist[0] - 0.5) <= 1e-9
 
 
 class TestGridSizing:
@@ -794,9 +841,11 @@ class TestSubtractedPoles:
 
     @pytest.mark.parametrize("shape", sorted(CLUSTERS))
     def test_pole_cluster_keeps_brute_force_grid(self, shape, grid_sizes):
-        # a double pole (split by roundoff), two poles closer than the
-        # cluster radius, or a second-order pole: the grid must resolve them
-        # as it did before poles were subtracted
+        # two poles closer than the cluster radius, or a second-order pole:
+        # the grid must resolve them as it did before poles were subtracted.
+        # A double pole split by roundoff, where den has a 2-dimensional
+        # kernel, is one simple pole with a rank-2 residue: it is subtracted
+        # and the grid stays small
         a = (1.0 - 1e-3) * np.exp(0.3j) * np.array(self.CLUSTERS[shape])
         noise = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
         # Lyapunov equation Sigma = A Sigma A* + noise, vectorised
@@ -807,7 +856,13 @@ class TestSubtractedPoles:
         seq = HermSeq(coeffs)
         report = verify_recovery(central_measure(seq), seq, tol=1e-8)
         assert report.passed
-        assert max(grid_sizes) > 4096
+        # the Fourier grid, then the PSD scan grid
+        nodes = grid_sizes[0]
+        if shape == "double":
+            assert nodes <= 128
+            assert report.relative_error <= 1e-13
+        else:
+            assert nodes > 4096
 
     EXACT_POLE = 1.0 + 2.0**-20
 

@@ -305,6 +305,25 @@ def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
     assert max(grid_sizes) <= 4096
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+def test_subtracted_pole_takes_no_nodes(eps, grid_sizes):
+    # AR(1): the one zero of det den sits about eps outside the circle and
+    # is subtracted, halfway between two nodes; the grid stays at its floor
+    rho = 1.0 - eps
+    data = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(4)])
+    assert verify_recovery(central_measure(data), data).passed
+    assert grid_sizes[0] == 64
+
+
+def test_semisimple_double_pole_is_subtracted(grid_sizes):
+    # diag(AR(1), AR(1)) with equal rho: den has a 2-dimensional kernel at
+    # the double zero of det den, one simple pole with a rank-2 residue
+    rho = 1.0 - 1e-4
+    data = HermSeq([np.diag([1.0, 2.0]).astype(complex) * rho**j for j in range(3)])
+    assert verify_recovery(central_measure(data), data).passed
+    assert grid_sizes[0] <= 128
+
+
 @pytest.mark.parametrize("rho", [0.5, 0.9])
 def test_far_zero_sizes_the_grid(rho, grid_sizes):
     # AR(1): the one zero of det den sits at 1/rho, outside the NEAR_CIRCLE
@@ -367,8 +386,8 @@ def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
     assert scan == measure.DENSITY_NODES
     # every order from one FFT of the density along the node axis
     assert quadrature_work["fft"] == [(nodes, data.q**2)]
-    # and no (J, N) phase matrix
-    assert max(quadrature_work["exp"]) <= nodes
+    # and no (J, N) phase matrix: no exp larger than either grid
+    assert max(quadrature_work["exp"]) <= max(nodes, measure.DENSITY_NODES)
 
 
 # two full-rank q=2 atoms, n = 5: rank T_4 = rank T_5 = 4
