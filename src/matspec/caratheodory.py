@@ -214,11 +214,19 @@ def rational_values(cq: CaratheodoryQuotient, zs) -> np.ndarray:
     return np.swapaxes(sol, -1, -2)
 
 
+def _disk_point(z) -> complex:
+    """z as a complex number of the open unit disk, else InvalidInputError."""
+    zp = complex(z)
+    if not np.isfinite(zp):
+        raise InvalidInputError(f"z = {zp} is not finite")
+    if abs(zp) >= 1.0:
+        raise InvalidInputError(f"|z| = {abs(zp)} not inside the open unit disk")
+    return zp
+
+
 def phi_at(cq: CaratheodoryQuotient, z: complex) -> np.ndarray:
     """Caratheodory function value at a point of the open unit disk."""
-    if abs(z) >= 1.0:
-        raise InvalidInputError(f"|z| = {abs(z)} not inside the open unit disk")
-    return rational_values(cq, complex(z))
+    return rational_values(cq, _disk_point(z))
 
 
 def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:

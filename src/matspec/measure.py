@@ -50,6 +50,7 @@ from .caratheodory import (
     CaratheodoryQuotient,
     _central_quotient,
     _clusters,
+    _disk_point,
     _pd_polynomials,
     pd_polynomials,
     rational_values,
@@ -130,12 +131,20 @@ def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
     return herm / TWO_PI
 
 
-def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
-    """Density value at one unit-circle point (Hermitian q x q)."""
+def _circle_point(zeta) -> np.ndarray:
+    """zeta, within 1e-8 of the unit circle, projected onto it as a
+    1-element array, else InvalidInputError."""
     z = complex(zeta)
+    if not np.isfinite(z):
+        raise InvalidInputError(f"zeta = {z} is not finite")
     if abs(abs(z) - 1.0) > 1e-8:
         raise InvalidInputError(f"|zeta| = {abs(z)} is not on the unit circle")
-    return _density_on_circle(sm, np.array([z / abs(z)]))[0]
+    return np.array([z / abs(z)])
+
+
+def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
+    """Density value at one unit-circle point (Hermitian q x q)."""
+    return _density_on_circle(sm, _circle_point(zeta))[0]
 
 
 def _check_root_tol(root_tol: float) -> None:
@@ -313,23 +322,32 @@ def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
     B(zeta)^-1 B(0) B(zeta)^-* is the same density (Delsarte, Genin and
     Kamp, 1978).
     """
-    z = complex(zeta)
-    if abs(abs(z) - 1.0) > 1e-8:
-        raise InvalidInputError(f"|zeta| = {abs(z)} is not on the unit circle")
-    return _pd_density_values(pd_polynomials(seq)[0], np.array([z / abs(z)]))[0]
+    return _pd_density_values(pd_polynomials(seq)[0], _circle_point(zeta))[0]
+
+
+def _check_weight(w: np.ndarray, where: str) -> None:
+    """InvalidInputError naming ``where`` unless the atom weight w is
+    Hermitian and PSD within DEFAULT_PSD_TOL * ||w||."""
+    tol = DEFAULT_PSD_TOL * spec_norm(w)
+    if spec_norm(w - w.conj().T) > tol:
+        raise InvalidInputError(f"{where}: weight is not Hermitian")
+    low = float(np.linalg.eigvalsh(re_mat(w))[0])
+    if low < -tol:
+        raise InvalidInputError(f"{where}: weight has negative eigenvalue {low:.3e}")
 
 
 def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
-    """Purely atomic measure from (point, weight) pairs with q x q weights;
-    zero density part."""
+    """Purely atomic measure from (point, weight) pairs with Hermitian PSD
+    q x q weights; zero density part."""
     cleaned = []
-    for point, weight in atoms:
+    for k, (point, weight) in enumerate(atoms):
         p, w = complex(point), as_cmatrix(weight)
         q = w.shape[0] if q is None else q
         if abs(abs(p) - 1.0) > 1e-8:
             raise InvalidInputError(f"atom location |{p}| not on the unit circle")
         if w.shape != (q, q):
             raise DimensionError(f"atom weight has shape {w.shape}, expected ({q}, {q})")
+        _check_weight(w, f"atom {k} at {p}")
         cleaned.append(Atom(point=p / abs(p), weight=re_mat(w)))
     if q is None:
         raise InvalidInputError("need q for an empty atom list")
@@ -361,6 +379,7 @@ def _quadrature_angles(nodes: int, poles=()) -> np.ndarray:
     return (TWO_PI / nodes) * (np.arange(nodes) + offset)
 
 
+# The grid counts each zero at least 40 / NEAR_CIRCLE_NODE_CAP from the circle.
 NEAR_CIRCLE_NODE_CAP = 65536
 
 
@@ -378,23 +397,24 @@ class _SingularPart(NamedTuple):
 
     poles: np.ndarray  # (k,), each |p| > 1
     residues: np.ndarray  # (k, q, q)
-    brute_distance: float  # of the nearest pole the grid must resolve
+    resolved: np.ndarray  # zeros of det den the grid resolves itself
 
     def values(self, zs) -> np.ndarray:
         """F at the points zs; shape zs.shape + (q, q)."""
         kern = 1.0 / (np.asarray(zs, dtype=complex)[..., None] - self.poles)
         return np.tensordot(kern, self.residues, axes=(-1, 0))
 
-    def coeff(self, j: int) -> np.ndarray:
-        """j-th Fourier coefficient of (1/2pi) re F on the circle.
+    def coeffs(self, js: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of (1/2pi) re F at the orders js; shape
+        (J, q, q).
 
-        -1/2 sum R p^(-j-1) for j >= 1, -1/2 sum (R/p + (R/p)*) for j = 0,
-        and the adjoint of coefficient -j for j < 0.
+        With h_j = -1/2 sum R p^(-j-1), order j is h_j for j > 0, h_0 + h_0*
+        for j = 0 and h_{-j}* for j < 0.
         """
-        if j < 0:
-            return self.coeff(-j).conj().T
-        half = -0.5 * np.tensordot(self.poles ** (-j - 1.0), self.residues, axes=(0, 0))
-        return half + half.conj().T if j == 0 else half
+        h = -0.5 * np.tensordot(self.poles ** (-np.abs(js)[:, None] - 1.0), self.residues, 1)
+        hc = np.conj(np.swapaxes(h, -1, -2))
+        side = js[:, None, None]
+        return np.where(side > 0, h, np.where(side < 0, hc, h + hc))
 
     def herglotz(self, z: complex) -> np.ndarray:
         """Herglotz transform of (1/2pi) re F dtheta: F(z) - (F(0) - F(0)*)/2."""
@@ -419,20 +439,19 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     has a kernel of the cluster's size, so a cluster of m zeros is one pole
     with a rank-m residue.  Roundoff splits such a pole, and subtracting it
     at the cluster mean leaves a dipole c / (z - p)^2 with |c| tiny, whose
-    alias on N nodes is at most N |c| / 4.  The grid must still resolve, by
-    the brute-force sizing rule, every zero of the other clusters.
+    alias on N nodes is at most N |c| / 4.  The grid resolves the zeros of
+    the other clusters and those outside the NEAR_CIRCLE band.
     """
-    res = sm.quotient.near_circle
+    zs, res = sm.quotient.zeros, sm.quotient.near_circle
+    resolved = [zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE]]
     # residues are finite only at simple poles
     finite = np.all(np.isfinite(res.residues), axis=(1, 2))
     subtracted = finite & (np.abs(res.points) > 1.0)
-    brute = []
     for i, members in enumerate(res.members):
         subtracted[i] &= bool(np.all(np.abs(members) > 1.0))
         if not subtracted[i]:
-            brute.extend(np.abs(np.abs(members) - 1.0))
-    poles, residues = res.points[subtracted], res.residues[subtracted]
-    return _SingularPart(poles, residues, min(brute, default=np.inf))
+            resolved.append(members)
+    return _SingularPart(res.points[subtracted], res.residues[subtracted], np.concatenate(resolved))
 
 
 def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
@@ -441,32 +460,24 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
 
     The rule reads order j with the alias of order j - N, whose size falls
     like e^{-(N - |j|) d} when the density is analytic in the annulus
-    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014).  d is the
-    smallest |log|z|| over the zeros of det den outside the NEAR_CIRCLE band
-    and N = max(64, |j_top| + ceil(40 / d)).  A polynomial part of
-    num den^{-1}, of degree at most deg num + (q - 1) deg den - deg det den
-    (degrees of the trimmed polynomials), aliases exactly unless
-    N - |j_top| exceeds that degree.  The atoms are added in closed form and
-    take no nodes, and so do the subtracted poles: `_quadrature_angles`
-    keeps them off the nodes, where the alias of their roundoff stays
-    bounded for any N.  The zeros inside the band that are not subtracted
-    are sized by the brute-force rule below.
+    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014), so
+    N = max(64, |j_top| + max(ceil(40 / d), p + 1)).  d is the smallest
+    |log|z|| over ``sing.resolved``, the zeros of det den outside the
+    NEAR_CIRCLE band and those inside it that are not subtracted, each at
+    least 40 / NEAR_CIRCLE_NODE_CAP.  A polynomial part of num den^{-1}, of
+    degree at most p = deg num + (q - 1) deg den - deg det den (degrees of
+    the trimmed polynomials), aliases exactly unless N - |j_top| exceeds p.
+    The atoms are added in closed form and take no nodes, and so do the
+    subtracted poles: `_quadrature_angles` keeps them off the nodes, where
+    the alias of their roundoff stays bounded for any N.
     """
     cq = sm.quotient
-    zs = cq.zeros
     with np.errstate(divide="ignore"):
-        far = np.abs(np.log(np.abs(zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE])))
-    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - zs.size
-    decay = int(np.ceil(40.0 / np.min(far))) if far.size else 0
-    base = max(64, abs(j_top) + max(decay, poly + 1))
-    # trapezoid error decays like exp(-nodes * dist), machine level near
-    # nodes * dist = 40; grow the grid for poles it must resolve but keep
-    # the cost bounded, verify_recovery reports anything missed
-    if sing.brute_distance < NEAR_CIRCLE:
-        # a zero of det den on the circle is at distance 0
-        dist = max(sing.brute_distance, 40.0 / NEAR_CIRCLE_NODE_CAP)
-        base = max(base, min(NEAR_CIRCLE_NODE_CAP, int(np.ceil(40.0 / dist))))
-    return base
+        dist = np.abs(np.log(np.abs(sing.resolved)))
+    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - cq.zeros.size
+    floor = 40.0 / NEAR_CIRCLE_NODE_CAP
+    decay = int(np.ceil(40.0 / max(np.min(dist), floor))) if dist.size else 0
+    return max(64, abs(j_top) + max(decay, poly + 1))
 
 
 def _atom_coeffs(sm: SpectralMeasure, js: np.ndarray) -> np.ndarray:
@@ -481,21 +492,26 @@ def _coefficients(sm: SpectralMeasure, js) -> np.ndarray:
 
     Without a quotient the measure is atomic and every order is a
     closed-form sum over the atoms, with no grid.  Otherwise
-    `_fourier_many` takes them on `_default_nodes` nodes.
+    `_fourier_many` takes the smooth part on `_default_nodes` nodes, and the
+    atoms and subtracted poles are added in closed form.
     """
     js = np.asarray(js, dtype=int)
     if sm.quotient is None:
         return _atom_coeffs(sm, js).reshape(js.size, sm.q, sm.q)
     sing = _singular_part(sm)
-    nodes = _default_nodes(sm, sing, int(np.max(np.abs(js))))
-    return _fourier_many(sm, sing, js, nodes)
+    coeffs = _fourier_many(sm, sing, js, _default_nodes(sm, sing, int(np.max(np.abs(js)))))
+    if sm.atoms:
+        coeffs = coeffs + _atom_coeffs(sm, js)
+    coeffs = coeffs.reshape(js.size, sm.q, sm.q)
+    if sing.poles.size:
+        coeffs = coeffs + sing.coeffs(js)
+    return coeffs
 
 
-def _fourier_many(
-    sm: SpectralMeasure, sing: _SingularPart, js, nodes: int
-) -> np.ndarray:
-    """Coefficients of the orders js: one FFT of the (N, q^2) smooth density
-    along the node axis, plus the pole parts and atoms in closed form.
+def _fourier_many(sm: SpectralMeasure, sing: _SingularPart, js, nodes: int) -> np.ndarray:
+    """Coefficients of the smooth density (density less the subtracted pole
+    parts) at the orders js, from one FFT of its (N, q^2) samples along the
+    node axis; shape (J, q^2).
 
     The grid theta_k = theta_0 + 2 pi k / N is uniform, so the trapezoid sum
     of order j is (2 pi / N) e^{-i j theta_0} FFT(dens)[j mod N] for any
@@ -505,13 +521,7 @@ def _fourier_many(
     dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
     js = np.asarray(js, dtype=int)
     spec = np.fft.fft(dens, axis=0, out=dens)
-    coeffs = spec[js % nodes] * ((TWO_PI / nodes) * np.exp(-1j * ang[0] * js))[:, None]
-    if sm.atoms:
-        coeffs = coeffs + _atom_coeffs(sm, js)
-    coeffs = coeffs.reshape(js.size, sm.q, sm.q)
-    if sing.poles.size:
-        coeffs = coeffs + np.array([sing.coeff(int(j)) for j in js])
-    return coeffs
+    return spec[js % nodes] * ((TWO_PI / nodes) * np.exp(-1j * ang[0] * js))[:, None]
 
 
 def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
@@ -520,10 +530,11 @@ def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
     Point masses and the near-circle poles of the density (see
     `verify_recovery`) are added in closed form; the smooth rest of the
     density is integrated on a uniform grid of `_default_nodes` nodes:
-    |j| + ceil(40 / d) or 64, whichever is more, d the distance in
-    |log|z|| of the nearest zero of det den the grid must resolve.  Its
-    offset keeps the subtracted poles off the nodes (`_quadrature_angles`).
-    A measure without a quotient needs no grid.
+    max(64, |j| + ceil(40 / d)), d the distance in |log|z|| of the nearest
+    zero of det den the grid must resolve, so the alias of order j falls
+    like e^{-40} however large |j| is.  Its offset keeps the subtracted
+    poles off the nodes (`_quadrature_angles`).  A measure without a
+    quotient needs no grid.
     """
     return _coefficients(sm, [int(j)])[0]
 
@@ -533,27 +544,20 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
 
     For measures arising from a TND sequence this reproduces the Caratheodory
     function of the sequence.  Point masses and near-circle poles are
-    transformed in closed form, the smooth rest of the density by quadrature;
-    a measure without a quotient has no density to integrate.  The kernel's
-    pole at z takes ceil(40 / log(1/|z|)) nodes, capped at
-    NEAR_CIRCLE_NODE_CAP, so accuracy holds up to |z| <= 1 - 40 / 65536.
+    transformed in closed form; the smooth rest of the density, whose order
+    j falls like e^{-j d} (d as in `_default_nodes`), is c_0 + 2 sum c_j z^j
+    over j <= J = `_default_nodes`(0) >= 40 / d, orders from one FFT.  No
+    kernel is resolved, so accuracy holds for every |z| < 1.
     """
-    zp = complex(z)
-    if abs(zp) >= 1.0:
-        raise InvalidInputError(f"|z| = {abs(zp)} not inside the open unit disk")
+    zp = _disk_point(z)
     out = np.zeros((sm.q, sm.q), dtype=complex)
     if sm.quotient is not None:
         sing = _singular_part(sm)
-        nodes = _default_nodes(sm, sing, 0)
-        if zp != 0.0:
-            # the kernel's pole at z: its alias falls like |z|^N
-            kernel = int(np.ceil(40.0 / -np.log(abs(zp))))
-            nodes = max(nodes, min(NEAR_CIRCLE_NODE_CAP, kernel))
-        ang = _quadrature_angles(nodes, sing.poles)
-        zs = np.exp(1j * ang)
-        dens = sing.smooth_density(sm, ang)
-        kern = (zs + zp) / (zs - zp)
-        out = (TWO_PI / nodes) * np.tensordot(kern, dens, axes=(0, 0))
+        top = _default_nodes(sm, sing, 0)
+        coeffs = _fourier_many(sm, sing, np.arange(top + 1), _default_nodes(sm, sing, top))
+        # z^j by running products: np.power rounds j arg z, ~j eps per power
+        powers = np.cumprod(np.full(top, zp))
+        out = (coeffs[0] + 2.0 * (powers @ coeffs[1:])).reshape(sm.q, sm.q)
         out = out + sing.herglotz(zp)
     for atom in sm.atoms:
         out = out + (atom.point + zp) / (atom.point - zp) * atom.weight
@@ -607,15 +611,16 @@ def verify_recovery(
     density goes through the trapezoid rule, every order C_0..C_n from one
     FFT of the density sampled on the grid (`_default_nodes`).  The grid
     has max(64, n + ceil(40 / d)) nodes, d the smallest |log|z|| over the
-    zeros z of det den outside that band, so the alias of order n falls
-    like e^{-40}, with or without atoms: the quotient is that of the
-    absolutely continuous part, with no pole at an atom.
+    zeros z of det den the grid resolves itself, so the alias of order n
+    falls like e^{-40}, with or without atoms: the quotient is that of the
+    absolutely continuous part, with no pole at an atom.  Those zeros are
+    the ones outside that band and the near-circle ones that are not
+    subtracted (a cluster whose residue is not a simple pole's), each
+    counted at least 40 / NEAR_CIRCLE_NODE_CAP from the circle.
     Subtracted poles add no nodes: the grid's offset keeps them off the
-    nodes (`_quadrature_angles`).  The grid grows up to
-    NEAR_CIRCLE_NODE_CAP for near-circle poles it must resolve itself
-    (those whose residue is not a simple pole's).  The split into pole parts
-    and remainder is exact for any pole and residue, so an inaccurate one
-    shows as recovery error, never as a false pass.
+    nodes (`_quadrature_angles`).  The split into pole parts and remainder
+    is exact for any pole and residue, so an inaccurate one shows as
+    recovery error, never as a false pass.
 
     Also counts the nodes of an offset scan grid of DENSITY_NODES where the
     density's smallest eigenvalue dips below -DEFAULT_PSD_TOL * (1 + ||C_0||).

@@ -15,7 +15,7 @@ from .caratheodory import CaratheodoryQuotient
 from .central import GammaSeq
 from .errors import InvalidInputError
 from .matpoly import MatPoly
-from .measure import Atom, RecoveryReport, SpectralMeasure
+from .measure import Atom, RecoveryReport, SpectralMeasure, _check_weight
 from .toeplitz import HermSeq
 
 TWO_PI = 2.0 * np.pi
@@ -118,6 +118,7 @@ def _wire_to_atom(obj, q: int, where: str) -> Atom:
     if abs(abs(u) - 1.0) > 1e-8:
         raise InvalidInputError(f"{where}: atom location |{u}| not on the unit circle")
     w = wire_to_mat(obj.get("weight"), q, f"{where}.weight")
+    _check_weight(w, where)
     return Atom(point=u, weight=hermitian_from_lower(w))
 
 

@@ -374,6 +374,44 @@ class TestAtomicMeasure:
         with pytest.raises(DimensionError):
             atomic_measure(atoms, q=q)
 
+    @pytest.mark.parametrize(
+        "weight, match",
+        [
+            ([[-1.0]], "negative eigenvalue"),
+            ([[1.0, 2.0], [0.0, 1.0]], "not Hermitian"),
+            ([[1.0, 2.0], [2.0, 1.0]], "negative eigenvalue"),
+        ],
+        ids=["negative", "not_hermitian", "indefinite"],
+    )
+    def test_weight_must_be_hermitian_psd(self, weight, match):
+        # the error names the atom; a negative mass, or a non-Hermitian
+        # weight replaced by its Hermitian part, used to pass silently
+        q = len(weight)
+        atoms = [(1.0, np.eye(q)), (1j, weight)]
+        with pytest.raises(InvalidInputError, match=rf"atom 1 at 1j: .*{match}"):
+            atomic_measure(atoms)
+
+    def test_weight_within_the_psd_tolerance_passes(self):
+        # DEFAULT_PSD_TOL * ||W|| = 2e-9 here: roundoff of either kind is kept
+        w = np.array([[2.0, 1e-10], [0.0, -1e-10]])
+        (atom,) = atomic_measure([(1.0, w)]).atoms
+        assert np.array_equal(atom.weight, atom.weight.conj().T)
+
+    @pytest.mark.parametrize("z", [np.nan, complex(0.0, np.nan), np.inf, complex(np.inf, 0.0)])
+    def test_non_finite_point_rejected(self, z):
+        # a NaN compares False with every bound, so |z| < 1 let it through
+        seq = scalar_seq(1.0, 0.5)
+        sm = central_measure(seq)
+        for evaluate in (
+            lambda: herglotz_transform(sm, z),
+            lambda: herglotz_transform(atomic_measure([(1.0, [[1.0]])]), z),
+            lambda: phi_at(central_quotient(gamma_from_covariance(seq)), z),
+            lambda: density_at(sm, z),
+            lambda: pd_density(seq, z),
+        ):
+            with pytest.raises(InvalidInputError):
+                evaluate()
+
 
 class TestFourierRecovery:
     def test_atomic_sequence(self):
@@ -424,9 +462,9 @@ class TestVerifyRecovery:
 
     @pytest.mark.parametrize("case", ["tpd", "atomic_plus_var1"])
     def test_orders_from_one_fft_match_per_order_sums(self, case, monkeypatch):
-        # every order from one FFT of the density against a trapezoid sum per
-        # order, also beyond +-N, where the FFT index wraps as j mod N; the
-        # sums run over the angles the FFT's grid used
+        # every order from one FFT of the smooth density against a trapezoid
+        # sum per order, also beyond +-N, where the FFT index wraps as
+        # j mod N; the sums run over the angles the FFT's grid used
         import matspec.measure as measure
 
         grids = []
@@ -459,9 +497,29 @@ class TestVerifyRecovery:
             # integers: a float j * ang[k] rounds the phase by about j eps
             phase = np.exp(-1j * j * ang[0]) * np.exp(-1j * (TWO_PI / nodes) * (j * k % nodes))
             want = (TWO_PI / nodes) * np.tensordot(phase, dens, axes=(0, 0))
-            want = want + sing.coeff(j)
-            for atom in sm.atoms:
-                want = want + atom.point ** (-j) * atom.weight
+            assert spec_norm(g.reshape(seq.q, seq.q) - want) <= tol
+
+    def test_coefficients_add_atoms_and_poles_in_closed_form(self):
+        # the smooth part's orders plus, per order, the atoms' moments and
+        # the pole parts' -1/2 sum R p^(-j-1) (j > 0), its Hermitian part
+        # doubled (j = 0) and the adjoint of order -j (j < 0)
+        import matspec.measure as measure
+
+        rng = np.random.default_rng(12)
+        atoms, _ = atomic_coeffs(rng, 1, 7, n_atoms=2)
+        seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 1.0 - 1e-3, 7)))
+        sm = central_measure(seq)
+        sing = measure._singular_part(sm)
+        assert sing.poles.size == 1 and len(sm.atoms) == 2
+        js = np.arange(-3, len(seq) + 2)
+        nodes = measure._default_nodes(sm, sing, int(np.max(np.abs(js))))
+        smooth = measure._fourier_many(sm, sing, js, nodes).reshape(-1, seq.q, seq.q)
+        got = measure._coefficients(sm, js)
+        tol = 1e-14 * spec_norm(seq.coeff(0))
+        for j, s, g in zip(js, smooth, got):
+            half = -0.5 * sum(p ** (-abs(j) - 1.0) * r for p, r in zip(sing.poles, sing.residues))
+            pole = half + half.conj().T if j == 0 else (half if j > 0 else half.conj().T)
+            want = s + pole + sum(a.point ** (-j) * a.weight for a in sm.atoms)
             assert spec_norm(g - want) <= tol
 
     def test_atom_mass_accounting(self):
@@ -802,6 +860,28 @@ def brute_force_coeffs(sm, orders, nodes):
     return out
 
 
+CLUSTERS = {
+    "double": [[1.0, 0.0], [0.0, 1.0]],
+    "pair": [[1.0, 0.0], [0.0, np.exp(5e-5j)]],
+    "jordan": [[1.0, 1e-3], [0.0, 1.0]],
+}
+
+
+def cluster_var1(shape):
+    """C_0..C_3 of the q = 2 VAR(1) with A = (1 - 1e-3) e^{0.3i} times a
+    CLUSTERS shape: a double pole where den has a 2-dimensional kernel
+    ("double"), two poles 5e-5 apart ("pair"), or a second-order pole
+    ("jordan"), all about 1e-3 outside the circle."""
+    a = (1.0 - 1e-3) * np.exp(0.3j) * np.array(CLUSTERS[shape])
+    noise = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
+    # Lyapunov equation Sigma = A Sigma A* + noise, vectorised
+    sigma = np.linalg.solve(np.eye(4) - np.kron(a, a.conj()), noise.ravel())
+    coeffs = [sigma.reshape(2, 2)]
+    for _ in range(3):
+        coeffs.append(a @ coeffs[-1])
+    return HermSeq(coeffs)
+
+
 def brute_force_nodes(rho):
     # the pole of a VAR(1) with spectral radius rho sits at 1/rho
     return 1 << int(np.ceil(np.log2(80.0 / (1.0 / rho - 1.0))))
@@ -833,27 +913,14 @@ class TestSubtractedPoles:
         coeffs = direct_sum(atoms, var1_coeffs(rng, 1, rho, 6))
         self.check(coeffs, rho)
 
-    CLUSTERS = {
-        "double": [[1.0, 0.0], [0.0, 1.0]],
-        "pair": [[1.0, 0.0], [0.0, np.exp(5e-5j)]],
-        "jordan": [[1.0, 1e-3], [0.0, 1.0]],
-    }
-
     @pytest.mark.parametrize("shape", sorted(CLUSTERS))
     def test_pole_cluster_keeps_brute_force_grid(self, shape, grid_sizes):
         # two poles closer than the cluster radius, or a second-order pole:
-        # the grid must resolve them as it did before poles were subtracted.
-        # A double pole split by roundoff, where den has a 2-dimensional
-        # kernel, is one simple pole with a rank-2 residue: it is subtracted
-        # and the grid stays small
-        a = (1.0 - 1e-3) * np.exp(0.3j) * np.array(self.CLUSTERS[shape])
-        noise = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
-        # Lyapunov equation Sigma = A Sigma A* + noise, vectorised
-        sigma = np.linalg.solve(np.eye(4) - np.kron(a, a.conj()), noise.ravel())
-        coeffs = [sigma.reshape(2, 2)]
-        for _ in range(3):
-            coeffs.append(a @ coeffs[-1])
-        seq = HermSeq(coeffs)
+        # they are not subtracted, and the grid resolves them with about
+        # 40 / d nodes.  A double pole split by roundoff, where den has a
+        # 2-dimensional kernel, is one simple pole with a rank-2 residue: it
+        # is subtracted and the grid stays small
+        seq = cluster_var1(shape)
         report = verify_recovery(central_measure(seq), seq, tol=1e-8)
         assert report.passed
         # the Fourier grid, then the PSD scan grid
@@ -885,15 +952,30 @@ class TestSubtractedPoles:
 
     def test_removable_singularity_on_the_circle(self, grid_sizes):
         # num = den = 1 - z: det den vanishes at z = 1, the residue there is
-        # zero and no atom claims the zero; the grid takes its largest size
-        # for a zero at distance 0 from the circle
+        # zero and no atom claims the zero; a zero at distance 0 from the
+        # circle counts as 40 / NEAR_CIRCLE_NODE_CAP away, so orders up to
+        # n = 2 take n + NEAR_CIRCLE_NODE_CAP nodes
         p = MatPoly([[[1.0]], [[-1.0]]])
         cq = CaratheodoryQuotient(p, p)
         assert compute_atoms(cq) == ()
         sm = SpectralMeasure(1, (), cq)
         report = verify_recovery(sm, scalar_seq(1.0, 0.0, 0.0))
         assert report.passed
-        assert max(grid_sizes) == NEAR_CIRCLE_NODE_CAP
+        assert max(grid_sizes) == 2 + NEAR_CIRCLE_NODE_CAP
+
+    @pytest.mark.parametrize("shape", ["pair", "jordan"])
+    def test_high_orders_of_unsubtracted_poles(self, shape):
+        # the grid for order j adds |j| to 40 / d for the zeros it resolves
+        # itself, so the alias stays at e^{-40} at any order; the reference
+        # is the plain trapezoid rule on 2^19 nodes, every order from one FFT
+        seq = cluster_var1(shape)
+        sm = central_measure(seq)
+        nodes = 1 << 19
+        ang = TWO_PI * (np.arange(nodes) + 0.5) / nodes
+        spec = np.fft.fft(sm.density_grid(ang).reshape(nodes, -1), axis=0)
+        for j in (20000, 30000, 38000):
+            want = (TWO_PI / nodes) * np.exp(-1j * j * ang[0]) * spec[j].reshape(2, 2)
+            assert spec_norm(fourier_coeff(sm, j) - want) <= 1e-13 * spec_norm(seq.coeff(0))
 
     def test_herglotz_near_pole(self):
         seq = HermSeq(var1_coeffs(np.random.default_rng(7), 2, 1.0 - 1e-3, 6))
@@ -1025,19 +1107,27 @@ class TestHerglotz:
         with pytest.raises(InvalidInputError):
             herglotz_transform(sm, 1.2)
 
-    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9995])
-    @pytest.mark.parametrize("kind", ["tpd", "var1"])
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9995, 0.9999, 1.0 - 1e-6])
+    @pytest.mark.parametrize(
+        "kind", ["tpd", "var1", "var1-rho-1e-3", "var1-rho-1e-5", "pair", "jordan"]
+    )
     def test_near_the_circle(self, kind, r):
-        # the Poisson kernel's pole at z needs about 40 / log(1/|z|) nodes,
-        # more than 1024 from r = 0.962 on
+        # the smooth density's orders, summed as c_0 + 2 sum c_j z^j, need no
+        # kernel grid, so nothing depends on |z|: a Poisson-kernel quadrature
+        # would need about 40 / log(1/|z|) nodes, 4e7 at r = 1 - 1e-6.  The
+        # VAR(1) poles 1e-3 and 1e-5 outside the circle are subtracted; the
+        # "pair" and "jordan" clusters are not
+        rho = {"var1": 0.5, "var1-rho-1e-3": 1.0 - 1e-3, "var1-rho-1e-5": 1.0 - 1e-5}
         if kind == "tpd":
             seq = random_tpd_seq(np.random.default_rng(0), 2, 6)
+        elif kind in rho:
+            seq = HermSeq(var1_coeffs(np.random.default_rng(1), 2, rho[kind], 6))
         else:
-            seq = HermSeq(var1_coeffs(np.random.default_rng(1), 2, 0.5, 6))
+            seq = cluster_var1(kind)
         sm = central_measure(seq)
         z = r * np.exp(0.7j)
         err = spec_norm(herglotz_transform(sm, z) - phi_at(sm.quotient, z))
-        assert err <= 1e-12 * spec_norm(seq.coeff(0))
+        assert err <= 1e-13 * spec_norm(seq.coeff(0))
 
 
 class TestArSpectrum:

@@ -1,4 +1,9 @@
+import itertools
 import json
+import re
+import shlex
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +159,23 @@ class TestMeasureDocs:
         src.write_text(seq_doc_text(1.0, 1.0))
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
         assert "not on the unit circle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight, match",
+        [([[[-1.0, 0.0]]], "negative eigenvalue"), ([[[1.0, 1.0]]], "not Hermitian")],
+    )
+    def test_atom_weight_must_be_hermitian_psd(self, tmp_path, capsys, weight, match):
+        # the document's weight is checked before its lower triangle is read
+        doc = measure_to_doc(central_measure(scalar_seq(1.0, 1.0)), density_samples=0)
+        doc["atoms"][0]["weight"] = weight
+        with pytest.raises(InvalidInputError, match=f"atom 0: .*{match}"):
+            doc_to_measure(doc)
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 1.0))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data, stated",
@@ -455,6 +477,17 @@ class TestCliPipeline:
         val = doc["values"][0]["phi"]
         assert np.isclose(val[0][0][0], 3.0, atol=1e-10)
 
+    @pytest.mark.parametrize("z", ["nan,0", "0,inf", "-inf,0"])
+    def test_eval_phi_non_finite_point_exits_1(self, tmp_path, capsys, z):
+        # a NaN point once passed the disk test and wrote NaN tokens, which
+        # are not JSON
+        src = tmp_path / "seq.json"
+        src.write_text(seq_doc_text(1.0, 0.5))
+        assert main(["eval-phi", str(src), "--z", "0.5,0", f"--z={z}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite" in captured.err
+
     def test_eval_phi_gamma_document(self, tmp_path, capsys):
         src = tmp_path / "g.json"
         src.write_text(seq_doc_text(1.0, 1.0, kind="gamma"))
@@ -505,3 +538,41 @@ def test_every_parsed_option_is_read(tmp_path, capsys):
         dests = set(vars(args)) - {"command", "func"}
         unread[command] = sorted(dests - recorder.read)
     assert unread == {command: [] for command in argv}
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+CI_STEP = "README CLI examples through the console script"
+
+
+def ci_step_script(name):
+    """The dedented ``run: |`` block of the workflow step called ``name``,
+    read as text: the lines below ``run: |`` indented deeper than it."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    run = next(i for i in range(start + 1, len(lines)) if lines[i].strip() == "run: |")
+    depth = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= depth:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)).splitlines()
+
+
+def test_ci_cli_step_runs_in_process(tmp_path, monkeypatch, capsys):
+    # the CI step that runs the README examples through the console script,
+    # replayed here: each `cat > NAME <<'EOF'` document is written into a
+    # scratch directory and each `matspec ...` line goes through main()
+    monkeypatch.chdir(tmp_path)
+    script = iter(ci_step_script(CI_STEP))
+    commands = 0
+    for line in script:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line.strip())
+        if heredoc:
+            body = list(itertools.takewhile(lambda text: text.strip() != "EOF", script))
+            (tmp_path / heredoc.group(1)).write_text("\n".join(body) + "\n")
+        elif line.startswith("matspec "):
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, (line, capsys.readouterr().err)
+            commands += 1
+    assert commands > 0, f"the step {CI_STEP!r} runs no matspec command"
