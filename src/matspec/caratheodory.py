@@ -40,6 +40,7 @@ from .toeplitz import (
     Classification,
     _classification,
     _predictor,
+    _rank,
     _scan,
     first_violation,
     toeplitz_matrix,
@@ -146,10 +147,11 @@ def central_quotient(
     if spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
         raise InvalidInputError("Gamma_0 must be Hermitian")
     t = toeplitz_matrix(covariance_from_gamma(g), n)
-    bad = _scan(t, g.q, psd_tol).bad
-    if bad is not None:
-        raise ModelError(f"re S_{bad} not nonnegative", index=bad)
-    return _central_quotient(g0, t, _predictor(t, g.q, rank_rtol))
+    scan = _scan(t, g.q, psd_tol)
+    if scan.bad is not None:
+        raise ModelError(f"re S_{scan.bad} not nonnegative", index=scan.bad)
+    full_rank = _rank(scan.eigenvalues, rank_rtol) == len(t)
+    return _central_quotient(g0, t, _predictor(t, g.q, rank_rtol, full_rank))
 
 
 def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
@@ -182,23 +184,25 @@ def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
         A(z) = sum_j tau_{j0} z^j,    B(z) = sum_j tau_{n,n-j} z^j.
 
     Both determinants are free of zeros on the closed disk, as the
-    positive-definite theory guarantees; nothing here re-tests it.
+    positive-definite theory guarantees; nothing here re-tests it.  A is
+    `_pd_first_column`; B's blocks are the last block row of T_n^{-1}, the
+    transpose of the solution X of T_n^T X = E_n with E_n the last q columns
+    of the identity: two LU solves, O((nq)^3 / 3 + (nq)^2 q) each.
     """
-    t = toeplitz_matrix(seq, len(seq) - 1)
+    t, q = toeplitz_matrix(seq, len(seq) - 1), seq.q
     tol = DEFAULT_PSD_TOL
-    scan = _scan(t, seq.q, tol)
+    scan = _scan(t, q, tol)
     if _classification(scan.bad, scan.margin, tol) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
-    return _pd_polynomials(t, seq.q)
+    last = np.linalg.solve(t.T, np.eye(len(t))[:, -q:]).reshape(-1, q, q)
+    return _pd_first_column(t, q), MatPoly(last[::-1].swapaxes(1, 2))
 
 
-def _pd_polynomials(t: np.ndarray, q: int) -> tuple[MatPoly, MatPoly]:
-    """`pd_polynomials` without the TPD check: slices of inv(``t``), t = T_n."""
-    n = len(t) // q - 1
-    tinv = np.linalg.inv(t)
-    a = [tinv[j * q : (j + 1) * q, 0:q] for j in range(n + 1)]
-    b = [tinv[n * q : (n + 1) * q, (n - j) * q : (n - j + 1) * q] for j in range(n + 1)]
-    return MatPoly(a), MatPoly(b)
+def _pd_first_column(t: np.ndarray, q: int) -> MatPoly:
+    """A of `pd_polynomials` without the TPD check: the first block column
+    of T_n^{-1}, ``t`` = T_n, from one LU solve of T_n against the first q
+    columns of the identity, O((nq)^3 / 3 + (nq)^2 q)."""
+    return MatPoly(np.linalg.solve(t, np.eye(len(t), q)).reshape(-1, q, q))
 
 
 def rational_values(cq: CaratheodoryQuotient, zs) -> np.ndarray:

@@ -4,10 +4,12 @@ Extending a TND prefix by the center of its admissibility ball, repeatedly, is
 the maximum-entropy ("central") continuation.  That chain of centers is one
 fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
 coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
-costs O((nq)^3 + L n q^3) before the result is scanned.  T_n is built once
-per call, and `central_order` reads every prefix's predictor off its leading
-blocks.  A sequence already equal to its own center continuation from some
-index onward has a central order; the pure zero tail is order 0.
+costs O((nq)^3 + L n q^3) before the result is scanned.  When the scan finds
+T_n of full rank, w is one LU solve of T_{n-1}, O((nq)^3 / 3); singular T_n
+takes one SVD.  T_n is built once per call, and `central_order` reads every
+prefix's predictor off its leading blocks.  A sequence already equal to its
+own center continuation from some index onward has a central order; the
+pure zero tail is order 0.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .toeplitz import (
     _continue,
     _predict,
     _predictor,
+    _rank,
     _require_tnd,
     toeplitz_matrix,
 )
@@ -69,11 +72,13 @@ def central_extend(
     """Continue C_0..C_n by ball centers until ``target_len`` coefficients.
 
     The chain of centers is the recursion C_k = sum_{m=1..n} C_{k-m} w_m with
-    w = T_{n-1}' Y_n from one pseudoinverse, at cost O((nq)^3 + L n q^3) for
-    L = ``target_len``.  The result is again TND, and is checked to be: the
-    input and the result are each scanned once, by one eigvalsh of re T_n
-    and of re T_{L-1} (per-prefix only below -tol (1 + ||C_0||)), so the
-    whole call costs O((Lq)^3).
+    w = T_{n-1}' Y_n, at cost O((nq)^3 + L n q^3) for L = ``target_len``:
+    one LU solve of T_{n-1}, O((nq)^3 / 3), when the input's scan finds T_n
+    of full rank at the rank_rtol cutoff, else one SVD pseudoinverse.  The
+    result is again TND, and is checked to be: the input and the result are
+    each scanned once, by one eigvalsh of re T_n and of re T_{L-1}
+    (per-prefix only below -tol (1 + ||C_0||)), so the whole call costs
+    O((Lq)^3).
     Continuing a continuation agrees with continuing the original in one
     step.  A `GammaSeq` argument is converted to its covariance sequence,
     continued there, and converted back.
@@ -87,8 +92,9 @@ def central_extend(
             central_extend(covariance_from_gamma(seq), target_len, psd_tol, rank_rtol)
         )
     t = toeplitz_matrix(seq, len(seq) - 1)
-    _require_tnd(t, seq.q, psd_tol)
-    return _continue(seq, _predictor(t, seq.q, rank_rtol), target_len, psd_tol)
+    full_rank = _rank(_require_tnd(t, seq.q, psd_tol).eigenvalues, rank_rtol) == len(t)
+    w = _predictor(t, seq.q, rank_rtol, full_rank)
+    return _continue(seq, w, target_len, psd_tol)
 
 
 def central_order(seq: HermSeq):
@@ -103,17 +109,21 @@ def central_order(seq: HermSeq):
     Only the proper prefixes C_0..C_{j-1} feeding each ball need to be TND;
     a final coefficient that leaves the admissibility cone entirely is simply
     NOT_CENTRAL, while an interior breach is a model error.  Coefficients
-    count as equal within CENTRAL_TOL * (1 + ||C_0||).
+    count as equal within CENTRAL_TOL * (1 + ||C_0||).  Each ball centre
+    takes its own predictor: one LU solve per prefix when the scan finds
+    T_{n-1} of full rank, O(n^4 q^3 / 12) in all, else one SVD per prefix.
     """
     n, q = len(seq) - 1, seq.q
     t = toeplitz_matrix(seq, max(n - 1, 0))
-    _require_tnd(t, q, DEFAULT_PSD_TOL)
+    scan = _require_tnd(t, q, DEFAULT_PSD_TOL)
     if n == 0:
         return 0
+    # every prefix's T_{j-1} is a leading block of T_{n-1}
+    full_rank = _rank(scan.eigenvalues, DEFAULT_RANK_RTOL) == len(t)
     tol = CENTRAL_TOL * (1.0 + spec_norm(seq.coeffs[0]))
     c = np.asarray(seq.coeffs)
     centers = np.array(
-        [_predict(c[:j], _predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL))
+        [_predict(c[:j], _predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL, full_rank))
          for j in range(1, n + 1)]
     )
     gap = np.linalg.norm(c[1:] - centers, 2, axis=(1, 2))

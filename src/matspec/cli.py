@@ -13,6 +13,7 @@ import argparse
 import csv
 import logging
 import os
+import re
 import sys
 import warnings
 
@@ -38,6 +39,14 @@ from .toeplitz import Classification, _classification, _scan, toeplitz_matrix
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.10-3.12 read "--z -0.5,0.3" as two options: their
+        # negative-number pattern (-1, -.5, -0.5) has no comma.  No option
+        # here starts with a digit, so a minus before a digit is a value, as
+        # from Python 3.13 on; subparsers are built with this class too.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with 2 on usage errors; keep 2 reserved for model errors.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -262,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-phi", help="evaluate the Caratheodory function")
     p.add_argument("input", help="sequence document path, '-' for stdin")
     p.add_argument("--z", action="append", required=True,
-                   help="evaluation point 're,im' inside the unit disk; repeatable")
+                   help="evaluation point 're,im' inside the unit disk, such as "
+                        "-0.5,0.3; repeatable")
     _add_common(p)
     p.set_defaults(func=_cmd_eval_phi)
 

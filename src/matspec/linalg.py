@@ -68,8 +68,7 @@ def _pinv_range(a, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cutoff, all from one SVD.  For Hermitian PSD ``a`` the kept part is
     U_r diag(s_r) U_r*."""
     m = as_cmatrix(a)
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    _require_rel_tol(rel_tol)
     u, s, vh = _svd(m)
     keep = s > rel_tol * s.max(initial=0.0)
     if not np.any(keep):
@@ -78,6 +77,12 @@ def _pinv_range(a, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     uk = u[:, : s.size][:, keep]
     vk = vh[: s.size, :][keep, :]
     return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T, uk, s[keep]
+
+
+def _require_rel_tol(rel_tol: float) -> None:
+    """InvalidInputError unless the relative cutoff lies in (0, 1)."""
+    if not 0.0 < rel_tol < 1.0:
+        raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
 
 def _svd(m: np.ndarray):

@@ -51,7 +51,7 @@ from .caratheodory import (
     _central_quotient,
     _clusters,
     _disk_point,
-    _pd_polynomials,
+    _pd_first_column,
     pd_polynomials,
     rational_values,
 )
@@ -67,6 +67,7 @@ from .linalg import (
 from .toeplitz import (
     HermSeq,
     _continue,
+    _predictor,
     _predictor_range,
     _rank,
     _require_tnd,
@@ -234,11 +235,14 @@ def central_measure(
     For well-interior TPD input the positive-definite density
     A(z)^-* A(0) A(z)^-1 / (2pi) is compared with the quotient's at 16
     points, a built-in cross-check.  T_n is built once: its prefixes are
-    scanned once by one eigvalsh, which also gives rank T_n, the scan's
-    margin decides whether the cross-check runs, the predictor's one SVD
-    gives rank T_{n-1} and the range the shift reads, the quotient reads
-    re T_n and the cross-check inverts T_n.  Deflated data adds one
-    Toeplitz build and one SVD of T'_{n-1}.
+    scanned once by one eigvalsh, which also gives rank T_n, and the scan's
+    margin decides whether the cross-check runs.  Full-rank T_n takes the
+    predictor from one LU solve of T_{n-1}, O((nq)^3 / 3), and the
+    cross-check's A, the first block column of T_n^{-1}, from one LU solve
+    against q columns of the identity, O((nq)^3 / 3 + (nq)^2 q).  Singular
+    T_n takes the predictor's one SVD, which gives rank T_{n-1} and the
+    range the shift reads.  The quotient reads re T_n.  Deflated data adds
+    one Toeplitz build and one SVD of T'_{n-1}.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -252,9 +256,9 @@ def _central_measure(
     t = toeplitz_matrix(seq, n)
     scan = _require_tnd(t, q, psd_tol)
     tr = re_mat(t)
-    w, u_r, s_r = _predictor_range(tr, q, rank_rtol)
     rank = _rank(scan.eigenvalues, rank_rtol)
     if n >= 1 and rank < len(tr):
+        w, u_r, s_r = _predictor_range(tr, q, rank_rtol)
         atoms, unitary = _shift_atoms(tr, q, u_r, s_r, root_tol)
         sm = SpectralMeasure(q=q, atoms=atoms, quotient=None)
         # imported here, so that `import matspec` does not load logging
@@ -273,11 +277,12 @@ def _central_measure(
             cq = _deflated_quotient(seq, sm, rank_rtol)
             sm = SpectralMeasure(q=q, atoms=atoms, quotient=cq)
         return sm, w
+    w = _predictor(tr, q, rank_rtol, rank == len(tr))
     sm = SpectralMeasure(q=q, atoms=(), quotient=_central_quotient(seq.coeffs[0], tr, w))
     # Cross-check against the positive-definite route when it is numerically
-    # trustworthy; the plain inverse loses digits for barely-TPD input.
+    # trustworthy; A, read off T_n^{-1}, loses digits for barely-TPD input.
     if n >= 1 and scan.margin > 1e-6:
-        pa = _pd_polynomials(t, q)[0]
+        pa = _pd_first_column(t, q)
         angles = TWO_PI * (np.arange(16) + 0.5) / 16
         want = _pd_density_values(pa, np.exp(1j * angles))
         got = sm.density_grid(angles)

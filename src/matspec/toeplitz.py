@@ -35,6 +35,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     as_cmatrix,
     _pinv_range,
+    _require_rel_tol,
     is_unitary,
     pinv,
     re_mat,
@@ -189,7 +190,9 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
 def _rank(eigenvalues: np.ndarray, rank_rtol: float) -> int:
     """Numerical rank of a Hermitian PSD matrix from its ascending
     eigenvalues: those above rank_rtol times the largest, the cutoff
-    `linalg.pinv` applies to singular values."""
+    `linalg.pinv` applies to singular values, and the same check of
+    rank_rtol."""
+    _require_rel_tol(rank_rtol)
     return int(np.count_nonzero(eigenvalues > rank_rtol * eigenvalues.max(initial=0.0)))
 
 
@@ -248,23 +251,37 @@ def ball_params(seq: HermSeq, n: int) -> MatrixBall:
     return MatrixBall(center=center, left=re_mat(left), right=re_mat(right))
 
 
-def _predictor(t: np.ndarray, q: int, rank_rtol: float) -> np.ndarray:
+def _predictor(t: np.ndarray, q: int, rank_rtol: float, full_rank: bool) -> np.ndarray:
     """Blocks w_1..w_n of w = T_{n-1}' Y_n, shape (n, q, q), read off the
-    block Toeplitz ``t`` = T_n; empty for n = 0 (see `_predictor_range`)."""
+    block Toeplitz ``t`` = T_n; empty for n = 0.  The centre of the ball
+    `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
+    the central extension of C_0..C_n keeps the same w for every later
+    coefficient.
+
+    ``full_rank`` is the caller's scan saying that T_n, or a block Toeplitz
+    matrix with T_n as a leading block, has full rank at the rank_rtol
+    cutoff (`_rank`).  By Cauchy interlacing T_{n-1} then has full rank at
+    the same cutoff, its pseudoinverse is its inverse, and w comes from one
+    LU solve with partial pivoting, O((nq)^3 / 3).  LU is backward stable,
+    so the Yule-Walker residual Y_n - T_{n-1} w is at roundoff with no
+    refinement (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 9).  Singular data takes the SVD of `_predictor_range`.
+    """
+    n = len(t) // q - 1
+    if full_rank and n > 0:
+        return np.linalg.solve(t[:-q, :-q], t[q:, :q]).reshape(n, q, q)
     return _predictor_range(t, q, rank_rtol)[0]
 
 
 def _predictor_range(
     t: np.ndarray, q: int, rank_rtol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_predictor` with the range of T_{n-1} its pseudoinverse keeps:
-    (w, U_r, s_r), T_{n-1} = U_r diag(s_r) U_r* up to the cutoff, all from
-    the one SVD.  r = len(s_r) is rank T_{n-1}.
+    """`_predictor` of singular data with the range of T_{n-1} its
+    pseudoinverse keeps: (w, U_r, s_r), T_{n-1} = U_r diag(s_r) U_r* up to
+    the cutoff, all from one SVD, O((nq)^3) with a larger constant than
+    LU.  r = len(s_r) is rank T_{n-1}.
 
-    One pseudoinverse, no prefix check.  The centre of the ball
-    `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
-    the central extension of C_0..C_n keeps the same w for every later
-    coefficient.
+    No prefix check.
 
     The quotient reproduces the data exactly when the Yule-Walker residual
     Y_n - T_{n-1} w vanishes.  T' Y from one SVD leaves a residual of about

@@ -9,7 +9,9 @@ from matspec import (
     ball_params,
     caratheodory_check,
     central_extend,
+    central_measure,
     central_order,
+    central_quotient,
     classify,
     conjugate_by_unitary,
     covariance_from_gamma,
@@ -29,7 +31,7 @@ from _gen import (
     random_unitary,
     var1_coeffs,
 )
-from _oracle import rank_drop
+from _oracle import numerical_rank, rank_drop
 
 RNG = np.random.default_rng(23)
 
@@ -71,6 +73,20 @@ class TestCentralExtend:
         ext = central_extend(scalar_seq(1.0), 5)
         for j in range(1, 5):
             assert np.allclose(ext.coeff(j), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("rank_rtol", [0.0, 1.0])
+    def test_rank_cutoff_outside_unit_interval_rejected(self, rank_rtol):
+        # full-rank data never reaches the pseudoinverse, whose check this
+        # once was; the scan's rank applies the same one
+        seq = random_tpd_seq(np.random.default_rng(2), 2, 3)
+        calls = [
+            lambda: central_extend(seq, 6, rank_rtol=rank_rtol),
+            lambda: central_measure(seq, rank_rtol=rank_rtol),
+            lambda: central_quotient(gamma_from_covariance(seq), rank_rtol=rank_rtol),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="rel_tol"):
+                call()
 
     def test_constant_rotation(self):
         # C_j = u^-j C_0 forces every later coefficient onto the same orbit
@@ -212,7 +228,9 @@ class TestPredictorResidual:
     to roundoff, ||T w - Y|| <= c eps ||T|| ||w||, on ill-conditioned T.  A
     single SVD pseudoinverse leaves a residual of about eps cond(T) instead
     (3e3..5e4 times eps ||T|| ||w|| on these inputs), and the quotient then
-    misses the data by as much."""
+    misses the data by as much.  Full-rank T_n takes one LU solve, singular
+    T_n the refined SVD; the VAR(1) case runs the first, the atomic pair the
+    second."""
 
     CASES = {
         "var1_rho_1-1e-4": lambda rng: var1_coeffs(rng, 2, 1.0 - 1e-4, 6),
@@ -225,7 +243,38 @@ class TestPredictorResidual:
         seq = HermSeq(self.CASES[case](np.random.default_rng(seed)))
         n, q = len(seq) - 1, seq.q
         tn = toeplitz_matrix(seq, n)
-        w = _predictor(tn, q, DEFAULT_RANK_RTOL).reshape(n * q, q)
+        full_rank = numerical_rank(tn) == len(tn)
+        assert full_rank == case.startswith("var1")
+        w = _predictor(tn, q, DEFAULT_RANK_RTOL, full_rank).reshape(n * q, q)
         t = tn[:-q, :-q]
         resid = spec_norm(t @ w - tn[q:, :q])
         assert resid <= 10.0 * np.finfo(float).eps * spec_norm(t) * spec_norm(w)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_lu_route_matches_the_svd_oracle(self, q):
+        # full-rank draws, n = 1..12: the LU solve and the refined SVD
+        # pseudoinverse agree within the conditioning of T_{n-1}, and both
+        # leave a Yule-Walker residual at roundoff (0.58 eps cond(T) ||w||
+        # and 1.02 eps ||T|| ||w|| at worst over 800 such draws)
+        eps = np.finfo(float).eps
+        for seed in range(30):
+            rng = np.random.default_rng(1000 * q + seed)
+            n = int(rng.integers(1, 13))
+            if seed % 3 == 0:
+                seq = random_tpd_seq(rng, q, n)
+            elif seed % 3 == 1:
+                rho = (0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-5)[seed % 4]
+                seq = HermSeq(var1_coeffs(rng, q, rho, n + 1))
+            else:
+                seq = HermSeq(mixed_coeffs(rng, q, n + 1)[0])
+            tn = toeplitz_matrix(seq, n)
+            assert numerical_rank(tn) == len(tn)
+            t, y = tn[:-q, :-q], tn[q:, :q]
+            lu = _predictor(tn, q, DEFAULT_RANK_RTOL, True).reshape(n * q, q)
+            svd = _predictor(tn, q, DEFAULT_RANK_RTOL, False).reshape(n * q, q)
+            lam = np.linalg.eigvalsh(t)
+            scale = spec_norm(svd)
+            assert spec_norm(lu - svd) <= 10.0 * eps * (lam[-1] / lam[0]) * scale
+            for w in (lu, svd):
+                resid = spec_norm(t @ w - y)
+                assert resid <= 10.0 * eps * spec_norm(t) * spec_norm(w)

@@ -23,6 +23,7 @@ from matspec import (
     gamma_from_covariance,
     loads,
     measure_to_doc,
+    phi_at,
     sequence_to_doc,
     verify_recovery,
 )
@@ -325,11 +326,13 @@ class TestCliExitCodes:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        # singular T_2 (rank 1): the predictor takes the SVD route, which
+        # full-rank data no longer reaches
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(ModelError, match="2x2 matrix"):
-            central_extend(scalar_seq(1.0, 0.5, 0.25), 5)
+            central_extend(scalar_seq(1.0, 1.0, 1.0), 5)
         f = tmp_path / "seq.json"
-        f.write_text(seq_doc_text(1.0, 0.5, 0.25))
+        f.write_text(seq_doc_text(1.0, 1.0, 1.0))
         assert main(["extend", str(f), "--length", "5"]) == 2
         assert "did not converge" in capsys.readouterr().err
 
@@ -476,6 +479,19 @@ class TestCliPipeline:
         doc = json.loads(capsys.readouterr().out)
         val = doc["values"][0]["phi"]
         assert np.isclose(val[0][0][0], 3.0, atol=1e-10)
+
+    def test_eval_phi_negative_real_part_as_separate_argument(self, tmp_path, capsys):
+        # "--z -0.5,0.3": argparse on Python 3.10-3.12 once read the value as
+        # an option, since its negative-number pattern has no comma
+        src = tmp_path / "seq.json"
+        src.write_text(seq_doc_text(1.0, 0.5))
+        assert main(["eval-phi", str(src), "--z", "-0.5,0.3", "--z", "-.2,-0.1"]) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        cq = central_quotient(gamma_from_covariance(scalar_seq(1.0, 0.5)))
+        for got, z in zip(values, (-0.5 + 0.3j, -0.2 - 0.1j)):
+            assert got["z"] == [z.real, z.imag]
+            (re_, im_), = got["phi"][0]
+            assert np.isclose(complex(re_, im_), phi_at(cq, z)[0, 0], rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("z", ["nan,0", "0,inf", "-inf,0"])
     def test_eval_phi_non_finite_point_exits_1(self, tmp_path, capsys, z):

@@ -117,7 +117,7 @@ class TestBundle:
         assert np.allclose(2.0 * np.tril(t, -1) + seq.coeff(0)[0, 0] * np.eye(3), expect)
         # the quotient's numerator is S_{n-1}* w with w = -den_1..n
         cq = central_quotient(gamma_from_covariance(seq))
-        w = _predictor(t, 1, DEFAULT_RANK_RTOL)[:, 0, 0]
+        w = _predictor(t, 1, DEFAULT_RANK_RTOL, True)[:, 0, 0]  # TPD: full rank
         assert np.allclose(-cq.den.coeffs[1:, 0, 0], w)
         assert np.allclose(cq.num.coeffs[1:, 0, 0], expect[:2, :2].conj().T @ w)
 

@@ -2,8 +2,9 @@
 recovery quadrature: each public entry point decides nonnegativity of every
 prefix Toeplitz matrix with one eigvalsh of the largest (the per-prefix
 loop runs only on failing input) and no SVD norm of a prefix matrix, so the
-scan's work grows as n^3, solves for the central predictor with one
-pseudoinverse, det den, its zeros and their near-circle clusters are found
+scan's work grows as n^3, solves for the central predictor with one LU
+solve of T_{n-1} when T_n has full rank and with one pseudoinverse when it
+is singular, det den, its zeros and their near-circle clusters are found
 and polished once per quotient, the residues at those clusters take a fixed
 number of evaluations of den and num however many clusters there are, the
 recovery quadrature takes every Fourier order from one FFT with no phase
@@ -11,11 +12,14 @@ matrix, on a grid sized by the distance of the zeros of det den, the Horner
 step keeps the bits of ``out * z + c_k``, and the recovery errors of all
 orders and each comparison of the positive-definite cross-check, the
 autoregressive check and `central_order` take one stacked norm.
-`central_measure` builds T_n once and takes one eigvalsh and one matrix SVD
-for every kind of input; full-rank input makes no eig call, singular input
-reads its atoms off one eig of the r x r compressed shift, deflated input
-adds one build and one SVD of the deflated data, and rank-frozen input
-never forms det den, its zeros, a quotient value or a quadrature grid."""
+`central_measure` builds T_n once and takes one eigvalsh for every kind of
+input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
+of T_{n-1} for the predictor and, when the positive-definite cross-check
+runs, one of T_n for its first block column, and makes no eig call;
+singular input takes one matrix SVD and reads its atoms off one eig of the
+r x r compressed shift, deflated input adds one build and one SVD of the
+deflated data, and rank-frozen input never forms det den, its zeros, a
+quotient value or a quadrature grid."""
 
 import importlib
 import json
@@ -68,8 +72,9 @@ def seq():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Shapes of the matrices handed to np.linalg.eigvalsh / svd / norm."""
-    seen = {"eigvalsh": [], "svd": [], "norm": []}
+    """Shapes of the matrices handed to np.linalg.eigvalsh / svd / norm /
+    solve / inv."""
+    seen = {"eigvalsh": [], "svd": [], "norm": [], "solve": [], "inv": []}
     for name, shapes in seen.items():
         orig = getattr(np.linalg, name)
 
@@ -133,14 +138,26 @@ def test_each_entry_point_scans_with_one_eigvalsh(seq, calls):
 
 
 def test_central_extend_solves_predictor_once(seq, calls):
+    # full-rank T_n: one LU solve of T_{n-1}, no SVD and no inverse
     central_extend(seq, 2 * (N + 1))
-    assert len(prefix_sized(calls["svd"])) == 1
+    assert calls["solve"] == [(N * Q, N * Q)]
+    assert prefix_sized(calls["svd"]) == []
+    assert prefix_sized(calls["inv"]) == []
 
 
 def test_predictor_takes_one_svd(seq, calls):
-    # the refinement steps reuse the one pseudoinverse
-    _predictor(toeplitz_matrix(seq, N), Q, DEFAULT_RANK_RTOL)
+    # singular route: the refinement steps reuse the one pseudoinverse
+    _predictor(toeplitz_matrix(seq, N), Q, DEFAULT_RANK_RTOL, False)
     assert calls["svd"] == [(N * Q, N * Q)]
+    assert calls["solve"] == []
+
+
+def test_full_rank_predictor_takes_one_solve(seq, calls):
+    # full-rank route: one LU solve and no refinement, so no second product
+    # with T_{n-1} and no SVD
+    _predictor(toeplitz_matrix(seq, N), Q, DEFAULT_RANK_RTOL, True)
+    assert calls["solve"] == [(N * Q, N * Q)]
+    assert calls["svd"] == []
 
 
 def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
@@ -234,15 +251,21 @@ def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, order)
     assert sorted(calls["eigvalsh"]) == [((order + 1) * Q,) * 2, ((N + 1) * Q,) * 2]
-    assert len(prefix_sized(calls["svd"])) == 1
+    # full-rank T_order: one LU solve of T_{order-1} for the predictor and one
+    # of T_order for the cross-check's first block column; no SVD, no inverse
+    assert prefix_sized(calls["solve"]) == [(order * Q,) * 2, ((order + 1) * Q,) * 2]
+    assert prefix_sized(calls["svd"]) == []
+    assert prefix_sized(calls["inv"]) == []
 
 
 def test_central_order_scans_once(seq, calls):
     central_order(seq)
     assert calls["eigvalsh"] == [(N * Q,) * 2]
     assert prefix_sized(calls["norm"]) == []
-    # one pseudoinverse per ball centre T_0'..T_{n-2}', nothing else
-    assert len(prefix_sized(calls["svd"])) <= N - 1
+    # full-rank T_{n-1}: one LU solve per ball centre, of T_0..T_{n-2}, and
+    # no SVD
+    assert calls["solve"] == [(k * Q,) * 2 for k in range(1, N)]
+    assert calls["svd"] == []
 
 
 @pytest.fixture
@@ -430,10 +453,13 @@ def test_frozen_input_reads_its_atoms_off_one_eig(
 
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
 def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, kind):
-    # one T_n, one eigvalsh (the scan, which also gives rank T_n) and one
-    # matrix SVD (the predictor's, which also gives rank T_{n-1} and the
-    # range the shift reads); deflated data adds the T_n of C' and the
-    # predictor's SVD of T'_{n-1}, and no second scan
+    # one T_n and one eigvalsh (the scan, which also gives rank T_n).
+    # Full-rank T_n: one LU solve of T_{n-1} (the predictor) and one of T_n
+    # (the cross-check's first block column; every full-rank input here has
+    # a margin above 1e-6), no matrix SVD and no matrix inverse.  Singular
+    # T_n: one matrix SVD (the predictor's, which also gives rank T_{n-1}
+    # and the range the shift reads) and no matrix solve; deflated data adds
+    # the T_n of C' and the predictor's SVD of T'_{n-1}, and no second scan
     data = INPUTS.get(kind, seq)
     built = []
     build = matspec.toeplitz.toeplitz_matrix
@@ -452,8 +478,13 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, 
     times = 2 if kind == "deflated" else 1
     assert built == [len(data) - 1] * times
     assert calls["eigvalsh"] == [(len(data) * data.q,) * 2]
-    svds = [s for s in calls["svd"] if len(s) == 2]
-    assert svds == [((len(data) - 1) * data.q,) * 2] * times
+    matrices = {name: [s for s in calls[name] if len(s) == 2]
+                for name in ("svd", "solve", "inv")}
+    t_prev, t_n = ((len(data) - 1) * data.q,) * 2, (len(data) * data.q,) * 2
+    if kind in ("frozen", "deflated"):
+        assert matrices == {"svd": [t_prev] * times, "solve": [], "inv": []}
+    else:
+        assert matrices == {"svd": [], "solve": [t_prev, t_n], "inv": []}
 
 
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
