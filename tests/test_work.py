@@ -152,14 +152,6 @@ def test_predictor_takes_one_svd(seq, calls):
     assert calls["solve"] == []
 
 
-def test_full_rank_predictor_takes_one_solve(seq, calls):
-    # full-rank route: one LU solve and no refinement, so no second product
-    # with T_{n-1} and no SVD
-    _predictor(toeplitz_matrix(seq, N), Q, DEFAULT_RANK_RTOL, True)
-    assert calls["solve"] == [(N * Q, N * Q)]
-    assert calls["svd"] == []
-
-
 def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
     # every consumer slices one T_n; central_extend and ar_spectrum also
     # build the T of the extension they scan
