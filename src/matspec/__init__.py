@@ -38,7 +38,6 @@ from .measure import (
     density_at,
     fourier_coeff,
     herglotz_transform,
-    pd_density,
     verify_recovery,
 )
 from .serialize import (
@@ -98,7 +97,6 @@ __all__ = [
     "measure_to_doc",
     "ModelError",
     "NOT_CENTRAL",
-    "pd_density",
     "pd_polynomials",
     "phi_at",
     "rational_values",

@@ -52,7 +52,6 @@ from .caratheodory import (
     _clusters,
     _disk_point,
     _pd_first_column,
-    pd_polynomials,
     rational_values,
 )
 from .central import CENTRAL_TOL
@@ -81,8 +80,6 @@ DEFAULT_ROOT_TOL = 1e-7
 ATOM_CLIP = 1e-9
 # Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
-# Offset scan grid on which `verify_recovery` counts density PSD violations.
-DENSITY_NODES = 360
 TWO_PI = 2.0 * np.pi
 
 
@@ -317,17 +314,6 @@ def _pd_density_values(pa, zs: np.ndarray) -> np.ndarray:
     fa = np.conj(np.swapaxes(ia, -1, -2)) @ pa(0.0 + 0.0j) @ ia
     herm = 0.5 * (fa + np.conj(np.swapaxes(fa, -1, -2)))
     return herm / TWO_PI
-
-
-def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
-    """Density of the TPD measure at a unit-circle point, closed form.
-
-    Returns (1/2pi) A(zeta)^-* A(0) A(zeta)^-1 with A the first-column
-    polynomial of `pd_polynomials`.  For TPD data the last-row form
-    B(zeta)^-1 B(0) B(zeta)^-* is the same density (Delsarte, Genin and
-    Kamp, 1978).
-    """
-    return _pd_density_values(pd_polynomials(seq)[0], _circle_point(zeta))[0]
 
 
 def _check_weight(w: np.ndarray, where: str) -> None:
@@ -574,7 +560,8 @@ class RecoveryReport:
     """Outcome of checking a measure against its source coefficients.
 
     ``relative_error`` is max_error / ||C_0||; for C_0 = 0, where the data
-    has no scale, it is max_error itself.
+    has no scale, it is max_error itself.  ``density_psd_bound`` >= 0
+    certifies the density PSD on the whole circle (`_density_psd_bound`).
     """
 
     max_error: float
@@ -584,8 +571,7 @@ class RecoveryReport:
     errors_by_order: tuple[float, ...]
     atom_mass: np.ndarray
     atom_mass_trace: float
-    density_psd_violations: int
-    density_nodes_checked: int
+    density_psd_bound: float
 
     def to_dict(self) -> dict:
         return {
@@ -595,9 +581,30 @@ class RecoveryReport:
             "passed": self.passed,
             "errors_by_order": list(self.errors_by_order),
             "atom_mass_trace": self.atom_mass_trace,
-            "density_psd_violations": self.density_psd_violations,
-            "density_nodes_checked": self.density_nodes_checked,
+            "density_psd_bound": self.density_psd_bound,
         }
+
+
+def _density_psd_bound(cq: CaratheodoryQuotient) -> float:
+    """(lambda_min(H_0) - sum_{m != 0} ||H_m||_F) / 2pi, by Weyl's inequality
+    a lower bound on the eigenvalues of (1/2pi) H(zeta) on the whole circle.
+
+    There re num den^{-1} = den^{-*} H den^{-1} with H = (den* num +
+    num* den) / 2 = sum_m H_m zeta^m, whose M = 2 max(len num, len den) - 1
+    orders transforms on M points read exactly.  A central or deflated
+    quotient has constant H (Whittle, Biometrika 50, 1963; Delsarte, Genin
+    and Kamp, IEEE Trans. CAS 25, 1978), so the bound is lambda_min(H) / 2pi;
+    for a hand-built quotient it is conservative.  Cost O(M q^3 + q^2 M log M).
+    """
+    size = 2 * max(cq.num.coeffs.shape[0], cq.den.coeffs.shape[0]) - 1
+    # num and den at zeta_k = e^{2 pi i k / M}
+    num = size * np.fft.ifft(cq.num.coeffs, size, axis=0)
+    den = size * np.fft.ifft(cq.den.coeffs, size, axis=0)
+    g = np.conj(np.swapaxes(den, -1, -2)) @ num
+    # row m holds H_{-m}: the bound reads every order alike
+    h = 0.5 * np.fft.ifft(g + np.conj(np.swapaxes(g, -1, -2)), axis=0)
+    low = np.linalg.eigvalsh(h[0])[0] - np.sum(np.linalg.norm(h[1:], axis=(1, 2)))
+    return float(low / TWO_PI)
 
 
 def verify_recovery(
@@ -608,8 +615,8 @@ def verify_recovery(
     """Recover C_0..C_n from the measure and compare with the sequence.
 
     A measure without a quotient is purely atomic: every order is a
-    closed-form sum over its atoms, with no grid, and there is no density to
-    scan (0 nodes checked).
+    closed-form sum over its atoms, with no grid, and no density
+    (``density_psd_bound`` 0.0).
 
     Otherwise point masses and the pole parts at zeros of det den within
     0.04 outside the circle enter in closed form; the smooth rest of the
@@ -625,10 +632,7 @@ def verify_recovery(
     Subtracted poles add no nodes: the grid's offset keeps them off the
     nodes (`_quadrature_angles`).  The split into pole parts and remainder
     is exact for any pole and residue, so an inaccurate one shows as
-    recovery error, never as a false pass.
-
-    Also counts the nodes of an offset scan grid of DENSITY_NODES where the
-    density's smallest eigenvalue dips below -DEFAULT_PSD_TOL * (1 + ||C_0||).
+    recovery error, never as a false pass.  ``passed`` reads recovery alone.
     """
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
@@ -639,12 +643,6 @@ def verify_recovery(
     else:
         mass = np.zeros((sm.q, sm.q), dtype=complex)
     c0_norm = spec_norm(seq.coeffs[0])
-    violations, checked = 0, 0
-    if sm.quotient is not None:
-        ang = _quadrature_angles(DENSITY_NODES)
-        lows = np.linalg.eigvalsh(sm.density_grid(ang))[:, 0]
-        violations = int(np.count_nonzero(lows < -DEFAULT_PSD_TOL * (1.0 + c0_norm)))
-        checked = DENSITY_NODES
     max_err = max(errs)
     return RecoveryReport(
         max_error=float(max_err),
@@ -654,8 +652,7 @@ def verify_recovery(
         errors_by_order=errs,
         atom_mass=mass,
         atom_mass_trace=float(np.real(np.trace(mass))),
-        density_psd_violations=violations,
-        density_nodes_checked=checked,
+        density_psd_bound=0.0 if sm.quotient is None else _density_psd_bound(sm.quotient),
     )
 
 

@@ -9,9 +9,13 @@ with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
 (1 - r)/2 Phi(r u) as r -> 1.  `toeplitz_blocks` places the blocks of T_n one
 by one, the definition `toeplitz_matrix` must reproduce, and `prefix_scan`
 checks T_0, T_1, ... one eigvalsh at a time, the definition that
-`toeplitz._scan` shortcuts by Cauchy interlacing.  `pd_density_last_row`
-is the last-row form of the positive-definite density, which the library
-computes from the first column only.  `ball_membership`,
+`toeplitz._scan` shortcuts by Cauchy interlacing.  `pd_density` is the
+first-column form of the positive-definite density, which the library
+compares with the quotient's in its cross-check, and `pd_density_last_row`
+its last-row form.  `density_kernel_coeffs` forms the Laurent coefficients
+of H = (den* num + num* den) / 2 by direct products of the quotient's
+coefficients, the definition the library's density certificate reads off
+an FFT.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
 profiles by their definitions.
 """
@@ -23,7 +27,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from matspec.caratheodory import CaratheodoryQuotient, rational_values
+from matspec.caratheodory import CaratheodoryQuotient, pd_polynomials, rational_values
 from matspec.errors import DimensionError, InvalidInputError, MatSpecError
 from matspec.linalg import (
     DEFAULT_PSD_TOL,
@@ -41,6 +45,8 @@ from matspec.measure import (
     Atom,
     _atoms_from_weights,
     _check_root_tol,
+    _circle_point,
+    _pd_density_values,
 )
 from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
 
@@ -146,6 +152,13 @@ def poly_eval(c, z):
     return npoly.polyval(z, np.asarray(c, dtype=complex))
 
 
+def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
+    """Density of the TPD measure at a unit-circle point, closed form:
+    (1/2pi) A(zeta)^-* A(0) A(zeta)^-1 with A the first-column polynomial of
+    `pd_polynomials`."""
+    return _pd_density_values(pd_polynomials(seq)[0], _circle_point(zeta))[0]
+
+
 def pd_density_last_row(seq: HermSeq, zeta: complex) -> np.ndarray:
     """(1/2pi) B(zeta)^-1 B(0) B(zeta)^-*, the density of a TPD sequence from
     the reversed last row B of inv(T_n) (Delsarte, Genin and Kamp, 1978),
@@ -155,6 +168,19 @@ def pd_density_last_row(seq: HermSeq, zeta: complex) -> np.ndarray:
     last = tinv[n * q :].reshape(q, n + 1, q).swapaxes(0, 1)[::-1]
     bi = np.linalg.inv(MatPoly(last)(complex(zeta)))
     return bi @ last[0] @ bi.conj().T / (2.0 * np.pi)
+
+
+def density_kernel_coeffs(cq: CaratheodoryQuotient) -> dict[int, np.ndarray]:
+    """Laurent coefficients H_m of H(zeta) = (den* num + num* den) / 2 on the
+    circle, keyed by m: den(zeta)* num(zeta) = sum_{j,k} den_j* num_k
+    zeta^(k - j), one product at a time."""
+    h: dict[int, np.ndarray] = {}
+    for j, d in enumerate(cq.den.coeffs):
+        for k, c in enumerate(cq.num.coeffs):
+            term = 0.5 * d.conj().T @ c
+            h[k - j] = h.get(k - j, 0.0) + term
+            h[j - k] = h.get(j - k, 0.0) + term.conj().T
+    return h
 
 
 def adjugate(a) -> np.ndarray:

@@ -20,7 +20,6 @@ from matspec import (
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
-    pd_density,
     phi_at,
     rational_values,
     spec_norm,
@@ -28,6 +27,7 @@ from matspec import (
 )
 from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError
+from matspec.linalg import DEFAULT_PSD_TOL
 from matspec.matpoly import det_poly
 from matspec.measure import NEAR_CIRCLE_NODE_CAP
 
@@ -47,7 +47,9 @@ from _oracle import (
     MultiplicityError,
     adjugate_poly,
     compute_atoms,
+    density_kernel_coeffs,
     matpoly_mul,
+    pd_density,
     pd_density_last_row,
     pole_limit,
     radial_atom_limit,
@@ -456,7 +458,7 @@ class TestVerifyRecovery:
         report = verify_recovery(sm, seq, tol=1e-8)
         assert report.passed
         assert report.max_error < 1e-8
-        assert report.density_psd_violations == 0
+        assert report.density_psd_bound > 0.0
         assert len(report.errors_by_order) == 3
         assert np.allclose(report.atom_mass, np.zeros((2, 2)), atol=1e-12)
 
@@ -566,6 +568,56 @@ class TestVerifyRecovery:
         assert report.relative_error == report.max_error == 0.5
 
 
+class TestDensityCertificate:
+    @staticmethod
+    def hand_built(*num):
+        # scalar quotient num(z) / 1 with den = 1
+        num = MatPoly(np.reshape(num, (-1, 1, 1)))
+        return SpectralMeasure(1, (), CaratheodoryQuotient(num, MatPoly(np.ones((1, 1, 1)))))
+
+    @pytest.mark.parametrize("c", [1.0, 1j])
+    def test_negative_density_gives_a_negative_bound(self, c):
+        # re(1 + 2c e^{it}) dips to -1; recovery of C_0 = 1, C_1 = c still
+        # passes, and passed follows recovery alone.  For c = i the orders
+        # +-1 of H cancel if they alias onto one node
+        sm = self.hand_built(1.0, 2.0 * c)
+        report = verify_recovery(sm, scalar_seq(1.0, c))
+        assert abs(report.density_psd_bound + 1.0 / TWO_PI) <= 1e-15
+        assert report.density_psd_bound < -DEFAULT_PSD_TOL
+        assert report.passed
+
+    def test_bound_is_the_minimum_of_a_varying_density(self):
+        # re(1 + e^{it} / 2) has minimum 1/2 at t = pi, a node of the grid
+        sm = self.hand_built(1.0, 0.5)
+        report = verify_recovery(sm, scalar_seq(1.0, 0.25))
+        grid = sm.density_grid(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
+        assert abs(report.density_psd_bound - 0.5 / TWO_PI) <= 1e-15
+        assert abs(report.density_psd_bound - np.min(grid.real)) <= 1e-15
+
+    @pytest.mark.parametrize("case", ["tpd", "near-boundary", "deflated"])
+    def test_central_and_deflated_kernels_are_constant(self, case):
+        # H = (den* num + num* den) / 2 is constant for a central quotient and
+        # for a deflated one, so the bound is lambda_min(H) / 2pi
+        rng = np.random.default_rng(19)
+        if case == "tpd":
+            seq = random_tpd_seq(rng, 2, 5)
+        elif case == "near-boundary":
+            seq = HermSeq(var1_coeffs(rng, 2, 1.0 - 1e-4, 4))
+        else:
+            atoms = atomic_coeffs(rng, 1, 6, n_atoms=2)[0]
+            seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 0.6, 6)))
+        sm = central_measure(seq)
+        assert sm.quotient is not None and bool(sm.atoms) == (case == "deflated")
+        c0 = spec_norm(seq.coeff(0))
+        h = density_kernel_coeffs(sm.quotient)
+        off = sum(np.linalg.norm(hm) for m, hm in h.items() if m != 0)
+        assert off <= 1e-13 * c0
+        bound = verify_recovery(sm, seq).density_psd_bound
+        assert bound >= -DEFAULT_PSD_TOL * (1.0 + c0)
+        low = np.linalg.eigvalsh(h[0])[0] / TWO_PI
+        assert abs(bound - low) <= 1e-13 * c0
+
+
 class TestRankFrozen:
     """rank T_n = rank T_{n-1}: atoms from the compressed shift, no quotient,
     zero density and recovery in closed form."""
@@ -599,7 +651,7 @@ class TestRankFrozen:
         assert np.array_equal(sm.density_grid(np.linspace(0.0, 6.0, 7)), np.zeros((7, 2, 2)))
         assert np.array_equal(density_at(sm, 1j), np.zeros((2, 2)))
         report = verify_recovery(sm, seq)
-        assert report.passed and report.density_nodes_checked == 0
+        assert report.passed and report.density_psd_bound == 0.0
         assert spec_norm(fourier_coeff(sm, 5) - sum(
             a.point ** -5 * a.weight for a in sm.atoms)) <= 1e-14
         tol = 1e-8 * (1.0 + spec_norm(seq.coeff(0)))

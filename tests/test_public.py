@@ -51,7 +51,6 @@ PUBLIC = [
     "herglotz_transform",
     "loads",
     "measure_to_doc",
-    "pd_density",
     "pd_polynomials",
     "phi_at",
     "rational_values",
@@ -70,7 +69,7 @@ HELPERS = {
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
     assert sorted(matspec.__all__) == PUBLIC
 
 
@@ -102,7 +101,6 @@ SIGNATURES = {
     "fourier_coeff": ["sm", "j"],
     "herglotz_transform": ["sm", "z"],
     "MatPoly.trim": ["self"],
-    "pd_density": ["seq", "zeta"],
     "pd_polynomials": ["seq"],
     "verify_recovery": ["sm", "seq", "tol"],
     "linalg.is_unitary": ["a"],

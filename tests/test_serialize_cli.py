@@ -415,6 +415,23 @@ class TestCliPipeline:
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 2
         assert "verification failed: max error 1.000e+00" in capsys.readouterr().err
 
+    def test_verify_reports_a_negative_density_and_passes(self, tmp_path, capsys):
+        # the hand-built quotient 1 + 2z has density (1 + 2 cos t) / 2pi,
+        # negative near t = pi, yet recovers C_0 = 1, C_1 = 1: the report
+        # carries the bound and the exit code follows recovery
+        one = [[[1.0, 0.0]]]
+        doc = {"q": 1, "provenance": "central", "atoms": [],
+               "quotient": {"a_coeffs": [one, [[[2.0, 0.0]]]], "b_coeffs": [one]}}
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 1.0))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["passed"] is True
+        assert report["density_psd_bound"] < 0.0
+        assert "density_psd_violations" not in report
+
     def test_verify_with_singular_den_exits_1(self, tmp_path, capsys):
         # den = [[1, 1], [1, 1]] is singular everywhere: no measure document
         # describes a Caratheodory function with it

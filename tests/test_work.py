@@ -49,7 +49,6 @@ from matspec import (
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
-    pd_density,
     pd_polynomials,
     sequence_to_doc,
     toeplitz_matrix,
@@ -174,7 +173,6 @@ def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
         "ar_spectrum": lambda: ar_spectrum(seq, 8),
         "ball_params": lambda: ball_params(seq, N),
         "pd_polynomials": lambda: pd_polynomials(seq),
-        "pd_density": lambda: pd_density(seq, 1.0),
     }
     counts = {}
     for name, call in calls.items():
@@ -191,7 +189,6 @@ def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
         "ar_spectrum": 2,
         "ball_params": 1,
         "pd_polynomials": 1,
-        "pd_density": 1,
     }
 
 
@@ -217,7 +214,7 @@ def test_verify_recovery_stacks_the_order_errors(seq, calls):
     calls["norm"].clear()
     verify_recovery(sm, seq)
     # the N + 1 order errors take one stacked norm; the only norm of a single
-    # coefficient left is ||C_0||, the scale of the density check
+    # coefficient left is ||C_0||, the scale of the relative error
     assert calls["norm"].count((Q, Q)) == 1
 
 
@@ -396,13 +393,13 @@ def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
         assert sm.quotient is None
         assert quadrature_work == {"fft": [], "exp": [], "grids": []}
         return
-    # the Fourier grid, then the PSD scan grid
-    nodes, scan = quadrature_work["grids"]
-    assert scan == measure.DENSITY_NODES
+    # the Fourier grid is the only grid: the density's sign is certified
+    # from the quotient's coefficients
+    (nodes,) = quadrature_work["grids"]
     # every order from one FFT of the density along the node axis
     assert quadrature_work["fft"] == [(nodes, data.q**2)]
-    # and no (J, N) phase matrix: no exp larger than either grid
-    assert max(quadrature_work["exp"]) <= max(nodes, measure.DENSITY_NODES)
+    # and no (J, N) phase matrix: no exp larger than the grid
+    assert max(quadrature_work["exp"]) <= nodes
 
 
 # two full-rank q=2 atoms, n = 5: rank T_4 = rank T_5 = 4
