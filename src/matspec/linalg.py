@@ -95,6 +95,19 @@ def _svd(m: np.ndarray):
         ) from exc
 
 
+def _eig(m: np.ndarray, hermitian: bool = False):
+    """numpy eig, or eigh of Hermitian ``m``, of one matrix or a stack,
+    whose convergence failure surfaces as a ModelError."""
+    try:
+        return np.linalg.eigh(m) if hermitian else np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        size = "x".join(str(d) for d in m.shape)
+        kind = "matrix" if m.ndim == 2 else "matrix stack"
+        raise ModelError(
+            f"{'eigh' if hermitian else 'eig'} of a {size} {kind} did not converge"
+        ) from exc
+
+
 def is_unitary(a) -> bool:
     """Whether a* a = I within DEFAULT_PSD_TOL * (1 + ||a||)."""
     m = require_square(as_cmatrix(a))

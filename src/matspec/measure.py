@@ -25,7 +25,8 @@ X_v = G P_v G*, P_v the orthogonal projector onto the eigenvectors of its
 cluster (Jones, Njastad and Thron, Bull. LMS 21, 1989; Pisarenko, 1973).
 When the unitary part is all of W, as for rank-frozen data
 (rank T_n = rank T_{n-1}), the measure is purely atomic and has no
-quotient.
+quotient.  Being normal, the unitary part is found with Hermitian
+eigensolvers (`_unitary_part`), not a general eig of W.
 
 Recovery integrates the density with the trapezoid rule and adds the point
 masses exactly.  A zero p of det den just outside the circle makes a density
@@ -39,6 +40,7 @@ value is a closed-form sum over its atoms.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,6 +61,7 @@ from .errors import DimensionError, InvalidInputError, ModelError
 from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
+    _eig,
     as_cmatrix,
     re_mat,
     spec_norm,
@@ -175,25 +178,95 @@ def _atoms_from_weights(
     return tuple(atoms)
 
 
-def _shift_atoms(
-    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray, root_tol: float
-) -> tuple[tuple[Atom, ...], int]:
-    """Atoms of singular data from the compressed shift W, and the dimension
-    of W's unitary part.
+# Gaps wider than this between the ascending eigenvalues cos(theta) of
+# (W + W*) / 2 split a unitary shift into blocks.  An eigenvalue and its
+# conjugate share a block, and so do eigenvalues under 1e-3 apart, whose
+# cosines differ by less.
+_SPLIT_GAP = 1e-3
 
-    ``t`` is re T_n and T_{n-1} = U_r diag(s_r) U_r* its predictor's SVD.
-    With B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues within
-    root_tol of the circle span the unitary part, and conjugated they are
-    the atoms, clustered as the zeros of det den are.  The weight of a
-    cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the orthogonal
-    projector onto the cluster's eigenvectors, from one stacked QR per
-    cluster size.  Cost O(n q r^2 + r^3).
+
+def _unitary_part(
+    w: np.ndarray, root_tol: float, frozen: bool
+) -> tuple[np.ndarray, np.ndarray, str, int]:
+    """Eigenvalues of the compressed shift W within root_tol of the circle,
+    their eigenvectors (r, k), the route that found them and the size of its
+    widest eig (r for the fallback).
+
+    W's unitary part is normal and reduces W (Sz.-Nagy and Foias, 1970,
+    ch. I), so Hermitian eigensolvers find it.  On rank-frozen data it is all
+    of W: one eigh of (W + W*) / 2, whose eigenvalues are cos(theta), is
+    split at gaps wider than _SPLIT_GAP, and the blocks' V_b* W V_b take one
+    stacked eig per block size.  Otherwise it is the eigenvalue-1 space K of
+    W^{*m} W^m, W^m by repeated squaring, read off one eigh as the
+    eigenvalues above 1/2, and K* W K takes the frozen route.  m is first the
+    power of two >= r, then 2^floor(log2(ln 2 / (2 root_tol))), at which an
+    eigenvalue of modulus 1 - root_tol maps to 1/2, so that the split
+    classifies eigenvalues as the modulus test does.  A result stands when K
+    and the blocks are invariant, ||W K - K (K* W K)||_F <= root_tol and
+    likewise for the blocks, and every eigenvalue lies within root_tol of the
+    circle.  Else, and for root_tol = 0, one eig of W filtered by the modulus
+    test answers ("eig fallback").  Cost O(r^3) on frozen data, O(r^3 log m)
+    otherwise, with one eigh of size r per try.
+    """
+    r = len(w)
+    tries: list[int | None] = []
+    if root_tol > 0.0:
+        deep = math.floor(math.log2(0.5 * math.log(2.0)) - math.log2(root_tol))
+        tries = [None] if frozen else sorted({min((r - 1).bit_length(), deep), deep})
+    power, squarings = w, 0
+    for depth in tries:
+        basis, wk = None, w
+        if depth is not None:
+            while squarings < depth:
+                power, squarings = power @ power, squarings + 1
+            g, vg = _eig(power.conj().T @ power, hermitian=True)
+            keep = g > 0.5
+            m = vg.conj().T @ w @ vg
+            if np.linalg.norm(m[np.ix_(~keep, keep)]) > root_tol:
+                continue
+            basis, wk = vg[:, keep], m[np.ix_(keep, keep)]
+        cos, v = _eig(re_mat(wk), hermitian=True)
+        starts = np.flatnonzero(np.diff(cos, prepend=-np.inf) > _SPLIT_GAP)
+        sizes = np.diff(starts, append=cos.size)
+        m = v.conj().T @ wk @ v
+        block = np.repeat(np.arange(sizes.size), sizes)
+        if np.linalg.norm(np.where(block[:, None] == block[None, :], 0.0, m)) > root_tol:
+            continue
+        lam, y = np.empty(cos.size, dtype=complex), np.zeros_like(m)
+        for size in set(sizes.tolist()):
+            rows = starts[sizes == size][:, None] + np.arange(size)
+            lam[rows], y[rows[:, :, None], rows[:, None, :]] = _eig(
+                m[rows[:, :, None], rows[:, None, :]]
+            )
+        if np.all(np.abs(np.abs(lam) - 1.0) <= root_tol):
+            vec = v @ y
+            if basis is not None:
+                vec = basis @ vec
+            return lam, vec, "hermitian", int(sizes.max(initial=0))
+    lam, vec = _eig(w)
+    unitary = np.abs(np.abs(lam) - 1.0) <= root_tol
+    return lam[unitary], vec[:, unitary], "eig fallback", r
+
+
+def _shift_atoms(
+    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray, root_tol: float, frozen: bool
+) -> tuple[tuple[Atom, ...], int, str, int]:
+    """Atoms of singular data from the compressed shift W, the dimension of
+    W's unitary part, and the route and widest eig of `_unitary_part`.
+
+    ``t`` is re T_n and T_{n-1} = U_r diag(s_r) U_r* its predictor's SVD;
+    ``frozen`` says rank T_n = rank T_{n-1}, where W is unitary.  With
+    B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues within
+    root_tol of the circle span the unitary part (`_unitary_part`), and
+    conjugated they are the atoms, clustered as the zeros of det den are.
+    The weight of a cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the
+    orthogonal projector onto the cluster's eigenvectors, from one stacked
+    QR per cluster size.  Cost O(n q r^2) plus `_unitary_part`'s.
     """
     root = np.sqrt(s_r)
     b = u_r / root
-    lam, vec = np.linalg.eig(b.conj().T @ t[q:, :-q] @ b)
-    unitary = np.nonzero(np.abs(np.abs(lam) - 1.0) <= root_tol)[0]
-    points, vec = np.conj(lam[unitary]), vec[:, unitary]
+    lam, vec, route, widest = _unitary_part(b.conj().T @ t[q:, :-q] @ b, root_tol, frozen)
+    points = np.conj(lam)
     clusters = _clusters(points)
     sizes = np.array([c.size for c in clusters])
     g = u_r[:q] * root
@@ -203,14 +276,14 @@ def _shift_atoms(
         rows = np.nonzero(sizes == m)[0]
         members = np.array([clusters[k] for k in rows])
         means[rows] = points[members].mean(axis=1)
-        # eig's eigenvectors of one cluster need not be orthogonal
+        # the eigenvectors of one cluster need not be orthogonal
         basis = np.linalg.qr(vec[:, members].transpose(1, 0, 2))[0]
         gb = g @ basis
         weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
     order = np.argsort(np.angle(means) % TWO_PI)
     points = means[order] / np.abs(means[order])
     atoms = _atoms_from_weights(points, weights[order], spec_norm(t[:q, :q]))
-    return atoms, unitary.size
+    return atoms, lam.size, route, widest
 
 
 def central_measure(
@@ -238,8 +311,12 @@ def central_measure(
     cross-check's A, the first block column of T_n^{-1}, from one LU solve
     against q columns of the identity, O((nq)^3 / 3 + (nq)^2 q).  Singular
     T_n takes the predictor's one SVD, which gives rank T_{n-1} and the
-    range the shift reads.  The quotient reads re T_n.  Deflated data adds
-    one Toeplitz build and one SVD of T'_{n-1}.
+    range the shift reads, and finds the shift's unitary part with
+    Hermitian eigensolvers (`_unitary_part`): an eigh of size r and small
+    stacked eigs, plus O(log m) squarings of the shift and an eigh of the
+    unitary part's size when T_n is not rank-frozen; one eig of size r
+    only when their result is not certified.  The quotient reads re T_n.
+    Deflated data adds one Toeplitz build and one SVD of T'_{n-1}.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -256,7 +333,9 @@ def _central_measure(
     rank = _rank(scan.eigenvalues, rank_rtol)
     if n >= 1 and rank < len(tr):
         w, u_r, s_r = _predictor_range(tr, q, rank_rtol)
-        atoms, unitary = _shift_atoms(tr, q, u_r, s_r, root_tol)
+        atoms, unitary, route, widest = _shift_atoms(
+            tr, q, u_r, s_r, root_tol, rank == s_r.size
+        )
         sm = SpectralMeasure(q=q, atoms=atoms, quotient=None)
         # imported here, so that `import matspec` does not load logging
         import logging
@@ -267,8 +346,9 @@ def _central_measure(
             rest = spec_norm(seq.coeffs[0] - sum(a.weight for a in atoms))
             log.debug(
                 "singular T_%d: rank %d, rank T_%d %d, unitary part of the shift %d, "
-                "||C'_0|| / ||C_0|| = %.3e",
-                n, rank, n - 1, s_r.size, unitary, rest / c0_norm if c0_norm > 0.0 else 0.0,
+                "%s route, widest block %d, ||C'_0|| / ||C_0|| = %.3e",
+                n, rank, n - 1, s_r.size, unitary, route, widest,
+                rest / c0_norm if c0_norm > 0.0 else 0.0,
             )
         if unitary < s_r.size:
             cq = _deflated_quotient(seq, sm, rank_rtol)

@@ -15,7 +15,9 @@ compares with the quotient's in its cross-check, and `pd_density_last_row`
 its last-row form.  `density_kernel_coeffs` forms the Laurent coefficients
 of H = (den* num + num* den) / 2 by direct products of the quotient's
 coefficients, the definition the library's density certificate reads off
-an FFT.  `ball_membership`,
+an FFT.  `shift_atoms_by_eig` reads the atoms of singular data off one
+general eig of the compressed shift, the definition the library's
+Hermitian route shortcuts.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
 profiles by their definitions.
 """
@@ -27,7 +29,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from matspec.caratheodory import CaratheodoryQuotient, pd_polynomials, rational_values
+from matspec.caratheodory import CaratheodoryQuotient, _clusters, pd_polynomials, rational_values
 from matspec.errors import DimensionError, InvalidInputError, MatSpecError
 from matspec.linalg import (
     DEFAULT_PSD_TOL,
@@ -101,6 +103,37 @@ def compute_atoms(
             )
     val = (-0.5 / points)[:, None, None] * residues
     return _atoms_from_weights(points, val, spec_norm(re_mat(cq.num(0.0 + 0.0j))))
+
+
+def shift_atoms_by_eig(
+    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray, root_tol: float
+) -> tuple[tuple[Atom, ...], int]:
+    """Atoms of singular data and the dimension of the compressed shift's
+    unitary part, from one general eig of the whole shift.
+
+    The definition `measure._shift_atoms` shortcuts with Hermitian
+    eigensolvers: W = B* T_n[q:, :-q] B, B = U_r s_r^{-1/2}, its eigenvalues
+    within root_tol of the circle, conjugated and clustered, and the weight
+    G P G* of each cluster, G = (U_r s_r^{1/2})[:q] and P the orthogonal
+    projector onto the cluster's eigenvectors.
+    """
+    root = np.sqrt(s_r)
+    b = u_r / root
+    lam, vec = np.linalg.eig(b.conj().T @ t[q:, :-q] @ b)
+    unitary = np.nonzero(np.abs(np.abs(lam) - 1.0) <= root_tol)[0]
+    points, vec = np.conj(lam[unitary]), vec[:, unitary]
+    clusters = _clusters(points)
+    g = u_r[:q] * root
+    means, weights = [], []
+    for members in clusters:
+        means.append(points[members].mean())
+        basis = np.linalg.qr(vec[:, members])[0]
+        weights.append((g @ basis) @ (g @ basis).conj().T)
+    means = np.array(means, dtype=complex)
+    order = np.argsort(np.angle(means) % TWO_PI)
+    weights = np.array(weights, dtype=complex).reshape(-1, q, q)[order]
+    atoms = _atoms_from_weights(means[order] / np.abs(means[order]), weights, spec_norm(t[:q, :q]))
+    return atoms, unitary.size
 
 
 class DegenerateZeroError(MatSpecError):

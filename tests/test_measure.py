@@ -23,13 +23,20 @@ from matspec import (
     phi_at,
     rational_values,
     spec_norm,
+    toeplitz_matrix,
     verify_recovery,
 )
 from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.linalg import DEFAULT_PSD_TOL
+from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
 from matspec.matpoly import det_poly
-from matspec.measure import NEAR_CIRCLE_NODE_CAP
+from matspec.measure import (
+    DEFAULT_ROOT_TOL,
+    NEAR_CIRCLE_NODE_CAP,
+    _shift_atoms,
+    _unitary_part,
+)
+from matspec.toeplitz import _predictor_range, _rank
 
 from _gen import (
     atomic_coeffs,
@@ -53,6 +60,7 @@ from _oracle import (
     pd_density_last_row,
     pole_limit,
     radial_atom_limit,
+    shift_atoms_by_eig,
 )
 
 RNG = np.random.default_rng(53)
@@ -763,6 +771,147 @@ class TestOneAtomRoute:
         )
         ratio = float(line.rsplit("= ", 1)[1])
         assert (ratio < 1e-12) if kind == "frozen" else (0.1 < ratio < 1.0)
+
+
+def shift_draw(kind, q, seed, deflated):
+    """Seeded atomic data with three atoms, q = 1..4, alone (rank-frozen) or
+    (+) a scalar VAR(1) with rho = 0.5 (deflated).  ``kind``: a conjugate
+    pair v, v-bar; atoms at 1 and -1; two blocks sharing one of their two
+    atoms (summed for q = 1); a pair 1e-2 or 1e-3 apart."""
+    rng = np.random.default_rng(seed)
+    if kind == "conjugate":
+        theta = rng.uniform(0.3, 2.8)
+        points = np.exp(1j * np.array([theta, -theta, np.pi + rng.uniform(-0.2, 0.2)]))
+        coeffs = atomic_coeffs(rng, q, 8, 3, points=points)[0]
+    elif kind == "real":
+        points = np.exp(1j * np.array([0.0, np.pi, rng.uniform(0.5, 2.5)]))
+        coeffs = atomic_coeffs(rng, q, 8, 3, points=points)[0]
+    elif kind == "shared":
+        points = np.exp(1j * separated_angles(rng, 3))
+        qa = max(1, q // 2)
+        a = atomic_coeffs(rng, qa, 8, 2, points=points[:2])[0]
+        b = atomic_coeffs(rng, max(1, q - qa), 8, 2, points=points[1:])[0]
+        coeffs = direct_sum(a, b) if q > 1 else [x + y for x, y in zip(a, b)]
+    else:
+        gap = {"pair-1e-2": 1e-2, "pair-1e-3": 1e-3}[kind]
+        coeffs = jittered_atomic_coeffs(rng, q, 10, 3, 1, gap)[0]
+    if deflated:
+        coeffs = direct_sum(coeffs, var1_coeffs(rng, 1, 0.5, len(coeffs)))
+    return HermSeq(coeffs)
+
+
+def shift_routes(seq):
+    """`_shift_atoms` and the one-eig oracle on the same predictor SVD."""
+    q, n = seq.q, len(seq) - 1
+    t = re_mat(toeplitz_matrix(seq, n))
+    _, u_r, s_r = _predictor_range(t, q, DEFAULT_RANK_RTOL)
+    frozen = _rank(np.linalg.eigvalsh(t), DEFAULT_RANK_RTOL) == s_r.size
+    got = _shift_atoms(t, q, u_r, s_r, DEFAULT_ROOT_TOL, frozen)
+    return got, shift_atoms_by_eig(t, q, u_r, s_r, DEFAULT_ROOT_TOL), frozen
+
+
+class TestHermitianShiftRoute:
+    """The unitary part of the compressed shift from Hermitian eigensolvers
+    gives the atoms of one general eig of the whole shift."""
+
+    @pytest.mark.parametrize("deflated", [False, True], ids=["frozen", "deflated"])
+    @pytest.mark.parametrize(
+        "kind", ["conjugate", "real", "shared", "pair-1e-2", "pair-1e-3"]
+    )
+    def test_matches_one_eig(self, kind, deflated):
+        # The routes share the predictor's SVD and differ in roundoff only.
+        # A close pair amplifies it in the weights: over seeds 0..24 and
+        # q = 1..4 the weight gaps of 1e-2 pairs reach 2.6e-11 ||C_0|| (each
+        # route is as far from the true weights) and those of 1e-3 pairs
+        # 6.8e-13 ||C_0||, against 1.2e-14 for well-separated atoms.
+        weight_tol = 1e-10 if kind.startswith("pair") else 1e-12
+        for q in (1, 2, 3, 4):
+            for seed in range(5):
+                seq = shift_draw(kind, q, seed, deflated)
+                (atoms, unitary, route, widest), (want, want_unitary), frozen = shift_routes(seq)
+                assert frozen != deflated
+                assert route == "hermitian" and widest <= unitary
+                assert (len(atoms), unitary) == (len(want), want_unitary)
+                c0 = spec_norm(seq.coeff(0))
+                points = np.array([a.point for a in want])
+                for atom in atoms:
+                    k = int(np.argmin(np.abs(points - atom.point)))
+                    assert abs(points[k] - atom.point) <= 1e-12
+                    assert spec_norm(atom.weight - want[k].weight) <= weight_tol * c0
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "deflated"])
+    def test_non_invariant_blocks_fall_back_to_eig(self, frozen):
+        # unimodular eigenvalues whose eigenvectors do not reduce W, as a
+        # shift left slightly non-contractive by roundoff could have: the
+        # blocks' eigenvalues lie on the circle, but a coupling of 1e-5 keeps
+        # the blocks (frozen) or K (deflated) from being invariant, so one
+        # eig of W answers
+        w = np.diag(np.exp(1j * np.array([0.4, 2.0, -2.1])))
+        if not frozen:
+            w[2, 2] = 0.5
+        w[0, 1 if frozen else 2] = 1e-5
+        lam, vec, route, widest = _unitary_part(w, DEFAULT_ROOT_TOL, frozen)
+        assert (route, widest) == ("eig fallback", 3)
+        want, want_vec = np.linalg.eig(w)
+        keep = np.abs(np.abs(want) - 1.0) <= DEFAULT_ROOT_TOL
+        assert np.array_equal(lam, want[keep]) and np.array_equal(vec, want_vec[:, keep])
+
+    def test_zero_root_tol_takes_one_eig(self):
+        w = np.diag(np.exp(1j * np.array([0.4, 2.0])))
+        assert _unitary_part(w, 0.0, True)[2:] == ("eig fallback", 2)
+
+    @pytest.mark.parametrize(
+        "kind, logged",
+        [("frozen", "hermitian route, widest block 2"),
+         ("deflated", "hermitian route, widest block 2"),
+         ("fallback", "eig fallback route, widest block 5")],
+    )
+    def test_debug_line_names_the_route(self, caplog, kind, logged):
+        import logging
+
+        if kind == "fallback":
+            # AR(1) at rho = 1 - 1e-9, n = 5: rank-frozen, but only one of the
+            # shift's five eigenvalues is unimodular
+            seq = scalar_seq(*[(1.0 - 1e-9) ** j for j in range(6)])
+        else:
+            seq = shift_draw("conjugate", 1, 0, kind == "deflated")
+        with caplog.at_level(logging.DEBUG, logger="matspec"):
+            try:
+                central_measure(seq)
+            except ModelError:
+                assert kind == "fallback"
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "matspec"]
+        assert f", {logged}, " in line
+
+
+# AR(1) with C_0 = 1 near the unit root: rho -> (outcome, atoms) for each n.
+# 1 - 1e-8 has a density and no atom; at 1 - 1e-9 and n >= 5, T_n is
+# singular but only one of the shift's eigenvalues is unimodular, and the
+# deflated data fails the disk check; from 1 - 1e-10 the root is an atom.
+UNIT_ROOT_ENVELOPE = {
+    1.0 - 1e-8: {n: ("passes", 0) for n in (1, 3, 5, 8, 10)},
+    1.0 - 1e-9: {1: ("passes", 0), 3: ("passes", 0), 5: ("raises", None),
+                 8: ("raises", None), 10: ("raises", None)},
+    1.0 - 1e-10: {n: ("passes", 1) for n in (1, 3, 5, 8, 10)},
+    1.0 - 1e-11: {n: ("passes", 1) for n in (1, 3, 5, 8, 10)},
+    1.0 - 1e-12: {n: ("passes", 1) for n in (1, 3, 5, 8, 10)},
+}
+
+
+@pytest.mark.parametrize("rho", sorted(UNIT_ROOT_ENVELOPE))
+def test_near_unit_root_envelope(rho):
+    # every case verifies or raises a typed error, never a silent failure
+    outcomes = {}
+    for n in UNIT_ROOT_ENVELOPE[rho]:
+        seq = scalar_seq(*[rho**j for j in range(n + 1)])
+        try:
+            sm = central_measure(seq)
+        except ModelError:
+            outcomes[n] = ("raises", None)
+            continue
+        assert verify_recovery(sm, seq).passed
+        outcomes[n] = ("passes", len(sm.atoms))
+    assert outcomes == UNIT_ROOT_ENVELOPE[rho]
 
 
 class TestNearEdgeQuadrature:

@@ -336,6 +336,20 @@ class TestCliExitCodes:
         assert main(["extend", str(f), "--length", "5"]) == 2
         assert "did not converge" in capsys.readouterr().err
 
+    def test_shift_eigensolver_failure_is_a_model_error(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        # rank-frozen data (one atom at i): the compressed shift's unitary
+        # part comes from one eigh of size rank T_1 = 1
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ModelError, match="eigh of a 1x1 matrix"):
+            central_measure(scalar_seq(1.0, -1j, -1.0))
+        f = tmp_path / "frozen.json"
+        f.write_text(seq_doc_text(1.0, -1j, -1.0))
+        assert main(["spectrum", str(f)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+
 
 class TestCliPipeline:
     def test_extend(self, tmp_path):

@@ -16,9 +16,12 @@ autoregressive check and `central_order` take one stacked norm.
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and, when the positive-definite cross-check
 runs, one of T_n for its first block column, and makes no eig call;
-singular input takes one matrix SVD and reads its atoms off one eig of the
-r x r compressed shift, deflated input adds one build and one SVD of the
-deflated data, and rank-frozen input never forms det den, its zeros, a
+singular input takes one matrix SVD and reads its atoms off the r x r
+compressed shift with no eig of its size: rank-frozen input takes one eigh
+of size r and one stacked eig per block size, deflated input one eigh of
+size r and one of the unitary part's size, and data whose shift fails the
+certificate one eig of size r; deflated input adds one build and one SVD of
+the deflated data, and rank-frozen input never forms det den, its zeros, a
 quotient value or a quadrature grid."""
 
 import importlib
@@ -55,6 +58,7 @@ from matspec import (
     verify_recovery,
 )
 from matspec.cli import main
+from matspec.errors import ModelError
 from matspec.linalg import DEFAULT_RANK_RTOL
 from matspec.toeplitz import _predictor
 
@@ -72,8 +76,8 @@ def seq():
 @pytest.fixture
 def calls(monkeypatch):
     """Shapes of the matrices handed to np.linalg.eigvalsh / svd / norm /
-    solve / inv."""
-    seen = {"eigvalsh": [], "svd": [], "norm": [], "solve": [], "inv": []}
+    solve / inv / eig / eigh."""
+    seen = {name: [] for name in ("eigvalsh", "svd", "norm", "solve", "inv", "eig", "eigh")}
     for name, shapes in seen.items():
         orig = getattr(np.linalg, name)
 
@@ -413,23 +417,24 @@ DSUM = HermSeq(direct_sum(atomic_coeffs(np.random.default_rng(6), 1, 7, 2)[0],
 INPUTS = {"subtracted-pole": AR1, "frozen": FROZEN, "mixed": MIXED, "deflated": DSUM}
 
 
+def matrices(shapes):
+    return [s for s in shapes if len(s) == 2]
+
+
 def test_frozen_input_reads_its_atoms_off_one_eig(
-    pole_work, quadrature_work, monkeypatch
+    pole_work, quadrature_work, calls, monkeypatch
 ):
     # rank-frozen data: no det den, no roots, no quotient values and no
-    # quadrature anywhere in the pipeline, and one eigensolve of size r
-    eigs, points = [], []
-    eig, values = np.linalg.eig, caratheodory.rational_values
-
-    def counted_eig(a, *args, **kwargs):
-        eigs.append(np.shape(a))
-        return eig(a, *args, **kwargs)
+    # quadrature anywhere in the pipeline.  The atoms come from one eigh of
+    # size r = 4 and one stacked eig of the shift's two 2 x 2 blocks, one
+    # per atom of rank 2; no eig of size r
+    points = []
+    values = caratheodory.rational_values
 
     def counted_values(cq, zs):
         points.append(np.size(zs))
         return values(cq, zs)
 
-    monkeypatch.setattr(np.linalg, "eig", counted_eig)
     for module in (caratheodory, measure):
         monkeypatch.setattr(module, "rational_values", counted_values)
     sm = run_pipeline(FROZEN)
@@ -437,7 +442,8 @@ def test_frozen_input_reads_its_atoms_off_one_eig(
     assert pole_work == {"det_poly": [], "roots": 0, "polish": 0}
     assert points == []
     assert quadrature_work["fft"] == [] and quadrature_work["grids"] == []
-    assert eigs == [(4, 4)]
+    assert calls["eig"] == [(2, 2, 2)]
+    assert matrices(calls["eigh"]) == [(4, 4)]
 
 
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
@@ -477,23 +483,35 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, 
 
 
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
-def test_only_singular_input_takes_one_eig_of_the_shift(seq, monkeypatch, kind):
-    # full-rank T_n has no atoms and no atom search; singular T_n takes one
-    # eig of the r x r compressed shift, r = rank T_{n-1}
+def test_only_singular_input_takes_one_eig_of_the_shift(seq, calls, kind):
+    # full-rank T_n has no atoms and no atom search.  Singular T_n reads the
+    # unitary part of the r x r compressed shift, r = rank T_{n-1}, off
+    # Hermitian eigensolvers and takes no eig of size r: rank-frozen data
+    # one eigh of size r; deflated data one eigh of W^{*m} W^m, size r, and
+    # one of the unitary part, here the 2-dimensional span of DSUM's two
+    # scalar atoms.  Only the blocks' stacked eigs remain.
     data = INPUTS.get(kind, seq)
     n, q = len(data) - 1, data.q
     singular = numerical_rank(toeplitz_matrix(data, n)) < (n + 1) * q
     r = numerical_rank(toeplitz_matrix(data, n - 1))
-    eigs, eig = [], np.linalg.eig
-
-    def counted_eig(a, *args, **kwargs):
-        eigs.append(np.shape(a))
-        return eig(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eig", counted_eig)
     central_measure(data)
     assert singular == (kind in ("frozen", "deflated"))
-    assert eigs == ([(r, r)] if singular else [])
+    assert matrices(calls["eig"]) == []
+    assert bool(calls["eig"]) == singular
+    want = {"frozen": [(r, r)], "deflated": [(r, r), (2, 2)]}.get(kind, [])
+    assert matrices(calls["eigh"]) == want
+
+
+def test_shift_without_a_unitary_certificate_takes_one_eig(calls):
+    # AR(1) with C_0 = 1 and rho = 1 - 1e-9, n = 5, is rank-frozen, but only
+    # one of the shift's five eigenvalues is unimodular: the Hermitian route
+    # fails its certificate and one eig of size r = 5 answers.  The deflated
+    # data then fails the disk check, as with the eig route alone.
+    rho = 1.0 - 1e-9
+    data = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(6)])
+    with pytest.raises(ModelError, match="deflated data: denominator determinant"):
+        central_measure(data)
+    assert matrices(calls["eig"]) == [(5, 5)]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
