@@ -34,7 +34,7 @@ import numpy as np
 from .central import GammaSeq, covariance_from_gamma
 from .errors import InvalidInputError, ModelError
 from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, spec_norm
-from .matpoly import MatPoly, det_poly
+from .matpoly import MatPoly, MatPolyStack, det_poly
 from .toeplitz import (
     HermSeq,
     Classification,
@@ -206,10 +206,13 @@ def _pd_first_column(t: np.ndarray, q: int) -> MatPoly:
 
 
 def rational_values(cq: CaratheodoryQuotient, zs) -> np.ndarray:
-    """num(z) den(z)^{-1} at arbitrary points (no disk restriction)."""
-    zarr = np.asarray(zs, dtype=complex)
-    nv = cq.num(zarr)
-    dv = cq.den(zarr)
+    """num(z) den(z)^{-1} at arbitrary points (no disk restriction); num and
+    den from one Horner pass."""
+    return _quotient_values(*MatPolyStack(cq.num, cq.den)(zs))
+
+
+def _quotient_values(nv: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """num den^{-1} from the values of num and den at the same points."""
     try:
         # Phi den = num  <=>  den^T Phi^T = num^T
         sol = np.linalg.solve(np.swapaxes(dv, -1, -2), np.swapaxes(nv, -1, -2))
@@ -280,7 +283,7 @@ def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:
     """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
 
     All cluster means are Newton-polished on den at once.  den, den' and num
-    are evaluated at the polished points in one call each and den's kernels
+    are evaluated at the polished points in one Horner pass and den's kernels
     come from one stacked SVD: singular values at most DEFAULT_RANK_RTOL
     times the size of den's coefficients.  Where den(p) has a kernel of the
     cluster's size m, with X and Y its right and left bases, num den^{-1}
@@ -292,7 +295,7 @@ def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:
         return _Residues(clusters, np.empty(0, complex), sizes, sizes, residues)
     dden = cq.den.derivative()
     points = _polish(cq.den, dden, np.array([np.mean(c) for c in clusters]), sizes)
-    dv, ddv, nv = cq.den(points), dden(points), cq.num(points)
+    dv, ddv, nv = MatPolyStack(cq.den, dden, cq.num)(points)
     u, s, vh = np.linalg.svd(dv)
     floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
     kernel = np.count_nonzero(s <= floor, axis=1)
@@ -314,13 +317,14 @@ def _polish(den, dden, z, m):
     step is quadratically convergent at an m-fold zero.  A point stops after
     a step at roundoff level, where den(z) is exactly singular (it has
     converged), and where a step would leave the CLUSTER_RADIUS disk around
-    its start.  Each pass evaluates den and den' once for all points; the
-    passes end when no point is left moving.
+    its start.  Each pass evaluates den and den' in one Horner pass for all
+    points; the passes end when no point is left moving.
     """
     z0 = np.asarray(z, dtype=complex)
     z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
+    both = MatPolyStack(den, dden)
     for _ in range(8):
-        t = np.trace(_solve_each(den(z), dden(z)), axis1=-2, axis2=-1)
+        t = np.trace(_solve_each(*both(z)), axis1=-2, axis2=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = m / t
         live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)

@@ -4,9 +4,9 @@ Extending a TND prefix by the center of its admissibility ball, repeatedly, is
 the maximum-entropy ("central") continuation.  That chain of centers is one
 fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
 coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
-costs O((nq)^3 + L n q^3) before the result is scanned.  When the scan finds
-T_n of full rank, w is one LU solve of T_{n-1}, O((nq)^3 / 3); singular T_n
-takes one SVD.  T_n is built once per call, and `central_order` reads every
+costs O((nq)^3 + L n q^3) before the result is checked, by one Cholesky of
+re T_{L-1}.  When the input's scan finds T_n of full rank, w is one LU solve
+of T_{n-1}, O((nq)^3 / 3); singular T_n takes one SVD.  T_n is built once per call, and `central_order` reads every
 prefix's predictor off its leading blocks.  A sequence already equal to its
 own center continuation from some index onward has a central order; the
 pure zero tail is order 0.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, _spec_norms, re_mat, spec_norm
 from .toeplitz import (
     HermSeq,
     MatrixSeq,
@@ -75,10 +75,12 @@ def central_extend(
     w = T_{n-1}' Y_n, at cost O((nq)^3 + L n q^3) for L = ``target_len``:
     one LU solve of T_{n-1}, O((nq)^3 / 3), when the input's scan finds T_n
     of full rank at the rank_rtol cutoff, else one SVD pseudoinverse.  The
-    result is again TND, and is checked to be: the input and the result are
-    each scanned once, by one eigvalsh of re T_n and of re T_{L-1}
-    (per-prefix only below -tol (1 + ||C_0||)), so the whole call costs
-    O((Lq)^3).
+    input is scanned once, by one eigvalsh of re T_n (per-prefix only below
+    -tol (1 + ||C_0||)), which also gives its rank.  The result is again TND,
+    and is checked to be by one Cholesky of re T_{L-1} + tol (1 + ||C_0||) I,
+    O((Lq)^3 / 3); eigvalsh runs on the result only when that Cholesky
+    fails, to name the first bad T_k (`toeplitz._continue`).  The whole call
+    costs O((Lq)^3 / 3 + (nq)^3).
     Continuing a continuation agrees with continuing the original in one
     step.  A `GammaSeq` argument is converted to its covariance sequence,
     continued there, and converted back.
@@ -126,13 +128,13 @@ def central_order(seq: HermSeq):
         [_predict(c[:j], _predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL, full_rank))
          for j in range(1, n + 1)]
     )
-    gap = np.linalg.norm(c[1:] - centers, 2, axis=(1, 2))
+    gap = _spec_norms(c[1:] - centers)
     mismatched = np.nonzero(gap > tol)[0] + 1
     if mismatched.size and mismatched[-1] == n:
         return NOT_CENTRAL
     if not mismatched.size:
         # Center chain from index 1 forces a zero tail.
-        if np.all(np.linalg.norm(c[1:], 2, axis=(1, 2)) <= tol):
+        if np.all(_spec_norms(c[1:]) <= tol):
             return 0
         return 1
     return int(mismatched[-1])

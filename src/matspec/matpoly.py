@@ -63,15 +63,7 @@ class MatPoly:
 
     def __call__(self, z):
         """Horner evaluation; scalar z gives (q, q), array z gives (..., q, q)."""
-        zs = np.asarray(z, dtype=complex)
-        zz = zs[..., None, None]
-        out = np.broadcast_to(self.coeffs[-1], zs.shape + (self.q, self.q)).copy()
-        for k in range(self.degree - 1, -1, -1):
-            # one temporary per step; an in-place multiply can change the
-            # last bit on one-element arrays
-            out = out * zz
-            out += self.coeffs[k]
-        return out
+        return _horner(self.coeffs, z)
 
     def derivative(self, order: int = 1) -> "MatPoly":
         if order < 0:
@@ -94,6 +86,49 @@ class MatPoly:
 
     def __repr__(self) -> str:
         return f"MatPoly(q={self.q}, degree={self.degree})"
+
+
+class MatPolyStack:
+    """Several matrix polynomials of one block size, evaluated at the same
+    points by one Horner pass over their row-stacked coefficients.
+
+    The coefficients are stacked as (d + 1, k q, q), d the largest degree,
+    a lower degree padded with zero leading coefficients.  Each Horner step
+    is the elementwise ``out * z + c`` of `MatPoly.__call__` on k times the
+    rows, so every value equals that polynomial's own evaluation entry for
+    entry (a padded step can only flip the sign of an exact zero).
+    """
+
+    __slots__ = ("coeffs", "q")
+
+    def __init__(self, *polys: MatPoly):
+        q = polys[0].q
+        top = max(p.degree for p in polys)
+        coeffs = np.zeros((top + 1, len(polys) * q, q), dtype=complex)
+        for i, p in enumerate(polys):
+            coeffs[: p.degree + 1, i * q : (i + 1) * q] = p.coeffs
+        self.coeffs, self.q = coeffs, q
+
+    def __call__(self, z) -> tuple[np.ndarray, ...]:
+        """The value of each polynomial at z, in order: (q, q) each for
+        scalar z, (..., q, q) for array z."""
+        values = _horner(self.coeffs, z)
+        q = self.q
+        return tuple(values[..., i : i + q, :] for i in range(0, values.shape[-2], q))
+
+
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """Horner evaluation of the coefficient blocks ``coeffs`` (d + 1, r, c),
+    lowest degree first, at z; shape z.shape + (r, c)."""
+    zs = np.asarray(z, dtype=complex)
+    zz = zs[..., None, None]
+    out = np.broadcast_to(coeffs[-1], zs.shape + coeffs.shape[1:]).copy()
+    for k in range(len(coeffs) - 2, -1, -1):
+        # one temporary per step; an in-place multiply can change the last
+        # bit on one-element arrays
+        out = out * zz
+        out += coeffs[k]
+    return out
 
 
 def _pow2_nodes(min_count: int) -> np.ndarray:

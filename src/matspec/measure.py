@@ -48,12 +48,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .caratheodory import (
+    CLUSTER_RADIUS,
     NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
     _clusters,
     _disk_point,
     _pd_first_column,
+    _quotient_values,
     rational_values,
 )
 from .central import CENTRAL_TOL
@@ -62,10 +64,12 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
     _eig,
+    _spec_norms,
     as_cmatrix,
     re_mat,
     spec_norm,
 )
+from .matpoly import MatPolyStack
 from .toeplitz import (
     HermSeq,
     _continue,
@@ -127,7 +131,11 @@ def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
     A measure without a quotient has zero density."""
     if sm.quotient is None:
         return np.zeros(zs.shape + (sm.q, sm.q), dtype=complex)
-    phi = rational_values(sm.quotient, zs)
+    return _re_density(rational_values(sm.quotient, zs))
+
+
+def _re_density(phi: np.ndarray) -> np.ndarray:
+    """(1/2pi) re phi = (phi + phi*) / 4pi over a stack of q x q values."""
     herm = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
     return herm / TWO_PI
 
@@ -248,6 +256,14 @@ def _unitary_part(
     return lam[unitary], vec[:, unitary], "eig fallback", r
 
 
+def _by_angle(points: np.ndarray) -> np.ndarray:
+    """Indices that sort points by angle in [0, 2pi), a point within
+    CLUSTER_RADIUS below 2pi counting as just below 0: an atom at 1 comes
+    first whatever the sign of its angle's roundoff."""
+    angle = np.angle(points) % TWO_PI
+    return np.argsort(np.where(angle > TWO_PI - CLUSTER_RADIUS, angle - TWO_PI, angle))
+
+
 def _shift_atoms(
     t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray, root_tol: float, frozen: bool
 ) -> tuple[tuple[Atom, ...], int, str, int]:
@@ -280,7 +296,7 @@ def _shift_atoms(
         basis = np.linalg.qr(vec[:, members].transpose(1, 0, 2))[0]
         gb = g @ basis
         weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
-    order = np.argsort(np.angle(means) % TWO_PI)
+    order = _by_angle(means)
     points = means[order] / np.abs(means[order])
     atoms = _atoms_from_weights(points, weights[order], spec_norm(t[:q, :q]))
     return atoms, lam.size, route, widest
@@ -360,11 +376,13 @@ def _central_measure(
     # trustworthy; A, read off T_n^{-1}, loses digits for barely-TPD input.
     if n >= 1 and scan.margin > 1e-6:
         pa = _pd_first_column(t, q)
-        angles = TWO_PI * (np.arange(16) + 0.5) / 16
-        want = _pd_density_values(pa, np.exp(1j * angles))
-        got = sm.density_grid(angles)
+        zs = np.exp(1j * (TWO_PI * (np.arange(16) + 0.5) / 16))
+        # A, num and den at the 16 points in one Horner pass
+        av, nv, dv = MatPolyStack(pa, sm.quotient.num, sm.quotient.den)(zs)
+        want = _pd_density_values(av, pa.coeffs[0])
+        got = _re_density(_quotient_values(nv, dv))
         tol = 1e-8 * (1.0 + spec_norm(seq.coeffs[0]))
-        err = float(np.max(np.linalg.norm(want - got, 2, axis=(1, 2))))
+        err = float(np.max(_spec_norms(want - got)))
         if not err <= tol:
             raise ModelError(
                 f"central and positive-definite densities disagree ({err:.3e})"
@@ -388,12 +406,12 @@ def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
         raise ModelError(f"deflated data: {exc}") from exc
 
 
-def _pd_density_values(pa, zs: np.ndarray) -> np.ndarray:
-    """(1/2pi) A(z)^-* A(0) A(z)^-1, Hermitian-projected, at the points zs."""
-    ia = np.linalg.inv(pa(zs))
-    fa = np.conj(np.swapaxes(ia, -1, -2)) @ pa(0.0 + 0.0j) @ ia
-    herm = 0.5 * (fa + np.conj(np.swapaxes(fa, -1, -2)))
-    return herm / TWO_PI
+def _pd_density_values(av: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """(1/2pi) A(z)^-* A(0) A(z)^-1, Hermitian-projected, from the values
+    ``av`` of A at the points z and A(0) = ``a0``, its constant
+    coefficient."""
+    ia = np.linalg.inv(av)
+    return _re_density(np.conj(np.swapaxes(ia, -1, -2)) @ a0 @ ia)
 
 
 def _check_weight(w: np.ndarray, where: str) -> None:
@@ -717,7 +735,7 @@ def verify_recovery(
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
     coeffs = _coefficients(sm, range(len(seq)))
-    errs = tuple(np.linalg.norm(coeffs - np.asarray(seq.coeffs), 2, axis=(1, 2)).tolist())
+    errs = tuple(_spec_norms(coeffs - np.asarray(seq.coeffs)).tolist())
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)
     else:
@@ -749,7 +767,10 @@ def ar_spectrum(
     the measure was computed from (w_m = -den_m for full-rank T_order, whose
     quotient is the central one);
     disagreement means the data is not autoregressive of that order and
-    raises ArOrderMismatchWarning.
+    raises ArOrderMismatchWarning.  The prefix takes `central_measure`'s one
+    eigvalsh; the extension to the stored length L is checked by one
+    Cholesky of re T_{L-1}, O((Lq)^3 / 3), with eigvalsh only when that
+    fails (`toeplitz._continue`).
     Coefficients count as equal within CENTRAL_TOL * (1 + ||C_0||), the test
     `central_order` makes.
     """
@@ -761,7 +782,7 @@ def ar_spectrum(
         ext = _continue(prefix, w, len(seq), psd_tol)
         scale = 1.0 + spec_norm(seq.coeffs[0])
         diff = np.subtract(seq.coeffs, ext.coeffs)[order + 1 :]
-        gap = np.linalg.norm(diff, 2, axis=(1, 2))
+        gap = _spec_norms(diff)
         off = (np.nonzero(gap > CENTRAL_TOL * scale)[0] + order + 1).tolist()
         if off:
             warnings.warn(

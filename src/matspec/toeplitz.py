@@ -19,7 +19,12 @@ Z_n = [C_n, ..., C_1] = T_n[-q:, :-q].
 Nonnegativity of T_0..T_n is decided by one `eigvalsh` of re T_n, at cost
 O((nq)^3); the prefixes are scanned one by one only when its smallest
 eigenvalue lies below -tol (1 + ||C_0||), to name the first bad T_k (see
-`_scan`).
+`_scan`).  A central extension, TND by construction, is checked by one
+Cholesky of its shifted re T_{L-1} instead, and scanned only when that
+fails (`_first_violation_certified`).
+
+`MatrixSeq` validates a stacked (L, q, q) input in one pass (one copy, one
+finiteness test); its coefficients are read-only views into that copy.
 """
 
 from __future__ import annotations
@@ -49,21 +54,23 @@ class MatrixSeq:
     __slots__ = ("q", "coeffs")
 
     def __init__(self, coeffs):
-        mats = [as_cmatrix(c) for c in coeffs]
-        if not mats:
-            raise InvalidInputError("a sequence needs at least one coefficient")
-        q = mats[0].shape[0]
-        frozen = []
-        for j, c in enumerate(mats):
-            if c.shape != (q, q):
-                raise DimensionError(
-                    f"coefficient {j} has shape {c.shape}, expected ({q}, {q})"
-                )
-            c = c.copy()
-            c.flags.writeable = False
-            frozen.append(c)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", tuple(frozen))
+        # one pass over a stacked (L, q, q) input: one copy, one finiteness
+        # test; the coefficients are read-only views into the copy
+        try:
+            stack = np.array(coeffs, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            stack = None
+        if not (
+            stack is not None
+            and stack.ndim == 3
+            and stack.shape[0] >= 1
+            and stack.shape[1] == stack.shape[2] >= 1
+            and np.isfinite(stack).all()
+        ):
+            stack = _checked_stack(coeffs)
+        stack.flags.writeable = False
+        object.__setattr__(self, "q", stack.shape[1])
+        object.__setattr__(self, "coeffs", tuple(stack))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -93,6 +100,22 @@ class MatrixSeq:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(q={self.q}, len={len(self)})"
+
+
+def _checked_stack(coeffs) -> np.ndarray:
+    """Coefficients validated one by one, in index order, for the error of
+    the first bad one: a non-matrix or non-finite coefficient, an empty
+    sequence, then a shape other than C_0's."""
+    mats = [as_cmatrix(c) for c in coeffs]
+    if not mats:
+        raise InvalidInputError("a sequence needs at least one coefficient")
+    q = mats[0].shape[0]
+    for j, c in enumerate(mats):
+        if c.shape != (q, q):
+            raise DimensionError(
+                f"coefficient {j} has shape {c.shape}, expected ({q}, {q})"
+            )
+    return np.array(mats)
 
 
 class HermSeq(MatrixSeq):
@@ -306,11 +329,47 @@ def _predict(past: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (past[len(past) - len(w) :][::-1] @ w).sum(axis=0)
 
 
-def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> HermSeq:
-    """Central extension of C_0..C_n with predictor ``w``, scanned once.
+def _first_violation_certified(t: np.ndarray, q: int, tol: float) -> int | None:
+    """`_scan`'s first bad index of T_n, decided by one shifted Cholesky
+    when nothing fails; for ``t`` whose C_0 has passed a scan's Hermiticity
+    test.
 
-    Appends C_k = sum_{m=1..n} C_{k-m} w_m until ``target_len`` coefficients
-    and raises ModelError when the result is not TND.
+    Cholesky of re T_n + tol (1 + ||C_0||) I succeeds only when
+    lambda_min(re T_n) >= -tol (1 + ||C_0||), up to a backward error of
+    order (nq) eps ||T_n|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 10); by Cauchy interlacing no prefix T_k then
+    fails, the conclusion `_scan` draws from its eigvalsh.  Cost
+    O((nq)^3 / 3).  When the Cholesky fails, `_scan` runs unchanged and
+    names the first bad T_k, and one debug line on the ``matspec`` logger
+    gives the size, the shift and that index.
+    """
+    shift = tol * (1.0 + spec_norm(t[:q, :q]))
+    shifted = re_mat(t)
+    shifted.flat[:: len(shifted) + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+        return None
+    except np.linalg.LinAlgError:
+        pass
+    bad = _scan(t, q, tol).bad
+    # imported here, so that `import matspec` does not load logging
+    import logging
+
+    logging.getLogger("matspec").debug(
+        "Cholesky of re T_%d + %.3e I failed (size %d), first bad T_%s",
+        len(t) // q - 1, shift, len(t), bad,
+    )
+    return bad
+
+
+def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> HermSeq:
+    """Central extension of C_0..C_n with predictor ``w``, checked once.
+
+    Appends C_k = sum_{m=1..n} C_{k-m} w_m until ``target_len`` = L
+    coefficients and raises ModelError when the result is not TND.  The
+    caller has scanned C_0..C_n.  The result is TND by construction, so its
+    check takes one Cholesky of re T_{L-1}, O((Lq)^3 / 3), and eigvalsh only
+    when that fails (`_first_violation_certified`).
     """
     c = np.zeros((target_len, seq.q, seq.q), dtype=complex)
     c[: len(seq)] = seq.coeffs
@@ -318,7 +377,8 @@ def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> H
         c[k] = _predict(c[:k], w)
     out = HermSeq(c)
     if len(out) > len(seq):
-        bad = _scan(toeplitz_matrix(out, target_len - 1), seq.q, psd_tol)[0]
+        t = toeplitz_matrix(out, target_len - 1)
+        bad = _first_violation_certified(t, seq.q, psd_tol)
         if bad is not None:
             raise ModelError(
                 f"central extension not nonnegative Hermitian at T_{bad}", index=bad

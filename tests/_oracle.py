@@ -43,9 +43,9 @@ from matspec.linalg import (
 from matspec.matpoly import MatPoly, _pow2_nodes, poly_trim
 from matspec.measure import (
     DEFAULT_ROOT_TOL,
-    TWO_PI,
     Atom,
     _atoms_from_weights,
+    _by_angle,
     _check_root_tol,
     _circle_point,
     _pd_density_values,
@@ -90,7 +90,7 @@ def compute_atoms(
     rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
     if rows.size == 0:
         return ()
-    rows = rows[np.argsort(np.angle(res.points[rows]) % TWO_PI)]
+    rows = rows[_by_angle(res.points[rows])]
     points = res.points[rows] / np.abs(res.points[rows])
     sizes, kernel, residues = res.sizes[rows], res.kernel[rows], res.residues[rows]
     for v, m, k, r in zip(points, sizes, kernel, residues):
@@ -130,7 +130,7 @@ def shift_atoms_by_eig(
         basis = np.linalg.qr(vec[:, members])[0]
         weights.append((g @ basis) @ (g @ basis).conj().T)
     means = np.array(means, dtype=complex)
-    order = np.argsort(np.angle(means) % TWO_PI)
+    order = _by_angle(means)
     weights = np.array(weights, dtype=complex).reshape(-1, q, q)[order]
     atoms = _atoms_from_weights(means[order] / np.abs(means[order]), weights, spec_norm(t[:q, :q]))
     return atoms, unitary.size
@@ -189,7 +189,8 @@ def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
     """Density of the TPD measure at a unit-circle point, closed form:
     (1/2pi) A(zeta)^-* A(0) A(zeta)^-1 with A the first-column polynomial of
     `pd_polynomials`."""
-    return _pd_density_values(pd_polynomials(seq)[0], _circle_point(zeta))[0]
+    pa = pd_polynomials(seq)[0]
+    return _pd_density_values(pa(_circle_point(zeta)), pa.coeffs[0])[0]
 
 
 def pd_density_last_row(seq: HermSeq, zeta: complex) -> np.ndarray:

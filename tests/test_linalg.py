@@ -3,7 +3,7 @@ import pytest
 
 from matspec import spec_norm
 from matspec.errors import DimensionError, InvalidInputError
-from matspec.linalg import as_cmatrix, is_unitary, pinv, re_mat
+from matspec.linalg import _spec_norms, as_cmatrix, is_unitary, pinv, re_mat
 
 from _gen import random_psd, random_unitary
 from _oracle import adjugate, numerical_rank, psd_sqrt
@@ -134,11 +134,20 @@ class TestParts:
 
 class TestSpecNorm:
     def test_stacked_norm_is_bitwise_per_matrix(self):
-        # the comparisons in measure and central take one stacked norm where
-        # they took spec_norm per matrix; the results must not move a bit
+        # the comparisons in measure and central take one stacked svdvals
+        # where they took spec_norm per matrix; spec_norm and the stack read
+        # the largest singular value, np.linalg.norm's 2-norm bit for bit
         stack = RNG.normal(size=(16, 3, 3)) + 1j * RNG.normal(size=(16, 3, 3))
         stacked = np.linalg.norm(stack, 2, axis=(1, 2))
         assert stacked.tolist() == [spec_norm(m) for m in stack]
+        assert _spec_norms(stack).tolist() == stacked.tolist()
+        wide = RNG.normal(size=(4, 2, 5))
+        assert _spec_norms(wide).tolist() == np.linalg.norm(wide, 2, axis=(1, 2)).tolist()
+
+    @pytest.mark.parametrize("a", [np.zeros((0, 0)), np.arange(3.0), np.zeros((2, 2))])
+    def test_other_shapes_keep_the_norm(self, a):
+        # an empty matrix and a vector keep np.linalg.norm's meaning
+        assert spec_norm(a) == np.linalg.norm(a, 2)
 
 
 class TestPsdPredicates:

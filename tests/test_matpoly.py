@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from matspec import MatPoly
-from matspec.matpoly import det_poly
+from matspec.matpoly import MatPolyStack, det_poly
 from matspec.errors import InvalidInputError
 
-from _oracle import DegenerateZeroError, adjugate, adjugate_poly, matpoly_mul, pole_limit
+from _oracle import DegenerateZeroError, adjugate, adjugate_poly, horner, matpoly_mul, pole_limit
 
 RNG = np.random.default_rng(31)
 
@@ -49,6 +49,33 @@ class TestMatPoly:
 
     def test_degree_of_zero_poly(self):
         assert MatPoly(np.zeros((1, 2, 2))).degree == 0
+
+
+class TestMatPolyStack:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_pass_keeps_each_polynomials_bits(self, seed):
+        # 50 draws per seed: one to three polynomials of one block size with
+        # unequal degrees (the lower ones padded), at a scalar point, at the
+        # origin and at arrays of points; each value equals the polynomial's
+        # own Horner evaluation bit for bit
+        rng = np.random.default_rng(seed)
+        for draw in range(50):
+            q, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            polys = []
+            for deg in rng.integers(0, 9, size=k):
+                c = rng.normal(size=(deg + 1, q, q)) + 1j * rng.normal(size=(deg + 1, q, q))
+                if draw % 5 == 0:
+                    # diagonal blocks: exact zeros off the diagonal
+                    c = c * np.eye(q)
+                polys.append(MatPoly(c))
+            z = [complex(*rng.normal(size=2)), 0.0 + 0.0j,
+                 rng.normal(size=int(rng.integers(1, 40))) * np.exp(1j * rng.uniform(0, 7)),
+                 rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))][draw % 4]
+            values = MatPolyStack(*polys)(z)
+            assert len(values) == k
+            for p, v in zip(polys, values):
+                assert v.shape == np.shape(z) + (q, q)
+                assert np.array_equal(v, p(z)) and np.array_equal(v, horner(p, z))
 
 
 class TestDetAdjMul:

@@ -839,6 +839,23 @@ class TestHermitianShiftRoute:
                     assert abs(points[k] - atom.point) <= 1e-12
                     assert spec_norm(atom.weight - want[k].weight) <= weight_tol * c0
 
+    @pytest.mark.parametrize("deflated", [False, True], ids=["frozen", "deflated"])
+    def test_atom_at_one_comes_first(self, deflated):
+        # atoms at 1, -1 and a third angle: roundoff puts the angle of the
+        # atom at 1 on either side of 0, and it sorts first in every draw,
+        # for the library and the one-eig oracle, also after conjugation by
+        # a unitary
+        for q in (1, 2, 3, 4):
+            for seed in range(25):
+                seq = shift_draw("real", q, seed, deflated)
+                u = random_unitary(np.random.default_rng(100 + seed), seq.q)
+                for data in (seq, conjugate_by_unitary(seq, u)):
+                    points = central_measure(data).atom_points()
+                    assert len(points) == 3 and abs(points[0] - 1.0) <= 1e-8
+                    (atoms, *_), (want, _), _ = shift_routes(data)
+                    assert abs(atoms[0].point - 1.0) <= 1e-8
+                    assert abs(want[0].point - 1.0) <= 1e-8
+
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "deflated"])
     def test_non_invariant_blocks_fall_back_to_eig(self, frozen):
         # unimodular eigenvalues whose eigenvectors do not reduce W, as a

@@ -3,20 +3,23 @@ import logging
 import numpy as np
 import pytest
 
+import matspec.toeplitz
+
 from matspec import (
     Classification,
     HermSeq,
     ball_params,
     central_quotient,
     classify,
+    central_extend,
     conjugate_by_unitary,
     first_violation,
     gamma_from_covariance,
     toeplitz_matrix,
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.linalg import DEFAULT_RANK_RTOL
-from matspec.toeplitz import _predictor
+from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
+from matspec.toeplitz import _continue, _first_violation_certified, _predict, _predictor, _scan
 
 from _gen import (
     atomic_coeffs,
@@ -24,6 +27,7 @@ from _gen import (
     random_psd,
     random_tpd_seq,
     random_unitary,
+    var1_coeffs,
 )
 from _oracle import ball_membership, prefix_scan, psd_sqrt, rank_drop
 
@@ -60,6 +64,52 @@ class TestHermSeq:
         seq = ones_seq(2)
         with pytest.raises(ValueError):
             seq.coeff(0)[0, 0] = 5.0
+
+    def test_stacked_input_is_copied_read_only(self):
+        # one validated copy of a stacked input; its coefficients are views
+        # into it that cannot be made writeable again
+        c = np.stack([np.eye(2), 0.5 * np.eye(2)]).astype(complex)
+        seq = HermSeq(c)
+        c[0, 0, 0] = 9.0
+        assert seq.coeff(0)[0, 0] == 1.0
+        for coeff in seq:
+            assert not coeff.flags.writeable
+            with pytest.raises(ValueError):
+                coeff.flags.writeable = True
+        assert HermSeq(iter(list(c))).q == 2
+
+    NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
+    INF = np.array([[np.inf, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("coeffs, error, message", [
+        ([], InvalidInputError, "a sequence needs at least one coefficient"),
+        (iter([]), InvalidInputError, "a sequence needs at least one coefficient"),
+        ([[1.0, 2.0], [3.0]], DimensionError, "expected a 2-d matrix, got shape (2,)"),
+        ([np.eye(2), np.eye(3)], DimensionError,
+         "coefficient 1 has shape (3, 3), expected (2, 2)"),
+        ([np.ones((2, 3))], DimensionError, "coefficient 0 has shape (2, 3), expected (2, 2)"),
+        ([np.eye(2), np.ones((2, 3))], DimensionError,
+         "coefficient 1 has shape (2, 3), expected (2, 2)"),
+        ([1.0, 0.5], DimensionError, "expected a 2-d matrix, got shape ()"),
+        ([[1.0, 0.5]], DimensionError, "expected a 2-d matrix, got shape (2,)"),
+        (np.ones((2, 2)), DimensionError, "expected a 2-d matrix, got shape (2,)"),
+        (np.ones((2, 2, 2, 2)), DimensionError, "expected a 2-d matrix, got shape (2, 2, 2)"),
+        ([np.zeros((0, 0))], DimensionError, "expected a 2-d matrix, got shape (0, 0)"),
+        (5, TypeError, "'int' object is not iterable"),
+        ([NAN, np.eye(2), np.eye(2)], InvalidInputError, "matrix has non-finite entries"),
+        ([np.eye(2), NAN, np.eye(2)], InvalidInputError, "matrix has non-finite entries"),
+        ([np.eye(2), np.eye(2), INF], InvalidInputError, "matrix has non-finite entries"),
+        # the first bad coefficient in index order decides the error
+        ([np.eye(2), NAN, np.ones((2, 3))], InvalidInputError, "matrix has non-finite entries"),
+        ([np.eye(2), np.ones(2), NAN], DimensionError, "expected a 2-d matrix, got shape (2,)"),
+    ], ids=["empty", "empty-iterator", "ragged", "mixed-sizes", "non-square",
+            "non-square-later", "scalars", "one-row", "one-matrix", "four-d",
+            "empty-matrix", "scalar", "nan-0", "nan-1", "inf-2", "nan-before-shape",
+            "shape-before-nan"])
+    def test_errors_name_the_first_bad_coefficient(self, coeffs, error, message):
+        with pytest.raises(error) as exc:
+            HermSeq(coeffs)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestToeplitzMatrix:
@@ -196,6 +246,91 @@ class TestFirstViolationClassify:
             f"prefix scan fallback: lambda_min(re T_2) = {lam:.3e} "
             f"below {bound:.3e}, first bad T_2"
         )
+
+
+def leaving_predictor(name):
+    """A sequence and its central predictor, for the draws below."""
+    seq = {
+        "tpd": lambda: random_tpd_seq(np.random.default_rng(5), 2, 6),
+        "var1": lambda: HermSeq(var1_coeffs(np.random.default_rng(2), 2, 0.9, 5)),
+        "tpd1": lambda: random_tpd_seq(np.random.default_rng(1), 1, 3),
+    }[name]()
+    return seq, _predictor(toeplitz_matrix(seq, len(seq) - 1), seq.q, DEFAULT_RANK_RTOL, True)
+
+
+def shifted_head(t, q, target):
+    """T_n with C_0 moved along the identity so that lambda_min(re T_n) is
+    ``target`` times tol (1 + ||C_0||), for PSD C_0 and a small move."""
+    lam = np.linalg.eigvalsh(re_mat(t))[0]
+    scale = np.linalg.eigvalsh(re_mat(t[:q, :q]))[-1]
+    c = (-target * DEFAULT_PSD_TOL * (1.0 + scale) - lam) / (1.0 + target * DEFAULT_PSD_TOL)
+    return t + c * np.eye(len(t))
+
+
+class TestExtensionCheck:
+    # The central extension is TND by construction: one shifted Cholesky of
+    # re T_{L-1} says so, and the scan runs only to name a failure
+    @pytest.mark.parametrize("name, scale, bad", [
+        ("tpd", 1.5, 15), ("tpd", 3.0, 7), ("var1", 1.5, 5), ("var1", 1.1, 6),
+        ("var1", 3.0, 5), ("tpd1", 3.0, 4),
+    ])
+    def test_predictor_leaving_the_cone_names_the_first_bad_block(self, name, scale, bad):
+        # the error and index the eigvalsh scan of the result gave, which is
+        # also the per-prefix definition's
+        seq, w = leaving_predictor(name)
+        target = 3 * len(seq)
+        with pytest.raises(ModelError) as exc:
+            _continue(seq, scale * w, target, DEFAULT_PSD_TOL)
+        assert str(exc.value) == f"central extension not nonnegative Hermitian at T_{bad}"
+        assert exc.value.index == bad
+        c = list(seq.coeffs)
+        for k in range(len(seq), target):
+            c.append(_predict(np.array(c), scale * w))
+        assert prefix_scan(HermSeq(c))[0] == bad
+
+    @pytest.mark.parametrize("name, scale", [("tpd", 1.1), ("tpd1", 1.5), ("tpd1", 1.1)])
+    def test_predictor_inside_the_cone_passes(self, name, scale):
+        seq, w = leaving_predictor(name)
+        assert len(_continue(seq, scale * w, 3 * len(seq), DEFAULT_PSD_TOL)) == 3 * len(seq)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cholesky_then_scan_is_the_scan(self, seed, monkeypatch):
+        # passing, near-bound and failing T: lambda_min(re T) at
+        # -tol (1 + ||C_0||) times 1 - 1e-3 (inside: the Cholesky alone
+        # answers), 1 + 1e-3 (just outside: the scan runs, and its
+        # per-prefix margins pass) and 100 (the scan names a bad T_k)
+        rng = np.random.default_rng(seed)
+        q, n = 1 + seed % 3, 2 + seed % 4
+        ext = central_extend(random_tpd_seq(rng, q, n), 2 * (n + 1))
+        t = toeplitz_matrix(ext, len(ext) - 1)
+        cases = [t] + [shifted_head(t, q, f) for f in (1.0 - 1e-3, 1.0 + 1e-3, 100.0)]
+        want = [_scan(tk, q, DEFAULT_PSD_TOL).bad for tk in cases]
+        scans = []
+        scan = matspec.toeplitz._scan
+
+        def counted(*args):
+            scans.append(len(args[0]))
+            return scan(*args)
+
+        monkeypatch.setattr(matspec.toeplitz, "_scan", counted)
+        for tk, bad in zip(cases, want):
+            assert _first_violation_certified(tk, q, DEFAULT_PSD_TOL) == bad
+        assert want[:3] == [None, None, None] and want[3] is not None
+        assert scans == [len(t)] * 2
+
+    def test_failed_cholesky_logs_one_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="matspec")
+        seq, w = leaving_predictor("tpd1")
+        central_extend(seq, 3 * len(seq))
+        assert caplog.records == []
+        with pytest.raises(ModelError):
+            _continue(seq, 3.0 * w, 3 * len(seq), DEFAULT_PSD_TOL)
+        shift = DEFAULT_PSD_TOL * (1.0 + spec_norm(seq.coeffs[0]))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("Cholesky")]
+        assert lines == [
+            f"Cholesky of re T_{3 * len(seq) - 1} + {shift:.3e} I failed (size {3 * len(seq)}), "
+            "first bad T_4"
+        ]
 
 
 class TestBallParams:

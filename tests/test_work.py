@@ -2,16 +2,20 @@
 recovery quadrature: each public entry point decides nonnegativity of every
 prefix Toeplitz matrix with one eigvalsh of the largest (the per-prefix
 loop runs only on failing input) and no SVD norm of a prefix matrix, so the
-scan's work grows as n^3, solves for the central predictor with one LU
-solve of T_{n-1} when T_n has full rank and with one pseudoinverse when it
-is singular, det den, its zeros and their near-circle clusters are found
-and polished once per quotient, the residues at those clusters take a fixed
-number of evaluations of den and num however many clusters there are, the
-recovery quadrature takes every Fourier order from one FFT with no phase
-matrix, on a grid sized by the distance of the zeros of det den, the Horner
-step keeps the bits of ``out * z + c_k``, and the recovery errors of all
-orders and each comparison of the positive-definite cross-check, the
-autoregressive check and `central_order` take one stacked norm.
+scan's work grows as n^3, while the central extension made by
+`central_extend` and `ar_spectrum`, TND by construction, is checked by one
+Cholesky of its size and no eigvalsh; each entry point solves for the
+central predictor with one LU solve of T_{n-1} when T_n has full rank and
+with one pseudoinverse when it is singular, det den, its zeros and their
+near-circle clusters are found and polished once per quotient, the residues
+at those clusters take one stacked Horner pass of den, den' and num however
+many clusters there are, and each Newton pass of the polish one of den and
+den', the recovery quadrature takes every Fourier order from one FFT with
+no phase matrix, on a grid sized by the distance of the zeros of det den,
+the Horner step keeps the bits of ``out * z + c_k``, every spectral norm is
+one np.linalg.svdvals, and the recovery errors of all orders and each
+comparison of the positive-definite cross-check, the autoregressive check
+and `central_order` take one stacked svdvals.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and, when the positive-definite cross-check
@@ -60,6 +64,7 @@ from matspec import (
 from matspec.cli import main
 from matspec.errors import ModelError
 from matspec.linalg import DEFAULT_RANK_RTOL
+from matspec.matpoly import MatPolyStack
 from matspec.toeplitz import _predictor
 
 from _gen import atomic_coeffs, direct_sum, mixed_coeffs, random_tpd_seq, var1_coeffs
@@ -76,8 +81,9 @@ def seq():
 @pytest.fixture
 def calls(monkeypatch):
     """Shapes of the matrices handed to np.linalg.eigvalsh / svd / norm /
-    solve / inv / eig / eigh."""
-    seen = {name: [] for name in ("eigvalsh", "svd", "norm", "solve", "inv", "eig", "eigh")}
+    svdvals / solve / inv / eig / eigh / cholesky."""
+    names = ("eigvalsh", "svd", "norm", "svdvals", "solve", "inv", "eig", "eigh", "cholesky")
+    seen = {name: [] for name in names}
     for name, shapes in seen.items():
         orig = getattr(np.linalg, name)
 
@@ -97,14 +103,17 @@ def prefix_sized(shapes):
 def test_central_measure_scans_once(seq, calls):
     central_measure(seq)
     assert calls["eigvalsh"] == [((N + 1) * Q,) * 2]
-    assert prefix_sized(calls["norm"]) == []
+    assert prefix_sized(calls["norm"] + calls["svdvals"]) == []
 
 
 def test_central_extend_scans_input_and_result_once(seq, calls):
+    # the input takes one eigvalsh of T_n; the result, TND by construction,
+    # one Cholesky of T_{L-1} and no eigvalsh
     ext = central_extend(seq, 2 * (N + 1))
     assert len(ext) == 2 * (N + 1)
-    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2, (2 * (N + 1) * Q,) * 2]
-    assert prefix_sized(calls["norm"]) == []
+    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2]
+    assert calls["cholesky"] == [(2 * (N + 1) * Q,) * 2]
+    assert prefix_sized(calls["norm"] + calls["svdvals"]) == []
 
 
 def scan_work(shapes):
@@ -216,34 +225,43 @@ def test_check_scans_once(tmp_path, calls, capsys, last):
 def test_verify_recovery_stacks_the_order_errors(seq, calls):
     sm = central_measure(seq)
     calls["norm"].clear()
+    calls["svdvals"].clear()
     verify_recovery(sm, seq)
-    # the N + 1 order errors take one stacked norm; the only norm of a single
-    # coefficient left is ||C_0||, the scale of the relative error
-    assert calls["norm"].count((Q, Q)) == 1
+    # the N + 1 order errors take one stacked svdvals; the only norm of a
+    # single coefficient left is ||C_0||, the scale of the relative error
+    assert calls["svdvals"].count((N + 1, Q, Q)) == 1
+    assert calls["svdvals"].count((Q, Q)) == 1
+    assert calls["norm"].count((Q, Q)) == 0
 
 
 def test_comparisons_stack_their_norms(seq, calls):
+    # every spectral norm is one svdvals, of a matrix or of a stack.
     # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the scale
     # ||C_0|| and the density gap of the cross-check; full-rank input reads
     # no zero of det den, so den's kernels are left to the recovery
     central_measure(seq)
-    assert len(calls["norm"]) == 4
-    # the prefix's 4, the extension scan's 2, ||C_0|| and the mismatch gaps
-    calls["norm"].clear()
+    assert len(calls["svdvals"]) == 4
+    # the prefix's 4, the Cholesky shift's ||C_0||, ||C_0|| and the
+    # mismatch gaps
+    calls["svdvals"].clear()
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, 8)
-    assert len(calls["norm"]) == 8
+    assert len(calls["svdvals"]) == 7
     # the scan's 2, ||C_0|| and the gaps to the ball centres
-    calls["norm"].clear()
+    calls["svdvals"].clear()
     central_order(seq)
-    assert len(calls["norm"]) == 4
+    assert len(calls["svdvals"]) == 4
+    assert calls["norm"] == []
 
 
 def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
     order = 8
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, order)
-    assert sorted(calls["eigvalsh"]) == [((order + 1) * Q,) * 2, ((N + 1) * Q,) * 2]
+    # one eigvalsh of the prefix; the extension to the stored length, TND by
+    # construction, takes one Cholesky and no eigvalsh
+    assert calls["eigvalsh"] == [((order + 1) * Q,) * 2]
+    assert calls["cholesky"] == [((N + 1) * Q,) * 2]
     # full-rank T_order: one LU solve of T_{order-1} for the predictor and one
     # of T_order for the cross-check's first block column; no SVD, no inverse
     assert prefix_sized(calls["solve"]) == [(order * Q,) * 2, ((order + 1) * Q,) * 2]
@@ -531,48 +549,56 @@ def atomic_quotient(n_atoms):
 
 @pytest.fixture
 def evals(monkeypatch):
-    """MatPoly evaluations outside `_polish`, and Newton passes inside it
-    (each pass evaluates den once, at every point)."""
-    seen = {"outside": 0, "passes": 0}
-    dens = []
-    call, polish = MatPoly.__call__, caratheodory._polish
+    """Polynomial evaluations outside `_polish`, single (MatPoly) and
+    stacked (one Horner pass of a MatPolyStack), and inside it, where each
+    Newton pass evaluates den and den' in one stacked pass."""
+    seen = {"single": 0, "stacked": 0, "passes": 0, "single_in_polish": 0}
+    inside = []
+    call, stacked, polish = MatPoly.__call__, MatPolyStack.__call__, caratheodory._polish
 
     def counted(self, z):
-        if not dens:
-            seen["outside"] += 1
-        elif self is dens[-1]:
-            seen["passes"] += 1
+        seen["single_in_polish" if inside else "single"] += 1
         return call(self, z)
 
-    def counted_polish(den, *args):
-        dens.append(den)
+    def counted_stacked(self, z):
+        seen["passes" if inside else "stacked"] += 1
+        return stacked(self, z)
+
+    def counted_polish(*args):
+        inside.append(True)
         try:
-            return polish(den, *args)
+            return polish(*args)
         finally:
-            dens.pop()
+            inside.pop()
 
     monkeypatch.setattr(MatPoly, "__call__", counted)
+    monkeypatch.setattr(MatPolyStack, "__call__", counted_stacked)
     monkeypatch.setattr(caratheodory, "_polish", counted_polish)
     return seen
 
 
 def test_atom_weights_do_not_loop_over_atoms(evals):
     quotients = {n_atoms: atomic_quotient(n_atoms) for n_atoms in (2, 8)}
-    outside, passes = {}, {}
+    counts = {}
     for n_atoms, cq in quotients.items():
-        evals.update(outside=0, passes=0)
+        evals.update(single=0, stacked=0, passes=0, single_in_polish=0)
         assert len(compute_atoms(cq)) == n_atoms
-        outside[n_atoms], passes[n_atoms] = evals["outside"], evals["passes"]
-    # den, den' and num once each at all the polished points, and num(0)
-    assert outside[2] == outside[8]
-    assert all(1 <= p <= 8 for p in passes.values())
+        counts[n_atoms] = dict(evals)
+    for c in counts.values():
+        # den, den' and num at all the polished points in one stacked pass,
+        # and the oracle's num(0); det den was formed with the quotient
+        assert (c["stacked"], c["single"]) == (1, 1)
+        # one stacked pass of den and den' per Newton pass, nothing else
+        assert 1 <= c["passes"] <= 8 and c["single_in_polish"] == 0
 
 
 def test_polish_stops_once_every_point_has_converged(evals):
     # central_measure of full-rank AR1 reads no zero of det den; the
-    # recovery polishes its one near-circle zero
+    # recovery polishes its one near-circle zero, one stacked evaluation of
+    # den and den' per Newton pass
     verify_recovery(central_measure(AR1), AR1)
     assert 1 <= evals["passes"] <= 2
+    assert evals["single_in_polish"] == 0
 
 
 def test_atoms_skip_the_scalar_determinant_route():
