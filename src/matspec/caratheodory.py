@@ -39,8 +39,7 @@ from .toeplitz import (
     HermSeq,
     Classification,
     _classification,
-    _predictor,
-    _rank,
+    _enter,
     _scan,
     first_violation,
     toeplitz_matrix,
@@ -146,12 +145,13 @@ def central_quotient(
     g0 = g.coeffs[0]
     if spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
         raise InvalidInputError("Gamma_0 must be Hermitian")
-    t = toeplitz_matrix(covariance_from_gamma(g), n)
-    scan = _scan(t, g.q, psd_tol)
-    if scan.bad is not None:
-        raise ModelError(f"re S_{scan.bad} not nonnegative", index=scan.bad)
-    full_rank = _rank(scan.eigenvalues, rank_rtol) == len(t)
-    return _central_quotient(g0, t, _predictor(t, g.q, rank_rtol, full_rank))
+    try:
+        entry = _enter(toeplitz_matrix(covariance_from_gamma(g), n), g.q, psd_tol, rank_rtol)
+    except ModelError as exc:
+        if exc.index is None:  # not the scan's
+            raise
+        raise ModelError(f"re S_{exc.index} not nonnegative", index=exc.index) from exc
+    return _central_quotient(g0, entry.t, entry.w)
 
 
 def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:

@@ -5,9 +5,11 @@ the maximum-entropy ("central") continuation.  That chain of centers is one
 fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
 coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
 costs O((nq)^3 + L n q^3) before the result is checked, by one Cholesky of
-re T_{L-1}.  When the input's scan finds T_n of full rank, w is one LU solve
-of T_{n-1}, O((nq)^3 / 3); singular T_n takes one SVD.  T_n is built once per call, and `central_order` reads every
-prefix's predictor off its leading blocks.  A sequence already equal to its
+re T_{L-1}.  T_n is built once per call and read by one entry pass
+(`toeplitz._enter`), whose scan gives ||C_0|| and rank T_n; that rank
+selects w's route, one LU solve of T_{n-1}, O((nq)^3 / 3), at full rank
+and one SVD otherwise.  `central_order` reads every prefix's predictor off
+the leading blocks of the same re T_n.  A sequence already equal to its
 own center continuation from some index onward has a central order; the
 pure zero tail is order 0.
 """
@@ -17,15 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, _spec_norms, re_mat, spec_norm
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, _spec_norms, re_mat
 from .toeplitz import (
     HermSeq,
     MatrixSeq,
     _continue,
+    _enter,
     _predict,
     _predictor,
-    _rank,
-    _require_tnd,
     toeplitz_matrix,
 )
 
@@ -74,9 +75,10 @@ def central_extend(
     The chain of centers is the recursion C_k = sum_{m=1..n} C_{k-m} w_m with
     w = T_{n-1}' Y_n, at cost O((nq)^3 + L n q^3) for L = ``target_len``:
     one LU solve of T_{n-1}, O((nq)^3 / 3), when the input's scan finds T_n
-    of full rank at the rank_rtol cutoff, else one SVD pseudoinverse.  The
-    input is scanned once, by one eigvalsh of re T_n (per-prefix only below
-    -tol (1 + ||C_0||)), which also gives its rank.  The result is again TND,
+    of full rank at the rank_rtol cutoff, else one SVD pseudoinverse, both
+    of re T_n.  The input is scanned once (`toeplitz._enter`), by one
+    eigvalsh of re T_n (per-prefix only below -tol (1 + ||C_0||)), which
+    also gives its rank and ||C_0||.  The result is again TND,
     and is checked to be by one Cholesky of re T_{L-1} + tol (1 + ||C_0||) I,
     O((Lq)^3 / 3); eigvalsh runs on the result only when that Cholesky
     fails, to name the first bad T_k (`toeplitz._continue`).  The whole call
@@ -93,10 +95,8 @@ def central_extend(
         return gamma_from_covariance(
             central_extend(covariance_from_gamma(seq), target_len, psd_tol, rank_rtol)
         )
-    t = toeplitz_matrix(seq, len(seq) - 1)
-    full_rank = _rank(_require_tnd(t, seq.q, psd_tol).eigenvalues, rank_rtol) == len(t)
-    w = _predictor(t, seq.q, rank_rtol, full_rank)
-    return _continue(seq, w, target_len, psd_tol)
+    entry = _enter(toeplitz_matrix(seq, len(seq) - 1), seq.q, psd_tol, rank_rtol)
+    return _continue(seq, entry.w, target_len, psd_tol, entry.c0_norm)
 
 
 def central_order(seq: HermSeq):
@@ -116,18 +116,16 @@ def central_order(seq: HermSeq):
     T_{n-1} of full rank, O(n^4 q^3 / 12) in all, else one SVD per prefix.
     """
     n, q = len(seq) - 1, seq.q
-    t = toeplitz_matrix(seq, max(n - 1, 0))
-    scan = _require_tnd(t, q, DEFAULT_PSD_TOL)
+    entry = _enter(toeplitz_matrix(seq, max(n - 1, 0)), q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
     if n == 0:
         return 0
-    # every prefix's T_{j-1} is a leading block of T_{n-1}
-    full_rank = _rank(scan.eigenvalues, DEFAULT_RANK_RTOL) == len(t)
-    tol = CENTRAL_TOL * (1.0 + spec_norm(seq.coeffs[0]))
+    # every prefix's T_{j-1} is a leading block of T_{n-1}, whose predictor
+    # gives the last centre
+    t, tol = entry.t, CENTRAL_TOL * (1.0 + entry.c0_norm)
+    ws = [_predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL, entry.full_rank)[0]
+          for j in range(1, n)]
     c = np.asarray(seq.coeffs)
-    centers = np.array(
-        [_predict(c[:j], _predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL, full_rank))
-         for j in range(1, n + 1)]
-    )
+    centers = np.array([_predict(c[:j], w) for j, w in enumerate(ws + [entry.w], 1)])
     gap = _spec_norms(c[1:] - centers)
     mismatched = np.nonzero(gap > tol)[0] + 1
     if mismatched.size and mismatched[-1] == n:

@@ -116,18 +116,18 @@ def _write_density_csv(path: str, doc: dict) -> None:
 def _cmd_check(args) -> int:
     seq, _ = _load_sequence(args.input)
     cov = _as_covariance(seq)
-    failure, margin, _ = _scan(toeplitz_matrix(cov, len(cov) - 1), cov.q, args.psd_tol)
-    kind = _classification(failure, margin, args.psd_tol)
+    scan = _scan(toeplitz_matrix(cov, len(cov) - 1), cov.q, args.psd_tol)
+    kind = _classification(scan.bad, scan.margin, args.psd_tol)
     # re S_n of the Gamma sequence is re T_n bit for bit, so the same scan
     # decides it; a non-Hermitian C_0 (Gamma_0) fails both
     out = {
         "classification": kind.value,
-        "caratheodory": failure is None,
-        "first_failure": failure,
+        "caratheodory": scan.bad is None,
+        "first_failure": scan.bad,
     }
     _write_text(args.output, dumps(out))
     if kind is Classification.NOT_TND:
-        print(f"T_{failure} not nonnegative Hermitian", file=sys.stderr)
+        print(f"T_{scan.bad} not nonnegative Hermitian", file=sys.stderr)
         return 2
     return 0
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, ModelError
 
-# Relative singular-value cutoff of pinv, the predictor solve and den's kernel.
+# Relative singular-value cutoff of the predictor's pseudoinverse and den's kernel.
 DEFAULT_RANK_RTOL = 1e-10
 # Default tolerance for nonnegativity / Hermitian-deviation checks.
 DEFAULT_PSD_TOL = 1e-9
@@ -54,44 +54,9 @@ def _spec_norms(stack) -> np.ndarray:
 
 
 def re_mat(a) -> np.ndarray:
-    """Matrix real part (A + A*)/2."""
+    """Matrix real part (A + A*)/2, of one matrix or over a stack."""
     m = np.asarray(a, dtype=complex)
-    return 0.5 * (m + m.conj().T)
-
-
-def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
-
-    Parameters
-    ----------
-    a : array_like
-        Complex matrix, any shape ``(m, n)``.
-    rel_tol : float
-        Singular values at or below ``rel_tol * sigma_max`` are treated as
-        zero.  Must lie strictly between 0 and 1.
-
-    Returns
-    -------
-    ndarray of shape ``(n, m)``.
-    """
-    return _pinv_range(a, rel_tol)[0]
-
-
-def _pinv_range(a, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`pinv` of ``a`` with the singular triplets it keeps: (a', U_r, s_r),
-    U_r the left singular vectors of the r singular values s_r above the
-    cutoff, all from one SVD.  For Hermitian PSD ``a`` the kept part is
-    U_r diag(s_r) U_r*."""
-    m = as_cmatrix(a)
-    _require_rel_tol(rel_tol)
-    u, s, vh = _svd(m)
-    keep = s > rel_tol * s.max(initial=0.0)
-    if not np.any(keep):
-        zero = np.zeros((m.shape[1], m.shape[0]), dtype=complex)
-        return zero, u[:, :0], s[:0]
-    uk = u[:, : s.size][:, keep]
-    vk = vh[: s.size, :][keep, :]
-    return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T, uk, s[keep]
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def _require_rel_tol(rel_tol: float) -> None:

@@ -70,15 +70,7 @@ from .linalg import (
     spec_norm,
 )
 from .matpoly import MatPolyStack
-from .toeplitz import (
-    HermSeq,
-    _continue,
-    _predictor,
-    _predictor_range,
-    _rank,
-    _require_tnd,
-    toeplitz_matrix,
-)
+from .toeplitz import HermSeq, _continue, _enter, _Entry, _predictor_range, toeplitz_matrix
 
 # Eigenvalues lambda of the compressed shift with ||lambda| - 1| <= root_tol
 # count as unimodular.
@@ -136,8 +128,7 @@ def _density_on_circle(sm: SpectralMeasure, zs: np.ndarray) -> np.ndarray:
 
 def _re_density(phi: np.ndarray) -> np.ndarray:
     """(1/2pi) re phi = (phi + phi*) / 4pi over a stack of q x q values."""
-    herm = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
-    return herm / TWO_PI
+    return re_mat(phi) / TWO_PI
 
 
 def _circle_point(zeta) -> np.ndarray:
@@ -172,7 +163,7 @@ def _atoms_from_weights(
     ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
     dropped.
     """
-    lam, vec = np.linalg.eigh(0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2))))
+    lam, vec = np.linalg.eigh(re_mat(weights))
     for v, low in zip(points, lam[:, 0]):
         if low < -ATOM_CLIP * scale:
             raise ModelError(f"atom weight at {v} has negative eigenvalue {low:.3e}")
@@ -182,7 +173,7 @@ def _atoms_from_weights(
         if lv[-1] <= ATOM_DROP * scale:
             continue
         w = (vv * lv) @ vv.conj().T
-        atoms.append(Atom(point=complex(v), weight=0.5 * (w + w.conj().T)))
+        atoms.append(Atom(point=complex(v), weight=re_mat(w)))
     return tuple(atoms)
 
 
@@ -264,14 +255,13 @@ def _by_angle(points: np.ndarray) -> np.ndarray:
     return np.argsort(np.where(angle > TWO_PI - CLUSTER_RADIUS, angle - TWO_PI, angle))
 
 
-def _shift_atoms(
-    t: np.ndarray, q: int, u_r: np.ndarray, s_r: np.ndarray, root_tol: float, frozen: bool
-) -> tuple[tuple[Atom, ...], int, str, int]:
+def _shift_atoms(entry: _Entry, q: int, root_tol: float) -> tuple[tuple[Atom, ...], int, str, int]:
     """Atoms of singular data from the compressed shift W, the dimension of
     W's unitary part, and the route and widest eig of `_unitary_part`.
 
-    ``t`` is re T_n and T_{n-1} = U_r diag(s_r) U_r* its predictor's SVD;
-    ``frozen`` says rank T_n = rank T_{n-1}, where W is unitary.  With
+    ``entry`` holds re T_n, ||C_0||, rank T_n and the predictor's SVD
+    T_{n-1} = U_r diag(s_r) U_r*; rank T_n = rank T_{n-1} = r says T_n is
+    rank-frozen, and then W is unitary.  With
     B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues within
     root_tol of the circle span the unitary part (`_unitary_part`), and
     conjugated they are the atoms, clustered as the zeros of det den are.
@@ -279,13 +269,14 @@ def _shift_atoms(
     orthogonal projector onto the cluster's eigenvectors, from one stacked
     QR per cluster size.  Cost O(n q r^2) plus `_unitary_part`'s.
     """
-    root = np.sqrt(s_r)
-    b = u_r / root
-    lam, vec, route, widest = _unitary_part(b.conj().T @ t[q:, :-q] @ b, root_tol, frozen)
+    root = np.sqrt(entry.s_r)
+    b = entry.u_r / root
+    shift = b.conj().T @ entry.t[q:, :-q] @ b
+    lam, vec, route, widest = _unitary_part(shift, root_tol, entry.rank == entry.s_r.size)
     points = np.conj(lam)
     clusters = _clusters(points)
     sizes = np.array([c.size for c in clusters])
-    g = u_r[:q] * root
+    g = entry.u_r[:q] * root
     means = np.empty(sizes.size, dtype=complex)
     weights = np.empty((sizes.size, q, q), dtype=complex)
     for m in set(sizes.tolist()):
@@ -298,7 +289,7 @@ def _shift_atoms(
         weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
     order = _by_angle(means)
     points = means[order] / np.abs(means[order])
-    atoms = _atoms_from_weights(points, weights[order], spec_norm(t[:q, :q]))
+    atoms = _atoms_from_weights(points, weights[order], entry.c0_norm)
     return atoms, lam.size, route, widest
 
 
@@ -339,55 +330,48 @@ def central_measure(
 
 def _central_measure(
     seq: HermSeq, psd_tol: float, rank_rtol: float, root_tol: float
-) -> tuple[SpectralMeasure, np.ndarray]:
-    """`central_measure` and the predictor w of the central extension."""
+) -> tuple[SpectralMeasure, _Entry]:
+    """`central_measure` and its entry pass, whose w the extension continues."""
     _check_root_tol(root_tol)
     q, n = seq.q, len(seq) - 1
-    t = toeplitz_matrix(seq, n)
-    scan = _require_tnd(t, q, psd_tol)
-    tr = re_mat(t)
-    rank = _rank(scan.eigenvalues, rank_rtol)
-    if n >= 1 and rank < len(tr):
-        w, u_r, s_r = _predictor_range(tr, q, rank_rtol)
-        atoms, unitary, route, widest = _shift_atoms(
-            tr, q, u_r, s_r, root_tol, rank == s_r.size
-        )
+    entry = _enter(toeplitz_matrix(seq, n), q, psd_tol, rank_rtol)
+    if n >= 1 and not entry.full_rank:
+        atoms, unitary, route, widest = _shift_atoms(entry, q, root_tol)
         sm = SpectralMeasure(q=q, atoms=atoms, quotient=None)
         # imported here, so that `import matspec` does not load logging
         import logging
 
         log = logging.getLogger("matspec")
         if log.isEnabledFor(logging.DEBUG):
-            c0_norm = spec_norm(seq.coeffs[0])
             rest = spec_norm(seq.coeffs[0] - sum(a.weight for a in atoms))
             log.debug(
                 "singular T_%d: rank %d, rank T_%d %d, unitary part of the shift %d, "
                 "%s route, widest block %d, ||C'_0|| / ||C_0|| = %.3e",
-                n, rank, n - 1, s_r.size, unitary, route, widest,
-                rest / c0_norm if c0_norm > 0.0 else 0.0,
+                n, entry.rank, n - 1, entry.s_r.size, unitary, route, widest,
+                rest / entry.c0_norm if entry.c0_norm > 0.0 else 0.0,
             )
-        if unitary < s_r.size:
+        if unitary < entry.s_r.size:
             cq = _deflated_quotient(seq, sm, rank_rtol)
             sm = SpectralMeasure(q=q, atoms=atoms, quotient=cq)
-        return sm, w
-    w = _predictor(tr, q, rank_rtol, rank == len(tr))
-    sm = SpectralMeasure(q=q, atoms=(), quotient=_central_quotient(seq.coeffs[0], tr, w))
+        return sm, entry
+    cq = _central_quotient(seq.coeffs[0], entry.t, entry.w)
+    sm = SpectralMeasure(q=q, atoms=(), quotient=cq)
     # Cross-check against the positive-definite route when it is numerically
     # trustworthy; A, read off T_n^{-1}, loses digits for barely-TPD input.
-    if n >= 1 and scan.margin > 1e-6:
-        pa = _pd_first_column(t, q)
+    if n >= 1 and entry.margin > 1e-6:
+        pa = _pd_first_column(entry.t, q)
         zs = np.exp(1j * (TWO_PI * (np.arange(16) + 0.5) / 16))
         # A, num and den at the 16 points in one Horner pass
         av, nv, dv = MatPolyStack(pa, sm.quotient.num, sm.quotient.den)(zs)
         want = _pd_density_values(av, pa.coeffs[0])
         got = _re_density(_quotient_values(nv, dv))
-        tol = 1e-8 * (1.0 + spec_norm(seq.coeffs[0]))
+        tol = 1e-8 * (1.0 + entry.c0_norm)
         err = float(np.max(_spec_norms(want - got)))
         if not err <= tol:
             raise ModelError(
                 f"central and positive-definite densities disagree ({err:.3e})"
             )
-    return sm, w
+    return sm, entry
 
 
 def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
@@ -515,7 +499,7 @@ class _SingularPart(NamedTuple):
         dens = sm.density_grid(ang)
         if self.poles.size:
             f = self.values(np.exp(1j * ang))
-            dens = dens - 0.5 * (f + np.conj(np.swapaxes(f, -1, -2))) / TWO_PI
+            dens = dens - re_mat(f) / TWO_PI
         return dens
 
 
@@ -777,10 +761,10 @@ def ar_spectrum(
     if not 0 <= order < len(seq):
         raise InvalidInputError(f"order {order} outside stored range 0..{len(seq) - 1}")
     prefix = seq.prefix(order + 1)
-    sm, w = _central_measure(prefix, psd_tol, rank_rtol, DEFAULT_ROOT_TOL)
+    sm, entry = _central_measure(prefix, psd_tol, rank_rtol, DEFAULT_ROOT_TOL)
     if len(seq) > order + 1:
-        ext = _continue(prefix, w, len(seq), psd_tol)
-        scale = 1.0 + spec_norm(seq.coeffs[0])
+        ext = _continue(prefix, entry.w, len(seq), psd_tol, entry.c0_norm)
+        scale = 1.0 + entry.c0_norm
         diff = np.subtract(seq.coeffs, ext.coeffs)[order + 1 :]
         gap = _spec_norms(diff)
         off = (np.nonzero(gap > CENTRAL_TOL * scale)[0] + order + 1).tolist()

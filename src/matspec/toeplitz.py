@@ -9,7 +9,8 @@ positive definite.
 
 Given a TND prefix C_0..C_n, the admissible next coefficients form a matrix
 ball { M + sqrt(L) K sqrt(R) : ||K|| <= 1 } whose parameters are rational in
-the data; `ball_params` computes them.
+the data; `ball_params` computes them, its centre from the same refined
+predictor the central extension continues with.
 
 `toeplitz_matrix` is the only code that lays out the blocks C_{j-k}.  Each
 entry point builds T_n once; the private helpers take it and read slices:
@@ -22,6 +23,11 @@ eigenvalue lies below -tol (1 + ||C_0||), to name the first bad T_k (see
 `_scan`).  A central extension, TND by construction, is checked by one
 Cholesky of its shifted re T_{L-1} instead, and scanned only when that
 fails (`_first_violation_certified`).
+
+Each entry point that needs the central predictor makes one pass, `_enter`:
+the scan, which gives ||C_0|| and re T_n, rank T_n off its eigenvalues,
+and the predictor by the route that rank selects (`_predictor`); later
+stages read all of them from that record.
 
 `MatrixSeq` validates a stacked (L, q, q) input in one pass (one copy, one
 finiteness test); its coefficients are read-only views into that copy.
@@ -38,11 +44,11 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, ModelError
 from .linalg import (
     DEFAULT_PSD_TOL,
+    DEFAULT_RANK_RTOL,
     as_cmatrix,
-    _pinv_range,
     _require_rel_tol,
+    _svd,
     is_unitary,
-    pinv,
     re_mat,
     spec_norm,
 )
@@ -157,6 +163,8 @@ class _Scan(NamedTuple):
     bad: int | None  # first k with T_k not nonnegative Hermitian
     margin: float  # smallest lambda_min(re T_k) / (1 + ||T_k||) scanned
     eigenvalues: np.ndarray  # of re T_n, ascending; empty when C_0 fails
+    c0_norm: float  # ||C_0||
+    t: np.ndarray | None  # re T_n; None when C_0 fails
 
 
 def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
@@ -165,11 +173,12 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
 
     Returns the first k with T_k not nonnegative Hermitian (None when the
     sequence is TND), the smallest margin lambda_min(re T_k) / (1 + ||T_k||)
-    over the prefixes scanned, and the eigenvalues of re T_n, from which
-    `_rank` reads rank T_n.  T_k - T_k* is block diagonal with blocks
-    C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity is decided on C_0 alone,
-    and a C_0 that fails it gives (0, -inf, no eigenvalues); ||T_k|| is read
-    off the same eigenvalues as lambda_min.
+    over the prefixes scanned, the eigenvalues of re T_n, from which
+    `_rank` reads rank T_n, ||C_0|| and re T_n itself.  T_k - T_k* is block
+    diagonal with blocks C_0 - C_0* and ||T_k|| >= ||C_0||, so Hermiticity
+    is decided on C_0 alone, and a C_0 that fails it gives (0, -inf, no
+    eigenvalues, no re T_n); ||T_k|| is read off the same eigenvalues as
+    lambda_min.
 
     Each T_k is a leading principal submatrix of T_n, so by Cauchy
     interlacing lambda_min(T_k) >= lambda_min(T_n) and
@@ -186,13 +195,14 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
     c0 = t[:q, :q]
     c0_norm = spec_norm(c0)
     if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):
-        return _Scan(0, -np.inf, np.empty(0))
+        return _Scan(0, -np.inf, np.empty(0), c0_norm, None)
     t = re_mat(t)
     n = len(t) // q - 1
     w_n = np.linalg.eigvalsh(t)
     bound = -tol * (1.0 + c0_norm)
     if w_n[0] >= bound:
-        return _Scan(None, float(w_n[0]) / (1.0 + max(-w_n[0], w_n[-1])), w_n)
+        margin = float(w_n[0]) / (1.0 + max(-w_n[0], w_n[-1]))
+        return _Scan(None, margin, w_n, c0_norm, t)
     margin, bad = np.inf, None
     for k in range(n + 1):
         w = w_n if k == n else np.linalg.eigvalsh(t[: (k + 1) * q, : (k + 1) * q])
@@ -207,14 +217,13 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
         "prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, first bad T_%s",
         n, w_n[0], bound, bad,
     )
-    return _Scan(bad, margin, w_n)
+    return _Scan(bad, margin, w_n, c0_norm, t)
 
 
 def _rank(eigenvalues: np.ndarray, rank_rtol: float) -> int:
     """Numerical rank of a Hermitian PSD matrix from its ascending
     eigenvalues: those above rank_rtol times the largest, the cutoff
-    `linalg.pinv` applies to singular values, and the same check of
-    rank_rtol."""
+    `_predictor_range` applies to singular values."""
     _require_rel_tol(rank_rtol)
     return int(np.count_nonzero(eigenvalues > rank_rtol * eigenvalues.max(initial=0.0)))
 
@@ -240,7 +249,7 @@ def first_violation(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
 
     Nonnegativity of T_k is judged relative to 1 + ||T_k||.
     """
-    return _scan(toeplitz_matrix(seq, len(seq) - 1), seq.q, tol)[0]
+    return _scan(toeplitz_matrix(seq, len(seq) - 1), seq.q, tol).bad
 
 
 def classify(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> Classification:
@@ -250,36 +259,60 @@ def classify(seq: HermSeq, tol: float = DEFAULT_PSD_TOL) -> Classification:
 
 
 def ball_params(seq: HermSeq, n: int) -> MatrixBall:
-    """Ball of admissible coefficients C_{n+1} given the TND prefix C_0..C_n.
-
-    For n = 0 the ball is centered at zero with both semi-radii C_0.  For
-    n >= 1,
+    """Ball of admissible coefficients C_{n+1} given the TND prefix C_0..C_n:
 
         center = Z T' Y,   left = C_0 - Z T' Z*,   right = C_0 - Y* T' Y,
 
-    where T' is the pseudoinverse of T_{n-1}, Y the block column of C_1..C_n
-    and Z the block row of C_n..C_1, all three read off T_n.
+    T' the pseudoinverse of T_{n-1}, Y the block column of C_1..C_n and Z
+    the block row of C_n..C_1, read off re T_n.  The centre is Z w for the
+    refined predictor w = T' Y the central extension continues with, and
+    Z T' Z* = (Z U_r) diag(1/s_r) (Z U_r)* comes from the same one SVD
+    T_{n-1} = U_r diag(s_r) U_r* (`_predictor_range`), whatever the rank.
+    For n = 0 the products are empty: centre zero, both semi-radii C_0.
     """
-    t, q = toeplitz_matrix(seq, n), seq.q
-    _require_tnd(t, q, DEFAULT_PSD_TOL)
-    c0 = seq.coeffs[0]
-    if n == 0:
-        zero = np.zeros_like(c0)
-        return MatrixBall(center=zero, left=c0.copy(), right=c0.copy())
-    tp = pinv(t[:-q, :-q])
-    y, z = t[q:, :q], t[-q:, :-q]
-    center = z @ tp @ y
-    left = c0 - z @ tp @ z.conj().T
-    right = c0 - y.conj().T @ tp @ y
-    return MatrixBall(center=center, left=re_mat(left), right=re_mat(right))
+    scan = _require_tnd(toeplitz_matrix(seq, n), seq.q, DEFAULT_PSD_TOL)
+    t, q = scan.t, seq.q
+    w, u_r, s_r = _predictor_range(t, q, DEFAULT_RANK_RTOL)
+    c0, y, z, w = t[:q, :q], t[q:, :q], t[-q:, :-q], w.reshape(n * q, q)
+    zu = z @ u_r
+    left = re_mat(c0 - (zu / s_r) @ zu.conj().T)
+    return MatrixBall(center=z @ w, left=left, right=re_mat(c0 - y.conj().T @ w))
 
 
-def _predictor(t: np.ndarray, q: int, rank_rtol: float, full_rank: bool) -> np.ndarray:
+class _Entry(NamedTuple):
+    """Result of `_enter`: what an entry point reads of its T_n."""
+
+    t: np.ndarray  # re T_n
+    c0_norm: float  # ||C_0||
+    margin: float  # the scan's
+    rank: int  # rank T_n at the rank_rtol cutoff
+    full_rank: bool  # rank T_n = its size: the LU route
+    w: np.ndarray  # predictor blocks w_1..w_n, shape (n, q, q)
+    u_r: np.ndarray | None  # range of T_{n-1} from the SVD route, else None
+    s_r: np.ndarray | None  # its singular values, else None
+
+
+def _enter(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
+    """The one pass each entry point makes over ``t`` = T_n: one scan
+    (ModelError naming the first bad T_k), which gives ||C_0||, re T_n and
+    the eigenvalues rank T_n is read from, then the predictor of re T_n by
+    the route that rank selects (`_predictor`)."""
+    scan = _require_tnd(t, q, psd_tol)
+    rank = _rank(scan.eigenvalues, rank_rtol)
+    full_rank = rank == len(t)
+    w, u_r, s_r = _predictor(scan.t, q, rank_rtol, full_rank)
+    return _Entry(scan.t, scan.c0_norm, scan.margin, rank, full_rank, w, u_r, s_r)
+
+
+def _predictor(
+    t: np.ndarray, q: int, rank_rtol: float, full_rank: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Blocks w_1..w_n of w = T_{n-1}' Y_n, shape (n, q, q), read off the
-    block Toeplitz ``t`` = T_n; empty for n = 0.  The centre of the ball
-    `ball_params(seq, n)` is the one-step prediction sum_m C_{n+1-m} w_m, and
-    the central extension of C_0..C_n keeps the same w for every later
-    coefficient.
+    block Toeplitz ``t`` = T_n, with the range (U_r, s_r) of T_{n-1} when
+    the SVD route ran (None after LU); w is empty for n = 0.  The centre of
+    the ball `ball_params(seq, n)` is the one-step prediction
+    sum_m C_{n+1-m} w_m, and the central extension of C_0..C_n keeps the
+    same w for every later coefficient.
 
     ``full_rank`` is the caller's scan saying that T_n, or a block Toeplitz
     matrix with T_n as a leading block, has full rank at the rank_rtol
@@ -292,17 +325,18 @@ def _predictor(t: np.ndarray, q: int, rank_rtol: float, full_rank: bool) -> np.n
     """
     n = len(t) // q - 1
     if full_rank and n > 0:
-        return np.linalg.solve(t[:-q, :-q], t[q:, :q]).reshape(n, q, q)
-    return _predictor_range(t, q, rank_rtol)[0]
+        return np.linalg.solve(t[:-q, :-q], t[q:, :q]).reshape(n, q, q), None, None
+    return _predictor_range(t, q, rank_rtol)
 
 
 def _predictor_range(
     t: np.ndarray, q: int, rank_rtol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_predictor` of singular data with the range of T_{n-1} its
-    pseudoinverse keeps: (w, U_r, s_r), T_{n-1} = U_r diag(s_r) U_r* up to
-    the cutoff, all from one SVD, O((nq)^3) with a larger constant than
-    LU.  r = len(s_r) is rank T_{n-1}.
+    pseudoinverse keeps: (w, U_r, s_r), T_{n-1} = U_r diag(s_r) U_r* over
+    the singular values above rank_rtol times the largest, all from one
+    SVD, O((nq)^3) with a larger constant than LU.  r = len(s_r) is
+    rank T_{n-1}.
 
     No prefix check.
 
@@ -316,7 +350,10 @@ def _predictor_range(
     if n == 0:
         return np.zeros((0, q, q), dtype=complex), np.zeros((0, 0)), np.zeros(0)
     tn, y = t[:-q, :-q], t[q:, :q]
-    tp, u_r, s_r = _pinv_range(tn, rank_rtol)
+    u, s, vh = _svd(tn)
+    keep = s > rank_rtol * s.max(initial=0.0)
+    u_r, s_r = u[:, keep], s[keep]
+    tp = (vh[keep].conj().T * (1.0 / s_r)) @ u_r.conj().T
     w = tp @ y
     for _ in range(2):
         w = w + tp @ (y - tn @ w)
@@ -329,10 +366,12 @@ def _predict(past: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (past[len(past) - len(w) :][::-1] @ w).sum(axis=0)
 
 
-def _first_violation_certified(t: np.ndarray, q: int, tol: float) -> int | None:
+def _first_violation_certified(
+    t: np.ndarray, q: int, tol: float, c0_norm: float
+) -> int | None:
     """`_scan`'s first bad index of T_n, decided by one shifted Cholesky
-    when nothing fails; for ``t`` whose C_0 has passed a scan's Hermiticity
-    test.
+    when nothing fails; for ``t`` whose C_0, of norm ``c0_norm``, has passed
+    a scan's Hermiticity test.
 
     Cholesky of re T_n + tol (1 + ||C_0||) I succeeds only when
     lambda_min(re T_n) >= -tol (1 + ||C_0||), up to a backward error of
@@ -343,7 +382,7 @@ def _first_violation_certified(t: np.ndarray, q: int, tol: float) -> int | None:
     names the first bad T_k, and one debug line on the ``matspec`` logger
     gives the size, the shift and that index.
     """
-    shift = tol * (1.0 + spec_norm(t[:q, :q]))
+    shift = tol * (1.0 + c0_norm)
     shifted = re_mat(t)
     shifted.flat[:: len(shifted) + 1] += shift
     try:
@@ -362,14 +401,17 @@ def _first_violation_certified(t: np.ndarray, q: int, tol: float) -> int | None:
     return bad
 
 
-def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> HermSeq:
+def _continue(
+    seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float, c0_norm: float
+) -> HermSeq:
     """Central extension of C_0..C_n with predictor ``w``, checked once.
 
     Appends C_k = sum_{m=1..n} C_{k-m} w_m until ``target_len`` = L
     coefficients and raises ModelError when the result is not TND.  The
-    caller has scanned C_0..C_n.  The result is TND by construction, so its
-    check takes one Cholesky of re T_{L-1}, O((Lq)^3 / 3), and eigvalsh only
-    when that fails (`_first_violation_certified`).
+    caller has scanned C_0..C_n, which gave ``c0_norm`` = ||C_0||.  The
+    result is TND by construction, so its check takes one Cholesky of
+    re T_{L-1}, O((Lq)^3 / 3), and eigvalsh only when that fails
+    (`_first_violation_certified`).
     """
     c = np.zeros((target_len, seq.q, seq.q), dtype=complex)
     c[: len(seq)] = seq.coeffs
@@ -378,7 +420,7 @@ def _continue(seq: HermSeq, w: np.ndarray, target_len: int, psd_tol: float) -> H
     out = HermSeq(c)
     if len(out) > len(seq):
         t = toeplitz_matrix(out, target_len - 1)
-        bad = _first_violation_certified(t, seq.q, psd_tol)
+        bad = _first_violation_certified(t, seq.q, psd_tol, c0_norm)
         if bad is not None:
             raise ModelError(
                 f"central extension not nonnegative Hermitian at T_{bad}", index=bad

@@ -19,7 +19,9 @@ an FFT.  `shift_atoms_by_eig` reads the atoms of singular data off one
 general eig of the compressed shift, the definition the library's
 Hermitian route shortcuts.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
-profiles by their definitions.
+profiles by their definitions.  `pinv`, the Moore-Penrose pseudoinverse
+from one SVD, gives the ball parameters' textbook formulas, which
+`toeplitz.ball_params` reads off the predictor's range instead.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from matspec.errors import DimensionError, InvalidInputError, MatSpecError
 from matspec.linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
+    _require_rel_tol,
     as_cmatrix,
-    pinv,
     re_mat,
     require_square,
     spec_norm,
@@ -330,6 +332,18 @@ def radial_atom_limit(cq: CaratheodoryQuotient, u: complex) -> np.ndarray:
             f"radial limit at {u} did not stabilize (spread {spread:.3e})"
         )
     return answer
+
+
+def pinv(a, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of any (m, n) matrix, shape (n, m), from
+    one SVD; singular values at or below ``rel_tol * sigma_max`` count as
+    zero, and ``rel_tol`` must lie strictly between 0 and 1."""
+    m = as_cmatrix(a)
+    _require_rel_tol(rel_tol)
+    u, s, vh = np.linalg.svd(m)
+    keep = s > rel_tol * s.max(initial=0.0)
+    uk, vk = u[:, : s.size][:, keep], vh[: s.size][keep]
+    return (vk.conj().T * (1.0 / s[keep])) @ uk.conj().T
 
 
 def numerical_rank(a) -> int:

@@ -211,6 +211,26 @@ class TestCentralExtendAgainstBalls:
         for j in range(len(ext)):
             assert spec_norm(ext.coeff(j) - chain.coeff(j)) <= tol
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", ["var1_1-1e-3", "var1_1-1e-5", "atomic"])
+    def test_ball_centre_is_the_next_coefficient(self, kind, seed):
+        # the ball's centre is read off the refined predictor the central
+        # extension continues with, so the chain of centres is the
+        # extension to roundoff: on the near-unit-root VAR(1) draws an
+        # unrefined pseudoinverse centre missed it by up to 3.6e-10 ||C_0||.
+        # Two rank-2 atoms with q = 2 make T_n singular from n = 2 on.
+        rng = np.random.default_rng(seed)
+        coeffs = {
+            "var1_1-1e-3": lambda: var1_coeffs(rng, 2, 1.0 - 1e-3, 6),
+            "var1_1-1e-5": lambda: var1_coeffs(rng, 2, 1.0 - 1e-5, 6),
+            "atomic": lambda: atomic_coeffs(rng, 2, 6, 2)[0],
+        }[kind]()
+        seq = HermSeq(coeffs)
+        tol = 1e-14 * spec_norm(seq.coeff(0))
+        for n in range(len(seq)):
+            want = central_extend(seq.prefix(n + 1), n + 2).coeff(n + 1)
+            assert spec_norm(ball_params(seq, n).center - want) <= tol
+
 
 class TestCentralExtendClosedForm:
     def test_near_unit_root_var1(self):
@@ -245,7 +265,7 @@ class TestPredictorResidual:
         tn = toeplitz_matrix(seq, n)
         full_rank = numerical_rank(tn) == len(tn)
         assert full_rank == case.startswith("var1")
-        w = _predictor(tn, q, DEFAULT_RANK_RTOL, full_rank).reshape(n * q, q)
+        w = _predictor(tn, q, DEFAULT_RANK_RTOL, full_rank)[0].reshape(n * q, q)
         t = tn[:-q, :-q]
         resid = spec_norm(t @ w - tn[q:, :q])
         assert resid <= 10.0 * np.finfo(float).eps * spec_norm(t) * spec_norm(w)
@@ -270,8 +290,8 @@ class TestPredictorResidual:
             tn = toeplitz_matrix(seq, n)
             assert numerical_rank(tn) == len(tn)
             t, y = tn[:-q, :-q], tn[q:, :q]
-            lu = _predictor(tn, q, DEFAULT_RANK_RTOL, True).reshape(n * q, q)
-            svd = _predictor(tn, q, DEFAULT_RANK_RTOL, False).reshape(n * q, q)
+            lu = _predictor(tn, q, DEFAULT_RANK_RTOL, True)[0].reshape(n * q, q)
+            svd = _predictor(tn, q, DEFAULT_RANK_RTOL, False)[0].reshape(n * q, q)
             lam = np.linalg.eigvalsh(t)
             scale = spec_norm(svd)
             assert spec_norm(lu - svd) <= 10.0 * eps * (lam[-1] / lam[0]) * scale

@@ -28,15 +28,16 @@ from matspec import (
 )
 from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
+from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL
 from matspec.matpoly import det_poly
 from matspec.measure import (
     DEFAULT_ROOT_TOL,
     NEAR_CIRCLE_NODE_CAP,
+    _central_measure,
     _shift_atoms,
     _unitary_part,
 )
-from matspec.toeplitz import _predictor_range, _rank
+from matspec.toeplitz import _continue, _enter
 
 from _gen import (
     atomic_coeffs,
@@ -803,11 +804,11 @@ def shift_draw(kind, q, seed, deflated):
 def shift_routes(seq):
     """`_shift_atoms` and the one-eig oracle on the same predictor SVD."""
     q, n = seq.q, len(seq) - 1
-    t = re_mat(toeplitz_matrix(seq, n))
-    _, u_r, s_r = _predictor_range(t, q, DEFAULT_RANK_RTOL)
-    frozen = _rank(np.linalg.eigvalsh(t), DEFAULT_RANK_RTOL) == s_r.size
-    got = _shift_atoms(t, q, u_r, s_r, DEFAULT_ROOT_TOL, frozen)
-    return got, shift_atoms_by_eig(t, q, u_r, s_r, DEFAULT_ROOT_TOL), frozen
+    entry = _enter(toeplitz_matrix(seq, n), q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+    frozen = entry.rank == entry.s_r.size
+    got = _shift_atoms(entry, q, DEFAULT_ROOT_TOL)
+    oracle = shift_atoms_by_eig(entry.t, q, entry.u_r, entry.s_r, DEFAULT_ROOT_TOL)
+    return got, oracle, frozen
 
 
 class TestHermitianShiftRoute:
@@ -1386,3 +1387,23 @@ class TestArSpectrum:
         assert sm.quotient is None and len(sm.atoms) == 2
         with pytest.warns(ArOrderMismatchWarning, match=r"\[5\]"):
             ar_spectrum(HermSeq(coeffs[:5] + [0.5 * coeffs[5]]), order=3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", ["tpd", "atomic"])
+    def test_extension_and_measure_share_one_predictor(self, kind, seed):
+        # C_0 off Hermitian by 1e-12, within psd_tol: central_extend and the
+        # continuation ar_spectrum compares against both solve from re T_n,
+        # so they agree bit for bit on the LU and the SVD route
+        rng = np.random.default_rng(seed)
+        if kind == "tpd":
+            coeffs = list(random_tpd_seq(rng, 2, 4).coeffs)
+        else:
+            coeffs = atomic_coeffs(rng, 2, 5, 2)[0]
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        coeffs[0] = coeffs[0] + 1e-12 * (g - g.conj().T)
+        seq = HermSeq(coeffs)
+        _, entry = _central_measure(seq, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, DEFAULT_ROOT_TOL)
+        assert entry.full_rank == (kind == "tpd")
+        want = _continue(seq, entry.w, 3 * len(seq), DEFAULT_PSD_TOL, entry.c0_norm)
+        got = central_extend(seq, 3 * len(seq))
+        assert np.array_equal(np.array(got.coeffs), np.array(want.coeffs))

@@ -113,10 +113,10 @@ def test_scan_matches_the_per_prefix_oracle(case):
     lam = np.linalg.eigvalsh(re_mat(t))[0]
     if kind == "band":
         assert -DEFAULT_PSD_TOL * (1.0 + spec_norm(coeffs[0])) <= lam < 0
-    got_bad, got_margin, _ = _scan(t, seq.q, DEFAULT_PSD_TOL)
-    assert got_bad == bad
+    scan = _scan(t, seq.q, DEFAULT_PSD_TOL)
+    assert scan.bad == bad
     if lam >= 0:
-        assert got_margin == margin
+        assert scan.margin == margin
 
 
 @st.composite

@@ -63,7 +63,7 @@ PUBLIC = [
 
 
 HELPERS = {
-    "linalg": ["is_unitary", "pinv", "re_mat"],
+    "linalg": ["is_unitary", "re_mat"],
     "serialize": ["hermitian_from_lower", "mat_to_wire", "wire_to_mat"],
 }
 
@@ -104,7 +104,6 @@ SIGNATURES = {
     "pd_polynomials": ["seq"],
     "verify_recovery": ["sm", "seq", "tol"],
     "linalg.is_unitary": ["a"],
-    "linalg.pinv": ["a", "rel_tol"],
     "matpoly.poly_trim": ["c"],
 }
 

@@ -29,7 +29,7 @@ from _gen import (
     random_unitary,
     var1_coeffs,
 )
-from _oracle import ball_membership, prefix_scan, psd_sqrt, rank_drop
+from _oracle import ball_membership, pinv, prefix_scan, psd_sqrt, rank_drop
 
 RNG = np.random.default_rng(11)
 # parametrised inputs draw from their own stream, leaving RNG untouched
@@ -167,7 +167,7 @@ class TestBundle:
         assert np.allclose(2.0 * np.tril(t, -1) + seq.coeff(0)[0, 0] * np.eye(3), expect)
         # the quotient's numerator is S_{n-1}* w with w = -den_1..n
         cq = central_quotient(gamma_from_covariance(seq))
-        w = _predictor(t, 1, DEFAULT_RANK_RTOL, True)[:, 0, 0]  # TPD: full rank
+        w = _predictor(t, 1, DEFAULT_RANK_RTOL, True)[0][:, 0, 0]  # TPD: full rank
         assert np.allclose(-cq.den.coeffs[1:, 0, 0], w)
         assert np.allclose(cq.num.coeffs[1:, 0, 0], expect[:2, :2].conj().T @ w)
 
@@ -255,7 +255,12 @@ def leaving_predictor(name):
         "var1": lambda: HermSeq(var1_coeffs(np.random.default_rng(2), 2, 0.9, 5)),
         "tpd1": lambda: random_tpd_seq(np.random.default_rng(1), 1, 3),
     }[name]()
-    return seq, _predictor(toeplitz_matrix(seq, len(seq) - 1), seq.q, DEFAULT_RANK_RTOL, True)
+    return seq, _predictor(toeplitz_matrix(seq, len(seq) - 1), seq.q, DEFAULT_RANK_RTOL, True)[0]
+
+
+def extend_with(seq, w, target):
+    """`_continue` of ``seq`` with predictor ``w`` and the ||C_0|| a scan reads."""
+    return _continue(seq, w, target, DEFAULT_PSD_TOL, spec_norm(seq.coeffs[0]))
 
 
 def shifted_head(t, q, target):
@@ -280,7 +285,7 @@ class TestExtensionCheck:
         seq, w = leaving_predictor(name)
         target = 3 * len(seq)
         with pytest.raises(ModelError) as exc:
-            _continue(seq, scale * w, target, DEFAULT_PSD_TOL)
+            extend_with(seq, scale * w, target)
         assert str(exc.value) == f"central extension not nonnegative Hermitian at T_{bad}"
         assert exc.value.index == bad
         c = list(seq.coeffs)
@@ -291,7 +296,7 @@ class TestExtensionCheck:
     @pytest.mark.parametrize("name, scale", [("tpd", 1.1), ("tpd1", 1.5), ("tpd1", 1.1)])
     def test_predictor_inside_the_cone_passes(self, name, scale):
         seq, w = leaving_predictor(name)
-        assert len(_continue(seq, scale * w, 3 * len(seq), DEFAULT_PSD_TOL)) == 3 * len(seq)
+        assert len(extend_with(seq, scale * w, 3 * len(seq))) == 3 * len(seq)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_cholesky_then_scan_is_the_scan(self, seed, monkeypatch):
@@ -314,7 +319,8 @@ class TestExtensionCheck:
 
         monkeypatch.setattr(matspec.toeplitz, "_scan", counted)
         for tk, bad in zip(cases, want):
-            assert _first_violation_certified(tk, q, DEFAULT_PSD_TOL) == bad
+            c0_norm = spec_norm(tk[:q, :q])
+            assert _first_violation_certified(tk, q, DEFAULT_PSD_TOL, c0_norm) == bad
         assert want[:3] == [None, None, None] and want[3] is not None
         assert scans == [len(t)] * 2
 
@@ -324,7 +330,7 @@ class TestExtensionCheck:
         central_extend(seq, 3 * len(seq))
         assert caplog.records == []
         with pytest.raises(ModelError):
-            _continue(seq, 3.0 * w, 3 * len(seq), DEFAULT_PSD_TOL)
+            extend_with(seq, 3.0 * w, 3 * len(seq))
         shift = DEFAULT_PSD_TOL * (1.0 + spec_norm(seq.coeffs[0]))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("Cholesky")]
         assert lines == [
@@ -360,6 +366,23 @@ class TestBallParams:
         for side in (ball.left, ball.right):
             assert np.allclose(side, side.conj().T)
             assert np.linalg.eigvalsh(side).min() > -1e-10
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_semiradii_match_the_pseudoinverse_formulas(self, q):
+        # left = C_0 - Z T' Z* and right = C_0 - Y* T' Y with the textbook
+        # pseudoinverse T' of T_{n-1}, which ball_params reads off the
+        # predictor's SVD instead
+        for seed in range(5):
+            seq = random_tpd_seq(np.random.default_rng(seed), q, 5)
+            c0 = seq.coeff(0)
+            tol = 1e-12 * spec_norm(c0)
+            for n in range(1, len(seq)):
+                t = toeplitz_matrix(seq, n)
+                tp = pinv(t[:-q, :-q])
+                y, z = t[q:, :q], t[-q:, :-q]
+                ball = ball_params(seq, n)
+                assert spec_norm(ball.left - (c0 - z @ tp @ z.conj().T)) <= tol
+                assert spec_norm(ball.right - (c0 - y.conj().T @ tp @ y)) <= tol
 
     def test_rejects_non_tnd_prefix(self):
         seq = HermSeq([np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])])

@@ -6,16 +6,18 @@ scan's work grows as n^3, while the central extension made by
 `central_extend` and `ar_spectrum`, TND by construction, is checked by one
 Cholesky of its size and no eigvalsh; each entry point solves for the
 central predictor with one LU solve of T_{n-1} when T_n has full rank and
-with one pseudoinverse when it is singular, det den, its zeros and their
+with one pseudoinverse when it is singular (`ball_params` always with
+the pseudoinverse's one SVD), det den, its zeros and their
 near-circle clusters are found and polished once per quotient, the residues
 at those clusters take one stacked Horner pass of den, den' and num however
 many clusters there are, and each Newton pass of the polish one of den and
 den', the recovery quadrature takes every Fourier order from one FFT with
 no phase matrix, on a grid sized by the distance of the zeros of det den,
 the Horner step keeps the bits of ``out * z + c_k``, every spectral norm is
-one np.linalg.svdvals, and the recovery errors of all orders and each
-comparison of the positive-definite cross-check, the autoregressive check
-and `central_order` take one stacked svdvals.
+one np.linalg.svdvals, ||C_0|| is read once per call, by the scan, and
+the recovery errors of all orders and each comparison of the
+positive-definite cross-check, the autoregressive check and
+`central_order` take one stacked svdvals.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and, when the positive-definite cross-check
@@ -164,6 +166,14 @@ def test_predictor_takes_one_svd(seq, calls):
     assert calls["solve"] == []
 
 
+def test_ball_params_takes_one_svd(seq, calls):
+    # the centre, both semi-radii and the refinement steps read the
+    # predictor's one SVD of T_{n-1}, whatever the rank
+    ball_params(seq, N)
+    assert calls["svd"] == [(N * Q, N * Q)]
+    assert calls["solve"] == []
+
+
 def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
     # every consumer slices one T_n; central_extend and ar_spectrum also
     # build the T of the extension they scan
@@ -235,22 +245,23 @@ def test_verify_recovery_stacks_the_order_errors(seq, calls):
 
 
 def test_comparisons_stack_their_norms(seq, calls):
-    # every spectral norm is one svdvals, of a matrix or of a stack.
-    # central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan, the scale
-    # ||C_0|| and the density gap of the cross-check; full-rank input reads
-    # no zero of det den, so den's kernels are left to the recovery
+    # every spectral norm is one svdvals, of a matrix or of a stack, and
+    # ||C_0|| is read once, by the scan of the entry pass, for every later
+    # stage.  central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan and
+    # the density gap of the cross-check; full-rank input reads no zero of
+    # det den, so den's kernels are left to the recovery
     central_measure(seq)
-    assert len(calls["svdvals"]) == 4
-    # the prefix's 4, the Cholesky shift's ||C_0||, ||C_0|| and the
-    # mismatch gaps
+    assert len(calls["svdvals"]) == 3
+    # the prefix's 3 and the mismatch gaps; the Cholesky shift and the
+    # mismatch scale read the scan's ||C_0||
     calls["svdvals"].clear()
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, 8)
-    assert len(calls["svdvals"]) == 7
-    # the scan's 2, ||C_0|| and the gaps to the ball centres
+    assert len(calls["svdvals"]) == 4
+    # the scan's 2 and the gaps to the ball centres
     calls["svdvals"].clear()
     central_order(seq)
-    assert len(calls["svdvals"]) == 4
+    assert len(calls["svdvals"]) == 3
     assert calls["norm"] == []
 
 
@@ -274,8 +285,8 @@ def test_central_order_scans_once(seq, calls):
     assert calls["eigvalsh"] == [(N * Q,) * 2]
     assert prefix_sized(calls["norm"]) == []
     # full-rank T_{n-1}: one LU solve per ball centre, of T_0..T_{n-2}, and
-    # no SVD
-    assert calls["solve"] == [(k * Q,) * 2 for k in range(1, N)]
+    # no SVD; the entry pass solves for the last centre first
+    assert calls["solve"] == [((N - 1) * Q,) * 2] + [(k * Q,) * 2 for k in range(1, N - 1)]
     assert calls["svd"] == []
 
 
