@@ -4,14 +4,14 @@ Subcommands read a sequence document (JSON) from a path or '-' for stdin and
 write JSON to --output ('-' for stdout).  Exit codes: 0 success, 2 model
 errors (not nonnegative definite, Caratheodory failures, verification
 failures), 1 input/output errors.  Set MATSPEC_LOG=debug|info|warning to
-adjust log verbosity; no other behavior is environment-dependent.
+adjust log verbosity (any other value reads as warning); no other behavior is
+environment-dependent.  `logging` is imported only when MATSPEC_LOG is set:
+it costs every process that does not need it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import logging
 import os
 import re
 import sys
@@ -96,21 +96,24 @@ def _parse_z(text: str) -> complex:
 
 
 def _write_density_csv(path: str, doc: dict) -> None:
-    samples = doc["density_samples"]
+    """The document's density table, one row per sample: the angle, then
+    the entries' re and im parts in row-major order, as repr floats.
+
+    The bytes are those of `csv.writer` (excel dialect: CRLF line ends; no
+    field needs quoting), written without it: it spends most of its time
+    scanning each field for characters to quote."""
     q = doc["q"]
-    header = ["angle"]
-    for i in range(q):
-        for j in range(q):
-            header += [f"d{i}{j}_re", f"d{i}{j}_im"]
+    header = ["angle"] + [f"d{i}{j}_{part}" for i in range(q) for j in range(q)
+                          for part in ("re", "im")]
+    lines = [",".join(header)]
+    for s in doc["density_samples"]:
+        fields = [s["angle"]]
+        for row in s["matrix"]:
+            for pair in row:
+                fields += pair
+        lines.append(",".join(map(repr, fields)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in samples:
-            row = [repr(s["angle"])]
-            for i in range(q):
-                for j in range(q):
-                    row += [repr(s["matrix"][i][j][0]), repr(s["matrix"][i][j][1])]
-            writer.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _cmd_check(args) -> int:
@@ -280,8 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("MATSPEC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("MATSPEC_LOG", "").lower()
+    if level:
+        import logging
+
+        # the documented levels only: any other value, such as another
+        # uppercase name of `logging` (BASIC_FORMAT), reads as warning
+        name = level if level in ("debug", "info", "warning") else "warning"
+        logging.basicConfig(level=getattr(logging, name.upper()))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -70,7 +70,15 @@ from .linalg import (
     spec_norm,
 )
 from .matpoly import MatPolyStack
-from .toeplitz import HermSeq, _continue, _enter, _Entry, _predictor_range, toeplitz_matrix
+from .toeplitz import (
+    HermSeq,
+    _continue,
+    _debug_logger,
+    _enter,
+    _Entry,
+    _predictor_range,
+    toeplitz_matrix,
+)
 
 # Eigenvalues lambda of the compressed shift with ||lambda| - 1| <= root_tol
 # count as unimodular.
@@ -338,11 +346,8 @@ def _central_measure(
     if n >= 1 and not entry.full_rank:
         atoms, unitary, route, widest = _shift_atoms(entry, q, root_tol)
         sm = SpectralMeasure(q=q, atoms=atoms, quotient=None)
-        # imported here, so that `import matspec` does not load logging
-        import logging
-
-        log = logging.getLogger("matspec")
-        if log.isEnabledFor(logging.DEBUG):
+        log = _debug_logger()
+        if log is not None:
             rest = spec_norm(seq.coeffs[0] - sum(a.weight for a in atoms))
             log.debug(
                 "singular T_%d: rank %d, rank T_%d %d, unitary part of the shift %d, "

@@ -1,8 +1,10 @@
 """JSON wire formats for sequences and measures.
 
 Complex scalars travel as [re, im] pairs and matrices as row lists, so the
-documents stay valid JSON.  Serialization is canonical (sorted keys, repr
-floats): serialize(parse(serialize(x))) is byte-identical to serialize(x).
+documents stay valid JSON.  Serialization is canonical: one line of JSON with
+sorted keys and repr floats, written by the C encoder of `json`, so
+serialize(parse(serialize(x))) is byte-identical to serialize(x).  Input may
+use any whitespace; ``python -m json.tool`` indents a document for reading.
 """
 
 from __future__ import annotations
@@ -41,14 +43,11 @@ def _pair_to_complex(obj, where: str) -> complex:
     return complex(_num(obj[0], where), _num(obj[1], where))
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def mat_to_wire(m) -> list:
+    """A complex scalar, matrix or (k, q, q) stack as nested lists that end
+    in [re, im] pairs, in one conversion."""
     arr = np.asarray(m, dtype=complex)
-    return [[_complex_to_pair(arr[i, j]) for j in range(arr.shape[1])]
-            for i in range(arr.shape[0])]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def wire_to_mat(obj, q: int, where: str) -> np.ndarray:
@@ -75,7 +74,7 @@ def sequence_to_doc(seq, kind: str, metadata: dict | None = None) -> dict:
     return {
         "q": seq.q,
         "kind": kind,
-        "coeffs": [mat_to_wire(c) for c in seq.coeffs],
+        "coeffs": mat_to_wire(seq.coeffs),
         "metadata": dict(metadata or {}),
     }
 
@@ -105,7 +104,7 @@ def _atom_to_wire(atom: Atom) -> dict:
     angle = float(np.angle(atom.point)) % TWO_PI
     return {
         "angle": angle,
-        "u": _complex_to_pair(atom.point),
+        "u": mat_to_wire(atom.point),
         "weight": mat_to_wire(atom.weight),
     }
 
@@ -134,10 +133,10 @@ def measure_to_doc(
             f"density_samples must be nonnegative, got {density_samples}"
         )
     angles = TWO_PI * (np.arange(density_samples) + 0.5) / density_samples
-    dens = sm.density_grid(angles)
+    dens = mat_to_wire(sm.density_grid(angles))
     if sm.quotient is not None:
-        a_coeffs = [mat_to_wire(c) for c in sm.quotient.num.coeffs]
-        b_coeffs = [mat_to_wire(c) for c in sm.quotient.den.coeffs]
+        a_coeffs = mat_to_wire(sm.quotient.num.coeffs)
+        b_coeffs = mat_to_wire(sm.quotient.den.coeffs)
     else:
         a_coeffs = []
         b_coeffs = []
@@ -146,8 +145,8 @@ def measure_to_doc(
         "provenance": _provenance(sm.quotient is not None, bool(sm.atoms)),
         "atoms": [_atom_to_wire(a) for a in sm.atoms],
         "density_samples": [
-            {"angle": float(angles[k]), "matrix": mat_to_wire(dens[k])}
-            for k in range(density_samples)
+            {"angle": angle, "matrix": matrix}
+            for angle, matrix in zip(angles.tolist(), dens)
         ],
         "quotient": {"a_coeffs": a_coeffs, "b_coeffs": b_coeffs},
         "report": report.to_dict() if report is not None else None,
@@ -219,7 +218,9 @@ def doc_to_measure(doc) -> SpectralMeasure:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as one line of canonical JSON; without ``indent`` `json` takes
+    its C encoder, where ``indent`` falls back to the pure-Python one."""
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def loads(text: str, where: str = "<input>"):

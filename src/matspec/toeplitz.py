@@ -35,6 +35,7 @@ finiteness test); its coefficients are read-only views into that copy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -157,6 +158,18 @@ def toeplitz_matrix(seq: MatrixSeq, n: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * q, (n + 1) * q)
 
 
+def _debug_logger():
+    """The "matspec" logger when it is enabled for debug lines, else None.
+    Only a program that imported `logging` can have enabled it, so this does
+    not import it: `import matspec`, and the CLI without MATSPEC_LOG, never
+    load it (about 3 ms)."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("matspec")
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
 class _Scan(NamedTuple):
     """Result of `_scan`."""
 
@@ -210,13 +223,12 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
         if margin < -tol:
             bad = k
             break
-    # imported here, so that `import matspec` does not load logging (~5 ms)
-    import logging
-
-    logging.getLogger("matspec").debug(
-        "prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, first bad T_%s",
-        n, w_n[0], bound, bad,
-    )
+    log = _debug_logger()
+    if log is not None:
+        log.debug(
+            "prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, "
+            "first bad T_%s", n, w_n[0], bound, bad,
+        )
     return _Scan(bad, margin, w_n, c0_norm, t)
 
 
@@ -391,13 +403,12 @@ def _first_violation_certified(
     except np.linalg.LinAlgError:
         pass
     bad = _scan(t, q, tol).bad
-    # imported here, so that `import matspec` does not load logging
-    import logging
-
-    logging.getLogger("matspec").debug(
-        "Cholesky of re T_%d + %.3e I failed (size %d), first bad T_%s",
-        len(t) // q - 1, shift, len(t), bad,
-    )
+    log = _debug_logger()
+    if log is not None:
+        log.debug(
+            "Cholesky of re T_%d + %.3e I failed (size %d), first bad T_%s",
+            len(t) // q - 1, shift, len(t), bad,
+        )
     return bad
 
 

@@ -22,10 +22,15 @@ Hermitian route shortcuts.  `ball_membership`,
 profiles by their definitions.  `pinv`, the Moore-Penrose pseudoinverse
 from one SVD, gives the ball parameters' textbook formulas, which
 `toeplitz.ball_params` reads off the predictor's range instead.
+`mat_to_wire` converts a matrix to its wire form one entry at a time, and
+`write_density_csv` writes a measure document's density table one entry at
+a time: the definitions that `serialize.mat_to_wire` and the CLI's `--csv`
+writer shortcut with one array conversion each.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -397,3 +402,31 @@ def rank_drop(seq: HermSeq, n: int) -> bool:
         raise IndexError(f"order {n} outside stored range 1..{len(seq) - 1}")
     t, q = toeplitz_matrix(seq, n), seq.q
     return numerical_rank(t) == numerical_rank(t[:-q, :-q])
+
+
+def mat_to_wire(m) -> list:
+    """A q x q matrix as rows of [re, im] pairs, entry by entry."""
+    arr = np.asarray(m, dtype=complex)
+    return [[[float(np.real(arr[i, j])), float(np.imag(arr[i, j]))]
+             for j in range(arr.shape[1])]
+            for i in range(arr.shape[0])]
+
+
+def write_density_csv(path, doc: dict) -> None:
+    """The measure document's density table as CSV: the angle, then each
+    entry's re and im parts in row-major order, as repr strings."""
+    samples = doc["density_samples"]
+    q = doc["q"]
+    header = ["angle"]
+    for i in range(q):
+        for j in range(q):
+            header += [f"d{i}{j}_re", f"d{i}{j}_im"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in samples:
+            row = [repr(s["angle"])]
+            for i in range(q):
+                for j in range(q):
+                    row += [repr(s["matrix"][i][j][0]), repr(s["matrix"][i][j][1])]
+            writer.writerow(row)

@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -27,9 +30,15 @@ from matspec import (
     sequence_to_doc,
     verify_recovery,
 )
+from matspec.caratheodory import CaratheodoryQuotient
 from matspec.cli import build_parser, main
 from matspec.errors import InvalidInputError, ModelError
-from matspec.serialize import hermitian_from_lower
+from matspec.matpoly import MatPoly
+from matspec.measure import Atom
+from matspec.serialize import hermitian_from_lower, mat_to_wire
+
+import _oracle
+from _gen import atomic_coeffs, trig_coeffs
 
 RNG = np.random.default_rng(61)
 # an atom at 1 of weight diag(1, 0) plus the white noise diag(0, 1) / 2pi
@@ -42,6 +51,39 @@ def scalar_seq(*vals):
 
 def seq_doc_text(*vals, kind="covariance"):
     return dumps(sequence_to_doc(scalar_seq(*vals), kind))
+
+
+def canonical(value):
+    """JSON text of ``value``, which tells -0.0 from 0.0 where == does not."""
+    return json.dumps(value, sort_keys=True)
+
+
+def negative_zeros(a):
+    """``a`` with every zero imaginary part written as -0.0."""
+    out = np.array(a, dtype=complex)
+    out.imag[out.imag == 0.0] = -0.0
+    return out
+
+
+# one measure of each provenance, from fixed draws
+PROVENANCE_DATA = {
+    "atoms-only": lambda rng: atomic_coeffs(rng, 2, 4, 1)[0],
+    "central": lambda rng: trig_coeffs(rng, 4, 5, 2),
+    "deflated": lambda rng: DEFLATED,
+}
+
+
+def provenance_measure(kind, zeros_negative=False):
+    seq = HermSeq(PROVENANCE_DATA[kind](np.random.default_rng(25)))
+    sm = central_measure(seq)
+    if not zeros_negative:
+        return sm, seq
+    quotient = sm.quotient
+    if quotient is not None:
+        quotient = CaratheodoryQuotient(num=MatPoly(negative_zeros(quotient.num.coeffs)),
+                                        den=MatPoly(negative_zeros(quotient.den.coeffs)))
+    atoms = tuple(Atom(point=a.point, weight=negative_zeros(a.weight)) for a in sm.atoms)
+    return SpectralMeasure(q=sm.q, atoms=atoms, quotient=quotient), seq
 
 
 class TestSequenceDocs:
@@ -243,6 +285,138 @@ class TestMeasureDocs:
             doc["provenance"] = prov
             with pytest.raises(InvalidInputError):
                 doc_to_measure(doc)
+
+
+class TestWireForm:
+    """Documents are built by one array conversion per table and written by
+    the C encoder; the per-entry conversion of tests/_oracle.py is the
+    definition they must reproduce, bit for bit."""
+
+    def test_mat_to_wire_takes_scalars_matrices_and_stacks(self):
+        stack = negative_zeros(np.arange(12).reshape(3, 2, 2) * (1.0 - 0.5j))
+        stack[0, 0, 1] = complex(-0.0, 2.5)
+        assert canonical(mat_to_wire(stack)) == canonical(
+            [_oracle.mat_to_wire(m) for m in stack])
+        assert canonical(mat_to_wire(stack[1])) == canonical(_oracle.mat_to_wire(stack[1]))
+        assert canonical(mat_to_wire(complex(-0.0, 1.5))) == "[-0.0, 1.5]"
+        assert mat_to_wire(np.eye(2)) == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    @pytest.mark.parametrize("zeros_negative", [False, True], ids=["plain", "negative-zeros"])
+    @pytest.mark.parametrize("kind", sorted(PROVENANCE_DATA))
+    def test_measure_doc_matches_the_per_entry_conversion(self, kind, zeros_negative):
+        sm, _ = provenance_measure(kind, zeros_negative)
+        doc = measure_to_doc(sm, density_samples=24)
+        assert doc["provenance"] == kind
+        angles = [s["angle"] for s in doc["density_samples"]]
+        assert angles == (2.0 * np.pi * (np.arange(24) + 0.5) / 24).tolist()
+        assert canonical([s["matrix"] for s in doc["density_samples"]]) == canonical(
+            [_oracle.mat_to_wire(d) for d in sm.density_grid(angles)])
+        if sm.quotient is None:
+            quotient = {"a_coeffs": [], "b_coeffs": []}
+        else:
+            quotient = {
+                "a_coeffs": [_oracle.mat_to_wire(c) for c in sm.quotient.num.coeffs],
+                "b_coeffs": [_oracle.mat_to_wire(c) for c in sm.quotient.den.coeffs],
+            }
+        assert canonical(doc["quotient"]) == canonical(quotient)
+        atoms = [
+            {
+                "angle": float(np.angle(a.point)) % (2.0 * np.pi),
+                "u": [float(np.real(a.point)), float(np.imag(a.point))],
+                "weight": _oracle.mat_to_wire(a.weight),
+            }
+            for a in sm.atoms
+        ]
+        assert canonical(doc["atoms"]) == canonical(atoms)
+        if zeros_negative:
+            assert "-0.0" in canonical(doc)
+
+    @pytest.mark.parametrize("kind", ["covariance", "gamma"])
+    def test_sequence_doc_matches_the_per_entry_conversion(self, kind):
+        coeffs = [negative_zeros(c) for c in trig_coeffs(np.random.default_rng(25), 3, 4, 2)]
+        seq = HermSeq(coeffs) if kind == "covariance" else GammaSeq(coeffs)
+        doc = sequence_to_doc(seq, kind)
+        assert canonical(doc["coeffs"]) == canonical([_oracle.mat_to_wire(c) for c in coeffs])
+        assert "-0.0" in canonical(doc)
+
+    def full_size_document(self):
+        # 720 density samples of a q = 4 measure, with its report
+        sm, seq = provenance_measure("central")
+        doc = measure_to_doc(sm, report=verify_recovery(sm, seq))
+        assert (doc["q"], len(doc["density_samples"])) == (4, 720)
+        return doc
+
+    def test_dumps_never_enters_the_python_encoder(self, monkeypatch):
+        doc = self.full_size_document()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dumps took the pure-Python JSON encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert json.loads(dumps(doc)) == doc
+
+    def test_full_size_document_redumps_byte_identically(self):
+        text = dumps(self.full_size_document())
+        assert dumps(loads(text)) == text
+        # one line of JSON, and input in any whitespace reads the same
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert dumps(loads(json.dumps(loads(text), indent=2))) == text
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*argv, log=None, **kwargs):
+    """``python *argv`` in a fresh interpreter that imports matspec from this
+    checkout, with MATSPEC_LOG set to ``log`` (unset for None)."""
+    env = {k: v for k, v in os.environ.items() if k != "MATSPEC_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if log is not None:
+        env["MATSPEC_LOG"] = log
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+class TestCliProcess:
+    """What only a fresh interpreter shows: imports, and logging set up from
+    MATSPEC_LOG."""
+
+    @pytest.mark.parametrize("log", ["basic_format", "BASIC_FORMAT", "loud"])
+    def test_unknown_log_level_reads_as_warning(self, tmp_path, log):
+        src = tmp_path / "seq.json"
+        src.write_text(seq_doc_text(1.0, 0.5))
+        proc = run_python("-m", "matspec.cli", "check", str(src), log=log)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["classification"] == "TPD"
+
+    def test_debug_log_prints_the_singular_line(self, tmp_path):
+        src = tmp_path / "frozen.json"
+        src.write_text(seq_doc_text(1.0, -1j, -1.0))
+        proc = run_python("-m", "matspec.cli", "spectrum", str(src),
+                          "--output", str(tmp_path / "m.json"), log="DEBUG")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("DEBUG:matspec:singular T_2: rank 1")
+        assert "hermitian route" in proc.stderr
+
+    def test_cli_loads_neither_logging_nor_csv(self, tmp_path):
+        # a singular input, whose debug line is one the logger could print,
+        # and a positive-definite one written with --csv, without MATSPEC_LOG
+        (tmp_path / "frozen.json").write_text(seq_doc_text(1.0, -1j, -1.0))
+        (tmp_path / "seq.json").write_text(seq_doc_text(1.0, 0.5))
+        script = (
+            "import sys\n"
+            "import matspec.cli\n"
+            "loaded = [sorted({'logging', 'csv'} & set(sys.modules))]\n"
+            "for name in ('frozen', 'seq'):\n"
+            "    assert matspec.cli.main(['spectrum', name + '.json', '--output',\n"
+            "                             name + '-m.json', '--csv', name + '.csv']) == 0\n"
+            "    loaded.append(sorted({'logging', 'csv'} & set(sys.modules)))\n"
+            "print(loaded)\n"
+        )
+        proc = run_python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[[], [], []]\n"
 
 
 class TestCliExitCodes:
@@ -477,6 +651,20 @@ class TestCliPipeline:
         assert len(lines) == 9
         first = [float(x) for x in lines[1].split(",")]
         assert np.isclose(first[1], 2.0 / (2.0 * np.pi), atol=1e-12)
+
+    @pytest.mark.parametrize("samples", [0, 720])
+    @pytest.mark.parametrize("kind", sorted(PROVENANCE_DATA))
+    def test_spectrum_csv_matches_the_per_entry_writer(self, tmp_path, kind, samples):
+        _, seq = provenance_measure(kind)
+        src, mfile = tmp_path / "seq.json", tmp_path / "m.json"
+        src.write_text(dumps(sequence_to_doc(seq, "covariance")))
+        assert main(["spectrum", str(src), "--output", str(mfile),
+                     "--csv", str(tmp_path / "density.csv"),
+                     "--density-samples", str(samples)]) == 0
+        _oracle.write_density_csv(tmp_path / "oracle.csv", loads(mfile.read_text()))
+        got = (tmp_path / "density.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b"\n") == samples + 1
 
     def test_spectrum_determinism(self, tmp_path):
         src = tmp_path / "seq.json"
