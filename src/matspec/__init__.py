@@ -54,7 +54,6 @@ from .toeplitz import (
     MatrixBall,
     ball_params,
     classify,
-    conjugate_by_unitary,
     first_violation,
     toeplitz_matrix,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "central_quotient",
     "Classification",
     "classify",
-    "conjugate_by_unitary",
     "covariance_from_gamma",
     "density_at",
     "DimensionError",

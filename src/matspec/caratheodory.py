@@ -18,16 +18,15 @@ where e(z) = (I, zI, ..., z^{n-1} I) reads the block entries as polynomial
 coefficients and T' is the pseudoinverse.  Both polynomials have degree at
 most n, num(0) = Gamma_0 and den(0) = I.
 
-The zeros of det den just outside the circle spike the density; each
-quotient analyses the zeros near the circle once (`near_circle`): clusters,
-Newton-polished points and the residues of num den^{-1} there.
+When det den has no zero on the closed disk, Phi is analytic across the
+circle and its Taylor coefficients (`taylor_coefficients`) are the density's
+Fourier orders (`measure`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,31 +50,20 @@ from .toeplitz import (
 # m-fold zero (about 1e-5 at m = 3) while staying far below any realistic
 # atom spacing.
 CLUSTER_RADIUS = 1e-4
-# Zeros of det den within this distance of the circle are the poles that
-# spike the density enough to size the quadrature grid; the atom tolerance
-# root_tol lies below it.
+# A central quotient's det den may have no zero z with 1 - |z| >= NEAR_CIRCLE
+# (`_check_disk`); the atom tolerance root_tol lies below it.
 NEAR_CIRCLE = 0.04
-
-
-class _Residues(NamedTuple):
-    """Clusters of zeros of det den near the circle, one row each."""
-
-    members: list[np.ndarray]  # zeros of det den in each cluster
-    points: np.ndarray  # (k,) polished means
-    sizes: np.ndarray  # (k,) zeros in the cluster
-    kernel: np.ndarray  # (k,) dimension of den's kernel at the point
-    residues: np.ndarray  # (k, q, q) of num den^{-1}; NaN unless kernel == size
 
 
 @dataclass(frozen=True)
 class CaratheodoryQuotient:
     """Rational Caratheodory function num(z) den(z)^{-1}; its order is deg den.
 
-    ``zeros`` (the zeros of det den) and ``near_circle`` (the analysis of the
-    zeros near the circle) are derived once, when first read, for every
-    consumer: the disk check and the near-circle poles.  They take
-    no part in comparison or repr.  A determinant that overflows or is the
-    zero polynomial does not stop construction; reading ``zeros`` raises
+    ``zeros``, the zeros of det den, are derived once, when first read, for
+    every consumer: the disk check of a central quotient and the recovery's
+    certificate that den is invertible on the closed disk.  They take no
+    part in comparison or repr.  A determinant that overflows or is the zero
+    polynomial does not stop construction; reading ``zeros`` raises
     InvalidInputError.
     """
 
@@ -94,15 +82,6 @@ class CaratheodoryQuotient:
             raise InvalidInputError("det den is the zero polynomial")
         return np.roots(det[::-1])
 
-    @cached_property
-    def near_circle(self) -> _Residues:
-        """The zeros of det den with ||z| - 1| < NEAR_CIRCLE, clustered at
-        CLUSTER_RADIUS, each cluster mean Newton-polished on den and given
-        its residue of num den^{-1} (see `_cluster_residues`)."""
-        zs = self.zeros
-        near = zs[np.abs(np.abs(zs) - 1.0) < NEAR_CIRCLE]
-        return _cluster_residues(self, [near[c] for c in _clusters(near)])
-
 
 def caratheodory_first_failure(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
     """Smallest n with re S_n not PSD, or None when the prefix is admissible.
@@ -120,8 +99,8 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 def _check_disk(cq: CaratheodoryQuotient) -> None:
     """ModelError unless den is invertible inside the disk: det den has no
-    zero z with 1 - |z| >= NEAR_CIRCLE.  The zeros nearer the circle are the
-    ``near_circle`` analysis's."""
+    zero z with 1 - |z| >= NEAR_CIRCLE.  The recovery certifies the zeros
+    nearer the circle (`measure._disk_cause`) from the same cached zeros."""
     if np.any(1.0 - np.abs(cq.zeros) >= NEAR_CIRCLE):
         raise ModelError("denominator determinant vanishes inside the disk")
 
@@ -237,26 +216,35 @@ def phi_at(cq: CaratheodoryQuotient, z: complex) -> np.ndarray:
 
 
 def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
-    """First ``count`` Taylor coefficients of num den^{-1} at the origin.
+    """First ``count`` Taylor coefficients of num den^{-1} at the origin;
+    shape (count, q, q).
 
-    Power-series division against den(0) = I:
-    Phi_k = num_k - sum_{i<k} Phi_i den_{k-i}.
+    One recurrence, read off Phi den = num:
+    Phi_k = (num_k - sum_{i=1..min(k, d)} Phi_{k-i} den_i) den_0^{-1}, d = deg den.
+    den_0^{-1} is folded into num and den once (den_0 = I for every central
+    and deflated quotient), so each step is one (q, dq) by (dq, q) product
+    with the last d coefficients: O(count d q^3) in all.  A singular den_0
+    is an InvalidInputError: num den^{-1} then has no Taylor series at 0.
     """
     if count < 1:
         raise InvalidInputError("count must be positive")
     q = cq.num.q
-    nc = cq.num.coeffs
-    dc = cq.den.coeffs
-    d0_inv = np.linalg.inv(dc[0])
-    out = np.zeros((count, q, q), dtype=complex)
+    nc, dc = cq.num.coeffs[:count], cq.den.coeffs
+    d = dc.shape[0] - 1
+    try:
+        d0_inv = np.linalg.inv(dc[0])
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInputError("den(0) is singular: num den^-1 has no Taylor series at 0") from exc
+    num = np.zeros((count, q, q), dtype=complex)
+    num[: nc.shape[0]] = nc @ d0_inv
+    # den_d, ..., den_1 times den_0^{-1}, stacked into (dq, q)
+    tail = (dc[:0:-1] @ d0_inv).reshape(d * q, q)
+    # block column d + k holds Phi_k; the d leading blocks are zero, so the
+    # window of step k is Phi_{k-d}, ..., Phi_{k-1} side by side
+    phi = np.zeros((q, (d + count) * q), dtype=complex)
     for k in range(count):
-        acc = nc[k].copy() if k < nc.shape[0] else np.zeros((q, q), dtype=complex)
-        for i in range(k):
-            j = k - i
-            if j < dc.shape[0]:
-                acc -= out[i] @ dc[j]
-        out[k] = acc @ d0_inv
-    return out
+        phi[:, (d + k) * q : (d + k + 1) * q] = num[k] - phi[:, k * q : (d + k) * q] @ tail
+    return phi[:, d * q :].reshape(q, count, q).swapaxes(0, 1)
 
 
 def _clusters(zs: np.ndarray) -> list[np.ndarray]:
@@ -277,74 +265,3 @@ def _clusters(zs: np.ndarray) -> list[np.ndarray]:
     if len(clusters) > 1 and wrap:
         clusters[0] = clusters.pop() + clusters[0]
     return [np.array(c, dtype=int) for c in clusters]
-
-
-def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:
-    """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
-
-    All cluster means are Newton-polished on den at once.  den, den' and num
-    are evaluated at the polished points in one Horner pass and den's kernels
-    come from one stacked SVD: singular values at most DEFAULT_RANK_RTOL
-    times the size of den's coefficients.  Where den(p) has a kernel of the
-    cluster's size m, with X and Y its right and left bases, num den^{-1}
-    has a simple pole at p with residue num(p) X (Y* den'(p) X)^{-1} Y*.
-    """
-    sizes = np.array([len(c) for c in clusters], dtype=int)
-    residues = np.full((sizes.size, cq.num.q, cq.num.q), np.nan, dtype=complex)
-    if not clusters:
-        return _Residues(clusters, np.empty(0, complex), sizes, sizes, residues)
-    dden = cq.den.derivative()
-    points = _polish(cq.den, dden, np.array([np.mean(c) for c in clusters]), sizes)
-    dv, ddv, nv = MatPolyStack(cq.den, dden, cq.num)(points)
-    u, s, vh = np.linalg.svd(dv)
-    floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
-    kernel = np.count_nonzero(s <= floor, axis=1)
-    for m in set(sizes.tolist()):
-        rows = np.nonzero((sizes == m) & (kernel == m))[0]
-        if rows.size == 0:
-            continue
-        x = np.conj(np.swapaxes(vh[rows, -m:], -1, -2))
-        yh = np.conj(np.swapaxes(u[rows, :, -m:], -1, -2))
-        core = _solve_each(yh @ ddv[rows] @ x, yh)
-        residues[rows] = nv[rows] @ x @ core
-    return _Residues(clusters, points, sizes, kernel, residues)
-
-
-def _polish(den, dden, z, m):
-    """Newton on det den from each z, step m / tr(den(z)^{-1} den'(z)).
-
-    z and m are arrays of start points and multiplicities (or scalars).  The
-    step is quadratically convergent at an m-fold zero.  A point stops after
-    a step at roundoff level, where den(z) is exactly singular (it has
-    converged), and where a step would leave the CLUSTER_RADIUS disk around
-    its start.  Each pass evaluates den and den' in one Horner pass for all
-    points; the passes end when no point is left moving.
-    """
-    z0 = np.asarray(z, dtype=complex)
-    z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
-    both = MatPolyStack(den, dden)
-    for _ in range(8):
-        t = np.trace(_solve_each(*both(z)), axis1=-2, axis2=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = m / t
-        live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)
-        z = np.where(live, z - step, z)
-        live &= np.abs(step) > 1e-15 * np.abs(z)
-        if not live.any():
-            break
-    return z
-
-
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a stack, NaN for each exactly singular matrix."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=complex)
-    for idx in np.ndindex(a.shape[:-2]):
-        try:
-            out[idx] = np.linalg.solve(a[idx], b[idx])
-        except np.linalg.LinAlgError:
-            pass
-    return out

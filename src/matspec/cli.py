@@ -185,11 +185,7 @@ def _cmd_verify(args) -> int:
     report = verify_recovery(sm, cov, tol=args.tol)
     _write_text(args.output, dumps({"report": report.to_dict()}))
     if not report.passed:
-        print(
-            f"verification failed: max error {report.max_error:.3e} "
-            f"> tolerance {report.tolerance:.3e}",
-            file=sys.stderr,
-        )
+        print(f"verification failed: {report.cause}", file=sys.stderr)
         return 2
     return 0
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, ModelError
 
-# Relative singular-value cutoff of the predictor's pseudoinverse and den's kernel.
+# Relative singular-value cutoff of numerical ranks and the predictor's pseudoinverse.
 DEFAULT_RANK_RTOL = 1e-10
 # Default tolerance for nonnegativity / Hermitian-deviation checks.
 DEFAULT_PSD_TOL = 1e-9
@@ -24,12 +24,6 @@ def as_cmatrix(a) -> np.ndarray:
         raise DimensionError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    return m
-
-
-def require_square(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -86,11 +80,3 @@ def _eig(m: np.ndarray, hermitian: bool = False):
         raise ModelError(
             f"{'eigh' if hermitian else 'eig'} of a {size} {kind} did not converge"
         ) from exc
-
-
-def is_unitary(a) -> bool:
-    """Whether a* a = I within DEFAULT_PSD_TOL * (1 + ||a||)."""
-    m = require_square(as_cmatrix(a))
-    q = m.shape[0]
-    scale = 1.0 + spec_norm(m)
-    return spec_norm(m.conj().T @ m - np.eye(q)) <= DEFAULT_PSD_TOL * scale

@@ -28,22 +28,23 @@ When the unitary part is all of W, as for rank-frozen data
 quotient.  Being normal, the unitary part is found with Hermitian
 eigensolvers (`_unitary_part`), not a general eig of W.
 
-Recovery integrates the density with the trapezoid rule and adds the point
-masses exactly.  A zero p of det den just outside the circle makes a density
-spike of width about |p| - 1; its pole part R/(z - p) is subtracted from
-Phi and its contribution added in closed form, so the rule sees only a
-smooth remainder, on a grid that puts p halfway between two nodes so that
-the roundoff left in R is not amplified however narrow the spike.  A
-measure without a quotient has no density: every coefficient and Herglotz
-value is a closed-form sum over its atoms.
+Recovery needs no grid.  When det den has no zero on the closed disk, Phi
+is analytic across the circle, and the Schwarz (Herglotz) formula gives the
+density's orders from Phi's Taylor coefficients: C_0 = re Phi_0,
+C_j = Phi_j / 2 for j > 0 and C_{-j} = C_j*, and its Herglotz transform is
+Phi(z) - (Phi(0) - Phi(0)*) / 2 (Simon, Orthogonal Polynomials on the Unit
+Circle, Part 1, 2005, ch. 1).  The point masses add their moments in closed
+form.  The premise is certified from the quotient's cached zeros of det den
+(`_disk_cause`); a quotient that fails it never verifies.  A measure without
+a quotient has no density: every coefficient and Herglotz value is a
+closed-form sum over its atoms.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .caratheodory import (
     _pd_first_column,
     _quotient_values,
     rational_values,
+    taylor_coefficients,
 )
 from .central import CENTRAL_TOL
 from .errors import DimensionError, InvalidInputError, ModelError
@@ -87,6 +89,9 @@ DEFAULT_ROOT_TOL = 1e-7
 ATOM_CLIP = 1e-9
 # Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
+# The closed-form recovery needs every zero z of det den to satisfy
+# |z| > 1 + DISK_MARGIN (`_disk_cause`).
+DISK_MARGIN = 1e-10
 TWO_PI = 2.0 * np.pi
 
 
@@ -432,132 +437,6 @@ def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
     return SpectralMeasure(q=q, atoms=tuple(cleaned), quotient=None)
 
 
-def _quadrature_angles(nodes: int, poles=()) -> np.ndarray:
-    """Uniform angles theta_0 + 2 pi k / N that keep every subtracted pole's
-    argument as far from a node as the poles allow.
-
-    What roundoff leaves of a subtracted pole part, delta / (z - p), aliases
-    into order j as delta p^(-j-1) w / (1 - w), w = |p|^(-N)
-    e^(iN(theta_0 - arg p)): about delta / (N (|p| - 1)) when a node lies on
-    the pole's ray, at most delta / 2 for every N and |p| when arg p lies
-    halfway between two nodes (Trefethen and Weideman, SIAM Rev. 56, 2014).
-    theta_0 maximises min_i |sin(N (arg p_i - theta_0) / 2)|: in units of
-    the step it is the midpoint of the widest gap between the poles'
-    arguments modulo one step.  One pole lands halfway between two nodes,
-    and k poles at least 1 / (2k) of a step from a node.  Without poles the
-    offset is half a step.
-    """
-    offset = 0.5
-    if len(poles):
-        # the poles' arguments in units of the step, modulo one step
-        frac = np.sort((np.angle(poles) * (nodes / TWO_PI)) % 1.0)
-        gaps = np.diff(frac, append=frac[0] + 1.0)
-        widest = np.argmax(gaps)
-        offset = (frac[widest] + 0.5 * gaps[widest]) % 1.0
-    return (TWO_PI / nodes) * (np.arange(nodes) + offset)
-
-
-# The grid counts each zero at least 40 / NEAR_CIRCLE_NODE_CAP from the circle.
-NEAR_CIRCLE_NODE_CAP = 65536
-
-
-class _SingularPart(NamedTuple):
-    """Near-circle poles of num den^{-1}, taken out of the quadrature.
-
-    F(z) = sum_i R_i / (z - p_i) runs over zeros p_i of det den just outside
-    the circle, R_i the residue of num den^{-1} at p_i.  F is holomorphic on
-    the closed disk, so the Fourier coefficients and the Herglotz transform
-    of (1/2pi) re F are exact, while re(Lambda - F) stays smooth near every
-    p_i.  The split is an identity for any p_i and R_i: an inaccurate
-    residue only leaves a spike the quadrature misses, and the recovery
-    check reports it.
-    """
-
-    poles: np.ndarray  # (k,), each |p| > 1
-    residues: np.ndarray  # (k, q, q)
-    resolved: np.ndarray  # zeros of det den the grid resolves itself
-
-    def values(self, zs) -> np.ndarray:
-        """F at the points zs; shape zs.shape + (q, q)."""
-        kern = 1.0 / (np.asarray(zs, dtype=complex)[..., None] - self.poles)
-        return np.tensordot(kern, self.residues, axes=(-1, 0))
-
-    def coeffs(self, js: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of (1/2pi) re F at the orders js; shape
-        (J, q, q).
-
-        With h_j = -1/2 sum R p^(-j-1), order j is h_j for j > 0, h_0 + h_0*
-        for j = 0 and h_{-j}* for j < 0.
-        """
-        h = -0.5 * np.tensordot(self.poles ** (-np.abs(js)[:, None] - 1.0), self.residues, 1)
-        hc = np.conj(np.swapaxes(h, -1, -2))
-        side = js[:, None, None]
-        return np.where(side > 0, h, np.where(side < 0, hc, h + hc))
-
-    def herglotz(self, z: complex) -> np.ndarray:
-        """Herglotz transform of (1/2pi) re F dtheta: F(z) - (F(0) - F(0)*)/2."""
-        f0 = self.values(0.0)
-        return self.values(z) - 0.5 * (f0 - f0.conj().T)
-
-    def smooth_density(self, sm: SpectralMeasure, ang: np.ndarray) -> np.ndarray:
-        """Density minus (1/2pi) re F at unit-circle angles."""
-        dens = sm.density_grid(ang)
-        if self.poles.size:
-            f = self.values(np.exp(1j * ang))
-            dens = dens - re_mat(f) / TWO_PI
-        return dens
-
-
-def _singular_part(sm: SpectralMeasure) -> _SingularPart:
-    """Reads the quadrature's poles off the quotient's ``near_circle``
-    clusters.
-
-    A cluster is subtracted where all its zeros lie outside the circle and
-    its polished point p is a simple pole of num den^{-1} with |p| > 1: den(p)
-    has a kernel of the cluster's size, so a cluster of m zeros is one pole
-    with a rank-m residue.  Roundoff splits such a pole, and subtracting it
-    at the cluster mean leaves a dipole c / (z - p)^2 with |c| tiny, whose
-    alias on N nodes is at most N |c| / 4.  The grid resolves the zeros of
-    the other clusters and those outside the NEAR_CIRCLE band.
-    """
-    zs, res = sm.quotient.zeros, sm.quotient.near_circle
-    resolved = [zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE]]
-    # residues are finite only at simple poles
-    finite = np.all(np.isfinite(res.residues), axis=(1, 2))
-    subtracted = finite & (np.abs(res.points) > 1.0)
-    for i, members in enumerate(res.members):
-        subtracted[i] &= bool(np.all(np.abs(members) > 1.0))
-        if not subtracted[i]:
-            resolved.append(members)
-    return _SingularPart(res.points[subtracted], res.residues[subtracted], np.concatenate(resolved))
-
-
-def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
-    """Trapezoid nodes N for the Fourier orders |j| <= |j_top| of the density
-    left once ``sing`` is subtracted.
-
-    The rule reads order j with the alias of order j - N, whose size falls
-    like e^{-(N - |j|) d} when the density is analytic in the annulus
-    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014), so
-    N = max(64, |j_top| + max(ceil(40 / d), p + 1)).  d is the smallest
-    |log|z|| over ``sing.resolved``, the zeros of det den outside the
-    NEAR_CIRCLE band and those inside it that are not subtracted, each at
-    least 40 / NEAR_CIRCLE_NODE_CAP.  A polynomial part of num den^{-1}, of
-    degree at most p = deg num + (q - 1) deg den - deg det den (degrees of
-    the trimmed polynomials), aliases exactly unless N - |j_top| exceeds p.
-    The atoms are added in closed form and take no nodes, and so do the
-    subtracted poles: `_quadrature_angles` keeps them off the nodes, where
-    the alias of their roundoff stays bounded for any N.
-    """
-    cq = sm.quotient
-    with np.errstate(divide="ignore"):
-        dist = np.abs(np.log(np.abs(sing.resolved)))
-    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - cq.zeros.size
-    floor = 40.0 / NEAR_CIRCLE_NODE_CAP
-    decay = int(np.ceil(40.0 / max(np.min(dist), floor))) if dist.size else 0
-    return max(64, abs(j_top) + max(decay, poly + 1))
-
-
 def _atom_coeffs(sm: SpectralMeasure, js: np.ndarray) -> np.ndarray:
     """sum_v v^{-j} X_v for each order j in js; shape (J, q^2)."""
     weights = np.array([a.weight for a in sm.atoms], dtype=complex)
@@ -565,55 +444,74 @@ def _atom_coeffs(sm: SpectralMeasure, js: np.ndarray) -> np.ndarray:
     return (sm.atom_points()[None, :] ** -js[:, None]) @ weights
 
 
+def _disk_cause(cq: CaratheodoryQuotient) -> str | None:
+    """Why the closed form may not hold for ``cq``: its innermost zero of
+    det den when some zero z has |z| <= 1 + DISK_MARGIN, else None.
+
+    np.roots takes the zeros as eigenvalues of the companion matrix, exact
+    for a polynomial whose coefficients moved by about eps times their
+    size (Edelman and Murakami, Math. Comp. 64, 1995), so a simple zero
+    moves by about eps times its condition number:
+    DISK_MARGIN = 1e-10, about 4.5e5 eps, covers condition numbers up to
+    that, and still admits AR(1) with rho = 1 - 1e-9, whose zero 1 / rho is
+    computed at 1 + 1.00000008e-9.  A zero of multiplicity m on the circle
+    splits into m zeros spread around it, about eps^(1/m) away: to first
+    order one of them has modulus at most 1 (m = 2 leaves 1 + O(eps)), so
+    it needs no margin.  The zeros are the quotient's cached ones, which the
+    disk check of every central and deflated quotient already computed.
+    """
+    zs = cq.zeros
+    bad = zs[np.abs(zs) <= 1.0 + DISK_MARGIN]
+    if bad.size == 0:
+        return None
+    # + 0j turns a signed zero imaginary part into +0, so 1 reads 1+0j
+    z = complex(bad[np.argmin(np.abs(bad))]) + 0j
+    return (
+        f"zero of det den at {z:.6g} (|z| - 1 = {abs(z) - 1.0:.3e}) is not "
+        f"certified outside the closed disk (margin {DISK_MARGIN:.0e})"
+    )
+
+
+def _require_disk(sm: SpectralMeasure) -> None:
+    """ModelError naming the cause unless `_disk_cause` certifies the
+    measure's quotient; a measure without one needs no certificate."""
+    cause = None if sm.quotient is None else _disk_cause(sm.quotient)
+    if cause is not None:
+        raise ModelError(cause)
+
+
 def _coefficients(sm: SpectralMeasure, js) -> np.ndarray:
     """Fourier coefficients of the orders js; shape (J, q, q).
 
-    Without a quotient the measure is atomic and every order is a
-    closed-form sum over the atoms, with no grid.  Otherwise
-    `_fourier_many` takes the smooth part on `_default_nodes` nodes, and the
-    atoms and subtracted poles are added in closed form.
+    The atoms add sum_v v^{-j} X_v.  The density (1/2pi) re Phi, with
+    Phi = num den^{-1} analytic on the closed disk, has the orders of the
+    Schwarz formula: h_j + h_j* for j = 0, h_j for j > 0 and h_{-j}* for
+    j < 0, with h_j = Phi_j / 2 from one Taylor recurrence up to max |j|
+    (`taylor_coefficients`), O(max |j| deg den q^3).  Callers certify the
+    premise (`_disk_cause`).
     """
     js = np.asarray(js, dtype=int)
-    if sm.quotient is None:
-        return _atom_coeffs(sm, js).reshape(js.size, sm.q, sm.q)
-    sing = _singular_part(sm)
-    coeffs = _fourier_many(sm, sing, js, _default_nodes(sm, sing, int(np.max(np.abs(js)))))
+    out = np.zeros((js.size, sm.q, sm.q), dtype=complex)
+    if sm.quotient is not None:
+        top = int(np.max(np.abs(js)))
+        h = 0.5 * taylor_coefficients(sm.quotient, top + 1)[np.abs(js)]
+        hc = np.conj(np.swapaxes(h, -1, -2))
+        side = js[:, None, None]
+        out = np.where(side > 0, h, np.where(side < 0, hc, h + hc))
     if sm.atoms:
-        coeffs = coeffs + _atom_coeffs(sm, js)
-    coeffs = coeffs.reshape(js.size, sm.q, sm.q)
-    if sing.poles.size:
-        coeffs = coeffs + sing.coeffs(js)
-    return coeffs
-
-
-def _fourier_many(sm: SpectralMeasure, sing: _SingularPart, js, nodes: int) -> np.ndarray:
-    """Coefficients of the smooth density (density less the subtracted pole
-    parts) at the orders js, from one FFT of its (N, q^2) samples along the
-    node axis; shape (J, q^2).
-
-    The grid theta_k = theta_0 + 2 pi k / N is uniform, so the trapezoid sum
-    of order j is (2 pi / N) e^{-i j theta_0} FFT(dens)[j mod N] for any
-    integer j, negative or >= N.  The FFT overwrites the density array.
-    """
-    ang = _quadrature_angles(nodes, sing.poles)
-    dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
-    js = np.asarray(js, dtype=int)
-    spec = np.fft.fft(dens, axis=0, out=dens)
-    return spec[js % nodes] * ((TWO_PI / nodes) * np.exp(-1j * ang[0] * js))[:, None]
+        out = out + _atom_coeffs(sm, js).reshape(js.size, sm.q, sm.q)
+    return out
 
 
 def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
     """j-th Fourier coefficient integral zeta^{-j} d mu(zeta).
 
-    Point masses and the near-circle poles of the density (see
-    `verify_recovery`) are added in closed form; the smooth rest of the
-    density is integrated on a uniform grid of `_default_nodes` nodes:
-    max(64, |j| + ceil(40 / d)), d the distance in |log|z|| of the nearest
-    zero of det den the grid must resolve, so the alias of order j falls
-    like e^{-40} however large |j| is.  Its offset keeps the subtracted
-    poles off the nodes (`_quadrature_angles`).  A measure without a
-    quotient needs no grid.
+    Closed form (`_coefficients`): the density's order from the Taylor
+    coefficients of num den^{-1} up to |j|, O(|j| deg den q^3), plus the
+    point masses' moments.  ModelError when a zero of det den is not
+    certified outside the closed disk (`_disk_cause`).
     """
+    _require_disk(sm)
     return _coefficients(sm, [int(j)])[0]
 
 
@@ -621,22 +519,18 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
     """integral (zeta + z)/(zeta - z) d mu(zeta) for z in the open disk.
 
     For measures arising from a TND sequence this reproduces the Caratheodory
-    function of the sequence.  Point masses and near-circle poles are
-    transformed in closed form; the smooth rest of the density, whose order
-    j falls like e^{-j d} (d as in `_default_nodes`), is c_0 + 2 sum c_j z^j
-    over j <= J = `_default_nodes`(0) >= 40 / d, orders from one FFT.  No
-    kernel is resolved, so accuracy holds for every |z| < 1.
+    function of the sequence.  The density's part is
+    Phi(z) - (Phi(0) - Phi(0)*) / 2, num and den at z and 0 in one Horner
+    pass; each point mass adds (v + z)/(v - z) X_v.  Nothing is sampled, so
+    accuracy holds for every |z| < 1.  ModelError when a zero of det den is
+    not certified outside the closed disk (`_disk_cause`).
     """
     zp = _disk_point(z)
+    _require_disk(sm)
     out = np.zeros((sm.q, sm.q), dtype=complex)
     if sm.quotient is not None:
-        sing = _singular_part(sm)
-        top = _default_nodes(sm, sing, 0)
-        coeffs = _fourier_many(sm, sing, np.arange(top + 1), _default_nodes(sm, sing, top))
-        # z^j by running products: np.power rounds j arg z, ~j eps per power
-        powers = np.cumprod(np.full(top, zp))
-        out = (coeffs[0] + 2.0 * (powers @ coeffs[1:])).reshape(sm.q, sm.q)
-        out = out + sing.herglotz(zp)
+        phi, phi0 = rational_values(sm.quotient, np.array([zp, 0.0]))
+        out = phi - 0.5 * (phi0 - phi0.conj().T)
     for atom in sm.atoms:
         out = out + (atom.point + zp) / (atom.point - zp) * atom.weight
     return out
@@ -649,6 +543,9 @@ class RecoveryReport:
     ``relative_error`` is max_error / ||C_0||; for C_0 = 0, where the data
     has no scale, it is max_error itself.  ``density_psd_bound`` >= 0
     certifies the density PSD on the whole circle (`_density_psd_bound`).
+    ``cause`` says why a report failed (None when it passed): a zero of
+    det den not certified outside the closed disk, or the max error over
+    the tolerance.
     """
 
     max_error: float
@@ -659,6 +556,7 @@ class RecoveryReport:
     atom_mass: np.ndarray
     atom_mass_trace: float
     density_psd_bound: float
+    cause: str | None
 
     def to_dict(self) -> dict:
         return {
@@ -669,6 +567,7 @@ class RecoveryReport:
             "errors_by_order": list(self.errors_by_order),
             "atom_mass_trace": self.atom_mass_trace,
             "density_psd_bound": self.density_psd_bound,
+            "cause": self.cause,
         }
 
 
@@ -702,28 +601,26 @@ def verify_recovery(
     """Recover C_0..C_n from the measure and compare with the sequence.
 
     A measure without a quotient is purely atomic: every order is a
-    closed-form sum over its atoms, with no grid, and no density
+    closed-form sum over its atoms, and there is no density
     (``density_psd_bound`` 0.0).
 
-    Otherwise point masses and the pole parts at zeros of det den within
-    0.04 outside the circle enter in closed form; the smooth rest of the
-    density goes through the trapezoid rule, every order C_0..C_n from one
-    FFT of the density sampled on the grid (`_default_nodes`).  The grid
-    has max(64, n + ceil(40 / d)) nodes, d the smallest |log|z|| over the
-    zeros z of det den the grid resolves itself, so the alias of order n
-    falls like e^{-40}, with or without atoms: the quotient is that of the
-    absolutely continuous part, with no pole at an atom.  Those zeros are
-    the ones outside that band and the near-circle ones that are not
-    subtracted (a cluster whose residue is not a simple pole's), each
-    counted at least 40 / NEAR_CIRCLE_NODE_CAP from the circle.
-    Subtracted poles add no nodes: the grid's offset keeps them off the
-    nodes (`_quadrature_angles`).  The split into pole parts and remainder
-    is exact for any pole and residue, so an inaccurate one shows as
-    recovery error, never as a false pass.  ``passed`` reads recovery alone.
+    Otherwise the orders are the closed form of `_coefficients`: one Taylor
+    recurrence of num den^{-1} up to order n, O(n deg den q^3), plus the
+    atoms' moments, with no grid; the quotient is that of the absolutely
+    continuous part, with no pole at an atom.  The closed form needs det den
+    zero-free on the closed disk, which `_disk_cause` reads off the
+    quotient's cached zeros.  A zero it does not certify fails the report,
+    whose ``cause`` names it; the density then recovers nothing, so the
+    errors are those of the atoms alone (the Taylor series of such a
+    quotient need not converge on the circle, nor exist when den(0) is
+    singular).  ``passed`` reads recovery and that certificate, not the
+    density bound.
     """
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
-    coeffs = _coefficients(sm, range(len(seq)))
+    cause = None if sm.quotient is None else _disk_cause(sm.quotient)
+    recovered = sm if cause is None else replace(sm, quotient=None)
+    coeffs = _coefficients(recovered, range(len(seq)))
     errs = tuple(_spec_norms(coeffs - np.asarray(seq.coeffs)).tolist())
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)
@@ -731,15 +628,18 @@ def verify_recovery(
         mass = np.zeros((sm.q, sm.q), dtype=complex)
     c0_norm = spec_norm(seq.coeffs[0])
     max_err = max(errs)
+    if cause is None and not max_err <= tol:
+        cause = f"max error {max_err:.3e} > tolerance {tol:.3e}"
     return RecoveryReport(
         max_error=float(max_err),
         relative_error=float(max_err / c0_norm if c0_norm > 0.0 else max_err),
         tolerance=float(tol),
-        passed=bool(max_err <= tol),
+        passed=cause is None,
         errors_by_order=errs,
         atom_mass=mass,
         atom_mass_trace=float(np.real(np.trace(mass))),
         density_psd_bound=0.0 if sm.quotient is None else _density_psd_bound(sm.quotient),
+        cause=cause,
     )
 
 

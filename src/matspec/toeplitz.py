@@ -49,7 +49,6 @@ from .linalg import (
     as_cmatrix,
     _require_rel_tol,
     _svd,
-    is_unitary,
     re_mat,
     spec_norm,
 )
@@ -437,13 +436,3 @@ def _continue(
                 f"central extension not nonnegative Hermitian at T_{bad}", index=bad
             )
     return out
-
-
-def conjugate_by_unitary(seq: HermSeq, u) -> HermSeq:
-    """Coefficient-wise conjugation C_j -> U* C_j U by a unitary U."""
-    um = as_cmatrix(u)
-    if um.shape != (seq.q, seq.q):
-        raise DimensionError(f"unitary shape {um.shape} != ({seq.q}, {seq.q})")
-    if not is_unitary(um):
-        raise InvalidInputError("conjugating matrix is not unitary within tolerance")
-    return HermSeq([um.conj().T @ c @ um for c in seq.coeffs])

@@ -25,18 +25,42 @@ from one SVD, gives the ball parameters' textbook formulas, which
 `mat_to_wire` converts a matrix to its wire form one entry at a time, and
 `write_density_csv` writes a measure document's density table one entry at
 a time: the definitions that `serialize.mat_to_wire` and the CLI's `--csv`
-writer shortcut with one array conversion each.
+writer shortcut with one array conversion each.  `conjugate_by_unitary`
+(with `is_unitary`) builds the unitarily conjugated sequences of the
+metamorphic tests.
+
+The quadrature oracle integrates the density on a trapezoid grid, an
+independent route to the orders the library reads off the Schwarz
+formula's closed form:
+`near_circle` clusters the zeros of det den near the circle, Newton-polishes
+them (`_polish`) and gives each its residue of num den^{-1}
+(`_cluster_residues`); `_singular_part` subtracts the simple poles among
+them, `_default_nodes` sizes the grid by the zeros it must resolve,
+`_quadrature_angles` keeps the subtracted poles off the nodes and
+`_fourier_many` takes every order from one FFT.  `quadrature_coeffs` and
+`quadrature_herglotz` put them together, with the atoms in closed form.
+`taylor_by_division` is the nested power-series division that
+`caratheodory.taylor_coefficients` runs as one windowed recurrence.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from matspec.caratheodory import CaratheodoryQuotient, _clusters, pd_polynomials, rational_values
+from matspec.caratheodory import (
+    CLUSTER_RADIUS,
+    NEAR_CIRCLE,
+    CaratheodoryQuotient,
+    _clusters,
+    _disk_point,
+    pd_polynomials,
+    rational_values,
+)
 from matspec.errors import DimensionError, InvalidInputError, MatSpecError
 from matspec.linalg import (
     DEFAULT_PSD_TOL,
@@ -44,13 +68,15 @@ from matspec.linalg import (
     _require_rel_tol,
     as_cmatrix,
     re_mat,
-    require_square,
     spec_norm,
 )
-from matspec.matpoly import MatPoly, _pow2_nodes, poly_trim
+from matspec.matpoly import MatPoly, MatPolyStack, _pow2_nodes, poly_trim
 from matspec.measure import (
     DEFAULT_ROOT_TOL,
+    TWO_PI,
     Atom,
+    SpectralMeasure,
+    _atom_coeffs,
     _atoms_from_weights,
     _by_angle,
     _check_root_tol,
@@ -81,7 +107,7 @@ def compute_atoms(
 ) -> tuple[Atom, ...]:
     """Point masses of the measure behind a rational Caratheodory quotient.
 
-    The atoms are the clusters of the quotient's ``near_circle`` analysis
+    The atoms are the clusters of the quotient's `near_circle` analysis
     whose polished point lies within root_tol of the circle; root_tol must
     lie in [0, NEAR_CIRCLE), the band that analysis covers.  At such a point v
     with a cluster of m zeros of det den, den(v) must have an m-dimensional
@@ -93,7 +119,7 @@ def compute_atoms(
     The weights are finished by `_atoms_from_weights`.
     """
     _check_root_tol(root_tol)
-    res = cq.near_circle
+    res = near_circle(cq)
     rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
     if rows.size == 0:
         return ()
@@ -149,6 +175,30 @@ class DegenerateZeroError(MatSpecError):
 
 class NoLimitError(MatSpecError):
     """A numeric limit did not stabilize across extrapolation steps."""
+
+
+def require_square(m: np.ndarray) -> np.ndarray:
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def is_unitary(a) -> bool:
+    """Whether a* a = I within DEFAULT_PSD_TOL * (1 + ||a||)."""
+    m = require_square(as_cmatrix(a))
+    q = m.shape[0]
+    scale = 1.0 + spec_norm(m)
+    return spec_norm(m.conj().T @ m - np.eye(q)) <= DEFAULT_PSD_TOL * scale
+
+
+def conjugate_by_unitary(seq: HermSeq, u) -> HermSeq:
+    """Coefficient-wise conjugation C_j -> U* C_j U by a unitary U."""
+    um = as_cmatrix(u)
+    if um.shape != (seq.q, seq.q):
+        raise DimensionError(f"unitary shape {um.shape} != ({seq.q}, {seq.q})")
+    if not is_unitary(um):
+        raise InvalidInputError("conjugating matrix is not unitary within tolerance")
+    return HermSeq([um.conj().T @ c @ um for c in seq.coeffs])
 
 
 def toeplitz_blocks(seq, n: int) -> np.ndarray:
@@ -430,3 +480,292 @@ def write_density_csv(path, doc: dict) -> None:
                 for j in range(q):
                     row += [repr(s["matrix"][i][j][0]), repr(s["matrix"][i][j][1])]
             writer.writerow(row)
+
+
+# -- the quadrature oracle ---------------------------------------------------
+
+
+class _Residues(NamedTuple):
+    """Clusters of zeros of det den near the circle, one row each."""
+
+    members: list[np.ndarray]  # zeros of det den in each cluster
+    points: np.ndarray  # (k,) polished means
+    sizes: np.ndarray  # (k,) zeros in the cluster
+    kernel: np.ndarray  # (k,) dimension of den's kernel at the point
+    residues: np.ndarray  # (k, q, q) of num den^{-1}; NaN unless kernel == size
+
+
+def near_circle(cq: CaratheodoryQuotient) -> _Residues:
+    """The zeros of det den with ||z| - 1| < NEAR_CIRCLE, clustered at
+    CLUSTER_RADIUS, each cluster mean Newton-polished on den and given
+    its residue of num den^{-1} (see `_cluster_residues`)."""
+    zs = cq.zeros
+    near = zs[np.abs(np.abs(zs) - 1.0) < NEAR_CIRCLE]
+    return _cluster_residues(cq, [near[c] for c in _clusters(near)])
+
+
+def taylor_by_division(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
+    """First ``count`` Taylor coefficients of num den^{-1} by nested
+    power-series division, one product at a time:
+    Phi_k = (num_k - sum_{i<k} Phi_i den_{k-i}) den_0^{-1}."""
+    q = cq.num.q
+    nc, dc = cq.num.coeffs, cq.den.coeffs
+    d0_inv = np.linalg.inv(dc[0])
+    out = np.zeros((count, q, q), dtype=complex)
+    for k in range(count):
+        acc = nc[k].copy() if k < nc.shape[0] else np.zeros((q, q), dtype=complex)
+        for i in range(k):
+            if k - i < dc.shape[0]:
+                acc -= out[i] @ dc[k - i]
+        out[k] = acc @ d0_inv
+    return out
+
+
+def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:
+    """Residues of num den^{-1} at clusters of zeros of det den, in one batch.
+
+    All cluster means are Newton-polished on den at once.  den, den' and num
+    are evaluated at the polished points in one Horner pass and den's kernels
+    come from one stacked SVD: singular values at most DEFAULT_RANK_RTOL
+    times the size of den's coefficients.  Where den(p) has a kernel of the
+    cluster's size m, with X and Y its right and left bases, num den^{-1}
+    has a simple pole at p with residue num(p) X (Y* den'(p) X)^{-1} Y*.
+    """
+    sizes = np.array([len(c) for c in clusters], dtype=int)
+    residues = np.full((sizes.size, cq.num.q, cq.num.q), np.nan, dtype=complex)
+    if not clusters:
+        return _Residues(clusters, np.empty(0, complex), sizes, sizes, residues)
+    dden = cq.den.derivative()
+    points = _polish(cq.den, dden, np.array([np.mean(c) for c in clusters]), sizes)
+    dv, ddv, nv = MatPolyStack(cq.den, dden, cq.num)(points)
+    u, s, vh = np.linalg.svd(dv)
+    floor = DEFAULT_RANK_RTOL * float(np.linalg.norm(cq.den.coeffs))
+    kernel = np.count_nonzero(s <= floor, axis=1)
+    for m in set(sizes.tolist()):
+        rows = np.nonzero((sizes == m) & (kernel == m))[0]
+        if rows.size == 0:
+            continue
+        x = np.conj(np.swapaxes(vh[rows, -m:], -1, -2))
+        yh = np.conj(np.swapaxes(u[rows, :, -m:], -1, -2))
+        core = _solve_each(yh @ ddv[rows] @ x, yh)
+        residues[rows] = nv[rows] @ x @ core
+    return _Residues(clusters, points, sizes, kernel, residues)
+
+
+def _polish(den, dden, z, m):
+    """Newton on det den from each z, step m / tr(den(z)^{-1} den'(z)).
+
+    z and m are arrays of start points and multiplicities (or scalars).  The
+    step is quadratically convergent at an m-fold zero.  A point stops after
+    a step at roundoff level, where den(z) is exactly singular (it has
+    converged), and where a step would leave the CLUSTER_RADIUS disk around
+    its start.  Each pass evaluates den and den' in one Horner pass for all
+    points; the passes end when no point is left moving.
+    """
+    z0 = np.asarray(z, dtype=complex)
+    z, live = z0.copy(), np.ones(z0.shape, dtype=bool)
+    both = MatPolyStack(den, dden)
+    for _ in range(8):
+        t = np.trace(_solve_each(*both(z)), axis1=-2, axis2=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = m / t
+        live &= np.isfinite(step) & (np.abs(z - step - z0) <= CLUSTER_RADIUS)
+        z = np.where(live, z - step, z)
+        live &= np.abs(step) > 1e-15 * np.abs(z)
+        if not live.any():
+            break
+    return z
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack, NaN for each exactly singular matrix."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=complex)
+    for idx in np.ndindex(a.shape[:-2]):
+        try:
+            out[idx] = np.linalg.solve(a[idx], b[idx])
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def _quadrature_angles(nodes: int, poles=()) -> np.ndarray:
+    """Uniform angles theta_0 + 2 pi k / N that keep every subtracted pole's
+    argument as far from a node as the poles allow.
+
+    What roundoff leaves of a subtracted pole part, delta / (z - p), aliases
+    into order j as delta p^(-j-1) w / (1 - w), w = |p|^(-N)
+    e^(iN(theta_0 - arg p)): about delta / (N (|p| - 1)) when a node lies on
+    the pole's ray, at most delta / 2 for every N and |p| when arg p lies
+    halfway between two nodes (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    theta_0 maximises min_i |sin(N (arg p_i - theta_0) / 2)|: in units of
+    the step it is the midpoint of the widest gap between the poles'
+    arguments modulo one step.  One pole lands halfway between two nodes,
+    and k poles at least 1 / (2k) of a step from a node.  Without poles the
+    offset is half a step.
+    """
+    offset = 0.5
+    if len(poles):
+        # the poles' arguments in units of the step, modulo one step
+        frac = np.sort((np.angle(poles) * (nodes / TWO_PI)) % 1.0)
+        gaps = np.diff(frac, append=frac[0] + 1.0)
+        widest = np.argmax(gaps)
+        offset = (frac[widest] + 0.5 * gaps[widest]) % 1.0
+    return (TWO_PI / nodes) * (np.arange(nodes) + offset)
+
+
+# The grid counts each zero at least 40 / NEAR_CIRCLE_NODE_CAP from the circle.
+NEAR_CIRCLE_NODE_CAP = 65536
+
+
+class _SingularPart(NamedTuple):
+    """Near-circle poles of num den^{-1}, taken out of the quadrature.
+
+    F(z) = sum_i R_i / (z - p_i) runs over zeros p_i of det den just outside
+    the circle, R_i the residue of num den^{-1} at p_i.  F is holomorphic on
+    the closed disk, so the Fourier coefficients and the Herglotz transform
+    of (1/2pi) re F are exact, while re(Lambda - F) stays smooth near every
+    p_i.  The split is an identity for any p_i and R_i: an inaccurate
+    residue only leaves a spike the quadrature misses, and the recovery
+    check reports it.
+    """
+
+    poles: np.ndarray  # (k,), each |p| > 1
+    residues: np.ndarray  # (k, q, q)
+    resolved: np.ndarray  # zeros of det den the grid resolves itself
+
+    def values(self, zs) -> np.ndarray:
+        """F at the points zs; shape zs.shape + (q, q)."""
+        kern = 1.0 / (np.asarray(zs, dtype=complex)[..., None] - self.poles)
+        return np.tensordot(kern, self.residues, axes=(-1, 0))
+
+    def coeffs(self, js: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of (1/2pi) re F at the orders js; shape
+        (J, q, q).
+
+        With h_j = -1/2 sum R p^(-j-1), order j is h_j for j > 0, h_0 + h_0*
+        for j = 0 and h_{-j}* for j < 0.
+        """
+        h = -0.5 * np.tensordot(self.poles ** (-np.abs(js)[:, None] - 1.0), self.residues, 1)
+        hc = np.conj(np.swapaxes(h, -1, -2))
+        side = js[:, None, None]
+        return np.where(side > 0, h, np.where(side < 0, hc, h + hc))
+
+    def herglotz(self, z: complex) -> np.ndarray:
+        """Herglotz transform of (1/2pi) re F dtheta: F(z) - (F(0) - F(0)*)/2."""
+        f0 = self.values(0.0)
+        return self.values(z) - 0.5 * (f0 - f0.conj().T)
+
+    def smooth_density(self, sm: SpectralMeasure, ang: np.ndarray) -> np.ndarray:
+        """Density minus (1/2pi) re F at unit-circle angles."""
+        dens = sm.density_grid(ang)
+        if self.poles.size:
+            f = self.values(np.exp(1j * ang))
+            dens = dens - re_mat(f) / TWO_PI
+        return dens
+
+
+def _singular_part(sm: SpectralMeasure) -> _SingularPart:
+    """Reads the quadrature's poles off the quotient's `near_circle`
+    clusters.
+
+    A cluster is subtracted where all its zeros lie outside the circle and
+    its polished point p is a simple pole of num den^{-1} with |p| > 1: den(p)
+    has a kernel of the cluster's size, so a cluster of m zeros is one pole
+    with a rank-m residue.  Roundoff splits such a pole, and subtracting it
+    at the cluster mean leaves a dipole c / (z - p)^2 with |c| tiny, whose
+    alias on N nodes is at most N |c| / 4.  The grid resolves the zeros of
+    the other clusters and those outside the NEAR_CIRCLE band.
+    """
+    zs, res = sm.quotient.zeros, near_circle(sm.quotient)
+    resolved = [zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE]]
+    # residues are finite only at simple poles
+    finite = np.all(np.isfinite(res.residues), axis=(1, 2))
+    subtracted = finite & (np.abs(res.points) > 1.0)
+    for i, members in enumerate(res.members):
+        subtracted[i] &= bool(np.all(np.abs(members) > 1.0))
+        if not subtracted[i]:
+            resolved.append(members)
+    return _SingularPart(res.points[subtracted], res.residues[subtracted], np.concatenate(resolved))
+
+
+def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
+    """Trapezoid nodes N for the Fourier orders |j| <= |j_top| of the density
+    left once ``sing`` is subtracted.
+
+    The rule reads order j with the alias of order j - N, whose size falls
+    like e^{-(N - |j|) d} when the density is analytic in the annulus
+    |log|z|| < d (Trefethen and Weideman, SIAM Rev. 56, 2014), so
+    N = max(64, |j_top| + max(ceil(40 / d), p + 1)).  d is the smallest
+    |log|z|| over ``sing.resolved``, the zeros of det den outside the
+    NEAR_CIRCLE band and those inside it that are not subtracted, each at
+    least 40 / NEAR_CIRCLE_NODE_CAP.  A polynomial part of num den^{-1}, of
+    degree at most p = deg num + (q - 1) deg den - deg det den (degrees of
+    the trimmed polynomials), aliases exactly unless N - |j_top| exceeds p.
+    The atoms are added in closed form and take no nodes, and so do the
+    subtracted poles: `_quadrature_angles` keeps them off the nodes, where
+    the alias of their roundoff stays bounded for any N.
+    """
+    cq = sm.quotient
+    with np.errstate(divide="ignore"):
+        dist = np.abs(np.log(np.abs(sing.resolved)))
+    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - cq.zeros.size
+    floor = 40.0 / NEAR_CIRCLE_NODE_CAP
+    decay = int(np.ceil(40.0 / max(np.min(dist), floor))) if dist.size else 0
+    return max(64, abs(j_top) + max(decay, poly + 1))
+
+
+def _fourier_many(sm: SpectralMeasure, sing: _SingularPart, js, nodes: int) -> np.ndarray:
+    """Coefficients of the smooth density (density less the subtracted pole
+    parts) at the orders js, from one FFT of its (N, q^2) samples along the
+    node axis; shape (J, q^2).
+
+    The grid theta_k = theta_0 + 2 pi k / N is uniform, so the trapezoid sum
+    of order j is (2 pi / N) e^{-i j theta_0} FFT(dens)[j mod N] for any
+    integer j, negative or >= N.  The FFT overwrites the density array.
+    """
+    ang = _quadrature_angles(nodes, sing.poles)
+    dens = sing.smooth_density(sm, ang).reshape(nodes, -1)
+    js = np.asarray(js, dtype=int)
+    spec = np.fft.fft(dens, axis=0, out=dens)
+    return spec[js % nodes] * ((TWO_PI / nodes) * np.exp(-1j * ang[0] * js))[:, None]
+
+
+def quadrature_coeffs(sm: SpectralMeasure, js) -> np.ndarray:
+    """Fourier coefficients of the orders js by the quadrature; shape
+    (J, q, q): `_fourier_many` takes the smooth part on `_default_nodes`
+    nodes, and the atoms and subtracted poles are added in closed form."""
+    js = np.asarray(js, dtype=int)
+    if sm.quotient is None:
+        return _atom_coeffs(sm, js).reshape(js.size, sm.q, sm.q)
+    sing = _singular_part(sm)
+    coeffs = _fourier_many(sm, sing, js, _default_nodes(sm, sing, int(np.max(np.abs(js)))))
+    if sm.atoms:
+        coeffs = coeffs + _atom_coeffs(sm, js)
+    coeffs = coeffs.reshape(js.size, sm.q, sm.q)
+    if sing.poles.size:
+        coeffs = coeffs + sing.coeffs(js)
+    return coeffs
+
+
+def quadrature_herglotz(sm: SpectralMeasure, z: complex) -> np.ndarray:
+    """Herglotz transform by the quadrature: the smooth density's orders
+    0..J, J = `_default_nodes`(0), from one FFT, summed as
+    c_0 + 2 sum c_j z^j, plus the subtracted poles and the atoms in closed
+    form."""
+    zp = _disk_point(z)
+    out = np.zeros((sm.q, sm.q), dtype=complex)
+    if sm.quotient is not None:
+        sing = _singular_part(sm)
+        top = _default_nodes(sm, sing, 0)
+        coeffs = _fourier_many(sm, sing, np.arange(top + 1), _default_nodes(sm, sing, top))
+        # z^j by running products: np.power rounds j arg z, ~j eps per power
+        powers = np.cumprod(np.full(top, zp))
+        out = (coeffs[0] + 2.0 * (powers @ coeffs[1:])).reshape(sm.q, sm.q)
+        out = out + sing.herglotz(zp)
+    for atom in sm.atoms:
+        out = out + (atom.point + zp) / (atom.point - zp) * atom.weight
+    return out

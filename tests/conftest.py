@@ -1,17 +1,18 @@
 import pytest
 
-import matspec.measure as measure
+import _oracle
 
 
 @pytest.fixture
 def grid_sizes(monkeypatch):
-    """Node counts of the quadrature grids built inside matspec.measure."""
+    """Node counts of the grids the quadrature oracle of tests/_oracle.py
+    builds."""
     seen = []
-    orig = measure._quadrature_angles
+    orig = _oracle._quadrature_angles
 
     def counted(nodes, poles=()):
         seen.append(nodes)
         return orig(nodes, poles)
 
-    monkeypatch.setattr(measure, "_quadrature_angles", counted)
+    monkeypatch.setattr(_oracle, "_quadrature_angles", counted)
     return seen

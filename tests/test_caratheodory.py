@@ -17,11 +17,12 @@ from matspec import (
     rational_values,
     taylor_coefficients,
 )
-from matspec.errors import InvalidInputError, ModelError
+from matspec.errors import InvalidInputError, MatSpecError, ModelError
 from matspec.linalg import re_mat
+from matspec.measure import _disk_cause
 
 from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs
-from _oracle import NoLimitError, numerical_rank, radial_atom_limit
+from _oracle import NoLimitError, numerical_rank, radial_atom_limit, taylor_by_division
 
 RNG = np.random.default_rng(41)
 # parametrised inputs draw from their own stream, leaving RNG untouched
@@ -146,6 +147,30 @@ class TestCentralQuotient:
         for j in range(3, 6):
             assert np.allclose(coeffs[j], 2.0 * ext.coeff(j), atol=1e-8)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_taylor_matches_series_division(self, q):
+        # a hand-built quotient with den_0 != I and deg num > deg den: the
+        # recurrence against the nested power-series division
+        rng = np.random.default_rng(q)
+        shape = (q, q)
+
+        def draw(k):
+            return rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
+
+        den = draw(3)
+        den[0] += 3.0 * np.eye(q)
+        cq = CaratheodoryQuotient(MatPoly(draw(5)), MatPoly(den))
+        got, want = taylor_coefficients(cq, 12), taylor_by_division(cq, 12)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_taylor_of_singular_den0_is_a_typed_error(self):
+        # den = z: num den^-1 has a pole at 0 and no Taylor series there
+        cq = CaratheodoryQuotient(MatPoly([[[1.0]]]), MatPoly([[[0.0]], [[1.0]]]))
+        with pytest.raises(InvalidInputError, match=r"den\(0\) is singular") as info:
+            taylor_coefficients(cq, 3)
+        assert isinstance(info.value, MatSpecError)
+
     def test_rank_of_real_part_matches_head(self):
         # degenerate data: rank of re Phi inside the disk equals rank of C_0
         seq = HermSeq([np.eye(2), np.diag([0.0, 1.0]).astype(complex)])
@@ -188,11 +213,13 @@ class TestDiskCheck:
             caratheodory._check_disk(cq)
 
     def test_zero_in_the_near_circle_band_passes(self):
-        # |p| = 0.97 lies within NEAR_CIRCLE of the circle: the near-circle
-        # analysis owns it
+        # |p| = 0.97 lies within NEAR_CIRCLE of the circle: the disk check
+        # passes it, and the recovery's certificate refuses it
         p = 0.97 * np.exp(2.0j)
         assert 1.0 - abs(p) < caratheodory.NEAR_CIRCLE
-        caratheodory._check_disk(self.quotient([[[1.0]], [[-1.0 / p]]]))
+        cq = self.quotient([[[1.0]], [[-1.0 / p]]])
+        caratheodory._check_disk(cq)
+        assert "not certified" in _disk_cause(cq)
 
 
 class TestPdPolynomials:

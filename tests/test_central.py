@@ -13,7 +13,6 @@ from matspec import (
     central_order,
     central_quotient,
     classify,
-    conjugate_by_unitary,
     covariance_from_gamma,
     gamma_from_covariance,
     spec_norm,
@@ -31,7 +30,7 @@ from _gen import (
     random_unitary,
     var1_coeffs,
 )
-from _oracle import numerical_rank, rank_drop
+from _oracle import conjugate_by_unitary, numerical_rank, rank_drop
 
 RNG = np.random.default_rng(23)
 

@@ -3,10 +3,10 @@ import pytest
 
 from matspec import spec_norm
 from matspec.errors import DimensionError, InvalidInputError
-from matspec.linalg import _spec_norms, as_cmatrix, is_unitary, re_mat
+from matspec.linalg import _spec_norms, as_cmatrix, re_mat
 
 from _gen import random_psd, random_unitary
-from _oracle import adjugate, numerical_rank, pinv, psd_sqrt
+from _oracle import adjugate, is_unitary, numerical_rank, pinv, psd_sqrt
 
 RNG = np.random.default_rng(7)
 

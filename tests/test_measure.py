@@ -15,7 +15,6 @@ from matspec import (
     central_extend,
     central_measure,
     central_quotient,
-    conjugate_by_unitary,
     density_at,
     fourier_coeff,
     gamma_from_covariance,
@@ -23,6 +22,7 @@ from matspec import (
     phi_at,
     rational_values,
     spec_norm,
+    taylor_coefficients,
     toeplitz_matrix,
     verify_recovery,
 )
@@ -32,8 +32,9 @@ from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL
 from matspec.matpoly import det_poly
 from matspec.measure import (
     DEFAULT_ROOT_TOL,
-    NEAR_CIRCLE_NODE_CAP,
+    DISK_MARGIN,
     _central_measure,
+    _coefficients,
     _shift_atoms,
     _unitary_part,
 )
@@ -51,15 +52,20 @@ from _gen import (
     trig_coeffs,
     var1_coeffs,
 )
+import _oracle
 from _oracle import (
+    NEAR_CIRCLE_NODE_CAP,
     MultiplicityError,
     adjugate_poly,
     compute_atoms,
+    conjugate_by_unitary,
     density_kernel_coeffs,
     matpoly_mul,
     pd_density,
     pd_density_last_row,
     pole_limit,
+    quadrature_coeffs,
+    quadrature_herglotz,
     radial_atom_limit,
     shift_atoms_by_eig,
 )
@@ -218,8 +224,8 @@ class TestKernelResidues:
         assert [f.name for f in dataclasses.fields(cq)] == ["num", "den"]
         assert cq.order == cq.den.degree == 3
         assert np.array_equal(cq.zeros, np.roots(det_poly(cq.den)[::-1]))
-        assert cq.near_circle is cq.near_circle
-        assert all(name not in repr(cq) for name in ("order", "zeros", "near_circle"))
+        assert cq.zeros is cq.zeros
+        assert all(name not in repr(cq) for name in ("order", "zeros"))
         # derived arrays take no part in ==, which would fail on them
         assert cq == CaratheodoryQuotient(cq.num, cq.den)
 
@@ -450,12 +456,24 @@ class TestFourierRecovery:
                 fourier_coeff(sm, -j), fourier_coeff(sm, j).conj().T, atol=1e-9
             )
 
-    def test_taylor_tail_recovery(self):
-        # orders past the data must match the central extension
-        seq = random_tpd_seq(RNG, 2, 2)
+    @pytest.mark.parametrize("kind", ["tpd", "near-boundary", "deflated"])
+    def test_taylor_tail_recovery(self, kind):
+        # past the data, the central measure's orders are the central
+        # extension's coefficients: fourier_coeff(central_measure(s), j)
+        # equals central_extend(s, 2n + 2).coeff(j) for n < j <= 2n + 1
+        rng = np.random.default_rng(4)
+        if kind == "tpd":
+            seq = random_tpd_seq(rng, 2, 4)
+        elif kind == "near-boundary":
+            seq = HermSeq(var1_coeffs(rng, 2, 1.0 - 1e-4, 5))
+        else:
+            atoms, _ = atomic_coeffs(rng, 1, 6, n_atoms=2)
+            seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 0.8, 6)))
+        n = len(seq) - 1
         sm = central_measure(seq)
-        ext = central_extend(seq, 6)
-        for j in (3, 4, 5):
+        assert bool(sm.atoms) == (kind == "deflated")
+        ext = central_extend(seq, 2 * n + 2)
+        for j in range(n + 1, 2 * n + 2):
             err = spec_norm(fourier_coeff(sm, j) - ext.coeff(j))
             assert err < 1e-8 * (1 + spec_norm(ext.coeff(0)))
 
@@ -473,19 +491,18 @@ class TestVerifyRecovery:
 
     @pytest.mark.parametrize("case", ["tpd", "atomic_plus_var1"])
     def test_orders_from_one_fft_match_per_order_sums(self, case, monkeypatch):
-        # every order from one FFT of the smooth density against a trapezoid
-        # sum per order, also beyond +-N, where the FFT index wraps as
-        # j mod N; the sums run over the angles the FFT's grid used
-        import matspec.measure as measure
-
+        # the quadrature oracle: every order from one FFT of the smooth
+        # density against a trapezoid sum per order, also beyond +-N, where
+        # the FFT index wraps as j mod N; the sums run over the angles the
+        # FFT's grid used
         grids = []
-        orig = measure._quadrature_angles
+        orig = _oracle._quadrature_angles
 
         def recorded(nodes, poles=()):
             grids.append(orig(nodes, poles))
             return grids[-1]
 
-        monkeypatch.setattr(measure, "_quadrature_angles", recorded)
+        monkeypatch.setattr(_oracle, "_quadrature_angles", recorded)
 
         rng = np.random.default_rng(12)
         if case == "tpd":
@@ -495,10 +512,10 @@ class TestVerifyRecovery:
             coeffs = direct_sum(atoms, var1_coeffs(rng, 1, 1.0 - 1e-3, 7))
         seq = HermSeq(coeffs)
         sm = central_measure(seq)
-        sing = measure._singular_part(sm)
-        nodes = measure._default_nodes(sm, sing, len(seq) - 1)
+        sing = _oracle._singular_part(sm)
+        nodes = _oracle._default_nodes(sm, sing, len(seq) - 1)
         js = list(range(-2, len(seq))) + [nodes + 1, -nodes - 1]
-        got = measure._fourier_many(sm, sing, js, nodes)
+        got = _oracle._fourier_many(sm, sing, js, nodes)
         (ang,) = grids
         dens = sing.smooth_density(sm, ang)
         tol = 1e-14 * (1.0 + spec_norm(seq.coeff(0)))
@@ -511,21 +528,20 @@ class TestVerifyRecovery:
             assert spec_norm(g.reshape(seq.q, seq.q) - want) <= tol
 
     def test_coefficients_add_atoms_and_poles_in_closed_form(self):
-        # the smooth part's orders plus, per order, the atoms' moments and
-        # the pole parts' -1/2 sum R p^(-j-1) (j > 0), its Hermitian part
-        # doubled (j = 0) and the adjoint of order -j (j < 0)
-        import matspec.measure as measure
-
+        # the quadrature oracle: the smooth part's orders plus, per order,
+        # the atoms' moments and the pole parts' -1/2 sum R p^(-j-1) (j > 0),
+        # its Hermitian part doubled (j = 0) and the adjoint of order -j
+        # (j < 0)
         rng = np.random.default_rng(12)
         atoms, _ = atomic_coeffs(rng, 1, 7, n_atoms=2)
         seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 1.0 - 1e-3, 7)))
         sm = central_measure(seq)
-        sing = measure._singular_part(sm)
+        sing = _oracle._singular_part(sm)
         assert sing.poles.size == 1 and len(sm.atoms) == 2
         js = np.arange(-3, len(seq) + 2)
-        nodes = measure._default_nodes(sm, sing, int(np.max(np.abs(js))))
-        smooth = measure._fourier_many(sm, sing, js, nodes).reshape(-1, seq.q, seq.q)
-        got = measure._coefficients(sm, js)
+        nodes = _oracle._default_nodes(sm, sing, int(np.max(np.abs(js))))
+        smooth = _oracle._fourier_many(sm, sing, js, nodes).reshape(-1, seq.q, seq.q)
+        got = quadrature_coeffs(sm, js)
         tol = 1e-14 * spec_norm(seq.coeff(0))
         for j, s, g in zip(js, smooth, got):
             half = -0.5 * sum(p ** (-abs(j) - 1.0) * r for p, r in zip(sing.poles, sing.residues))
@@ -575,6 +591,134 @@ class TestVerifyRecovery:
         assert verify_recovery(central_measure(zero), zero).relative_error == 0.0
         report = verify_recovery(atomic_measure([(1.0, [[0.5]])]), zero)
         assert report.relative_error == report.max_error == 0.5
+
+
+def hand_built(num, den, atoms=()):
+    """Scalar measure with the quotient num den^{-1}, coefficients lowest
+    degree first."""
+    cq = CaratheodoryQuotient(
+        MatPoly(np.asarray(num, dtype=complex)[:, None, None]),
+        MatPoly(np.asarray(den, dtype=complex)[:, None, None]),
+    )
+    return SpectralMeasure(1, tuple(atoms), cq)
+
+
+class TestClosedForm:
+    """The Schwarz formula's closed form: the density's orders off Phi's
+    Taylor coefficients, certified by the zeros of det den."""
+
+    def test_coefficients_are_the_schwarz_orders(self):
+        # order j is Phi_j / 2 (j > 0), re Phi_0 (j = 0) and (Phi_{-j} / 2)*
+        # (j < 0), plus the atoms' moments
+        rng = np.random.default_rng(12)
+        atoms, _ = atomic_coeffs(rng, 1, 7, n_atoms=2)
+        seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 1.0 - 1e-3, 7)))
+        sm = central_measure(seq)
+        assert len(sm.atoms) == 2
+        js = np.arange(-3, len(seq) + 2)
+        phi = taylor_coefficients(sm.quotient, len(seq) + 2)
+        got = _coefficients(sm, js)
+        tol = 1e-14 * spec_norm(seq.coeff(0))
+        for j, g in zip(js, got):
+            half = 0.5 * phi[abs(j)]
+            dens = half + half.conj().T if j == 0 else (half if j > 0 else half.conj().T)
+            want = dens + sum(a.point ** (-j) * a.weight for a in sm.atoms)
+            assert spec_norm(g - want) <= tol
+
+    @pytest.mark.parametrize("kind", ["tpd", "near-boundary", "deflated", "pair", "jordan"])
+    def test_matches_the_quadrature_oracle(self, kind):
+        # orders -2..n+2 and the Herglotz transform against the trapezoid
+        # quadrature of tests/_oracle.py, whose own error next to the
+        # unsubtracted "pair" and "jordan" clusters is the larger
+        rng = np.random.default_rng(4)
+        if kind == "tpd":
+            seq = random_tpd_seq(rng, 2, 4)
+        elif kind == "near-boundary":
+            seq = HermSeq(var1_coeffs(rng, 2, 1.0 - 1e-4, 5))
+        elif kind == "deflated":
+            atoms, _ = atomic_coeffs(rng, 1, 6, n_atoms=2)
+            seq = HermSeq(direct_sum(atoms, var1_coeffs(rng, 1, 1.0 - 1e-3, 6)))
+        else:
+            seq = cluster_var1(kind)
+        sm = central_measure(seq)
+        js = np.arange(-2, len(seq) + 2)
+        tol = 1e-12 * spec_norm(seq.coeff(0))
+        for got, want in zip(_coefficients(sm, js), quadrature_coeffs(sm, js)):
+            assert spec_norm(got - want) <= tol
+        for z in (0.0, 0.5j, 0.9 * np.exp(0.3j), 0.999 * np.exp(2.0j)):
+            assert spec_norm(herglotz_transform(sm, z) - quadrature_herglotz(sm, z)) <= tol
+
+    def test_zero_inside_the_disk_never_verifies(self):
+        # num = 1, den = 1 - z / p with |p| = 1/2: the data its Taylor series
+        # gives verifies nothing, and the orders and transform refuse
+        p = 0.5 * np.exp(0.3j)
+        sm = hand_built([1.0], [1.0, -1.0 / p])
+        seq = scalar_seq(1.0, *[0.5 * p ** -j for j in range(1, 4)])
+        report = verify_recovery(sm, seq)
+        assert not report.passed
+        # the uncertified density recovers nothing
+        assert np.allclose(report.errors_by_order, [abs(c[0, 0]) for c in seq.coeffs])
+        assert report.cause.startswith("zero of det den at 0.477668+0.14776j (|z| - 1 = -5.000e-01)")
+        with pytest.raises(ModelError, match="not certified"):
+            fourier_coeff(sm, 2)
+        with pytest.raises(ModelError, match="not certified"):
+            herglotz_transform(sm, 0.1)
+
+    def test_ones_quotient_without_its_atom_never_verifies(self):
+        # (1 + z)/(1 - z) is the Caratheodory function of a unit mass at 1;
+        # without the atom its Taylor series still reads C_0 = C_1 = 1, and
+        # only the certificate keeps the report failing
+        ones = hand_built([1.0, 1.0], [1.0, -1.0])
+        seq = scalar_seq(1.0, 1.0)
+        assert np.allclose(0.5 * taylor_coefficients(ones.quotient, 2)[:, 0, 0], [0.5, 1.0])
+        report = verify_recovery(ones, seq)
+        assert not report.passed and "not certified" in report.cause
+        # the point mass alone recovers the data
+        assert verify_recovery(atomic_measure([(1.0, [[1.0]])]), seq).passed
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0])
+    def test_multiple_zero_on_the_circle_never_verifies(self, m, angle):
+        # an m-fold zero on the circle splits into zeros spread around it,
+        # one of them at modulus at most 1 + DISK_MARGIN
+        u = np.exp(-1j * angle)
+        sm = hand_built([1.0], np.polynomial.polynomial.polypow([1.0, -u], m))
+        assert np.max(np.abs(np.abs(sm.quotient.zeros) - 1.0)) > DISK_MARGIN
+        report = verify_recovery(sm, scalar_seq(1.0, 0.5 * u, 0.5 * u**2))
+        assert not report.passed and "not certified" in report.cause
+
+    def test_jordan_zero_on_the_circle_never_verifies(self):
+        # den = I - z J, J a 2 x 2 Jordan block at 1: a second-order pole
+        den = MatPoly([np.eye(2), -np.array([[1.0, 1.0], [0.0, 1.0]])])
+        sm = SpectralMeasure(2, (), CaratheodoryQuotient(MatPoly([np.eye(2)]), den))
+        report = verify_recovery(sm, HermSeq([np.eye(2)]))
+        assert not report.passed and "not certified" in report.cause
+
+    @pytest.mark.parametrize("gap, certified", [(2e-10, True), (5e-11, False)])
+    def test_margin_edge(self, gap, certified):
+        # num = 1, den = 1 - z / p: Phi_j = p^-j, C_0 = 1 and C_j = p^-j / 2
+        p = 1.0 + gap
+        sm = hand_built([1.0], [1.0, -1.0 / p])
+        seq = scalar_seq(1.0, *[0.5 * p ** -j for j in range(1, 4)])
+        report = verify_recovery(sm, seq)
+        assert report.passed is certified
+        assert (report.cause is None) is certified
+        if certified:
+            assert report.max_error <= 1e-15
+
+    def test_deep_zeros_and_singular_den0_fail_with_finite_errors(self):
+        # den = 1 - 100 z: the Taylor series grows like 100^k and would
+        # overflow by order 154; den = z has none.  Neither is evaluated:
+        # both reports fail on the certificate with the atoms' errors, and
+        # write valid JSON
+        import json
+
+        seq = HermSeq([np.eye(1)] * 200)
+        for den, gap in (([1.0, -100.0], "-9.900e-01"), ([0.0, 1.0], "-1.000e+00")):
+            report = verify_recovery(hand_built([1.0], den), seq)
+            assert not report.passed and report.max_error == 1.0
+            assert f"(|z| - 1 = {gap}) is not certified" in report.cause
+            json.dumps(report.to_dict(), allow_nan=False)
 
 
 class TestDensityCertificate:
@@ -653,10 +797,10 @@ class TestRankFrozen:
         cq = central_quotient(gamma_from_covariance(seq))
 
         def refuse(*args):
-            raise AssertionError("a measure without quotient evaluated a grid")
+            raise AssertionError("a measure without quotient evaluated its quotient")
 
         monkeypatch.setattr(measure, "rational_values", refuse)
-        monkeypatch.setattr(measure, "_quadrature_angles", refuse)
+        monkeypatch.setattr(measure, "taylor_coefficients", refuse)
         assert np.array_equal(sm.density_grid(np.linspace(0.0, 6.0, 7)), np.zeros((7, 2, 2)))
         assert np.array_equal(density_at(sm, 1j), np.zeros((2, 2)))
         report = verify_recovery(sm, seq)
@@ -936,12 +1080,12 @@ class TestNearEdgeQuadrature:
     """Data close to the extension-ball boundary concentrates the density.
 
     A denominator zero at distance d outside the circle makes a spike of
-    width about d.  Its pole part is subtracted and integrated in closed
-    form, so the trapezoid rule sees only a smooth remainder, and the grid
-    puts the pole halfway between two nodes, where the alias of the
-    roundoff left in its residue stays at most half that roundoff however
+    width about d.  The closed form reads the density's orders off the
+    Taylor coefficients of num den^{-1}, so no spike is resolved however
     small d is.  A measure that does not reproduce the sequence must still
-    fail loudly.
+    fail loudly.  The quadrature oracle of tests/_oracle.py puts a
+    subtracted pole halfway between two nodes, where the alias of the
+    roundoff left in its residue stays at most half that roundoff.
     """
 
     NEAR_EDGE = 0.25 + 0.75 * (1.0 - 1e-4)
@@ -969,20 +1113,19 @@ class TestNearEdgeQuadrature:
         assert 0.5e-6 <= report.max_error <= 2e-6
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
-    def test_ar1_unit_root_distance(self, eps, grid_sizes):
+    def test_ar1_unit_root_distance(self, eps):
         rho = 1.0 - eps
         seq = scalar_seq(*[rho**j for j in range(4)])
         sm = central_measure(seq)
         assert sm.atoms == ()
         report = verify_recovery(sm, seq, tol=1e-8)
         assert report.passed
-        assert max(grid_sizes) <= 4096
+        assert report.relative_error <= 1e-13
 
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     def test_rotated_unit_root(self, eps, n):
-        # AR(1) with its pole at angle theta: a node on the pole's ray
-        # would alias the residue's roundoff about 1 / (N eps) times over
+        # AR(1) with its pole eps outside the circle at 24 angles theta
         rho = 1.0 - eps
         c0 = 1.0 / (1.0 - rho**2)
         for theta in TWO_PI * np.arange(24) / 24 + 0.1:
@@ -993,18 +1136,17 @@ class TestNearEdgeQuadrature:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_grid_keeps_poles_off_the_nodes(self, k):
-        # one pole lands halfway between two nodes, k poles at least 1/(2k)
-        # of a step from the nearest node; no pole keeps the half-step grid
-        import matspec.measure as measure
-
+        # the quadrature oracle: one pole lands halfway between two nodes,
+        # k poles at least 1/(2k) of a step from the nearest node; no pole
+        # keeps the half-step grid
         nodes = 64
         step = TWO_PI / nodes
-        half = measure._quadrature_angles(nodes)
+        half = _oracle._quadrature_angles(nodes)
         assert np.array_equal(half, step * (np.arange(nodes) + 0.5))
         rng = np.random.default_rng(k)
         for _ in range(50):
             poles = (1.0 + 1e-4) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
-            ang = measure._quadrature_angles(nodes, poles)
+            ang = _oracle._quadrature_angles(nodes, poles)
             assert np.allclose(ang - half, ang[0] - half[0], rtol=0.0, atol=1e-13)
             # each pole's argument against the nodes, in steps
             off = (np.angle(poles)[:, None] - ang[None, :]) / step
@@ -1015,11 +1157,11 @@ class TestNearEdgeQuadrature:
 
 
 class TestGridSizing:
-    """The recovery grid follows the zeros of det den, with or without
-    atoms: the alias of order j - N falls like e^{-(N - |j|) d}, d the
-    smallest |log|z|| over the zeros outside the NEAR_CIRCLE band, so
+    """The quadrature oracle's grid follows the zeros of det den, with or
+    without atoms: the alias of order j - N falls like e^{-(N - |j|) d}, d
+    the smallest |log|z|| over the zeros outside the NEAR_CIRCLE band, so
     N - |j| = 40/d nodes reach roundoff, far fewer than 1024 for zeros far
-    from the circle."""
+    from the circle.  The closed form matches the same dense rule."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", ["tpd", "var1", "deflated"])
@@ -1037,23 +1179,24 @@ class TestGridSizing:
         orders = range(len(seq))
         dense = brute_force_coeffs(sm, orders, 4096)
         grid_sizes.clear()
-        got = [fourier_coeff(sm, j) for j in orders]
+        quadrature = quadrature_coeffs(sm, orders)
         assert max(grid_sizes) < 1024
-        for g, w in zip(got, dense):
+        closed = [fourier_coeff(sm, j) for j in orders]
+        for g, c, w in zip(quadrature, closed, dense):
             assert spec_norm(g - w) <= 1e-14 * spec_norm(seq.coeff(0))
+            assert spec_norm(c - w) <= 1e-14 * spec_norm(seq.coeff(0))
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_white_noise_of_high_order(self, n):
-        # no zero of det den: the grid still needs more nodes than orders,
-        # or order n would read C_0
+        # no zero of det den: Phi = C_0, and every order past 0 is zero
         seq = HermSeq([np.eye(2, dtype=complex)] + [np.zeros((2, 2))] * n)
         report = verify_recovery(central_measure(seq), seq, tol=1e-13)
         assert report.passed
 
     def test_polynomial_part_is_not_aliased(self):
         # den = 1: re num on the circle, 1 + 0.4 cos t + 0.2 cos 2t +
-        # 0.1 cos 3t, is a trigonometric polynomial of degree 3, so N must
-        # exceed 70 + 3
+        # 0.1 cos 3t, is a trigonometric polynomial of degree 3, whose
+        # orders past 3 are zero
         cq = CaratheodoryQuotient(
             MatPoly(np.array([1.0, 0.4, 0.2, 0.1])[:, None, None]), MatPoly([[[1.0]]])
         )
@@ -1107,7 +1250,8 @@ def brute_force_nodes(rho):
 
 
 class TestSubtractedPoles:
-    """Quadrature with closed-form pole parts against the brute-force rule."""
+    """Near-circle poles: the closed form against the brute-force rule, and
+    the quadrature oracle with closed-form pole parts."""
 
     ORDERS = range(-2, 8)
 
@@ -1134,19 +1278,23 @@ class TestSubtractedPoles:
 
     @pytest.mark.parametrize("shape", sorted(CLUSTERS))
     def test_pole_cluster_keeps_brute_force_grid(self, shape, grid_sizes):
-        # two poles closer than the cluster radius, or a second-order pole:
-        # they are not subtracted, and the grid resolves them with about
-        # 40 / d nodes.  A double pole split by roundoff, where den has a
-        # 2-dimensional kernel, is one simple pole with a rank-2 residue: it
-        # is subtracted and the grid stays small
+        # the quadrature oracle: two poles closer than the cluster radius,
+        # or a second-order pole, are not subtracted, and the grid resolves
+        # them with about 40 / d nodes.  A double pole split by roundoff,
+        # where den has a 2-dimensional kernel, is one simple pole with a
+        # rank-2 residue: it is subtracted and the grid stays small.  The
+        # closed form recovers all three to roundoff
         seq = cluster_var1(shape)
-        report = verify_recovery(central_measure(seq), seq, tol=1e-8)
-        assert report.passed
-        # the Fourier grid, then the PSD scan grid
-        nodes = grid_sizes[0]
+        sm = central_measure(seq)
+        report = verify_recovery(sm, seq, tol=1e-8)
+        assert report.passed and report.relative_error <= 1e-13
+        got = quadrature_coeffs(sm, range(len(seq)))
+        err = max(spec_norm(g - c) for g, c in zip(got, seq.coeffs))
+        assert err <= 1e-8
+        (nodes,) = grid_sizes
         if shape == "double":
             assert nodes <= 128
-            assert report.relative_error <= 1e-13
+            assert err <= 1e-13 * spec_norm(seq.coeff(0))
         else:
             assert nodes > 4096
 
@@ -1163,30 +1311,39 @@ class TestSubtractedPoles:
         assert report.passed
 
     def test_polish_stops_at_singular_den(self):
-        import matspec.caratheodory as caratheodory
-
         den = MatPoly([[[self.EXACT_POLE]], [[-1.0]]])
-        polished = caratheodory._polish(den, den.derivative(), self.EXACT_POLE, 1)
+        polished = _oracle._polish(den, den.derivative(), self.EXACT_POLE, 1)
         assert polished == self.EXACT_POLE
 
     def test_removable_singularity_on_the_circle(self, grid_sizes):
         # num = den = 1 - z: det den vanishes at z = 1, the residue there is
-        # zero and no atom claims the zero; a zero at distance 0 from the
-        # circle counts as 40 / NEAR_CIRCLE_NODE_CAP away, so orders up to
-        # n = 2 take n + NEAR_CIRCLE_NODE_CAP nodes
+        # zero and no atom claims the zero.  A zero on the circle is not
+        # certified, so the report fails and names it, and the density
+        # recovers nothing.  The quadrature oracle counts a zero at distance 0 from
+        # the circle as 40 / NEAR_CIRCLE_NODE_CAP away, so orders up to n = 2
+        # take n + NEAR_CIRCLE_NODE_CAP nodes
         p = MatPoly([[[1.0]], [[-1.0]]])
         cq = CaratheodoryQuotient(p, p)
         assert compute_atoms(cq) == ()
         sm = SpectralMeasure(1, (), cq)
-        report = verify_recovery(sm, scalar_seq(1.0, 0.0, 0.0))
-        assert report.passed
+        seq = scalar_seq(1.0, 0.0, 0.0)
+        report = verify_recovery(sm, seq)
+        assert not report.passed and report.errors_by_order == (1.0, 0.0, 0.0)
+        assert report.cause.startswith("zero of det den at 1+0j")
+        assert "not certified outside the closed disk" in report.cause
+        with pytest.raises(ModelError, match="not certified"):
+            fourier_coeff(sm, 1)
+        with pytest.raises(ModelError, match="not certified"):
+            herglotz_transform(sm, 0.5)
+        got = quadrature_coeffs(sm, range(len(seq)))
+        assert max(spec_norm(g - c) for g, c in zip(got, seq.coeffs)) <= 1e-8
         assert max(grid_sizes) == 2 + NEAR_CIRCLE_NODE_CAP
 
     @pytest.mark.parametrize("shape", ["pair", "jordan"])
     def test_high_orders_of_unsubtracted_poles(self, shape):
-        # the grid for order j adds |j| to 40 / d for the zeros it resolves
-        # itself, so the alias stays at e^{-40} at any order; the reference
-        # is the plain trapezoid rule on 2^19 nodes, every order from one FFT
+        # the Taylor recurrence runs to order j, and its roundoff stays at
+        # roundoff level at any order; the reference is the plain trapezoid
+        # rule on 2^19 nodes, every order from one FFT
         seq = cluster_var1(shape)
         sm = central_measure(seq)
         nodes = 1 << 19
@@ -1217,10 +1374,11 @@ def transformed(sm, num_scale, phases):
 
 class TestNearEdgeMetamorphic:
     """Rotating and scaling a near-boundary q=2 VAR(1) leaves the quadrature
-    grid alone and moves the recovery error exactly as it moves the data.
+    oracle's grid alone and moves the recovery error exactly as it moves the
+    data.
 
     The grid is checked from the transformed data.  The error is checked on
-    the transformed measure, so the quadrature alone is compared and not the
+    the transformed measure, so the recovery alone is compared and not the
     roundoff of recomputing the quotient from rotated or scaled data.
     """
 
@@ -1231,7 +1389,10 @@ class TestNearEdgeMetamorphic:
         return var1_coeffs(np.random.default_rng(0), 2, 1.0 - 1e-3, self.COUNT)
 
     def recover(self, sm, coeffs, grid_sizes):
+        # the oracle's grid for the orders of the data, and the error of the
+        # closed-form recovery
         grid_sizes.clear()
+        quadrature_coeffs(sm, range(len(coeffs)))
         report = verify_recovery(sm, HermSeq(coeffs))
         return grid_sizes[0], report.max_error
 

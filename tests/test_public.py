@@ -39,7 +39,6 @@ PUBLIC = [
     "central_order",
     "central_quotient",
     "classify",
-    "conjugate_by_unitary",
     "covariance_from_gamma",
     "density_at",
     "doc_to_measure",
@@ -63,13 +62,13 @@ PUBLIC = [
 
 
 HELPERS = {
-    "linalg": ["is_unitary", "re_mat"],
+    "linalg": ["re_mat"],
     "serialize": ["hermitian_from_lower", "mat_to_wire", "wire_to_mat"],
 }
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert sorted(matspec.__all__) == PUBLIC
 
 
@@ -95,7 +94,6 @@ SIGNATURES = {
     "central_measure": ["seq", "psd_tol", "rank_rtol", "root_tol"],
     "central_order": ["seq"],
     "central_quotient": ["g", "n", "rank_rtol", "psd_tol"],
-    "conjugate_by_unitary": ["seq", "u"],
     "density_at": ["sm", "zeta"],
     "matpoly.det_poly": ["p"],
     "fourier_coeff": ["sm", "j"],
@@ -103,7 +101,6 @@ SIGNATURES = {
     "MatPoly.trim": ["self"],
     "pd_polynomials": ["seq"],
     "verify_recovery": ["sm", "seq", "tol"],
-    "linalg.is_unitary": ["a"],
     "matpoly.poly_trim": ["c"],
 }
 

@@ -588,11 +588,13 @@ class TestCliPipeline:
         assert main(["spectrum", str(src), "--output", str(mfile)]) == 0
         capsys.readouterr()
         assert main(["verify", str(mfile), "--sequence", str(wrong)]) == 2
-        assert "verification failed" in capsys.readouterr().err
+        assert "verification failed: max error" in capsys.readouterr().err
 
     def test_verify_with_unclaimed_zero_on_the_circle_exits_2(self, tmp_path, capsys):
         # (1 + z)/(1 - z) without its point mass at z = 1: det den vanishes
-        # on the circle where the measure has no atom
+        # on the circle where the measure has no atom.  Its Taylor series
+        # does reproduce C_0 = C_1 = 1; the report fails because the zero is
+        # not certified off the closed disk, and the message names it
         one = [[[1.0, 0.0]]]
         doc = {"q": 1, "provenance": "central", "atoms": [],
                "quotient": {"a_coeffs": [one, one], "b_coeffs": [one, [[[-1.0, 0.0]]]]}}
@@ -601,7 +603,11 @@ class TestCliPipeline:
         mfile.write_text(dumps(doc))
         src.write_text(seq_doc_text(1.0, 1.0))
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 2
-        assert "verification failed: max error 1.000e+00" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verification failed: zero of det den at 1")
+        assert "not certified outside the closed disk" in captured.err
+        report = json.loads(captured.out)["report"]
+        assert report["passed"] is False and report["cause"] in captured.err
 
     def test_verify_reports_a_negative_density_and_passes(self, tmp_path, capsys):
         # the hand-built quotient 1 + 2z has density (1 + 2 cos t) / 2pi,

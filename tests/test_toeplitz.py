@@ -12,7 +12,6 @@ from matspec import (
     central_quotient,
     classify,
     central_extend,
-    conjugate_by_unitary,
     first_violation,
     gamma_from_covariance,
     toeplitz_matrix,
@@ -29,7 +28,14 @@ from _gen import (
     random_unitary,
     var1_coeffs,
 )
-from _oracle import ball_membership, pinv, prefix_scan, psd_sqrt, rank_drop
+from _oracle import (
+    ball_membership,
+    conjugate_by_unitary,
+    pinv,
+    prefix_scan,
+    psd_sqrt,
+    rank_drop,
+)
 
 RNG = np.random.default_rng(11)
 # parametrised inputs draw from their own stream, leaving RNG untouched

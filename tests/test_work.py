@@ -7,14 +7,15 @@ scan's work grows as n^3, while the central extension made by
 Cholesky of its size and no eigvalsh; each entry point solves for the
 central predictor with one LU solve of T_{n-1} when T_n has full rank and
 with one pseudoinverse when it is singular (`ball_params` always with
-the pseudoinverse's one SVD), det den, its zeros and their
-near-circle clusters are found and polished once per quotient, the residues
-at those clusters take one stacked Horner pass of den, den' and num however
-many clusters there are, and each Newton pass of the polish one of den and
-den', the recovery quadrature takes every Fourier order from one FFT with
-no phase matrix, on a grid sized by the distance of the zeros of det den,
-the Horner step keeps the bits of ``out * z + c_k``, every spectral norm is
-one np.linalg.svdvals, ||C_0|| is read once per call, by the scan, and
+the pseudoinverse's one SVD), det den and its zeros are found once per
+quotient, the recovery, `fourier_coeff` and `herglotz_transform` sample
+no density, take no FFT of one and call `rational_values` only for the
+Herglotz transform's two points, the near-circle clusters of the residue
+oracle (tests/_oracle.py) take one stacked Horner pass of den, den' and
+num however many clusters there are and each Newton pass of its polish one
+of den and den', the Horner step keeps the bits of ``out * z + c_k``, every
+spectral norm is one np.linalg.svdvals, ||C_0|| is read once per call, by
+the scan, and
 the recovery errors of all orders and each comparison of the
 positive-definite cross-check, the autoregressive check and
 `central_order` take one stacked svdvals.
@@ -28,7 +29,7 @@ of size r and one stacked eig per block size, deflated input one eigh of
 size r and one of the unitary part's size, and data whose shift fails the
 certificate one eig of size r; deflated input adds one build and one SVD of
 the deflated data, and rank-frozen input never forms det den, its zeros, a
-quotient value or a quadrature grid."""
+quotient value or a Taylor coefficient."""
 
 import importlib
 import json
@@ -38,6 +39,7 @@ import warnings
 import numpy as np
 import pytest
 
+import _oracle
 import matspec
 import matspec.caratheodory as caratheodory
 import matspec.matpoly as matpoly
@@ -293,9 +295,9 @@ def test_central_order_scans_once(seq, calls):
 @pytest.fixture
 def pole_work(monkeypatch):
     """Arguments of det_poly, wherever matspec calls it from, and calls of
-    np.roots and of the Newton polish of the near-circle zeros."""
-    seen = {"det_poly": [], "roots": 0, "polish": 0}
-    det_poly, roots, polish = matpoly.det_poly, np.roots, caratheodory._polish
+    np.roots."""
+    seen = {"det_poly": [], "roots": 0}
+    det_poly, roots = matpoly.det_poly, np.roots
 
     def counted_det(p, *args, **kwargs):
         seen["det_poly"].append(p)
@@ -305,15 +307,10 @@ def pole_work(monkeypatch):
         seen["roots"] += 1
         return roots(*args, **kwargs)
 
-    def counted_polish(*args, **kwargs):
-        seen["polish"] += 1
-        return polish(*args, **kwargs)
-
     for module in (matpoly, caratheodory, measure):
         if hasattr(module, "det_poly"):
             monkeypatch.setattr(module, "det_poly", counted_det)
     monkeypatch.setattr(np, "roots", counted_roots)
-    monkeypatch.setattr(caratheodory, "_polish", counted_polish)
     return seen
 
 
@@ -330,71 +327,38 @@ def run_pipeline(seq):
 
 def test_verify_recovery_finds_poles_once(seq, pole_work):
     sm = run_pipeline(seq)
-    # every det_poly call of the pipeline: one, of den; the disk check, the
-    # atoms and the subtracted poles share it
+    # every det_poly call of the pipeline: one, of den; the disk check and
+    # the recovery's certificate share its zeros
     assert pole_work["det_poly"] == [sm.quotient.den]
     assert pole_work["roots"] == 1
-    assert pole_work["polish"] == 1
 
 
 # AR(1) with rho = 1 - 1e-4: a simple zero of det den 1e-4 outside the circle
 AR1 = HermSeq([np.array([[(1.0 - 1e-4) ** j]], dtype=complex) for j in range(4)])
 
 
-def test_near_boundary_grid_is_bounded(pole_work, grid_sizes):
+def test_near_boundary_finds_poles_once(pole_work):
     sm = run_pipeline(AR1)
     assert pole_work["det_poly"] == [sm.quotient.den]
     assert pole_work["roots"] == 1
-    # atoms, the subtracted pole and every quadrature read one analysis
-    assert pole_work["polish"] == 1
-    assert max(grid_sizes) <= 4096
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-5])
-def test_subtracted_pole_takes_no_nodes(eps, grid_sizes):
-    # AR(1): the one zero of det den sits about eps outside the circle and
-    # is subtracted, halfway between two nodes; the grid stays at its floor
-    rho = 1.0 - eps
-    data = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(4)])
-    assert verify_recovery(central_measure(data), data).passed
-    assert grid_sizes[0] == 64
-
-
-def test_semisimple_double_pole_is_subtracted(grid_sizes):
-    # diag(AR(1), AR(1)) with equal rho: den has a 2-dimensional kernel at
-    # the double zero of det den, one simple pole with a rank-2 residue
+def test_semisimple_double_pole_recovers():
+    # diag(AR(1), AR(1)) with equal rho: a double zero of det den 1e-4
+    # outside the circle, where den has a 2-dimensional kernel
     rho = 1.0 - 1e-4
     data = HermSeq([np.diag([1.0, 2.0]).astype(complex) * rho**j for j in range(3)])
-    assert verify_recovery(central_measure(data), data).passed
-    assert grid_sizes[0] <= 128
-
-
-@pytest.mark.parametrize("rho", [0.5, 0.9])
-def test_far_zero_sizes_the_grid(rho, grid_sizes):
-    # AR(1): the one zero of det den sits at 1/rho, outside the NEAR_CIRCLE
-    # band, and the alias of order j falls like rho^(N - j)
-    n = 4
-    data = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(n + 1)])
-    verify_recovery(central_measure(data), data)
-    assert grid_sizes[0] == max(64, n + int(np.ceil(40.0 / np.log(1.0 / rho))))
-
-
-def test_far_zeros_keep_the_grid_below_1024(grid_sizes):
-    # low-order draws keep every zero of det den outside the NEAR_CIRCLE
-    # band, where 40 / d is at most 1020
-    for q in (1, 2, 3):
-        for seed in range(10):
-            data = random_tpd_seq(np.random.default_rng(seed), q, 2)
-            verify_recovery(central_measure(data), data)
-    assert max(grid_sizes) < 1024
+    report = verify_recovery(central_measure(data), data)
+    assert report.passed and report.relative_error <= 1e-13
 
 
 @pytest.fixture
-def quadrature_work(monkeypatch, grid_sizes):
-    """Shapes handed to np.fft.fft, sizes handed to np.exp, and the node
-    counts of the quadrature grids."""
-    seen = {"fft": [], "exp": [], "grids": grid_sizes}
+def sampling_work(monkeypatch):
+    """Shapes handed to np.fft.fft and np.exp, and the points handed to
+    the density and to `rational_values`, wherever matspec calls them."""
+    seen = {"fft": [], "exp": [], "density": [], "values": []}
     fft, exp = np.fft.fft, np.exp
+    density, values = measure._density_on_circle, caratheodory.rational_values
 
     def counted_fft(a, *args, **kwargs):
         seen["fft"].append(np.shape(a))
@@ -404,35 +368,20 @@ def quadrature_work(monkeypatch, grid_sizes):
         seen["exp"].append(np.size(x))
         return exp(x, *args, **kwargs)
 
+    def counted_density(sm, zs):
+        seen["density"].append(np.size(zs))
+        return density(sm, zs)
+
+    def counted_values(cq, zs):
+        seen["values"].append(np.size(zs))
+        return values(cq, zs)
+
     monkeypatch.setattr(np.fft, "fft", counted_fft)
     monkeypatch.setattr(np, "exp", counted_exp)
+    monkeypatch.setattr(measure, "_density_on_circle", counted_density)
+    for module in (caratheodory, measure):
+        monkeypatch.setattr(module, "rational_values", counted_values)
     return seen
-
-
-@pytest.mark.parametrize("case", ["tpd", "subtracted-pole", "atoms"])
-def test_verify_recovery_takes_one_fft_per_grid(seq, quadrature_work, case):
-    if case == "tpd":
-        data = seq
-    elif case == "subtracted-pole":
-        data = AR1
-    else:
-        data = HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 6, 2)[0])
-    sm = central_measure(data)
-    for seen in quadrature_work.values():
-        seen.clear()
-    assert verify_recovery(sm, data).passed
-    if case == "atoms":
-        # rank-frozen: no quotient, every order in closed form, no grid
-        assert sm.quotient is None
-        assert quadrature_work == {"fft": [], "exp": [], "grids": []}
-        return
-    # the Fourier grid is the only grid: the density's sign is certified
-    # from the quotient's coefficients
-    (nodes,) = quadrature_work["grids"]
-    # every order from one FFT of the density along the node axis
-    assert quadrature_work["fft"] == [(nodes, data.q**2)]
-    # and no (J, N) phase matrix: no exp larger than the grid
-    assert max(quadrature_work["exp"]) <= nodes
 
 
 # two full-rank q=2 atoms, n = 5: rank T_4 = rank T_5 = 4
@@ -446,31 +395,36 @@ DSUM = HermSeq(direct_sum(atomic_coeffs(np.random.default_rng(6), 1, 7, 2)[0],
 INPUTS = {"subtracted-pole": AR1, "frozen": FROZEN, "mixed": MIXED, "deflated": DSUM}
 
 
+@pytest.mark.parametrize("case", ["tpd", "near-boundary", "deflated", "atoms"])
+def test_recovery_samples_no_density(seq, sampling_work, case):
+    # the closed form reads the density's orders off num den^{-1}'s Taylor
+    # coefficients: verify_recovery and fourier_coeff sample nothing, and
+    # herglotz_transform evaluates the quotient at z and 0 only
+    data = {"tpd": seq, "near-boundary": AR1, "deflated": DSUM, "atoms": FROZEN}[case]
+    sm = central_measure(data)
+    for seen in sampling_work.values():
+        seen.clear()
+    assert verify_recovery(sm, data).passed
+    fourier_coeff(sm, 3 * len(data))
+    assert sampling_work == {"fft": [], "exp": [], "density": [], "values": []}
+    herglotz_transform(sm, 0.3 + 0.2j)
+    assert sampling_work["values"] == ([] if sm.quotient is None else [2])
+    assert sampling_work["fft"] == sampling_work["exp"] == sampling_work["density"] == []
+
+
 def matrices(shapes):
     return [s for s in shapes if len(s) == 2]
 
 
-def test_frozen_input_reads_its_atoms_off_one_eig(
-    pole_work, quadrature_work, calls, monkeypatch
-):
+def test_frozen_input_reads_its_atoms_off_one_eig(pole_work, sampling_work, calls):
     # rank-frozen data: no det den, no roots, no quotient values and no
-    # quadrature anywhere in the pipeline.  The atoms come from one eigh of
-    # size r = 4 and one stacked eig of the shift's two 2 x 2 blocks, one
-    # per atom of rank 2; no eig of size r
-    points = []
-    values = caratheodory.rational_values
-
-    def counted_values(cq, zs):
-        points.append(np.size(zs))
-        return values(cq, zs)
-
-    for module in (caratheodory, measure):
-        monkeypatch.setattr(module, "rational_values", counted_values)
+    # density samples anywhere in the pipeline.  The atoms come from one
+    # eigh of size r = 4 and one stacked eig of the shift's two 2 x 2
+    # blocks, one per atom of rank 2; no eig of size r
     sm = run_pipeline(FROZEN)
     assert sm.quotient is None and len(sm.atoms) == 2
-    assert pole_work == {"det_poly": [], "roots": 0, "polish": 0}
-    assert points == []
-    assert quadrature_work["fft"] == [] and quadrature_work["grids"] == []
+    assert pole_work == {"det_poly": [], "roots": 0}
+    assert sampling_work == {"fft": [], "exp": [], "density": [], "values": []}
     assert calls["eig"] == [(2, 2, 2)]
     assert matrices(calls["eigh"]) == [(4, 4)]
 
@@ -560,12 +514,12 @@ def atomic_quotient(n_atoms):
 
 @pytest.fixture
 def evals(monkeypatch):
-    """Polynomial evaluations outside `_polish`, single (MatPoly) and
-    stacked (one Horner pass of a MatPolyStack), and inside it, where each
-    Newton pass evaluates den and den' in one stacked pass."""
+    """Polynomial evaluations outside the residue oracle's `_polish`, single
+    (MatPoly) and stacked (one Horner pass of a MatPolyStack), and inside it,
+    where each Newton pass evaluates den and den' in one stacked pass."""
     seen = {"single": 0, "stacked": 0, "passes": 0, "single_in_polish": 0}
     inside = []
-    call, stacked, polish = MatPoly.__call__, MatPolyStack.__call__, caratheodory._polish
+    call, stacked, polish = MatPoly.__call__, MatPolyStack.__call__, _oracle._polish
 
     def counted(self, z):
         seen["single_in_polish" if inside else "single"] += 1
@@ -584,7 +538,7 @@ def evals(monkeypatch):
 
     monkeypatch.setattr(MatPoly, "__call__", counted)
     monkeypatch.setattr(MatPolyStack, "__call__", counted_stacked)
-    monkeypatch.setattr(caratheodory, "_polish", counted_polish)
+    monkeypatch.setattr(_oracle, "_polish", counted_polish)
     return seen
 
 
@@ -604,10 +558,9 @@ def test_atom_weights_do_not_loop_over_atoms(evals):
 
 
 def test_polish_stops_once_every_point_has_converged(evals):
-    # central_measure of full-rank AR1 reads no zero of det den; the
-    # recovery polishes its one near-circle zero, one stacked evaluation of
-    # den and den' per Newton pass
-    verify_recovery(central_measure(AR1), AR1)
+    # the residue oracle polishes the one near-circle zero of full-rank
+    # AR1's quotient, one stacked evaluation of den and den' per Newton pass
+    assert _oracle.near_circle(central_measure(AR1).quotient).points.size == 1
     assert 1 <= evals["passes"] <= 2
     assert evals["single_in_polish"] == 0
 
