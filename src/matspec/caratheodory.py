@@ -39,6 +39,7 @@ from .toeplitz import (
     Classification,
     _classification,
     _enter,
+    _recur,
     _scan,
     first_violation,
     toeplitz_matrix,
@@ -115,20 +116,24 @@ def central_quotient(
 
     ``n`` defaults to the full stored prefix.  Order 0 yields the constant
     pair (Gamma_0, I).  Gamma_0 must be Hermitian; the prefix must pass
-    `caratheodory_check`.
+    `caratheodory_check`.  The entry pass's one scan decides both; only
+    when T_0 fails is Gamma_0's Hermiticity read again, for the error type.
     """
     if n is None:
         n = len(g) - 1
     if not 0 <= n <= len(g) - 1:
         raise IndexError(f"order {n} outside stored range 0..{len(g) - 1}")
     g0 = g.coeffs[0]
-    if spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
-        raise InvalidInputError("Gamma_0 must be Hermitian")
+    # C_0 = Gamma_0 as given: the scan tests its Hermiticity, and re T_n is
+    # that of covariance_from_gamma(g)
+    cov = HermSeq([g0] + [0.5 * c for c in g.coeffs[1 : n + 1]])
     try:
-        entry = _enter(toeplitz_matrix(covariance_from_gamma(g), n), g.q, psd_tol, rank_rtol)
+        entry = _enter(toeplitz_matrix(cov, n), g.q, psd_tol, rank_rtol)
     except ModelError as exc:
         if exc.index is None:  # not the scan's
             raise
+        if exc.index == 0 and spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
+            raise InvalidInputError("Gamma_0 must be Hermitian") from exc
         raise ModelError(f"re S_{exc.index} not nonnegative", index=exc.index) from exc
     return _central_quotient(g0, entry.t, entry.w)
 
@@ -163,35 +168,26 @@ def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
         A(z) = sum_j tau_{j0} z^j,    B(z) = sum_j tau_{n,n-j} z^j.
 
     Both determinants are free of zeros on the closed disk, as the
-    positive-definite theory guarantees; nothing here re-tests it.  A is
-    `_pd_first_column`; B's blocks are the last block row of T_n^{-1}, the
-    transpose of the solution X of T_n^T X = E_n with E_n the last q columns
-    of the identity: two LU solves, O((nq)^3 / 3 + (nq)^2 q) each.
+    positive-definite theory guarantees; nothing here re-tests it.  A's
+    blocks are the first block column of T_n^{-1}, from one LU solve of T_n
+    against the first q columns of the identity; B's are the last block row,
+    the transpose of the solution X of T_n^T X = E_n with E_n the last q
+    columns of the identity: two LU solves, O((nq)^3 / 3 + (nq)^2 q) each.
     """
     t, q = toeplitz_matrix(seq, len(seq) - 1), seq.q
     tol = DEFAULT_PSD_TOL
     scan = _scan(t, q, tol)
     if _classification(scan.bad, scan.margin, tol) is not Classification.TPD:
         raise ModelError("sequence is not Toeplitz-positive-definite")
+    first = np.linalg.solve(t, np.eye(len(t), q)).reshape(-1, q, q)
     last = np.linalg.solve(t.T, np.eye(len(t))[:, -q:]).reshape(-1, q, q)
-    return _pd_first_column(t, q), MatPoly(last[::-1].swapaxes(1, 2))
-
-
-def _pd_first_column(t: np.ndarray, q: int) -> MatPoly:
-    """A of `pd_polynomials` without the TPD check: the first block column
-    of T_n^{-1}, ``t`` = T_n, from one LU solve of T_n against the first q
-    columns of the identity, O((nq)^3 / 3 + (nq)^2 q)."""
-    return MatPoly(np.linalg.solve(t, np.eye(len(t), q)).reshape(-1, q, q))
+    return MatPoly(first), MatPoly(last[::-1].swapaxes(1, 2))
 
 
 def rational_values(cq: CaratheodoryQuotient, zs) -> np.ndarray:
     """num(z) den(z)^{-1} at arbitrary points (no disk restriction); num and
     den from one Horner pass."""
-    return _quotient_values(*MatPolyStack(cq.num, cq.den)(zs))
-
-
-def _quotient_values(nv: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """num den^{-1} from the values of num and den at the same points."""
+    nv, dv = MatPolyStack(cq.num, cq.den)(zs)
     try:
         # Phi den = num  <=>  den^T Phi^T = num^T
         sol = np.linalg.solve(np.swapaxes(dv, -1, -2), np.swapaxes(nv, -1, -2))
@@ -223,8 +219,9 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
     Phi_k = (num_k - sum_{i=1..min(k, d)} Phi_{k-i} den_i) den_0^{-1}, d = deg den.
     den_0^{-1} is folded into num and den once (den_0 = I for every central
     and deflated quotient), so each step is one (q, dq) by (dq, q) product
-    with the last d coefficients: O(count d q^3) in all.  A singular den_0
-    is an InvalidInputError: num den^{-1} then has no Taylor series at 0.
+    with the last d coefficients (`toeplitz._recur`, which the central
+    extension also runs): O(count d q^3) in all.  A singular den_0 is an
+    InvalidInputError: num den^{-1} then has no Taylor series at 0.
     """
     if count < 1:
         raise InvalidInputError("count must be positive")
@@ -235,16 +232,13 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
         d0_inv = np.linalg.inv(dc[0])
     except np.linalg.LinAlgError as exc:
         raise InvalidInputError("den(0) is singular: num den^-1 has no Taylor series at 0") from exc
-    num = np.zeros((count, q, q), dtype=complex)
-    num[: nc.shape[0]] = nc @ d0_inv
-    # den_d, ..., den_1 times den_0^{-1}, stacked into (dq, q)
-    tail = (dc[:0:-1] @ d0_inv).reshape(d * q, q)
-    # block column d + k holds Phi_k; the d leading blocks are zero, so the
-    # window of step k is Phi_{k-d}, ..., Phi_{k-1} side by side
-    phi = np.zeros((q, (d + count) * q), dtype=complex)
-    for k in range(count):
-        phi[:, (d + k) * q : (d + k + 1) * q] = num[k] - phi[:, k * q : (d + k) * q] @ tail
-    return phi[:, d * q :].reshape(q, count, q).swapaxes(0, 1)
+    # block d + k of the row holds Phi_k, forced by num_k den_0^{-1}; the d
+    # leading blocks are zero, so step k reads Phi_{k-d}, ..., Phi_{k-1}
+    row = np.zeros((q, (d + count) * q), dtype=complex)
+    row[:, d * q : (d + nc.shape[0]) * q] = np.hstack(nc @ d0_inv)
+    # taps -den_d, ..., -den_1 times den_0^{-1}, stacked into (dq, q)
+    _recur(row, -(dc[:0:-1] @ d0_inv).reshape(d * q, q), d)
+    return row[:, d * q :].reshape(q, count, q).swapaxes(0, 1)
 
 
 def _clusters(zs: np.ndarray) -> list[np.ndarray]:

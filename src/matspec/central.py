@@ -25,7 +25,6 @@ from .toeplitz import (
     MatrixSeq,
     _continue,
     _enter,
-    _predict,
     _predictor,
     toeplitz_matrix,
 )
@@ -124,8 +123,10 @@ def central_order(seq: HermSeq):
     t, tol = entry.t, CENTRAL_TOL * (1.0 + entry.c0_norm)
     ws = [_predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL, entry.full_rank)[0]
           for j in range(1, n)]
-    c = np.asarray(seq.coeffs)
-    centers = np.array([_predict(c[:j], w) for j, w in enumerate(ws + [entry.w], 1)])
+    c, row = np.asarray(seq.coeffs), np.hstack(seq.coeffs)
+    # centre j: [C_1, ..., C_{j-1}] times its predictor's taps w_{j-1}, ..., w_1
+    centers = np.array([row[:, q : j * q] @ w[::-1].reshape(-1, q)
+                        for j, w in enumerate(ws + [entry.w], 1)])
     gap = _spec_norms(c[1:] - centers)
     mismatched = np.nonzero(gap > tol)[0] + 1
     if mismatched.size and mismatched[-1] == n:

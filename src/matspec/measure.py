@@ -35,8 +35,9 @@ C_j = Phi_j / 2 for j > 0 and C_{-j} = C_j*, and its Herglotz transform is
 Phi(z) - (Phi(0) - Phi(0)*) / 2 (Simon, Orthogonal Polynomials on the Unit
 Circle, Part 1, 2005, ch. 1).  The point masses add their moments in closed
 form.  The premise is certified from the quotient's cached zeros of det den
-(`_disk_cause`); a quotient that fails it never verifies.  A measure without
-a quotient has no density: every coefficient and Herglotz value is a
+(`_disk_cause`); a quotient that fails it never verifies, and
+`central_measure` raises rather than return one.  A measure without a
+quotient has no density: every coefficient and Herglotz value is a
 closed-form sum over its atoms.
 """
 
@@ -55,8 +56,6 @@ from .caratheodory import (
     _central_quotient,
     _clusters,
     _disk_point,
-    _pd_first_column,
-    _quotient_values,
     rational_values,
     taylor_coefficients,
 )
@@ -71,7 +70,6 @@ from .linalg import (
     re_mat,
     spec_norm,
 )
-from .matpoly import MatPolyStack
 from .toeplitz import (
     HermSeq,
     _continue,
@@ -322,14 +320,22 @@ def central_measure(
     rank-frozen data, the measure is purely atomic with no quotient, and
     otherwise its quotient is the central quotient of the deflated data
     C'_j = C_j - sum_v v^{-j} X_v.
-    For well-interior TPD input the positive-definite density
-    A(z)^-* A(0) A(z)^-1 / (2pi) is compared with the quotient's at 16
-    points, a built-in cross-check.  T_n is built once: its prefixes are
-    scanned once by one eigvalsh, which also gives rank T_n, and the scan's
-    margin decides whether the cross-check runs.  Full-rank T_n takes the
-    predictor from one LU solve of T_{n-1}, O((nq)^3 / 3), and the
-    cross-check's A, the first block column of T_n^{-1}, from one LU solve
-    against q columns of the identity, O((nq)^3 / 3 + (nq)^2 q).  Singular
+
+    A measure is returned only when `_disk_cause` certifies its quotient's
+    zeros of det den outside the closed disk, the premise of
+    `verify_recovery`'s closed form; otherwise ModelError names the zero.
+    That is the one check a central measure needs: its density is
+    den^{-*} H den^{-1} / 2pi with H constant by construction (Whittle,
+    Biometrika 50, 1963), so its inverse is a matrix trigonometric
+    polynomial of degree at most n, and a measure of that form that
+    recovers C_0..C_n is the central one (Dym and Gohberg, Linear Algebra
+    Appl. 36, 1981), as `verify_recovery` checks in closed form; within its
+    tolerance, that of nearby data, whose density near a pole can differ
+    by more than the data does.
+
+    T_n is built once: its prefixes are scanned once by one eigvalsh, which
+    also gives rank T_n.  Full-rank T_n takes the predictor from one LU
+    solve of T_{n-1}, O((nq)^3 / 3), and no solve of T_n.  Singular
     T_n takes the predictor's one SVD, which gives rank T_{n-1} and the
     range the shift reads, and finds the shift's unitary part with
     Hermitian eigensolvers (`_unitary_part`): an eigh of size r and small
@@ -361,26 +367,10 @@ def _central_measure(
                 rest / entry.c0_norm if entry.c0_norm > 0.0 else 0.0,
             )
         if unitary < entry.s_r.size:
-            cq = _deflated_quotient(seq, sm, rank_rtol)
-            sm = SpectralMeasure(q=q, atoms=atoms, quotient=cq)
-        return sm, entry
-    cq = _central_quotient(seq.coeffs[0], entry.t, entry.w)
-    sm = SpectralMeasure(q=q, atoms=(), quotient=cq)
-    # Cross-check against the positive-definite route when it is numerically
-    # trustworthy; A, read off T_n^{-1}, loses digits for barely-TPD input.
-    if n >= 1 and entry.margin > 1e-6:
-        pa = _pd_first_column(entry.t, q)
-        zs = np.exp(1j * (TWO_PI * (np.arange(16) + 0.5) / 16))
-        # A, num and den at the 16 points in one Horner pass
-        av, nv, dv = MatPolyStack(pa, sm.quotient.num, sm.quotient.den)(zs)
-        want = _pd_density_values(av, pa.coeffs[0])
-        got = _re_density(_quotient_values(nv, dv))
-        tol = 1e-8 * (1.0 + entry.c0_norm)
-        err = float(np.max(_spec_norms(want - got)))
-        if not err <= tol:
-            raise ModelError(
-                f"central and positive-definite densities disagree ({err:.3e})"
-            )
+            sm = replace(sm, quotient=_deflated_quotient(seq, sm, rank_rtol))
+    else:
+        sm = SpectralMeasure(q, (), _central_quotient(seq.coeffs[0], entry.t, entry.w))
+    _require_disk(sm)
     return sm, entry
 
 
@@ -398,14 +388,6 @@ def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
         return _central_quotient(deflated[0], td, wd)
     except ModelError as exc:
         raise ModelError(f"deflated data: {exc}") from exc
-
-
-def _pd_density_values(av: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    """(1/2pi) A(z)^-* A(0) A(z)^-1, Hermitian-projected, from the values
-    ``av`` of A at the points z and A(0) = ``a0``, its constant
-    coefficient."""
-    ia = np.linalg.inv(av)
-    return _re_density(np.conj(np.swapaxes(ia, -1, -2)) @ a0 @ ia)
 
 
 def _check_weight(w: np.ndarray, where: str) -> None:

@@ -295,7 +295,6 @@ class _Entry(NamedTuple):
 
     t: np.ndarray  # re T_n
     c0_norm: float  # ||C_0||
-    margin: float  # the scan's
     rank: int  # rank T_n at the rank_rtol cutoff
     full_rank: bool  # rank T_n = its size: the LU route
     w: np.ndarray  # predictor blocks w_1..w_n, shape (n, q, q)
@@ -312,7 +311,7 @@ def _enter(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
     rank = _rank(scan.eigenvalues, rank_rtol)
     full_rank = rank == len(t)
     w, u_r, s_r = _predictor(scan.t, q, rank_rtol, full_rank)
-    return _Entry(scan.t, scan.c0_norm, scan.margin, rank, full_rank, w, u_r, s_r)
+    return _Entry(scan.t, scan.c0_norm, rank, full_rank, w, u_r, s_r)
 
 
 def _predictor(
@@ -371,10 +370,16 @@ def _predictor_range(
     return w.reshape(n, q, q), u_r, s_r
 
 
-def _predict(past: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_m C_{k-m} w_m for the k = len(past) coefficients C_0..C_{k-1} in
-    ``past``, shaped (k, q, q)."""
-    return (past[len(past) - len(w) :][::-1] @ w).sum(axis=0)
+def _recur(row: np.ndarray, taps: np.ndarray, start: int) -> None:
+    """Block recurrence over the q x q blocks X_0..X_{L-1} of ``row``,
+    shape (q, L q), in place: for k = start..L-1, block k, which holds its
+    forcing, adds [X_{k-d}, ..., X_{k-1}] ``taps``, the d taps stacked
+    (d q, q), start >= d.  One product per step, O((L - start) d q^3);
+    `_continue` and `caratheodory.taylor_coefficients` run it."""
+    q = len(row)
+    d = len(taps) // q
+    for k in range(start, row.shape[1] // q):
+        row[:, k * q : (k + 1) * q] += row[:, (k - d) * q : k * q] @ taps
 
 
 def _first_violation_certified(
@@ -416,21 +421,22 @@ def _continue(
 ) -> HermSeq:
     """Central extension of C_0..C_n with predictor ``w``, checked once.
 
-    Appends C_k = sum_{m=1..n} C_{k-m} w_m until ``target_len`` = L
-    coefficients and raises ModelError when the result is not TND.  The
-    caller has scanned C_0..C_n, which gave ``c0_norm`` = ||C_0||.  The
-    result is TND by construction, so its check takes one Cholesky of
-    re T_{L-1}, O((Lq)^3 / 3), and eigvalsh only when that fails
-    (`_first_violation_certified`).
+    Appends C_k = sum_{m=1..n} C_{k-m} w_m, one block-row product each
+    (`_recur`), until ``target_len`` = L coefficients and raises ModelError
+    when the result is not TND.  The caller has scanned C_0..C_n, which
+    gave ``c0_norm`` = ||C_0||.  The result is TND by construction, so its
+    check takes one Cholesky of re T_{L-1}, O((Lq)^3 / 3), and eigvalsh
+    only when that fails (`_first_violation_certified`).
     """
-    c = np.zeros((target_len, seq.q, seq.q), dtype=complex)
-    c[: len(seq)] = seq.coeffs
-    for k in range(len(seq), target_len):
-        c[k] = _predict(c[:k], w)
-    out = HermSeq(c)
+    q = seq.q
+    row = np.zeros((q, target_len * q), dtype=complex)
+    row[:, : len(seq) * q] = np.hstack(seq.coeffs)
+    # zero forcing, taps w_n, ..., w_1
+    _recur(row, w[::-1].reshape(-1, q), len(seq))
+    out = HermSeq(row.reshape(q, target_len, q).swapaxes(0, 1))
     if len(out) > len(seq):
         t = toeplitz_matrix(out, target_len - 1)
-        bad = _first_violation_certified(t, seq.q, psd_tol, c0_norm)
+        bad = _first_violation_certified(t, q, psd_tol, c0_norm)
         if bad is not None:
             raise ModelError(
                 f"central extension not nonnegative Hermitian at T_{bad}", index=bad

@@ -10,12 +10,14 @@ with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
 by one, the definition `toeplitz_matrix` must reproduce, and `prefix_scan`
 checks T_0, T_1, ... one eigvalsh at a time, the definition that
 `toeplitz._scan` shortcuts by Cauchy interlacing.  `pd_density` is the
-first-column form of the positive-definite density, which the library
-compares with the quotient's in its cross-check, and `pd_density_last_row`
-its last-row form.  `density_kernel_coeffs` forms the Laurent coefficients
-of H = (den* num + num* den) / 2 by direct products of the quotient's
-coefficients, the definition the library's density certificate reads off
-an FFT.  `shift_atoms_by_eig` reads the atoms of singular data off one
+first-column form of the positive-definite density (`_pd_density_values`),
+`pd_density_last_row` its last-row form, and `pd_density_gap` compares the
+first-column form with a quotient's density at 16 points, an independent
+route to the density that the tests hold the library's measures and the
+recovery certificate against.  `density_kernel_coeffs` forms the Laurent
+coefficients of H = (den* num + num* den) / 2 by direct products of the
+quotient's coefficients, the definition the library's density certificate
+reads off an FFT.  `shift_atoms_by_eig` reads the atoms of singular data off one
 general eig of the compressed shift, the definition the library's
 Hermitian route shortcuts.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
@@ -81,7 +83,7 @@ from matspec.measure import (
     _by_angle,
     _check_root_tol,
     _circle_point,
-    _pd_density_values,
+    _re_density,
 )
 from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
 
@@ -242,12 +244,32 @@ def poly_eval(c, z):
     return npoly.polyval(z, np.asarray(c, dtype=complex))
 
 
+def _pd_density_values(av: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """(1/2pi) A(z)^-* A(0) A(z)^-1, Hermitian-projected, from the values
+    ``av`` of A at the points z and A(0) = ``a0``, its constant
+    coefficient."""
+    ia = np.linalg.inv(av)
+    return _re_density(np.conj(np.swapaxes(ia, -1, -2)) @ a0 @ ia)
+
+
 def pd_density(seq: HermSeq, zeta: complex) -> np.ndarray:
     """Density of the TPD measure at a unit-circle point, closed form:
     (1/2pi) A(zeta)^-* A(0) A(zeta)^-1 with A the first-column polynomial of
     `pd_polynomials`."""
     pa = pd_polynomials(seq)[0]
     return _pd_density_values(pa(_circle_point(zeta)), pa.coeffs[0])[0]
+
+
+def pd_density_gap(seq: HermSeq, cq: CaratheodoryQuotient, points: int = 16) -> float:
+    """Largest spectral-norm gap, relative to 1 + ||C_0||, between the
+    inverse-Toeplitz density (1/2pi) A^-* A(0) A^-1 of the TPD sequence and
+    the density (1/2pi) re num den^{-1} of ``cq`` at the ``points`` angles
+    2 pi (k + 1/2) / points.  A gap above 1e-8 says ``cq`` is not the
+    central quotient of ``seq``."""
+    pa = pd_polynomials(seq)[0]
+    zs = np.exp(1j * (TWO_PI * (np.arange(points) + 0.5) / points))
+    gap = _pd_density_values(pa(zs), pa.coeffs[0]) - _re_density(rational_values(cq, zs))
+    return float(np.max(np.linalg.svdvals(gap))) / (1.0 + spec_norm(seq.coeffs[0]))
 
 
 def pd_density_last_row(seq: HermSeq, zeta: complex) -> np.ndarray:

@@ -99,6 +99,21 @@ class TestCentralQuotient:
         with pytest.raises(InvalidInputError):
             central_quotient(scalar_gamma(1.0 + 0.5j, 0.2))
 
+    def test_head_errors_come_from_the_one_scan(self):
+        # the scan's Hermiticity test of C_0 = Gamma_0 is the one Gamma_0
+        # must pass: a non-Hermitian head is an InvalidInputError even when
+        # its real part is also negative, a Hermitian negative one fails T_0
+        for head in (0.5j, -1.0 + 0.5j):
+            with pytest.raises(InvalidInputError, match="Gamma_0 must be Hermitian"):
+                central_quotient(scalar_gamma(head, 0.2))
+        with pytest.raises(ModelError, match="re S_0 not nonnegative") as exc:
+            central_quotient(scalar_gamma(-1.0, 0.2))
+        assert exc.value.index == 0
+        # a head Hermitian within psd_tol passes and is num(0) as given
+        head = np.array([[1.0, 0.25 + 1e-12j], [0.25, 1.0]])
+        cq = central_quotient(GammaSeq([head, 0.2 * np.eye(2)]))
+        assert np.array_equal(cq.num.coeffs[0], head)
+
     def test_non_caratheodory_rejected(self):
         with pytest.raises(ModelError) as exc:
             central_quotient(scalar_gamma(1.0, 4.0))

@@ -742,6 +742,20 @@ class TestCliPipeline:
         assert main(["spectrum", str(src), "--output", str(tmp_path / "m.json")]) == 2
         assert "T_1" in capsys.readouterr().err
 
+    def test_spectrum_with_uncertified_quotient_exits_2(self, tmp_path, capsys):
+        # diag of three AR(1) blocks with one coefficient (1 - 1e-5) e^{0.4i}:
+        # a computed zero of det den lies inside the circle, so the central
+        # measure is refused with the certificate's message, not written
+        a = (1.0 - 1e-5) * np.exp(0.4j)
+        seq = HermSeq([np.diag([1.0, 2.0, 3.0]) * a**j for j in range(3)])
+        src, out = tmp_path / "seq.json", tmp_path / "m.json"
+        src.write_text(dumps(sequence_to_doc(seq, "covariance")))
+        assert main(["spectrum", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("matspec: zero of det den at")
+        assert "not certified outside the closed disk" in err
+        assert not out.exists()
+
 
 class _ReadRecorder:
     """Parsed arguments that record which options a command reads."""

@@ -18,7 +18,7 @@ from matspec import (
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
-from matspec.toeplitz import _continue, _first_violation_certified, _predict, _predictor, _scan
+from matspec.toeplitz import _continue, _first_violation_certified, _predictor, _scan
 
 from _gen import (
     atomic_coeffs,
@@ -269,6 +269,15 @@ def extend_with(seq, w, target):
     return _continue(seq, w, target, DEFAULT_PSD_TOL, spec_norm(seq.coeffs[0]))
 
 
+def continued(seq, w, target):
+    """The recursion C_k = sum_{m=1..n} C_{k-m} w_m up to ``target``
+    coefficients, one product at a time."""
+    c = list(seq.coeffs)
+    for k in range(len(seq), target):
+        c.append(sum((c[k - m] @ w[m - 1] for m in range(1, len(w) + 1)), np.zeros_like(c[0])))
+    return HermSeq(c)
+
+
 def shifted_head(t, q, target):
     """T_n with C_0 moved along the identity so that lambda_min(re T_n) is
     ``target`` times tol (1 + ||C_0||), for PSD C_0 and a small move."""
@@ -294,15 +303,23 @@ class TestExtensionCheck:
             extend_with(seq, scale * w, target)
         assert str(exc.value) == f"central extension not nonnegative Hermitian at T_{bad}"
         assert exc.value.index == bad
-        c = list(seq.coeffs)
-        for k in range(len(seq), target):
-            c.append(_predict(np.array(c), scale * w))
-        assert prefix_scan(HermSeq(c))[0] == bad
+        assert prefix_scan(continued(seq, scale * w, target))[0] == bad
 
     @pytest.mark.parametrize("name, scale", [("tpd", 1.1), ("tpd1", 1.5), ("tpd1", 1.1)])
     def test_predictor_inside_the_cone_passes(self, name, scale):
         seq, w = leaving_predictor(name)
         assert len(extend_with(seq, scale * w, 3 * len(seq))) == 3 * len(seq)
+
+    @pytest.mark.parametrize("name", ["tpd", "var1", "tpd1"])
+    def test_block_recurrence_is_the_per_term_recursion(self, name):
+        # one block-row product per coefficient (`toeplitz._recur`) against
+        # the sum of products; the stored prefix is copied bit for bit
+        seq, w = leaving_predictor(name)
+        target = 3 * len(seq)
+        got, want = extend_with(seq, w, target), continued(seq, w, target)
+        assert np.array(got.coeffs[: len(seq)]).tobytes() == np.array(seq.coeffs).tobytes()
+        gap = max(spec_norm(a - b) for a, b in zip(got.coeffs, want.coeffs))
+        assert gap <= 1e-14 * spec_norm(seq.coeffs[0])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_cholesky_then_scan_is_the_scan(self, seed, monkeypatch):

@@ -17,12 +17,11 @@ of den and den', the Horner step keeps the bits of ``out * z + c_k``, every
 spectral norm is one np.linalg.svdvals, ||C_0|| is read once per call, by
 the scan, and
 the recovery errors of all orders and each comparison of the
-positive-definite cross-check, the autoregressive check and
-`central_order` take one stacked svdvals.
+autoregressive check and `central_order` take one stacked svdvals, and
+`central_quotient` reads Gamma_0's Hermiticity off the scan.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
-of T_{n-1} for the predictor and, when the positive-definite cross-check
-runs, one of T_n for its first block column, and makes no eig call;
+of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
 singular input takes one matrix SVD and reads its atoms off the r x r
 compressed shift with no eig of its size: rank-frozen input takes one eigh
 of size r and one stacked eig per block size, deflated input one eigh of
@@ -249,21 +248,25 @@ def test_verify_recovery_stacks_the_order_errors(seq, calls):
 def test_comparisons_stack_their_norms(seq, calls):
     # every spectral norm is one svdvals, of a matrix or of a stack, and
     # ||C_0|| is read once, by the scan of the entry pass, for every later
-    # stage.  central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan and
-    # the density gap of the cross-check; full-rank input reads no zero of
-    # det den, so den's kernels are left to the recovery
+    # stage.  central_measure: ||C_0 - C_0*|| and ||C_0|| in the scan;
+    # full-rank input reads no zero of det den, so den's kernels are left
+    # to the recovery
     central_measure(seq)
-    assert len(calls["svdvals"]) == 3
-    # the prefix's 3 and the mismatch gaps; the Cholesky shift and the
+    assert len(calls["svdvals"]) == 2
+    # the prefix's 2 and the mismatch gaps; the Cholesky shift and the
     # mismatch scale read the scan's ||C_0||
     calls["svdvals"].clear()
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, 8)
-    assert len(calls["svdvals"]) == 4
+    assert len(calls["svdvals"]) == 3
     # the scan's 2 and the gaps to the ball centres
     calls["svdvals"].clear()
     central_order(seq)
     assert len(calls["svdvals"]) == 3
+    # Gamma_0's Hermiticity and ||Gamma_0|| come from the scan alone
+    calls["svdvals"].clear()
+    central_quotient(gamma_from_covariance(seq))
+    assert len(calls["svdvals"]) == 2
     assert calls["norm"] == []
 
 
@@ -275,9 +278,9 @@ def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
     # construction, takes one Cholesky and no eigvalsh
     assert calls["eigvalsh"] == [((order + 1) * Q,) * 2]
     assert calls["cholesky"] == [((N + 1) * Q,) * 2]
-    # full-rank T_order: one LU solve of T_{order-1} for the predictor and one
-    # of T_order for the cross-check's first block column; no SVD, no inverse
-    assert prefix_sized(calls["solve"]) == [(order * Q,) * 2, ((order + 1) * Q,) * 2]
+    # full-rank T_order: one LU solve of T_{order-1} for the predictor and
+    # none of T_order; no SVD, no inverse
+    assert prefix_sized(calls["solve"]) == [(order * Q,) * 2]
     assert prefix_sized(calls["svd"]) == []
     assert prefix_sized(calls["inv"]) == []
 
@@ -432,9 +435,8 @@ def test_frozen_input_reads_its_atoms_off_one_eig(pole_work, sampling_work, call
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
 def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, kind):
     # one T_n and one eigvalsh (the scan, which also gives rank T_n).
-    # Full-rank T_n: one LU solve of T_{n-1} (the predictor) and one of T_n
-    # (the cross-check's first block column; every full-rank input here has
-    # a margin above 1e-6), no matrix SVD and no matrix inverse.  Singular
+    # Full-rank T_n: one LU solve of T_{n-1} (the predictor), none of T_n,
+    # no matrix SVD and no matrix inverse.  Singular
     # T_n: one matrix SVD (the predictor's, which also gives rank T_{n-1}
     # and the range the shift reads) and no matrix solve; deflated data adds
     # the T_n of C' and the predictor's SVD of T'_{n-1}, and no second scan
@@ -458,11 +460,11 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, 
     assert calls["eigvalsh"] == [(len(data) * data.q,) * 2]
     matrices = {name: [s for s in calls[name] if len(s) == 2]
                 for name in ("svd", "solve", "inv")}
-    t_prev, t_n = ((len(data) - 1) * data.q,) * 2, (len(data) * data.q,) * 2
+    t_prev = ((len(data) - 1) * data.q,) * 2
     if kind in ("frozen", "deflated"):
         assert matrices == {"svd": [t_prev] * times, "solve": [], "inv": []}
     else:
-        assert matrices == {"svd": [], "solve": [t_prev, t_n], "inv": []}
+        assert matrices == {"svd": [], "solve": [t_prev], "inv": []}
 
 
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
