@@ -45,14 +45,9 @@ from .toeplitz import (
     toeplitz_matrix,
 )
 
-# Zeros of det den, or eigenvalues of the compressed shift (`measure`),
-# closer than this merge into one location whose multiplicity is the
-# cluster size; wide enough to absorb the eps^(1/m) companion scatter of an
-# m-fold zero (about 1e-5 at m = 3) while staying far below any realistic
-# atom spacing.
-CLUSTER_RADIUS = 1e-4
-# A central quotient's det den may have no zero z with 1 - |z| >= NEAR_CIRCLE
-# (`_check_disk`); the atom tolerance root_tol lies below it.
+# The det den of `central_quotient` may have no zero z with
+# 1 - |z| >= NEAR_CIRCLE (`_check_disk`); the atom tolerance root_tol lies
+# below it.
 NEAR_CIRCLE = 0.04
 
 
@@ -61,11 +56,11 @@ class CaratheodoryQuotient:
     """Rational Caratheodory function num(z) den(z)^{-1}; its order is deg den.
 
     ``zeros``, the zeros of det den, are derived once, when first read, for
-    every consumer: the disk check of a central quotient and the recovery's
-    certificate that den is invertible on the closed disk.  They take no
-    part in comparison or repr.  A determinant that overflows or is the zero
-    polynomial does not stop construction; reading ``zeros`` raises
-    InvalidInputError.
+    every consumer: the open-disk check of `central_quotient` and the
+    closed-disk certificate of measures and recovery (`measure._disk_cause`).
+    They take no part in comparison or repr.  A determinant that overflows
+    or is the zero polynomial does not stop construction; reading ``zeros``
+    raises InvalidInputError.
     """
 
     num: MatPoly
@@ -100,8 +95,9 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 def _check_disk(cq: CaratheodoryQuotient) -> None:
     """ModelError unless den is invertible inside the disk: det den has no
-    zero z with 1 - |z| >= NEAR_CIRCLE.  The recovery certifies the zeros
-    nearer the circle (`measure._disk_cause`) from the same cached zeros."""
+    zero z with 1 - |z| >= NEAR_CIRCLE.  Only `central_quotient` runs it; a
+    measure's quotient takes the closed-disk certificate
+    (`measure._disk_cause`), which refuses every zero this refuses."""
     if np.any(1.0 - np.abs(cq.zeros) >= NEAR_CIRCLE):
         raise ModelError("denominator determinant vanishes inside the disk")
 
@@ -118,6 +114,7 @@ def central_quotient(
     pair (Gamma_0, I).  Gamma_0 must be Hermitian; the prefix must pass
     `caratheodory_check`.  The entry pass's one scan decides both; only
     when T_0 fails is Gamma_0's Hermiticity read again, for the error type.
+    den must be invertible inside the disk (`_check_disk`).
     """
     if n is None:
         n = len(g) - 1
@@ -135,15 +132,16 @@ def central_quotient(
         if exc.index == 0 and spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
             raise InvalidInputError("Gamma_0 must be Hermitian") from exc
         raise ModelError(f"re S_{exc.index} not nonnegative", index=exc.index) from exc
-    return _central_quotient(g0, entry.t, entry.w)
+    cq = _central_quotient(g0, entry.t, entry.w)
+    _check_disk(cq)
+    return cq
 
 
 def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
-    """`central_quotient` without the entry checks: num(0) = ``g0``, the
+    """`central_quotient` without its checks: num(0) = ``g0``, the
     predictor ``w`` = `_predictor` of ``t`` and the rest read off ``t`` =
-    re T_n, the block Toeplitz of the covariances.  den must be invertible
-    inside the disk, which `_check_disk` reads off the zeros of det den
-    (ModelError otherwise)."""
+    re T_n, the block Toeplitz of the covariances.  The caller decides
+    where the zeros of det den may lie."""
     q = len(g0)
     n = len(t) // q - 1
     # S_{n-1}: Gamma_{j-k} = 2 C_{j-k} in the blocks below the diagonal,
@@ -155,9 +153,7 @@ def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
     u = s.conj().T @ w.reshape(n * q, q)  # block column, num coefficients 1..n
     num = [g0] + [u[k * q : (k + 1) * q] for k in range(n)]
     den = [np.eye(q, dtype=complex)] + [-w[k] for k in range(n)]
-    cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den))
-    _check_disk(cq)
-    return cq
+    return CaratheodoryQuotient(MatPoly(num), MatPoly(den))
 
 
 def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:
@@ -240,22 +236,3 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
     _recur(row, -(dc[:0:-1] @ d0_inv).reshape(d * q, q), d)
     return row[:, d * q :].reshape(q, count, q).swapaxes(0, 1)
 
-
-def _clusters(zs: np.ndarray) -> list[np.ndarray]:
-    """Indices into ``zs`` of its points sorted by angle and chained into
-    clusters by gaps of at most CLUSTER_RADIUS (the last cluster wraps onto
-    the first)."""
-    angle = [float(np.angle(z)) % (2.0 * np.pi) for z in zs]
-    order = sorted(range(len(zs)), key=angle.__getitem__)
-    if not order:
-        return []
-    clusters: list[list[int]] = [[order[0]]]
-    for i in order[1:]:
-        if abs(zs[i] - zs[clusters[-1][-1]]) <= CLUSTER_RADIUS:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    wrap = abs(zs[clusters[0][0]] - zs[clusters[-1][-1]]) <= CLUSTER_RADIUS
-    if len(clusters) > 1 and wrap:
-        clusters[0] = clusters.pop() + clusters[0]
-    return [np.array(c, dtype=int) for c in clusters]

@@ -50,11 +50,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caratheodory import (
-    CLUSTER_RADIUS,
     NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
-    _clusters,
     _disk_point,
     rational_values,
     taylor_coefficients,
@@ -258,12 +256,29 @@ def _unitary_part(
     return lam[unitary], vec[:, unitary], "eig fallback", r
 
 
-def _by_angle(points: np.ndarray) -> np.ndarray:
-    """Indices that sort points by angle in [0, 2pi), a point within
-    CLUSTER_RADIUS below 2pi counting as just below 0: an atom at 1 comes
-    first whatever the sign of its angle's roundoff."""
+# Eigenvalues of the compressed shift closer than this merge into one atom;
+# wide enough to absorb the eps^(1/m) scatter of an m-fold eigenvalue from
+# eig (about 1e-5 at m = 3) while staying far below any realistic atom
+# spacing.
+CLUSTER_RADIUS = 1e-4
+
+
+def _clusters(points: np.ndarray) -> list[np.ndarray]:
+    """Indices into ``points`` chained into clusters by gaps of at most
+    CLUSTER_RADIUS, in atom order: one stable sort by angle in [0, 2pi), a
+    point within CLUSTER_RADIUS below 2pi counting as just below 0 (an atom
+    at 1 comes first whatever the sign of its roundoff), one split at the
+    wider gaps, and the last cluster wraps onto the first."""
+    if points.size == 0:
+        return []
     angle = np.angle(points) % TWO_PI
-    return np.argsort(np.where(angle > TWO_PI - CLUSTER_RADIUS, angle - TWO_PI, angle))
+    wrapped = np.where(angle > TWO_PI - CLUSTER_RADIUS, angle - TWO_PI, angle)
+    order = np.argsort(wrapped, kind="stable")
+    chain = points[order]
+    clusters = np.split(order, np.flatnonzero(np.abs(np.diff(chain)) > CLUSTER_RADIUS) + 1)
+    if len(clusters) > 1 and abs(chain[0] - chain[-1]) <= CLUSTER_RADIUS:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    return clusters
 
 
 def _shift_atoms(entry: _Entry, q: int, root_tol: float) -> tuple[tuple[Atom, ...], int, str, int]:
@@ -275,7 +290,7 @@ def _shift_atoms(entry: _Entry, q: int, root_tol: float) -> tuple[tuple[Atom, ..
     rank-frozen, and then W is unitary.  With
     B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues within
     root_tol of the circle span the unitary part (`_unitary_part`), and
-    conjugated they are the atoms, clustered as the zeros of det den are.
+    conjugated they are the atoms, clustered and ordered by `_clusters`.
     The weight of a cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the
     orthogonal projector onto the cluster's eigenvectors, from one stacked
     QR per cluster size.  Cost O(n q r^2) plus `_unitary_part`'s.
@@ -298,9 +313,7 @@ def _shift_atoms(entry: _Entry, q: int, root_tol: float) -> tuple[tuple[Atom, ..
         basis = np.linalg.qr(vec[:, members].transpose(1, 0, 2))[0]
         gb = g @ basis
         weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
-    order = _by_angle(means)
-    points = means[order] / np.abs(means[order])
-    atoms = _atoms_from_weights(points, weights[order], entry.c0_norm)
+    atoms = _atoms_from_weights(means / np.abs(means), weights, entry.c0_norm)
     return atoms, lam.size, route, widest
 
 
@@ -324,7 +337,8 @@ def central_measure(
     A measure is returned only when `_disk_cause` certifies its quotient's
     zeros of det den outside the closed disk, the premise of
     `verify_recovery`'s closed form; otherwise ModelError names the zero.
-    That is the one check a central measure needs: its density is
+    It refuses every zero the open-disk test of `central_quotient` refuses,
+    and it is the one check a central measure needs: its density is
     den^{-*} H den^{-1} / 2pi with H constant by construction (Whittle,
     Biometrika 50, 1963), so its inverse is a matrix trigonometric
     polynomial of degree at most n, and a measure of that form that
@@ -378,16 +392,12 @@ def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
     """Central quotient of the deflated data C'_j = C_j - sum_v v^{-j} X_v,
     j = 0..n, the moments of the absolutely continuous part once the atoms
     of ``sm`` are taken out.  It reads the Toeplitz matrix and predictor of
-    C' itself; the disk check guards its den (ModelError naming the
-    deflated data)."""
+    C' itself; `_central_measure` certifies its den."""
     q, n = seq.q, len(seq) - 1
     deflated = np.subtract(seq.coeffs, _atom_coeffs(sm, np.arange(n + 1)).reshape(-1, q, q))
     td = re_mat(toeplitz_matrix(HermSeq(deflated), n))
     wd = _predictor_range(td, q, rank_rtol)[0]
-    try:
-        return _central_quotient(deflated[0], td, wd)
-    except ModelError as exc:
-        raise ModelError(f"deflated data: {exc}") from exc
+    return _central_quotient(deflated[0], td, wd)
 
 
 def _check_weight(w: np.ndarray, where: str) -> None:
@@ -439,8 +449,9 @@ def _disk_cause(cq: CaratheodoryQuotient) -> str | None:
     computed at 1 + 1.00000008e-9.  A zero of multiplicity m on the circle
     splits into m zeros spread around it, about eps^(1/m) away: to first
     order one of them has modulus at most 1 (m = 2 leaves 1 + O(eps)), so
-    it needs no margin.  The zeros are the quotient's cached ones, which the
-    disk check of every central and deflated quotient already computed.
+    it needs no margin.  The zeros are the quotient's cached ones, which
+    `central_measure` computes once for this certificate and the recovery
+    reads again.
     """
     zs = cq.zeros
     bad = zs[np.abs(zs) <= 1.0 + DISK_MARGIN]
@@ -596,8 +607,10 @@ def verify_recovery(
     errors are those of the atoms alone (the Taylor series of such a
     quotient need not converge on the circle, nor exist when den(0) is
     singular).  ``passed`` reads recovery and that certificate, not the
-    density bound.
+    density bound.  ``tol`` must be finite and nonnegative.
     """
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInputError(f"tol {tol} must be finite and nonnegative")
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
     cause = None if sm.quotient is None else _disk_cause(sm.quotient)

@@ -202,8 +202,11 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
     most tol (1 + ||C_0||) / 2, which moves the bound by far less than
     eigvalsh's roundoff.  Below the band the per-prefix loop finds the exact
     first bad index, reusing T_n's eigenvalues for the last step.  Cost
-    O((nq)^3) on passing input, O(n^4 q^3) below the band.
+    O((nq)^3) on passing input, O(n^4 q^3) below the band.  The psd_tol
+    ``tol`` of every entry point must lie in [0, 1) (InvalidInputError).
     """
+    if not 0.0 <= tol < 1.0:
+        raise InvalidInputError(f"psd_tol {tol} must lie in [0, 1)")
     c0 = t[:q, :q]
     c0_norm = spec_norm(c0)
     if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):

@@ -55,10 +55,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from matspec.caratheodory import (
-    CLUSTER_RADIUS,
     NEAR_CIRCLE,
     CaratheodoryQuotient,
-    _clusters,
     _disk_point,
     pd_polynomials,
     rational_values,
@@ -74,15 +72,16 @@ from matspec.linalg import (
 )
 from matspec.matpoly import MatPoly, MatPolyStack, _pow2_nodes, poly_trim
 from matspec.measure import (
+    CLUSTER_RADIUS,
     DEFAULT_ROOT_TOL,
     TWO_PI,
     Atom,
     SpectralMeasure,
     _atom_coeffs,
     _atoms_from_weights,
-    _by_angle,
     _check_root_tol,
     _circle_point,
+    _clusters,
     _re_density,
 )
 from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
@@ -102,6 +101,30 @@ class MultiplicityError(MatSpecError):
         super().__init__(message)
         self.root = root
         self.multiplicity = multiplicity
+
+
+def by_angle(points: np.ndarray) -> np.ndarray:
+    """Indices that sort points stably by angle in [0, 2pi), a point within
+    CLUSTER_RADIUS below 2pi counting as just below 0: the atom order of
+    `measure._clusters`."""
+    angle = np.angle(points) % TWO_PI
+    wrapped = np.where(angle > TWO_PI - CLUSTER_RADIUS, angle - TWO_PI, angle)
+    return np.argsort(wrapped, kind="stable")
+
+
+def chain_clusters(points: np.ndarray) -> list[list[int]]:
+    """`measure._clusters` one point at a time: each point of the `by_angle`
+    order joins the cluster of the point before it when at most
+    CLUSTER_RADIUS away, and the last cluster wraps onto the first."""
+    clusters: list[list[int]] = []
+    for i in by_angle(points).tolist():
+        if clusters and abs(points[i] - points[clusters[-1][-1]]) <= CLUSTER_RADIUS:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    if len(clusters) > 1 and abs(points[clusters[0][0]] - points[clusters[-1][-1]]) <= CLUSTER_RADIUS:
+        clusters[0] = clusters.pop() + clusters[0]
+    return clusters
 
 
 def compute_atoms(
@@ -125,7 +148,7 @@ def compute_atoms(
     rows = np.nonzero(np.abs(np.abs(res.points) - 1.0) <= root_tol)[0]
     if rows.size == 0:
         return ()
-    rows = rows[_by_angle(res.points[rows])]
+    rows = rows[by_angle(res.points[rows])]
     points = res.points[rows] / np.abs(res.points[rows])
     sizes, kernel, residues = res.sizes[rows], res.kernel[rows], res.residues[rows]
     for v, m, k, r in zip(points, sizes, kernel, residues):
@@ -165,9 +188,8 @@ def shift_atoms_by_eig(
         basis = np.linalg.qr(vec[:, members])[0]
         weights.append((g @ basis) @ (g @ basis).conj().T)
     means = np.array(means, dtype=complex)
-    order = _by_angle(means)
-    weights = np.array(weights, dtype=complex).reshape(-1, q, q)[order]
-    atoms = _atoms_from_weights(means[order] / np.abs(means[order]), weights, spec_norm(t[:q, :q]))
+    weights = np.array(weights, dtype=complex).reshape(-1, q, q)
+    atoms = _atoms_from_weights(means / np.abs(means), weights, spec_norm(t[:q, :q]))
     return atoms, unitary.size
 
 

@@ -186,6 +186,21 @@ class TestCentralQuotient:
             taylor_coefficients(cq, 3)
         assert isinstance(info.value, MatSpecError)
 
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: central_quotient(scalar_gamma(1.0, 0.5), 2), IndexError, "order 2 outside"),
+            (lambda: central_quotient(scalar_gamma(1.0, 0.5), -1), IndexError, "order -1 outside"),
+            # den = 1 - z is singular at 1, which only phi_at refuses
+            (lambda: rational_values(ones_quotient(), 1.0), ModelError, "numerically singular"),
+            (lambda: taylor_coefficients(ones_quotient(), 0), InvalidInputError, "count"),
+        ],
+        ids=["order-2", "order-(-1)", "singular-den", "count-0"],
+    )
+    def test_input_checks(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_rank_of_real_part_matches_head(self):
         # degenerate data: rank of re Phi inside the disk equals rank of C_0
         seq = HermSeq([np.eye(2), np.diag([0.0, 1.0]).astype(complex)])

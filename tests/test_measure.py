@@ -35,6 +35,7 @@ from matspec.measure import (
     DEFAULT_ROOT_TOL,
     DISK_MARGIN,
     _central_measure,
+    _clusters,
     _coefficients,
     _shift_atoms,
     _unitary_part,
@@ -555,6 +556,23 @@ class TestVerifyRecovery:
         assert len(report.errors_by_order) == 3
         assert np.allclose(report.atom_mass, np.zeros((2, 2)), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "other_q, tol, match",
+        [
+            (True, 1e-8, "block sizes differ"),
+            (False, np.nan, "finite and nonnegative"),
+            (False, np.inf, "finite and nonnegative"),
+            (False, -1.0, "finite and nonnegative"),
+        ],
+        ids=["q-mismatch", "tol-nan", "tol-inf", "tol-negative"],
+    )
+    def test_input_checks(self, other_q, tol, match):
+        # a NaN, infinite or negative tol is an input error, not a report
+        seq = random_tpd_seq(np.random.default_rng(0), 2, 1)
+        data = scalar_seq(1.0, 0.5) if other_q else seq
+        with pytest.raises(InvalidInputError, match=match):
+            verify_recovery(central_measure(seq), data, tol)
+
     @pytest.mark.parametrize("case", ["tpd", "atomic_plus_var1"])
     def test_orders_from_one_fft_match_per_order_sums(self, case, monkeypatch):
         # the quadrature oracle: every order from one FFT of the smooth
@@ -1067,6 +1085,47 @@ class TestHermitianShiftRoute:
                     assert abs(atoms[0].point - 1.0) <= 1e-8
                     assert abs(want[0].point - 1.0) <= 1e-8
 
+    def test_cluster_chained_across_the_wrap_comes_first(self):
+        # atoms at angles -1.5e-4 and -0.6e-4, 0.9e-4 apart, chain into one
+        # cluster across 2pi - CLUSTER_RADIUS; its mean, at -1.05e-4 within
+        # the close pair's roundoff, comes before the atom at angle 2, as the
+        # cluster leads its wrap
+        points = np.exp(1j * np.array([-1.5e-4, -0.6e-4, 2.0]))
+        weights = np.array([1.0, 2.0, 0.5])
+        seq = HermSeq([np.array([[weights @ points**-j]]) for j in range(4)])
+        atoms = central_measure(seq).atoms
+        assert [a.weight[0, 0].real for a in atoms] == pytest.approx([3.0, 0.5], abs=1e-9)
+        assert np.angle(atoms[0].point) == pytest.approx(-1.05e-4, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "angles, want",
+        [
+            ([], []),
+            ([2.0, 2.0, 1.0], [[2], [0, 1]]),
+            ([3.0, -0.6e-4, 1.0, -1.5e-4, 0.3e-4], [[3, 1, 4], [2], [0]]),
+            ([-0.6e-4, -1.5e-4], [[0, 1]]),
+            ([-0.6e-4, 2.0, -1.5e-4], [[2, 0], [1]]),
+        ],
+        ids=["empty", "ties-keep-order", "wrap-leads", "one-cluster", "wrap-pair"],
+    )
+    def test_clusters_chain_in_atom_order(self, angles, want):
+        clusters = _clusters(np.exp(1j * np.array(angles)))
+        assert [c.tolist() for c in clusters] == want
+
+    def test_clusters_match_the_chain_one_point_at_a_time(self):
+        # clumps of 1..3 points 0.3e-4..1.5e-4 apart, some across angle 0
+        # and 2pi - CLUSTER_RADIUS, with ties, against the per-point loop
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            centres = rng.choice([0.0, -1e-4, 1e-4, 1.0, np.pi, 4.0], rng.integers(1, 5))
+            angles = np.concatenate([
+                c + np.cumsum(rng.choice([0.0, 0.3e-4, 0.9e-4, 1.5e-4], rng.integers(1, 4)))
+                for c in centres
+            ])
+            points = np.exp(1j * rng.permutation(angles))
+            got = [c.tolist() for c in _clusters(points)]
+            assert got == _oracle.chain_clusters(points)
+
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "deflated"])
     def test_non_invariant_blocks_fall_back_to_eig(self, frozen):
         # unimodular eigenvalues whose eigenvectors do not reduce W, as a
@@ -1115,7 +1174,8 @@ class TestHermitianShiftRoute:
 # AR(1) with C_0 = 1 near the unit root: rho -> (outcome, atoms) for each n.
 # 1 - 1e-8 has a density and no atom; at 1 - 1e-9 and n >= 5, T_n is
 # singular but only one of the shift's eigenvalues is unimodular, and the
-# deflated data fails the disk check; from 1 - 1e-10 the root is an atom.
+# deflated data fails the disk certificate; from 1 - 1e-10 the root is an
+# atom.
 UNIT_ROOT_ENVELOPE = {
     1.0 - 1e-8: {n: ("passes", 0) for n in (1, 3, 5, 8, 10)},
     1.0 - 1e-9: {1: ("passes", 0), 3: ("passes", 0), 5: ("raises", None),

@@ -287,6 +287,53 @@ class TestMeasureDocs:
                 doc_to_measure(doc)
 
 
+ONE = [[[1.0, 0.0]]]
+
+
+class TestMalformedDocuments:
+    """Each input check of the readers, from the library and through the
+    CLI, which exits 1 with the message."""
+
+    @pytest.mark.parametrize(
+        "kind, doc, match",
+        [
+            ("sequence", [], "sequence document must be a JSON object"),
+            ("sequence", {"q": 0, "kind": "covariance", "coeffs": [ONE]}, "q must be"),
+            ("sequence", {"q": 1, "kind": "spectral", "coeffs": [ONE]}, "kind must be"),
+            ("sequence", {"q": 1, "kind": "covariance", "coeffs": []}, "coeffs must be"),
+            ("sequence", {"q": 1, "kind": "covariance", "coeffs": [ONE], "metadata": []},
+             "metadata must be"),
+            ("sequence", {"q": 1, "kind": "covariance", "coeffs": [[]]}, "expected 1 rows"),
+            ("sequence", {"q": 1, "kind": "covariance", "coeffs": [[[]]]},
+             "row 0 must have 1 entries"),
+            ("sequence", {"q": 1, "kind": "covariance", "coeffs": [[[[1.0]]]]},
+             r"expected an \[re, im\] pair"),
+            ("measure", [], "measure document must be a JSON object"),
+            ("measure", {"q": True}, "q must be"),
+            ("measure", {"q": 1, "atoms": {}}, "atoms must be a list"),
+            ("measure", {"q": 1, "atoms": [1]}, "atom 0: expected an object"),
+        ],
+        ids=["seq-not-object", "seq-q", "kind", "coeffs-empty", "metadata", "rows",
+             "row-length", "pair", "measure-not-object", "measure-q", "atoms-not-list",
+             "atom-not-object"],
+    )
+    def test_refused_with_exit_1(self, tmp_path, capsys, kind, doc, match):
+        read = doc_to_sequence if kind == "sequence" else doc_to_measure
+        with pytest.raises(InvalidInputError, match=match):
+            read(doc)
+        bad, src = tmp_path / "bad.json", tmp_path / "seq.json"
+        bad.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 0.5))
+        if kind == "sequence":
+            argv = ["check", str(bad)]
+        else:
+            argv = ["verify", str(bad), "--sequence", str(src)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(match, captured.err)
+
+
 class TestWireForm:
     """Documents are built by one array conversion per table and written by
     the C encoder; the per-entry conversion of tests/_oracle.py is the
@@ -477,6 +524,39 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "root_tol" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "2"])
+    @pytest.mark.parametrize("command", ["check", "extend"])
+    def test_psd_tol_outside_0_1_exits_1(self, tmp_path, capsys, command, tol):
+        # C = [1, 2] is not TND: no such psd_tol may extend it to
+        # 1, 2, 4, 8 or classify it TND
+        f = tmp_path / "seq.json"
+        f.write_text(seq_doc_text(1.0, 2.0))
+        length = ["--length", "4"] if command == "extend" else []
+        assert main([command, str(f), *length, f"--psd-tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "psd_tol" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_recovery_tol_not_finite_nonnegative_exits_1(self, tmp_path, capsys, tol):
+        src, measure = tmp_path / "seq.json", tmp_path / "m.json"
+        src.write_text(seq_doc_text(1.0, 0.5))
+        assert main(["spectrum", str(src), "--output", str(measure)]) == 0
+        assert main(["verify", str(measure), "--sequence", str(src), f"--tol={tol}"]) == 1
+        assert main(["spectrum", str(src), f"--verify-tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize("z", ["1", "a,b"])
+    def test_eval_phi_malformed_point_exits_1(self, tmp_path, capsys, z):
+        src = tmp_path / "seq.json"
+        src.write_text(seq_doc_text(1.0, 0.5))
+        assert main(["eval-phi", str(src), f"--z={z}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--z expects 're,im'" in captured.err
 
     def test_check_takes_no_rank_rtol(self, tmp_path, capsys):
         f = tmp_path / "seq.json"

@@ -8,7 +8,10 @@ import matspec.toeplitz
 from matspec import (
     Classification,
     HermSeq,
+    ar_spectrum,
     ball_params,
+    caratheodory_check,
+    central_measure,
     central_quotient,
     classify,
     central_extend,
@@ -116,6 +119,44 @@ class TestHermSeq:
         with pytest.raises(error) as exc:
             HermSeq(coeffs)
         assert type(exc.value) is error and str(exc.value) == message
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 2.0], ids=["nan", "inf", "-1", "2"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seq, tol: first_violation(seq, tol),
+            lambda seq, tol: classify(seq, tol),
+            lambda seq, tol: central_extend(seq, 4, psd_tol=tol),
+            lambda seq, tol: central_measure(seq, psd_tol=tol),
+            lambda seq, tol: ar_spectrum(seq, 1, psd_tol=tol),
+            lambda seq, tol: caratheodory_check(gamma_from_covariance(seq), tol),
+            lambda seq, tol: central_quotient(gamma_from_covariance(seq), psd_tol=tol),
+        ],
+        ids=["first_violation", "classify", "central_extend", "central_measure",
+             "ar_spectrum", "caratheodory_check", "central_quotient"],
+    )
+    def test_psd_tol_outside_0_1_is_refused(self, call, tol):
+        # C = [1, 2] is not TND; a NaN, infinite or out-of-range psd_tol
+        # must not pass it as TND or fail it at T_0
+        seq = HermSeq([np.array([[1.0]]), np.array([[2.0]])])
+        with pytest.raises(InvalidInputError, match=r"psd_tol .* must lie in \[0, 1\)"):
+            call(seq, tol)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seq: seq.prefix(0),
+            lambda seq: seq.prefix(4),
+            lambda seq: toeplitz_matrix(seq, -1),
+            lambda seq: toeplitz_matrix(seq, 3),
+        ],
+        ids=["prefix-0", "prefix-4", "order-(-1)", "order-3"],
+    )
+    def test_index_outside_the_stored_range_raises(self, call):
+        with pytest.raises(IndexError, match="outside"):
+            call(ones_seq(3))
 
 
 class TestToeplitzMatrix:

@@ -18,7 +18,8 @@ spectral norm is one np.linalg.svdvals, ||C_0|| is read once per call, by
 the scan, and
 the recovery errors of all orders and each comparison of the
 autoregressive check and `central_order` take one stacked svdvals, and
-`central_quotient` reads Gamma_0's Hermiticity off the scan.
+`central_quotient` reads Gamma_0's Hermiticity off the scan and alone runs
+the open-disk test of det den.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
@@ -330,8 +331,8 @@ def run_pipeline(seq):
 
 def test_verify_recovery_finds_poles_once(seq, pole_work):
     sm = run_pipeline(seq)
-    # every det_poly call of the pipeline: one, of den; the disk check and
-    # the recovery's certificate share its zeros
+    # every det_poly call of the pipeline: one, of den; the measure's and
+    # the recovery's certificates share its zeros
     assert pole_work["det_poly"] == [sm.quotient.den]
     assert pole_work["roots"] == 1
 
@@ -491,12 +492,28 @@ def test_shift_without_a_unitary_certificate_takes_one_eig(calls):
     # AR(1) with C_0 = 1 and rho = 1 - 1e-9, n = 5, is rank-frozen, but only
     # one of the shift's five eigenvalues is unimodular: the Hermitian route
     # fails its certificate and one eig of size r = 5 answers.  The deflated
-    # data then fails the disk check, as with the eig route alone.
+    # quotient's zero of det den at about 0.75 then fails the certificate, as
+    # with the eig route alone.
     rho = 1.0 - 1e-9
     data = HermSeq([np.array([[rho**j]], dtype=complex) for j in range(6)])
-    with pytest.raises(ModelError, match="deflated data: denominator determinant"):
+    with pytest.raises(ModelError, match="zero of det den at .* not certified outside the closed disk"):
         central_measure(data)
     assert matrices(calls["eig"]) == [(5, 5)]
+
+
+@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
+def test_only_central_quotient_runs_the_open_disk_test(seq, monkeypatch, kind):
+    # a measure's quotient, central or deflated, takes the closed-disk
+    # certificate alone; `central_quotient` takes the open-disk test once
+    checked = []
+    check = caratheodory._check_disk
+    monkeypatch.setattr(caratheodory, "_check_disk", lambda cq: checked.append(cq) or check(cq))
+    data = INPUTS.get(kind, seq)
+    central_measure(data)
+    ar_spectrum(data, len(data) - 1)
+    assert checked == []
+    cq = central_quotient(gamma_from_covariance(data))
+    assert len(checked) == 1 and checked[0] is cq
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
