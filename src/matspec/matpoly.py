@@ -65,17 +65,6 @@ class MatPoly:
         """Horner evaluation; scalar z gives (q, q), array z gives (..., q, q)."""
         return _horner(self.coeffs, z)
 
-    def derivative(self, order: int = 1) -> "MatPoly":
-        if order < 0:
-            raise InvalidInputError("derivative order must be nonnegative")
-        arr = self.coeffs
-        for _ in range(order):
-            if arr.shape[0] == 1:
-                arr = np.zeros((1, self.q, self.q), dtype=complex)
-                break
-            arr = arr[1:] * np.arange(1, arr.shape[0])[:, None, None]
-        return MatPoly(arr)
-
     def trim(self) -> "MatPoly":
         mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1)
         top = mags.max()

@@ -81,8 +81,6 @@ from .toeplitz import (
 # Eigenvalues lambda of the compressed shift with ||lambda| - 1| <= root_tol
 # count as unimodular.
 DEFAULT_ROOT_TOL = 1e-7
-# Eigenvalues of an atom weight in [-ATOM_CLIP*||C_0||, 0) clip to zero.
-ATOM_CLIP = 1e-9
 # Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
 # The closed-form recovery needs every zero z of det den to satisfy
@@ -159,31 +157,6 @@ def density_at(sm: SpectralMeasure, zeta: complex) -> np.ndarray:
 def _check_root_tol(root_tol: float) -> None:
     if not 0.0 <= root_tol < NEAR_CIRCLE:
         raise InvalidInputError(f"root_tol {root_tol} must lie in [0, {NEAR_CIRCLE})")
-
-
-def _atoms_from_weights(
-    points: np.ndarray, weights: np.ndarray, scale: float
-) -> tuple[Atom, ...]:
-    """Atoms at the unimodular ``points``, in their order, from the weights
-    (k, q, q); ``scale`` is ||C_0||.
-
-    Weights are Hermitian-projected; eigenvalues in [-ATOM_CLIP, 0) times
-    ||C_0|| clip to zero, anything lower is a ModelError.  Atoms with
-    ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
-    dropped.
-    """
-    lam, vec = np.linalg.eigh(re_mat(weights))
-    for v, low in zip(points, lam[:, 0]):
-        if low < -ATOM_CLIP * scale:
-            raise ModelError(f"atom weight at {v} has negative eigenvalue {low:.3e}")
-    lam = np.clip(lam, 0.0, None)
-    atoms: list[Atom] = []
-    for v, lv, vv in zip(points, lam, vec):
-        if lv[-1] <= ATOM_DROP * scale:
-            continue
-        w = (vv * lv) @ vv.conj().T
-        atoms.append(Atom(point=complex(v), weight=re_mat(w)))
-    return tuple(atoms)
 
 
 # Gaps wider than this between the ascending eigenvalues cos(theta) of
@@ -291,9 +264,14 @@ def _shift_atoms(entry: _Entry, q: int, root_tol: float) -> tuple[tuple[Atom, ..
     B = U_r s_r^{-1/2}, W = B* T_n[q:, :-q] B; its eigenvalues within
     root_tol of the circle span the unitary part (`_unitary_part`), and
     conjugated they are the atoms, clustered and ordered by `_clusters`.
-    The weight of a cluster is G P G*, G = (U_r s_r^{1/2})[:q] and P the
-    orthogonal projector onto the cluster's eigenvectors, from one stacked
-    QR per cluster size.  Cost O(n q r^2) plus `_unitary_part`'s.
+    The weight of a cluster is G P G* = (G Q)(G Q)*, G = (U_r s_r^{1/2})[:q]
+    and Q an orthonormal basis of the cluster's eigenvectors, from one
+    stacked QR per cluster size, so P = Q Q* is the orthogonal projector
+    onto them.  A Gram matrix is PSD: its Hermitian part is the weight with
+    no eigenvalue to clip, its eigenvalues are at least -O(r q eps) ||C_0||
+    (||G||^2 <= ||C_0||), and its spectral norm is its largest eigenvalue.
+    Atoms with ||X_v|| <= ATOM_DROP ||C_0|| (removable singularities) are
+    dropped.  Cost O(n q r^2) plus `_unitary_part`'s.
     """
     root = np.sqrt(entry.s_r)
     b = entry.u_r / root
@@ -313,7 +291,10 @@ def _shift_atoms(entry: _Entry, q: int, root_tol: float) -> tuple[tuple[Atom, ..
         basis = np.linalg.qr(vec[:, members].transpose(1, 0, 2))[0]
         gb = g @ basis
         weights[rows] = gb @ np.conj(np.swapaxes(gb, -1, -2))
-    atoms = _atoms_from_weights(means / np.abs(means), weights, entry.c0_norm)
+    weights = re_mat(weights)
+    keep = _spec_norms(weights) > ATOM_DROP * entry.c0_norm
+    points = means[keep] / np.abs(means[keep])
+    atoms = tuple(Atom(point=complex(v), weight=w) for v, w in zip(points, weights[keep]))
     return atoms, lam.size, route, widest
 
 
@@ -332,7 +313,8 @@ def central_measure(
     (`_shift_atoms`); when they are all of its eigenvalues, as for
     rank-frozen data, the measure is purely atomic with no quotient, and
     otherwise its quotient is the central quotient of the deflated data
-    C'_j = C_j - sum_v v^{-j} X_v.
+    C'_j = C_j - sum_v v^{-j} X_v, which is the data itself when no atom
+    is found.
 
     A measure is returned only when `_disk_cause` certifies its quotient's
     zeros of det den outside the closed disk, the premise of
@@ -356,7 +338,8 @@ def central_measure(
     stacked eigs, plus O(log m) squarings of the shift and an eigh of the
     unitary part's size when T_n is not rank-frozen; one eig of size r
     only when their result is not certified.  The quotient reads re T_n.
-    Deflated data adds one Toeplitz build and one SVD of T'_{n-1}.
+    Deflated data adds one Toeplitz build and one SVD of T'_{n-1}; singular
+    data with no atom reuses T_n and its predictor.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -368,9 +351,11 @@ def _central_measure(
     _check_root_tol(root_tol)
     q, n = seq.q, len(seq) - 1
     entry = _enter(toeplitz_matrix(seq, n), q, psd_tol, rank_rtol)
+    atoms: tuple[Atom, ...] = ()
+    whole = False
     if n >= 1 and not entry.full_rank:
         atoms, unitary, route, widest = _shift_atoms(entry, q, root_tol)
-        sm = SpectralMeasure(q=q, atoms=atoms, quotient=None)
+        whole = unitary == entry.s_r.size
         log = _debug_logger()
         if log is not None:
             rest = spec_norm(seq.coeffs[0] - sum(a.weight for a in atoms))
@@ -380,10 +365,14 @@ def _central_measure(
                 n, entry.rank, n - 1, entry.s_r.size, unitary, route, widest,
                 rest / entry.c0_norm if entry.c0_norm > 0.0 else 0.0,
             )
-        if unitary < entry.s_r.size:
-            sm = replace(sm, quotient=_deflated_quotient(seq, sm, rank_rtol))
+    if whole:
+        quotient = None
+    elif atoms:
+        quotient = _deflated_quotient(seq, SpectralMeasure(q, atoms, None), rank_rtol)
     else:
-        sm = SpectralMeasure(q, (), _central_quotient(seq.coeffs[0], entry.t, entry.w))
+        # nothing to deflate: the data's own central quotient, from the entry
+        quotient = _central_quotient(seq.coeffs[0], entry.t, entry.w)
+    sm = SpectralMeasure(q, atoms, quotient)
     _require_disk(sm)
     return sm, entry
 

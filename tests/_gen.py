@@ -84,6 +84,16 @@ def direct_sum(coeffs_a, coeffs_b):
     return out
 
 
+def atom_free_singular_coeffs(kind):
+    """C_0..C_4, q = 2, of a measure with no atom whose T_4 is singular:
+    0 (+) AR(1) with rho = 0.6 ("zero+ar1"), or the MA(1) density
+    b(zeta) b(zeta)* / 2pi of rank 1, b = b_0 + b_1 zeta ("ma-rank1")."""
+    if kind == "zero+ar1":
+        return direct_sum([np.zeros((1, 1))] * 5, [np.array([[0.6**j]]) for j in range(5)])
+    b0, b1 = np.array([[1.0], [0.5j]]), np.array([[0.3], [-0.2]])
+    return [b0 @ b0.conj().T + b1 @ b1.conj().T, b1 @ b0.conj().T] + [np.zeros((2, 2))] * 3
+
+
 def conjugated(coeffs, u):
     return [u.conj().T @ c @ u for c in coeffs]
 

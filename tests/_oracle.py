@@ -19,7 +19,12 @@ coefficients of H = (den* num + num* den) / 2 by direct products of the
 quotient's coefficients, the definition the library's density certificate
 reads off an FFT.  `shift_atoms_by_eig` reads the atoms of singular data off one
 general eig of the compressed shift, the definition the library's
-Hermitian route shortcuts.  `ball_membership`,
+Hermitian route shortcuts.  Both atom routes here finish their weights with
+`_atoms_from_weights`, which clips eigenvalues down to -ATOM_CLIP ||C_0|| to
+zero and refuses lower ones: a residue is not a Gram matrix, while the
+library's weights G P G* are, so it takes their Hermitian part and no
+eigendecomposition.  `derivative` differentiates a matrix polynomial for the
+polish and the pole limit.  `ball_membership`,
 `rank_drop`, `psd_sqrt` and `numerical_rank` check extension balls and rank
 profiles by their definitions.  `pinv`, the Moore-Penrose pseudoinverse
 from one SVD, gives the ball parameters' textbook formulas, which
@@ -61,7 +66,7 @@ from matspec.caratheodory import (
     pd_polynomials,
     rational_values,
 )
-from matspec.errors import DimensionError, InvalidInputError, MatSpecError
+from matspec.errors import DimensionError, InvalidInputError, MatSpecError, ModelError
 from matspec.linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
@@ -72,13 +77,13 @@ from matspec.linalg import (
 )
 from matspec.matpoly import MatPoly, MatPolyStack, _pow2_nodes, poly_trim
 from matspec.measure import (
+    ATOM_DROP,
     CLUSTER_RADIUS,
     DEFAULT_ROOT_TOL,
     TWO_PI,
     Atom,
     SpectralMeasure,
     _atom_coeffs,
-    _atoms_from_weights,
     _check_root_tol,
     _circle_point,
     _clusters,
@@ -90,6 +95,8 @@ from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
 RADIAL_STEPS = 12
 # Relative threshold deciding whether a derivative value is zero.
 DERIV_TOL = 1e-7
+# Eigenvalues of an atom weight in [-ATOM_CLIP*||C_0||, 0) clip to zero.
+ATOM_CLIP = 1e-9
 
 
 class MultiplicityError(MatSpecError):
@@ -125,6 +132,32 @@ def chain_clusters(points: np.ndarray) -> list[list[int]]:
     if len(clusters) > 1 and abs(points[clusters[0][0]] - points[clusters[-1][-1]]) <= CLUSTER_RADIUS:
         clusters[0] = clusters.pop() + clusters[0]
     return clusters
+
+
+def _atoms_from_weights(
+    points: np.ndarray, weights: np.ndarray, scale: float
+) -> tuple[Atom, ...]:
+    """Atoms at the unimodular ``points``, in their order, from the weights
+    (k, q, q); ``scale`` is ||C_0||.
+
+    Weights are Hermitian-projected; eigenvalues in [-ATOM_CLIP, 0) times
+    ||C_0|| clip to zero, anything lower is a ModelError.  Atoms with
+    ||X_v|| at most ATOM_DROP times ||C_0|| (removable singularities) are
+    dropped.  The library's weights are Gram matrices and skip this pass;
+    the residues of `compute_atoms` are not.
+    """
+    lam, vec = np.linalg.eigh(re_mat(weights))
+    for v, low in zip(points, lam[:, 0]):
+        if low < -ATOM_CLIP * scale:
+            raise ModelError(f"atom weight at {v} has negative eigenvalue {low:.3e}")
+    lam = np.clip(lam, 0.0, None)
+    atoms: list[Atom] = []
+    for v, lv, vv in zip(points, lam, vec):
+        if lv[-1] <= ATOM_DROP * scale:
+            continue
+        w = (vv * lv) @ vv.conj().T
+        atoms.append(Atom(point=complex(v), weight=re_mat(w)))
+    return tuple(atoms)
 
 
 def compute_atoms(
@@ -371,6 +404,19 @@ def matpoly_mul(a: MatPoly, b: MatPoly) -> MatPoly:
     return MatPoly(coeffs)
 
 
+def derivative(p: MatPoly, order: int = 1) -> MatPoly:
+    """The order-th derivative of the matrix polynomial p."""
+    if order < 0:
+        raise InvalidInputError("derivative order must be nonnegative")
+    arr = p.coeffs
+    for _ in range(order):
+        if arr.shape[0] == 1:
+            arr = np.zeros((1, p.q, p.q), dtype=complex)
+            break
+        arr = arr[1:] * np.arange(1, arr.shape[0])[:, None, None]
+    return MatPoly(arr)
+
+
 def poly_derive(c, order: int = 1) -> np.ndarray:
     d = npoly.polyder(np.asarray(c, dtype=complex), order)
     return np.atleast_1d(d)
@@ -406,7 +452,7 @@ def pole_limit(g: MatPoly, h, w: complex, ell: int) -> np.ndarray:
             f"requested power {ell} exceeds the zero multiplicity {m} at {w}"
         )
     scale = math.factorial(m) / math.factorial(m - ell)
-    return (scale / hm) * g.derivative(m - ell)(w)
+    return (scale / hm) * derivative(g, m - ell)(w)
 
 
 def radial_atom_limit(cq: CaratheodoryQuotient, u: complex) -> np.ndarray:
@@ -579,7 +625,7 @@ def _cluster_residues(cq: CaratheodoryQuotient, clusters) -> _Residues:
     residues = np.full((sizes.size, cq.num.q, cq.num.q), np.nan, dtype=complex)
     if not clusters:
         return _Residues(clusters, np.empty(0, complex), sizes, sizes, residues)
-    dden = cq.den.derivative()
+    dden = derivative(cq.den)
     points = _polish(cq.den, dden, np.array([np.mean(c) for c in clusters]), sizes)
     dv, ddv, nv = MatPolyStack(cq.den, dden, cq.num)(points)
     u, s, vh = np.linalg.svd(dv)

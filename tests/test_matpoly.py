@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from matspec import MatPoly
-from matspec.matpoly import MatPolyStack, det_poly
-from matspec.errors import InvalidInputError
+from matspec.matpoly import MatPolyStack, det_poly, poly_trim
+from matspec.errors import DimensionError, InvalidInputError
 
-from _oracle import DegenerateZeroError, adjugate, adjugate_poly, horner, matpoly_mul, pole_limit
+from _oracle import (
+    DegenerateZeroError,
+    adjugate,
+    adjugate_poly,
+    derivative,
+    horner,
+    matpoly_mul,
+    pole_limit,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -33,13 +41,17 @@ class TestMatPoly:
         p = rand_poly(2, 4)
         z, h = 0.4 + 0.1j, 1e-7
         numeric = (p(z + h) - p(z - h)) / (2 * h)
-        assert np.allclose(p.derivative()(z), numeric, atol=1e-6)
+        assert np.allclose(derivative(p)(z), numeric, atol=1e-6)
 
     def test_second_derivative_coefficients(self):
         p = MatPoly(np.array([[[1.0]], [[0.0]], [[0.0]], [[2.0]]], dtype=complex))
-        d2 = p.derivative(2)
+        d2 = derivative(p, 2)
         assert d2.degree == 1
         assert np.allclose(d2.coeffs[1], 12.0)
+
+    def test_negative_derivative_order_is_refused(self):
+        with pytest.raises(InvalidInputError, match="derivative order must be nonnegative"):
+            derivative(rand_poly(2, 2), -1)
 
     def test_trim_drops_tiny_leading_blocks(self):
         c = np.zeros((3, 1, 1), dtype=complex)
@@ -49,6 +61,37 @@ class TestMatPoly:
 
     def test_degree_of_zero_poly(self):
         assert MatPoly(np.zeros((1, 2, 2))).degree == 0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("c", [[], np.ones((2, 2))], ids=["empty", "2-d"])
+    def test_poly_trim_needs_a_nonempty_1d_array(self, c):
+        with pytest.raises(DimensionError, match="nonempty 1-d"):
+            poly_trim(c)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (2, 3), (0, 2, 2), (2, 2, 3), (1, 1, 2, 2)],
+        ids=["1-d", "non-square", "no-blocks", "non-square-blocks", "4-d"],
+    )
+    def test_matpoly_needs_square_blocks(self, shape):
+        with pytest.raises(DimensionError, match=r"expected coefficients shaped \(d\+1, q, q\)"):
+            MatPoly(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"]
+    )
+    def test_matpoly_needs_finite_coefficients(self, bad):
+        c = np.ones((2, 2, 2), dtype=complex)
+        c[1, 0, 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite coefficients"):
+            MatPoly(c)
+
+    @pytest.mark.parametrize("name", ["coeffs", "q", "degree"])
+    def test_matpoly_refuses_assignment(self, name):
+        p = rand_poly(2, 1)
+        with pytest.raises(AttributeError, match="MatPoly is immutable"):
+            setattr(p, name, None)
+        assert p.q == 2 and p.coeffs.shape == (2, 2, 2)
 
 
 class TestMatPolyStack:

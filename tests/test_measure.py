@@ -32,17 +32,21 @@ from matspec.caratheodory import _central_quotient
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
 from matspec.matpoly import det_poly
 from matspec.measure import (
+    ATOM_DROP,
+    CLUSTER_RADIUS,
     DEFAULT_ROOT_TOL,
     DISK_MARGIN,
     _central_measure,
     _clusters,
     _coefficients,
+    _deflated_quotient,
     _shift_atoms,
     _unitary_part,
 )
-from matspec.toeplitz import _continue, _enter, _scan
+from matspec.toeplitz import _continue, _enter, _Entry, _scan
 
 from _gen import (
+    atom_free_singular_coeffs,
     atomic_coeffs,
     conjugated,
     direct_sum,
@@ -970,6 +974,19 @@ class TestOneAtomRoute:
         for z in (0.0, 0.3 - 0.4j, 0.9j):
             assert spec_norm(herglotz_transform(sm, z) - phi_at(cq, z)) <= 1e-13
 
+    @pytest.mark.parametrize("data", ["zero+ar1", "ma-rank1"])
+    def test_atom_free_singular_data_keeps_its_own_quotient(self, data):
+        # singular data whose shift has no unimodular eigenvalue: 0 (+) AR(1)
+        # and an MA(1) density of rank 1.  Deflating no atom leaves the data,
+        # and the entry's T_n and predictor give its quotient bit for bit
+        seq = HermSeq(atom_free_singular_coeffs(data))
+        sm = central_measure(seq)
+        assert sm.atoms == () and sm.quotient is not None
+        deflated = _deflated_quotient(seq, SpectralMeasure(seq.q, (), None), DEFAULT_RANK_RTOL)
+        assert np.array_equal(sm.quotient.num.coeffs, deflated.num.coeffs)
+        assert np.array_equal(sm.quotient.den.coeffs, deflated.den.coeffs)
+        assert verify_recovery(sm, seq).relative_error <= 1e-14
+
     @pytest.mark.parametrize(
         "kind, logged",
         [("tpd", None), ("frozen", (4, 4, 4)), ("deflated", (5, 4, 2))],
@@ -1069,6 +1086,38 @@ class TestHermitianShiftRoute:
                     assert spec_norm(atom.weight - want[k].weight) <= weight_tol * c0
 
     @pytest.mark.parametrize("deflated", [False, True], ids=["frozen", "deflated"])
+    def test_weights_are_hermitian_gram_matrices(self, deflated):
+        # each weight is the Hermitian part of (G Q)(G Q)*, so no eigenvalue
+        # needs clipping: over these 100 draws the lowest is -1.7e-16 ||C_0||,
+        # inside -1e-13 ||C_0|| and far inside the oracle's 1e-9 clip
+        for kind in ("conjugate", "real", "shared", "pair-1e-2", "pair-1e-3"):
+            for q in (1, 2, 3, 4):
+                for seed in range(5):
+                    seq = shift_draw(kind, q, seed, deflated)
+                    c0 = spec_norm(seq.coeff(0))
+                    for atom in central_measure(seq).atoms:
+                        assert np.array_equal(atom.weight, atom.weight.conj().T)
+                        assert np.linalg.eigvalsh(atom.weight)[0] >= -1e-13 * c0
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_atoms_at_most_atom_drop_are_dropped(self, ratio):
+        # a unitary shift diag(e^{0.5i}, e^{1.5i}) in the basis U = [[c, s],
+        # [-s, c]], s_r = (1, 1) and ||C_0|| = 1: G = (c, s), so the atom at
+        # e^{-1.5i} weighs s^2 = ratio ATOM_DROP, dropped up to ATOM_DROP
+        mass = ratio * ATOM_DROP
+        u = np.array([[np.sqrt(1.0 - mass), np.sqrt(mass)], [-np.sqrt(mass), np.sqrt(1.0 - mass)]])
+        t = np.zeros((3, 3), dtype=complex)
+        t[1:, :-1] = u @ np.diag(np.exp([0.5j, 1.5j])) @ u.T
+        entry = _Entry(t, 1.0, 2, False, np.zeros((2, 1, 1)), u, np.ones(2))
+        atoms, unitary, _, _ = _shift_atoms(entry, 1, DEFAULT_ROOT_TOL)
+        assert unitary == 2
+        want = ([(1.5, mass)] if ratio > 1.0 else []) + [(0.5, 1.0 - mass)]
+        assert len(atoms) == len(want)
+        for atom, (angle, weight) in zip(atoms, want):
+            assert abs(atom.point - np.exp(-1j * angle)) <= 1e-12
+            assert atom.weight[0, 0].real == pytest.approx(weight, rel=1e-6)
+
+    @pytest.mark.parametrize("deflated", [False, True], ids=["frozen", "deflated"])
     def test_atom_at_one_comes_first(self, deflated):
         # atoms at 1, -1 and a third angle: roundoff puts the angle of the
         # atom at 1 on either side of 0, and it sorts first in every draw,
@@ -1111,6 +1160,19 @@ class TestHermitianShiftRoute:
     def test_clusters_chain_in_atom_order(self, angles, want):
         clusters = _clusters(np.exp(1j * np.array(angles)))
         assert [c.tolist() for c in clusters] == want
+
+    @pytest.mark.parametrize("start", ["0.7", "-half", "0"])
+    @pytest.mark.parametrize("chord, want", [(0.999, [[0, 1]]), (1.001, [[0], [1]])],
+                             ids=["merge", "split"])
+    def test_cluster_radius_edge(self, start, chord, want):
+        # two unit points a chord of 0.999 CLUSTER_RADIUS apart merge and
+        # 1.001 CLUSTER_RADIUS apart split: from angle 0.7, from half the gap
+        # below angle 0 (straddling it) and from angle 0
+        gap = 2.0 * np.arcsin(0.5 * chord * CLUSTER_RADIUS)
+        first = {"0.7": 0.7, "-half": -0.5 * gap, "0": 0.0}[start]
+        points = np.exp(1j * np.array([first, first + gap]))
+        assert abs(points[1] - points[0]) == pytest.approx(chord * CLUSTER_RADIUS, rel=1e-9)
+        assert [c.tolist() for c in _clusters(points)] == want
 
     def test_clusters_match_the_chain_one_point_at_a_time(self):
         # clumps of 1..3 points 0.3e-4..1.5e-4 apart, some across angle 0
@@ -1438,7 +1500,7 @@ class TestSubtractedPoles:
 
     def test_polish_stops_at_singular_den(self):
         den = MatPoly([[[self.EXACT_POLE]], [[-1.0]]])
-        polished = _oracle._polish(den, den.derivative(), self.EXACT_POLE, 1)
+        polished = _oracle._polish(den, _oracle.derivative(den), self.EXACT_POLE, 1)
         assert polished == self.EXACT_POLE
 
     def test_removable_singularity_on_the_circle(self, grid_sizes):

@@ -244,15 +244,17 @@ class TestMeasureDocs:
         "coeffs, prov",
         [
             ([np.eye(2), 0.5 * np.eye(2)], "central"),
+            ([np.diag([0.0, 1.0]), np.diag([0.0, 0.5])], "central"),
             ([np.eye(2), np.eye(2)], "atoms-only"),
             (DEFLATED, "deflated"),
         ],
-        ids=["central", "atoms-only", "deflated"],
+        ids=["central", "atom-free-singular", "atoms-only", "deflated"],
     )
     def test_provenance_names_the_quotient(self, coeffs, prov):
-        # no atoms: the central quotient; no quotient: atoms only; both: the
-        # quotient of the data less its atoms.  Each document re-serializes
-        # to itself and its measure recovers the data
+        # no atoms: the central quotient, also of singular data (the README's
+        # 0 (+) AR(1)); no quotient: atoms only; both: the quotient of the
+        # data less its atoms.  Each document re-serializes to itself and
+        # its measure recovers the data
         seq = HermSeq(coeffs)
         doc = measure_to_doc(central_measure(seq), density_samples=8)
         assert doc["provenance"] == prov

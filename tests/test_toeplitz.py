@@ -158,6 +158,14 @@ class TestInputChecks:
         with pytest.raises(IndexError, match="outside"):
             call(ones_seq(3))
 
+    @pytest.mark.parametrize("cls", [matspec.toeplitz.MatrixSeq, HermSeq])
+    @pytest.mark.parametrize("name", ["q", "coeffs", "extra"])
+    def test_sequence_refuses_assignment(self, cls, name):
+        seq = cls(ones_seq(3).coeffs)
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(seq, name, None)
+        assert seq.q == 1 and len(seq) == 3
+
 
 class TestToeplitzMatrix:
     def test_scalar_ones_structure(self):

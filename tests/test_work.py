@@ -27,9 +27,10 @@ singular input takes one matrix SVD and reads its atoms off the r x r
 compressed shift with no eig of its size: rank-frozen input takes one eigh
 of size r and one stacked eig per block size, deflated input one eigh of
 size r and one of the unitary part's size, and data whose shift fails the
-certificate one eig of size r; deflated input adds one build and one SVD of
-the deflated data, and rank-frozen input never forms det den, its zeros, a
-quotient value or a Taylor coefficient."""
+certificate one eig of size r, and no input a stacked eigh of its atom
+weights; deflated input adds one build and one SVD of the deflated data,
+singular input with no atom neither, and rank-frozen input never forms det
+den, its zeros, a quotient value or a Taylor coefficient."""
 
 import importlib
 import json
@@ -71,7 +72,14 @@ from matspec.linalg import DEFAULT_RANK_RTOL
 from matspec.matpoly import MatPolyStack
 from matspec.toeplitz import _predictor
 
-from _gen import atomic_coeffs, direct_sum, mixed_coeffs, random_tpd_seq, var1_coeffs
+from _gen import (
+    atom_free_singular_coeffs,
+    atomic_coeffs,
+    direct_sum,
+    mixed_coeffs,
+    random_tpd_seq,
+    var1_coeffs,
+)
 from _oracle import compute_atoms, horner, numerical_rank
 
 Q, N = 2, 16
@@ -97,6 +105,23 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return seen
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Orders n of the T_n that any matspec module builds."""
+    orders = []
+    build = matspec.toeplitz.toeplitz_matrix
+
+    def counted(s, n):
+        orders.append(n)
+        return build(s, n)
+
+    for m in pkgutil.iter_modules(matspec.__path__):
+        module = importlib.import_module(f"matspec.{m.name}")
+        if hasattr(module, "toeplitz_matrix"):
+            monkeypatch.setattr(module, "toeplitz_matrix", counted)
+    return orders
 
 
 def prefix_sized(shapes):
@@ -176,20 +201,9 @@ def test_ball_params_takes_one_svd(seq, calls):
     assert calls["solve"] == []
 
 
-def test_each_entry_point_builds_toeplitz_once(seq, monkeypatch):
+def test_each_entry_point_builds_toeplitz_once(seq, built):
     # every consumer slices one T_n; central_extend and ar_spectrum also
     # build the T of the extension they scan
-    built = []
-    build = matspec.toeplitz.toeplitz_matrix
-
-    def counted(s, n):
-        built.append(n)
-        return build(s, n)
-
-    for m in pkgutil.iter_modules(matspec.__path__):
-        module = importlib.import_module(f"matspec.{m.name}")
-        if hasattr(module, "toeplitz_matrix"):
-            monkeypatch.setattr(module, "toeplitz_matrix", counted)
     calls = {
         "central_measure": lambda: central_measure(seq),
         "central_quotient": lambda: central_quotient(gamma_from_covariance(seq)),
@@ -397,6 +411,8 @@ MIXED = HermSeq(mixed_coeffs(np.random.default_rng(4), 2, 6)[0])
 DSUM = HermSeq(direct_sum(atomic_coeffs(np.random.default_rng(6), 1, 7, 2)[0],
                           var1_coeffs(np.random.default_rng(6), 1, 0.6, 7)))
 INPUTS = {"subtracted-pole": AR1, "frozen": FROZEN, "mixed": MIXED, "deflated": DSUM}
+# singular data with no atom: 0 (+) AR(1), and an MA(1) density of rank 1
+INPUTS.update({kind: HermSeq(atom_free_singular_coeffs(kind)) for kind in ("zero+ar1", "ma-rank1")})
 
 
 @pytest.mark.parametrize("case", ["tpd", "near-boundary", "deflated", "atoms"])
@@ -433,26 +449,19 @@ def test_frozen_input_reads_its_atoms_off_one_eig(pole_work, sampling_work, call
     assert matrices(calls["eigh"]) == [(4, 4)]
 
 
-@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
-def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, kind):
+@pytest.mark.parametrize(
+    "kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated", "zero+ar1", "ma-rank1"]
+)
+def test_central_measure_builds_scans_and_factors_once(seq, calls, built, kind):
     # one T_n and one eigvalsh (the scan, which also gives rank T_n).
     # Full-rank T_n: one LU solve of T_{n-1} (the predictor), none of T_n,
     # no matrix SVD and no matrix inverse.  Singular
     # T_n: one matrix SVD (the predictor's, which also gives rank T_{n-1}
     # and the range the shift reads) and no matrix solve; deflated data adds
-    # the T_n of C' and the predictor's SVD of T'_{n-1}, and no second scan
+    # the T_n of C' and the predictor's SVD of T'_{n-1}, and no second scan.
+    # Singular data whose shift finds no atom has nothing to deflate: its
+    # quotient reads the entry's T_n and predictor
     data = INPUTS.get(kind, seq)
-    built = []
-    build = matspec.toeplitz.toeplitz_matrix
-
-    def counted(s, n):
-        built.append(n)
-        return build(s, n)
-
-    for m in pkgutil.iter_modules(matspec.__path__):
-        module = importlib.import_module(f"matspec.{m.name}")
-        if hasattr(module, "toeplitz_matrix"):
-            monkeypatch.setattr(module, "toeplitz_matrix", counted)
     sm = central_measure(data)
     assert (sm.quotient is None) == (kind == "frozen")
     assert bool(sm.atoms) == (kind in ("frozen", "deflated"))
@@ -462,7 +471,7 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, monkeypatch, 
     matrices = {name: [s for s in calls[name] if len(s) == 2]
                 for name in ("svd", "solve", "inv")}
     t_prev = ((len(data) - 1) * data.q,) * 2
-    if kind in ("frozen", "deflated"):
+    if kind in ("frozen", "deflated", "zero+ar1", "ma-rank1"):
         assert matrices == {"svd": [t_prev] * times, "solve": [], "inv": []}
     else:
         assert matrices == {"svd": [], "solve": [t_prev], "inv": []}
@@ -486,6 +495,8 @@ def test_only_singular_input_takes_one_eig_of_the_shift(seq, calls, kind):
     assert bool(calls["eig"]) == singular
     want = {"frozen": [(r, r)], "deflated": [(r, r), (2, 2)]}.get(kind, [])
     assert matrices(calls["eigh"]) == want
+    # the atom weights are Gram matrices: no stacked eigh finishes them
+    assert calls["eigh"] == matrices(calls["eigh"])
 
 
 def test_shift_without_a_unitary_certificate_takes_one_eig(calls):
