@@ -20,7 +20,8 @@ most n, num(0) = Gamma_0 and den(0) = I.
 
 When det den has no zero on the closed disk, Phi is analytic across the
 circle and its Taylor coefficients (`taylor_coefficients`) are the density's
-Fourier orders (`measure`).
+Fourier orders (`measure`).  One certificate (`_disk_cause`) judges the
+zeros of det den for every consumer, each with its own margin.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .toeplitz import (
 )
 
 # The det den of `central_quotient` may have no zero z with
-# 1 - |z| >= NEAR_CIRCLE (`_check_disk`); the atom tolerance root_tol lies
-# below it.
+# |z| <= 1 - NEAR_CIRCLE (`_disk_cause` with margin -NEAR_CIRCLE); the atom
+# tolerance root_tol lies below it.
 NEAR_CIRCLE = 0.04
 
 
@@ -55,12 +56,11 @@ NEAR_CIRCLE = 0.04
 class CaratheodoryQuotient:
     """Rational Caratheodory function num(z) den(z)^{-1}; its order is deg den.
 
-    ``zeros``, the zeros of det den, are derived once, when first read, for
-    every consumer: the open-disk check of `central_quotient` and the
-    closed-disk certificate of measures and recovery (`measure._disk_cause`).
-    They take no part in comparison or repr.  A determinant that overflows
-    or is the zero polynomial does not stop construction; reading ``zeros``
-    raises InvalidInputError.
+    ``zeros``, the zeros of det den, are derived once, when first read, by
+    `_disk_cause`, which gives every verdict on them.  They take no part in
+    comparison or repr.  A determinant that overflows or is the zero
+    polynomial does not stop construction; reading ``zeros`` raises
+    InvalidInputError.
     """
 
     num: MatPoly
@@ -93,13 +93,23 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
     return caratheodory_first_failure(g, tol) is None
 
 
-def _check_disk(cq: CaratheodoryQuotient) -> None:
-    """ModelError unless den is invertible inside the disk: det den has no
-    zero z with 1 - |z| >= NEAR_CIRCLE.  Only `central_quotient` runs it; a
-    measure's quotient takes the closed-disk certificate
-    (`measure._disk_cause`), which refuses every zero this refuses."""
-    if np.any(1.0 - np.abs(cq.zeros) >= NEAR_CIRCLE):
-        raise ModelError("denominator determinant vanishes inside the disk")
+def _disk_cause(cq: CaratheodoryQuotient, margin: float) -> str | None:
+    """The one verdict on the zeros of det den (`CaratheodoryQuotient.zeros`):
+    a message naming the innermost zero when some zero z has
+    |z| - 1 <= margin, else None.  `central_quotient` asks for none inside
+    the disk, margin -NEAR_CIRCLE; measures and recovery for none on the
+    closed disk, margin DISK_MARGIN (`measure`), which refuses every zero
+    the first refuses.  |z| - 1 is exact for 1/2 <= |z| <= 2 (Sterbenz)."""
+    zs = cq.zeros
+    bad = zs[np.abs(zs) - 1.0 <= margin]
+    if bad.size == 0:
+        return None
+    # + 0j turns a signed zero imaginary part into +0, so 1 reads 1+0j
+    z = complex(bad[np.argmin(np.abs(bad))]) + 0j
+    return (
+        f"zero of det den at {z:.6g} (|z| - 1 = {abs(z) - 1.0:.3e}) is not "
+        f"certified outside the closed disk (margin {margin:.0e})"
+    )
 
 
 def central_quotient(
@@ -114,7 +124,8 @@ def central_quotient(
     pair (Gamma_0, I).  Gamma_0 must be Hermitian; the prefix must pass
     `caratheodory_check`.  The entry pass's one scan decides both; only
     when T_0 fails is Gamma_0's Hermiticity read again, for the error type.
-    den must be invertible inside the disk (`_check_disk`).
+    den must be invertible inside the disk: `_disk_cause` with margin
+    -NEAR_CIRCLE, whose ModelError names the innermost zero of det den.
     """
     if n is None:
         n = len(g) - 1
@@ -133,7 +144,9 @@ def central_quotient(
             raise InvalidInputError("Gamma_0 must be Hermitian") from exc
         raise ModelError(f"re S_{exc.index} not nonnegative", index=exc.index) from exc
     cq = _central_quotient(g0, entry.t, entry.w)
-    _check_disk(cq)
+    cause = _disk_cause(cq, -NEAR_CIRCLE)
+    if cause is not None:
+        raise ModelError(cause)
     return cq
 
 

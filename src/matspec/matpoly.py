@@ -4,10 +4,11 @@ Coefficients are stored lowest degree first.  Scalar polynomials are plain
 1-d complex arrays (the ``numpy.polynomial.polynomial`` convention); matrix
 polynomials get a small dedicated class.
 
-The determinant of a matrix polynomial is formed by evaluation at roots of
-unity followed by an inverse FFT, which is exact up to roundoff once the node
-count exceeds its degree.  No adjugates or products of matrix polynomials
-are formed.
+The determinant of a matrix polynomial is read off its values at the 2^k-th
+roots of unity: one FFT of the coefficients gives the values, one stacked
+det their determinants and one inverse FFT the coefficients, exact up to
+roundoff once 2^k exceeds its degree.  No adjugates or products of matrix
+polynomials are formed.
 """
 
 from __future__ import annotations
@@ -120,21 +121,17 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     return out
 
 
-def _pow2_nodes(min_count: int) -> np.ndarray:
-    n = 1
-    while n <= min_count:
-        n *= 2
-    return np.exp(-2j * np.pi * np.arange(n) / n)
-
-
 def det_poly(p: MatPoly) -> np.ndarray:
-    """Scalar coefficients of det p(z), by interpolation at roots of unity."""
+    """Scalar coefficients of det p(z), of degree at most q deg p, by
+    interpolation at the N-th roots of unity, N = 2^k the least power of two
+    above that degree: p(e^{-2 pi i m / N}) is entry m of the length-N FFT of
+    the coefficients, and the inverse FFT of their determinants holds the
+    coefficients.  O(N q^2 log N + N q^3)."""
     p = p.trim()
     target = p.q * p.degree
     if target == 0:
         return np.atleast_1d(np.linalg.det(p.coeffs[0]))
-    nodes = _pow2_nodes(target)
-    dets = np.linalg.det(p(nodes))
-    coeffs = np.fft.ifft(dets)[: target + 1]
-    return poly_trim(coeffs)
+    size = 2 ** target.bit_length()
+    dets = np.linalg.det(np.fft.fft(p.coeffs, size, axis=0))
+    return poly_trim(np.fft.ifft(dets)[: target + 1])
 

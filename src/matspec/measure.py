@@ -35,8 +35,8 @@ C_j = Phi_j / 2 for j > 0 and C_{-j} = C_j*, and its Herglotz transform is
 Phi(z) - (Phi(0) - Phi(0)*) / 2 (Simon, Orthogonal Polynomials on the Unit
 Circle, Part 1, 2005, ch. 1).  The point masses add their moments in closed
 form.  The premise is certified from the quotient's cached zeros of det den
-(`_disk_cause`); a quotient that fails it never verifies, and
-`central_measure` raises rather than return one.  A measure without a
+(`_disk_cause` at margin DISK_MARGIN); a quotient that fails it never
+verifies, and `central_measure` raises rather than return one.  A measure without a
 quotient has no density: every coefficient and Herglotz value is a
 closed-form sum over its atoms.
 """
@@ -53,6 +53,7 @@ from .caratheodory import (
     NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
+    _disk_cause,
     _disk_point,
     rational_values,
     taylor_coefficients,
@@ -84,7 +85,12 @@ DEFAULT_ROOT_TOL = 1e-7
 # Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
 # The closed-form recovery needs every zero z of det den to satisfy
-# |z| > 1 + DISK_MARGIN (`_disk_cause`).
+# |z| > 1 + DISK_MARGIN (`_disk_cause`).  np.roots moves a simple zero by
+# about eps times its condition number (Edelman and Murakami, Math. Comp.
+# 64, 1995): 1e-10, about 4.5e5 eps, still admits AR(1) with
+# rho = 1 - 1e-9, whose zero is computed at 1 + 1.00000008e-9.  An m-fold
+# zero on the circle scatters by about eps^(1/m), one zero at modulus at
+# most 1 to first order, so it needs no margin.
 DISK_MARGIN = 1e-10
 TWO_PI = 2.0 * np.pi
 
@@ -179,10 +185,11 @@ def _unitary_part(
     split at gaps wider than _SPLIT_GAP, and the blocks' V_b* W V_b take one
     stacked eig per block size.  Otherwise it is the eigenvalue-1 space K of
     W^{*m} W^m, W^m by repeated squaring, read off one eigh as the
-    eigenvalues above 1/2, and K* W K takes the frozen route.  m is first the
-    power of two >= r, then 2^floor(log2(ln 2 / (2 root_tol))), at which an
-    eigenvalue of modulus 1 - root_tol maps to 1/2, so that the split
-    classifies eigenvalues as the modulus test does.  A result stands when K
+    eigenvalues above 1/2 (an empty K answers at once), and K* W K takes the
+    frozen route.  m is first the power of two >= r, then
+    2^floor(log2(ln 2 / (2 root_tol))), at which an eigenvalue of modulus
+    1 - root_tol maps to 1/2, so that the split classifies eigenvalues as
+    the modulus test does.  A result stands when K
     and the blocks are invariant, ||W K - K (K* W K)||_F <= root_tol and
     likewise for the blocks, and every eigenvalue lies within root_tol of the
     circle.  Else, and for root_tol = 0, one eig of W filtered by the modulus
@@ -202,6 +209,8 @@ def _unitary_part(
                 power, squarings = power @ power, squarings + 1
             g, vg = _eig(power.conj().T @ power, hermitian=True)
             keep = g > 0.5
+            if not keep.any():  # no unitary part: nothing to certify
+                return np.empty(0, dtype=complex), vg[:, keep], "hermitian", 0
             m = vg.conj().T @ w @ vg
             if np.linalg.norm(m[np.ix_(~keep, keep)]) > root_tol:
                 continue
@@ -316,11 +325,11 @@ def central_measure(
     C'_j = C_j - sum_v v^{-j} X_v, which is the data itself when no atom
     is found.
 
-    A measure is returned only when `_disk_cause` certifies its quotient's
-    zeros of det den outside the closed disk, the premise of
-    `verify_recovery`'s closed form; otherwise ModelError names the zero.
-    It refuses every zero the open-disk test of `central_quotient` refuses,
-    and it is the one check a central measure needs: its density is
+    A measure is returned only when `_disk_cause` at margin DISK_MARGIN
+    certifies its quotient's zeros of det den outside the closed disk, the
+    premise of `verify_recovery`'s closed form; otherwise ModelError names
+    the zero.  It refuses every zero `central_quotient` refuses, and it is
+    the one check a central measure needs: its density is
     den^{-*} H den^{-1} / 2pi with H constant by construction (Whittle,
     Biometrika 50, 1963), so its inverse is a matrix trigonometric
     polynomial of degree at most n, and a measure of that form that
@@ -425,39 +434,11 @@ def _atom_coeffs(sm: SpectralMeasure, js: np.ndarray) -> np.ndarray:
     return (sm.atom_points()[None, :] ** -js[:, None]) @ weights
 
 
-def _disk_cause(cq: CaratheodoryQuotient) -> str | None:
-    """Why the closed form may not hold for ``cq``: its innermost zero of
-    det den when some zero z has |z| <= 1 + DISK_MARGIN, else None.
-
-    np.roots takes the zeros as eigenvalues of the companion matrix, exact
-    for a polynomial whose coefficients moved by about eps times their
-    size (Edelman and Murakami, Math. Comp. 64, 1995), so a simple zero
-    moves by about eps times its condition number:
-    DISK_MARGIN = 1e-10, about 4.5e5 eps, covers condition numbers up to
-    that, and still admits AR(1) with rho = 1 - 1e-9, whose zero 1 / rho is
-    computed at 1 + 1.00000008e-9.  A zero of multiplicity m on the circle
-    splits into m zeros spread around it, about eps^(1/m) away: to first
-    order one of them has modulus at most 1 (m = 2 leaves 1 + O(eps)), so
-    it needs no margin.  The zeros are the quotient's cached ones, which
-    `central_measure` computes once for this certificate and the recovery
-    reads again.
-    """
-    zs = cq.zeros
-    bad = zs[np.abs(zs) <= 1.0 + DISK_MARGIN]
-    if bad.size == 0:
-        return None
-    # + 0j turns a signed zero imaginary part into +0, so 1 reads 1+0j
-    z = complex(bad[np.argmin(np.abs(bad))]) + 0j
-    return (
-        f"zero of det den at {z:.6g} (|z| - 1 = {abs(z) - 1.0:.3e}) is not "
-        f"certified outside the closed disk (margin {DISK_MARGIN:.0e})"
-    )
-
-
 def _require_disk(sm: SpectralMeasure) -> None:
     """ModelError naming the cause unless `_disk_cause` certifies the
-    measure's quotient; a measure without one needs no certificate."""
-    cause = None if sm.quotient is None else _disk_cause(sm.quotient)
+    measure's quotient at DISK_MARGIN; a measure without one needs no
+    certificate."""
+    cause = None if sm.quotient is None else _disk_cause(sm.quotient, DISK_MARGIN)
     if cause is not None:
         raise ModelError(cause)
 
@@ -602,7 +583,7 @@ def verify_recovery(
         raise InvalidInputError(f"tol {tol} must be finite and nonnegative")
     if seq.q != sm.q:
         raise InvalidInputError(f"block sizes differ: sequence {seq.q}, measure {sm.q}")
-    cause = None if sm.quotient is None else _disk_cause(sm.quotient)
+    cause = None if sm.quotient is None else _disk_cause(sm.quotient, DISK_MARGIN)
     recovered = sm if cause is None else replace(sm, quotient=None)
     coeffs = _coefficients(recovered, range(len(seq)))
     errs = tuple(_spec_norms(coeffs - np.asarray(seq.coeffs)).tolist())

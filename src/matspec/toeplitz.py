@@ -238,7 +238,6 @@ def _rank(eigenvalues: np.ndarray, rank_rtol: float) -> int:
     """Numerical rank of a Hermitian PSD matrix from its ascending
     eigenvalues: those above rank_rtol times the largest, the cutoff
     `_predictor_range` applies to singular values."""
-    _require_rel_tol(rank_rtol)
     return int(np.count_nonzero(eigenvalues > rank_rtol * eigenvalues.max(initial=0.0)))
 
 
@@ -309,7 +308,10 @@ def _enter(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
     """The one pass each entry point makes over ``t`` = T_n: one scan
     (ModelError naming the first bad T_k), which gives ||C_0||, re T_n and
     the eigenvalues rank T_n is read from, then the predictor of re T_n by
-    the route that rank selects (`_predictor`)."""
+    the route that rank selects (`_predictor`).  rank_rtol is checked
+    first, so a cutoff outside (0, 1) is an InvalidInputError whatever the
+    data."""
+    _require_rel_tol(rank_rtol)
     scan = _require_tnd(t, q, psd_tol)
     rank = _rank(scan.eigenvalues, rank_rtol)
     full_rank = rank == len(t)

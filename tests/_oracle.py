@@ -75,7 +75,7 @@ from matspec.linalg import (
     re_mat,
     spec_norm,
 )
-from matspec.matpoly import MatPoly, MatPolyStack, _pow2_nodes, poly_trim
+from matspec.matpoly import MatPoly, MatPolyStack, poly_trim
 from matspec.measure import (
     ATOM_DROP,
     CLUSTER_RADIUS,
@@ -377,6 +377,16 @@ def _adjugate_stack(ms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pow2_nodes(min_count: int) -> np.ndarray:
+    """The N-th roots of unity e^{-2 pi i k / N}, N the least power of two
+    above min_count, at which the reference `adjugate_poly` and
+    `matpoly_mul` evaluate by Horner, apart from `det_poly`'s FFT."""
+    n = 1
+    while n <= min_count:
+        n *= 2
+    return np.exp(-2j * np.pi * np.arange(n) / n)
+
+
 def adjugate_poly(p: MatPoly) -> MatPoly:
     """Matrix polynomial adj(p(z)); satisfies adj(p) p = det(p) I pointwise."""
     p = p.trim()
@@ -402,6 +412,29 @@ def matpoly_mul(a: MatPoly, b: MatPoly) -> MatPoly:
     vals = a(nodes) @ b(nodes)
     coeffs = np.fft.ifft(vals, axis=0)[: target + 1]
     return MatPoly(coeffs)
+
+
+def companion_zeros(den: MatPoly) -> np.ndarray:
+    """Zeros of det den as the reciprocal eigenvalues of den's block
+    companion, apart from `det_poly` and np.roots.
+
+    With den_0 invertible and d = deg den, R(lam) = lam^d den_0^{-1} den(1/lam)
+    is monic, and its block companion F, with -den_0^{-1} den_1, ...,
+    -den_0^{-1} den_d in the first block row and I on the block subdiagonal,
+    has det(lam I - F) = det R(lam): its nonzero eigenvalues are the
+    reciprocals of the zeros of det den, and each eigenvalue 0 is a degree
+    that det den loses.  One eig of size d q; a multiple zero of den whose
+    kernel has full dimension stays together, where the zeros of the scalar
+    det den scatter by eps^(1/m).
+    """
+    den = den.trim()
+    d, q = den.degree, den.q
+    if d == 0:
+        return np.zeros(0, dtype=complex)
+    f = np.eye(d * q, k=-q, dtype=complex)
+    f[:q] = -np.hstack(np.linalg.solve(den.coeffs[0], den.coeffs[1:]))
+    lam = np.linalg.eigvals(f)
+    return 1.0 / lam[lam != 0.0]
 
 
 def derivative(p: MatPoly, order: int = 1) -> MatPoly:

@@ -19,7 +19,7 @@ from matspec import (
 )
 from matspec.errors import InvalidInputError, MatSpecError, ModelError
 from matspec.linalg import re_mat
-from matspec.measure import _disk_cause
+from matspec.measure import DISK_MARGIN
 
 from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs
 from _oracle import NoLimitError, numerical_rank, radial_atom_limit, taylor_by_division
@@ -213,8 +213,11 @@ class TestCentralQuotient:
 
 
 class TestDiskCheck:
-    """`_check_disk` reads den's invertibility inside the disk off the zeros
-    of det den, on quotients built by hand."""
+    """`_disk_cause` reads den's invertibility inside the disk (margin
+    -NEAR_CIRCLE) and the closed-disk premise of recovery (margin
+    DISK_MARGIN) off the zeros of det den, on quotients built by hand."""
+
+    INSIDE = -caratheodory.NEAR_CIRCLE
 
     @staticmethod
     def quotient(den):
@@ -225,8 +228,9 @@ class TestDiskCheck:
         # det den = (1 - z/p)^2 vanishes at p, strictly inside the disk
         p = 0.5 * np.exp(0.1j)
         cq = self.quotient([np.eye(2), -np.eye(2) / p])
-        with pytest.raises(ModelError, match="vanishes inside the disk"):
-            caratheodory._check_disk(cq)
+        cause = caratheodory._disk_cause(cq, self.INSIDE)
+        assert cause.startswith("zero of det den at 0.497502+0.0499167j (|z| - 1 = -5.000e-01)")
+        assert cause.endswith("is not certified outside the closed disk (margin -4e-02)")
 
     @pytest.mark.parametrize(
         "den",
@@ -240,7 +244,7 @@ class TestDiskCheck:
         # reading the zeros of the zero polynomial fails, for every consumer
         cq = self.quotient(den)
         with pytest.raises(InvalidInputError, match="det den is the zero polynomial"):
-            caratheodory._check_disk(cq)
+            caratheodory._disk_cause(cq, self.INSIDE)
 
     def test_zero_in_the_near_circle_band_passes(self):
         # |p| = 0.97 lies within NEAR_CIRCLE of the circle: the disk check
@@ -248,8 +252,16 @@ class TestDiskCheck:
         p = 0.97 * np.exp(2.0j)
         assert 1.0 - abs(p) < caratheodory.NEAR_CIRCLE
         cq = self.quotient([[[1.0]], [[-1.0 / p]]])
-        caratheodory._check_disk(cq)
-        assert "not certified" in _disk_cause(cq)
+        assert caratheodory._disk_cause(cq, self.INSIDE) is None
+        assert "not certified" in caratheodory._disk_cause(cq, DISK_MARGIN)
+
+    def test_central_quotient_names_the_innermost_zero(self, monkeypatch):
+        # a den with zeros at 0.8 and 0.5i, put in place of the central one:
+        # central_quotient refuses it and names the zero at 0.5i
+        den = [np.eye(2), -np.diag([1.0 / 0.8, 1.0 / 0.5j])]
+        monkeypatch.setattr(caratheodory, "_central_quotient", lambda *args: self.quotient(den))
+        with pytest.raises(ModelError, match=r"zero of det den at \S+\+0\.5j \(\|z\| - 1 = -5\.000e-01\)"):
+            central_quotient(scalar_gamma(1.0, 0.5))
 
 
 class TestPdPolynomials:

@@ -6,6 +6,7 @@ from matspec import (
     GammaSeq,
     HermSeq,
     NOT_CENTRAL,
+    ar_spectrum,
     ball_params,
     caratheodory_check,
     central_extend,
@@ -76,16 +77,20 @@ class TestCentralExtend:
     @pytest.mark.parametrize("rank_rtol", [0.0, 1.0])
     def test_rank_cutoff_outside_unit_interval_rejected(self, rank_rtol):
         # full-rank data never reaches the pseudoinverse, whose check this
-        # once was; the scan's rank applies the same one
+        # once was; the entry pass checks the cutoff before its scan, so
+        # data that is not TND (C = [1, 2]) raises the same input error
         seq = random_tpd_seq(np.random.default_rng(2), 2, 3)
-        calls = [
-            lambda: central_extend(seq, 6, rank_rtol=rank_rtol),
-            lambda: central_measure(seq, rank_rtol=rank_rtol),
-            lambda: central_quotient(gamma_from_covariance(seq), rank_rtol=rank_rtol),
-        ]
-        for call in calls:
-            with pytest.raises(InvalidInputError, match="rel_tol"):
-                call()
+        bad = HermSeq([[[1.0]], [[2.0]]])
+        for data in (seq, bad):
+            calls = [
+                lambda: central_extend(data, 6, rank_rtol=rank_rtol),
+                lambda: central_measure(data, rank_rtol=rank_rtol),
+                lambda: central_quotient(gamma_from_covariance(data), rank_rtol=rank_rtol),
+                lambda: ar_spectrum(data, 1, rank_rtol=rank_rtol),
+            ]
+            for call in calls:
+                with pytest.raises(InvalidInputError, match="rel_tol"):
+                    call()
 
     def test_constant_rotation(self):
         # C_j = u^-j C_0 forces every later coefficient onto the same orbit

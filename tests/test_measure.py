@@ -28,7 +28,7 @@ from matspec import (
 )
 from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.caratheodory import _central_quotient
+from matspec.caratheodory import _central_quotient, _disk_cause
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
 from matspec.matpoly import det_poly
 from matspec.measure import (
@@ -63,6 +63,7 @@ from _oracle import (
     NEAR_CIRCLE_NODE_CAP,
     MultiplicityError,
     adjugate_poly,
+    companion_zeros,
     compute_atoms,
     conjugate_by_unitary,
     density_kernel_coeffs,
@@ -336,7 +337,7 @@ class TestCentralMeasure:
         # diag of three AR(1) blocks sharing the coefficient rho e^{0.4i},
         # rho = 1 - 1e-5, with C_0 = diag(1, 2, 3): the triple zero of det den
         # 1e-5 outside the circle scatters in np.roots and a computed zero
-        # lands inside (|z| - 1 = -8.9e-5 at n = 2, -2.1e-6 at n = 5).  Such
+        # lands inside (|z| - 1 = -8.7e-5 at n = 2, -1.2e-6 at n = 5).  Such
         # a measure fails its recovery certificate, so central_measure and
         # ar_spectrum raise the certificate's error instead of returning it
         a = (1.0 - 1e-5) * np.exp(0.4j)
@@ -767,11 +768,11 @@ class TestClosedForm:
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0])
     def test_multiple_zero_on_the_circle_never_verifies(self, m, angle):
-        # an m-fold zero on the circle splits into zeros spread around it,
-        # one of them at modulus at most 1 + DISK_MARGIN
+        # an m-fold zero on the circle may split into zeros spread around
+        # it; some computed zero lies at modulus at most 1 + DISK_MARGIN
         u = np.exp(-1j * angle)
         sm = hand_built([1.0], np.polynomial.polynomial.polypow([1.0, -u], m))
-        assert np.max(np.abs(np.abs(sm.quotient.zeros) - 1.0)) > DISK_MARGIN
+        assert np.min(np.abs(sm.quotient.zeros)) <= 1.0 + DISK_MARGIN
         report = verify_recovery(sm, scalar_seq(1.0, 0.5 * u, 0.5 * u**2))
         assert not report.passed and "not certified" in report.cause
 
@@ -807,6 +808,66 @@ class TestClosedForm:
             assert not report.passed and report.max_error == 1.0
             assert f"(|z| - 1 = {gap}) is not certified" in report.cause
             json.dumps(report.to_dict(), allow_nan=False)
+
+
+def _companion_draws():
+    """Seeded (label, data) draws whose quotients the disk certificate
+    judges: tpd (random walks inside the balls and trigonometric densities
+    up to q = 4, n = 24), near-boundary VAR(1) with rho = 1 - 1e-2 ..
+    1 - 1e-5, and direct sums of two scalar atoms and a VAR(1), whose
+    quotient is the deflated one."""
+    rng = np.random.default_rng(30)
+    for q in (1, 2, 3):
+        for n in (2, 4, 6):
+            yield f"tpd q={q} n={n}", random_tpd_seq(rng, q, n)
+    for q in (1, 2, 4):
+        for n in (8, 16, 24):
+            yield f"trig q={q} n={n}", HermSeq(trig_coeffs(rng, q, n + 1, n))
+    for k in (2, 3, 4, 5):
+        for q in (1, 2, 3):
+            yield f"var1 q={q} rho=1-1e-{k}", HermSeq(var1_coeffs(rng, q, 1.0 - 10.0**-k, 6))
+    for q in (1, 2):
+        for n in (5, 8):
+            atoms = atomic_coeffs(rng, 1, n + 1, 2)[0]
+            yield f"dsum q={q + 1} n={n}", HermSeq(direct_sum(atoms, var1_coeffs(rng, q, 0.6, n + 1)))
+
+
+def _backward_error(den: MatPoly, z: complex) -> float:
+    """sigma_min(den(z)) / sum_k ||den_k|| |z|^k: how far den must move for
+    z to be an exact zero of det den."""
+    size = sum(spec_norm(c) * abs(z) ** k for k, c in enumerate(den.coeffs))
+    return float(np.linalg.svd(den(z), compute_uv=False)[-1] / size)
+
+
+class TestCompanionOracle:
+    """The certificate's verdict on the cached zeros (np.roots of det den)
+    against the zeros of den's block companion (`_oracle.companion_zeros`)."""
+
+    @pytest.mark.parametrize(
+        "label, data", [pytest.param(label, data, id=label) for label, data in _companion_draws()]
+    )
+    def test_certificate_agrees_with_the_companion(self, label, data):
+        # at both margins, the verdict on cq.zeros is the companion's, and
+        # the companion's innermost zero is a zero of den to roundoff
+        sm = central_measure(data)
+        assert bool(sm.atoms) == label.startswith("dsum")
+        cq = sm.quotient
+        comp = companion_zeros(cq.den)
+        for margin in (DISK_MARGIN, -NEAR_CIRCLE):
+            assert (_disk_cause(cq, margin) is None) == bool(np.all(np.abs(comp) - 1.0 > margin))
+        assert _backward_error(cq.den, comp[np.argmin(np.abs(comp))]) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_triple_zero_stays_outside_in_the_companion(self, n):
+        # the README triple AR(1): diag(1, 2, 3) a^j, a = (1 - 1e-5) e^{0.4i}.
+        # The companion puts every zero of det den 1.000e-5 or more outside
+        # the circle; np.roots scatters the triple zero and one lands inside
+        a = (1.0 - 1e-5) * np.exp(0.4j)
+        seq = HermSeq([np.diag([1.0, 2.0, 3.0]) * a**j for j in range(n + 1)])
+        cq = central_quotient(gamma_from_covariance(seq))
+        assert f"{np.min(np.abs(companion_zeros(cq.den))) - 1.0:.3e}" == "1.000e-05"
+        assert np.min(np.abs(cq.zeros)) < 1.0
+        assert "not certified" in _disk_cause(cq, DISK_MARGIN)
 
 
 class TestDensityCertificate:

@@ -560,6 +560,20 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert "--z expects 're,im'" in captured.err
 
+    @pytest.mark.parametrize("tol", ["5", "0", "nan"])
+    @pytest.mark.parametrize("command", ["spectrum", "ar-spectrum", "extend", "eval-phi"])
+    def test_rank_rtol_outside_0_1_exits_1(self, tmp_path, capsys, command, tol):
+        # C = [1, 2] is not TND, and the cutoff is checked before the scan:
+        # an input error (exit 1), not the scan's model error (exit 2)
+        f = tmp_path / "seq.json"
+        f.write_text(seq_doc_text(1.0, 2.0))
+        extra = {"ar-spectrum": ["--order", "1"], "extend": ["--length", "4"],
+                 "eval-phi": ["--z", "0.5,0.0"]}.get(command, [])
+        assert main([command, str(f), *extra, f"--rank-rtol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rel_tol must lie in (0, 1)" in captured.err
+
     def test_check_takes_no_rank_rtol(self, tmp_path, capsys):
         f = tmp_path / "seq.json"
         f.write_text(seq_doc_text(1.0, 0.5))

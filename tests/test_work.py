@@ -17,16 +17,18 @@ of den and den', the Horner step keeps the bits of ``out * z + c_k``, every
 spectral norm is one np.linalg.svdvals, ||C_0|| is read once per call, by
 the scan, and
 the recovery errors of all orders and each comparison of the
-autoregressive check and `central_order` take one stacked svdvals, and
+autoregressive check and `central_order` take one stacked svdvals,
 `central_quotient` reads Gamma_0's Hermiticity off the scan and alone runs
-the open-disk test of det den.
+the disk certificate at the open-disk margin, and det den takes one FFT and
+one stacked det.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
 singular input takes one matrix SVD and reads its atoms off the r x r
 compressed shift with no eig of its size: rank-frozen input takes one eigh
 of size r and one stacked eig per block size, deflated input one eigh of
-size r and one of the unitary part's size, and data whose shift fails the
+size r and one of the unitary part's size, data whose shift has no
+unitary part one eigh of size r, and data whose shift fails the
 certificate one eig of size r, and no input a stacked eigh of its atom
 weights; deflated input adds one build and one SVD of the deflated data,
 singular input with no atom neither, and rank-frozen input never forms det
@@ -512,19 +514,72 @@ def test_shift_without_a_unitary_certificate_takes_one_eig(calls):
     assert matrices(calls["eig"]) == [(5, 5)]
 
 
+@pytest.mark.parametrize("kind", ["zero+ar1", "ma-rank1"])
+def test_shift_without_a_unitary_part_stops_at_its_eigh(calls, kind):
+    # singular data with no atom: W^{*m} W^m has no eigenvalue above 1/2,
+    # and the empty unitary part answers at once, with one eigh of size r,
+    # none of a (0, 0) matrix and no eig
+    data = INPUTS[kind]
+    r = numerical_rank(toeplitz_matrix(data, len(data) - 2))
+    assert central_measure(data).atoms == ()
+    assert calls["eigh"] == [(r, r)]
+    assert (0, 0) not in calls["eigh"]
+    assert calls["eig"] == []
+
+
+@pytest.mark.parametrize("q, degree", [(1, 3), (2, 5), (4, 1), (3, 0)])
+def test_det_poly_takes_one_fft_and_one_stacked_det(monkeypatch, q, degree):
+    # p's values at the N-th roots of unity, N = 2^k > q deg p, are one FFT
+    # of its coefficients and their determinants one stacked det; no Horner
+    # pass.  A constant p takes one det of its coefficient and no FFT
+    seen = {"fft": [], "det": []}
+    fft, det = np.fft.fft, np.linalg.det
+
+    def counted_fft(a, *args, **kwargs):
+        seen["fft"].append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    def counted_det(a):
+        seen["det"].append(np.shape(a))
+        return det(a)
+
+    def no_horner(*args):
+        raise AssertionError("det_poly evaluated by Horner")
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    monkeypatch.setattr(matpoly, "_horner", no_horner)
+    rng = np.random.default_rng(10 * q + degree)
+    p = MatPoly(rng.standard_normal((degree + 1, q, q)) + 1j * rng.standard_normal((degree + 1, q, q)))
+    assert matpoly.det_poly(p).size == q * degree + 1
+    if degree == 0:
+        assert seen == {"fft": [], "det": [(q, q)]}
+    else:
+        size = 2 ** (q * degree).bit_length()
+        assert seen == {"fft": [(degree + 1, q, q)], "det": [(size, q, q)]}
+
+
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
 def test_only_central_quotient_runs_the_open_disk_test(seq, monkeypatch, kind):
-    # a measure's quotient, central or deflated, takes the closed-disk
-    # certificate alone; `central_quotient` takes the open-disk test once
+    # one certificate judges every quotient's zeros: a measure's quotient,
+    # central or deflated, at the closed-disk margin alone;
+    # `central_quotient` once, at the open-disk margin
     checked = []
-    check = caratheodory._check_disk
-    monkeypatch.setattr(caratheodory, "_check_disk", lambda cq: checked.append(cq) or check(cq))
+    check = caratheodory._disk_cause
+
+    def counted(cq, margin):
+        checked.append((cq, margin))
+        return check(cq, margin)
+
+    for module in (caratheodory, measure):
+        monkeypatch.setattr(module, "_disk_cause", counted)
     data = INPUTS.get(kind, seq)
     central_measure(data)
     ar_spectrum(data, len(data) - 1)
-    assert checked == []
+    assert all(margin == measure.DISK_MARGIN for _, margin in checked)
+    checked.clear()
     cq = central_quotient(gamma_from_covariance(data))
-    assert len(checked) == 1 and checked[0] is cq
+    assert checked == [(cq, -caratheodory.NEAR_CIRCLE)] and checked[0][0] is cq
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
