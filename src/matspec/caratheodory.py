@@ -20,8 +20,8 @@ most n, num(0) = Gamma_0 and den(0) = I.
 
 When det den has no zero on the closed disk, Phi is analytic across the
 circle and its Taylor coefficients (`taylor_coefficients`) are the density's
-Fourier orders (`measure`).  One certificate (`_disk_cause`) judges the
-zeros of det den for every consumer, each with its own margin.
+Fourier orders (`measure`).  One verdict (`_disk_cause`) judges the zeros of
+det den for every consumer at its margin, by a Stein certificate or by them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from .central import GammaSeq, covariance_from_gamma
 from .errors import InvalidInputError, ModelError
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, spec_norm
-from .matpoly import MatPoly, MatPolyStack, det_poly
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
+from .matpoly import MatPoly, MatPolyStack
 from .toeplitz import (
     HermSeq,
     Classification,
@@ -50,21 +50,27 @@ from .toeplitz import (
 # |z| <= 1 - NEAR_CIRCLE (`_disk_cause` with margin -NEAR_CIRCLE); the atom
 # tolerance root_tol lies below it.
 NEAR_CIRCLE = 0.04
+# Recovery needs every zero z of det den at |z| > 1 + DISK_MARGIN.  Where the
+# Stein certificate cannot prove it, eig of den's block companion moves a simple
+# zero by about eps cond: 1e-10 still admits AR(1) with rho = 1 - 1e-9.
+DISK_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
 class CaratheodoryQuotient:
     """Rational Caratheodory function num(z) den(z)^{-1}; its order is deg den.
 
-    ``zeros``, the zeros of det den, are derived once, when first read, by
-    `_disk_cause`, which gives every verdict on them.  They take no part in
-    comparison or repr.  A determinant that overflows or is the zero
-    polynomial does not stop construction; reading ``zeros`` raises
-    InvalidInputError.
+    ``zeros`` of det den, derived when first read, are the reciprocal nonzero
+    eigenvalues (0 is a lost degree) of one eig of the block companion of the
+    trimmed den with den_0^{-1} folded in; a singular den_0 gives its zero at
+    0 alone, the innermost.  InvalidInputError when det den is the zero
+    polynomial (den singular at q deg den + 1 roots of unity) or den_0^{-1}
+    den overflows.  They and ``_certified`` take no part in == or repr.
     """
 
     num: MatPoly
     den: MatPoly
+    _certified = -np.inf  # every zero has |z| - 1 > _certified
 
     @property
     def order(self) -> int:
@@ -72,11 +78,23 @@ class CaratheodoryQuotient:
 
     @cached_property
     def zeros(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = det_poly(self.den)
-        if det.size == 1 and det[0] == 0.0:
-            raise InvalidInputError("det den is the zero polynomial")
-        return np.roots(det[::-1])
+        den = self.den.trim()
+        d, q = den.degree, den.q
+        try:
+            fold = np.linalg.solve(den.coeffs[0], den.coeffs)
+        except np.linalg.LinAlgError:
+            nodes = np.exp(2j * np.pi * np.arange(q * d + 1) / (q * d + 1))
+            if not np.any(np.linalg.det(den(nodes))):
+                raise InvalidInputError("det den is the zero polynomial") from None
+            return np.zeros(1, dtype=complex)
+        if not np.all(np.isfinite(fold)):
+            raise InvalidInputError("den_0^-1 den overflows")
+        if d == 0:
+            return np.zeros(0, dtype=complex)
+        f = np.eye(d * q, k=q, dtype=complex)
+        f[:, :q] = -fold[1:].reshape(d * q, q)
+        lam = np.linalg.eigvals(f)
+        return 1.0 / lam[lam != 0.0]
 
 
 def caratheodory_first_failure(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> int | None:
@@ -94,12 +112,14 @@ def caratheodory_check(g: GammaSeq, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 
 def _disk_cause(cq: CaratheodoryQuotient, margin: float) -> str | None:
-    """The one verdict on the zeros of det den (`CaratheodoryQuotient.zeros`):
-    a message naming the innermost zero when some zero z has
-    |z| - 1 <= margin, else None.  `central_quotient` asks for none inside
-    the disk, margin -NEAR_CIRCLE; measures and recovery for none on the
-    closed disk, margin DISK_MARGIN (`measure`), which refuses every zero
-    the first refuses.  |z| - 1 is exact for 1/2 <= |z| <= 2 (Sterbenz)."""
+    """The one verdict on the zeros z of det den: None when the Stein
+    certificate covers ``margin`` or no zero has |z| - 1 <= margin, else a
+    message naming the innermost such zero.  `central_quotient` asks for
+    none inside the disk, margin -NEAR_CIRCLE; measures and recovery for none
+    on the closed disk, margin DISK_MARGIN, which refuses every zero the
+    first refuses.  |z| - 1 is exact for 1/2 <= |z| <= 2 (Sterbenz)."""
+    if margin <= cq._certified:
+        return None
     zs = cq.zeros
     bad = zs[np.abs(zs) - 1.0 <= margin]
     if bad.size == 0:
@@ -110,6 +130,13 @@ def _disk_cause(cq: CaratheodoryQuotient, margin: float) -> str | None:
         f"zero of det den at {z:.6g} (|z| - 1 = {abs(z) - 1.0:.3e}) is not "
         f"certified outside the closed disk (margin {margin:.0e})"
     )
+
+
+def _require_disk(cq: CaratheodoryQuotient | None, margin: float) -> None:
+    """ModelError naming the cause unless `_disk_cause` clears ``cq`` (if any)."""
+    cause = None if cq is None else _disk_cause(cq, margin)
+    if cause is not None:
+        raise ModelError(cause)
 
 
 def central_quotient(
@@ -144,17 +171,15 @@ def central_quotient(
             raise InvalidInputError("Gamma_0 must be Hermitian") from exc
         raise ModelError(f"re S_{exc.index} not nonnegative", index=exc.index) from exc
     cq = _central_quotient(g0, entry.t, entry.w)
-    cause = _disk_cause(cq, -NEAR_CIRCLE)
-    if cause is not None:
-        raise ModelError(cause)
+    _require_disk(cq, -NEAR_CIRCLE)
     return cq
 
 
 def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
     """`central_quotient` without its checks: num(0) = ``g0``, the
     predictor ``w`` = `_predictor` of ``t`` and the rest read off ``t`` =
-    re T_n, the block Toeplitz of the covariances.  The caller decides
-    where the zeros of det den may lie."""
+    re T_n, the block Toeplitz of the covariances; it records whether
+    `_stein_delta` certifies its zeros, and the caller judges them."""
     q = len(g0)
     n = len(t) // q - 1
     # S_{n-1}: Gamma_{j-k} = 2 C_{j-k} in the blocks below the diagonal,
@@ -166,7 +191,35 @@ def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
     u = s.conj().T @ w.reshape(n * q, q)  # block column, num coefficients 1..n
     num = [g0] + [u[k * q : (k + 1) * q] for k in range(n)]
     den = [np.eye(q, dtype=complex)] + [-w[k] for k in range(n)]
-    return CaratheodoryQuotient(MatPoly(num), MatPoly(den))
+    cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den))
+    if n and _stein_delta(t[:-q, :-q], w) > 2.0 * DISK_MARGIN:
+        object.__setattr__(cq, "_certified", DISK_MARGIN)
+    return cq
+
+
+def _stein_delta(p: np.ndarray, w: np.ndarray) -> float:
+    """delta of the Stein certificate on den = I - sum_m w_m z^m, from
+    ``p`` = P = re T_{n-1}, Hermitian and block Toeplitz; -inf when the
+    Cholesky of P fails.  delta > 2 DISK_MARGIN proves every zero z of det
+    den has |z| > 1 + DISK_MARGIN, from (1 - |lam|^2) v* P v = v* D v for
+    each eigenpair F v = lam v of den's block companion F, D = P - F* P F
+    (README, "The Stein certificate").  D holds the Yule-Walker residual R_1
+    off its leading block, C_0 - W* P W.  One Cholesky, O((nq)^3 / 3).
+    """
+    n, q = w.shape[:2]
+    try:
+        np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    stacked = w.reshape(n * q, q)
+    pw = p @ stacked
+    sigma_low = np.linalg.eigvalsh(re_mat(p[:q, :q] - stacked.conj().T @ pw))[0]
+    tails = np.cumsum(np.linalg.norm(w, axis=(1, 2))[::-1])[::-1]  # sum_{m>=i} ||w_m||_F
+    kappa = (1.0 + DISK_MARGIN) ** (2 * n) * (1.0 + np.sum(tails[1:] ** 2))
+    size, big = np.linalg.norm(p), (n * q + 1) ** 2 * np.finfo(float).eps
+    r_1 = np.linalg.norm(p[q:, :q] - pw[:-q])
+    eta = np.sqrt(2.0) * r_1 + 10.0 * big * size * (1.0 + tails[0]) ** 2
+    return float((sigma_low / kappa - eta) / (size + 2.0 * big * size))  # ||P||_F + mu
 
 
 def pd_polynomials(seq: HermSeq) -> tuple[MatPoly, MatPoly]:

@@ -1,14 +1,6 @@
-"""Matrix polynomials and the scalar-polynomial subroutines built on them.
+"""Matrix polynomials.
 
-Coefficients are stored lowest degree first.  Scalar polynomials are plain
-1-d complex arrays (the ``numpy.polynomial.polynomial`` convention); matrix
-polynomials get a small dedicated class.
-
-The determinant of a matrix polynomial is read off its values at the 2^k-th
-roots of unity: one FFT of the coefficients gives the values, one stacked
-det their determinants and one inverse FFT the coefficients, exact up to
-roundoff once 2^k exceeds its degree.  No adjugates or products of matrix
-polynomials are formed.
+Coefficients are stored lowest degree first, as q x q complex blocks.
 """
 
 from __future__ import annotations
@@ -19,20 +11,6 @@ from .errors import DimensionError, InvalidInputError
 
 # Relative threshold for dropping numerically-zero leading coefficients.
 TRIM_RTOL = 1e-12
-
-
-def poly_trim(c) -> np.ndarray:
-    """Drop trailing scalar coefficients below ``TRIM_RTOL * max|coeff|``."""
-    arr = np.atleast_1d(np.asarray(c, dtype=complex))
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError("expected a nonempty 1-d coefficient array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("polynomial has non-finite coefficients")
-    top = np.max(np.abs(arr))
-    if top == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(arr) > TRIM_RTOL * top)[0]
-    return arr[: keep[-1] + 1].copy()
 
 
 class MatPoly:
@@ -119,19 +97,3 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
         out = out * zz
         out += coeffs[k]
     return out
-
-
-def det_poly(p: MatPoly) -> np.ndarray:
-    """Scalar coefficients of det p(z), of degree at most q deg p, by
-    interpolation at the N-th roots of unity, N = 2^k the least power of two
-    above that degree: p(e^{-2 pi i m / N}) is entry m of the length-N FFT of
-    the coefficients, and the inverse FFT of their determinants holds the
-    coefficients.  O(N q^2 log N + N q^3)."""
-    p = p.trim()
-    target = p.q * p.degree
-    if target == 0:
-        return np.atleast_1d(np.linalg.det(p.coeffs[0]))
-    size = 2 ** target.bit_length()
-    dets = np.linalg.det(np.fft.fft(p.coeffs, size, axis=0))
-    return poly_trim(np.fft.ifft(dets)[: target + 1])
-

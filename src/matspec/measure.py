@@ -34,8 +34,8 @@ density's orders from Phi's Taylor coefficients: C_0 = re Phi_0,
 C_j = Phi_j / 2 for j > 0 and C_{-j} = C_j*, and its Herglotz transform is
 Phi(z) - (Phi(0) - Phi(0)*) / 2 (Simon, Orthogonal Polynomials on the Unit
 Circle, Part 1, 2005, ch. 1).  The point masses add their moments in closed
-form.  The premise is certified from the quotient's cached zeros of det den
-(`_disk_cause` at margin DISK_MARGIN); a quotient that fails it never
+form.  `_disk_cause` at margin DISK_MARGIN judges the premise, from the
+quotient's Stein certificate or its zeros; a quotient that fails it never
 verifies, and `central_measure` raises rather than return one.  A measure without a
 quotient has no density: every coefficient and Herglotz value is a
 closed-form sum over its atoms.
@@ -50,16 +50,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caratheodory import (
+    DISK_MARGIN,
     NEAR_CIRCLE,
     CaratheodoryQuotient,
     _central_quotient,
     _disk_cause,
     _disk_point,
+    _require_disk,
     rational_values,
     taylor_coefficients,
 )
 from .central import CENTRAL_TOL
-from .errors import DimensionError, InvalidInputError, ModelError
+from .errors import DimensionError, InvalidInputError
 from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
@@ -84,14 +86,6 @@ from .toeplitz import (
 DEFAULT_ROOT_TOL = 1e-7
 # Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
-# The closed-form recovery needs every zero z of det den to satisfy
-# |z| > 1 + DISK_MARGIN (`_disk_cause`).  np.roots moves a simple zero by
-# about eps times its condition number (Edelman and Murakami, Math. Comp.
-# 64, 1995): 1e-10, about 4.5e5 eps, still admits AR(1) with
-# rho = 1 - 1e-9, whose zero is computed at 1 + 1.00000008e-9.  An m-fold
-# zero on the circle scatters by about eps^(1/m), one zero at modulus at
-# most 1 to first order, so it needs no margin.
-DISK_MARGIN = 1e-10
 TWO_PI = 2.0 * np.pi
 
 
@@ -346,9 +340,9 @@ def central_measure(
     Hermitian eigensolvers (`_unitary_part`): an eigh of size r and small
     stacked eigs, plus O(log m) squarings of the shift and an eigh of the
     unitary part's size when T_n is not rank-frozen; one eig of size r
-    only when their result is not certified.  The quotient reads re T_n.
-    Deflated data adds one Toeplitz build and one SVD of T'_{n-1}; singular
-    data with no atom reuses T_n and its predictor.
+    only when not certified.  The quotient reads re T_n, its certificate one
+    Cholesky of T_{n-1}.  Deflated data adds one T_n build and one SVD of
+    T'_{n-1}; atom-free singular data reuses T_n and w; both eig den's companion.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -382,7 +376,7 @@ def _central_measure(
         # nothing to deflate: the data's own central quotient, from the entry
         quotient = _central_quotient(seq.coeffs[0], entry.t, entry.w)
     sm = SpectralMeasure(q, atoms, quotient)
-    _require_disk(sm)
+    _require_disk(sm.quotient, DISK_MARGIN)
     return sm, entry
 
 
@@ -434,15 +428,6 @@ def _atom_coeffs(sm: SpectralMeasure, js: np.ndarray) -> np.ndarray:
     return (sm.atom_points()[None, :] ** -js[:, None]) @ weights
 
 
-def _require_disk(sm: SpectralMeasure) -> None:
-    """ModelError naming the cause unless `_disk_cause` certifies the
-    measure's quotient at DISK_MARGIN; a measure without one needs no
-    certificate."""
-    cause = None if sm.quotient is None else _disk_cause(sm.quotient, DISK_MARGIN)
-    if cause is not None:
-        raise ModelError(cause)
-
-
 def _coefficients(sm: SpectralMeasure, js) -> np.ndarray:
     """Fourier coefficients of the orders js; shape (J, q, q).
 
@@ -474,7 +459,7 @@ def fourier_coeff(sm: SpectralMeasure, j: int) -> np.ndarray:
     point masses' moments.  ModelError when a zero of det den is not
     certified outside the closed disk (`_disk_cause`).
     """
-    _require_disk(sm)
+    _require_disk(sm.quotient, DISK_MARGIN)
     return _coefficients(sm, [int(j)])[0]
 
 
@@ -489,7 +474,7 @@ def herglotz_transform(sm: SpectralMeasure, z: complex) -> np.ndarray:
     not certified outside the closed disk (`_disk_cause`).
     """
     zp = _disk_point(z)
-    _require_disk(sm)
+    _require_disk(sm.quotient, DISK_MARGIN)
     out = np.zeros((sm.q, sm.q), dtype=complex)
     if sm.quotient is not None:
         phi, phi0 = rational_values(sm.quotient, np.array([zp, 0.0]))
@@ -571,8 +556,8 @@ def verify_recovery(
     recurrence of num den^{-1} up to order n, O(n deg den q^3), plus the
     atoms' moments, with no grid; the quotient is that of the absolutely
     continuous part, with no pole at an atom.  The closed form needs det den
-    zero-free on the closed disk, which `_disk_cause` reads off the
-    quotient's cached zeros.  A zero it does not certify fails the report,
+    zero-free on the closed disk, which `_disk_cause` reads off the quotient's
+    Stein certificate or zeros.  A zero it does not certify fails the report,
     whose ``cause`` names it; the density then recovers nothing, so the
     errors are those of the atoms alone (the Taylor series of such a
     quotient need not converge on the circle, nor exist when den(0) is

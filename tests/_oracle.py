@@ -39,7 +39,11 @@ metamorphic tests.
 The quadrature oracle integrates the density on a trapezoid grid, an
 independent route to the orders the library reads off the Schwarz
 formula's closed form:
-`near_circle` clusters the zeros of det den near the circle, Newton-polishes
+`near_circle` clusters the zeros of det den near the circle, found by
+`scalar_zeros` (np.roots of the scalar determinant `det_poly`, with
+`poly_trim`; the package reads them off den's block companion, and
+`row_companion_zeros` off its transpose),
+Newton-polishes
 them (`_polish`) and gives each its residue of num den^{-1}
 (`_cluster_residues`); `_singular_part` subtracts the simple poles among
 them, `_default_nodes` sizes the grid by the zeros it must resolve,
@@ -75,7 +79,7 @@ from matspec.linalg import (
     re_mat,
     spec_norm,
 )
-from matspec.matpoly import MatPoly, MatPolyStack, poly_trim
+from matspec.matpoly import TRIM_RTOL, MatPoly, MatPolyStack
 from matspec.measure import (
     ATOM_DROP,
     CLUSTER_RADIUS,
@@ -414,27 +418,61 @@ def matpoly_mul(a: MatPoly, b: MatPoly) -> MatPoly:
     return MatPoly(coeffs)
 
 
-def companion_zeros(den: MatPoly) -> np.ndarray:
-    """Zeros of det den as the reciprocal eigenvalues of den's block
-    companion, apart from `det_poly` and np.roots.
+def poly_trim(c) -> np.ndarray:
+    """Drop trailing scalar coefficients below ``TRIM_RTOL * max|coeff|``."""
+    arr = np.atleast_1d(np.asarray(c, dtype=complex))
+    if arr.ndim != 1 or arr.size == 0:
+        raise DimensionError("expected a nonempty 1-d coefficient array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("polynomial has non-finite coefficients")
+    top = np.max(np.abs(arr))
+    if top == 0.0:
+        return np.zeros(1, dtype=complex)
+    keep = np.nonzero(np.abs(arr) > TRIM_RTOL * top)[0]
+    return arr[: keep[-1] + 1].copy()
 
-    With den_0 invertible and d = deg den, R(lam) = lam^d den_0^{-1} den(1/lam)
-    is monic, and its block companion F, with -den_0^{-1} den_1, ...,
-    -den_0^{-1} den_d in the first block row and I on the block subdiagonal,
-    has det(lam I - F) = det R(lam): its nonzero eigenvalues are the
-    reciprocals of the zeros of det den, and each eigenvalue 0 is a degree
-    that det den loses.  One eig of size d q; a multiple zero of den whose
-    kernel has full dimension stays together, where the zeros of the scalar
-    det den scatter by eps^(1/m).
-    """
+
+def det_poly(p: MatPoly) -> np.ndarray:
+    """Scalar coefficients of det p(z), of degree at most q deg p, by
+    interpolation at the N-th roots of unity, N = 2^k the least power of two
+    above that degree: p(e^{-2 pi i m / N}) is entry m of the length-N FFT of
+    the coefficients, and the inverse FFT of their determinants holds the
+    coefficients.  O(N q^2 log N + N q^3)."""
+    p = p.trim()
+    target = p.q * p.degree
+    if target == 0:
+        return np.atleast_1d(np.linalg.det(p.coeffs[0]))
+    size = 2 ** target.bit_length()
+    dets = np.linalg.det(np.fft.fft(p.coeffs, size, axis=0))
+    return poly_trim(np.fft.ifft(dets)[: target + 1])
+
+
+def row_companion_zeros(den: MatPoly) -> np.ndarray:
+    """Zeros of det den as the reciprocal nonzero eigenvalues of den's block
+    companion laid out by rows: -den_0^{-1} den_1, ..., -den_0^{-1} den_d in
+    its first block row and I on its block subdiagonal, the transpose of
+    the layout `CaratheodoryQuotient.zeros` reads.  den_0 must be
+    invertible."""
     den = den.trim()
     d, q = den.degree, den.q
-    if d == 0:
-        return np.zeros(0, dtype=complex)
     f = np.eye(d * q, k=-q, dtype=complex)
     f[:q] = -np.hstack(np.linalg.solve(den.coeffs[0], den.coeffs[1:]))
     lam = np.linalg.eigvals(f)
     return 1.0 / lam[lam != 0.0]
+
+
+def scalar_zeros(den: MatPoly) -> np.ndarray:
+    """Zeros of det den from np.roots of its scalar coefficients
+    (`det_poly`), apart from the block companion of
+    `CaratheodoryQuotient.zeros`.  The zero polynomial, or a determinant
+    that overflows, is an InvalidInputError.  A simple zero comes back to
+    about eps times its condition number, an m-fold one scattered by
+    about eps^(1/m)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = det_poly(den)
+    if det.size == 1 and det[0] == 0.0:
+        raise InvalidInputError("det den is the zero polynomial")
+    return np.roots(det[::-1])
 
 
 def derivative(p: MatPoly, order: int = 1) -> MatPoly:
@@ -622,7 +660,7 @@ def near_circle(cq: CaratheodoryQuotient) -> _Residues:
     """The zeros of det den with ||z| - 1| < NEAR_CIRCLE, clustered at
     CLUSTER_RADIUS, each cluster mean Newton-polished on den and given
     its residue of num den^{-1} (see `_cluster_residues`)."""
-    zs = cq.zeros
+    zs = scalar_zeros(cq.den)
     near = zs[np.abs(np.abs(zs) - 1.0) < NEAR_CIRCLE]
     return _cluster_residues(cq, [near[c] for c in _clusters(near)])
 
@@ -803,7 +841,7 @@ def _singular_part(sm: SpectralMeasure) -> _SingularPart:
     alias on N nodes is at most N |c| / 4.  The grid resolves the zeros of
     the other clusters and those outside the NEAR_CIRCLE band.
     """
-    zs, res = sm.quotient.zeros, near_circle(sm.quotient)
+    zs, res = scalar_zeros(sm.quotient.den), near_circle(sm.quotient)
     resolved = [zs[np.abs(np.abs(zs) - 1.0) >= NEAR_CIRCLE]]
     # residues are finite only at simple poles
     finite = np.all(np.isfinite(res.residues), axis=(1, 2))
@@ -835,7 +873,7 @@ def _default_nodes(sm: SpectralMeasure, sing: _SingularPart, j_top: int) -> int:
     cq = sm.quotient
     with np.errstate(divide="ignore"):
         dist = np.abs(np.log(np.abs(sing.resolved)))
-    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - cq.zeros.size
+    poly = cq.num.trim().degree + (sm.q - 1) * cq.den.trim().degree - scalar_zeros(cq.den).size
     floor = 40.0 / NEAR_CIRCLE_NODE_CAP
     decay = int(np.ceil(40.0 / max(np.min(dist), floor))) if dist.size else 0
     return max(64, abs(j_top) + max(decay, poly + 1))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matspec.caratheodory as caratheodory
 from matspec import (
@@ -18,11 +20,18 @@ from matspec import (
     taylor_coefficients,
 )
 from matspec.errors import InvalidInputError, MatSpecError, ModelError
-from matspec.linalg import re_mat
+from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
 from matspec.measure import DISK_MARGIN
+from matspec.toeplitz import _enter, toeplitz_matrix
 
-from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs
-from _oracle import NoLimitError, numerical_rank, radial_atom_limit, taylor_by_division
+from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs, var1_coeffs
+from _oracle import (
+    NoLimitError,
+    numerical_rank,
+    radial_atom_limit,
+    row_companion_zeros,
+    taylor_by_division,
+)
 
 RNG = np.random.default_rng(41)
 # parametrised inputs draw from their own stream, leaving RNG untouched
@@ -262,6 +271,106 @@ class TestDiskCheck:
         monkeypatch.setattr(caratheodory, "_central_quotient", lambda *args: self.quotient(den))
         with pytest.raises(ModelError, match=r"zero of det den at \S+\+0\.5j \(\|z\| - 1 = -5\.000e-01\)"):
             central_quotient(scalar_gamma(1.0, 0.5))
+
+
+def stein_draws():
+    """Seeded full-rank (label, data) draws: VAR(1) up to rho = 1 - 1e-9,
+    trigonometric densities and random walks inside the balls."""
+    rng = np.random.default_rng(31)
+    for k in (2, 5, 7, 9):
+        for q in (1, 2, 3):
+            for n in (1, 3, 6):
+                yield f"var1 q={q} n={n} rho=1-1e-{k}", var1_coeffs(rng, q, 1.0 - 10.0**-k, n + 1)
+    for q in (1, 2, 4):
+        for n in (2, 8, 16):
+            yield f"trig q={q} n={n}", trig_coeffs(rng, q, n + 1, n)
+    for q in (1, 3):
+        yield f"tpd q={q} n=5", list(random_tpd_seq(rng, q, 5).coeffs)
+
+
+def assert_sound(cq):
+    """Whether the Stein certificate holds; when it does, the zeros of det
+    den from the transposed companion, the innermost a zero of den to
+    roundoff, lie outside |z| <= 1 + DISK_MARGIN."""
+    if cq._certified < DISK_MARGIN:
+        return False
+    zs = row_companion_zeros(cq.den)
+    if zs.size:
+        inner = zs[np.argmin(np.abs(zs))]
+        size = sum(np.linalg.norm(c, 2) * abs(inner) ** k for k, c in enumerate(cq.den.coeffs))
+        assert np.linalg.svd(cq.den(inner), compute_uv=False)[-1] <= 1e-11 * size
+        assert np.min(np.abs(zs)) > 1.0 + DISK_MARGIN
+    return True
+
+
+class TestSteinCertificate:
+    """The Stein certificate of `_central_quotient` against the zeros of
+    det den: sound wherever it certifies, and silent where a zero crosses
+    the circle."""
+
+    @pytest.mark.parametrize(
+        "label, coeffs", [pytest.param(label, c, id=label) for label, c in stein_draws()]
+    )
+    def test_certified_quotients_have_no_zero_on_the_closed_disk(self, label, coeffs):
+        # every full-rank draw is certified, rho = 1 - 1e-9 too at n = 1
+        cq = central_quotient(gamma_from_covariance(HermSeq(coeffs)))
+        certified = assert_sound(cq)
+        if not label.startswith("var1") or "1e-9" not in label:
+            assert certified
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("rho", [0.5, 1.0 - 1e-6])
+    def test_a_zero_crossing_the_circle_is_never_certified(self, n, rho):
+        # AR(1) data with its predictor w = (rho, 0, ..) scaled by s: the
+        # zero of det den, 1 / (s rho), crosses the circle as s grows.  No
+        # den with a zero at |z| <= 1 + DISK_MARGIN is certified, and the
+        # companion then refuses it
+        seq = scalar_seq(*[rho**j for j in range(n + 1)])
+        entry = _enter(toeplitz_matrix(seq, n), 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        for gap in (1e-3, 1e-9, 2e-10, 5e-11, 0.0, -1e-9, -1e-3):
+            s = 1.0 / (rho * (1.0 + gap))
+            cq = caratheodory._central_quotient(seq.coeffs[0], entry.t, s * entry.w)
+            z = cq.zeros[np.argmin(np.abs(cq.zeros))]
+            if abs(z) <= 1.0 + DISK_MARGIN:
+                assert cq._certified == -np.inf
+                assert "not certified" in caratheodory._disk_cause(cq, DISK_MARGIN)
+            # at n = 1, D is Sigma = 1 - (s rho)^2 alone, and delta about
+            # 2 gap: a zero 2e-10 or more outside is certified
+            certified = assert_sound(cq)
+            if n == 1:
+                assert certified == (gap >= 2e-10)
+
+
+    def test_indefinite_toeplitz_is_never_certified(self):
+        # C = (1, 2, -1): T_1 is indefinite, yet Sigma = 16/3 > 0 and the
+        # Yule-Walker residual vanishes, while det den has a zero at
+        # |z| = 0.47.  The Cholesky of T_1 fails, and so does the certificate
+        t = toeplitz_matrix(scalar_seq(1.0, 2.0, -1.0), 2)
+        w = np.linalg.solve(t[:-1, :-1], t[1:, :1]).reshape(2, 1, 1)
+        assert caratheodory._stein_delta(t[:-1, :-1], w) == -np.inf
+        cq = caratheodory._central_quotient(t[:1, :1], t, w)
+        assert cq._certified == -np.inf
+        assert "(|z| - 1 = -5.282e-01)" in caratheodory._disk_cause(cq, DISK_MARGIN)
+
+
+@st.composite
+def full_rank_draws(draw):
+    """Full-rank data: VAR(1) with rho = 1 - 10^-k, k = 1..9, a
+    trigonometric density or a random walk inside the balls."""
+    kind = draw(st.sampled_from(["var1", "trig", "tpd"]))
+    q, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "var1":
+        return var1_coeffs(rng, q, 1.0 - 10.0 ** -draw(st.integers(1, 9)), n + 1)
+    if kind == "trig":
+        return trig_coeffs(rng, q, n + 1, draw(st.integers(n, n + 3)))
+    return list(random_tpd_seq(rng, q, n).coeffs)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(full_rank_draws())
+def test_stein_certificate_is_sound(coeffs):
+    assert_sound(central_quotient(gamma_from_covariance(HermSeq(coeffs))))
 
 
 class TestPdPolynomials:

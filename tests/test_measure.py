@@ -30,7 +30,6 @@ from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError
 from matspec.caratheodory import _central_quotient, _disk_cause
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
-from matspec.matpoly import det_poly
 from matspec.measure import (
     ATOM_DROP,
     CLUSTER_RADIUS,
@@ -63,10 +62,10 @@ from _oracle import (
     NEAR_CIRCLE_NODE_CAP,
     MultiplicityError,
     adjugate_poly,
-    companion_zeros,
     compute_atoms,
     conjugate_by_unitary,
     density_kernel_coeffs,
+    det_poly,
     matpoly_mul,
     pd_density,
     pd_density_gap,
@@ -76,6 +75,7 @@ from _oracle import (
     quadrature_coeffs,
     quadrature_herglotz,
     radial_atom_limit,
+    scalar_zeros,
     shift_atoms_by_eig,
 )
 
@@ -244,25 +244,37 @@ class TestKernelResidues:
         assert info.value.multiplicity == 2
 
     def test_quotient_derives_order_and_zeros(self):
-        coeffs, _ = atomic_coeffs(np.random.default_rng(4), 2, 4, n_atoms=3)
+        # singular data: the Stein certificate cannot decide, and the zeros
+        # come from den's block companion, the atoms' double zeros of det den
+        # kept together where the scalar route splits them by about sqrt(eps)
+        coeffs, atoms = atomic_coeffs(np.random.default_rng(4), 2, 4, n_atoms=3)
         cq = central_quotient(gamma_from_covariance(HermSeq(coeffs)))
         assert [f.name for f in dataclasses.fields(cq)] == ["num", "den"]
         assert cq.order == cq.den.degree == 3
-        assert np.array_equal(cq.zeros, np.roots(det_poly(cq.den)[::-1]))
+        assert cq._certified == -np.inf
+        points = np.repeat([complex(u) for u, _ in atoms], 2)
+        assert cq.zeros.size == scalar_zeros(cq.den).size == 6
+        assert np.max(np.abs(np.sort_complex(cq.zeros) - np.sort_complex(points))) <= 1e-12
         assert cq.zeros is cq.zeros
-        assert all(name not in repr(cq) for name in ("order", "zeros"))
+        assert all(name not in repr(cq) for name in ("order", "zeros", "_certified"))
         # derived arrays take no part in ==, which would fail on them
         assert cq == CaratheodoryQuotient(cq.num, cq.den)
 
     def test_overflowing_determinant_fails_where_read(self):
-        # det den overflows: building the quotient still succeeds, and
-        # whatever needs det den raises
+        # det den = (1 + 1e200 z)^2 overflows: building the quotient still
+        # succeeds, and the oracle's scalar determinant raises.  The block
+        # companion forms no determinant: it finds the double zero at
+        # -1e-200, and the verdict names it.  A den_0^{-1} den that
+        # overflows raises wherever the zeros are read
         den = MatPoly([np.eye(2), 1e200 * np.eye(2)])
         cq = CaratheodoryQuotient(MatPoly([np.eye(2), np.eye(2)]), den)
         with pytest.raises(InvalidInputError):
             compute_atoms(cq)
-        sm = SpectralMeasure(2, (), cq)
-        with pytest.raises(InvalidInputError):
+        assert np.array_equal(cq.zeros, [-1e-200, -1e-200])
+        assert "(|z| - 1 = -1.000e+00)" in _disk_cause(cq, DISK_MARGIN)
+        den = MatPoly([1e-300 * np.eye(2), 1e10 * np.eye(2)])
+        sm = SpectralMeasure(2, (), CaratheodoryQuotient(MatPoly([np.eye(2)]), den))
+        with pytest.raises(InvalidInputError, match="overflows"):
             verify_recovery(sm, HermSeq([np.eye(2)]))
 
     def test_zero_determinant_still_fails(self):
@@ -333,18 +345,20 @@ class TestCentralMeasure:
         assert np.max(np.abs(sm.density_grid(ang) - want)) <= tol
 
     @pytest.mark.parametrize("n", [2, 5])
-    def test_uncertified_quotient_raises(self, n):
+    def test_triple_zero_near_the_circle_is_certified(self, n):
         # diag of three AR(1) blocks sharing the coefficient rho e^{0.4i},
         # rho = 1 - 1e-5, with C_0 = diag(1, 2, 3): the triple zero of det den
-        # 1e-5 outside the circle scatters in np.roots and a computed zero
-        # lands inside (|z| - 1 = -8.7e-5 at n = 2, -1.2e-6 at n = 5).  Such
-        # a measure fails its recovery certificate, so central_measure and
-        # ar_spectrum raise the certificate's error instead of returning it
+        # 1e-5 outside the circle, which np.roots scattered inside
+        # (|z| - 1 = -8.7e-5 at n = 2, -1.2e-6 at n = 5).  The Stein
+        # certificate holds, so central_measure and ar_spectrum return the
+        # measure, and it recovers the data
         a = (1.0 - 1e-5) * np.exp(0.4j)
         seq = HermSeq([np.diag([1.0, 2.0, 3.0]) * a**j for j in range(n + 1)])
         for call in (central_measure, lambda s: ar_spectrum(s, n)):
-            with pytest.raises(ModelError, match=r"\(\|z\| - 1 = -.* is not certified outside"):
-                call(seq)
+            sm = call(seq)
+            assert sm.atoms == () and sm.quotient._certified == DISK_MARGIN
+            report = verify_recovery(sm, seq)
+            assert report.passed and report.relative_error <= 1e-12
 
     def test_rotated_near_boundary_var1_replay_unrefined_predictor(self):
         # a predictor solved only to eps cond(T_{n-1}), rebuilt here, moved
@@ -768,10 +782,13 @@ class TestClosedForm:
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0])
     def test_multiple_zero_on_the_circle_never_verifies(self, m, angle):
-        # an m-fold zero on the circle may split into zeros spread around
-        # it; some computed zero lies at modulus at most 1 + DISK_MARGIN
+        # a hand-built quotient carries no Stein certificate, so the verdict
+        # reads the companion's zeros.  A scalar den's companion splits an
+        # m-fold zero on the circle into zeros spread around it by about
+        # eps^(1/m); some computed zero lies at modulus at most 1 + DISK_MARGIN
         u = np.exp(-1j * angle)
         sm = hand_built([1.0], np.polynomial.polynomial.polypow([1.0, -u], m))
+        assert sm.quotient._certified == -np.inf
         assert np.min(np.abs(sm.quotient.zeros)) <= 1.0 + DISK_MARGIN
         report = verify_recovery(sm, scalar_seq(1.0, 0.5 * u, 0.5 * u**2))
         assert not report.passed and "not certified" in report.cause
@@ -840,19 +857,22 @@ def _backward_error(den: MatPoly, z: complex) -> float:
 
 
 class TestCompanionOracle:
-    """The certificate's verdict on the cached zeros (np.roots of det den)
-    against the zeros of den's block companion (`_oracle.companion_zeros`)."""
+    """The verdict of `_disk_cause`, from the Stein certificate where it
+    holds, against the zeros of den's block companion
+    (`CaratheodoryQuotient.zeros`)."""
 
     @pytest.mark.parametrize(
         "label, data", [pytest.param(label, data, id=label) for label, data in _companion_draws()]
     )
     def test_certificate_agrees_with_the_companion(self, label, data):
-        # at both margins, the verdict on cq.zeros is the companion's, and
-        # the companion's innermost zero is a zero of den to roundoff
+        # the full-rank draws are certified, the deflated ones not; at both
+        # margins the verdict is the companion's, and the companion's
+        # innermost zero is a zero of den to roundoff
         sm = central_measure(data)
         assert bool(sm.atoms) == label.startswith("dsum")
         cq = sm.quotient
-        comp = companion_zeros(cq.den)
+        assert cq._certified == (-np.inf if sm.atoms else DISK_MARGIN)
+        comp = cq.zeros
         for margin in (DISK_MARGIN, -NEAR_CIRCLE):
             assert (_disk_cause(cq, margin) is None) == bool(np.all(np.abs(comp) - 1.0 > margin))
         assert _backward_error(cq.den, comp[np.argmin(np.abs(comp))]) <= 1e-11
@@ -861,13 +881,12 @@ class TestCompanionOracle:
     def test_triple_zero_stays_outside_in_the_companion(self, n):
         # the README triple AR(1): diag(1, 2, 3) a^j, a = (1 - 1e-5) e^{0.4i}.
         # The companion puts every zero of det den 1.000e-5 or more outside
-        # the circle; np.roots scatters the triple zero and one lands inside
+        # the circle, and the Stein certificate clears the quotient first
         a = (1.0 - 1e-5) * np.exp(0.4j)
         seq = HermSeq([np.diag([1.0, 2.0, 3.0]) * a**j for j in range(n + 1)])
         cq = central_quotient(gamma_from_covariance(seq))
-        assert f"{np.min(np.abs(companion_zeros(cq.den))) - 1.0:.3e}" == "1.000e-05"
-        assert np.min(np.abs(cq.zeros)) < 1.0
-        assert "not certified" in _disk_cause(cq, DISK_MARGIN)
+        assert f"{np.min(np.abs(cq.zeros)) - 1.0:.3e}" == "1.000e-05"
+        assert cq._certified == DISK_MARGIN and _disk_cause(cq, DISK_MARGIN) is None
 
 
 class TestDensityCertificate:

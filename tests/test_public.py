@@ -95,13 +95,11 @@ SIGNATURES = {
     "central_order": ["seq"],
     "central_quotient": ["g", "n", "rank_rtol", "psd_tol"],
     "density_at": ["sm", "zeta"],
-    "matpoly.det_poly": ["p"],
     "fourier_coeff": ["sm", "j"],
     "herglotz_transform": ["sm", "z"],
     "MatPoly.trim": ["self"],
     "pd_polynomials": ["seq"],
     "verify_recovery": ["sm", "seq", "tol"],
-    "matpoly.poly_trim": ["c"],
 }
 
 

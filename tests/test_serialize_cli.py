@@ -724,7 +724,8 @@ class TestCliPipeline:
 
     def test_verify_with_singular_den_exits_1(self, tmp_path, capsys):
         # den = [[1, 1], [1, 1]] is singular everywhere: no measure document
-        # describes a Caratheodory function with it
+        # describes a Caratheodory function with it.  The block companion's
+        # den_0 is singular, and so is den at the root of unity it is tried at
         one, zero = [1.0, 0.0], [0.0, 0.0]
         doc = {"q": 2, "atoms": [],
                "quotient": {"a_coeffs": [[[one, zero], [zero, one]]],
@@ -735,6 +736,24 @@ class TestCliPipeline:
         src.write_text(dumps(sequence_to_doc(HermSeq([np.eye(2)]), "covariance")))
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
         assert "det den is the zero polynomial" in capsys.readouterr().err
+
+    def test_verify_with_singular_den0_names_the_zero_at_0(self, tmp_path, capsys):
+        # den = diag(z, 1 - z/2): den_0 is singular, so det den = z (1 - z/2)
+        # vanishes at the origin.  The companion cannot fold den_0^{-1} in;
+        # the report fails and names the zero at 0, with no LinAlgError
+        one, zero, half = [1.0, 0.0], [0.0, 0.0], [-0.5, 0.0]
+        doc = {"q": 2, "atoms": [],
+               "quotient": {"a_coeffs": [[[one, zero], [zero, one]]],
+                            "b_coeffs": [[[zero, zero], [zero, one]], [[one, zero], [zero, half]]]}}
+        mfile = tmp_path / "m.json"
+        src = tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(dumps(sequence_to_doc(HermSeq([np.eye(2)]), "covariance")))
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 2
+        captured = capsys.readouterr()
+        want = "verification failed: zero of det den at 0+0j (|z| - 1 = -1.000e+00)"
+        assert captured.err.startswith(want)
+        assert json.loads(captured.out)["report"]["cause"] in captured.err
 
     def test_spectrum_csv(self, tmp_path):
         src = tmp_path / "seq.json"
@@ -839,18 +858,31 @@ class TestCliPipeline:
         assert "T_1" in capsys.readouterr().err
 
     def test_spectrum_with_uncertified_quotient_exits_2(self, tmp_path, capsys):
-        # diag of three AR(1) blocks with one coefficient (1 - 1e-5) e^{0.4i}:
-        # a computed zero of det den lies inside the circle, so the central
-        # measure is refused with the certificate's message, not written
-        a = (1.0 - 1e-5) * np.exp(0.4j)
-        seq = HermSeq([np.diag([1.0, 2.0, 3.0]) * a**j for j in range(3)])
+        # AR(1) with rho = 1 - 1e-9, n = 5: the shift finds the atom at 1 and
+        # the deflated quotient has a zero of det den inside the circle, so
+        # the measure is refused with the verdict's message, not written
+        rho = 1.0 - 1e-9
         src, out = tmp_path / "seq.json", tmp_path / "m.json"
-        src.write_text(dumps(sequence_to_doc(seq, "covariance")))
+        src.write_text(seq_doc_text(*[rho**j for j in range(6)]))
         assert main(["spectrum", str(src), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("matspec: zero of det den at")
         assert "not certified outside the closed disk" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_spectrum_of_the_triple_ar1_verifies(self, tmp_path, capsys, n):
+        # diag of three AR(1) blocks with one coefficient (1 - 1e-5) e^{0.4i}:
+        # the triple zero of det den lies 1e-5 outside the circle, and the
+        # Stein certificate clears it; spectrum writes the measure, and
+        # verify passes
+        a = (1.0 - 1e-5) * np.exp(0.4j)
+        seq = HermSeq([np.diag([1.0, 2.0, 3.0]) * a**j for j in range(n + 1)])
+        src, out = tmp_path / "seq.json", tmp_path / "m.json"
+        src.write_text(dumps(sequence_to_doc(seq, "covariance")))
+        assert main(["spectrum", str(src), "--output", str(out)]) == 0
+        assert main(["verify", str(out), "--sequence", str(src)]) == 0
+        capsys.readouterr()
 
 
 class _ReadRecorder:

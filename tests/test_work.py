@@ -7,9 +7,10 @@ scan's work grows as n^3, while the central extension made by
 Cholesky of its size and no eigvalsh; each entry point solves for the
 central predictor with one LU solve of T_{n-1} when T_n has full rank and
 with one pseudoinverse when it is singular (`ball_params` always with
-the pseudoinverse's one SVD), det den and its zeros are found once per
-quotient, the recovery, `fourier_coeff` and `herglotz_transform` sample
-no density, take no FFT of one and call `rational_values` only for the
+the pseudoinverse's one SVD), full-rank quotients are cleared by their
+Stein certificate and no zero of det den is computed, a deflated quotient's
+zeros take one eig of den's block companion, the recovery, `fourier_coeff`
+and `herglotz_transform` sample no density, take no FFT of one and call `rational_values` only for the
 Herglotz transform's two points, the near-circle clusters of the residue
 oracle (tests/_oracle.py) take one stacked Horner pass of den, den' and
 num however many clusters there are and each Newton pass of its polish one
@@ -19,8 +20,8 @@ the scan, and
 the recovery errors of all orders and each comparison of the
 autoregressive check and `central_order` take one stacked svdvals,
 `central_quotient` reads Gamma_0's Hermiticity off the scan and alone runs
-the disk certificate at the open-disk margin, and det den takes one FFT and
-one stacked det.
+the disk verdict at the open-disk margin, and the oracle's scalar det den
+takes one FFT and one stacked det.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
@@ -35,6 +36,7 @@ singular input with no atom neither, and rank-frozen input never forms det
 den, its zeros, a quotient value or a Taylor coefficient."""
 
 import importlib
+import inspect
 import json
 import pkgutil
 import warnings
@@ -131,10 +133,21 @@ def prefix_sized(shapes):
     return [s for s in shapes if len(s) == 2 and max(s) > Q]
 
 
+def stein_norms(n):
+    """Frobenius norms the Stein certificate of an order-n quotient takes:
+    of the stacked predictor blocks, of T_{n-1} and of the Yule-Walker
+    residual."""
+    return [(n, Q, Q), (n * Q, n * Q), ((n - 1) * Q, Q)]
+
+
 def test_central_measure_scans_once(seq, calls):
+    # one eigvalsh of T_n, the scan, and one of the q x q leading block of
+    # the Stein certificate; no spectral norm of a prefix matrix, only the
+    # certificate's Frobenius norms
     central_measure(seq)
-    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2]
-    assert prefix_sized(calls["norm"] + calls["svdvals"]) == []
+    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2, (Q, Q)]
+    assert prefix_sized(calls["svdvals"]) == []
+    assert calls["norm"] == stein_norms(N)
 
 
 def test_central_extend_scans_input_and_result_once(seq, calls):
@@ -177,7 +190,9 @@ def test_each_entry_point_scans_with_one_eigvalsh(seq, calls):
     for name, call in entry_points.items():
         calls["eigvalsh"].clear()
         call()
-        assert calls["eigvalsh"] == [((N + 1) * Q,) * 2], name
+        # the Stein certificate of central_quotient adds one q x q eigvalsh
+        stein = [(Q, Q)] if name == "central_quotient" else []
+        assert calls["eigvalsh"] == [((N + 1) * Q,) * 2] + stein, name
 
 
 def test_central_extend_solves_predictor_once(seq, calls):
@@ -284,17 +299,19 @@ def test_comparisons_stack_their_norms(seq, calls):
     calls["svdvals"].clear()
     central_quotient(gamma_from_covariance(seq))
     assert len(calls["svdvals"]) == 2
-    assert calls["norm"] == []
+    # np.linalg.norm only in the Stein certificates of the three quotients
+    assert calls["norm"] == stein_norms(N) + stein_norms(8) + stein_norms(N)
 
 
 def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
     order = 8
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, order)
-    # one eigvalsh of the prefix; the extension to the stored length, TND by
-    # construction, takes one Cholesky and no eigvalsh
-    assert calls["eigvalsh"] == [((order + 1) * Q,) * 2]
-    assert calls["cholesky"] == [((N + 1) * Q,) * 2]
+    # one eigvalsh of the prefix, and the quotient's Stein certificate one
+    # Cholesky of T_{order-1} and one q x q eigvalsh; the extension to the
+    # stored length, TND by construction, takes one Cholesky and no eigvalsh
+    assert calls["eigvalsh"] == [((order + 1) * Q,) * 2, (Q, Q)]
+    assert calls["cholesky"] == [(order * Q,) * 2, ((N + 1) * Q,) * 2]
     # full-rank T_order: one LU solve of T_{order-1} for the predictor and
     # none of T_order; no SVD, no inverse
     assert prefix_sized(calls["solve"]) == [(order * Q,) * 2]
@@ -314,23 +331,16 @@ def test_central_order_scans_once(seq, calls):
 
 @pytest.fixture
 def pole_work(monkeypatch):
-    """Arguments of det_poly, wherever matspec calls it from, and calls of
-    np.roots."""
-    seen = {"det_poly": [], "roots": 0}
-    det_poly, roots = matpoly.det_poly, np.roots
+    """Shapes of the matrices handed to np.linalg.eigvals, which computes the
+    zeros of det den as the eigenvalues of den's block companion."""
+    seen = []
+    eigvals = np.linalg.eigvals
 
-    def counted_det(p, *args, **kwargs):
-        seen["det_poly"].append(p)
-        return det_poly(p, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return eigvals(a, *args, **kwargs)
 
-    def counted_roots(*args, **kwargs):
-        seen["roots"] += 1
-        return roots(*args, **kwargs)
-
-    for module in (matpoly, caratheodory, measure):
-        if hasattr(module, "det_poly"):
-            monkeypatch.setattr(module, "det_poly", counted_det)
-    monkeypatch.setattr(np, "roots", counted_roots)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     return seen
 
 
@@ -346,11 +356,11 @@ def run_pipeline(seq):
 
 
 def test_verify_recovery_finds_poles_once(seq, pole_work):
+    # full-rank data: the Stein certificate clears the quotient, and no
+    # step of the pipeline computes a zero of det den
     sm = run_pipeline(seq)
-    # every det_poly call of the pipeline: one, of den; the measure's and
-    # the recovery's certificates share its zeros
-    assert pole_work["det_poly"] == [sm.quotient.den]
-    assert pole_work["roots"] == 1
+    assert sm.quotient._certified == measure.DISK_MARGIN
+    assert pole_work == []
 
 
 # AR(1) with rho = 1 - 1e-4: a simple zero of det den 1e-4 outside the circle
@@ -359,8 +369,18 @@ AR1 = HermSeq([np.array([[(1.0 - 1e-4) ** j]], dtype=complex) for j in range(4)]
 
 def test_near_boundary_finds_poles_once(pole_work):
     sm = run_pipeline(AR1)
-    assert pole_work["det_poly"] == [sm.quotient.den]
-    assert pole_work["roots"] == 1
+    assert sm.quotient._certified == measure.DISK_MARGIN
+    assert pole_work == []
+
+
+def test_deflated_measure_finds_poles_once(pole_work):
+    # deflated data: the Stein certificate cannot decide, so the measure's
+    # verdict reads the zeros off one eig of den's block companion, of size
+    # q deg den; the recovery, fourier_coeff and herglotz_transform reuse them
+    sm = run_pipeline(DSUM)
+    den = sm.quotient.den.trim()
+    assert sm.atoms and sm.quotient._certified == -np.inf
+    assert pole_work == [(den.q * den.degree,) * 2]
 
 
 def test_semisimple_double_pole_recovers():
@@ -445,7 +465,7 @@ def test_frozen_input_reads_its_atoms_off_one_eig(pole_work, sampling_work, call
     # blocks, one per atom of rank 2; no eig of size r
     sm = run_pipeline(FROZEN)
     assert sm.quotient is None and len(sm.atoms) == 2
-    assert pole_work == {"det_poly": [], "roots": 0}
+    assert pole_work == []
     assert sampling_work == {"fft": [], "exp": [], "density": [], "values": []}
     assert calls["eig"] == [(2, 2, 2)]
     assert matrices(calls["eigh"]) == [(4, 4)]
@@ -469,12 +489,18 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, built, kind):
     assert bool(sm.atoms) == (kind in ("frozen", "deflated"))
     times = 2 if kind == "deflated" else 1
     assert built == [len(data) - 1] * times
-    assert calls["eigvalsh"] == [(len(data) * data.q,) * 2]
+    # the Stein certificate: one Cholesky of T_{n-1}, and for full-rank data
+    # one q x q eigvalsh; singular T_{n-1} fails its Cholesky, and the
+    # quotient's zeros take one q x q solve (den_0^{-1} folded into den)
+    singular = kind in ("frozen", "deflated", "zero+ar1", "ma-rank1")
+    stein = [] if singular else [(data.q, data.q)]
+    assert calls["eigvalsh"] == [(len(data) * data.q,) * 2] + stein
     matrices = {name: [s for s in calls[name] if len(s) == 2]
                 for name in ("svd", "solve", "inv")}
     t_prev = ((len(data) - 1) * data.q,) * 2
-    if kind in ("frozen", "deflated", "zero+ar1", "ma-rank1"):
-        assert matrices == {"svd": [t_prev] * times, "solve": [], "inv": []}
+    if singular:
+        fold = [] if kind == "frozen" else [(data.q, data.q)]
+        assert matrices == {"svd": [t_prev] * times, "solve": fold, "inv": []}
     else:
         assert matrices == {"svd": [], "solve": [t_prev], "inv": []}
 
@@ -551,7 +577,7 @@ def test_det_poly_takes_one_fft_and_one_stacked_det(monkeypatch, q, degree):
     monkeypatch.setattr(matpoly, "_horner", no_horner)
     rng = np.random.default_rng(10 * q + degree)
     p = MatPoly(rng.standard_normal((degree + 1, q, q)) + 1j * rng.standard_normal((degree + 1, q, q)))
-    assert matpoly.det_poly(p).size == q * degree + 1
+    assert _oracle.det_poly(p).size == q * degree + 1
     if degree == 0:
         assert seen == {"fft": [], "det": [(q, q)]}
     else:
@@ -657,7 +683,9 @@ def test_atoms_skip_the_scalar_determinant_route():
     modules = [importlib.import_module(f"matspec.{m.name}")
                for m in pkgutil.iter_modules(matspec.__path__)]
     assert measure in modules and matpoly in modules
-    for name in ("compute_atoms", "MultiplicityError", "unimodular_roots",
-                 "adjugate_poly", "matpoly_mul", "pole_limit", "radial_atom_limit"):
+    for name in ("compute_atoms", "MultiplicityError", "unimodular_roots", "det_poly",
+                 "poly_trim", "adjugate_poly", "matpoly_mul", "pole_limit", "radial_atom_limit"):
         assert [m.__name__ for m in modules if hasattr(m, name)] == []
+    # the zeros of det den come from den's block companion, never np.roots
+    assert [m.__name__ for m in modules if "np.roots" in inspect.getsource(m)] == []
     assert len(compute_atoms(atomic_quotient(8))) == 8
