@@ -179,17 +179,15 @@ def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
     """`central_quotient` without its checks: num(0) = ``g0``, the
     predictor ``w`` = `_predictor` of ``t`` and the rest read off ``t`` =
     re T_n, the block Toeplitz of the covariances; it records whether
-    `_stein_delta` certifies its zeros, and the caller judges them."""
+    `_stein_delta` certifies its zeros, and the caller judges them.
+    num_m = sum_{i=m..n} Gamma_{i-m}* w_i, block m of S_{n-1}* w, is one
+    product per order of a prefix of re T_n's first block row C_0, C_1*, ...,
+    doubled with Gamma_0* over its first block, and w_m, ..., w_n."""
     q = len(g0)
     n = len(t) // q - 1
-    # S_{n-1}: Gamma_{j-k} = 2 C_{j-k} in the blocks below the diagonal,
-    # Gamma_0 on it, zero above
-    s = (2.0 * t[:-q, :-q]).reshape(n, q, n, q).swapaxes(1, 2)
-    s[np.triu_indices(n, 1)] = 0.0
-    s[np.arange(n), np.arange(n)] = g0
-    s = s.swapaxes(1, 2).reshape(n * q, n * q)
-    u = s.conj().T @ w.reshape(n * q, q)  # block column, num coefficients 1..n
-    num = [g0] + [u[k * q : (k + 1) * q] for k in range(n)]
+    row = np.hstack([g0.conj().T, 2.0 * t[:q, q:-q]])
+    stacked = w.reshape(n * q, q)
+    num = [g0] + [row[:, : (n - k) * q] @ stacked[k * q :] for k in range(n)]
     den = [np.eye(q, dtype=complex)] + [-w[k] for k in range(n)]
     cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den))
     if n and _stein_delta(t[:-q, :-q], w) > 2.0 * DISK_MARGIN:

@@ -25,7 +25,8 @@ from .central import (
     gamma_from_covariance,
 )
 from .errors import InvalidInputError, MatSpecError, ModelError
-from .measure import ar_spectrum, central_measure, verify_recovery
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL
+from .measure import DEFAULT_ROOT_TOL, ar_spectrum, central_measure, verify_recovery
 from .serialize import (
     doc_to_measure,
     doc_to_sequence,
@@ -204,21 +205,21 @@ def _cmd_eval_phi(args) -> int:
 
 
 def _add_common(p, rank_rtol: bool = True):
-    p.add_argument("--psd-tol", type=float, default=1e-9,
-                   help="nonnegativity tolerance, relative (default 1e-9)")
+    p.add_argument("--psd-tol", type=float, default=DEFAULT_PSD_TOL,
+                   help="nonnegativity tolerance, relative (default %(default)g)")
     if rank_rtol:
-        p.add_argument("--rank-rtol", type=float, default=1e-10,
-                       help="relative singular-value cutoff (default 1e-10)")
+        p.add_argument("--rank-rtol", type=float, default=DEFAULT_RANK_RTOL,
+                       help="relative singular-value cutoff (default %(default)g)")
     p.add_argument("--output", default="-",
                    help="output path, '-' for stdout (default)")
 
 
 def _add_measure_outputs(p):
     p.add_argument("--density-samples", type=int, default=720,
-                   help="density table size (default 720)")
+                   help="density table size (default %(default)d)")
     p.add_argument("--csv", default=None, help="also write the density table as CSV")
     p.add_argument("--verify-tol", type=float, default=1e-8,
-                   help="coefficient recovery tolerance (default 1e-8)")
+                   help="coefficient recovery tolerance (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="central spectral measure")
     p.add_argument("input", help="sequence document path, '-' for stdin")
-    p.add_argument("--root-tol", type=float, default=1e-7,
+    p.add_argument("--root-tol", type=float, default=DEFAULT_ROOT_TOL,
                    help="unimodular eigenvalue tolerance of the compressed shift, "
-                        "in [0, 0.04) (default 1e-7)")
+                        "in [0, 0.04) (default %(default)g)")
     _add_measure_outputs(p)
     _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True,
                    help="sequence document to compare against")
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="max recovery error allowed (default 1e-8)")
+                   help="max recovery error allowed (default %(default)g)")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_verify)
 

@@ -86,6 +86,8 @@ from .toeplitz import (
 DEFAULT_ROOT_TOL = 1e-7
 # Atoms with ||X_v|| <= ATOM_DROP*||C_0|| are dropped.
 ATOM_DROP = 1e-10
+# An atom location or density point z needs ||z| - 1| <= CIRCLE_TOL.
+CIRCLE_TOL = 1e-8
 TWO_PI = 2.0 * np.pi
 
 
@@ -122,6 +124,8 @@ class SpectralMeasure:
     def density_grid(self, angles) -> np.ndarray:
         """Density values at unit-circle angles; shape (N, q, q)."""
         ang = np.atleast_1d(np.asarray(angles, dtype=float))
+        if not np.all(np.isfinite(ang)):
+            raise InvalidInputError("density angles must be finite")
         return _density_on_circle(self, np.exp(1j * ang))
 
 
@@ -138,14 +142,21 @@ def _re_density(phi: np.ndarray) -> np.ndarray:
     return re_mat(phi) / TWO_PI
 
 
-def _circle_point(zeta) -> np.ndarray:
-    """zeta, within 1e-8 of the unit circle, projected onto it as a
-    1-element array, else InvalidInputError."""
-    z = complex(zeta)
+def _on_circle(z, where: str) -> complex:
+    """z as a finite complex number within CIRCLE_TOL of the unit circle,
+    else InvalidInputError naming ``where``."""
+    z = complex(z)
     if not np.isfinite(z):
-        raise InvalidInputError(f"zeta = {z} is not finite")
-    if abs(abs(z) - 1.0) > 1e-8:
-        raise InvalidInputError(f"|zeta| = {abs(z)} is not on the unit circle")
+        raise InvalidInputError(f"{where} = {z} is not finite")
+    if abs(abs(z) - 1.0) > CIRCLE_TOL:
+        raise InvalidInputError(f"|{where}| = {abs(z)} is not on the unit circle")
+    return z
+
+
+def _circle_point(zeta) -> np.ndarray:
+    """zeta, on the circle (`_on_circle`), projected onto it as a 1-element
+    array."""
+    z = _on_circle(zeta, "zeta")
     return np.array([z / abs(z)])
 
 
@@ -408,10 +419,8 @@ def atomic_measure(atoms, q: int | None = None) -> SpectralMeasure:
     q x q weights; zero density part."""
     cleaned = []
     for k, (point, weight) in enumerate(atoms):
-        p, w = complex(point), as_cmatrix(weight)
+        p, w = _on_circle(point, f"atom {k} location"), as_cmatrix(weight)
         q = w.shape[0] if q is None else q
-        if abs(abs(p) - 1.0) > 1e-8:
-            raise InvalidInputError(f"atom location |{p}| not on the unit circle")
         if w.shape != (q, q):
             raise DimensionError(f"atom weight has shape {w.shape}, expected ({q}, {q})")
         _check_weight(w, f"atom {k} at {p}")
@@ -537,8 +546,12 @@ def _density_psd_bound(cq: CaratheodoryQuotient) -> float:
     g = np.conj(np.swapaxes(den, -1, -2)) @ num
     # row m holds H_{-m}: the bound reads every order alike
     h = 0.5 * np.fft.ifft(g + np.conj(np.swapaxes(g, -1, -2)), axis=0)
+    # h / 2^e, each entry of modulus below 1, so no Frobenius norm
+    # overflows, and a power of two keeps every bit
+    e = np.frexp(np.max(np.abs(h)))[1]
+    h = np.ldexp(h.view(float), -e).view(complex)
     low = np.linalg.eigvalsh(h[0])[0] - np.sum(np.linalg.norm(h[1:], axis=(1, 2)))
-    return float(low / TWO_PI)
+    return float(np.ldexp(low, e) / TWO_PI)
 
 
 def verify_recovery(

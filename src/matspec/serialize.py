@@ -17,7 +17,7 @@ from .caratheodory import CaratheodoryQuotient
 from .central import GammaSeq
 from .errors import InvalidInputError
 from .matpoly import MatPoly
-from .measure import Atom, RecoveryReport, SpectralMeasure, _check_weight
+from .measure import Atom, RecoveryReport, SpectralMeasure, _check_weight, _on_circle
 from .toeplitz import HermSeq
 
 TWO_PI = 2.0 * np.pi
@@ -112,10 +112,8 @@ def _atom_to_wire(atom: Atom) -> dict:
 def _wire_to_atom(obj, q: int, where: str) -> Atom:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{where}: expected an object")
-    u = _pair_to_complex(obj.get("u"), f"{where}.u")
     # kept as written, not renormalized: the document re-serializes to itself
-    if abs(abs(u) - 1.0) > 1e-8:
-        raise InvalidInputError(f"{where}: atom location |{u}| not on the unit circle")
+    u = _on_circle(_pair_to_complex(obj.get("u"), f"{where}.u"), f"{where}.u")
     w = wire_to_mat(obj.get("weight"), q, f"{where}.weight")
     _check_weight(w, where)
     return Atom(point=u, weight=hermitian_from_lower(w))

@@ -7,7 +7,10 @@ read off den's kernel vectors at the unimodular zeros of det den; the
 scalar-determinant route, `pole_limit` of num(z) adj(den(z)) / det den(z)
 with the determinant/adjugate helpers, and `radial_atom_limit`, the limit of
 (1 - r)/2 Phi(r u) as r -> 1.  `toeplitz_blocks` places the blocks of T_n one
-by one, the definition `toeplitz_matrix` must reproduce, and `prefix_scan`
+by one, the definition `toeplitz_matrix` must reproduce, `dense_numerator`
+forms the central numerator as the paper's dense S_{n-1}* w, which
+`caratheodory._central_quotient` reads off re T_n's first block row, and
+`prefix_scan`
 checks T_0, T_1, ... one eigvalsh at a time, the definition that
 `toeplitz._scan` shortcuts by Cauchy interlacing.  `pd_density` is the
 first-column form of the positive-definite density (`_pd_density_values`),
@@ -270,6 +273,25 @@ def toeplitz_blocks(seq, n: int) -> np.ndarray:
         for k in range(n + 1):
             t[j * q : (j + 1) * q, k * q : (k + 1) * q] = seq.coeff(j - k)
     return t
+
+
+def dense_numerator(g0, t, w) -> np.ndarray:
+    """num of the central quotient as the paper writes it, Gamma_0 followed
+    by the blocks of S_{n-1}* w: S_{n-1} the dense lower block triangular
+    (nq)^2 matrix with ``g0`` on its diagonal and Gamma_{j-k} = 2 C_{j-k},
+    read off the blocks of ``t`` = re T_n below it, placed one block at a
+    time; shape (n + 1, q, q)."""
+    q = len(g0)
+    n = len(t) // q - 1
+    s = np.zeros((n * q, n * q), dtype=complex)
+    for j in range(n):
+        rows = slice(j * q, (j + 1) * q)
+        s[rows, rows] = g0
+        for k in range(j):
+            cols = slice(k * q, (k + 1) * q)
+            s[rows, cols] = 2.0 * t[rows, cols]
+    u = s.conj().T @ np.reshape(w, (n * q, q))
+    return np.concatenate([[g0], u.reshape(n, q, q)])
 
 
 def prefix_scan(seq, tol: float = DEFAULT_PSD_TOL) -> tuple[int | None, float]:

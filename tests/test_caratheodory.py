@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracle
 import matspec.caratheodory as caratheodory
+import matspec.measure as measure
 from matspec import (
     CaratheodoryQuotient,
     GammaSeq,
@@ -11,6 +13,7 @@ from matspec import (
     MatPoly,
     caratheodory_check,
     caratheodory_first_failure,
+    central_measure,
     central_quotient,
     first_violation,
     gamma_from_covariance,
@@ -18,13 +21,21 @@ from matspec import (
     phi_at,
     rational_values,
     taylor_coefficients,
+    SpectralMeasure,
 )
 from matspec.errors import InvalidInputError, MatSpecError, ModelError
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
-from matspec.measure import DISK_MARGIN
+from matspec.measure import DISK_MARGIN, _coefficients
 from matspec.toeplitz import _enter, toeplitz_matrix
 
-from _gen import atomic_coeffs, mixed_coeffs, random_tpd_seq, trig_coeffs, var1_coeffs
+from _gen import (
+    atomic_coeffs,
+    direct_sum,
+    mixed_coeffs,
+    random_tpd_seq,
+    trig_coeffs,
+    var1_coeffs,
+)
 from _oracle import (
     NoLimitError,
     numerical_rank,
@@ -219,6 +230,87 @@ class TestCentralQuotient:
         seq2 = HermSeq([np.diag([1.0, 0.0]).astype(complex)])
         cq2 = central_quotient(gamma_from_covariance(seq2))
         assert numerical_rank(re_mat(phi_at(cq2, 0.5j))) == 1
+
+
+def numerator_data(kind, rng, q, n):
+    """C_0..C_n of one numerator draw: TPD data, rank-deficient atomic data,
+    an atom (+) VAR(1) direct sum (q >= 2), whose measure's quotient is
+    deflated once n >= 1, or TPD data under a Gamma_0 that is Hermitian only
+    within psd_tol ("skew-head")."""
+    if kind in ("tpd", "skew-head"):
+        return list(random_tpd_seq(rng, q, n).coeffs)
+    if kind == "singular":
+        return atomic_coeffs(rng, q, n + 1, n_atoms=max(1, n // 2))[0]
+    atom = atomic_coeffs(rng, 1, n + 1, n_atoms=1)[0]
+    return direct_sum(atom, var1_coeffs(rng, q - 1, 0.7, n + 1))
+
+
+class TestNumerator:
+    """num of `_central_quotient`, one product per order with a prefix of
+    re T_n's first block row, against the paper's dense S_{n-1}* w
+    (`_oracle.dense_numerator`)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(Gamma_0, re T_n, w, quotient) of every `_central_quotient` call."""
+        seen = []
+        build = caratheodory._central_quotient
+
+        def recorded(g0, t, w):
+            cq = build(g0, t, w)
+            seen.append((g0, t, w, cq))
+            return cq
+
+        for module in (caratheodory, measure):
+            monkeypatch.setattr(module, "_central_quotient", recorded)
+        return seen
+
+    @pytest.mark.parametrize(
+        "kind, q",
+        [(kind, q) for kind in ("tpd", "singular", "deflated", "skew-head") for q in (1, 2, 3, 4)
+         if (kind, q) != ("deflated", 1)],
+    )
+    def test_matches_the_dense_oracle(self, built, kind, q):
+        rng = np.random.default_rng([q, len(kind)])
+        deflated = 0
+        for n in range(9):
+            coeffs = numerator_data(kind, rng, q, n)
+            if kind == "deflated":
+                sm = central_measure(HermSeq(coeffs))
+                deflated += bool(sm.atoms) and sm.quotient is not None
+                continue
+            if kind == "skew-head":
+                skew = re_mat(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))
+                coeffs[0] = coeffs[0] + 1e-11j * skew / np.linalg.norm(skew, 2)
+            central_quotient(GammaSeq([coeffs[0]] + [2.0 * c for c in coeffs[1:]]))
+        if kind == "deflated":
+            assert deflated == 8  # every n >= 1 takes the deflated quotient
+        assert len(built) >= 9
+        for g0, t, w, cq in built:
+            expect = _oracle.dense_numerator(g0, t, w)
+            assert cq.num.coeffs.shape == expect.shape
+            assert np.array_equal(cq.num.coeffs[0], g0)
+            gap = np.max(np.linalg.norm(cq.num.coeffs - expect, 2, axis=(1, 2)))
+            assert gap <= 1e-14 * np.linalg.norm(t[:q, :q], 2)
+        if kind == "skew-head":
+            assert any(not np.array_equal(g0, g0.conj().T) for g0, *_ in built)
+
+    def test_recovery_reads_the_yule_walker_residual(self):
+        # num = Gamma_0 (+) S_{n-1}* w recovers C_1 as the first block of
+        # T_{n-1} w, so a predictor w off the Yule-Walker solution misses C_1
+        # by r_0, the first block of r = Y_n - T_{n-1} w.  The truncated
+        # product num_k = sum_i Gamma_{k-i} den_i would recover C_1 exactly
+        # for any w, and recovery would check nothing of the predictor
+        rng = np.random.default_rng(32)
+        q, n = 2, 4
+        seq = random_tpd_seq(rng, q, n)
+        entry = _enter(toeplitz_matrix(seq, n), q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        w = entry.w + 1e-2 * (rng.normal(size=entry.w.shape) + 1j * rng.normal(size=entry.w.shape))
+        cq = caratheodory._central_quotient(seq.coeffs[0], entry.t, w)
+        r = entry.t[q:, :q] - entry.t[:-q, :-q] @ w.reshape(n * q, q)
+        assert np.linalg.norm(r[:q], 2) > 1e-3
+        c1 = _coefficients(SpectralMeasure(q, (), cq), [1])[0]
+        assert np.linalg.norm(c1 - seq.coeff(1) + r[:q], 2) <= 1e-14 * np.linalg.norm(seq.coeff(0), 2)
 
 
 class TestDiskCheck:

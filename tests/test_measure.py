@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from matspec import (
     central_measure,
     central_quotient,
     density_at,
+    doc_to_measure,
     fourier_coeff,
     gamma_from_covariance,
     herglotz_transform,
+    measure_to_doc,
     phi_at,
     rational_values,
     spec_norm,
@@ -32,6 +36,7 @@ from matspec.caratheodory import _central_quotient, _disk_cause
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
 from matspec.measure import (
     ATOM_DROP,
+    CIRCLE_TOL,
     CLUSTER_RADIUS,
     DEFAULT_ROOT_TOL,
     DISK_MARGIN,
@@ -464,6 +469,31 @@ class TestAtomicMeasure:
         with pytest.raises(InvalidInputError):
             atomic_measure([(0.5, np.eye(1))])
 
+    @pytest.mark.parametrize("u", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan), np.inf])
+    def test_non_finite_location_rejected(self, u):
+        # ||u| - 1| > tol is False for a NaN location, which went on to a
+        # raw LinAlgError in verify_recovery
+        with pytest.raises(InvalidInputError, match="atom 0 location = .* is not finite"):
+            atomic_measure([(u, [[1.0]])])
+
+    @pytest.mark.parametrize("gap, ok", [(0.5, True), (2.0, False)])
+    def test_one_circle_tolerance(self, gap, ok):
+        # atomic_measure, density_at and a measure document's atom read the
+        # circle with the one CIRCLE_TOL
+        u = 1.0 + gap * CIRCLE_TOL
+        doc = measure_to_doc(atomic_measure([(1.0, [[1.0]])]), density_samples=0)
+        doc["atoms"][0]["u"] = [u, 0.0]
+        for read in (
+            lambda: atomic_measure([(u, [[1.0]])]),
+            lambda: density_at(central_measure(scalar_seq(1.0, 0.5)), u),
+            lambda: doc_to_measure(doc),
+        ):
+            if ok:
+                read()
+            else:
+                with pytest.raises(InvalidInputError, match="not on the unit circle"):
+                    read()
+
     @pytest.mark.parametrize(
         "atoms, q",
         [
@@ -514,6 +544,13 @@ class TestAtomicMeasure:
         ):
             with pytest.raises(InvalidInputError):
                 evaluate()
+
+    @pytest.mark.parametrize("angles", [[np.nan], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_angle_rejected(self, angles):
+        # e^{i nan} is NaN: density_grid returned it where density_at refuses
+        for sm in (central_measure(scalar_seq(1.0, 0.5)), atomic_measure([(1.0, [[1.0]])])):
+            with pytest.raises(InvalidInputError, match="angles must be finite"):
+                sm.density_grid(angles)
 
 
 class TestFourierRecovery:
@@ -906,6 +943,21 @@ class TestDensityCertificate:
         assert abs(report.density_psd_bound + 1.0 / TWO_PI) <= 1e-15
         assert report.density_psd_bound < -DEFAULT_PSD_TOL
         assert report.passed
+
+    def test_bound_does_not_overflow(self):
+        # num = 1 + z, den = 1 + 1e200 z: H has orders of 1e200, whose
+        # squares in a Frobenius norm overflowed to a bound of -inf that the
+        # report wrote as -Infinity, not JSON.  H scaled by a power of two
+        # gives its true value, 0 to roundoff
+        num = MatPoly(np.ones((2, 1, 1)))
+        den = MatPoly(np.array([[[1.0]], [[1e200]]]))
+        sm = SpectralMeasure(1, (), CaratheodoryQuotient(num, den))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = verify_recovery(sm, scalar_seq(1.0, 0.5))
+        assert not report.passed and "zero of det den" in report.cause
+        assert abs(report.density_psd_bound) <= 1e-15 * 1e200
+        json.dumps(report.to_dict(), allow_nan=False)
 
     def test_bound_is_the_minimum_of_a_varying_density(self):
         # re(1 + e^{it} / 2) has minimum 1/2 at t = pi, a node of the grid

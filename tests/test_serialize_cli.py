@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -15,9 +16,11 @@ from matspec import (
     GammaSeq,
     HermSeq,
     SpectralMeasure,
+    ar_spectrum,
     central_extend,
     central_measure,
     central_quotient,
+    classify,
     density_at,
     doc_to_measure,
     doc_to_sequence,
@@ -202,6 +205,38 @@ class TestMeasureDocs:
         src.write_text(seq_doc_text(1.0, 1.0))
         assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
         assert "not on the unit circle" in capsys.readouterr().err
+
+    def test_non_finite_atom_location_exits_1(self, tmp_path, capsys):
+        # ||u| - 1| > tol is False for NaN: the atom was kept, and verify
+        # ended in a LinAlgError traceback
+        doc = measure_to_doc(central_measure(scalar_seq(1.0, 1.0)), density_samples=0)
+        doc["atoms"][0]["u"] = [float("nan"), 0.0]
+        with pytest.raises(InvalidInputError, match=r"atom 0\.u = .* is not finite"):
+            doc_to_measure(doc)
+        mfile, src = tmp_path / "m.json", tmp_path / "seq.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 1.0))
+        assert "NaN" in mfile.read_text()
+        assert main(["verify", str(mfile), "--sequence", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not finite" in captured.err
+
+    def test_huge_quotient_writes_a_finite_bound(self, tmp_path, capsys):
+        # den = 1 + 1e200 z has its zero at -1e-200, so verify exits 2; the
+        # report's density bound, -inf before H was scaled, stays finite and
+        # the report is strict JSON
+        doc = {"q": 1, "atoms": [], "quotient": {
+            "a_coeffs": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]],
+            "b_coeffs": [[[[1.0, 0.0]]], [[[1e200, 0.0]]]],
+        }}
+        mfile, src, out = tmp_path / "m.json", tmp_path / "seq.json", tmp_path / "r.json"
+        mfile.write_text(dumps(doc))
+        src.write_text(seq_doc_text(1.0, 0.5))
+        argv = ["verify", str(mfile), "--sequence", str(src), "--output", str(out)]
+        assert main(argv) == 2
+        assert "zero of det den" in capsys.readouterr().err
+        report = json.loads(out.read_text(), parse_constant=pytest.fail)["report"]
+        assert np.isfinite(report["density_psd_bound"])
 
     @pytest.mark.parametrize(
         "weight, match",
@@ -921,6 +956,37 @@ def test_every_parsed_option_is_read(tmp_path, capsys):
         dests = set(vars(args)) - {"command", "func"}
         unread[command] = sorted(dests - recorder.read)
     assert unread == {command: [] for command in argv}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # each option's default is that of the library parameter it feeds
+    feeds = {
+        "check": {"psd_tol": (classify, "tol")},
+        "extend": {"psd_tol": (central_extend, "psd_tol"),
+                   "rank_rtol": (central_extend, "rank_rtol")},
+        "spectrum": {"psd_tol": (central_measure, "psd_tol"),
+                     "rank_rtol": (central_measure, "rank_rtol"),
+                     "root_tol": (central_measure, "root_tol"),
+                     "verify_tol": (verify_recovery, "tol"),
+                     "density_samples": (measure_to_doc, "density_samples")},
+        "ar-spectrum": {"psd_tol": (ar_spectrum, "psd_tol"),
+                        "rank_rtol": (ar_spectrum, "rank_rtol"),
+                        "verify_tol": (verify_recovery, "tol"),
+                        "density_samples": (measure_to_doc, "density_samples")},
+        "verify": {"tol": (verify_recovery, "tol")},
+        "eval-phi": {"psd_tol": (central_quotient, "psd_tol"),
+                     "rank_rtol": (central_quotient, "rank_rtol")},
+    }
+    required = {"extend": ["--length", "3"], "ar-spectrum": ["--order", "1"],
+                "verify": ["--sequence", "s"], "eval-phi": ["--z", "0,0"]}
+    parser = build_parser()
+    for command, options in feeds.items():
+        args = vars(parser.parse_args([command, "in", *required.get(command, [])]))
+        numeric = {k for k, v in args.items() if isinstance(v, (int, float))}
+        assert numeric - {"length", "order"} == set(options), command
+        for dest, (func, name) in options.items():
+            default = inspect.signature(func).parameters[name].default
+            assert args[dest] == default and type(args[dest]) is type(default), (command, dest)
 
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"

@@ -20,8 +20,9 @@ the scan, and
 the recovery errors of all orders and each comparison of the
 autoregressive check and `central_order` take one stacked svdvals,
 `central_quotient` reads Gamma_0's Hermiticity off the scan and alone runs
-the disk verdict at the open-disk margin, and the oracle's scalar det den
-takes one FFT and one stacked det.
+the disk verdict at the open-disk margin, the central numerator reads re
+T_n's first block row with no np.triu_indices, and the oracle's scalar det
+den takes one FFT and one stacked det.
 `central_measure` builds T_n once and takes one eigvalsh for every kind of
 input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
@@ -606,6 +607,29 @@ def test_only_central_quotient_runs_the_open_disk_test(seq, monkeypatch, kind):
     checked.clear()
     cq = central_quotient(gamma_from_covariance(data))
     assert checked == [(cq, -caratheodory.NEAR_CIRCLE)] and checked[0][0] is cq
+
+
+@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "mixed", "deflated", "zero+ar1"])
+def test_numerator_reads_the_first_block_row(seq, monkeypatch, kind):
+    # num takes one product per order with a prefix of re T_n's first block
+    # row: no dense S_{n-1}, so no upper blocks to zero by np.triu_indices
+    built = []
+    build = caratheodory._central_quotient
+
+    def recorded(*args):
+        built.append(args)
+        return build(*args)
+
+    def no_triu(*args, **kwargs):
+        raise AssertionError("np.triu_indices called")
+
+    monkeypatch.setattr(np, "triu_indices", no_triu)
+    for module in (caratheodory, measure):
+        monkeypatch.setattr(module, "_central_quotient", recorded)
+    data = INPUTS.get(kind, seq)
+    central_measure(data)
+    central_quotient(gamma_from_covariance(data))
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
