@@ -38,6 +38,7 @@ from .matpoly import MatPoly, MatPolyStack
 from .toeplitz import (
     HermSeq,
     Classification,
+    _cholesky_clears,
     _classification,
     _enter,
     _recur,
@@ -149,7 +150,7 @@ def central_quotient(
 
     ``n`` defaults to the full stored prefix.  Order 0 yields the constant
     pair (Gamma_0, I).  Gamma_0 must be Hermitian; the prefix must pass
-    `caratheodory_check`.  The entry pass's one scan decides both; only
+    `caratheodory_check`.  The entry pass (`_enter`) decides both; only
     when T_0 fails is Gamma_0's Hermiticity read again, for the error type.
     den must be invertible inside the disk: `_disk_cause` with margin
     -NEAR_CIRCLE, whose ModelError names the innermost zero of det den.
@@ -170,16 +171,17 @@ def central_quotient(
         if exc.index == 0 and spec_norm(g0 - g0.conj().T) > psd_tol * (1.0 + spec_norm(g0)):
             raise InvalidInputError("Gamma_0 must be Hermitian") from exc
         raise ModelError(f"re S_{exc.index} not nonnegative", index=exc.index) from exc
-    cq = _central_quotient(g0, entry.t, entry.w)
+    cq = _central_quotient(g0, entry.t, entry.w, entry.cleared)
     _require_disk(cq, -NEAR_CIRCLE)
     return cq
 
 
-def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
+def _central_quotient(g0, t, w: np.ndarray, psd: bool = False) -> CaratheodoryQuotient:
     """`central_quotient` without its checks: num(0) = ``g0``, the
     predictor ``w`` = `_predictor` of ``t`` and the rest read off ``t`` =
     re T_n, the block Toeplitz of the covariances; it records whether
-    `_stein_delta` certifies its zeros, and the caller judges them.
+    `_stein_delta` certifies its zeros (``psd``: `_enter` proved
+    re T_{n-1} >= 0), and the caller judges them.
     num_m = sum_{i=m..n} Gamma_{i-m}* w_i, block m of S_{n-1}* w, is one
     product per order of a prefix of re T_n's first block row C_0, C_1*, ...,
     doubled with Gamma_0* over its first block, and w_m, ..., w_n."""
@@ -190,24 +192,23 @@ def _central_quotient(g0, t, w: np.ndarray) -> CaratheodoryQuotient:
     num = [g0] + [row[:, : (n - k) * q] @ stacked[k * q :] for k in range(n)]
     den = [np.eye(q, dtype=complex)] + [-w[k] for k in range(n)]
     cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den))
-    if n and _stein_delta(t[:-q, :-q], w) > 2.0 * DISK_MARGIN:
+    if n and _stein_delta(t[:-q, :-q], w, psd) > 2.0 * DISK_MARGIN:
         object.__setattr__(cq, "_certified", DISK_MARGIN)
     return cq
 
 
-def _stein_delta(p: np.ndarray, w: np.ndarray) -> float:
+def _stein_delta(p: np.ndarray, w: np.ndarray, psd: bool = False) -> float:
     """delta of the Stein certificate on den = I - sum_m w_m z^m, from
     ``p`` = P = re T_{n-1}, Hermitian and block Toeplitz; -inf when the
     Cholesky of P fails.  delta > 2 DISK_MARGIN proves every zero z of det
     den has |z| > 1 + DISK_MARGIN, from (1 - |lam|^2) v* P v = v* D v for
     each eigenpair F v = lam v of den's block companion F, D = P - F* P F
     (README, "The Stein certificate").  D holds the Yule-Walker residual R_1
-    off its leading block, C_0 - W* P W.  One Cholesky, O((nq)^3 / 3).
+    off its leading block, C_0 - W* P W.  One Cholesky, O((nq)^3 / 3),
+    none when ``psd``, the entry's proof of P >= 0.
     """
     n, q = w.shape[:2]
-    try:
-        np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
+    if not (psd or _cholesky_clears(p, 0.0)):
         return -np.inf
     stacked = w.reshape(n * q, q)
     pw = p @ stacked

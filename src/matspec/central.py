@@ -6,12 +6,12 @@ fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
 coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
 costs O((nq)^3 + L n q^3) before the result is checked, by one Cholesky of
 re T_{L-1}.  T_n is built once per call and read by one entry pass
-(`toeplitz._enter`), whose scan gives ||C_0|| and rank T_n; that rank
-selects w's route, one LU solve of T_{n-1}, O((nq)^3 / 3), at full rank
-and one SVD otherwise.  `central_order` reads every prefix's predictor off
-the leading blocks of the same re T_n.  A sequence already equal to its
-own center continuation from some index onward has a central order; the
-pure zero tail is order 0.
+(`toeplitz._enter`, one Cholesky, else one eigvalsh), for ||C_0|| and rank
+T_n; that rank selects w's route, one LU solve of T_{n-1}, O((nq)^3 / 3),
+at full rank and one SVD otherwise.  `central_order` reads every prefix's
+predictor off the leading blocks of the same re T_n.  A sequence already
+equal to its own center continuation from some index onward has a central
+order; the pure zero tail is order 0.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def central_extend(
 
     The chain of centers is the recursion C_k = sum_{m=1..n} C_{k-m} w_m with
     w = T_{n-1}' Y_n, at cost O((nq)^3 + L n q^3) for L = ``target_len``:
-    one LU solve of T_{n-1}, O((nq)^3 / 3), when the input's scan finds T_n
-    of full rank at the rank_rtol cutoff, else one SVD pseudoinverse, both
-    of re T_n.  The input is scanned once (`toeplitz._enter`), by one
-    eigvalsh of re T_n (per-prefix only below -tol (1 + ||C_0||)), which
-    also gives its rank and ||C_0||.  The result is again TND,
+    one LU solve of T_{n-1}, O((nq)^3 / 3), when T_n has full rank at the
+    rank_rtol cutoff, else one SVD pseudoinverse, both of re T_n.  The
+    input is checked once (`toeplitz._enter`), by one Cholesky of
+    re T_n - s I at full rank and else one eigvalsh of re T_n, which also
+    give its rank and ||C_0||.  The result is again TND,
     and is checked to be by one Cholesky of re T_{L-1} + tol (1 + ||C_0||) I,
     O((Lq)^3 / 3); eigvalsh runs on the result only when that Cholesky
     fails, to name the first bad T_k (`toeplitz._continue`).  The whole call
@@ -111,8 +111,8 @@ def central_order(seq: HermSeq):
     a final coefficient that leaves the admissibility cone entirely is simply
     NOT_CENTRAL, while an interior breach is a model error.  Coefficients
     count as equal within CENTRAL_TOL * (1 + ||C_0||).  Each ball centre
-    takes its own predictor: one LU solve per prefix when the scan finds
-    T_{n-1} of full rank, O(n^4 q^3 / 12) in all, else one SVD per prefix.
+    takes its own predictor: one LU solve per prefix when the entry pass
+    finds T_{n-1} of full rank, O(n^4 q^3 / 12) in all, else one SVD each.
     """
     n, q = len(seq) - 1, seq.q
     entry = _enter(toeplitz_matrix(seq, max(n - 1, 0)), q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)

@@ -122,8 +122,12 @@ class SpectralMeasure:
         return np.array([a.point for a in self.atoms], dtype=complex)
 
     def density_grid(self, angles) -> np.ndarray:
-        """Density values at unit-circle angles; shape (N, q, q)."""
-        ang = np.atleast_1d(np.asarray(angles, dtype=float))
+        """Density values at a real array of N unit-circle angles, read flat;
+        shape (N, q, q)."""
+        try:
+            ang = np.asarray(angles).astype(float, casting="same_kind").ravel()
+        except (TypeError, ValueError) as exc:  # complex, non-numeric or ragged
+            raise InvalidInputError("density angles must be real numbers") from exc
         if not np.all(np.isfinite(ang)):
             raise InvalidInputError("density angles must be finite")
         return _density_on_circle(self, np.exp(1j * ang))
@@ -343,17 +347,17 @@ def central_measure(
     tolerance, that of nearby data, whose density near a pole can differ
     by more than the data does.
 
-    T_n is built once: its prefixes are scanned once by one eigvalsh, which
-    also gives rank T_n.  Full-rank T_n takes the predictor from one LU
-    solve of T_{n-1}, O((nq)^3 / 3), and no solve of T_n.  Singular
-    T_n takes the predictor's one SVD, which gives rank T_{n-1} and the
-    range the shift reads, and finds the shift's unitary part with
-    Hermitian eigensolvers (`_unitary_part`): an eigh of size r and small
-    stacked eigs, plus O(log m) squarings of the shift and an eigh of the
-    unitary part's size when T_n is not rank-frozen; one eig of size r
-    only when not certified.  The quotient reads re T_n, its certificate one
-    Cholesky of T_{n-1}.  Deflated data adds one T_n build and one SVD of
-    T'_{n-1}; atom-free singular data reuses T_n and w; both eig den's companion.
+    T_n is built once.  Full-rank T_n is cleared by one Cholesky and takes
+    the predictor from one LU solve of T_{n-1}, O((nq)^3 / 3).  Singular
+    T_n takes one eigvalsh scan and the predictor's one SVD, which gives
+    rank T_{n-1} and the range the shift reads, and finds the shift's
+    unitary part with Hermitian eigensolvers (`_unitary_part`): an eigh of
+    size r and small stacked eigs, plus O(log m) squarings of the shift and
+    an eigh of the unitary part's size when T_n is not rank-frozen; one eig
+    of size r only when not certified.  The quotient reads re T_n; its
+    certificate one Cholesky of T_{n-1}, unless the entry's cleared it.
+    Deflated data adds one T_n build and one SVD of T'_{n-1}; atom-free
+    singular data reuses T_n and w; both eig den's companion.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -370,8 +374,7 @@ def _central_measure(
     if n >= 1 and not entry.full_rank:
         atoms, unitary, route, widest = _shift_atoms(entry, q, root_tol)
         whole = unitary == entry.s_r.size
-        log = _debug_logger()
-        if log is not None:
+        if (log := _debug_logger()) is not None:
             rest = spec_norm(seq.coeffs[0] - sum(a.weight for a in atoms))
             log.debug(
                 "singular T_%d: rank %d, rank T_%d %d, unitary part of the shift %d, "
@@ -385,7 +388,7 @@ def _central_measure(
         quotient = _deflated_quotient(seq, SpectralMeasure(q, atoms, None), rank_rtol)
     else:
         # nothing to deflate: the data's own central quotient, from the entry
-        quotient = _central_quotient(seq.coeffs[0], entry.t, entry.w)
+        quotient = _central_quotient(seq.coeffs[0], entry.t, entry.w, entry.cleared)
     sm = SpectralMeasure(q, atoms, quotient)
     _require_disk(sm.quotient, DISK_MARGIN)
     return sm, entry

@@ -20,14 +20,14 @@ Z_n = [C_n, ..., C_1] = T_n[-q:, :-q].
 Nonnegativity of T_0..T_n is decided by one `eigvalsh` of re T_n, at cost
 O((nq)^3); the prefixes are scanned one by one only when its smallest
 eigenvalue lies below -tol (1 + ||C_0||), to name the first bad T_k (see
-`_scan`).  A central extension, TND by construction, is checked by one
-Cholesky of its shifted re T_{L-1} instead, and scanned only when that
-fails (`_first_violation_certified`).
+`_scan`).  A Cholesky that runs to completion certifies where no margin or
+bad index is asked for (`_cholesky_clears`): full-rank data (`_enter`), and
+a central extension, TND by construction (`_first_violation_certified`).
 
 Each entry point that needs the central predictor makes one pass, `_enter`:
-the scan, which gives ||C_0|| and re T_n, rank T_n off its eigenvalues,
-and the predictor by the route that rank selects (`_predictor`); later
-stages read all of them from that record.
+||C_0|| and re T_n, rank T_n from that certificate or else from the scan's
+eigenvalues, and the predictor by the route that rank selects
+(`_predictor`); later stages read all of them from that record.
 
 `MatrixSeq` validates a stacked (L, q, q) input in one pass (one copy, one
 finiteness test); its coefficients are read-only views into that copy.
@@ -179,7 +179,18 @@ class _Scan(NamedTuple):
     t: np.ndarray | None  # re T_n; None when C_0 fails
 
 
-def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
+def _head(t: np.ndarray, q: int, tol: float) -> tuple[float, np.ndarray | None]:
+    """||C_0|| and re T_n (None if C_0 fails the Hermiticity test) of ``t`` = T_n."""
+    if not 0.0 <= tol < 1.0:
+        raise InvalidInputError(f"psd_tol {tol} must lie in [0, 1)")
+    c0 = t[:q, :q]
+    c0_norm = spec_norm(c0)
+    if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):
+        return c0_norm, None
+    return c0_norm, re_mat(t)
+
+
+def _scan(t: np.ndarray, q: int, tol: float, head=None) -> _Scan:
     """Nonnegativity of the leading blocks T_0..T_n of the block Toeplitz T_n,
     from one eigvalsh of re T_n; per-prefix only below -tol (1 + ||C_0||).
 
@@ -202,16 +213,12 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
     most tol (1 + ||C_0||) / 2, which moves the bound by far less than
     eigvalsh's roundoff.  Below the band the per-prefix loop finds the exact
     first bad index, reusing T_n's eigenvalues for the last step.  Cost
-    O((nq)^3) on passing input, O(n^4 q^3) below the band.  The psd_tol
-    ``tol`` of every entry point must lie in [0, 1) (InvalidInputError).
+    O((nq)^3) on passing input, O(n^4 q^3) below the band.  ``head`` is
+    `_head` of ``t`` when the caller has it.
     """
-    if not 0.0 <= tol < 1.0:
-        raise InvalidInputError(f"psd_tol {tol} must lie in [0, 1)")
-    c0 = t[:q, :q]
-    c0_norm = spec_norm(c0)
-    if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):
+    c0_norm, t = _head(t, q, tol) if head is None else head
+    if t is None:
         return _Scan(0, -np.inf, np.empty(0), c0_norm, None)
-    t = re_mat(t)
     n = len(t) // q - 1
     w_n = np.linalg.eigvalsh(t)
     bound = -tol * (1.0 + c0_norm)
@@ -225,12 +232,9 @@ def _scan(t: np.ndarray, q: int, tol: float) -> _Scan:
         if margin < -tol:
             bad = k
             break
-    log = _debug_logger()
-    if log is not None:
-        log.debug(
-            "prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, "
-            "first bad T_%s", n, w_n[0], bound, bad,
-        )
+    if (log := _debug_logger()) is not None:
+        log.debug("prefix scan fallback: lambda_min(re T_%d) = %.3e below %.3e, "
+                  "first bad T_%s", n, w_n[0], bound, bad)
     return _Scan(bad, margin, w_n, c0_norm, t)
 
 
@@ -248,10 +252,10 @@ def _classification(bad: int | None, margin: float, tol: float) -> Classificatio
     return Classification.TPD if margin > tol else Classification.TND
 
 
-def _require_tnd(t: np.ndarray, q: int, tol: float) -> _Scan:
+def _require_tnd(t: np.ndarray, q: int, tol: float, head=None) -> _Scan:
     """Scan T_n once; raise ModelError naming the first bad T_k, else return
     the scan."""
-    scan = _scan(t, q, tol)
+    scan = _scan(t, q, tol, head)
     if scan.bad is not None:
         raise ModelError(f"T_{scan.bad} not nonnegative Hermitian", index=scan.bad)
     return scan
@@ -302,21 +306,32 @@ class _Entry(NamedTuple):
     w: np.ndarray  # predictor blocks w_1..w_n, shape (n, q, q)
     u_r: np.ndarray | None  # range of T_{n-1} from the SVD route, else None
     s_r: np.ndarray | None  # its singular values, else None
+    cleared: bool = False  # by `_enter`'s Cholesky: full rank, re T_{n-1} >= 0
 
 
 def _enter(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
-    """The one pass each entry point makes over ``t`` = T_n: one scan
-    (ModelError naming the first bad T_k), which gives ||C_0||, re T_n and
-    the eigenvalues rank T_n is read from, then the predictor of re T_n by
-    the route that rank selects (`_predictor`).  rank_rtol is checked
-    first, so a cutoff outside (0, 1) is an InvalidInputError whatever the
-    data."""
+    """The one pass each entry point makes over ``t`` = T_n: ||C_0||, re T_n,
+    rank T_n at the rank_rtol cutoff (checked first: InvalidInputError
+    outside (0, 1)) and the predictor by the route that rank selects.
+    One Cholesky of re T_n - s I, s = (rank_rtol + 4 (N + 1)^2 eps)
+    ||re T_n||_F, N = len(t), clears full-rank data at O((nq)^3 / 3): the
+    slack covers its backward error (`_cholesky_clears`) and eigvalsh's,
+    so every prefix passes, `_rank` would give N, and its leading block
+    proves re T_{n-1} >= 0 (``cleared``).  Else a debug line gives the size
+    and the shift, and `_scan` decides."""
     _require_rel_tol(rank_rtol)
-    scan = _require_tnd(t, q, psd_tol)
-    rank = _rank(scan.eigenvalues, rank_rtol)
-    full_rank = rank == len(t)
-    w, u_r, s_r = _predictor(scan.t, q, rank_rtol, full_rank)
-    return _Entry(scan.t, scan.c0_norm, rank, full_rank, w, u_r, s_r)
+    head = c0_norm, rt = _head(t, q, psd_tol)
+    if rt is None:
+        _require_tnd(t, q, psd_tol, head)  # raises: T_0 fails
+    with np.errstate(over="ignore"):  # an overflowing norm declines
+        shift = (rank_rtol + 4.0 * (len(t) + 1) ** 2 * np.finfo(float).eps) * np.linalg.norm(rt)
+    cleared = _cholesky_clears(rt, -shift)
+    if not cleared and (log := _debug_logger()) is not None:
+        log.debug("full-rank certificate declined: Cholesky of re T_%d - %.3e I failed "
+                  "(size %d)", len(t) // q - 1, shift, len(t))
+    rank = len(t) if cleared else _rank(_require_tnd(t, q, psd_tol, head).eigenvalues, rank_rtol)
+    w, u_r, s_r = _predictor(rt, q, rank_rtol, rank == len(t))
+    return _Entry(rt, c0_norm, rank, rank == len(t), w, u_r, s_r, cleared)
 
 
 def _predictor(
@@ -329,13 +344,13 @@ def _predictor(
     sum_m C_{n+1-m} w_m, and the central extension of C_0..C_n keeps the
     same w for every later coefficient.
 
-    ``full_rank`` is the caller's scan saying that T_n, or a block Toeplitz
-    matrix with T_n as a leading block, has full rank at the rank_rtol
-    cutoff (`_rank`).  By Cauchy interlacing T_{n-1} then has full rank at
-    the same cutoff, its pseudoinverse is its inverse, and w comes from one
-    LU solve with partial pivoting, O((nq)^3 / 3).  LU is backward stable,
-    so the Yule-Walker residual Y_n - T_{n-1} w is at roundoff with no
-    refinement (Higham, Accuracy and Stability of Numerical Algorithms,
+    ``full_rank`` is the caller's entry pass saying that T_n, or a block
+    Toeplitz matrix with T_n as a leading block, has full rank at the
+    rank_rtol cutoff (`_rank`).  By Cauchy interlacing T_{n-1} then has full
+    rank at the same cutoff, its pseudoinverse is its inverse, and w comes
+    from one LU solve with partial pivoting, O((nq)^3 / 3).  LU is backward
+    stable, so the Yule-Walker residual Y_n - T_{n-1} w is at roundoff with
+    no refinement (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, ch. 9).  Singular data takes the SVD of `_predictor_range`.
     """
     n = len(t) // q - 1
@@ -387,37 +402,38 @@ def _recur(row: np.ndarray, taps: np.ndarray, start: int) -> None:
         row[:, k * q : (k + 1) * q] += row[:, (k - d) * q : k * q] @ taps
 
 
+def _cholesky_clears(a: np.ndarray, shift: float) -> bool:
+    """Whether the Cholesky of the Hermitian ``a`` + ``shift`` I, shifted in
+    place and restored bit for bit, runs to completion: then lambda_min(a)
+    >= -shift - 2 (N + 1)^2 eps ||a + shift I||_F, N = len(a) (Higham 2002,
+    Thm 10.5)."""
+    diag = a.diagonal().copy()
+    a.flat[:: len(a) + 1] += shift
+    try:
+        return np.linalg.cholesky(a) is not None
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        a.flat[:: len(a) + 1] = diag
+
+
 def _first_violation_certified(
     t: np.ndarray, q: int, tol: float, c0_norm: float
 ) -> int | None:
-    """`_scan`'s first bad index of T_n, decided by one shifted Cholesky
-    when nothing fails; for ``t`` whose C_0, of norm ``c0_norm``, has passed
-    a scan's Hermiticity test.
-
-    Cholesky of re T_n + tol (1 + ||C_0||) I succeeds only when
-    lambda_min(re T_n) >= -tol (1 + ||C_0||), up to a backward error of
-    order (nq) eps ||T_n|| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 10); by Cauchy interlacing no prefix T_k then
-    fails, the conclusion `_scan` draws from its eigvalsh.  Cost
-    O((nq)^3 / 3).  When the Cholesky fails, `_scan` runs unchanged and
-    names the first bad T_k, and one debug line on the ``matspec`` logger
-    gives the size, the shift and that index.
+    """`_scan`'s first bad index of T_n, for ``t`` whose C_0, of norm
+    ``c0_norm``, has passed a scan's Hermiticity test.  A Cholesky of
+    re T_n + tol (1 + ||C_0||) I that runs to completion (`_cholesky_clears`)
+    clears every prefix, as `_scan`'s eigvalsh would, at O((nq)^3 / 3).
+    Otherwise `_scan` names the first bad T_k, and one debug line on the
+    ``matspec`` logger gives the size, the shift and that index.
     """
     shift = tol * (1.0 + c0_norm)
-    shifted = re_mat(t)
-    shifted.flat[:: len(shifted) + 1] += shift
-    try:
-        np.linalg.cholesky(shifted)
+    if _cholesky_clears(re_mat(t), shift):
         return None
-    except np.linalg.LinAlgError:
-        pass
     bad = _scan(t, q, tol).bad
-    log = _debug_logger()
-    if log is not None:
-        log.debug(
-            "Cholesky of re T_%d + %.3e I failed (size %d), first bad T_%s",
-            len(t) // q - 1, shift, len(t), bad,
-        )
+    if (log := _debug_logger()) is not None:
+        log.debug("Cholesky of re T_%d + %.3e I failed (size %d), first bad T_%s",
+                  len(t) // q - 1, shift, len(t), bad)
     return bad
 
 

@@ -12,7 +12,9 @@ forms the central numerator as the paper's dense S_{n-1}* w, which
 `caratheodory._central_quotient` reads off re T_n's first block row, and
 `prefix_scan`
 checks T_0, T_1, ... one eigvalsh at a time, the definition that
-`toeplitz._scan` shortcuts by Cauchy interlacing.  `pd_density` is the
+`toeplitz._scan` shortcuts by Cauchy interlacing, and `enter_by_scan` is
+the entry pass that reads rank T_n off the scan's eigvalsh alone, which
+`toeplitz._enter` shortcuts by one shifted Cholesky on full-rank data.  `pd_density` is the
 first-column form of the positive-definite density (`_pd_density_values`),
 `pd_density_last_row` its last-row form, and `pd_density_gap` compares the
 first-column form with a quotient's density at 16 points, an independent
@@ -96,7 +98,15 @@ from matspec.measure import (
     _clusters,
     _re_density,
 )
-from matspec.toeplitz import HermSeq, MatrixBall, toeplitz_matrix
+from matspec.toeplitz import (
+    HermSeq,
+    MatrixBall,
+    _Entry,
+    _predictor,
+    _rank,
+    _require_tnd,
+    toeplitz_matrix,
+)
 
 # Radial points r = 1 - 2^{-k}, k = 1..RADIAL_STEPS, of `radial_atom_limit`.
 RADIAL_STEPS = 12
@@ -308,6 +318,19 @@ def prefix_scan(seq, tol: float = DEFAULT_PSD_TOL) -> tuple[int | None, float]:
         if margin < -tol:
             return k, margin
     return None, margin
+
+
+def enter_by_scan(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
+    """`toeplitz._enter` without its Cholesky certificate: one scan of ``t``
+    = T_n (ModelError naming the first bad T_k), rank T_n read off its
+    eigenvalues at the rank_rtol cutoff and the predictor by the route that
+    rank selects."""
+    _require_rel_tol(rank_rtol)
+    scan = _require_tnd(t, q, psd_tol)
+    rank = _rank(scan.eigenvalues, rank_rtol)
+    full_rank = rank == len(t)
+    w, u_r, s_r = _predictor(scan.t, q, rank_rtol, full_rank)
+    return _Entry(scan.t, scan.c0_norm, rank, full_rank, w, u_r, s_r)
 
 
 def horner(p: MatPoly, z) -> np.ndarray:

@@ -256,8 +256,8 @@ class TestNumerator:
         seen = []
         build = caratheodory._central_quotient
 
-        def recorded(g0, t, w):
-            cq = build(g0, t, w)
+        def recorded(g0, t, w, psd=False):
+            cq = build(g0, t, w, psd)
             seen.append((g0, t, w, cq))
             return cq
 

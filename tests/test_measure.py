@@ -552,6 +552,27 @@ class TestAtomicMeasure:
             with pytest.raises(InvalidInputError, match="angles must be finite"):
                 sm.density_grid(angles)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2), (2, 3), (2, 1, 2)])
+    def test_any_real_angle_array_reads_flat(self, shape):
+        # N angles of any shape give N values, in the order of a flat read
+        ang = np.linspace(0.1, 6.0, max(1, int(np.prod(shape)))).reshape(shape)
+        for sm in (central_measure(scalar_seq(1.0, 0.5)), atomic_measure([(1.0, [[1.0]])])):
+            grid = sm.density_grid(ang)
+            assert grid.shape == (ang.size, 1, 1)
+            assert np.array_equal(grid, sm.density_grid(ang.ravel().tolist()))
+        two = central_measure(HermSeq([np.eye(2), 0.5 * np.eye(2)]))
+        assert two.density_grid([[0.1, 0.2]]).shape == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "angles", [[1j], np.array([0.5 + 0.0j]), ["x"], [0.1, "x"], [None], [[0.1], [0.2, 0.3]]]
+    )
+    def test_non_real_angle_rejected(self, angles):
+        # a complex angle or a non-number is an InvalidInputError, not
+        # numpy's TypeError, ValueError or ComplexWarning
+        sm = central_measure(scalar_seq(1.0, 0.5))
+        with pytest.raises(InvalidInputError, match="angles must be real numbers"):
+            sm.density_grid(angles)
+
 
 class TestFourierRecovery:
     def test_atomic_sequence(self):
@@ -1140,7 +1161,9 @@ class TestOneAtomRoute:
         if logged is None:
             assert lines == []
             return
-        (line,) = lines
+        # singular T_2 first declines the entry's full-rank certificate
+        declined, line = lines
+        assert declined.startswith("full-rank certificate declined: Cholesky of re T_2 - ")
         # rank T_2, rank T_1 and the dimension of the shift's unitary part
         rank, rank_prev, unitary = logged
         assert line.startswith(
@@ -1361,7 +1384,8 @@ class TestHermitianShiftRoute:
                 central_measure(seq)
             except ModelError:
                 assert kind == "fallback"
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "matspec"]
+        declined, line = [r.getMessage() for r in caplog.records if r.name == "matspec"]
+        assert declined.startswith("full-rank certificate declined: ")
         assert f", {logged}, " in line
 
 

@@ -480,7 +480,11 @@ class TestCliProcess:
         proc = run_python("-m", "matspec.cli", "spectrum", str(src),
                           "--output", str(tmp_path / "m.json"), log="DEBUG")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.startswith("DEBUG:matspec:singular T_2: rank 1")
+        # singular T_2 declines the entry's full-rank certificate first
+        assert proc.stderr.startswith(
+            "DEBUG:matspec:full-rank certificate declined: Cholesky of re T_2 - 3.000e-10 I "
+            "failed (size 3)\nDEBUG:matspec:singular T_2: rank 1"
+        )
         assert "hermitian route" in proc.stderr
 
     def test_cli_loads_neither_logging_nor_csv(self, tmp_path):

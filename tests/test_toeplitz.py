@@ -21,7 +21,16 @@ from matspec import (
 )
 from matspec.errors import DimensionError, InvalidInputError, ModelError
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
-from matspec.toeplitz import _continue, _first_violation_certified, _predictor, _scan
+from matspec.toeplitz import (
+    _cholesky_clears,
+    _continue,
+    _enter,
+    _first_violation_certified,
+    _predictor,
+    _scan,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gen import (
     atomic_coeffs,
@@ -29,11 +38,13 @@ from _gen import (
     random_psd,
     random_tpd_seq,
     random_unitary,
+    trig_coeffs,
     var1_coeffs,
 )
 from _oracle import (
     ball_membership,
     conjugate_by_unitary,
+    enter_by_scan,
     pinv,
     prefix_scan,
     psd_sqrt,
@@ -409,6 +420,165 @@ class TestExtensionCheck:
             f"Cholesky of re T_{3 * len(seq) - 1} + {shift:.3e} I failed (size {3 * len(seq)}), "
             "first bad T_4"
         ]
+
+
+def assert_same_entry(got, want):
+    """Every field of two entry passes bit for bit, but the certificate's."""
+    for name in ("t", "c0_norm", "rank", "full_rank", "w", "u_r", "s_r"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None or np.isscalar(b):
+            assert a == b, name
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def entry_draw(kind, rng, q, n, rho=0.9):
+    """Coefficients C_0..C_n of one draw for the entry certificate tests."""
+    if kind == "tpd":
+        return list(random_tpd_seq(rng, q, n).coeffs)
+    if kind == "trig":
+        return trig_coeffs(rng, q, n + 1, n + 1)
+    if kind == "var1":
+        return var1_coeffs(rng, q, rho, n + 1)
+    if kind == "atomic":
+        return atomic_coeffs(rng, q, n + 1, n_atoms=max(1, n // 2))[0]
+    # an atom (+) a VAR(1): blocks of size q + 1
+    return direct_sum(atomic_coeffs(rng, 1, n + 1, n_atoms=1)[0], var1_coeffs(rng, q, rho, n + 1))
+
+
+def certificate_shift(t, rank_rtol):
+    """The shift s of `_enter`'s certificate on T_n = ``t``."""
+    return (rank_rtol + 4.0 * (len(t) + 1) ** 2 * np.finfo(float).eps) * np.linalg.norm(re_mat(t))
+
+
+class TestEntryCertificate:
+    """`_enter` clears full-rank data by one Cholesky of re T_n - s I and
+    scans the rest; against `_oracle.enter_by_scan`, the eigvalsh-only
+    entry pass, on every input: each one it clears the oracle calls full
+    rank, with the same re T_n, ||C_0|| and predictor bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["tpd", "trig", "var1"])
+    def test_cleared_inputs_are_full_rank_and_bit_identical(self, kind):
+        rng = np.random.default_rng(len(kind))
+        cleared = 0
+        rhos = [1.0 - 10.0 ** -k for k in range(1, 10)]
+        for i, (q, n) in enumerate((q, n) for q in (1, 2, 3) for n in (0, 1, 2, 4, 8, 12)):
+            coeffs = entry_draw(kind, rng, q, n, rhos[i % len(rhos)])
+            t = toeplitz_matrix(HermSeq(coeffs), n)
+            got = _enter(t, q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+            want = enter_by_scan(t, q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+            if got.cleared:
+                assert want.full_rank and want.rank == len(t)
+                cleared += 1
+            assert_same_entry(got, want)
+            # none of these full-rank draws lies between the cutoff and the shift
+            assert got.cleared == want.full_rank
+        # one VAR(1) at rho = 1 - 1e-9, q = 3, n = 12, is singular at the cutoff
+        assert cleared == (17 if kind == "var1" else 18)
+
+    @pytest.mark.parametrize("rank_rtol", [1e-10, 1e-15, 0.5])
+    def test_edge_of_the_cutoff_and_the_shift(self, rank_rtol):
+        # white noise C_0 = diag(1, eps), C_1..C_3 = 0: rank T_3 is 8 when
+        # eps > rank_rtol and the Cholesky clears it when eps > s.  eps
+        # straddles both; between them the scan answers, and agrees
+        def entry(eps):
+            seq = HermSeq([np.diag([1.0, eps]).astype(complex)] + [np.zeros((2, 2))] * 3)
+            t = toeplitz_matrix(seq, 3)
+            got = _enter(t, 2, DEFAULT_PSD_TOL, rank_rtol)
+            assert_same_entry(got, enter_by_scan(t, 2, DEFAULT_PSD_TOL, rank_rtol))
+            return got, certificate_shift(t, rank_rtol)
+
+        shift = entry(rank_rtol)[1]
+        cleared = []
+        for eps in (0.5 * rank_rtol, rank_rtol, 1.5 * rank_rtol, 0.99 * shift, 1.01 * shift, 2.0 * shift):
+            got, s = entry(eps)
+            lam = (1.0, eps)  # each four times
+            assert got.rank == 4 * sum(x > rank_rtol * max(lam) for x in lam)
+            assert got.cleared == (eps > s)
+            cleared.append(got.cleared)
+        # at rank_rtol = 0.5, s >= ||re T_3||_F / 2 >= lambda_max: never
+        assert cleared == [False] * 4 + [rank_rtol < 0.5] * 2
+
+    @pytest.mark.parametrize(
+        "coeffs, psd_tol, rank_rtol",
+        [
+            (atomic_coeffs(CASE_RNG, 1, 3, n_atoms=2)[0] + [np.array([[3.0]])], DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL),
+            ([np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5 * np.eye(2)], DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL),
+            ([np.array([[2.0, 1e-3j], [0.0, 2.0]]), np.eye(2)], DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL),
+            ([-np.eye(2), np.zeros((2, 2))], DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL),
+            ([np.eye(1), 2.0 * np.eye(1)], DEFAULT_PSD_TOL, 0.5),
+            (list(random_tpd_seq(CASE_RNG, 2, 3).coeffs), 1.5, DEFAULT_RANK_RTOL),
+            (list(random_tpd_seq(CASE_RNG, 2, 3).coeffs), DEFAULT_PSD_TOL, 0.0),
+        ],
+        ids=["not-tnd", "skew-head", "skew-head-pd", "negative", "t1-fails", "psd-tol", "rank-rtol"],
+    )
+    def test_refusals_match_the_scan(self, coeffs, psd_tol, rank_rtol):
+        # the same exception type, index and message as the scan alone
+        seq = HermSeq(coeffs)
+        t = toeplitz_matrix(seq, len(seq) - 1)
+        with pytest.raises((ModelError, InvalidInputError)) as want:
+            enter_by_scan(t, seq.q, psd_tol, rank_rtol)
+        with pytest.raises(want.type) as got:
+            _enter(t, seq.q, psd_tol, rank_rtol)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "index", None) == getattr(want.value, "index", None)
+
+    def test_declined_certificate_logs_one_line(self, caplog):
+        # full-rank data clears silently; singular data declines with one
+        # line giving the size and the shift, then the scan answers
+        caplog.set_level(logging.DEBUG, logger="matspec")
+        full = toeplitz_matrix(random_tpd_seq(np.random.default_rng(3), 2, 3), 3)
+        assert _enter(full, 2, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL).cleared
+        assert caplog.records == []
+        singular = toeplitz_matrix(HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 4, 2)[0]), 3)
+        entry = _enter(singular, 2, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        assert not entry.cleared and not entry.full_rank
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("matspec", logging.DEBUG)
+        assert record.getMessage() == (
+            f"full-rank certificate declined: Cholesky of re T_3 - "
+            f"{certificate_shift(singular, DEFAULT_RANK_RTOL):.3e} I failed (size 8)"
+        )
+
+    def test_cholesky_leaves_its_matrix_bit_for_bit(self):
+        # the shift is written into the diagonal and restored, pass or fail
+        rng = np.random.default_rng(4)
+        for t in (re_mat(toeplitz_matrix(random_tpd_seq(rng, 2, 3), 3)), np.zeros((3, 3), dtype=complex)):
+            before = t.copy()
+            for shift in (-1e-3, 1e-3, -1e3):
+                _cholesky_clears(t, shift)
+                assert t.tobytes() == before.tobytes()
+
+    def test_overflowing_norm_declines(self):
+        # ||re T_n||_F overflows at 1e160: an infinite shift declines, the
+        # scan answers, and central_extend runs as before, with no warning
+        seq = HermSeq([np.array([[1e160]]), np.array([[0.5e160]])])
+        t = toeplitz_matrix(seq, 1)
+        got = _enter(t, 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        assert not got.cleared and got.full_rank
+        assert_same_entry(got, enter_by_scan(t, 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL))
+        assert len(central_extend(seq, 4)) == 4
+
+
+@st.composite
+def entry_draws(draw):
+    kind = draw(st.sampled_from(["tpd", "trig", "var1", "atomic", "dsum"]))
+    q, n = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = 1.0 - 10.0 ** -draw(st.integers(1, 9))
+    return q, n, entry_draw(kind, rng, q, n, rho)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(entry_draws())
+def test_entry_certificate_matches_the_scan(draw):
+    _, n, coeffs = draw
+    seq = HermSeq(coeffs)  # a direct sum has q + 1 rows
+    q, t = seq.q, toeplitz_matrix(seq, n)
+    got = _enter(t, q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+    want = enter_by_scan(t, q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+    assert not got.cleared or want.full_rank
+    assert_same_entry(got, want)
 
 
 class TestBallParams:

@@ -1,8 +1,14 @@
 """Work counts of the prefix scan, the central predictor, the atoms and the
 recovery quadrature: each public entry point decides nonnegativity of every
-prefix Toeplitz matrix with one eigvalsh of the largest (the per-prefix
-loop runs only on failing input) and no SVD norm of a prefix matrix, so the
-scan's work grows as n^3, while the central extension made by
+prefix Toeplitz matrix with one factorization of the largest and no SVD
+norm of a prefix matrix, so the check's work grows as n^3.  The entry pass
+of `central_measure`, `central_extend`, `ar_spectrum`, `central_order` and
+`central_quotient` clears full-rank input by one Cholesky of re T_n - s I,
+with no eigvalsh larger than q x q and no Cholesky of T_{n-1} for the
+Stein certificate, and declines singular input after one Cholesky, which
+then takes one eigvalsh; `classify`, `first_violation`, `ball_params`,
+`pd_polynomials` and `matspec check` take one eigvalsh (the per-prefix
+loop runs only on failing input).  The central extension made by
 `central_extend` and `ar_spectrum`, TND by construction, is checked by one
 Cholesky of its size and no eigvalsh; each entry point solves for the
 central predictor with one LU solve of T_{n-1} when T_n has full rank and
@@ -16,15 +22,16 @@ oracle (tests/_oracle.py) take one stacked Horner pass of den, den' and
 num however many clusters there are and each Newton pass of its polish one
 of den and den', the Horner step keeps the bits of ``out * z + c_k``, every
 spectral norm is one np.linalg.svdvals, ||C_0|| is read once per call, by
-the scan, and
+the entry pass or the scan, and
 the recovery errors of all orders and each comparison of the
 autoregressive check and `central_order` take one stacked svdvals,
-`central_quotient` reads Gamma_0's Hermiticity off the scan and alone runs
+`central_quotient` reads Gamma_0's Hermiticity off the entry and alone runs
 the disk verdict at the open-disk margin, the central numerator reads re
 T_n's first block row with no np.triu_indices, and the oracle's scalar det
 den takes one FFT and one stacked det.
-`central_measure` builds T_n once and takes one eigvalsh for every kind of
-input; full-rank input takes no prefix-sized SVD or inverse, one LU solve
+`central_measure` builds T_n once and takes one Cholesky of it for every
+kind of input, and one eigvalsh of it for singular input; full-rank input
+takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
 singular input takes one matrix SVD and reads its atoms off the r x r
 compressed shift with no eig of its size: rank-frozen input takes one eigh
@@ -142,23 +149,28 @@ def stein_norms(n):
 
 
 def test_central_measure_scans_once(seq, calls):
-    # one eigvalsh of T_n, the scan, and one of the q x q leading block of
-    # the Stein certificate; no spectral norm of a prefix matrix, only the
-    # certificate's Frobenius norms
+    # full-rank T_n: one Cholesky of re T_n - s I, the entry's certificate,
+    # which also proves re T_{n-1} >= 0 for the Stein certificate, so no
+    # Cholesky of T_{n-1} and no eigvalsh but the q x q one of its leading
+    # block; no spectral norm of a prefix matrix, only the Frobenius norms
+    # of the shift and of the Stein certificate
     central_measure(seq)
-    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2, (Q, Q)]
+    assert calls["cholesky"] == [((N + 1) * Q,) * 2]
+    assert calls["eigvalsh"] == [(Q, Q)]
     assert prefix_sized(calls["svdvals"]) == []
-    assert calls["norm"] == stein_norms(N)
+    assert calls["norm"] == [((N + 1) * Q,) * 2] + stein_norms(N)
 
 
 def test_central_extend_scans_input_and_result_once(seq, calls):
-    # the input takes one eigvalsh of T_n; the result, TND by construction,
-    # one Cholesky of T_{L-1} and no eigvalsh
+    # the full-rank input takes one Cholesky of re T_n - s I and the
+    # Frobenius norm of re T_n for its shift; the result, TND by
+    # construction, one Cholesky of T_{L-1}; no eigvalsh at all
     ext = central_extend(seq, 2 * (N + 1))
     assert len(ext) == 2 * (N + 1)
-    assert calls["eigvalsh"] == [((N + 1) * Q,) * 2]
-    assert calls["cholesky"] == [(2 * (N + 1) * Q,) * 2]
-    assert prefix_sized(calls["norm"] + calls["svdvals"]) == []
+    assert calls["eigvalsh"] == []
+    assert calls["cholesky"] == [((N + 1) * Q,) * 2, (2 * (N + 1) * Q,) * 2]
+    assert calls["norm"] == [((N + 1) * Q,) * 2]
+    assert prefix_sized(calls["svdvals"]) == []
 
 
 def scan_work(shapes):
@@ -166,21 +178,27 @@ def scan_work(shapes):
 
 
 def test_scan_work_grows_as_n_cubed(calls):
-    # sum of dim^3 over the scan's eigvalsh calls as n doubles: one
-    # eigvalsh of T_n gives about 2^3, one per prefix gave 2^3.75 here
+    # sum of dim^3 over the certificate's Cholesky calls on full-rank input
+    # as n doubles: one Cholesky of T_n gives about 2^3, one eigvalsh per
+    # prefix gave 2^3.75 here; no prefix-sized eigvalsh runs
     work = {}
     for n in (16, 32):
         tpd = random_tpd_seq(np.random.default_rng(5), Q, n)
+        calls["cholesky"].clear()
         calls["eigvalsh"].clear()
         central_measure(tpd)
-        work[n] = scan_work(calls["eigvalsh"])
+        work[n] = scan_work(calls["cholesky"])
+        assert prefix_sized(calls["eigvalsh"]) == []
     assert np.log2(work[32] / work[16]) <= 3.1
 
 
 def test_each_entry_point_scans_with_one_eigvalsh(seq, calls):
     # a passing input never reaches the per-prefix loop; central_measure,
     # central_extend, ar_spectrum, central_order and matspec check have
-    # their own tests
+    # their own tests.  The scans that need the margin or the first bad
+    # index take one eigvalsh of T_n and no Cholesky; central_quotient's
+    # entry clears full-rank T_n by one Cholesky instead, and its Stein
+    # certificate adds one q x q eigvalsh and no Cholesky of T_{n-1}
     entry_points = {
         "central_quotient": lambda: central_quotient(gamma_from_covariance(seq)),
         "ball_params": lambda: ball_params(seq, N),
@@ -188,12 +206,15 @@ def test_each_entry_point_scans_with_one_eigvalsh(seq, calls):
         "first_violation": lambda: first_violation(seq),
         "pd_polynomials": lambda: pd_polynomials(seq),
     }
+    t_n = ((N + 1) * Q,) * 2
     for name, call in entry_points.items():
         calls["eigvalsh"].clear()
+        calls["cholesky"].clear()
         call()
-        # the Stein certificate of central_quotient adds one q x q eigvalsh
-        stein = [(Q, Q)] if name == "central_quotient" else []
-        assert calls["eigvalsh"] == [((N + 1) * Q,) * 2] + stein, name
+        if name == "central_quotient":
+            assert (calls["eigvalsh"], calls["cholesky"]) == ([(Q, Q)], [t_n]), name
+        else:
+            assert (calls["eigvalsh"], calls["cholesky"]) == ([t_n], []), name
 
 
 def test_central_extend_solves_predictor_once(seq, calls):
@@ -287,32 +308,37 @@ def test_comparisons_stack_their_norms(seq, calls):
     central_measure(seq)
     assert len(calls["svdvals"]) == 2
     # the prefix's 2 and the mismatch gaps; the Cholesky shift and the
-    # mismatch scale read the scan's ||C_0||
+    # mismatch scale read the entry's ||C_0||
     calls["svdvals"].clear()
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, 8)
     assert len(calls["svdvals"]) == 3
-    # the scan's 2 and the gaps to the ball centres
+    # the entry's 2 and the gaps to the ball centres
     calls["svdvals"].clear()
     central_order(seq)
     assert len(calls["svdvals"]) == 3
-    # Gamma_0's Hermiticity and ||Gamma_0|| come from the scan alone
+    # Gamma_0's Hermiticity and ||Gamma_0|| come from the entry alone
     calls["svdvals"].clear()
     central_quotient(gamma_from_covariance(seq))
     assert len(calls["svdvals"]) == 2
-    # np.linalg.norm only in the Stein certificates of the three quotients
-    assert calls["norm"] == stein_norms(N) + stein_norms(8) + stein_norms(N)
+    # np.linalg.norm only for the shift of each entry's certificate, of
+    # re T_n, re T_8, re T_{n-1} and re T_n, and in the Stein certificates
+    # of the three quotients
+    t = [((k + 1) * Q,) * 2 for k in (N, 8, N - 1, N)]
+    assert calls["norm"] == ([t[0]] + stein_norms(N) + [t[1]] + stein_norms(8)
+                             + [t[2]] + [t[3]] + stein_norms(N))
 
 
 def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
     order = 8
     with pytest.warns(ArOrderMismatchWarning):
         ar_spectrum(seq, order)
-    # one eigvalsh of the prefix, and the quotient's Stein certificate one
-    # Cholesky of T_{order-1} and one q x q eigvalsh; the extension to the
-    # stored length, TND by construction, takes one Cholesky and no eigvalsh
-    assert calls["eigvalsh"] == [((order + 1) * Q,) * 2, (Q, Q)]
-    assert calls["cholesky"] == [(order * Q,) * 2, ((N + 1) * Q,) * 2]
+    # one Cholesky of the prefix's re T_order - s I, which also proves
+    # re T_{order-1} >= 0, so the quotient's Stein certificate takes one
+    # q x q eigvalsh and no Cholesky; the extension to the stored length,
+    # TND by construction, takes one Cholesky and no eigvalsh
+    assert calls["eigvalsh"] == [(Q, Q)]
+    assert calls["cholesky"] == [((order + 1) * Q,) * 2, ((N + 1) * Q,) * 2]
     # full-rank T_order: one LU solve of T_{order-1} for the predictor and
     # none of T_order; no SVD, no inverse
     assert prefix_sized(calls["solve"]) == [(order * Q,) * 2]
@@ -321,9 +347,12 @@ def test_ar_spectrum_scans_prefix_and_extension_once(seq, calls):
 
 
 def test_central_order_scans_once(seq, calls):
+    # full-rank T_{n-1}: one Cholesky of re T_{n-1} - s I, no eigvalsh, and
+    # the Frobenius norm of re T_{n-1} for the shift
     central_order(seq)
-    assert calls["eigvalsh"] == [(N * Q,) * 2]
-    assert prefix_sized(calls["norm"]) == []
+    assert calls["eigvalsh"] == []
+    assert calls["cholesky"] == [(N * Q,) * 2]
+    assert calls["norm"] == [(N * Q,) * 2]
     # full-rank T_{n-1}: one LU solve per ball centre, of T_0..T_{n-2}, and
     # no SVD; the entry pass solves for the last centre first
     assert calls["solve"] == [((N - 1) * Q,) * 2] + [(k * Q,) * 2 for k in range(1, N - 1)]
@@ -476,9 +505,11 @@ def test_frozen_input_reads_its_atoms_off_one_eig(pole_work, sampling_work, call
     "kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated", "zero+ar1", "ma-rank1"]
 )
 def test_central_measure_builds_scans_and_factors_once(seq, calls, built, kind):
-    # one T_n and one eigvalsh (the scan, which also gives rank T_n).
-    # Full-rank T_n: one LU solve of T_{n-1} (the predictor), none of T_n,
-    # no matrix SVD and no matrix inverse.  Singular
+    # one T_n.  Full-rank T_n: one Cholesky of re T_n - s I (the entry's
+    # certificate, which gives rank T_n), no eigvalsh of T_n, one LU solve
+    # of T_{n-1} (the predictor), none of T_n, no matrix SVD and no matrix
+    # inverse.  Singular T_n: the certificate's Cholesky is declined, and
+    # one eigvalsh (the scan) gives rank T_n.  Singular
     # T_n: one matrix SVD (the predictor's, which also gives rank T_{n-1}
     # and the range the shift reads) and no matrix solve; deflated data adds
     # the T_n of C' and the predictor's SVD of T'_{n-1}, and no second scan.
@@ -490,15 +521,20 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, built, kind):
     assert bool(sm.atoms) == (kind in ("frozen", "deflated"))
     times = 2 if kind == "deflated" else 1
     assert built == [len(data) - 1] * times
-    # the Stein certificate: one Cholesky of T_{n-1}, and for full-rank data
-    # one q x q eigvalsh; singular T_{n-1} fails its Cholesky, and the
-    # quotient's zeros take one q x q solve (den_0^{-1} folded into den)
+    # the Stein certificate: for full-rank data no Cholesky, the entry's
+    # proves re T_{n-1} >= 0, and one q x q eigvalsh; a singular quotient's
+    # T_{n-1} fails its own Cholesky, and its zeros take one q x q solve
+    # (den_0^{-1} folded into den); rank-frozen data has no quotient
     singular = kind in ("frozen", "deflated", "zero+ar1", "ma-rank1")
-    stein = [] if singular else [(data.q, data.q)]
-    assert calls["eigvalsh"] == [(len(data) * data.q,) * 2] + stein
+    t_n = (len(data) * data.q,) * 2
+    t_prev = ((len(data) - 1) * data.q,) * 2
+    if singular:
+        stein = [] if kind == "frozen" else [t_prev]
+        assert (calls["cholesky"], calls["eigvalsh"]) == ([t_n] + stein, [t_n])
+    else:
+        assert (calls["cholesky"], calls["eigvalsh"]) == ([t_n], [(data.q, data.q)])
     matrices = {name: [s for s in calls[name] if len(s) == 2]
                 for name in ("svd", "solve", "inv")}
-    t_prev = ((len(data) - 1) * data.q,) * 2
     if singular:
         fold = [] if kind == "frozen" else [(data.q, data.q)]
         assert matrices == {"svd": [t_prev] * times, "solve": fold, "inv": []}
