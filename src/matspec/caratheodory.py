@@ -33,7 +33,7 @@ import numpy as np
 
 from .central import GammaSeq, covariance_from_gamma
 from .errors import InvalidInputError, ModelError
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat, spec_norm
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, _pow2_scaled, re_mat, spec_norm
 from .matpoly import MatPoly, MatPolyStack
 from .toeplitz import (
     HermSeq,
@@ -184,13 +184,18 @@ def _central_quotient(g0, t, w: np.ndarray, psd: bool = False) -> CaratheodoryQu
     re T_{n-1} >= 0), and the caller judges them.
     num_m = sum_{i=m..n} Gamma_{i-m}* w_i, block m of S_{n-1}* w, is one
     product per order of a prefix of re T_n's first block row C_0, C_1*, ...,
-    doubled with Gamma_0* over its first block, and w_m, ..., w_n."""
+    doubled with Gamma_0* over its first block, and w_m, ..., w_n, written
+    into one (n + 1, q, q) stack; den is I over -w_1, ..., -w_n."""
     q = len(g0)
     n = len(t) // q - 1
-    row = np.hstack([g0.conj().T, 2.0 * t[:q, q:-q]])
+    row = 2.0 * t[:q]
+    row[:, :q] = g0.conj().T
     stacked = w.reshape(n * q, q)
-    num = [g0] + [row[:, : (n - k) * q] @ stacked[k * q :] for k in range(n)]
-    den = [np.eye(q, dtype=complex)] + [-w[k] for k in range(n)]
+    num = np.empty((n + 1, q, q), dtype=complex)
+    num[0] = g0
+    for k in range(n):
+        np.matmul(row[:, : (n - k) * q], stacked[k * q :], out=num[k + 1])
+    den = np.concatenate([np.eye(q, dtype=complex)[None], -w])
     cq = CaratheodoryQuotient(MatPoly(num), MatPoly(den))
     if n and _stein_delta(t[:-q, :-q], w, psd) > 2.0 * DISK_MARGIN:
         object.__setattr__(cq, "_certified", DISK_MARGIN)
@@ -205,11 +210,16 @@ def _stein_delta(p: np.ndarray, w: np.ndarray, psd: bool = False) -> float:
     each eigenpair F v = lam v of den's block companion F, D = P - F* P F
     (README, "The Stein certificate").  D holds the Yule-Walker residual R_1
     off its leading block, C_0 - W* P W.  One Cholesky, O((nq)^3 / 3),
-    none when ``psd``, the entry's proof of P >= 0.
+    none when ``psd``, the entry's proof of P >= 0.  delta is a ratio, so
+    everything after the Cholesky reads P scaled by a power of two
+    (`linalg._pow2_scaled`): no norm overflows or underflows, and data
+    2^k P gives the delta of P.  P >= 0 bounds its entries by the trace of
+    its leading block, which sets the scale.
     """
     n, q = w.shape[:2]
     if not (psd or _cholesky_clears(p, 0.0)):
         return -np.inf
+    p = _pow2_scaled(p, p[:q, :q].trace().real)[0]
     stacked = w.reshape(n * q, q)
     pw = p @ stacked
     sigma_low = np.linalg.eigvalsh(re_mat(p[:q, :q] - stacked.conj().T @ pw))[0]
@@ -280,7 +290,8 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
     Phi_k = (num_k - sum_{i=1..min(k, d)} Phi_{k-i} den_i) den_0^{-1}, d = deg den.
     den_0^{-1} is folded into num and den once (den_0 = I for every central
     and deflated quotient), so each step is one (q, dq) by (dq, q) product
-    with the last d coefficients (`toeplitz._recur`, which the central
+    with the last d coefficients, on a (d + count, q, q) stack whose d
+    leading blocks are zero (`toeplitz._recur`, which the central
     extension also runs): O(count d q^3) in all.  A singular den_0 is an
     InvalidInputError: num den^{-1} then has no Taylor series at 0.
     """
@@ -293,11 +304,10 @@ def taylor_coefficients(cq: CaratheodoryQuotient, count: int) -> np.ndarray:
         d0_inv = np.linalg.inv(dc[0])
     except np.linalg.LinAlgError as exc:
         raise InvalidInputError("den(0) is singular: num den^-1 has no Taylor series at 0") from exc
-    # block d + k of the row holds Phi_k, forced by num_k den_0^{-1}; the d
-    # leading blocks are zero, so step k reads Phi_{k-d}, ..., Phi_{k-1}
-    row = np.zeros((q, (d + count) * q), dtype=complex)
-    row[:, d * q : (d + nc.shape[0]) * q] = np.hstack(nc @ d0_inv)
-    # taps -den_d, ..., -den_1 times den_0^{-1}, stacked into (dq, q)
-    _recur(row, -(dc[:0:-1] @ d0_inv).reshape(d * q, q), d)
-    return row[:, d * q :].reshape(q, count, q).swapaxes(0, 1)
+    # block d + k of the stack holds Phi_k, forced by num_k den_0^{-1}; the
+    # d leading blocks are zero, so step k reads Phi_{k-d}, ..., Phi_{k-1}
+    stack = np.zeros((d + count, q, q), dtype=complex)
+    stack[d : d + nc.shape[0]] = nc @ d0_inv
+    # taps -den_d, ..., -den_1 times den_0^{-1}
+    return _recur(stack, -(dc[:0:-1] @ d0_inv), d)[d:]
 

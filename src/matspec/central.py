@@ -123,7 +123,7 @@ def central_order(seq: HermSeq):
     t, tol = entry.t, CENTRAL_TOL * (1.0 + entry.c0_norm)
     ws = [_predictor(t[: j * q, : j * q], q, DEFAULT_RANK_RTOL, entry.full_rank)[0]
           for j in range(1, n)]
-    c, row = np.asarray(seq.coeffs), np.hstack(seq.coeffs)
+    c, row = seq._stack, np.hstack(seq.coeffs)
     # centre j: [C_1, ..., C_{j-1}] times its predictor's taps w_{j-1}, ..., w_1
     centers = np.array([row[:, q : j * q] @ w[::-1].reshape(-1, q)
                         for j, w in enumerate(ws + [entry.w], 1)])

@@ -53,6 +53,24 @@ def re_mat(a) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
+def _pow2_scaled(a, top=None) -> tuple[np.ndarray, int]:
+    """``a`` / 2^e and e, for ``top`` a bound on the entry moduli of the
+    complex ``a`` (their maximum when None) and 2^e the smallest power of
+    two above it, so that every entry of the copy lies below 1 in modulus.
+    While 2^-256 <= top < 2^255 the squares of a Frobenius norm of ``a``
+    neither overflow nor all underflow, and e = 0 returns ``a`` itself,
+    uncopied.  A power of two keeps every bit: a norm of the result times
+    2^e is that of ``a`` wherever the latter is finite and its squares
+    stay normal."""
+    if top is None:
+        top = np.max(np.abs(a), initial=0.0)
+    e = int(np.frexp(top)[1])
+    if -256 < e < 256:
+        return a, 0
+    m = np.ascontiguousarray(a, dtype=complex)
+    return np.ldexp(m.view(float), -e).view(complex), e
+
+
 def _require_rel_tol(rel_tol: float) -> None:
     """InvalidInputError unless the relative cutoff lies in (0, 1)."""
     if not 0.0 < rel_tol < 1.0:

@@ -14,12 +14,14 @@ TRIM_RTOL = 1e-12
 
 
 class MatPoly:
-    """Matrix polynomial sum_k coeffs[k] z^k with q x q complex blocks."""
+    """Matrix polynomial sum_k coeffs[k] z^k with q x q complex blocks,
+    stored as one read-only (d + 1, q, q) copy of the input; a single q x q
+    matrix is the constant polynomial."""
 
     __slots__ = ("coeffs", "q")
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=complex)
+        arr = np.array(coeffs, dtype=complex)
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[2]:
@@ -28,7 +30,6 @@ class MatPoly:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("polynomial has non-finite coefficients")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "q", arr.shape[1])

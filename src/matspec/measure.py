@@ -66,6 +66,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
     _eig,
+    _pow2_scaled,
     _spec_norms,
     as_cmatrix,
     re_mat,
@@ -78,6 +79,7 @@ from .toeplitz import (
     _enter,
     _Entry,
     _predictor_range,
+    _re_toeplitz,
     toeplitz_matrix,
 )
 
@@ -400,8 +402,8 @@ def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
     of ``sm`` are taken out.  It reads the Toeplitz matrix and predictor of
     C' itself; `_central_measure` certifies its den."""
     q, n = seq.q, len(seq) - 1
-    deflated = np.subtract(seq.coeffs, _atom_coeffs(sm, np.arange(n + 1)).reshape(-1, q, q))
-    td = re_mat(toeplitz_matrix(HermSeq(deflated), n))
+    deflated = seq._stack - _atom_coeffs(sm, np.arange(n + 1)).reshape(-1, q, q)
+    td = _re_toeplitz(toeplitz_matrix(HermSeq(deflated), n), q)
     wd = _predictor_range(td, q, rank_rtol)[0]
     return _central_quotient(deflated[0], td, wd)
 
@@ -543,16 +545,16 @@ def _density_psd_bound(cq: CaratheodoryQuotient) -> float:
     for a hand-built quotient it is conservative.  Cost O(M q^3 + q^2 M log M).
     """
     size = 2 * max(cq.num.coeffs.shape[0], cq.den.coeffs.shape[0]) - 1
-    # num and den at zeta_k = e^{2 pi i k / M}
-    num = size * np.fft.ifft(cq.num.coeffs, size, axis=0)
-    den = size * np.fft.ifft(cq.den.coeffs, size, axis=0)
+    # num and den at zeta_k = e^{2 pi i k / M}, from one transform of the pair
+    pair = np.zeros((2, size, cq.num.q, cq.num.q), dtype=complex)
+    pair[0, : cq.num.coeffs.shape[0]] = cq.num.coeffs
+    pair[1, : cq.den.coeffs.shape[0]] = cq.den.coeffs
+    num, den = size * np.fft.ifft(pair, axis=1)
     g = np.conj(np.swapaxes(den, -1, -2)) @ num
     # row m holds H_{-m}: the bound reads every order alike
     h = 0.5 * np.fft.ifft(g + np.conj(np.swapaxes(g, -1, -2)), axis=0)
-    # h / 2^e, each entry of modulus below 1, so no Frobenius norm
-    # overflows, and a power of two keeps every bit
-    e = np.frexp(np.max(np.abs(h)))[1]
-    h = np.ldexp(h.view(float), -e).view(complex)
+    # h / 2^e, so no Frobenius norm overflows, and every bit is kept
+    h, e = _pow2_scaled(h)
     low = np.linalg.eigvalsh(h[0])[0] - np.sum(np.linalg.norm(h[1:], axis=(1, 2)))
     return float(np.ldexp(low, e) / TWO_PI)
 
@@ -587,7 +589,7 @@ def verify_recovery(
     cause = None if sm.quotient is None else _disk_cause(sm.quotient, DISK_MARGIN)
     recovered = sm if cause is None else replace(sm, quotient=None)
     coeffs = _coefficients(recovered, range(len(seq)))
-    errs = tuple(_spec_norms(coeffs - np.asarray(seq.coeffs)).tolist())
+    errs = tuple(_spec_norms(coeffs - seq._stack).tolist())
     if sm.atoms:
         mass = np.sum([a.weight for a in sm.atoms], axis=0)
     else:
@@ -636,7 +638,7 @@ def ar_spectrum(
     if len(seq) > order + 1:
         ext = _continue(prefix, entry.w, len(seq), psd_tol, entry.c0_norm)
         scale = 1.0 + entry.c0_norm
-        diff = np.subtract(seq.coeffs, ext.coeffs)[order + 1 :]
+        diff = seq._stack[order + 1 :] - ext._stack[order + 1 :]
         gap = _spec_norms(diff)
         off = (np.nonzero(gap > CENTRAL_TOL * scale)[0] + order + 1).tolist()
         if off:

@@ -30,7 +30,8 @@ eigenvalues, and the predictor by the route that rank selects
 (`_predictor`); later stages read all of them from that record.
 
 `MatrixSeq` validates a stacked (L, q, q) input in one pass (one copy, one
-finiteness test); its coefficients are read-only views into that copy.
+finiteness test); its coefficients are read-only views into that copy,
+which it keeps for the code that reads every coefficient at once.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_RTOL,
     as_cmatrix,
+    _pow2_scaled,
     _require_rel_tol,
     _svd,
     re_mat,
@@ -55,13 +57,17 @@ from .linalg import (
 
 
 class MatrixSeq:
-    """Immutable finite sequence of complex q x q matrices."""
+    """Immutable finite sequence of complex q x q matrices.
 
-    __slots__ = ("q", "coeffs")
+    The coefficients are read-only views into one validated (L, q, q)
+    stack, which the private ``_stack`` keeps for the code that reads them
+    all at once (`toeplitz_matrix`, `_continue`, `measure.verify_recovery`),
+    so none of it stacks them again."""
+
+    __slots__ = ("q", "coeffs", "_stack")
 
     def __init__(self, coeffs):
-        # one pass over a stacked (L, q, q) input: one copy, one finiteness
-        # test; the coefficients are read-only views into the copy
+        # one pass over a stacked (L, q, q) input: one copy, one finiteness test
         try:
             stack = np.array(coeffs, dtype=complex)
         except (TypeError, ValueError, OverflowError):
@@ -77,6 +83,7 @@ class MatrixSeq:
         stack.flags.writeable = False
         object.__setattr__(self, "q", stack.shape[1])
         object.__setattr__(self, "coeffs", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -99,7 +106,7 @@ class MatrixSeq:
     def prefix(self, length: int):
         if not 1 <= length <= len(self):
             raise IndexError(f"prefix length {length} outside 1..{len(self)}")
-        return type(self)(self.coeffs[:length])
+        return type(self)(self._stack[:length])
 
     def append(self, c):
         return type(self)(self.coeffs + (as_cmatrix(c),))
@@ -149,7 +156,7 @@ def toeplitz_matrix(seq: MatrixSeq, n: int) -> np.ndarray:
     if not 0 <= n < len(seq):
         raise IndexError(f"order {n} outside stored range 0..{len(seq) - 1}")
     q = seq.q
-    c = np.asarray(seq.coeffs[: n + 1])
+    c = seq._stack[: n + 1]
     # [C_n*, ..., C_1*, C_0, ..., C_n]: block (j, k) is entry n + j - k
     both = np.concatenate([np.conj(c[:0:-1]).swapaxes(1, 2), c])
     j = np.arange(n + 1)
@@ -187,7 +194,22 @@ def _head(t: np.ndarray, q: int, tol: float) -> tuple[float, np.ndarray | None]:
     c0_norm = spec_norm(c0)
     if spec_norm(c0 - c0.conj().T) > tol * (1.0 + c0_norm):
         return c0_norm, None
-    return c0_norm, re_mat(t)
+    return c0_norm, _re_toeplitz(t, q)
+
+
+def _re_toeplitz(t: np.ndarray, q: int) -> np.ndarray:
+    """re ``t`` = (T + T*) / 2 of a T_n from `toeplitz_matrix`, bit for bit
+    `re_mat(t)`: T_n is Hermitian off its diagonal blocks by construction
+    (block (k, j) is C_{j-k}*), where (x + x) / 2 = x, so re T_n is a copy
+    of T_n with each diagonal block replaced by its real part: one N x N
+    copy and no N x N temporaries."""
+    rt = t.copy()
+    rows, cols = rt.strides
+    # the diagonal blocks as one (n + 1, q, q) view of rt: each starts q
+    # rows and q columns after the one before
+    diag = np.ndarray((len(t) // q, q, q), rt.dtype, rt, 0, (q * (rows + cols), rows, cols))
+    diag[...] = re_mat(diag)
+    return rt
 
 
 def _scan(t: np.ndarray, q: int, tol: float, head=None) -> _Scan:
@@ -317,14 +339,21 @@ def _enter(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
     ||re T_n||_F, N = len(t), clears full-rank data at O((nq)^3 / 3): the
     slack covers its backward error (`_cholesky_clears`) and eigvalsh's,
     so every prefix passes, `_rank` would give N, and its leading block
-    proves re T_{n-1} >= 0 (``cleared``).  Else a debug line gives the size
-    and the shift, and `_scan` decides."""
+    proves re T_{n-1} >= 0 (``cleared``).  The norm is read off re T_n
+    scaled by the power of two of ||C_0|| (`linalg._pow2_scaled`), so s
+    is the unit-scale data's times the scale, where ||re T_n||_F itself
+    would overflow or underflow.  Else a debug line gives the size and the
+    shift, and `_scan` decides."""
     _require_rel_tol(rank_rtol)
     head = c0_norm, rt = _head(t, q, psd_tol)
     if rt is None:
         _require_tnd(t, q, psd_tol, head)  # raises: T_0 fails
-    with np.errstate(over="ignore"):  # an overflowing norm declines
-        shift = (rank_rtol + 4.0 * (len(t) + 1) ** 2 * np.finfo(float).eps) * np.linalg.norm(rt)
+    # TND data has no entry above ||C_0||: only other data can overflow
+    # here, and its infinite shift declines
+    scaled, e = _pow2_scaled(rt, c0_norm)
+    slack = rank_rtol + 4.0 * (len(t) + 1) ** 2 * np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        shift = float(np.ldexp(slack * np.linalg.norm(scaled), e))
     cleared = _cholesky_clears(rt, -shift)
     if not cleared and (log := _debug_logger()) is not None:
         log.debug("full-rank certificate declined: Cholesky of re T_%d - %.3e I failed "
@@ -390,16 +419,26 @@ def _predictor_range(
     return w.reshape(n, q, q), u_r, s_r
 
 
-def _recur(row: np.ndarray, taps: np.ndarray, start: int) -> None:
-    """Block recurrence over the q x q blocks X_0..X_{L-1} of ``row``,
-    shape (q, L q), in place: for k = start..L-1, block k, which holds its
-    forcing, adds [X_{k-d}, ..., X_{k-1}] ``taps``, the d taps stacked
-    (d q, q), start >= d.  One product per step, O((L - start) d q^3);
-    `_continue` and `caratheodory.taylor_coefficients` run it."""
-    q = len(row)
-    d = len(taps) // q
-    for k in range(start, row.shape[1] // q):
-        row[:, k * q : (k + 1) * q] += row[:, (k - d) * q : k * q] @ taps
+def _recur(x: np.ndarray, taps: np.ndarray, start: int) -> np.ndarray:
+    """Block recurrence over the stack ``x`` of X_0..X_{L-1}, shape
+    (L, q, q): for k = start..L-1, X_k, which holds its forcing, adds
+    X_{k-d} A_1 + ... + X_{k-1} A_d for ``taps`` = A_1..A_d, shape
+    (d, q, q), start >= d.  Returns the completed stack and leaves ``x``
+    as it was; `_continue` and `caratheodory.taylor_coefficients` run it.
+
+    It runs on a contiguous copy of the transposed blocks X_k^T, read as
+    (L q, q) rows: there the window X_{k-d}^T..X_{k-1}^T of step k is one
+    contiguous slice, and X_k^T += [A_1^T, ..., A_d^T] window is one
+    matmul into a q x q buffer and one in-place add.  O((L - start) d q^3).
+    """
+    length, q = x.shape[:2]
+    xt = x.swapaxes(1, 2).copy().reshape(length * q, q)
+    taps_t = np.ascontiguousarray(taps.reshape(-1, q).T)  # (q, d q)
+    dq, step = taps_t.shape[1], np.empty((q, q), dtype=complex)
+    for k in range(start * q, length * q, q):
+        np.matmul(taps_t, xt[k - dq : k], out=step)
+        xt[k : k + q] += step
+    return xt.reshape(length, q, q).swapaxes(1, 2)
 
 
 def _cholesky_clears(a: np.ndarray, shift: float) -> bool:
@@ -428,7 +467,7 @@ def _first_violation_certified(
     ``matspec`` logger gives the size, the shift and that index.
     """
     shift = tol * (1.0 + c0_norm)
-    if _cholesky_clears(re_mat(t), shift):
+    if _cholesky_clears(_re_toeplitz(t, q), shift):
         return None
     bad = _scan(t, q, tol).bad
     if (log := _debug_logger()) is not None:
@@ -442,19 +481,18 @@ def _continue(
 ) -> HermSeq:
     """Central extension of C_0..C_n with predictor ``w``, checked once.
 
-    Appends C_k = sum_{m=1..n} C_{k-m} w_m, one block-row product each
-    (`_recur`), until ``target_len`` = L coefficients and raises ModelError
+    Appends C_k = sum_{m=1..n} C_{k-m} w_m, one product each on the block
+    stack (`_recur`), until ``target_len`` = L coefficients and raises ModelError
     when the result is not TND.  The caller has scanned C_0..C_n, which
     gave ``c0_norm`` = ||C_0||.  The result is TND by construction, so its
     check takes one Cholesky of re T_{L-1}, O((Lq)^3 / 3), and eigvalsh
     only when that fails (`_first_violation_certified`).
     """
     q = seq.q
-    row = np.zeros((q, target_len * q), dtype=complex)
-    row[:, : len(seq) * q] = np.hstack(seq.coeffs)
+    stack = np.zeros((target_len, q, q), dtype=complex)
+    stack[: len(seq)] = seq._stack
     # zero forcing, taps w_n, ..., w_1
-    _recur(row, w[::-1].reshape(-1, q), len(seq))
-    out = HermSeq(row.reshape(q, target_len, q).swapaxes(0, 1))
+    out = HermSeq(_recur(stack, w[::-1], len(seq)))
     if len(out) > len(seq):
         t = toeplitz_matrix(out, target_len - 1)
         bad = _first_violation_certified(t, q, psd_tol, c0_norm)

@@ -182,7 +182,7 @@ class TestCentralQuotient:
         for j in range(3, 6):
             assert np.allclose(coeffs[j], 2.0 * ext.coeff(j), atol=1e-8)
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_taylor_matches_series_division(self, q):
         # a hand-built quotient with den_0 != I and deg num > deg den: the
         # recurrence against the nested power-series division

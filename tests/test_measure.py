@@ -32,7 +32,7 @@ from matspec import (
 )
 from matspec.caratheodory import NEAR_CIRCLE
 from matspec.errors import DimensionError, InvalidInputError, ModelError
-from matspec.caratheodory import _central_quotient, _disk_cause
+from matspec.caratheodory import _central_quotient, _disk_cause, _stein_delta
 from matspec.linalg import DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL, re_mat
 from matspec.measure import (
     ATOM_DROP,
@@ -1796,6 +1796,35 @@ class TestStructuralInvariances:
         dens = sm.density_grid(angles)
         trace_integral = np.trace(dens, axis1=1, axis2=2).real.mean() * TWO_PI
         assert abs(trace_integral) < 1e-6
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0 - 1e-12])
+    def test_route_certificate_and_atoms_are_scale_covariant(self, rho):
+        # AR(1) C_j = 2^k rho^j, n = 3, at scales where ||re T_n||_F and
+        # the Stein certificate's norms would underflow (k = -1000, -560)
+        # or overflow (400, 530) if read off the data: both read a copy
+        # scaled by a power of two, so every scale takes the route of unit
+        # scale, with its Stein delta bit for bit and its atoms times 2^k.
+        # rho = 0.5 is full rank, central and certified; 1 - 1e-12 is
+        # singular at the cutoff, one atom at 1 and no quotient
+        def run(k):
+            seq = scalar_seq(*[np.ldexp(rho**j, k) for j in range(4)])
+            entry = _enter(toeplitz_matrix(seq, 3), 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+            delta = _stein_delta(entry.t[:-1, :-1], entry.w, entry.cleared) if entry.full_rank else None
+            return (entry.cleared, entry.full_rank, entry.rank, delta), central_measure(seq)
+
+        route, unit = run(0)
+        assert route[:2] == (rho == 0.5,) * 2 and len(unit.atoms) == (rho != 0.5)
+        assert (unit.quotient is None) == (rho != 0.5)
+        for k in (-1000, -560, 400, 530):
+            got, sm = run(k)
+            assert got == route, k
+            assert (sm.quotient is None) == (unit.quotient is None), k
+            if sm.quotient is not None:
+                assert sm.quotient._certified == unit.quotient._certified == DISK_MARGIN, k
+            assert len(sm.atoms) == len(unit.atoms), k
+            for a, b in zip(sm.atoms, unit.atoms):
+                assert abs(a.point - b.point) <= 1e-12, k
+                assert spec_norm(a.weight / 2.0**k - b.weight) <= 1e-12 * spec_norm(b.weight), k
 
     def test_shorter_prefix_same_measure(self):
         # (1, 1, 1) is the central continuation of (1, 1): same measure

@@ -26,7 +26,10 @@ from matspec.toeplitz import (
     _continue,
     _enter,
     _first_violation_certified,
+    _head,
     _predictor,
+    _re_toeplitz,
+    _recur,
     _scan,
 )
 from hypothesis import given, settings
@@ -195,6 +198,62 @@ class TestToeplitzMatrix:
         seq = random_tpd_seq(RNG, 2, 3)
         t = toeplitz_matrix(seq, 3)
         assert np.array_equal(t, t.conj().T)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_real_part_is_re_mat_bit_for_bit(self, q):
+        # T_n is Hermitian off its diagonal blocks, so re T_n is T_n with
+        # the real part of C_0 on them: bit for bit re_mat(T_n), also for
+        # a C_0 whose skew part lies within psd_tol, which the scan
+        # accepts, and it is the re T_n the scan's head returns
+        rng = np.random.default_rng(40 + q)
+        for n in (0, 1, 3, 6):
+            coeffs = list(random_tpd_seq(rng, q, n).coeffs)
+            a = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+            skew = a - a.conj().T
+            coeffs[0] = coeffs[0] + 0.25 * DEFAULT_PSD_TOL * skew / spec_norm(skew)
+            t = toeplitz_matrix(HermSeq(coeffs), n)
+            assert not np.array_equal(t[:q, :q], t[:q, :q].conj().T)
+            want = re_mat(t).tobytes()
+            assert _re_toeplitz(t, q).tobytes() == want
+            assert _head(t, q, DEFAULT_PSD_TOL)[1].tobytes() == want
+
+
+def recur_by_terms(x, taps, start):
+    """X_k += X_{k-d} A_1 + ... + X_{k-1} A_d for k >= ``start``, one
+    product at a time: the definition `toeplitz._recur` batches."""
+    out = x.copy()
+    d = len(taps)
+    for k in range(start, len(x)):
+        for i in range(d):
+            out[k] = out[k] + out[k - d + i] @ taps[i]
+    return out
+
+
+class TestRecurrence:
+    # `_recur` on the block stack, where the old (q, L q) row read strided
+    # column slices (q > 1): the extension's recursion from a stored
+    # prefix (start = d, or start > d when the prefix is longer than the
+    # predictor) and the Taylor side, where every block carries a forcing
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("d, start", [(1, 1), (3, 3), (3, 7), (0, 2)])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_stack_kernel_is_the_per_term_sum(self, q, d, start, forced):
+        rng = np.random.default_rng(100 * q + 10 * d + start)
+
+        def draw(*shape):
+            return rng.standard_normal(shape + (q, q)) + 1j * rng.standard_normal(shape + (q, q))
+
+        x = np.zeros((start + 12, q, q), dtype=complex)
+        x[:start] = draw(start)
+        if forced:
+            x[start:] = draw(len(x) - start)
+        taps = draw(d) / (2.0 * max(d, 1) * q)  # a contraction: no growth
+        before = x.tobytes()
+        got = _recur(x, taps, start)
+        want = recur_by_terms(x, taps, start)
+        assert x.tobytes() == before
+        assert got.shape == x.shape and got[:start].tobytes() == x[:start].tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestBundle:
@@ -549,13 +608,15 @@ class TestEntryCertificate:
                 _cholesky_clears(t, shift)
                 assert t.tobytes() == before.tobytes()
 
-    def test_overflowing_norm_declines(self):
-        # ||re T_n||_F overflows at 1e160: an infinite shift declines, the
-        # scan answers, and central_extend runs as before, with no warning
+    def test_norm_beyond_the_float_range_clears(self):
+        # the squares of ||re T_n||_F overflow at 1e160; the shift reads the
+        # norm of a power-of-two-scaled copy, so the certificate clears the
+        # data as at unit scale, with the scan's entry, and central_extend
+        # runs with no warning
         seq = HermSeq([np.array([[1e160]]), np.array([[0.5e160]])])
         t = toeplitz_matrix(seq, 1)
         got = _enter(t, 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
-        assert not got.cleared and got.full_rank
+        assert got.cleared and got.full_rank
         assert_same_entry(got, enter_by_scan(t, 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL))
         assert len(central_extend(seq, 4)) == 4
 

@@ -41,7 +41,12 @@ unitary part one eigh of size r, and data whose shift fails the
 certificate one eig of size r, and no input a stacked eigh of its atom
 weights; deflated input adds one build and one SVD of the deflated data,
 singular input with no atom neither, and rank-frozen input never forms det
-den, its zeros, a quotient value or a Taylor coefficient."""
+den, its zeros, a quotient value or a Taylor coefficient.
+re T_n is T_n with the real part of its diagonal blocks taken, so a
+full-rank `central_measure` with its recovery, and `central_extend`, hand
+`re_mat` q x q blocks only, never a Toeplitz-sized matrix; the central
+extension (`toeplitz._continue`), the Taylor recurrence and the central
+quotient work on (L, q, q) block stacks and call no np.hstack."""
 
 import importlib
 import inspect
@@ -119,20 +124,27 @@ def calls(monkeypatch):
     return seen
 
 
+def patch_everywhere(monkeypatch, name, make):
+    """Replace ``name`` in every matspec module that has it by
+    make(original)."""
+    for m in pkgutil.iter_modules(matspec.__path__):
+        module = importlib.import_module(f"matspec.{m.name}")
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Orders n of the T_n that any matspec module builds."""
     orders = []
-    build = matspec.toeplitz.toeplitz_matrix
 
-    def counted(s, n):
-        orders.append(n)
-        return build(s, n)
+    def counting(build):
+        def counted(s, n):
+            orders.append(n)
+            return build(s, n)
+        return counted
 
-    for m in pkgutil.iter_modules(matspec.__path__):
-        module = importlib.import_module(f"matspec.{m.name}")
-        if hasattr(module, "toeplitz_matrix"):
-            monkeypatch.setattr(module, "toeplitz_matrix", counted)
+    patch_everywhere(monkeypatch, "toeplitz_matrix", counting)
     return orders
 
 
@@ -666,6 +678,60 @@ def test_numerator_reads_the_first_block_row(seq, monkeypatch, kind):
     central_measure(data)
     central_quotient(gamma_from_covariance(data))
     assert len(built) == 2
+
+
+def test_full_rank_paths_hand_re_mat_no_toeplitz_matrix(seq, monkeypatch):
+    # re T_n comes from T_n's diagonal blocks (`toeplitz._re_toeplitz`):
+    # the entry pass, the extension's check and the Stein certificate hand
+    # re_mat q x q blocks or a stack of them, never an N x N matrix
+    shapes = []
+
+    def counting(orig):
+        def counted(a):
+            shapes.append(np.shape(a))
+            return orig(a)
+        return counted
+
+    patch_everywhere(monkeypatch, "re_mat", counting)
+    for data in (seq, AR1):
+        shapes.clear()
+        sm = central_measure(data)
+        assert sm.quotient is not None and not sm.atoms
+        assert verify_recovery(sm, data).passed
+        central_extend(data, 2 * len(data))
+        assert shapes and {shape[-2:] for shape in shapes} == {(data.q, data.q)}
+
+
+@pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "deflated", "zero+ar1"])
+def test_stack_paths_call_no_hstack(seq, monkeypatch, kind):
+    # the extension, the Taylor recurrence and the central quotient read
+    # and write (L, q, q) stacks: none of them assembles a block row by
+    # np.hstack, while other code may
+    ran, inside, hstack = [], [], np.hstack
+
+    def watching(orig):
+        def watched(*args, **kwargs):
+            ran.append(orig.__name__)
+            inside.append(orig.__name__)
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                inside.pop()
+        return watched
+
+    def checked(*args, **kwargs):
+        assert not inside, f"np.hstack called in {inside[-1]}"
+        return hstack(*args, **kwargs)
+
+    for name in ("_continue", "taylor_coefficients", "_central_quotient"):
+        patch_everywhere(monkeypatch, name, watching)
+    monkeypatch.setattr(np, "hstack", checked)
+    data = INPUTS.get(kind, seq)
+    sm = central_measure(data)
+    assert verify_recovery(sm, data).passed
+    central_extend(data, 2 * len(data))
+    central_quotient(gamma_from_covariance(data))
+    assert set(ran) == {"_continue", "taylor_coefficients", "_central_quotient"}
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
