@@ -6,9 +6,11 @@ fixed recursion: with w = T_{n-1}' Y_n solved once from C_0..C_n, every later
 coefficient is C_k = sum_{m=1..n} C_{k-m} w_m, so extending to L coefficients
 costs O((nq)^3 + L n q^3) before the result is checked, by one Cholesky of
 re T_{L-1}.  T_n is built once per call and read by one entry pass
-(`toeplitz._enter`, one Cholesky, else one eigvalsh), for ||C_0|| and rank
-T_n; that rank selects w's route, one LU solve of T_{n-1}, O((nq)^3 / 3),
-at full rank and one SVD otherwise.  `central_order` reads every prefix's
+(`toeplitz._enter`) for ||C_0|| and rank T_n: full-rank data is cleared by
+one Cholesky and takes w from one LU solve of T_{n-1}, O((nq)^3 / 3);
+singular data takes w's one SVD, whose singular values with the q x q
+Schur complement give the rank after a second Cholesky, with no eigvalsh
+of T_n unless T_n is small or that certificate cannot tell.  `central_order` reads every prefix's
 predictor off the leading blocks of the same re T_n.  A sequence already
 equal to its own center continuation from some index onward has a central
 order; the pure zero tail is order 0.
@@ -75,9 +77,12 @@ def central_extend(
     w = T_{n-1}' Y_n, at cost O((nq)^3 + L n q^3) for L = ``target_len``:
     one LU solve of T_{n-1}, O((nq)^3 / 3), when T_n has full rank at the
     rank_rtol cutoff, else one SVD pseudoinverse, both of re T_n.  The
-    input is checked once (`toeplitz._enter`), by one Cholesky of
-    re T_n - s I at full rank and else one eigvalsh of re T_n, which also
-    give its rank and ||C_0||.  The result is again TND,
+    input is checked once (`toeplitz._enter`): by one Cholesky of
+    re T_n - s I at full rank; else, from size 40 on, by a second Cholesky,
+    of re T_n plus a shift within psd_tol (1 + ||C_0||), with rank T_n from
+    that SVD and the q x q Schur complement (`toeplitz._schur_rank`), and
+    one eigvalsh of re T_n only where T_n is smaller or that certificate
+    cannot tell.  The result is again TND,
     and is checked to be by one Cholesky of re T_{L-1} + tol (1 + ||C_0||) I,
     O((Lq)^3 / 3); eigvalsh runs on the result only when that Cholesky
     fails, to name the first bad T_k (`toeplitz._continue`).  The whole call

@@ -78,8 +78,9 @@ from .toeplitz import (
     _debug_logger,
     _enter,
     _Entry,
-    _predictor_range,
     _re_toeplitz,
+    _refined_solve,
+    _unit_scaled,
     toeplitz_matrix,
 )
 
@@ -351,15 +352,19 @@ def central_measure(
 
     T_n is built once.  Full-rank T_n is cleared by one Cholesky and takes
     the predictor from one LU solve of T_{n-1}, O((nq)^3 / 3).  Singular
-    T_n takes one eigvalsh scan and the predictor's one SVD, which gives
-    rank T_{n-1} and the range the shift reads, and finds the shift's
-    unitary part with Hermitian eigensolvers (`_unitary_part`): an eigh of
+    T_n takes the predictor's one SVD of T_{n-1}.  That SVD gives
+    rank T_{n-1} and the range the shift reads, and from size 40 on, after
+    a second Cholesky, which proves T_n TND, with the q x q Schur
+    complement rank T_n (`toeplitz._schur_rank`); one eigvalsh of T_n
+    where T_n is smaller or that certificate cannot tell.  The shift's unitary part comes from
+    Hermitian eigensolvers (`_unitary_part`): an eigh of
     size r and small stacked eigs, plus O(log m) squarings of the shift and
     an eigh of the unitary part's size when T_n is not rank-frozen; one eig
     of size r only when not certified.  The quotient reads re T_n; its
     certificate one Cholesky of T_{n-1}, unless the entry's cleared it.
-    Deflated data adds one T_n build and one SVD of T'_{n-1}; atom-free
-    singular data reuses T_n and w; both eig den's companion.
+    Deflated data adds one T_n build and an eigh of size r, which takes
+    T'_{n-1}'s range inside U_r (`_deflated_quotient`); atom-free singular
+    data reuses T_n and w; both eig den's companion.
     """
     return _central_measure(seq, psd_tol, rank_rtol, root_tol)[0]
 
@@ -384,27 +389,44 @@ def _central_measure(
                 n, entry.rank, n - 1, entry.s_r.size, unitary, route, widest,
                 rest / entry.c0_norm if entry.c0_norm > 0.0 else 0.0,
             )
-    if whole:
-        quotient = None
-    elif atoms:
-        quotient = _deflated_quotient(seq, SpectralMeasure(q, atoms, None), rank_rtol)
-    else:
-        # nothing to deflate: the data's own central quotient, from the entry
-        quotient = _central_quotient(seq.coeffs[0], entry.t, entry.w, entry.cleared)
+    quotient = None if whole else _deflated_quotient(seq, atoms, entry, rank_rtol)
     sm = SpectralMeasure(q, atoms, quotient)
     _require_disk(sm.quotient, DISK_MARGIN)
     return sm, entry
 
 
-def _deflated_quotient(seq: HermSeq, sm: SpectralMeasure, rank_rtol: float):
+def _deflated_quotient(seq: HermSeq, atoms: tuple[Atom, ...], entry: _Entry, rank_rtol: float):
     """Central quotient of the deflated data C'_j = C_j - sum_v v^{-j} X_v,
-    j = 0..n, the moments of the absolutely continuous part once the atoms
-    of ``sm`` are taken out.  It reads the Toeplitz matrix and predictor of
-    C' itself; `_central_measure` certifies its den."""
+    j = 0..n, the moments of the absolutely continuous part once the
+    ``atoms`` are taken out; with no atom that is the data's own, from the
+    entry's re T_n and predictor.  `_central_measure` certifies its den.
+
+    It reads the Toeplitz matrix of C' itself, and takes the range of
+    T'_{n-1} inside the entry's U_r, with no second SVD.  T_{n-1} - T'_{n-1}
+    is the atoms' Toeplitz matrix, sum_v e_v e_v* (x) X_v >= 0, and
+    T'_{n-1} >= 0, so x* T' x <= x* T x = 0 on ker T_{n-1}: range T'
+    lies in range T, spanned by U_r, and T' = U_r H U_r*, H = U_r* T' U_r.
+    One eigh H = Q diag(lambda) Q*, O(r^3), gives T' = B diag(lambda) B*
+    with B = U_r Q, and the pseudoinverse keeps the lambda above rank_rtol
+    times the largest.  In floating point U_r leaves out the directions
+    where T_{n-1} is below the cutoff; there x* T' x <= x* T x is at most
+    that cutoff, and the off-range block of T' at most its square root
+    times ||T'||^(1/2), which the refinement of `toeplitz._refined_solve`
+    against T' itself absorbs in the Yule-Walker residual.  Cost O((nq)^2 r)
+    besides the eigh and the T'_n build.
+    """
+    if not atoms:
+        return _central_quotient(seq.coeffs[0], entry.t, entry.w, entry.cleared)
     q, n = seq.q, len(seq) - 1
-    deflated = seq._stack - _atom_coeffs(sm, np.arange(n + 1)).reshape(-1, q, q)
+    moments = _atom_coeffs(SpectralMeasure(q, atoms, None), np.arange(n + 1))
+    deflated = seq._stack - moments.reshape(-1, q, q)
     td = _re_toeplitz(toeplitz_matrix(HermSeq(deflated), n), q)
-    wd = _predictor_range(td, q, rank_rtol)[0]
+    scaled = _unit_scaled(td, q)[0]
+    tn, u_r = scaled[:-q, :-q], entry.u_r
+    lam, vec = _eig(u_r.conj().T @ tn @ u_r, hermitian=True)
+    keep = lam > rank_rtol * lam.max(initial=0.0)
+    b = u_r @ vec[:, keep]
+    wd = _refined_solve(tn, scaled[q:, :q], b, b, lam[keep]).reshape(n, q, q)
     return _central_quotient(deflated[0], td, wd)
 
 
@@ -624,8 +646,8 @@ def ar_spectrum(
     the measure was computed from (w_m = -den_m for full-rank T_order, whose
     quotient is the central one);
     disagreement means the data is not autoregressive of that order and
-    raises ArOrderMismatchWarning.  The prefix takes `central_measure`'s one
-    eigvalsh; the extension to the stored length L is checked by one
+    raises ArOrderMismatchWarning.  The prefix takes `central_measure`'s
+    entry pass; the extension to the stored length L is checked by one
     Cholesky of re T_{L-1}, O((Lq)^3 / 3), with eigvalsh only when that
     fails (`toeplitz._continue`).
     Coefficients count as equal within CENTRAL_TOL * (1 + ||C_0||), the test

@@ -17,17 +17,24 @@ entry point builds T_n once; the private helpers take it and read slices:
 T_k = T_n[:(k+1)q, :(k+1)q], Y_n = [C_1; ...; C_n] = T_n[q:, :q] and
 Z_n = [C_n, ..., C_1] = T_n[-q:, :-q].
 
-Nonnegativity of T_0..T_n is decided by one `eigvalsh` of re T_n, at cost
-O((nq)^3); the prefixes are scanned one by one only when its smallest
-eigenvalue lies below -tol (1 + ||C_0||), to name the first bad T_k (see
-`_scan`).  A Cholesky that runs to completion certifies where no margin or
-bad index is asked for (`_cholesky_clears`): full-rank data (`_enter`), and
-a central extension, TND by construction (`_first_violation_certified`).
+Where a margin or the first bad index is asked for, nonnegativity of
+T_0..T_n is decided by one `eigvalsh` of re T_n, at cost O((nq)^3); the
+prefixes are scanned one by one only when its smallest eigenvalue lies
+below -tol (1 + ||C_0||), to name the first bad T_k (see `_scan`).
+Elsewhere a Cholesky that runs to completion certifies
+(`_cholesky_clears`): full-rank data and the nonnegativity of singular
+data (`_enter`), and a central extension, TND by construction
+(`_first_violation_certified`).
 
 Each entry point that needs the central predictor makes one pass, `_enter`:
-||C_0|| and re T_n, rank T_n from that certificate or else from the scan's
-eigenvalues, and the predictor by the route that rank selects
-(`_predictor`); later stages read all of them from that record.
+||C_0|| and re T_n, rank T_n, and the predictor by the route that rank
+selects (`_predictor`); later stages read all of them from that record.
+Full-rank data is cleared by one Cholesky, O((nq)^3 / 3), and takes one
+LU solve of T_{n-1}.  Singular data takes the predictor's one SVD of
+T_{n-1}, O((nq)^3).  From size _SCHUR_MIN_SIZE on, a second Cholesky
+proves it TND and that SVD with the q x q Schur complement gives rank T_n
+(`_schur_rank`) with no eigensolve of T_n; the scan's eigvalsh runs on
+smaller T_n and where that certificate cannot tell.
 
 `MatrixSeq` validates a stacked (L, q, q) input in one pass (one copy, one
 finiteness test); its coefficients are read-only views into that copy,
@@ -36,6 +43,7 @@ which it keeps for the code that reads every coefficient at once.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +62,16 @@ from .linalg import (
     re_mat,
     spec_norm,
 )
+
+
+_EPS = float(np.finfo(float).eps)
+# Smallest size N of re T_n whose singular entry takes the Schur
+# certificate (`_schur_rank`).  Its second Cholesky and its small steps cost
+# about 80 us per entry whatever N, one eigvalsh of re T_n O(N^3): on one
+# core of a shared 2-vCPU Xeon (numpy 2.4, one BLAS thread) the entry took
+# about 80 us longer than with the scan at N = 5..20, as long near N = 40,
+# and 14-21% less from N = 66 to 132.
+_SCHUR_MIN_SIZE = 40
 
 
 class MatrixSeq:
@@ -263,7 +281,7 @@ def _scan(t: np.ndarray, q: int, tol: float, head=None) -> _Scan:
 def _rank(eigenvalues: np.ndarray, rank_rtol: float) -> int:
     """Numerical rank of a Hermitian PSD matrix from its ascending
     eigenvalues: those above rank_rtol times the largest, the cutoff
-    `_predictor_range` applies to singular values."""
+    `_svd_fit` applies to singular values."""
     return int(np.count_nonzero(eigenvalues > rank_rtol * eigenvalues.max(initial=0.0)))
 
 
@@ -306,12 +324,12 @@ def ball_params(seq: HermSeq, n: int) -> MatrixBall:
     the block row of C_n..C_1, read off re T_n.  The centre is Z w for the
     refined predictor w = T' Y the central extension continues with, and
     Z T' Z* = (Z U_r) diag(1/s_r) (Z U_r)* comes from the same one SVD
-    T_{n-1} = U_r diag(s_r) U_r* (`_predictor_range`), whatever the rank.
+    T_{n-1} = U_r diag(s_r) U_r* (`_svd_fit`), whatever the rank.
     For n = 0 the products are empty: centre zero, both semi-radii C_0.
     """
     scan = _require_tnd(toeplitz_matrix(seq, n), seq.q, DEFAULT_PSD_TOL)
     t, q = scan.t, seq.q
-    w, u_r, s_r = _predictor_range(t, q, DEFAULT_RANK_RTOL)
+    w, u_r, s_r = _predictor(t, q, DEFAULT_RANK_RTOL, False)
     c0, y, z, w = t[:q, :q], t[q:, :q], t[-q:, :-q], w.reshape(n * q, q)
     zu = z @ u_r
     left = re_mat(c0 - (zu / s_r) @ zu.conj().T)
@@ -331,36 +349,80 @@ class _Entry(NamedTuple):
     cleared: bool = False  # by `_enter`'s Cholesky: full rank, re T_{n-1} >= 0
 
 
+def _unit_scaled(t: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """``t`` / 2^e and e for ``t`` = re T_n, 2^e the power of two above
+    tr C_0, which bounds every entry of TND T_n (`linalg._pow2_scaled`):
+    ``t`` itself, uncopied, at normal scale.  Every route reads T_{n-1} and
+    Y_n off this copy, where no norm overflows and no pivot or singular
+    value underflows; w = T_{n-1}' Y_n does not depend on the scale."""
+    return _pow2_scaled(t, t[:q, :q].trace().real)
+
+
 def _enter(t: np.ndarray, q: int, psd_tol: float, rank_rtol: float) -> _Entry:
     """The one pass each entry point makes over ``t`` = T_n: ||C_0||, re T_n,
     rank T_n at the rank_rtol cutoff (checked first: InvalidInputError
     outside (0, 1)) and the predictor by the route that rank selects.
+    Every factorization and norm reads re T_n scaled by the power of two of
+    tr C_0 (`_unit_scaled`), so no shift, bound or predictor overflows or
+    underflows where the data's own norms would.
+
     One Cholesky of re T_n - s I, s = (rank_rtol + 4 (N + 1)^2 eps)
     ||re T_n||_F, N = len(t), clears full-rank data at O((nq)^3 / 3): the
     slack covers its backward error (`_cholesky_clears`) and eigvalsh's,
     so every prefix passes, `_rank` would give N, and its leading block
-    proves re T_{n-1} >= 0 (``cleared``).  The norm is read off re T_n
-    scaled by the power of two of ||C_0|| (`linalg._pow2_scaled`), so s
-    is the unit-scale data's times the scale, where ||re T_n||_F itself
-    would overflow or underflow.  Else a debug line gives the size and the
-    shift, and `_scan` decides."""
+    proves re T_{n-1} >= 0 (``cleared``); w is one LU solve.
+
+    Else a debug line gives the size and the shift.  From N =
+    _SCHUR_MIN_SIZE on (n >= 1), a second Cholesky, of
+    re T_n + (nu - slack) I, nu = psd_tol (1 + ||C_0||), proves
+    lambda_min(re T_n) >= -nu with the same slack, so the scan would pass
+    every prefix, and the predictor's one SVD of T_{n-1}, O((nq)^3), and
+    the q x q Schur complement give rank T_n (`_schur_rank`) where no
+    eigenvalue bound straddles the cutoff band; there the count equals
+    `_rank` of eigvalsh of re T_n.  Otherwise the scan decides, as it
+    decides which index fails, with one more debug line where the
+    certificate was tried.  Rank N takes the LU route, any other the SVD's
+    factors."""
     _require_rel_tol(rank_rtol)
     head = c0_norm, rt = _head(t, q, psd_tol)
     if rt is None:
         _require_tnd(t, q, psd_tol, head)  # raises: T_0 fails
-    # TND data has no entry above ||C_0||: only other data can overflow
+    big, n = len(t), len(t) // q - 1
+    # TND data has no entry above tr C_0: only other data can overflow
     # here, and its infinite shift declines
-    scaled, e = _pow2_scaled(rt, c0_norm)
-    slack = rank_rtol + 4.0 * (len(t) + 1) ** 2 * np.finfo(float).eps
+    scaled, e = _unit_scaled(rt, q)
+    roundoff = 4.0 * (big + 1) ** 2 * _EPS
     with np.errstate(over="ignore"):
-        shift = float(np.ldexp(slack * np.linalg.norm(scaled), e))
-    cleared = _cholesky_clears(rt, -shift)
-    if not cleared and (log := _debug_logger()) is not None:
-        log.debug("full-rank certificate declined: Cholesky of re T_%d - %.3e I failed "
-                  "(size %d)", len(t) // q - 1, shift, len(t))
-    rank = len(t) if cleared else _rank(_require_tnd(t, q, psd_tol, head).eigenvalues, rank_rtol)
-    w, u_r, s_r = _predictor(rt, q, rank_rtol, rank == len(t))
-    return _Entry(rt, c0_norm, rank, rank == len(t), w, u_r, s_r, cleared)
+        size = np.linalg.norm(scaled)
+        shift = (rank_rtol + roundoff) * size
+    if _cholesky_clears(scaled, -shift):
+        return _Entry(rt, c0_norm, big, True, *_scaled_predictor(scaled, e, q, rank_rtol, True), True)
+    log = _debug_logger()
+    if log is not None:
+        with np.errstate(over="ignore"):
+            log.debug("full-rank certificate declined: Cholesky of re T_%d - %.3e I failed "
+                      "(size %d)", n, np.ldexp(shift, e), big)
+    rank = fit = None
+    if n > 0 and big >= _SCHUR_MIN_SIZE:
+        # nu in the copy's units; beyond 2 ||re T_n||_F + 1 any shift
+        # clears, a cap that keeps it finite at the subnormal scale
+        with np.errstate(over="ignore"):
+            nu = min(float(np.ldexp(psd_tol * (1.0 + c0_norm), -e)), 2.0 * size + 1.0)
+        if _cholesky_clears(scaled, nu - roundoff * (size + 0.5 * math.sqrt(big) * nu)):
+            fit = _svd_fit(scaled, e, q, rank_rtol)
+            rank = _schur_rank(scaled, q, fit, size, rank_rtol)
+            why = "rank T_%d undecided by the Schur certificate (size %d)"
+        else:
+            why = "Cholesky of re T_%d + nu I failed (size %d)"
+        if rank is None and log is not None:
+            log.debug(f"singular entry: {why}, the scan decides", n, big)
+    if rank is None:
+        rank = _rank(_require_tnd(t, q, psd_tol, head).eigenvalues, rank_rtol)
+    if fit is None or rank == big:
+        w, u_r, s_r = _scaled_predictor(scaled, e, q, rank_rtol, rank == big)
+    else:
+        w, u_r, s_r = fit[:3]
+    return _Entry(rt, c0_norm, rank, rank == big, w, u_r, s_r)
 
 
 def _predictor(
@@ -371,7 +433,8 @@ def _predictor(
     the SVD route ran (None after LU); w is empty for n = 0.  The centre of
     the ball `ball_params(seq, n)` is the one-step prediction
     sum_m C_{n+1-m} w_m, and the central extension of C_0..C_n keeps the
-    same w for every later coefficient.
+    same w for every later coefficient.  Both routes read T_{n-1} and Y_n
+    off `_unit_scaled` of ``t`` (`_scaled_predictor`).
 
     ``full_rank`` is the caller's entry pass saying that T_n, or a block
     Toeplitz matrix with T_n as a leading block, has full rank at the
@@ -380,43 +443,133 @@ def _predictor(
     from one LU solve with partial pivoting, O((nq)^3 / 3).  LU is backward
     stable, so the Yule-Walker residual Y_n - T_{n-1} w is at roundoff with
     no refinement (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 9).  Singular data takes the SVD of `_predictor_range`.
+    2002, ch. 9).  Singular data takes the SVD of `_svd_fit`, whose
+    T_{n-1} = U_r diag(s_r) U_r* keeps the singular values above rank_rtol
+    times the largest; r = len(s_r) is rank T_{n-1}.  No prefix check.
     """
-    n = len(t) // q - 1
-    if full_rank and n > 0:
-        return np.linalg.solve(t[:-q, :-q], t[q:, :q]).reshape(n, q, q), None, None
-    return _predictor_range(t, q, rank_rtol)
+    return _scaled_predictor(*_unit_scaled(t, q), q, rank_rtol, full_rank)
 
 
-def _predictor_range(
-    t: np.ndarray, q: int, rank_rtol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_predictor` of singular data with the range of T_{n-1} its
-    pseudoinverse keeps: (w, U_r, s_r), T_{n-1} = U_r diag(s_r) U_r* over
-    the singular values above rank_rtol times the largest, all from one
-    SVD, O((nq)^3) with a larger constant than LU.  r = len(s_r) is
-    rank T_{n-1}.
+def _scaled_predictor(
+    scaled: np.ndarray, e: int, q: int, rank_rtol: float, full_rank: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """`_predictor` of ``scaled`` = re T_n / 2^e, s_r in the data's units."""
+    n = len(scaled) // q - 1
+    if n == 0:
+        return np.zeros((0, q, q), dtype=complex), np.zeros((0, 0)), np.zeros(0)
+    if full_rank:
+        return np.linalg.solve(scaled[:-q, :-q], scaled[q:, :q]).reshape(n, q, q), None, None
+    return _svd_fit(scaled, e, q, rank_rtol)[:3]
 
-    No prefix check.
+
+class _Fit(NamedTuple):
+    """Result of `_svd_fit`."""
+
+    w: np.ndarray  # predictor blocks w_1..w_n, shape (n, q, q)
+    u_r: np.ndarray  # range of T_{n-1}
+    s_r: np.ndarray  # its singular values, in the data's units
+    u: np.ndarray  # the SVD U S V* of the scaled T_{n-1}, all of it
+    s: np.ndarray
+    vh: np.ndarray
+
+
+def _svd_fit(scaled: np.ndarray, e: int, q: int, rank_rtol: float) -> _Fit:
+    """The SVD route of the predictor on ``scaled`` = re T_n / 2^e, n >= 1:
+    one SVD of T_{n-1}, O((nq)^3) with a larger constant than LU, the
+    singular values above rank_rtol times the largest kept (s_r times 2^e
+    in the data's units).
 
     The quotient reproduces the data exactly when the Yule-Walker residual
     Y_n - T_{n-1} w vanishes.  T' Y from one SVD leaves a residual of about
     eps cond(T) times ||T|| ||w||, so two steps of iterative refinement
     w <- w + T'(Y - T w) follow, with the same pseudoinverse (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 12).
+    Accuracy and Stability of Numerical Algorithms, ch. 12), applied through
+    its factors (`_refined_solve`).
     """
-    n = len(t) // q - 1
-    if n == 0:
-        return np.zeros((0, q, q), dtype=complex), np.zeros((0, 0)), np.zeros(0)
-    tn, y = t[:-q, :-q], t[q:, :q]
+    n = len(scaled) // q - 1
+    tn = scaled[:-q, :-q]
     u, s, vh = _svd(tn)
     keep = s > rank_rtol * s.max(initial=0.0)
     u_r, s_r = u[:, keep], s[keep]
-    tp = (vh[keep].conj().T * (1.0 / s_r)) @ u_r.conj().T
-    w = tp @ y
+    w = _refined_solve(tn, scaled[q:, :q], u_r, vh[keep].conj().T, s_r)
+    return _Fit(w.reshape(n, q, q), u_r, np.ldexp(s_r, e), u, s, vh)
+
+
+def _refined_solve(
+    tn: np.ndarray, y: np.ndarray, left: np.ndarray, right: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """w = T' y for ``tn`` = T, T' = right diag(1 / values) left*, applied
+    through its factors at O(N r q), N = len(tn) and r = len(values), with
+    no N x N pseudoinverse; then two steps of iterative refinement
+    w <- w + T'(y - T w), O(N^2 q) each."""
+    left, right = left.conj().T, right / values
+    w = right @ (left @ y)
     for _ in range(2):
-        w = w + tp @ (y - tn @ w)
-    return w.reshape(n, q, q), u_r, s_r
+        w = w + right @ (left @ (y - tn @ w))
+    return w
+
+
+def _schur_rank(a: np.ndarray, q: int, fit: _Fit, size: float, rank_rtol: float) -> int | None:
+    """rank T_n at the rank_rtol cutoff as `_rank` reads it off eigvalsh of
+    ``a`` = re T_n (scaled), of Frobenius norm ``size``, n >= 1, or None
+    where the bounds below cannot tell: from the predictor's SVD of
+    T = T_{n-1} (``fit``) and the q x q Schur complement, with no
+    eigensolve of T_n.
+
+    With Y = Y_n, the Yule-Walker residual rho = Y - T w and
+    R = re(C_0 - Y* w),
+
+        re T_n = K diag(R, T) K* + Delta,   K = [[I, w*], [0, I]],
+        Delta = [[re(rho* w), rho*], [rho, 0]],
+
+    an identity for any w.  By Ostrowski's theorem (Horn and Johnson,
+    Matrix Analysis, Thm 4.5.9) the k-th eigenvalue of K diag(R, T) K* is
+    theta_k mu_k, mu_k the k-th of diag(R, T) and theta_k between
+    1 / kappa and kappa = sigma_max(K)^2 <= ((||w|| + (||w||^2 + 4)^(1/2)) / 2)^2,
+    and by Weyl's inequality Delta moves it by at most ||rho|| (1 + ||w||).
+    Bounds on each mu_k bound the k-th eigenvalue, and a count of bounds
+    above or below a level needs no sort.  T's eigenvalues are its
+    singular values signed by u_i* v_i (either sign where |u_i* v_i| <= 1/2),
+    R's one q x q eigvalsh.
+
+    Roundoff: each product adds at most (N + 1) eps times the product of
+    its factors' Frobenius norms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3), to rho and to R; each
+    factorization, the SVD of T and the eigvalsh `_rank` reads, a backward
+    error of 4 (N + 1) eps Lambda, Lambda = s_max + 2^(1/2) ||[C_0; Y]||_F
+    >= ||re T_n|| (re T_n = diag(0, T) + [[C_0, Y*], [Y, 0]]).
+
+    The cutoff rank_rtol lambda_max lies within rank_rtol times the bounds
+    on the largest eigenvalue: at least T's, a trailing principal block
+    (Cauchy interlacing), and at most Lambda.  Eigenvalues whose bounds
+    lie wholly above that band are counted and those wholly at or below it
+    are not; when every one is either, the count is rank T_n.  Cost
+    O((nq)^2 q) besides the SVD.
+    """
+    big, m = len(a), len(a) - q
+    y, w = a[q:, :q], fit.w.reshape(m, q)
+    omega, col = float(np.linalg.norm(w)), float(np.linalg.norm(a[:, :q]))
+    gamma = (big + 1) * _EPS
+    top = float(fit.s[0]) + math.sqrt(2.0) * col
+    fact = 4.0 * gamma * top
+    rho = float(np.linalg.norm(y - a[q:, q:] @ w)) + gamma * (col + size * omega)
+    sigma = 0.5 * (omega + math.sqrt(omega * omega + 4.0))
+    kappa, delta = sigma * sigma, rho * (1.0 + omega) + fact
+    # bounds on diag(R, T)'s eigenvalues: R's from one q x q eigvalsh; T's
+    # are its singular values, negative unless u_i* v_i > 1/2 says not
+    r_eig = np.linalg.eigvalsh(re_mat(a[:q, :q] - y.conj().T @ w))
+    r_err = 4.0 * gamma * col * (1.0 + omega)
+    t_low = np.where(np.einsum("ji,ij->i", fit.u, fit.vh).real > 0.5, fit.s, -fit.s) - fact
+    low = np.concatenate([r_eig - r_err, t_low])
+    high = np.concatenate([r_eig + r_err, fit.s + fact])
+    # ... and on those eigvalsh would give: by Ostrowski and Weyl
+    low = np.minimum(low / kappa, low * kappa) - delta
+    high = np.maximum(high * kappa, high / kappa) + delta
+    # lambda_max(re T_n) >= lambda_max(T), less eigvalsh's own error
+    band_low = rank_rtol * max(float(low.max()), float(t_low.max()) - fact, 0.0)
+    band_high = rank_rtol * max(min(float(high.max()), top + 2.0 * fact), 0.0)
+    above = int(np.count_nonzero(low > band_high))
+    return above if above + np.count_nonzero(high <= band_low) == big else None
 
 
 def _recur(x: np.ndarray, taps: np.ndarray, start: int) -> np.ndarray:

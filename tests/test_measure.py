@@ -1135,10 +1135,35 @@ class TestOneAtomRoute:
         seq = HermSeq(atom_free_singular_coeffs(data))
         sm = central_measure(seq)
         assert sm.atoms == () and sm.quotient is not None
-        deflated = _deflated_quotient(seq, SpectralMeasure(seq.q, (), None), DEFAULT_RANK_RTOL)
+        entry = _enter(toeplitz_matrix(seq, len(seq) - 1), seq.q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        deflated = _deflated_quotient(seq, (), entry, DEFAULT_RANK_RTOL)
         assert np.array_equal(sm.quotient.num.coeffs, deflated.num.coeffs)
         assert np.array_equal(sm.quotient.den.coeffs, deflated.den.coeffs)
         assert verify_recovery(sm, seq).relative_error <= 1e-14
+
+    # the deflated inputs of test_density_next_to_an_atom and
+    # test_shared_atoms_next_to_a_density
+    DEFLATED = ([direct_sum(atomic_coeffs(rng, 1, 8, 3)[0], var1_coeffs(rng, 1, 0.6, 8))
+                 for rng in map(np.random.default_rng, range(20))]
+                + [list(shared_atom_sum(seed)[0].coeffs) for seed in range(12)])
+
+    def test_deflated_range_from_an_eigh_inside_u_r(self):
+        # range T'_{n-1} lies in range T_{n-1}, so the deflated predictor
+        # takes it from an r x r eigh of U_r* T'_{n-1} U_r.  Its w' matches
+        # the pseudoinverse of T'_{n-1} from a second SVD (_oracle.pinv) to
+        # 1e-12, and recovery stays within ten times the 1.43e-13 ||C_0||
+        # that route's measures reached on these 32 inputs
+        for coeffs in self.DEFLATED:
+            seq = HermSeq(coeffs)
+            q, n = seq.q, len(seq) - 1
+            sm = central_measure(seq)
+            assert sm.atoms and sm.quotient is not None
+            assert verify_recovery(sm, seq).relative_error <= 10.0 * 1.43e-13
+            deflated = seq._stack - _coefficients(dataclasses.replace(sm, quotient=None), range(n + 1))
+            td = re_mat(toeplitz_matrix(HermSeq(deflated), n))
+            want = pinv(td[:-q, :-q]) @ td[q:, :q]
+            got = -sm.quotient.den.coeffs[1:].reshape(n * q, q)
+            assert spec_norm(got - want) <= 1e-12 * (1.0 + spec_norm(want))
 
     @pytest.mark.parametrize(
         "kind, logged",
@@ -1825,6 +1850,24 @@ class TestStructuralInvariances:
             for a, b in zip(sm.atoms, unit.atoms):
                 assert abs(a.point - b.point) <= 1e-12, k
                 assert spec_norm(a.weight / 2.0**k - b.weight) <= 1e-12 * spec_norm(b.weight), k
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0 - 1e-12])
+    def test_subnormal_data_takes_the_unit_scale_route(self, rho):
+        # AR(1) C_j = 2^-1060 rho^j, n = 3: subnormal, with 14 bits left, so
+        # (1 - 1e-12)^j rounds to 1.  The predictor reads T_{n-1} and Y_n
+        # scaled by a power of two, where no pivot or singular value is
+        # subnormal: rho = 0.5 takes the LU route to a central quotient,
+        # with no "non-finite coefficients" error, and 1 - 1e-12 the SVD
+        # route to one atom, with no overflow warning (an error in this
+        # suite); both as at unit scale, and both verify
+        def run(k):
+            seq = scalar_seq(*[np.ldexp(rho**j, k) for j in range(4)])
+            entry = _enter(toeplitz_matrix(seq, 3), 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+            sm = central_measure(seq)
+            assert verify_recovery(sm, seq).passed, k
+            return entry.cleared, entry.full_rank, entry.rank, len(sm.atoms), sm.quotient is None
+
+        assert run(-1060) == run(0) == ((True, True, 4, 0, False) if rho == 0.5 else (False, False, 1, 1, True))
 
     def test_shorter_prefix_same_measure(self):
         # (1, 1, 1) is the central continuation of (1, 1): same measure

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1015,17 +1016,29 @@ def ci_step_script(name):
 def test_ci_cli_step_runs_in_process(tmp_path, monkeypatch, capsys):
     # the CI step that runs the README examples through the console script,
     # replayed here: each `cat > NAME <<'EOF'` document is written into a
-    # scratch directory and each `matspec ...` line goes through main()
+    # scratch directory and each `matspec ...` line goes through main(),
+    # a `PYTHONWARNINGS=error matspec ...` line with every warning an error
     monkeypatch.chdir(tmp_path)
     script = iter(ci_step_script(CI_STEP))
-    commands = 0
+    commands = strict = 0
     for line in script:
         heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line.strip())
+        command = re.fullmatch(r"(PYTHONWARNINGS=error )?matspec (.*)", line)
         if heredoc:
             body = list(itertools.takewhile(lambda text: text.strip() != "EOF", script))
             (tmp_path / heredoc.group(1)).write_text("\n".join(body) + "\n")
-        elif line.startswith("matspec "):
-            argv = shlex.split(line)[1:]
-            assert main(argv) == 0, (line, capsys.readouterr().err)
+        elif command:
+            with warnings.catch_warnings():
+                if command.group(1):
+                    warnings.simplefilter("error")
+                    strict += 1
+                assert main(shlex.split(command.group(2))) == 0, (line, capsys.readouterr().err)
             commands += 1
     assert commands > 0, f"the step {CI_STEP!r} runs no matspec command"
+    # the large and the two subnormal AR(1)s
+    assert strict == 3
+    for name in ("large", "subnormal-half", "subnormal-root"):
+        text = (tmp_path / f"{name}-m.json").read_text()
+        json.loads(text, parse_constant=lambda c: pytest.fail(f"{name}: {c}"))
+    root = json.loads((tmp_path / "subnormal-root-m.json").read_text())
+    assert len(root["atoms"]) == 1 and root["provenance"] == "atoms-only"

@@ -29,8 +29,12 @@ from matspec.toeplitz import (
     _head,
     _predictor,
     _re_toeplitz,
+    _rank,
     _recur,
     _scan,
+    _schur_rank,
+    _svd_fit,
+    _unit_scaled,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -640,6 +644,144 @@ def test_entry_certificate_matches_the_scan(draw):
     want = enter_by_scan(t, q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
     assert not got.cleared or want.full_rank
     assert_same_entry(got, want)
+
+
+def schur_answer(coeffs, rank_rtol):
+    """`_schur_rank` of one draw, and `_rank` of eigvalsh of its re T_n."""
+    seq = HermSeq(coeffs)
+    q, n = seq.q, len(seq) - 1
+    t = _re_toeplitz(toeplitz_matrix(seq, n), q)
+    scaled, e = _unit_scaled(t, q)
+    fit = _svd_fit(scaled, e, q, rank_rtol)
+    got = _schur_rank(scaled, q, fit, np.linalg.norm(scaled), rank_rtol)
+    return got, _rank(np.linalg.eigvalsh(t), rank_rtol)
+
+
+def white_noise(eps, n):
+    """C_0 = diag(1, eps), C_1..C_n = 0: rank T_n is 2 (n + 1) when
+    eps > rank_rtol."""
+    return [np.diag([1.0, eps]).astype(complex)] + [np.zeros((2, 2))] * n
+
+
+@st.composite
+def singular_draws(draw):
+    """Atomic, atomic (+) VAR(1), near-unit-root AR(1) with
+    rho = 1 - 10^-k (k = 2..12), and white noise at the edges of the
+    cutoff and of the entry's shift, with its rank_rtol; sizes on both
+    sides of _SCHUR_MIN_SIZE."""
+    kind = draw(st.sampled_from(["atomic", "dsum", "unit-root", "edge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "unit-root":
+        rho = 1.0 - 10.0 ** -draw(st.integers(2, 12))
+        return [np.array([[rho**j]]) for j in range(draw(st.integers(2, 46)))], DEFAULT_RANK_RTOL
+    if kind == "edge":
+        rank_rtol, n = draw(st.sampled_from([1e-10, 1e-15, 0.5])), draw(st.sampled_from([3, 20]))
+        shift = certificate_shift(toeplitz_matrix(HermSeq(white_noise(rank_rtol, n)), n), rank_rtol)
+        factor = draw(st.sampled_from([0.5, 1.0, 1.5]))
+        eps = draw(st.sampled_from([factor * rank_rtol, (0.5 + factor / 2) * shift]))
+        return white_noise(eps, n), rank_rtol
+    q, n = draw(st.integers(1, 3)), draw(st.integers(1, 14))
+    return entry_draw(kind, rng, q, n, 1.0 - 10.0 ** -draw(st.integers(1, 9))), DEFAULT_RANK_RTOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(singular_draws())
+def test_schur_rank_is_the_eigvalsh_count_where_it_answers(draw):
+    # wherever the Schur certificate answers, its rank is the count `_rank`
+    # reads off eigvalsh of re T_n, and the entry pass stays the scan's
+    coeffs, rank_rtol = draw
+    got, want = schur_answer(coeffs, rank_rtol)
+    assert got is None or got == want
+    seq = HermSeq(coeffs)
+    t = toeplitz_matrix(seq, len(seq) - 1)
+    assert_same_entry(_enter(t, seq.q, DEFAULT_PSD_TOL, rank_rtol),
+                      enter_by_scan(t, seq.q, DEFAULT_PSD_TOL, rank_rtol))
+
+
+class TestSchurRank:
+    """rank T_n of singular data from the predictor's SVD and the q x q
+    Schur complement (`_schur_rank`), the scan only where it cannot tell."""
+
+    def test_answers_on_atomic_and_deflated_data(self):
+        # 60 atomic and atom (+) VAR(1) draws, q = 1..3, n = 1..8: every
+        # one is decided, at the scan's count
+        rng = np.random.default_rng(0)
+        for i in range(60):
+            seq = HermSeq(entry_draw("atomic" if i % 2 else "dsum", rng, 1 + i % 3, 1 + i % 8))
+            got, want = schur_answer(list(seq.coeffs), DEFAULT_RANK_RTOL)
+            assert got == want < len(seq) * seq.q
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_near_unit_root(self, k):
+        # AR(1) at rho = 1 - 10^-k, n = 1, 3, 5, 8, 10: eigenvalues far from
+        # the cutoff (k <= 8 full rank, k >= 11 rank 1) are decided; at
+        # k = 9 and 10 T_n has eigenvalues within a factor 2 of
+        # 1e-10 lambda_max, where the scan decides
+        rho = 1.0 - 10.0**-k
+        answers = [schur_answer([np.array([[rho**j]]) for j in range(n + 1)], DEFAULT_RANK_RTOL)
+                   for n in (1, 3, 5, 8, 10)]
+        assert all(got in (None, want) for got, want in answers)
+        if k not in (9, 10):
+            assert all(got is not None for got, _ in answers)
+
+    def test_eigenvalue_in_the_band_takes_the_scan_and_logs_it(self, caplog):
+        # AR(1) at rho = 1 - 1e-9, n = 40: T_40 has eigenvalues within a
+        # factor 2 of its cutoff.  The certificate cannot tell, and the scan
+        # decides, with the scan's entry, after one debug line
+        caplog.set_level(logging.DEBUG, logger="matspec")
+        t = toeplitz_matrix(HermSeq([np.array([[(1.0 - 1e-9) ** j]]) for j in range(41)]), 40)
+        got = _enter(t, 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        assert not got.full_rank and got.rank == 10
+        assert_same_entry(got, enter_by_scan(t, 1, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL))
+        declined, scanned = [r.getMessage() for r in caplog.records]
+        assert declined.startswith("full-rank certificate declined: ")
+        assert scanned == ("singular entry: rank T_40 undecided by the Schur certificate "
+                           "(size 41), the scan decides")
+
+    def test_small_singular_entries_take_the_scan(self, caplog, monkeypatch):
+        # below _SCHUR_MIN_SIZE one eigvalsh of re T_n is cheaper than the
+        # certificate: a singular T_3 of size 8 takes the scan silently
+        caplog.set_level(logging.DEBUG, logger="matspec")
+
+        def refuse(*args):
+            raise AssertionError("the Schur certificate ran")
+
+        monkeypatch.setattr(matspec.toeplitz, "_schur_rank", refuse)
+        t = toeplitz_matrix(HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 4, 2)[0]), 3)
+        assert len(t) < matspec.toeplitz._SCHUR_MIN_SIZE
+        got = _enter(t, 2, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        assert_same_entry(got, enter_by_scan(t, 2, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL))
+        [declined] = [r.getMessage() for r in caplog.records]
+        assert declined.startswith("full-rank certificate declined: ")
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            atomic_coeffs(CASE_RNG, 2, 21, n_atoms=4)[0][:20] + [np.eye(2)],
+            [np.eye(1)] * 40 + [np.array([[1.0 - 1e-6]])],
+            direct_sum(atomic_coeffs(CASE_RNG, 1, 21, n_atoms=2)[0],
+                       [np.array([[0.9**j]]) for j in range(20)] + [np.array([[2.0]])]),
+        ],
+        ids=["frozen-then-off", "ones-then-short", "dsum-then-off"],
+    )
+    def test_refusals_of_singular_data_match_the_scan(self, caplog, coeffs):
+        # singular prefixes of size 41 or 42 that leave the cone at the last
+        # coefficient: neither Cholesky clears them, the second says so in
+        # one debug line, and the scan raises its own error
+        caplog.set_level(logging.DEBUG, logger="matspec")
+        seq = HermSeq(coeffs)
+        t = toeplitz_matrix(seq, len(seq) - 1)
+        with pytest.raises(ModelError) as want:
+            enter_by_scan(t, seq.q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        caplog.clear()
+        with pytest.raises(ModelError) as got:
+            _enter(t, seq.q, DEFAULT_PSD_TOL, DEFAULT_RANK_RTOL)
+        assert (str(got.value), got.value.index) == (str(want.value), want.value.index)
+        declined, scanned, failed = [r.getMessage() for r in caplog.records]
+        assert declined.startswith("full-rank certificate declined: ")
+        assert scanned == (f"singular entry: Cholesky of re T_{len(seq) - 1} + nu I failed "
+                           f"(size {len(t)}), the scan decides")
+        assert failed.startswith("prefix scan fallback: ")
 
 
 class TestBallParams:

@@ -6,7 +6,9 @@ of `central_measure`, `central_extend`, `ar_spectrum`, `central_order` and
 `central_quotient` clears full-rank input by one Cholesky of re T_n - s I,
 with no eigvalsh larger than q x q and no Cholesky of T_{n-1} for the
 Stein certificate, and declines singular input after one Cholesky, which
-then takes one eigvalsh; `classify`, `first_violation`, `ball_params`,
+then takes one eigvalsh below size 40 and from there a second Cholesky and
+rank T_n from the predictor's SVD and the q x q Schur complement, no
+eigvalsh larger than q x q; `classify`, `first_violation`, `ball_params`,
 `pd_polynomials` and `matspec check` take one eigvalsh (the per-prefix
 loop runs only on failing input).  The central extension made by
 `central_extend` and `ar_spectrum`, TND by construction, is checked by one
@@ -30,7 +32,8 @@ the disk verdict at the open-disk margin, the central numerator reads re
 T_n's first block row with no np.triu_indices, and the oracle's scalar det
 den takes one FFT and one stacked det.
 `central_measure` builds T_n once and takes one Cholesky of it for every
-kind of input, and one eigvalsh of it for singular input; full-rank input
+kind of input, and singular input one eigvalsh of it below size 40, a
+second Cholesky and no eigvalsh of it from there; full-rank input
 takes no prefix-sized SVD or inverse, one LU solve
 of T_{n-1} for the predictor and no solve of T_n, and makes no eig call;
 singular input takes one matrix SVD and reads its atoms off the r x r
@@ -39,8 +42,9 @@ of size r and one stacked eig per block size, deflated input one eigh of
 size r and one of the unitary part's size, data whose shift has no
 unitary part one eigh of size r, and data whose shift fails the
 certificate one eig of size r, and no input a stacked eigh of its atom
-weights; deflated input adds one build and one SVD of the deflated data,
-singular input with no atom neither, and rank-frozen input never forms det
+weights; deflated input adds one build of the deflated data and one eigh
+of size r for its range, and no second SVD, singular input with no atom
+neither, and rank-frozen input never forms det
 den, its zeros, a quotient value or a Taylor coefficient.
 re T_n is T_n with the real part of its diagonal blocks taken, so a
 full-rank `central_measure` with its recovery, and `central_extend`, hand
@@ -62,6 +66,7 @@ import matspec
 import matspec.caratheodory as caratheodory
 import matspec.matpoly as matpoly
 import matspec.measure as measure
+import matspec.toeplitz as toeplitz
 from matspec import (
     ArOrderMismatchWarning,
     HermSeq,
@@ -521,12 +526,13 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, built, kind):
     # certificate, which gives rank T_n), no eigvalsh of T_n, one LU solve
     # of T_{n-1} (the predictor), none of T_n, no matrix SVD and no matrix
     # inverse.  Singular T_n: the certificate's Cholesky is declined, and
-    # one eigvalsh (the scan) gives rank T_n.  Singular
-    # T_n: one matrix SVD (the predictor's, which also gives rank T_{n-1}
-    # and the range the shift reads) and no matrix solve; deflated data adds
-    # the T_n of C' and the predictor's SVD of T'_{n-1}, and no second scan.
-    # Singular data whose shift finds no atom has nothing to deflate: its
-    # quotient reads the entry's T_n and predictor
+    # below _SCHUR_MIN_SIZE, as here, one eigvalsh (the scan) gives rank
+    # T_n.  Singular T_n: one matrix SVD (the predictor's, which also gives
+    # rank T_{n-1} and the range the shift reads) and no matrix solve;
+    # deflated data adds the T_n of C' and takes the range of T'_{n-1} from
+    # an eigh of size r, with no second SVD and no second scan.  Singular
+    # data whose shift finds no atom has nothing to deflate: its quotient
+    # reads the entry's T_n and predictor
     data = INPUTS.get(kind, seq)
     sm = central_measure(data)
     assert (sm.quotient is None) == (kind == "frozen")
@@ -549,9 +555,44 @@ def test_central_measure_builds_scans_and_factors_once(seq, calls, built, kind):
                 for name in ("svd", "solve", "inv")}
     if singular:
         fold = [] if kind == "frozen" else [(data.q, data.q)]
-        assert matrices == {"svd": [t_prev] * times, "solve": fold, "inv": []}
+        assert matrices == {"svd": [t_prev], "solve": fold, "inv": []}
     else:
         assert matrices == {"svd": [], "solve": [t_prev], "inv": []}
+
+
+# singular inputs of size 50 >= _SCHUR_MIN_SIZE: two full-rank q = 2
+# atoms, n = 24, and two scalar atoms (+) a VAR(1)
+LARGE = {
+    "frozen": HermSeq(atomic_coeffs(np.random.default_rng(3), 2, 25, 2)[0]),
+    "deflated": HermSeq(direct_sum(atomic_coeffs(np.random.default_rng(6), 1, 25, 2)[0],
+                                   var1_coeffs(np.random.default_rng(6), 1, 0.6, 25))),
+}
+
+
+@pytest.mark.parametrize("kind", ["frozen", "deflated"])
+def test_certified_singular_entry_takes_no_eigvalsh_of_t_n(calls, built, kind):
+    # the declined Cholesky, a second one of re T_n + (nu - slack) I that
+    # proves it TND, and rank T_n from the predictor's one matrix SVD and
+    # the q x q eigvalsh of the Schur complement: no eigvalsh larger than
+    # q x q.  A deflated measure takes one SVD in all, and the range of
+    # T'_{n-1} from one eigh of size r; the shift's eighs are no larger;
+    # its quotient's T_{n-1} fails its own Cholesky
+    data = LARGE[kind]
+    n, q = len(data) - 1, data.q
+    t_n, t_prev = ((n + 1) * q,) * 2, (n * q,) * 2
+    assert t_n[0] >= toeplitz._SCHUR_MIN_SIZE
+    r = numerical_rank(toeplitz_matrix(data, n - 1))
+    for seen in (*calls.values(), built):
+        seen.clear()
+    sm = central_measure(data)
+    assert (sm.quotient is None) == (kind == "frozen") and len(sm.atoms) == 2
+    assert calls["eigvalsh"] == [(q, q)]
+    assert calls["cholesky"] == [t_n, t_n] + ([] if kind == "frozen" else [t_prev])
+    assert matrices(calls["svd"]) == [t_prev]
+    assert max(s[0] for s in matrices(calls["eigh"])) <= r
+    if kind == "deflated":
+        assert matrices(calls["eigh"])[-1] == (r, r)
+    assert built == [n] * (1 if kind == "frozen" else 2)
 
 
 @pytest.mark.parametrize("kind", ["tpd", "subtracted-pole", "frozen", "mixed", "deflated"])
@@ -561,7 +602,8 @@ def test_only_singular_input_takes_one_eig_of_the_shift(seq, calls, kind):
     # Hermitian eigensolvers and takes no eig of size r: rank-frozen data
     # one eigh of size r; deflated data one eigh of W^{*m} W^m, size r, and
     # one of the unitary part, here the 2-dimensional span of DSUM's two
-    # scalar atoms.  Only the blocks' stacked eigs remain.
+    # scalar atoms, then one eigh of U_r* T'_{n-1} U_r, size r, for the
+    # deflated quotient.  Only the blocks' stacked eigs remain.
     data = INPUTS.get(kind, seq)
     n, q = len(data) - 1, data.q
     singular = numerical_rank(toeplitz_matrix(data, n)) < (n + 1) * q
@@ -570,7 +612,7 @@ def test_only_singular_input_takes_one_eig_of_the_shift(seq, calls, kind):
     assert singular == (kind in ("frozen", "deflated"))
     assert matrices(calls["eig"]) == []
     assert bool(calls["eig"]) == singular
-    want = {"frozen": [(r, r)], "deflated": [(r, r), (2, 2)]}.get(kind, [])
+    want = {"frozen": [(r, r)], "deflated": [(r, r), (2, 2), (r, r)]}.get(kind, [])
     assert matrices(calls["eigh"]) == want
     # the atom weights are Gram matrices: no stacked eigh finishes them
     assert calls["eigh"] == matrices(calls["eigh"])
